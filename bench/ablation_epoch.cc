@@ -26,13 +26,15 @@ void RunCase(benchmark::State& state, uint64_t epoch_kib) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100'000;
   workloads::YsbWorkload workload(ycfg);
-  engines::ClusterConfig cfg = BenchCluster(4, 8);
-  cfg.records_per_worker = BenchRecords(20'000);
-  cfg.epoch_bytes = epoch_kib * kKiB;
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(20'000);
+  job.epoch_bytes = epoch_kib * kKiB;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", workload, BenchCluster(4, 8), job);
   engines::RunStats stats;
   for (auto _ : state) {
     engines::SlashEngine engine;
-    stats = engine.Run(workload.MakeQuery(), workload, cfg);
+    stats = engine.Run(spec);
     RequireCompleted(stats, "ablation_epoch/" + std::to_string(epoch_kib) +
                                 "KiB");
   }

@@ -37,14 +37,16 @@ void RunCase(benchmark::State& state, bool ysb, bool compiled) {
     cfg.key_range = 100'000;
     workload = std::make_unique<workloads::RoWorkload>(cfg);
   }
-  engines::ClusterConfig cfg = BenchCluster(2, 8);
-  cfg.records_per_worker = BenchRecords(40'000);
-  cfg.execution = compiled ? core::ExecutionStrategy::kCompiled
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(40'000);
+  job.execution = compiled ? core::ExecutionStrategy::kCompiled
                            : core::ExecutionStrategy::kInterpreted;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", *workload, BenchCluster(2, 8), job);
   engines::RunStats stats;
   for (auto _ : state) {
     engines::SlashEngine engine;
-    stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+    stats = engine.Run(spec);
     RequireCompleted(stats, compiled ? "ablation_execution/compiled"
                                      : "ablation_execution/interpreted");
   }

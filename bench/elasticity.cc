@@ -48,20 +48,21 @@ SeriesTable* Table() {
 constexpr uint64_t kBaseRecordsPerWorker = 20000;
 constexpr int kWorkersPerNode = 2;
 
-engines::ClusterConfig ElasticityCluster(int nodes) {
-  engines::ClusterConfig cfg = BenchCluster(nodes, kWorkersPerNode);
-  cfg.records_per_worker = BenchRecords(kBaseRecordsPerWorker);
-  cfg.epoch_bytes = 64 * kKiB;  // frequent boundaries: early joins already
+engines::JobSpec ElasticityJob(const workloads::Workload& workload,
+                               int nodes) {
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(kBaseRecordsPerWorker);
+  job.epoch_bytes = 64 * kKiB;  // frequent boundaries: early joins already
                                 // find a committed round to hand off from
-  cfg.checkpoint.enabled = true;  // handoff rides the snapshot/rollback path
-  return cfg;
+  job.checkpoint.enabled = true;  // handoff rides the snapshot/rollback path
+  return engines::MakeJobSpec("", workload,
+                              BenchCluster(nodes, kWorkersPerNode), job);
 }
 
-engines::RunStats RunShape(const workloads::YsbWorkload& workload,
-                           const engines::ClusterConfig& cfg,
+engines::RunStats RunShape(const engines::JobSpec& job,
                            const std::string& context) {
   engines::SlashEngine engine;
-  engines::RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  engines::RunStats stats = engine.Run(job);
   RequireCompleted(stats, context);
   return stats;
 }
@@ -76,8 +77,8 @@ void Elasticity(benchmark::State& state) {
   const std::string label = "elasticity/nodes:" + std::to_string(nodes);
 
   for (auto _ : state) {
-    const engines::ClusterConfig cfg = ElasticityCluster(nodes);
-    const engines::RunStats st = RunShape(workload, cfg, label + "/static");
+    const engines::JobSpec job = ElasticityJob(workload, nodes);
+    const engines::RunStats st = RunShape(job, label + "/static");
 
     // The autoscale arc, placed at fractions of the static makespan so the
     // shape is self-scaling: N/4 initial, out to N, back in to N/2.
@@ -97,10 +98,10 @@ void Elasticity(benchmark::State& state) {
       plan.leaves.push_back({.at = Nanos(double(st.makespan()) * f),
                              .node = nodes - 1 - i});
     }
-    SLASH_CHECK(plan.Validate(cfg.nodes).ok());
-    engines::ClusterConfig ecfg = cfg;
-    ecfg.reconfig = &plan;
-    const engines::RunStats el = RunShape(workload, ecfg, label + "/elastic");
+    SLASH_CHECK(plan.Validate(job.cluster.nodes).ok());
+    engines::JobSpec elastic_job = job;
+    elastic_job.cluster.reconfig = &plan;
+    const engines::RunStats el = RunShape(elastic_job, label + "/elastic");
 
     // The elastic tier's contracts, re-CHECKed at bench scale: same
     // answer, every event executed, no membership change mistaken for a

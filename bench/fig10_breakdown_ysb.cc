@@ -33,15 +33,17 @@ void BM_Fig10(benchmark::State& state) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100'000;  // keyspace scaled with input size
   workloads::YsbWorkload workload(ycfg);
-  engines::ClusterConfig cfg = BenchCluster(2, 10);
-  cfg.records_per_worker = BenchRecords(20'000);
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(20'000);
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", workload, BenchCluster(2, 10), job);
 
   engines::RunStats uppar, slash;
   for (auto _ : state) {
     engines::UpParEngine uppar_engine;
     engines::SlashEngine slash_engine;
-    uppar = uppar_engine.Run(workload.MakeQuery(), workload, cfg);
-    slash = slash_engine.Run(workload.MakeQuery(), workload, cfg);
+    uppar = uppar_engine.Run(spec);
+    slash = slash_engine.Run(spec);
     RequireCompleted(uppar, "fig10/UpPar");
     RequireCompleted(slash, "fig10/Slash");
   }

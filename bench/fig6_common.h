@@ -53,12 +53,13 @@ inline int WeakScalingMain(int argc, char** argv, const std::string& title,
            workers_per_node](benchmark::State& state) {
             auto workload = factory();
             auto sut_engine = MakeSut(sut);
-            engines::ClusterConfig cfg =
-                BenchCluster(nodes, workers_per_node);
-            cfg.records_per_worker = BenchRecords(base_records_per_worker);
+            engines::JobConfig job = BenchJob();
+            job.records_per_worker = BenchRecords(base_records_per_worker);
+            const engines::JobSpec spec = engines::MakeJobSpec(
+                "", *workload, BenchCluster(nodes, workers_per_node), job);
             engines::RunStats stats;
             for (auto _ : state) {
-              stats = sut_engine->Run(workload->MakeQuery(), *workload, cfg);
+              stats = sut_engine->Run(spec);
               RequireCompleted(stats, std::string(sut_engine->name()) +
                                           "/nodes:" + std::to_string(nodes));
             }

@@ -55,18 +55,18 @@ SeriesTable* Table() {
 void RunCase(benchmark::State& state, int workload_id, int nodes) {
   auto workload = MakeWorkload(workload_id);
   const int workers = 10;  // paper configuration: 10 threads per node
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(10'000);
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", *workload, BenchCluster(nodes, workers), job);
   engines::RunStats stats;
   for (auto _ : state) {
     if (nodes == 1) {
       engines::LightSaberEngine engine;
-      engines::ClusterConfig cfg = BenchCluster(1, workers);
-      cfg.records_per_worker = BenchRecords(10'000);
-      stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+      stats = engine.Run(spec);
     } else {
       engines::SlashEngine engine;
-      engines::ClusterConfig cfg = BenchCluster(nodes, workers);
-      cfg.records_per_worker = BenchRecords(10'000);
-      stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+      stats = engine.Run(spec);
     }
     RequireCompleted(stats, std::string(WorkloadName(workload_id)) +
                                 "/nodes:" + std::to_string(nodes));

@@ -48,16 +48,18 @@ void RunCase(benchmark::State& state, bool ysb, bool slash_engine, double z) {
   if (ysb) {
     // End-to-end stateful query on the full engines.
     auto workload = MakeWorkload(ysb, z);
-    engines::ClusterConfig cfg = BenchCluster(2, 8);
-    cfg.records_per_worker = BenchRecords(12'000);
+    engines::JobConfig job = BenchJob();
+    job.records_per_worker = BenchRecords(12'000);
+    const engines::JobSpec spec =
+        engines::MakeJobSpec("", *workload, BenchCluster(2, 8), job);
     engines::RunStats stats;
     for (auto _ : state) {
       if (slash_engine) {
         engines::SlashEngine engine;
-        stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+        stats = engine.Run(spec);
       } else {
         engines::UpParEngine engine;
-        stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+        stats = engine.Run(spec);
       }
       RequireCompleted(stats, std::string(slash_engine ? "Slash" : "UpPar") +
                                   "/z=" + std::to_string(z));

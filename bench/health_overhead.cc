@@ -54,16 +54,18 @@ engines::RunStats RunOnce(int nodes, bool health_on) {
   ycfg.key_range = 100'000;
   workloads::YsbWorkload workload(ycfg);
 
-  engines::ClusterConfig cfg = BenchCluster(nodes, kWorkersPerNode);
-  cfg.records_per_worker = BenchRecords(kBaseRecordsPerWorker);
-  cfg.checkpoint.enabled = true;
+  engines::ClusterConfig cluster = BenchCluster(nodes, kWorkersPerNode);
   if (health_on) {
-    cfg.health.enabled = true;
-    cfg.health.probe_timeout = 50 * kMicrosecond;  // above the loaded RTT
+    cluster.health.enabled = true;
+    cluster.health.probe_timeout = 50 * kMicrosecond;  // above the loaded RTT
   }
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(kBaseRecordsPerWorker);
+  job.checkpoint.enabled = true;
 
   engines::SlashEngine engine;
-  engines::RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  engines::RunStats stats =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   RequireCompleted(stats, "health_overhead/nodes:" + std::to_string(nodes));
   return stats;
 }

@@ -36,13 +36,15 @@ void RunCase(benchmark::State& state, bool ysb, bool rdma_ingestion) {
     cfg.key_range = 100'000;
     workload = std::make_unique<workloads::RoWorkload>(cfg);
   }
-  engines::ClusterConfig cfg = BenchCluster(4, 8);
-  cfg.records_per_worker = BenchRecords(15'000);
-  cfg.rdma_ingestion = rdma_ingestion;
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(15'000);
+  job.rdma_ingestion = rdma_ingestion;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", *workload, BenchCluster(4, 8), job);
   engines::RunStats stats;
   for (auto _ : state) {
     engines::SlashEngine engine;
-    stats = engine.Run(workload->MakeQuery(), *workload, cfg);
+    stats = engine.Run(spec);
     RequireCompleted(stats, rdma_ingestion ? "ingestion/rdma"
                                            : "ingestion/local");
   }

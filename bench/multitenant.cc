@@ -69,9 +69,9 @@ const char* WorkloadName(int j) {
 void MultiTenant(benchmark::State& state) {
   const int njobs = int(state.range(0));
   for (auto _ : state) {
-    engines::ClusterConfig cluster = BenchCluster(4, 4);
-    engines::JobConfig jcfg(cluster);
-    jcfg.records_per_worker = BenchRecords(3000);
+    const engines::ClusterConfig cluster = BenchCluster(4, 4);
+    engines::JobConfig job = BenchJob();
+    job.records_per_worker = BenchRecords(3000);
 
     // Alternating gold/silver quotas: half the tenants may hold 64 NIC
     // credits in flight across all their channels, half only 32 (each
@@ -82,7 +82,7 @@ void MultiTenant(benchmark::State& state) {
       workloads.push_back(MakeWorkload(j));
       const uint32_t quota = (j % 2 == 0) ? 64 : 32;
       jobs.push_back(engines::MakeJobSpec("t" + std::to_string(j),
-                                          *workloads.back(), cluster, jcfg,
+                                          *workloads.back(), cluster, job,
                                           quota));
     }
 
@@ -93,9 +93,9 @@ void MultiTenant(benchmark::State& state) {
     // Correctness gate: each tenant's results are exactly what its query
     // computes sequentially, co-location notwithstanding.
     for (int j = 0; j < njobs; ++j) {
-      const core::QuerySpec query = workloads[j]->MakeQuery();
       const core::OracleOutput oracle = core::ComputeOracle(
-          query, workloads[j]->Sources(jcfg.records_per_worker, jcfg.seed),
+          workloads[j]->MakeQuery(),
+          workloads[j]->Sources(job.records_per_worker, job.seed),
           cluster.nodes * cluster.workers_per_node);
       SLASH_CHECK_EQ(multi.jobs[j].records_in(), oracle.records_in);
       SLASH_CHECK_EQ(multi.jobs[j].records_emitted(), oracle.count);

@@ -22,10 +22,11 @@
 namespace slash::bench {
 namespace {
 
-engines::ClusterConfig Table1Cluster() {
-  engines::ClusterConfig cfg = BenchCluster(/*nodes=*/2, /*workers=*/10);
-  cfg.records_per_worker = BenchRecords(20'000);
-  return cfg;
+engines::JobSpec Table1Job(const workloads::Workload& workload) {
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(20'000);
+  return engines::MakeJobSpec("", workload,
+                              BenchCluster(/*nodes=*/2, /*workers=*/10), job);
 }
 
 void PrintRow(const char* label, const perf::Counters& c, Nanos makespan) {
@@ -41,14 +42,14 @@ void BM_Table1(benchmark::State& state) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100'000;  // keyspace scaled with input size (see DESIGN.md)
   workloads::YsbWorkload workload(ycfg);
-  const engines::ClusterConfig cfg = Table1Cluster();
+  const engines::JobSpec job = Table1Job(workload);
 
   engines::RunStats uppar, slash;
   for (auto _ : state) {
     engines::UpParEngine uppar_engine;
     engines::SlashEngine slash_engine;
-    uppar = uppar_engine.Run(workload.MakeQuery(), workload, cfg);
-    slash = slash_engine.Run(workload.MakeQuery(), workload, cfg);
+    uppar = uppar_engine.Run(job);
+    slash = slash_engine.Run(job);
     RequireCompleted(uppar, "table1/UpPar");
     RequireCompleted(slash, "table1/Slash");
   }

@@ -12,7 +12,9 @@
 
 int main() {
   slash::workloads::CmWorkload workload;
-  const slash::core::QuerySpec query = workload.MakeQuery();
+  slash::engines::ClusterConfig cluster;
+  cluster.nodes = 4;
+  cluster.workers_per_node = 6;
 
   std::printf(
       "Cluster Monitoring (2 s tumbling AVG of per-job CPU usage)\n"
@@ -21,15 +23,13 @@ int main() {
               "p50 delta latency");
 
   for (const uint64_t epoch_kib : {64ULL, 512ULL, 4096ULL}) {
-    slash::engines::ClusterConfig cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 6;
-    cluster.records_per_worker = 25'000;
-    cluster.epoch_bytes = epoch_kib * slash::kKiB;
+    slash::engines::JobConfig job;
+    job.records_per_worker = 25'000;
+    job.epoch_bytes = epoch_kib * slash::kKiB;
 
     slash::engines::SlashEngine engine;
     const slash::engines::RunStats stats =
-        engine.Run(query, workload, cluster);
+        engine.Run(slash::engines::MakeJobSpec("", workload, cluster, job));
     slash::bench::RequireCompleted(stats, "cluster_monitoring");
     std::printf("%8llu KiB %12.1f %14s %16s\n",
                 static_cast<unsigned long long>(epoch_kib),
@@ -46,13 +46,11 @@ int main() {
     cfg.keys = z == 0.0 ? slash::workloads::KeyDistribution::Uniform()
                         : slash::workloads::KeyDistribution::Zipf(z);
     slash::workloads::CmWorkload skewed(cfg);
-    slash::engines::ClusterConfig cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 6;
-    cluster.records_per_worker = 25'000;
+    slash::engines::JobConfig job;
+    job.records_per_worker = 25'000;
     slash::engines::SlashEngine engine;
     const slash::engines::RunStats stats =
-        engine.Run(skewed.MakeQuery(), skewed, cluster);
+        engine.Run(slash::engines::MakeJobSpec("", skewed, cluster, job));
     slash::bench::RequireCompleted(stats, "cluster_monitoring/skew");
     std::printf("%-8.1f %12.1f\n", z, stats.throughput_rps() / 1e6);
   }

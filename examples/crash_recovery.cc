@@ -24,22 +24,23 @@ int main() {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 20'000;
   workloads::YsbWorkload workload(ycfg);
-  const core::QuerySpec query = workload.MakeQuery();
 
   engines::ClusterConfig cluster;
   cluster.nodes = 3;
   cluster.workers_per_node = 2;
-  cluster.records_per_worker = 20'000;
-  cluster.channel.slot_bytes = 16 * kKiB;
-  cluster.epoch_bytes = 64 * kKiB;
-  cluster.collect_rows = true;
-  cluster.checkpoint.enabled = true;
-  cluster.checkpoint.replication_factor = 2;
+  engines::JobConfig job;
+  job.records_per_worker = 20'000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.collect_rows = true;
+  job.checkpoint.enabled = true;
+  job.checkpoint.replication_factor = 2;
 
   engines::SlashEngine engine;
 
   // Pass 1: fault-free, to learn when to strike.
-  const engines::RunStats clean = engine.Run(query, workload, cluster);
+  const engines::RunStats clean =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   bench::RequireCompleted(clean, "crash_recovery/clean");
 
   // Pass 2: kill node 1 halfway through the run.
@@ -47,7 +48,8 @@ int main() {
   plan.node_crashes.push_back(
       {.at = Nanos(double(clean.makespan()) * 0.5), .node = 1});
   cluster.fault_plan = &plan;
-  const engines::RunStats stats = engine.Run(query, workload, cluster);
+  const engines::RunStats stats =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   bench::RequireCompleted(stats, "crash_recovery/crashed");
 
   std::printf("workload              : YSB, %d nodes x %d workers\n",
@@ -72,7 +74,7 @@ int main() {
   // The point of the exercise: the crashed run's windowed results are
   // bit-identical to the sequential reference computation.
   const core::OracleOutput oracle = core::ComputeOracle(
-      query, workload.Sources(cluster.records_per_worker, cluster.seed),
+      workload.MakeQuery(), workload.Sources(job.records_per_worker, job.seed),
       cluster.nodes * cluster.workers_per_node);
   const bool ok = stats.records_emitted() == oracle.count &&
                   stats.result_checksum() == oracle.checksum;

@@ -35,8 +35,8 @@ int main() {
   cluster.nodes = 4;
   cluster.workers_per_node = 2;
 
-  engines::JobConfig jcfg(cluster);
-  jcfg.records_per_worker = 4000;
+  engines::JobConfig config;
+  config.records_per_worker = 4000;
 
   workloads::YsbWorkload ysb;
   workloads::CmWorkload cm;
@@ -56,7 +56,7 @@ int main() {
   std::vector<engines::JobSpec> jobs;
   for (const Tenant& t : tenants) {
     jobs.push_back(
-        engines::MakeJobSpec(t.name, *t.workload, cluster, jcfg, t.quota));
+        engines::MakeJobSpec(t.name, *t.workload, cluster, config, t.quota));
   }
 
   engines::SlashEngine engine;
@@ -80,7 +80,7 @@ int main() {
     const core::QuerySpec query = tenants[j].workload->MakeQuery();
     const core::OracleOutput oracle = core::ComputeOracle(
         query,
-        tenants[j].workload->Sources(jcfg.records_per_worker, jcfg.seed),
+        tenants[j].workload->Sources(config.records_per_worker, config.seed),
         cluster.nodes * cluster.workers_per_node);
     const bool match = job.records_in() == oracle.records_in &&
                        job.records_emitted() == oracle.count &&

@@ -18,20 +18,20 @@
 namespace {
 
 void RunJoin(const slash::workloads::Workload& workload) {
-  const slash::core::QuerySpec query = workload.MakeQuery();
-
   slash::engines::ClusterConfig cluster;
   cluster.nodes = 4;
   cluster.workers_per_node = 4;
-  cluster.records_per_worker = 8'000;
-  cluster.collect_rows = true;
+  slash::engines::JobConfig job;
+  job.records_per_worker = 8'000;
+  job.collect_rows = true;
 
   slash::engines::SlashEngine engine;
-  const slash::engines::RunStats stats = engine.Run(query, workload, cluster);
+  const slash::engines::RunStats stats =
+      engine.Run(slash::engines::MakeJobSpec("", workload, cluster, job));
   slash::bench::RequireCompleted(stats, "nexmark_join");
 
   const slash::core::OracleOutput oracle = slash::core::ComputeOracle(
-      query, workload.Sources(cluster.records_per_worker, cluster.seed),
+      workload.MakeQuery(), workload.Sources(job.records_per_worker, job.seed),
       cluster.nodes * cluster.workers_per_node);
 
   uint64_t total_pairs = 0;

@@ -79,11 +79,13 @@ int main() {
   slash::engines::ClusterConfig cluster;
   cluster.nodes = 4;
   cluster.workers_per_node = 4;
-  cluster.records_per_worker = 25'000;
-  cluster.collect_rows = true;
+  slash::engines::JobConfig job;
+  job.records_per_worker = 25'000;
+  job.collect_rows = true;
 
   slash::engines::SlashEngine engine;
-  const slash::engines::RunStats stats = engine.Run(query, workload, cluster);
+  const slash::engines::RunStats stats =
+      engine.Run(slash::engines::MakeJobSpec("", workload, cluster, job));
   slash::bench::RequireCompleted(stats, "quickstart");
 
   std::printf("query            : %s\n", query.name.c_str());
@@ -100,7 +102,7 @@ int main() {
 
   // Verify against the sequential reference computation (property P2).
   const slash::core::OracleOutput oracle = slash::core::ComputeOracle(
-      query, workload.Sources(cluster.records_per_worker, cluster.seed),
+      query, workload.Sources(job.records_per_worker, job.seed),
       cluster.nodes * cluster.workers_per_node);
   const bool ok = stats.result_checksum() == oracle.checksum &&
                   stats.records_emitted() == oracle.count;

@@ -148,26 +148,27 @@ int main(int argc, char** argv) {
   if (workload == nullptr || engine == nullptr) Usage(argv[0]);
   if (opts.engine == "lightsaber") opts.nodes = 1;
 
-  slash::engines::ClusterConfig cfg;
-  cfg.nodes = opts.nodes;
-  cfg.workers_per_node = opts.workers;
-  cfg.records_per_worker = opts.records;
-  cfg.epoch_bytes = opts.epoch_kib * slash::kKiB;
-  cfg.channel.credits = opts.credits;
-  cfg.channel.slot_bytes = opts.slot_kib * slash::kKiB;
-  cfg.execution = opts.compiled ? slash::core::ExecutionStrategy::kCompiled
+  slash::engines::ClusterConfig cluster;
+  cluster.nodes = opts.nodes;
+  cluster.workers_per_node = opts.workers;
+  slash::engines::JobConfig job;
+  job.records_per_worker = opts.records;
+  job.epoch_bytes = opts.epoch_kib * slash::kKiB;
+  job.channel.credits = opts.credits;
+  job.channel.slot_bytes = opts.slot_kib * slash::kKiB;
+  job.execution = opts.compiled ? slash::core::ExecutionStrategy::kCompiled
                                 : slash::core::ExecutionStrategy::kInterpreted;
 
   const slash::core::QuerySpec query = workload->MakeQuery();
   const slash::engines::RunStats stats =
-      engine->Run(query, *workload, cfg);
+      engine->Run(slash::engines::MakeJobSpec("", *workload, cluster, job));
   slash::bench::RequireCompleted(stats, std::string(engine->name()));
 
   std::printf("engine            : %s\n", std::string(engine->name()).c_str());
   std::printf("workload          : %s (%s)\n",
               std::string(workload->name()).c_str(), query.name.c_str());
-  std::printf("cluster           : %d nodes x %d workers\n", cfg.nodes,
-              cfg.workers_per_node);
+  std::printf("cluster           : %d nodes x %d workers\n", cluster.nodes,
+              cluster.workers_per_node);
   std::printf("records processed : %llu\n",
               static_cast<unsigned long long>(stats.records_in()));
   std::printf("virtual makespan  : %s\n",
@@ -186,8 +187,8 @@ int main(int argc, char** argv) {
 
   if (opts.verify) {
     const slash::core::OracleOutput oracle = slash::core::ComputeOracle(
-        query, workload->Sources(cfg.records_per_worker, cfg.seed),
-        cfg.nodes * cfg.workers_per_node);
+        query, workload->Sources(job.records_per_worker, job.seed),
+        cluster.nodes * cluster.workers_per_node);
     const bool ok = oracle.checksum == stats.result_checksum() &&
                     oracle.count == stats.records_emitted();
     std::printf("oracle            : %s\n", ok ? "PASS" : "FAIL");

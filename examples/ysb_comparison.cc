@@ -23,12 +23,14 @@ int main(int argc, char** argv) {
   slash::workloads::YsbConfig ycfg;
   ycfg.key_range = 100'000;
   slash::workloads::YsbWorkload workload(ycfg);
-  const slash::core::QuerySpec query = workload.MakeQuery();
 
   slash::engines::ClusterConfig cluster;
   cluster.nodes = nodes;
   cluster.workers_per_node = workers;
-  cluster.records_per_worker = 20'000;
+  slash::engines::JobConfig job;
+  job.records_per_worker = 20'000;
+  const slash::engines::JobSpec spec =
+      slash::engines::MakeJobSpec("", workload, cluster, job);
 
   std::vector<std::unique_ptr<slash::engines::Engine>> engines;
   engines.push_back(std::make_unique<slash::engines::SlashEngine>());
@@ -37,14 +39,13 @@ int main(int argc, char** argv) {
 
   std::printf("YSB on %d nodes x %d workers, %llu records/worker\n\n", nodes,
               workers,
-              static_cast<unsigned long long>(cluster.records_per_worker));
+              static_cast<unsigned long long>(job.records_per_worker));
   std::printf("%-16s %12s %12s %10s %10s %10s\n", "engine", "Mrec/s",
               "net GB/s", "results", "checksum", "mem GB/s");
 
   uint64_t reference_checksum = 0;
   for (auto& engine : engines) {
-    const slash::engines::RunStats stats =
-        engine->Run(query, workload, cluster);
+    const slash::engines::RunStats stats = engine->Run(spec);
     slash::bench::RequireCompleted(stats, std::string(engine->name()));
     if (reference_checksum == 0) reference_checksum = stats.result_checksum();
     std::printf("%-16s %12.1f %12.2f %10llu %10s %10.1f\n",
@@ -59,10 +60,9 @@ int main(int argc, char** argv) {
   // LightSaber runs single-node; shown for the COST comparison.
   {
     slash::engines::LightSaberEngine lightsaber;
-    slash::engines::ClusterConfig single = cluster;
-    single.nodes = 1;
-    const slash::engines::RunStats stats =
-        lightsaber.Run(query, workload, single);
+    slash::engines::JobSpec single = spec;
+    single.cluster.nodes = 1;
+    const slash::engines::RunStats stats = lightsaber.Run(single);
     slash::bench::RequireCompleted(stats, "LightSaber");
     std::printf("%-16s %12.1f %12s %10llu %10s %10.1f   (1 node)\n",
                 std::string(lightsaber.name()).c_str(),
@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
       "\nWhy the gap (top-down breakdown of the costliest roles):\n");
   {
     slash::engines::UpParEngine uppar;
-    const slash::engines::RunStats stats =
-        uppar.Run(query, workload, cluster);
+    const slash::engines::RunStats stats = uppar.Run(spec);
     const auto roles = stats.role_counters();
     const auto& receiver = roles.at("receiver");
     std::printf("  UpPar receiver : %.0f%% memory-bound, %.0f%% core-bound "

@@ -6,16 +6,21 @@
 namespace slash::bench {
 
 engines::ClusterConfig BenchCluster(int nodes, int workers) {
-  engines::ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = workers;
-  cfg.channel.slot_bytes = 32 * kKiB;
-  cfg.channel.credits = 8;
-  cfg.epoch_bytes = 1 * kMiB;  // keeps the paper input:epoch ratio at bench scale
-  cfg.state_lss_capacity = 1ULL << 20;
-  cfg.state_index_buckets = 1ULL << 14;
-  cfg.collect_rows = false;
-  return cfg;
+  engines::ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  return cluster;
+}
+
+engines::JobConfig BenchJob() {
+  engines::JobConfig job;
+  job.channel.slot_bytes = 32 * kKiB;
+  job.channel.credits = 8;
+  job.epoch_bytes = 1 * kMiB;
+  job.state_lss_capacity = 1ULL << 20;
+  job.state_index_buckets = 1ULL << 14;
+  job.collect_rows = false;
+  return job;
 }
 
 uint64_t BenchRecords(uint64_t base) {

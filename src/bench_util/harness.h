@@ -17,6 +17,11 @@ namespace slash::bench {
 /// `workers` explicitly where the figure depends on it.
 engines::ClusterConfig BenchCluster(int nodes, int workers);
 
+/// The per-job preset of the end-to-end figures: 32 KiB slots, 8 credits
+/// and a 1 MiB epoch, which keeps the paper's input:epoch ratio at bench
+/// scale. Callers set records_per_worker.
+engines::JobConfig BenchJob();
+
 /// Records per worker for end-to-end figures, scaled by the
 /// SLASH_BENCH_SCALE environment variable (default 1.0). Raising it runs
 /// the experiments at larger input sizes.

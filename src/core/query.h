@@ -1,17 +1,15 @@
 // The query model: the declarative description of one continuous query
 // (paper Sec. 2.2 / 5.2).
 //
-// A QuerySpec is authored by the workloads and LOWERED into the logical
-// plan DAG of src/plan/ (plan::Planner::Lower): source -> [filter] ->
-// [project] -> repartition -> window aggregate | join -> sink. The plan is
-// validated structurally, compiled back through the operator registry
-// (plan::Compile) into the flat spec the engines' RecordPipeline
-// interprets, and executed as one job of a JobSpec (engines/job.h) —
-// possibly alongside other tenants' jobs on the same fabric. Each engine
-// realizes the plan with its own execution strategy (Slash: shared mutable
-// state, the repartition node is a no-op; UpPar/Flink: hash exchange;
-// LightSaber: single-node late merge), and the lowering round-trip is
-// byte-identical: Compile(Lower(q)) reproduces q's run exactly.
+// A QuerySpec describes the paper's one query shape (Sec. 5.2), a linear
+// pipeline: source -> [filter] -> [project] -> keyed window aggregate |
+// join -> sink. Each workload authors its query (Workload::MakeQuery) and
+// the engines run it as one job of a JobSpec (engines/job.h) — possibly
+// alongside other tenants' jobs on the same fabric — interpreting the
+// stateless stages through the RecordPipeline. Each engine realizes the
+// key-partitioned window with its own execution strategy (Slash: shared
+// mutable state, no re-partitioning; UpPar/Flink: hash exchange;
+// LightSaber: single-node late merge).
 #ifndef SLASH_CORE_QUERY_H_
 #define SLASH_CORE_QUERY_H_
 

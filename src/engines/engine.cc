@@ -6,17 +6,6 @@
 
 namespace slash::engines {
 
-RunStats Engine::Run(const core::QuerySpec& query,
-                     const workloads::Workload& workload,
-                     const ClusterConfig& config) {
-  JobSpec job;
-  job.plan = plan::Planner::Lower(query);
-  job.sources = &workload;
-  job.cluster = config;
-  job.config = JobConfig(config);
-  return Run(job);
-}
-
 RecoveryCoordinator::RecoveryCoordinator(int nodes)
     : nodes_(nodes), blobs_(nodes), final_from_(nodes, -1),
       retired_(nodes, false), retire_round_(nodes, 0),

@@ -9,10 +9,11 @@
 //                          runtime overheads
 //   * LightSaberEngine  — scale-up single-node late merge (COST yardstick)
 //
-// An Engine::Run executes one query over one workload on a simulated
-// cluster and reports throughput (records per second of virtual time),
-// result digests for correctness checks, network volume, per-role
-// top-down counters, and buffer-latency histograms.
+// Engine::Run(JobSpec) executes one job — the workload's query over its
+// sources, on the cluster and with the knobs the JobSpec carries — and
+// reports throughput (records per second of virtual time), result digests
+// for correctness checks, network volume, per-role top-down counters, and
+// buffer-latency histograms.
 #ifndef SLASH_ENGINES_ENGINE_H_
 #define SLASH_ENGINES_ENGINE_H_
 
@@ -254,30 +255,17 @@ struct MultiRunStats {
   std::vector<RunStats> jobs;
 };
 
-/// A System under Test.
-///
-/// The primary entry point is job-oriented: Run(JobSpec) compiles the
-/// job's logical plan through the operator registry and executes it. The
-/// positional (query, workload, config) overload is a compatibility shim
-/// that lowers the query into a plan and builds the equivalent JobSpec —
-/// byte-identical results (asserted by tests/plan_test.cc). Derived
-/// classes implement the JobSpec overload and pull the shim into scope
-/// with `using Engine::Run;`.
+/// A System under Test. Run(JobSpec) is its one entry point.
 class Engine {
  public:
   virtual ~Engine() = default;
 
   virtual std::string_view name() const = 0;
 
-  /// Executes one job: compiles job.plan and runs it over job.sources on
-  /// the cluster described by job.cluster + job.config.
+  /// Executes one job: job.sources->MakeQuery() over job.sources on the
+  /// cluster job.cluster, with the knobs job.config. A job without sources
+  /// fails with kInvalidArgument.
   virtual RunStats Run(const JobSpec& job) = 0;
-
-  /// Single-query convenience shim: lowers `query` (plan::Planner::Lower)
-  /// into the equivalent JobSpec with an empty tenant and no quota.
-  RunStats Run(const core::QuerySpec& query,
-               const workloads::Workload& workload,
-               const ClusterConfig& config);
 };
 
 // ---------------------------------------------------------------------------
@@ -470,16 +458,16 @@ inline Nanos TimedSimRun(sim::Simulator* sim, obs::MetricsRegistry* registry,
 
 /// The per-run observability plane every engine sets up at the top of
 /// Run(): a fresh registry plus the tracer policy described at
-/// ClusterConfig::tracer. Construct BEFORE the fabric, call Register() on
-/// the run's simulator, and Finish() after the epilogue has published its
-/// instruments.
+/// JobConfig::tracer (`external` is that tracer, or null). Construct BEFORE
+/// the fabric, call Register() on the run's simulator, and Finish() after
+/// the epilogue has published its instruments.
 class RunTelemetry {
  public:
-  explicit RunTelemetry(const ClusterConfig& config)
-      : external_(config.tracer),
+  explicit RunTelemetry(obs::Tracer* external)
+      : external_(external),
         local_(obs::Tracer::Options{
             .capacity = 1 << 16,
-            .enabled = config.tracer == nullptr &&
+            .enabled = external == nullptr &&
                        obs::Exporter::TraceDir() != nullptr}) {}
 
   obs::MetricsRegistry* registry() { return &registry_; }

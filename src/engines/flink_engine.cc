@@ -121,7 +121,8 @@ struct ReplState {
 struct FlinkRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
-  ClusterConfig config;
+  ClusterConfig cluster;
+  JobConfig job;
   sim::Simulator sim;
   std::unique_ptr<sim::FaultInjector> injector;
   std::unique_ptr<rdma::Fabric> fabric;
@@ -170,14 +171,14 @@ struct FlinkRun {
   int senders_per_node = 0;
   int receivers_per_node = 0;
 
-  int senders_total() const { return config.nodes * senders_per_node; }
-  int consumers_total() const { return config.nodes * receivers_per_node; }
-  bool checkpointing() const { return config.checkpoint.enabled; }
+  int senders_total() const { return cluster.nodes * senders_per_node; }
+  int consumers_total() const { return cluster.nodes * receivers_per_node; }
+  bool checkpointing() const { return job.checkpoint.enabled; }
   uint64_t BarrierInterval() const {
-    if (config.checkpoint.interval_records > 0) {
-      return config.checkpoint.interval_records;
+    if (job.checkpoint.interval_records > 0) {
+      return job.checkpoint.interval_records;
     }
-    return std::max<uint64_t>(1, config.records_per_worker / 4);
+    return std::max<uint64_t>(1, job.records_per_worker / 4);
   }
 };
 
@@ -194,7 +195,7 @@ void FailRun(FlinkRun* run, const Status& cause) {
 }
 
 uint64_t LaneCapacity(const FlinkRun& run) {
-  return run.config.channel.slot_bytes - channel::kFooterBytes;
+  return run.job.channel.slot_bytes - channel::kFooterBytes;
 }
 
 void OpenLane(FlinkRun* run, Outbound* ob) {
@@ -339,7 +340,7 @@ std::vector<uint8_t> ConsumerPart(const FlinkRun& run, ConsumerState* c) {
   w.Bytes(state);
   w.U64(c->sink.count());
   w.U64(c->sink.checksum());
-  const auto& rows = run.config.collect_rows
+  const auto& rows = run.job.collect_rows
                          ? c->sink.rows()
                          : std::vector<core::WindowResult>{};
   w.U64(rows.size());
@@ -415,18 +416,18 @@ sim::Task Sender(FlinkRun* run, SenderState* s) {
     return run->failed || run->attempt != attempt;
   };
   perf::CpuContext* cpu = s->cpu.get();
-  core::RecordPipeline pipeline(run->query, cpu, run->config.execution);
+  core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
   const int total_consumers = run->consumers_total();
   const uint64_t interval = run->BarrierInterval();
   const size_t nflows = s->mux->flow_count();
-  // Columnar staging (config.operator_batch > 1): records are pulled from
+  // Columnar staging (job.operator_batch > 1): records are pulled from
   // the mux charge-free — capturing the watermark each one observed at read
   // time — and replayed in append order through the exact scalar per-record
   // sequence (DESIGN.md §11). A staged chunk never crosses an aligned-
   // barrier boundary: the barrier block reads the mux's flow offsets and
   // watermark directly, so the mux must not be read ahead of the cut.
   const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
+      std::max<uint32_t>(1u, run->job.operator_batch);
   core::RecordBatch staged(operator_batch);
   Record r;
   uint64_t batch = 0;
@@ -495,7 +496,7 @@ sim::Task Sender(FlinkRun* run, SenderState* s) {
         Contribute(run, s->node, s->global_id, round, SenderPart(*s, offsets),
                    /*terminal=*/false);
       }
-      if (++batch >= run->config.source_batch) {
+      if (++batch >= run->job.source_batch) {
         batch = 0;
         co_await cpu->Sync();
       }
@@ -696,7 +697,7 @@ void OnNodeCrash(FlinkRun* run, int node) {
   }
   run->alive[node] = false;
   int live = 0;
-  for (int n = 0; n < run->config.nodes; ++n) live += run->alive[n] ? 1 : 0;
+  for (int n = 0; n < run->cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
   if (live == 0) {
     FailRun(run, Status::Unavailable("last node crashed: no survivors"));
     return;
@@ -735,8 +736,8 @@ void OnNodeCrash(FlinkRun* run, int node) {
   const uint64_t round = run->coordinator->LatestRecoverableRound(run->alive);
   int heir = run->coordinator->FirstLiveHolder(node, round, run->alive);
   if (heir < 0) {
-    for (int i = 1; i <= run->config.nodes && heir < 0; ++i) {
-      const int cand = (node + i) % run->config.nodes;
+    for (int i = 1; i <= run->cluster.nodes && heir < 0; ++i) {
+      const int cand = (node + i) % run->cluster.nodes;
       if (run->alive[cand]) heir = cand;
     }
   }
@@ -749,7 +750,7 @@ void OnNodeCrash(FlinkRun* run, int node) {
   }
 
   uint64_t restore_bytes = 0;
-  for (int n = 0; n < run->config.nodes; ++n) {
+  for (int n = 0; n < run->cluster.nodes; ++n) {
     const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
     if (blob != nullptr) restore_bytes += blob->size();
   }
@@ -759,7 +760,7 @@ void OnNodeCrash(FlinkRun* run, int node) {
       if (run->sender_node[s] != run->consumer_node[cns]) ++new_sockets;
     }
   }
-  const int rf = std::min(run->config.checkpoint.replication_factor, live - 1);
+  const int rf = std::min(run->job.checkpoint.replication_factor, live - 1);
   new_sockets += uint64_t(live) * uint64_t(std::max(rf, 0));
   const Nanos delay = kSocketSetupCost * Nanos(new_sockets) +
                       Nanos(restore_bytes / kRestoreBytesPerNs);
@@ -780,7 +781,8 @@ void OnNodeCrash(FlinkRun* run, int node) {
 /// replication pairs; restores entity state from the round-`round` blobs
 /// (round 0 = fresh start).
 void BuildAttempt(FlinkRun* run, uint64_t round) {
-  const ClusterConfig& config = run->config;
+  const ClusterConfig& cluster = run->cluster;
+  const JobConfig& job = run->job;
   const int attempt = run->attempt;
   run->attempt_socket_start = run->sockets.size();
   run->attempt_sender_start = run->senders.size();
@@ -801,7 +803,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
   };
   std::map<int, ConsumerRestore> consumer_restore;
   if (round >= 1) {
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (run->retired[n]) continue;
       const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
       SLASH_CHECK_MSG(blob != nullptr, "no restorable blob for node "
@@ -839,7 +841,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
   }
 
   // Fresh per-node checkpoint accumulators for this attempt's placement.
-  run->ckpt.assign(size_t(config.nodes), NodeCkpt{});
+  run->ckpt.assign(size_t(cluster.nodes), NodeCkpt{});
   for (int s = 0; s < run->senders_total(); ++s) {
     run->ckpt[run->sender_node[s]].entity_keys.push_back(s);
   }
@@ -847,11 +849,11 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     run->ckpt[run->consumer_node[cns]].entity_keys.push_back(
         run->senders_total() + cns);
   }
-  for (int n = 0; n < config.nodes; ++n) run->ckpt[n].assembled = round;
+  for (int n = 0; n < cluster.nodes; ++n) run->ckpt[n].assembled = round;
 
-  run->repl.assign(size_t(config.nodes), nullptr);
+  run->repl.assign(size_t(cluster.nodes), nullptr);
   if (run->checkpointing()) {
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (!run->alive[n]) continue;
       auto rs = std::make_unique<ReplState>();
       rs->event = std::make_unique<sim::Event>(&run->sim);
@@ -867,12 +869,12 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     c->global_id = gid;
     c->node = run->consumer_node[gid];
     c->attempt = attempt;
-    c->cpu = std::make_unique<perf::CpuContext>(&run->sim, config.cost_model,
-                                                config.cpu_ghz);
+    c->cpu = std::make_unique<perf::CpuContext>(&run->sim, cluster.cost_model,
+                                                cluster.cpu_ghz);
     c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
     c->batch = std::make_unique<core::RecordBatch>(
-        std::max<uint32_t>(1u, config.operator_batch));
-    c->sink = core::ResultSink(config.collect_rows);
+        std::max<uint32_t>(1u, job.operator_batch));
+    c->sink = core::ResultSink(job.collect_rows);
     c->arrivals = std::make_unique<sim::Event>(&run->sim);
     c->rounds_complete = round;
     const auto rit = consumer_restore.find(gid);
@@ -893,8 +895,8 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
 
   // Senders. Flow ids derive from the sender's *home* decomposition so a
   // replay re-reads exactly the flows the dead node owned.
-  const int flows_per_sender = config.workers_per_node / run->senders_per_node;
-  const int total_flows = config.nodes * config.workers_per_node;
+  const int flows_per_sender = cluster.workers_per_node / run->senders_per_node;
+  const int total_flows = cluster.nodes * cluster.workers_per_node;
   uint64_t restored_records = 0;
   for (int gid = 0; gid < run->senders_total(); ++gid) {
     auto s = std::make_unique<SenderState>();
@@ -902,16 +904,16 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     s->node = run->sender_node[gid];
     s->attempt = attempt;
     s->next_barrier = round + 1;
-    s->cpu = std::make_unique<perf::CpuContext>(&run->sim, config.cost_model,
-                                                config.cpu_ghz);
+    s->cpu = std::make_unique<perf::CpuContext>(&run->sim, cluster.cost_model,
+                                                cluster.cpu_ghz);
     const int home = gid / run->senders_per_node;
     const int snd = gid % run->senders_per_node;
     std::vector<std::unique_ptr<core::RecordSource>> flows;
     for (int f = 0; f < flows_per_sender; ++f) {
       const int flow =
-          home * config.workers_per_node + snd * flows_per_sender + f;
+          home * cluster.workers_per_node + snd * flows_per_sender + f;
       flows.push_back(run->workload->MakeFlow(
-          flow, total_flows, config.records_per_worker, config.seed));
+          flow, total_flows, job.records_per_worker, job.seed));
     }
     s->mux = std::make_unique<FlowMux>(std::move(flows));
     const auto oit = sender_offsets.find(gid);
@@ -933,7 +935,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
         c->inbound.push_back({gid, /*socket=*/nullptr, ob.local, round});
       } else {
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), s->node, c->node, config.socket);
+            run->fabric.get(), s->node, c->node, cluster.socket);
         ob.socket = socket.get();
         socket->AddReadableObserver(c->node, c->arrivals.get());
         c->inbound.push_back({gid, socket.get(), /*local=*/nullptr, round});
@@ -947,21 +949,21 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
   // replication_factor live nodes (cyclically).
   if (run->checkpointing()) {
     std::vector<int> live_nodes;
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (run->alive[n]) live_nodes.push_back(n);
     }
-    const int rf = std::min<int>(config.checkpoint.replication_factor,
+    const int rf = std::min<int>(job.checkpoint.replication_factor,
                                  int(live_nodes.size()) - 1);
     for (size_t i = 0; i < live_nodes.size(); ++i) {
       const int src = live_nodes[i];
       for (int k = 1; k <= rf; ++k) {
         const int target = live_nodes[(i + size_t(k)) % live_nodes.size()];
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), src, target, config.socket);
+            run->fabric.get(), src, target, cluster.socket);
         auto send_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, config.cost_model, config.cpu_ghz);
+            &run->sim, cluster.cost_model, cluster.cpu_ghz);
         auto recv_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, config.cost_model, config.cpu_ghz);
+            &run->sim, cluster.cost_model, cluster.cpu_ghz);
         run->sim.Spawn(Replicator(run, src, run->repl[src], socket.get(),
                                   send_cpu.get(), attempt));
         run->sim.Spawn(ReplicaReceiver(run, target, socket.get(),
@@ -978,7 +980,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     run->records_in = restored_records;
   }
   if (!run->alive.empty()) {
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (!run->alive[n] && !run->retired[n]) {
         run->coordinator->RetireNode(n, round);
         run->retired[n] = true;
@@ -997,67 +999,61 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
 
 }  // namespace
 
-RunStats FlinkLikeEngine::Run(const JobSpec& job) {
-  core::QuerySpec query;
-  ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
-    return stats;
-  }
-  return RunQuery(query, *job.sources, config);
-}
-
-RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
-                                   const workloads::Workload& workload,
-                                   const ClusterConfig& config) {
-  SLASH_CHECK_MSG(config.workers_per_node >= 2,
-                  "re-partitioning engines need at least one sender and one "
-                  "receiver per node");
-  FlinkRun run;
-  run.query = &query;
-  run.workload = &workload;
-  run.config = config;
-  run.senders_per_node = config.workers_per_node / 2;
-  run.receivers_per_node = config.workers_per_node - run.senders_per_node;
-
+RunStats FlinkLikeEngine::Run(const JobSpec& spec) {
   RunStats stats;
   stats.engine = std::string(name());
-  if (config.health.enabled) {
+  if (spec.sources == nullptr) {
+    stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
+    return stats;
+  }
+  const ClusterConfig& cluster = spec.cluster;
+  const JobConfig& job = spec.config;
+  SLASH_CHECK_MSG(cluster.workers_per_node >= 2,
+                  "re-partitioning engines need at least one sender and one "
+                  "receiver per node");
+  const core::QuerySpec query = spec.sources->MakeQuery();
+  FlinkRun run;
+  run.query = &query;
+  run.workload = spec.sources;
+  run.cluster = cluster;
+  run.job = job;
+  run.senders_per_node = cluster.workers_per_node / 2;
+  run.receivers_per_node = cluster.workers_per_node - run.senders_per_node;
+
+  if (cluster.health.enabled) {
     stats.status = Status::Unimplemented(
         "health monitoring requires the Slash engine's quarantine/recovery "
         "path");
     return stats;
   }
-  if (config.reconfig != nullptr) {
+  if (cluster.reconfig != nullptr) {
     stats.status = Status::Unimplemented(
         "elastic reconfiguration requires the Slash engine's handoff path");
     return stats;
   }
 
-  RunTelemetry telemetry(config);
+  RunTelemetry telemetry(job.tracer);
   obs::MetricsRegistry* registry = telemetry.registry();
 
   // The injector must be registered before the fabric is built so the
   // fabric attaches itself as the fault target at construction. The plan is
   // validated up front: a malformed plan is a configuration error, not a
   // mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(config.nodes);
+  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
+    const Status plan_status = cluster.fault_plan->Validate(cluster.nodes);
     if (!plan_status.ok()) {
       stats.status = plan_status;
       return stats;
     }
     run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *config.fault_plan);
+        std::make_unique<sim::FaultInjector>(&run.sim, *cluster.fault_plan);
     run.sim.set_fault_injector(run.injector.get());
   }
 
   // Telemetry is registered on the simulator before the fabric is built so
   // the NICs resolve their per-node tx counters at construction.
   telemetry.Register(&run.sim);
-  telemetry.NameNodes(config.nodes);
+  telemetry.NameNodes(cluster.nodes);
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
     run.trace_barrier = run.tracer->Intern("engine.barrier");
@@ -1067,22 +1063,22 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
   }
 
   rdma::FabricConfig fabric_config;
-  fabric_config.nodes = config.nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
+  fabric_config.nodes = cluster.nodes;
+  fabric_config.nic = cluster.nic;
+  fabric_config.connection = cluster.connection;
   run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
   run.fabric->SetNodeCrashHandler(
       [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
 
   run.pcfg.kind = query.is_join() ? state::StateKind::kAppend
                                   : state::StateKind::kAggregate;
-  run.pcfg.lss_capacity = config.state_lss_capacity;
-  run.pcfg.index_buckets = config.state_index_buckets;
+  run.pcfg.lss_capacity = job.state_lss_capacity;
+  run.pcfg.index_buckets = job.state_index_buckets;
 
-  run.coordinator = std::make_unique<RecoveryCoordinator>(config.nodes);
+  run.coordinator = std::make_unique<RecoveryCoordinator>(cluster.nodes);
   run.coordinator->AttachMetrics(registry);
-  run.alive.assign(size_t(config.nodes), true);
-  run.retired.assign(size_t(config.nodes), false);
+  run.alive.assign(size_t(cluster.nodes), true);
+  run.retired.assign(size_t(cluster.nodes), false);
   run.sender_node.resize(size_t(run.senders_total()));
   for (int s = 0; s < run.senders_total(); ++s) {
     run.sender_node[s] = s / run.senders_per_node;
@@ -1127,7 +1123,7 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
     const ConsumerState* c = run.consumers[i].get();
     emitted->Add(c->sink.count());
     checksum->Add(c->sink.checksum());
-    if (config.collect_rows) {
+    if (job.collect_rows) {
       const auto& rows = c->sink.rows();
       stats.rows.insert(stats.rows.end(), rows.begin(), rows.end());
     }

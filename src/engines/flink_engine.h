@@ -19,14 +19,7 @@ class FlinkLikeEngine : public Engine {
  public:
   std::string_view name() const override { return "Flink (IPoIB)"; }
 
-  using Engine::Run;  // the (query, workload, config) compatibility shim
-
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

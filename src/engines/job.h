@@ -1,22 +1,20 @@
 // The job model (DESIGN.md §12): what one tenant submits to an engine.
 //
-// A JobSpec pairs a tenant name with a logical plan (src/plan/), the
-// workload supplying its sources, an optional NIC-credit quota, and the
-// split configuration:
+// A JobSpec is the one description of a job. It names the tenant, points at
+// the workload that supplies both the query (Workload::MakeQuery) and its
+// record generators, sets an optional NIC-credit quota, and carries two
+// configurations that never overlap:
 //
 //   * ClusterConfig — the simulated cluster itself: topology, CPU clock,
-//     NIC/socket models, connection scaling, fault plan, health detection.
-//     One per cluster; shared by every job running on it.
+//     NIC/socket models, connection scaling, fault plan, health detection,
+//     elastic reconfiguration, cost model. One per cluster; shared by every
+//     job running on it.
 //   * JobConfig — per-job execution knobs: input size, channel sizing,
 //     epoch length, batching, state sizing, seed, execution strategy,
 //     checkpoint policy, tracer.
 //
-// ClusterConfig (below) is retained in its historical combined form — the
-// legacy per-job fields it carries still work everywhere — and
-// JobConfig(const ClusterConfig&) + EffectiveConfig() convert losslessly
-// between the two, so the old single-job call sites keep compiling while
-// new multi-job call sites pass one ClusterConfig and N JobConfigs. The
-// migration note lives in DESIGN.md §12.
+// Engine::Run(JobSpec) runs one job; SlashEngine::RunJobs runs several on
+// one shared ClusterConfig. MakeJobSpec builds the common case.
 #ifndef SLASH_ENGINES_JOB_H_
 #define SLASH_ENGINES_JOB_H_
 
@@ -24,17 +22,12 @@
 #include <string>
 
 #include "channel/rdma_channel.h"
-#include "common/status.h"
 #include "common/units.h"
-#include "core/oracle.h"
-#include "elastic/reconfig.h"
 #include "core/pipeline.h"
-#include "core/query.h"
+#include "elastic/reconfig.h"
 #include "health/health.h"
 #include "obs/trace.h"
 #include "perf/cost_model.h"
-#include "plan/plan.h"
-#include "plan/registry.h"
 #include "rdma/fabric.h"
 #include "rdma/socket_transport.h"
 #include "sim/fault.h"
@@ -72,22 +65,12 @@ struct CheckpointConfig {
   uint64_t interval_records = 0;
 };
 
-/// Simulated cluster and engine configuration.
+/// The simulated cluster: topology, hardware models and cluster-wide
+/// services, shared by every job that runs on it.
 ///
 /// Defaults model the paper's testbed (Sec. 8.1.1): 10-core 2.4 GHz nodes,
-/// ConnectX-4 EDR NICs at the measured 11.8 GB/s, c = 8 credits, 64 KiB
-/// buffers. Input sizes and the epoch length are scaled down from the
-/// paper's 1 GB/thread and 64 MiB so simulated runs complete quickly; both
-/// are configurable.
-///
-/// Historically this struct carried both the cluster AND the per-job knobs;
-/// the per-job half now also exists as JobConfig (below), and the two
-/// convert losslessly (JobConfig's compatibility constructor /
-/// EffectiveConfig). Single-job call sites keep passing one ClusterConfig;
-/// multi-job call sites pass one cluster-level ClusterConfig plus a
-/// JobConfig per JobSpec.
+/// ConnectX-4 EDR NICs at the measured 11.8 GB/s.
 struct ClusterConfig {
-  // --- Cluster level: topology, hardware models, cluster-wide services ---
   int nodes = 2;
   int workers_per_node = 10;
   double cpu_ghz = 2.4;
@@ -131,9 +114,15 @@ struct ClusterConfig {
   const elastic::ReconfigPlan* reconfig = nullptr;
 
   const perf::CostModel* cost_model = &perf::CostModel::Default();
+};
 
-  // --- Per-job level (legacy placement; the JobConfig copy of these wins
-  // when a JobSpec carries one — see EffectiveConfig) ---------------------
+/// The per-job execution knobs: everything a tenant may choose
+/// independently of its neighbors on the same cluster.
+///
+/// Defaults follow the paper's c = 8 credits and 64 KiB buffers. Input
+/// sizes and the epoch length are scaled down from the paper's 1 GB/thread
+/// and 64 MiB so simulated runs complete quickly; both are configurable.
+struct JobConfig {
   uint64_t records_per_worker = 20'000;
 
   channel::ChannelConfig channel;  // credits = 8, 64 KiB slots
@@ -184,76 +173,21 @@ struct ClusterConfig {
   /// the engine owns an internal tracer that is enabled iff the SLASH_TRACE
   /// environment variable names a directory, and writes
   /// TRACE_<engine>_<k>.json / METRICS_<engine>_<k>.json there on return.
+  /// Single-job runs only: SlashEngine::RunJobs rejects it.
   obs::Tracer* tracer = nullptr;
 };
-
-/// The per-job execution knobs, split out of ClusterConfig: everything a
-/// tenant may choose independently of its neighbors on the same cluster.
-/// Deliberately ABSENT here: fault_plan and health — those are properties
-/// of the shared cluster, not of one job, which is the point of the split.
-struct JobConfig {
-  uint64_t records_per_worker = 20'000;
-  channel::ChannelConfig channel;
-  uint64_t epoch_bytes = 4 * kMiB;
-  uint64_t source_batch = 512;
-  uint32_t operator_batch = 1;
-  uint64_t state_lss_capacity = 1ULL << 20;
-  size_t state_index_buckets = 1ULL << 14;
-  uint64_t seed = 42;
-  core::ExecutionStrategy execution = core::ExecutionStrategy::kInterpreted;
-  bool rdma_ingestion = false;
-  bool collect_rows = false;
-  CheckpointConfig checkpoint;
-  obs::Tracer* tracer = nullptr;
-
-  JobConfig() = default;
-
-  /// Compatibility constructor: lifts the per-job half out of a legacy
-  /// combined ClusterConfig. EffectiveConfig(legacy, JobConfig(legacy))
-  /// round-trips to `legacy` field-for-field.
-  explicit JobConfig(const ClusterConfig& legacy)
-      : records_per_worker(legacy.records_per_worker),
-        channel(legacy.channel),
-        epoch_bytes(legacy.epoch_bytes),
-        source_batch(legacy.source_batch),
-        operator_batch(legacy.operator_batch),
-        state_lss_capacity(legacy.state_lss_capacity),
-        state_index_buckets(legacy.state_index_buckets),
-        seed(legacy.seed),
-        execution(legacy.execution),
-        rdma_ingestion(legacy.rdma_ingestion),
-        collect_rows(legacy.collect_rows),
-        checkpoint(legacy.checkpoint),
-        tracer(legacy.tracer) {}
-};
-
-/// Overlays `job`'s per-job knobs onto a copy of `cluster`: the combined
-/// view the engine internals still consume. Lossless in both directions
-/// with JobConfig's compatibility constructor.
-ClusterConfig EffectiveConfig(const ClusterConfig& cluster,
-                              const JobConfig& job);
-
-/// Source half of a job, re-exported next to JobSpec (it moved here from
-/// core/query.h conceptually; the alias lives in core/oracle.h because the
-/// sequential oracle consumes it too).
-using SourceFactory = core::SourceFactory;
 
 /// One tenant's job: the unit of submission to Engine::Run and
 /// SlashEngine::RunJobs.
 struct JobSpec {
   /// Tenant name, the label on every job-scoped metric and trace track.
-  /// May be empty for single-job runs (then no tenant labels are emitted
-  /// and the snapshot is byte-identical to the legacy path); multi-job
-  /// runs require unique non-empty tenants.
+  /// May be empty for single-job runs (then no tenant labels are emitted);
+  /// multi-job runs require unique non-empty tenants.
   std::string tenant;
 
-  /// The logical plan to execute (author directly or lower a QuerySpec via
-  /// plan::Planner::Lower). Compiled through the default OperatorRegistry
-  /// at submission.
-  plan::LogicalPlan plan;
-
-  /// Supplies the job's record generators and wire sizes. Not owned; must
-  /// outlive the run.
+  /// Supplies the job's query (MakeQuery), record generators and wire
+  /// sizes. Not owned; must outlive the run. A null workload fails the run
+  /// with kInvalidArgument.
   const workloads::Workload* sources = nullptr;
 
   /// Per-tenant NIC-credit quota: the maximum channel credits this job may
@@ -262,7 +196,7 @@ struct JobSpec {
   /// is created, keeping the channel hot path byte-identical).
   uint32_t quota = 0;
 
-  /// The shared cluster (single-job path; RunJobs takes one cluster for
+  /// The cluster to run on (single-job path; RunJobs takes one cluster for
   /// all jobs instead).
   ClusterConfig cluster;
 
@@ -270,15 +204,7 @@ struct JobSpec {
   JobConfig config;
 };
 
-/// Compiles and validates `job` into what the engine loops consume: the
-/// flat query (plan -> registry -> QuerySpec), the combined effective
-/// config, and (when `sources` is non-null) the bound source factory.
-/// Fails on a null workload, an invalid plan, or an unregistered node kind.
-Status PrepareJob(const JobSpec& job, core::QuerySpec* query,
-                  ClusterConfig* config,
-                  core::SourceFactory* sources = nullptr);
-
-/// Convenience builder for the common case: lower `workload`'s query.
+/// Builds the JobSpec that runs `workload` on `cluster` with `config`.
 JobSpec MakeJobSpec(std::string tenant, const workloads::Workload& workload,
                     const ClusterConfig& cluster, const JobConfig& config,
                     uint32_t quota = 0);

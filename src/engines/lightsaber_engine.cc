@@ -22,7 +22,8 @@ using perf::Op;
 struct LightSaberRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
-  ClusterConfig config;
+  ClusterConfig cluster;
+  JobConfig job;
   sim::Simulator sim;
   std::vector<std::unique_ptr<perf::CpuContext>> worker_cpus;
   std::vector<std::unique_ptr<state::Partition>> partials;  // per worker
@@ -43,17 +44,17 @@ struct LightSaberRun {
 /// merge is work every core shares, not a single merger thread.
 sim::Task Worker(LightSaberRun* run, int w) {
   perf::CpuContext* cpu = run->worker_cpus[w].get();
-  core::RecordPipeline pipeline(run->query, cpu, run->config.execution);
-  auto source = run->workload->MakeFlow(w, run->config.workers_per_node,
-                                        run->config.records_per_worker,
-                                        run->config.seed);
+  core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
+  auto source = run->workload->MakeFlow(w, run->cluster.workers_per_node,
+                                        run->job.records_per_worker,
+                                        run->job.seed);
   state::Partition* partial = run->partials[w].get();
-  // Columnar staging (config.operator_batch > 1): source records are
+  // Columnar staging (job.operator_batch > 1): source records are
   // appended charge-free into a SoA RecordBatch and replayed in append
   // order through the scalar per-record sequence, so charges (and virtual
   // time) stay byte-identical across batch sizes (DESIGN.md §11).
   const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
+      std::max<uint32_t>(1u, run->job.operator_batch);
   core::RecordBatch staged(operator_batch);
   auto replay = [&] {
     for (uint32_t i = 0; i < staged.size(); ++i) {
@@ -73,7 +74,7 @@ sim::Task Worker(LightSaberRun* run, int w) {
   bool more = true;
   while (more) {
     uint64_t batch_records = 0;
-    while (batch_records < run->config.source_batch &&
+    while (batch_records < run->job.source_batch &&
            (more = source->Next(&r))) {
       ++batch_records;
       staged.Append(r);
@@ -96,7 +97,7 @@ sim::Task Worker(LightSaberRun* run, int w) {
       });
   co_await cpu->Sync();
 
-  if (++run->finished_workers == run->config.workers_per_node) {
+  if (++run->finished_workers == run->cluster.workers_per_node) {
     // Last worker emits the merged windows.
     TriggerWindows(*run->query, core::kWatermarkMax, run->merged.get(),
                    &run->sink, cpu, &run->last_trigger_wm);
@@ -110,37 +111,28 @@ sim::Task Worker(LightSaberRun* run, int w) {
 
 }  // namespace
 
-RunStats LightSaberEngine::Run(const JobSpec& job) {
-  core::QuerySpec query;
-  ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
+RunStats LightSaberEngine::Run(const JobSpec& spec) {
+  RunStats stats;
+  stats.engine = std::string(name());
+  if (spec.sources == nullptr) {
+    stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
     return stats;
   }
-  return RunQuery(query, *job.sources, config);
-}
-
-RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
-                                    const workloads::Workload& workload,
-                                    const ClusterConfig& config) {
+  const ClusterConfig& cluster = spec.cluster;
+  const JobConfig& job = spec.config;
+  const core::QuerySpec query = spec.sources->MakeQuery();
   SLASH_CHECK_MSG(!query.is_join(),
                   "LightSaber does not support join operators "
                   "(paper Sec. 8.2.4)");
-  SLASH_CHECK_MSG(config.nodes == 1, "LightSaber is a single-node engine");
+  SLASH_CHECK_MSG(cluster.nodes == 1, "LightSaber is a single-node engine");
 
-  if (config.health.enabled) {
-    RunStats stats;
-    stats.engine = std::string(name());
+  if (cluster.health.enabled) {
     stats.status = Status::Unimplemented(
         "health monitoring requires the Slash engine's quarantine/recovery "
         "path");
     return stats;
   }
-  if (config.reconfig != nullptr) {
-    RunStats stats;
-    stats.engine = std::string(name());
+  if (cluster.reconfig != nullptr) {
     stats.status = Status::Unimplemented(
         "elastic reconfiguration requires the Slash engine's handoff path");
     return stats;
@@ -148,11 +140,12 @@ RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
 
   LightSaberRun run;
   run.query = &query;
-  run.workload = &workload;
-  run.config = config;
-  run.sink = core::ResultSink(config.collect_rows);
+  run.workload = spec.sources;
+  run.cluster = cluster;
+  run.job = job;
+  run.sink = core::ResultSink(job.collect_rows);
 
-  RunTelemetry telemetry(config);
+  RunTelemetry telemetry(job.tracer);
   obs::MetricsRegistry* registry = telemetry.registry();
   telemetry.Register(&run.sim);
   telemetry.NameNodes(/*nodes=*/1);
@@ -164,21 +157,19 @@ RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
 
   state::PartitionConfig pcfg;
   pcfg.kind = state::StateKind::kAggregate;
-  pcfg.lss_capacity = config.state_lss_capacity;
-  pcfg.index_buckets = config.state_index_buckets;
-  for (int w = 0; w < config.workers_per_node; ++w) {
+  pcfg.lss_capacity = job.state_lss_capacity;
+  pcfg.index_buckets = job.state_index_buckets;
+  for (int w = 0; w < cluster.workers_per_node; ++w) {
     run.worker_cpus.push_back(std::make_unique<perf::CpuContext>(
-        &run.sim, config.cost_model, config.cpu_ghz));
+        &run.sim, cluster.cost_model, cluster.cpu_ghz));
     run.partials.push_back(std::make_unique<state::Partition>(w, pcfg));
   }
   run.merged = std::make_unique<state::Partition>(-1, pcfg);
 
-  for (int w = 0; w < config.workers_per_node; ++w) {
+  for (int w = 0; w < cluster.workers_per_node; ++w) {
     run.sim.Spawn(Worker(&run, w));
   }
 
-  RunStats stats;
-  stats.engine = std::string(name());
   TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
   SLASH_CHECK_MSG(run.sim.pending_tasks() == 0,
                   "LightSaber run left " << run.sim.pending_tasks()
@@ -187,7 +178,7 @@ RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
   registry->GetCounter(obs::metric::kRecordsEmitted)->Add(run.sink.count());
   registry->GetCounter(obs::metric::kResultChecksum)
       ->Add(run.sink.checksum());
-  if (config.collect_rows) stats.rows = run.sink.rows();
+  if (job.collect_rows) stats.rows = run.sink.rows();
   perf::Counters* workers =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
   for (auto& cpu : run.worker_cpus) workers->Merge(cpu->counters());

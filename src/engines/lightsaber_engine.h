@@ -21,16 +21,9 @@ class LightSaberEngine : public Engine {
  public:
   std::string_view name() const override { return "LightSaber"; }
 
-  using Engine::Run;  // the (query, workload, config) compatibility shim
-
   /// Runs on a single node; the cluster must have nodes == 1. Joins are
   /// unsupported (check-fails), matching the real system.
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

@@ -145,7 +145,8 @@ struct NodeState {
 struct SlashRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
-  ClusterConfig config;
+  ClusterConfig cluster;
+  JobConfig job;
   state::SsbConfig ssb_config;
   sim::Simulator* sim = nullptr;
   rdma::Fabric* fabric = nullptr;
@@ -186,7 +187,7 @@ struct SlashRun {
   std::vector<bool> quarantined;
   std::vector<bool> fenced;
   std::vector<uint32_t> quarantine_count;  // per node, for flap suppression
-  // Elastic reconfiguration (config.reconfig): the control plane executing
+  // Elastic reconfiguration (cluster.reconfig): the control plane executing
   // the plan, the pre-handoff placement (for migration accounting), the
   // engine's mirror of per-node join rounds, the per-partition load the
   // Rebalancer consumes, and the handoff state machine. A handoff IS a
@@ -224,11 +225,11 @@ struct SlashRun {
   bool failed = false;
   Status failure;
 
-  int total_workers() const { return config.nodes * config.workers_per_node; }
-  bool checkpointing() const { return config.checkpoint.enabled; }
-  bool elastic() const { return config.reconfig != nullptr; }
+  int total_workers() const { return cluster.nodes * cluster.workers_per_node; }
+  bool checkpointing() const { return job.checkpoint.enabled; }
+  bool elastic() const { return cluster.reconfig != nullptr; }
   uint64_t interval() const {
-    return std::max<uint32_t>(1u, config.checkpoint.interval_epochs);
+    return std::max<uint32_t>(1u, job.checkpoint.interval_epochs);
   }
 };
 
@@ -270,7 +271,7 @@ void TryTrigger(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
     ++run->fence_suppressions;
     return;
   }
-  for (int p = 0; p < run->config.nodes; ++p) {
+  for (int p = 0; p < run->cluster.nodes; ++p) {
     if (!ns->ssb->leads(p)) continue;
     // Per-partition watermark: the local epoch low watermark joined with
     // the last delta watermark delivered on each inbound channel feeding
@@ -327,11 +328,11 @@ void TakeSnapshot(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
   BlobWriter writer(&blob);
   writer.U64(round);
   uint64_t led = 0;
-  for (int p = 0; p < run->config.nodes; ++p) {
+  for (int p = 0; p < run->cluster.nodes; ++p) {
     if (ns->ssb->leads(p)) ++led;
   }
   writer.U64(led);
-  for (int p = 0; p < run->config.nodes; ++p) {
+  for (int p = 0; p < run->cluster.nodes; ++p) {
     if (!ns->ssb->leads(p)) continue;
     writer.U64(uint64_t(p));
     writer.I64(ns->trigger_wms[p]);
@@ -443,9 +444,9 @@ std::vector<int> AssignedPartitions(const SlashRun& run, const NodeState& ns,
                                     int w) {
   std::vector<int> partitions;
   int slot = 0;
-  for (int p = 0; p < run.config.nodes; ++p) {
+  for (int p = 0; p < run.cluster.nodes; ++p) {
     if (ns.ssb->leads(p)) continue;
-    if (slot % run.config.workers_per_node == w) partitions.push_back(p);
+    if (slot % run.cluster.workers_per_node == w) partitions.push_back(p);
     ++slot;
   }
   return partitions;
@@ -553,8 +554,8 @@ void BumpEpoch(SlashRun* run, NodeState* ns) {
 sim::Task Generator(SlashRun* run, RdmaChannel* ch, uint64_t flow,
                     uint64_t skip, perf::CpuContext* cpu, int attempt) {
   auto source = run->workload->MakeFlow(int(flow), run->total_workers(),
-                                        run->config.records_per_worker,
-                                        run->config.seed);
+                                        run->job.records_per_worker,
+                                        run->job.seed);
   Record r;
   bool more = true;
   for (uint64_t i = 0; i < skip && more; ++i) more = source->Next(&r);
@@ -693,7 +694,7 @@ sim::Task ReplicaReceiver(SlashRun* run, int src, int holder, RdmaChannel* ch,
 sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
   ++run->workers_running;
   perf::CpuContext* cpu = ns->worker_cpus[w].get();
-  core::RecordPipeline pipeline(run->query, cpu, run->config.execution);
+  core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
   std::vector<Lane>& lanes = ns->worker_lanes[w];
   const std::vector<int> my_partitions = AssignedPartitions(*run, *ns, w);
   // A fresh (post-restore) worker starts at the restored epoch sequence:
@@ -714,7 +715,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     ++batch_records;
     const uint16_t wire_size = run->workload->wire_size(rec->stream_id);
     batch_bytes += wire_size;
-    if (!run->config.rdma_ingestion) {
+    if (!run->job.rdma_ingestion) {
       cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
     }
     if (!pipeline.Process(rec)) return;
@@ -734,14 +735,14 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     }
   };
 
-  // Columnar staging (config.operator_batch > 1): input records are
+  // Columnar staging (job.operator_batch > 1): input records are
   // appended charge-free into a SoA RecordBatch and processed in append
   // order, so the per-record charge sequence — and with it every
   // virtual-time decision — stays byte-identical to the record-at-a-time
   // path (DESIGN.md §11). Lane bookkeeping (last_ts, consumed) happens at
   // stage time, exactly where the scalar path updates it.
   const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
+      std::max<uint32_t>(1u, run->job.operator_batch);
   core::RecordBatch batch(operator_batch);
   auto flush_batch = [&] {
     for (uint32_t i = 0; i < batch.size(); ++i) {
@@ -821,13 +822,13 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     if (more && !suppressed) {
       batch_records = 0;
       batch_bytes = 0;
-      if (!run->config.rdma_ingestion) {
+      if (!run->job.rdma_ingestion) {
         // Round-robin across this worker's lanes (an heir's workers carry
         // the crashed node's flows alongside their own). `pulled` counts
         // staged records so the source-batch bound holds even while
         // processing is deferred into the columnar batch.
         uint64_t pulled = 0;
-        while (!lanes.empty() && pulled < run->config.source_batch) {
+        while (!lanes.empty() && pulled < run->job.source_batch) {
           Lane* lane = nullptr;
           const size_t n = lanes.size();
           for (size_t step = 0; step < n; ++step) {
@@ -890,7 +891,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
       if (halted()) break;
       if (lanes_done) {
         more = false;
-        if (++ns->finished_workers == run->config.workers_per_node) {
+        if (++ns->finished_workers == run->cluster.workers_per_node) {
           // Ahead-of-time epoch termination at end of stream: the final
           // drain carries watermark kWatermarkMax.
           ns->final_bumped = true;
@@ -976,13 +977,13 @@ void FinishRebuild(SlashRun* run, uint64_t round, int trace_node,
   // A crash during the wait superseded this rebuild (the fold-in path
   // bumped the attempt and scheduled its own).
   if (run->failed || run->attempt != attempt) return;
-  for (int a = 0; a < run->config.nodes; ++a) {
+  for (int a = 0; a < run->cluster.nodes; ++a) {
     if (!run->alive[a]) continue;
-    for (int b = a + 1; b < run->config.nodes; ++b) {
+    for (int b = a + 1; b < run->cluster.nodes; ++b) {
       if (!run->alive[b]) continue;
       if (run->fabric->Partitioned(a, b)) {
         const Nanos retry =
-            std::max<Nanos>(run->config.health.heartbeat_interval,
+            std::max<Nanos>(run->cluster.health.heartbeat_interval,
                             10 * kMicrosecond);
         run->sim->ScheduleAt(run->sim->now() + retry,
                              [run, round, trace_node, attempt] {
@@ -1015,14 +1016,14 @@ void FinishRebuild(SlashRun* run, uint64_t round, int trace_node,
 /// and arms the progress watchdog over it.
 void ScheduleRebuild(SlashRun* run, uint64_t round, int trace_node) {
   uint64_t restore_bytes = 0;
-  for (int n = 0; n < run->config.nodes; ++n) {
+  for (int n = 0; n < run->cluster.nodes; ++n) {
     const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
     if (blob != nullptr) restore_bytes += blob->size();
   }
   uint64_t new_channels = 0;
-  for (int h = 0; h < run->config.nodes; ++h) {
+  for (int h = 0; h < run->cluster.nodes; ++h) {
     if (!run->alive[h]) continue;
-    for (int p = 0; p < run->config.nodes; ++p) {
+    for (int p = 0; p < run->cluster.nodes; ++p) {
       if (run->owner[p] != h) ++new_channels;
     }
   }
@@ -1057,12 +1058,12 @@ void StartRecovery(SlashRun* run, const std::vector<int>& failed_nodes) {
   for (int node : failed_nodes) {
     int heir = run->coordinator->FirstLiveHolder(node, round, run->alive);
     if (heir < 0) {
-      for (int i = 1; i <= run->config.nodes && heir < 0; ++i) {
-        const int cand = (node + i) % run->config.nodes;
+      for (int i = 1; i <= run->cluster.nodes && heir < 0; ++i) {
+        const int cand = (node + i) % run->cluster.nodes;
         if (run->alive[cand]) heir = cand;
       }
     }
-    for (int p = 0; p < run->config.nodes; ++p) {
+    for (int p = 0; p < run->cluster.nodes; ++p) {
       if (run->owner[p] == node) run->owner[p] = heir;
     }
     for (size_t f = 0; f < run->flow_home.size(); ++f) {
@@ -1073,7 +1074,7 @@ void StartRecovery(SlashRun* run, const std::vector<int>& failed_nodes) {
   // attempt regenerates them under the post-recovery partition placement.
   run->coordinator->DiscardRoundsAfter(round);
   if (run->elastic()) {
-    for (int n = 0; n < run->config.nodes; ++n) {
+    for (int n = 0; n < run->cluster.nodes; ++n) {
       run->join_round[n] = std::min<uint64_t>(run->join_round[n], round);
     }
   }
@@ -1086,7 +1087,7 @@ void StartRecovery(SlashRun* run, const std::vector<int>& failed_nodes) {
 /// and schedule the rebuild after the modeled recovery delay.
 void OnNodeCrash(SlashRun* run, int node) {
   if (run->failed) return;
-  if (node >= run->config.nodes) {
+  if (node >= run->cluster.nodes) {
     FailRun(run, Status::Unavailable(
                      "ingestion source node crashed: no upstream to replay"));
     return;
@@ -1111,7 +1112,7 @@ void OnNodeCrash(SlashRun* run, int node) {
     // and re-home its partitions and flows onto an heir.
     run->alive[node] = false;
     int live = 0;
-    for (int n = 0; n < run->config.nodes; ++n) live += run->alive[n] ? 1 : 0;
+    for (int n = 0; n < run->cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
     if (live == 0) {
       FailRun(run, Status::Unavailable("last node crashed: no survivors"));
       return;
@@ -1133,19 +1134,19 @@ void OnNodeCrash(SlashRun* run, int node) {
         run->coordinator->LatestRecoverableRound(run->alive);
     int heir = run->coordinator->FirstLiveHolder(node, round, run->alive);
     if (heir < 0) {
-      for (int i = 1; i <= run->config.nodes && heir < 0; ++i) {
-        const int cand = (node + i) % run->config.nodes;
+      for (int i = 1; i <= run->cluster.nodes && heir < 0; ++i) {
+        const int cand = (node + i) % run->cluster.nodes;
         if (run->alive[cand]) heir = cand;
       }
     }
-    for (int p = 0; p < run->config.nodes; ++p) {
+    for (int p = 0; p < run->cluster.nodes; ++p) {
       if (run->owner[p] == node) run->owner[p] = heir;
     }
     for (size_t f = 0; f < run->flow_home.size(); ++f) {
       if (run->flow_home[f] == node) run->flow_home[f] = heir;
     }
     run->coordinator->DiscardRoundsAfter(round);
-    for (int n = 0; n < run->config.nodes; ++n) {
+    for (int n = 0; n < run->cluster.nodes; ++n) {
       run->join_round[n] = std::min<uint64_t>(run->join_round[n], round);
     }
     ScheduleRebuild(run, round, node);
@@ -1153,7 +1154,7 @@ void OnNodeCrash(SlashRun* run, int node) {
   }
   run->alive[node] = false;
   int live = 0;
-  for (int n = 0; n < run->config.nodes; ++n) live += run->alive[n] ? 1 : 0;
+  for (int n = 0; n < run->cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
   if (live == 0) {
     FailRun(run, Status::Unavailable("last node crashed: no survivors"));
     return;
@@ -1168,10 +1169,10 @@ void OnNodeCrash(SlashRun* run, int node) {
 void OnSuspicion(SlashRun* run, int monitor, const std::vector<int>& suspects) {
   if (run->failed || run->recovering || run->in_teardown) return;
   // A quarantined node's opinion must not drive cluster decisions.
-  if (monitor < run->config.nodes && run->quarantined[monitor]) return;
+  if (monitor < run->cluster.nodes && run->quarantined[monitor]) return;
   std::vector<int> fresh;
   for (int s : suspects) {
-    if (s >= 0 && s < run->config.nodes && run->alive[s] &&
+    if (s >= 0 && s < run->cluster.nodes && run->alive[s] &&
         !run->quarantined[s]) {
       fresh.push_back(s);
     }
@@ -1190,7 +1191,7 @@ void OnSuspicion(SlashRun* run, int monitor, const std::vector<int>& suspects) {
     run->alive[s] = false;
   }
   int live = 0;
-  for (int n = 0; n < run->config.nodes; ++n) live += run->alive[n] ? 1 : 0;
+  for (int n = 0; n < run->cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
   if (live == 0) {
     FailRun(run, Status::Unavailable("every node suspected: no survivors"));
     return;
@@ -1201,13 +1202,13 @@ void OnSuspicion(SlashRun* run, int monitor, const std::vector<int>& suspects) {
 /// A node lost contact with the majority and fenced itself: park its
 /// workers (they check the flag and wait on the node's activity event).
 void OnSelfFence(SlashRun* run, int node) {
-  if (run->failed || node >= run->config.nodes) return;
+  if (run->failed || node >= run->cluster.nodes) return;
   run->fenced[node] = true;
   if (run->nodes[node] != nullptr) run->nodes[node]->activity->Notify();
 }
 
 void OnUnfence(SlashRun* run, int node) {
-  if (run->failed || node >= run->config.nodes) return;
+  if (run->failed || node >= run->cluster.nodes) return;
   run->fenced[node] = false;
   if (run->nodes[node] != nullptr) run->nodes[node]->activity->Notify();
 }
@@ -1218,7 +1219,7 @@ void OnUnfence(SlashRun* run, int node) {
 /// includes the node's own blobs, restore its identity placement, replay.
 void OnRejoin(SlashRun* run, int node) {
   if (run->failed || run->recovering || run->in_teardown) return;
-  if (node >= run->config.nodes || !run->quarantined[node]) return;
+  if (node >= run->cluster.nodes || !run->quarantined[node]) return;
   if (run->fabric->node_dead(node)) return;  // actually crashed: stays out
   if (run->health->fenced(node)) return;     // it cannot see the majority yet
   if (run->quarantine_count[node] > kMaxQuarantinesForRejoin) return;  // flaps
@@ -1241,14 +1242,14 @@ void OnRejoin(SlashRun* run, int node) {
   // and the flows that originally homed on it.
   run->owner[node] = node;
   for (size_t f = 0; f < run->flow_home.size(); ++f) {
-    if (int(f) / run->config.workers_per_node == node) {
+    if (int(f) / run->cluster.workers_per_node == node) {
       run->flow_home[f] = node;
     }
   }
   const uint64_t round = run->coordinator->LatestRecoverableRound(run->alive);
   run->coordinator->DiscardRoundsAfter(round);
   if (run->elastic()) {
-    for (int n = 0; n < run->config.nodes; ++n) {
+    for (int n = 0; n < run->cluster.nodes; ++n) {
       run->join_round[n] = std::min<uint64_t>(run->join_round[n], round);
     }
   }
@@ -1265,12 +1266,12 @@ void FinishMembershipChange(SlashRun* run, int node, uint64_t round) {
   run->owner =
       elastic::Rebalancer::PlacePartitions(run->alive, run->partition_load);
   run->flow_home = elastic::Rebalancer::PlaceFlows(
-      run->alive, run->config.workers_per_node, run->total_workers());
-  for (int p = 0; p < run->config.nodes; ++p) {
+      run->alive, run->cluster.workers_per_node, run->total_workers());
+  for (int p = 0; p < run->cluster.nodes; ++p) {
     if (run->owner[p] != run->prev_owner[p]) ++run->partitions_moved;
   }
   run->coordinator->DiscardRoundsAfter(round);
-  for (int n = 0; n < run->config.nodes; ++n) {
+  for (int n = 0; n < run->cluster.nodes; ++n) {
     run->join_round[n] = std::min<uint64_t>(run->join_round[n], round);
   }
   ScheduleRebuild(run, round, node);
@@ -1284,9 +1285,9 @@ void FinishMembershipChange(SlashRun* run, int node, uint64_t round) {
 /// active partition is a control-plane refusal — so the event defers until
 /// the cut heals (or, if it never does, until the run-deadline abort).
 bool PartitionBlocksMembership(const SlashRun* run, int node) {
-  for (int a = 0; a < run->config.nodes; ++a) {
+  for (int a = 0; a < run->cluster.nodes; ++a) {
     if (!run->alive[a] && a != node) continue;
-    for (int b = a + 1; b < run->config.nodes; ++b) {
+    for (int b = a + 1; b < run->cluster.nodes; ++b) {
       if (!run->alive[b] && b != node) continue;
       if (run->fabric->Partitioned(a, b)) return true;
     }
@@ -1346,8 +1347,8 @@ bool OnNodeLeave(SlashRun* run, int node) {
   if (!run->alive[node]) return true;          // already out
   if (PartitionBlocksMembership(run, node)) return false;
   int live = 0;
-  for (int n = 0; n < run->config.nodes; ++n) live += run->alive[n] ? 1 : 0;
-  const int floor = std::max(run->config.reconfig->min_active, 1);
+  for (int n = 0; n < run->cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
+  const int floor = std::max(run->cluster.reconfig->min_active, 1);
   if (live <= floor) return true;  // crashes ate the headroom: skip the leave
   ++run->attempt;
   run->recovering = true;
@@ -1386,7 +1387,7 @@ void PollRecoveryWatchdog(SlashRun* run, int attempt, Nanos deadline_at) {
                      "health.recovery_deadline"));
     return;
   }
-  const Nanos interval = run->config.health.heartbeat_interval * 4;
+  const Nanos interval = run->cluster.health.heartbeat_interval * 4;
   run->sim->ScheduleAt(std::min(run->sim->now() + interval, deadline_at),
                       [run, attempt, deadline_at] {
                         PollRecoveryWatchdog(run, attempt, deadline_at);
@@ -1409,7 +1410,7 @@ void PollRunDeadline(SlashRun* run, Nanos deadline_at) {
                      "run exceeded its virtual-time deadline"));
     return;
   }
-  const Nanos interval = run->config.health.heartbeat_interval * 4;
+  const Nanos interval = run->cluster.health.heartbeat_interval * 4;
   run->sim->ScheduleAt(
       std::min(run->sim->now() + interval, deadline_at),
       [run, deadline_at] { PollRunDeadline(run, deadline_at); });
@@ -1424,11 +1425,11 @@ void PollRunDeadline(SlashRun* run, Nanos deadline_at) {
 /// the drain time (and thus the reported makespan) to the deadline.
 void ArmRecoveryWatchdog(SlashRun* run) {
   if (run->health == nullptr) return;
-  const Nanos deadline = run->config.health.recovery_deadline;
+  const Nanos deadline = run->cluster.health.recovery_deadline;
   if (deadline <= 0) return;
   const int attempt = run->attempt;
   const Nanos deadline_at = run->sim->now() + deadline;
-  const Nanos interval = run->config.health.heartbeat_interval * 4;
+  const Nanos interval = run->cluster.health.heartbeat_interval * 4;
   run->sim->ScheduleAt(std::min(run->sim->now() + interval, deadline_at),
                       [run, attempt, deadline_at] {
                         PollRecoveryWatchdog(run, attempt, deadline_at);
@@ -1442,35 +1443,36 @@ void ArmRecoveryWatchdog(SlashRun* run) {
 /// worker/generator coroutines. Attempt 1 is the degenerate case: identity
 /// ownership, round 0, nothing to restore.
 void BuildAttempt(SlashRun* run, uint64_t round) {
-  const ClusterConfig& config = run->config;
+  const ClusterConfig& cluster = run->cluster;
+  const JobConfig& job = run->job;
   const uint64_t interval = run->interval();
   const int attempt = run->attempt;
   run->attempt_channel_start = run->channels.size();
 
-  std::vector<NodeState*> nodes(config.nodes, nullptr);
-  for (int n = 0; n < config.nodes; ++n) {
+  std::vector<NodeState*> nodes(cluster.nodes, nullptr);
+  for (int n = 0; n < cluster.nodes; ++n) {
     if (!run->alive[n]) continue;
     auto ns = std::make_unique<NodeState>();
     ns->node = n;
     ns->ssb = std::make_unique<state::StateBackend>(n, run->ssb_config);
-    for (int p = 0; p < config.nodes; ++p) {
+    for (int p = 0; p < cluster.nodes; ++p) {
       if (run->owner[p] == n && p != n) ns->ssb->AddLeadership(p);
     }
-    ns->trigger_wms.assign(config.nodes, core::kWatermarkMin);
-    ns->worker_watermarks.assign(config.workers_per_node, core::kWatermarkMin);
-    ns->worker_drained_seq.assign(config.workers_per_node, round * interval);
-    ns->worker_lanes.resize(config.workers_per_node);
-    ns->out.assign(config.nodes, nullptr);
+    ns->trigger_wms.assign(cluster.nodes, core::kWatermarkMin);
+    ns->worker_watermarks.assign(cluster.workers_per_node, core::kWatermarkMin);
+    ns->worker_drained_seq.assign(cluster.workers_per_node, round * interval);
+    ns->worker_lanes.resize(cluster.workers_per_node);
+    ns->out.assign(cluster.nodes, nullptr);
     ns->activity = std::make_unique<sim::Event>(run->sim);
     // Workers blocked by the tenant quota park on their node's activity
     // event; quota releases (from any of the job's channels) must wake them.
     if (run->quota != nullptr) run->quota->AddObserver(ns->activity.get());
-    ns->sink = core::ResultSink(config.collect_rows);
+    ns->sink = core::ResultSink(job.collect_rows);
     ns->epoch_seq = round * interval;
     ns->snapshots_taken = round;
-    for (int w = 0; w < config.workers_per_node; ++w) {
+    for (int w = 0; w < cluster.workers_per_node; ++w) {
       ns->worker_cpus.push_back(std::make_unique<perf::CpuContext>(
-          run->sim, config.cost_model, config.cpu_ghz));
+          run->sim, cluster.cost_model, cluster.cpu_ghz));
       // Gray-node faults (kNodeSlow) stretch this node's compute too.
       ns->worker_cpus.back()->BindSpeedDial(run->fabric->speed_dial(n));
     }
@@ -1492,8 +1494,8 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
       uint64_t checksum = 0;
       std::vector<core::WindowResult> rows;
     };
-    std::vector<SinkAccum> sinks(config.nodes);
-    for (int n = 0; n < config.nodes; ++n) {
+    std::vector<SinkAccum> sinks(cluster.nodes);
+    for (int n = 0; n < cluster.nodes; ++n) {
       // A node retired by an earlier crash/quarantine is skipped only for
       // rounds past its retirement — its content lives on in its heirs'
       // blobs from then on. At or before the retirement round its own blob
@@ -1546,7 +1548,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
       }
       SLASH_CHECK(reader.done());
     }
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (nodes[n] == nullptr) continue;
       nodes[n]->sink.Restore(sinks[n].count, sinks[n].checksum,
                              std::move(sinks[n].rows));
@@ -1571,14 +1573,14 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
   // The state-synchronization mesh: one channel per (helper, partition), so
   // each carries a strict one-delta-per-epoch FIFO towards the partition's
   // current leader.
-  for (int h = 0; h < config.nodes; ++h) {
+  for (int h = 0; h < cluster.nodes; ++h) {
     NodeState* helper = nodes[h];
     if (helper == nullptr) continue;
-    for (int p = 0; p < config.nodes; ++p) {
+    for (int p = 0; p < cluster.nodes; ++p) {
       const int leader = run->owner[p];
       if (leader == h) continue;
       auto ch =
-          RdmaChannel::Create(run->fabric, h, leader, config.channel);
+          RdmaChannel::Create(run->fabric, h, leader, job.channel);
       helper->out[p] = ch.get();
       nodes[leader]->in.push_back(
           InChannel{h, p, ch.get(), round * interval, false});
@@ -1593,11 +1595,11 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
 
   // Input lanes (and, in ingestion mode, the generator channels feeding
   // them — with the bounded upstream replay buffer when checkpointing).
-  channel::ChannelConfig ingest_config = config.channel;
+  channel::ChannelConfig ingest_config = job.channel;
   if (run->checkpointing()) {
-    ingest_config.replay_buffer_slots = config.checkpoint.replay_buffer_slots;
+    ingest_config.replay_buffer_slots = job.checkpoint.replay_buffer_slots;
   }
-  for (int n = 0; n < config.nodes; ++n) {
+  for (int n = 0; n < cluster.nodes; ++n) {
     NodeState* ns = nodes[n];
     if (ns == nullptr) continue;
     std::vector<uint64_t> flows;
@@ -1605,13 +1607,13 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
       if (run->flow_home[f] == n) flows.push_back(f);
     }
     for (size_t i = 0; i < flows.size(); ++i) {
-      const int w = int(i) % config.workers_per_node;
+      const int w = int(i) % cluster.workers_per_node;
       Lane lane;
       lane.flow = flows[i];
       lane.consumed = flow_offset[flows[i]];
       lane.last_ts = flow_last_ts[flows[i]];
-      if (config.rdma_ingestion) {
-        auto ch = RdmaChannel::Create(run->fabric, config.nodes + n, n,
+      if (job.rdma_ingestion) {
+        auto ch = RdmaChannel::Create(run->fabric, cluster.nodes + n, n,
                                       ingest_config);
         ch->AddDataObserver(ns->activity.get());
         ch->SetCloseHandler([run](const Status& cause) {
@@ -1619,17 +1621,17 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
         });
         lane.ingest = ch.get();
         run->generator_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, config.cost_model, config.cpu_ghz));
+            run->sim, cluster.cost_model, cluster.cpu_ghz));
         run->generator_cpus.back()->BindSpeedDial(
-            run->fabric->speed_dial(config.nodes + n));
+            run->fabric->speed_dial(cluster.nodes + n));
         run->sim->Spawn(Generator(run, ch.get(), lane.flow, lane.consumed,
                                  run->generator_cpus.back().get(), attempt));
         run->channels.push_back(std::move(ch));
       } else {
         lane.source = run->workload->MakeFlow(int(lane.flow),
                                               run->total_workers(),
-                                              config.records_per_worker,
-                                              config.seed);
+                                              job.records_per_worker,
+                                              job.seed);
         // Fast-forward to the checkpoint cut: the flow is deterministic, so
         // the skip re-derives the exact position. Its cost is part of the
         // modeled recovery delay, not the data path.
@@ -1641,7 +1643,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
       }
       ns->worker_lanes[w].push_back(std::move(lane));
     }
-    for (int w = 0; w < config.workers_per_node; ++w) {
+    for (int w = 0; w < cluster.workers_per_node; ++w) {
       bool all_done = true;
       int64_t wm = core::kWatermarkMax;
       for (const Lane& lane : ns->worker_lanes[w]) {
@@ -1657,30 +1659,30 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
   // `replication_factor` live peers (cyclically) over dedicated channels.
   if (run->checkpointing()) {
     int live = 0;
-    for (int n = 0; n < config.nodes; ++n) live += run->alive[n] ? 1 : 0;
+    for (int n = 0; n < cluster.nodes; ++n) live += run->alive[n] ? 1 : 0;
     const int targets = std::min(
-        std::max(config.checkpoint.replication_factor, 0), live - 1);
-    for (int n = 0; n < config.nodes; ++n) {
+        std::max(job.checkpoint.replication_factor, 0), live - 1);
+    for (int n = 0; n < cluster.nodes; ++n) {
       NodeState* ns = nodes[n];
       if (ns == nullptr) continue;
       auto rs = std::make_unique<ReplState>();
       rs->event = std::make_unique<sim::Event>(run->sim);
       ns->repl = rs.get();
       int made = 0;
-      for (int i = 1; i < config.nodes && made < targets; ++i) {
-        const int t = (n + i) % config.nodes;
+      for (int i = 1; i < cluster.nodes && made < targets; ++i) {
+        const int t = (n + i) % cluster.nodes;
         if (!run->alive[t]) continue;
         auto ch =
-            RdmaChannel::Create(run->fabric, n, t, config.channel);
+            RdmaChannel::Create(run->fabric, n, t, job.channel);
         ch->SetCloseHandler([run](const Status& cause) {
           if (!run->in_teardown) FailRun(run, cause);
         });
         run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, config.cost_model, config.cpu_ghz));
+            run->sim, cluster.cost_model, cluster.cpu_ghz));
         perf::CpuContext* send_cpu = run->repl_cpus.back().get();
         send_cpu->BindSpeedDial(run->fabric->speed_dial(n));
         run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, config.cost_model, config.cpu_ghz));
+            run->sim, cluster.cost_model, cluster.cpu_ghz));
         perf::CpuContext* recv_cpu = run->repl_cpus.back().get();
         recv_cpu->BindSpeedDial(run->fabric->speed_dial(t));
         run->sim->Spawn(Replicator(run, rs.get(), ch.get(), send_cpu, attempt));
@@ -1693,16 +1695,16 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
     }
   }
 
-  for (int n = 0; n < config.nodes; ++n) {
+  for (int n = 0; n < cluster.nodes; ++n) {
     if (nodes[n] == nullptr) continue;
-    for (int w = 0; w < config.workers_per_node; ++w) {
+    for (int w = 0; w < cluster.workers_per_node; ++w) {
       run->sim->Spawn(Worker(run, nodes[n], w, attempt));
     }
   }
 
   // Nodes dead before this attempt never appear in a future barrier: their
   // partitions are snapshotted by their heirs from now on.
-  for (int n = 0; n < config.nodes; ++n) {
+  for (int n = 0; n < cluster.nodes; ++n) {
     if (!run->alive[n] && !run->retired[n]) {
       run->retired[n] = true;
       run->retire_round[n] = round;
@@ -1716,8 +1718,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
 }
 
 /// Labels carried by this job's instruments: empty for a single-job run
-/// with no tenant (snapshots stay byte-identical to the legacy path),
-/// {tenant=...} otherwise.
+/// with no tenant, {tenant=...} otherwise.
 obs::LabelSet JobLabels(const SlashRun& run) {
   if (run.tenant.empty()) return obs::LabelSet{};
   return obs::LabelSet{{obs::kLabelTenant, run.tenant}};
@@ -1743,37 +1744,38 @@ void ResolveObs(SlashRun* run, obs::MetricsRegistry* registry) {
 /// tenant identity and quota into the job's channel config, and builds
 /// attempt 1. The fabric and obs handles must already be wired up.
 void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
-  const ClusterConfig& config = run->config;
+  const ClusterConfig& cluster = run->cluster;
+  const JobConfig& job = run->job;
 
   // Every channel of this job inherits the tenant label and the shared
-  // credit quota (both no-ops for a legacy run: empty tenant, no quota).
-  run->config.channel.tenant = run->tenant;
-  run->config.channel.quota = run->quota.get();
+  // credit quota (both no-ops for an untenanted job without a quota).
+  run->job.channel.tenant = run->tenant;
+  run->job.channel.quota = run->quota.get();
 
   run->ssb_config = [&] {
     state::SsbConfig c;
-    c.nodes = config.nodes;
+    c.nodes = cluster.nodes;
     c.kind = run->query->is_join() ? state::StateKind::kAppend
                                    : state::StateKind::kAggregate;
-    c.lss_capacity = config.state_lss_capacity;
-    c.index_buckets = config.state_index_buckets;
-    c.epoch_bytes = config.epoch_bytes;
+    c.lss_capacity = job.state_lss_capacity;
+    c.index_buckets = job.state_index_buckets;
+    c.epoch_bytes = job.epoch_bytes;
     return c;
   }();
 
-  run->coordinator = std::make_unique<RecoveryCoordinator>(config.nodes);
+  run->coordinator = std::make_unique<RecoveryCoordinator>(cluster.nodes);
   run->coordinator->AttachMetrics(registry, JobLabels(*run));
-  run->alive.assign(config.nodes, true);
-  run->retired.assign(config.nodes, false);
-  run->retire_round.assign(config.nodes, 0);
-  run->quarantined.assign(config.nodes, false);
-  run->fenced.assign(config.nodes, false);
-  run->quarantine_count.assign(config.nodes, 0);
-  run->owner.resize(config.nodes);
-  for (int p = 0; p < config.nodes; ++p) run->owner[p] = p;
+  run->alive.assign(cluster.nodes, true);
+  run->retired.assign(cluster.nodes, false);
+  run->retire_round.assign(cluster.nodes, 0);
+  run->quarantined.assign(cluster.nodes, false);
+  run->fenced.assign(cluster.nodes, false);
+  run->quarantine_count.assign(cluster.nodes, 0);
+  run->owner.resize(cluster.nodes);
+  for (int p = 0; p < cluster.nodes; ++p) run->owner[p] = p;
   run->flow_home.resize(size_t(run->total_workers()));
   for (int f = 0; f < run->total_workers(); ++f) {
-    run->flow_home[f] = f / config.workers_per_node;
+    run->flow_home[f] = f / cluster.workers_per_node;
   }
 
   // Elastic runs start on the plan's initial subset of the provisioned
@@ -1782,18 +1784,18 @@ void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
   // the active set. The full flow set runs regardless of membership, which
   // is why an elastic run's results equal the static run's.
   if (run->elastic()) {
-    const int initial = run->config.reconfig->initial_nodes == 0
-                            ? config.nodes
-                            : run->config.reconfig->initial_nodes;
-    for (int n = initial; n < config.nodes; ++n) run->alive[n] = false;
-    run->join_round.assign(size_t(config.nodes), 0);
-    run->partition_load.assign(size_t(config.nodes), 0);
+    const int initial = run->cluster.reconfig->initial_nodes == 0
+                            ? cluster.nodes
+                            : run->cluster.reconfig->initial_nodes;
+    for (int n = initial; n < cluster.nodes; ++n) run->alive[n] = false;
+    run->join_round.assign(size_t(cluster.nodes), 0);
+    run->partition_load.assign(size_t(cluster.nodes), 0);
     run->prev_owner = run->owner;
     run->prev_flow_home = run->flow_home;
     run->owner =
         elastic::Rebalancer::PlacePartitions(run->alive, run->partition_load);
     run->flow_home = elastic::Rebalancer::PlaceFlows(
-        run->alive, config.workers_per_node, run->total_workers());
+        run->alive, cluster.workers_per_node, run->total_workers());
   }
 
   BuildAttempt(run, /*round=*/0);
@@ -1802,8 +1804,8 @@ void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
 /// Publishes everything one job tallied itself into the registry, under the
 /// job's labels. Channel retries and NIC tx bytes were published live; the
 /// drain time and quota denials are opt-in instruments that only register
-/// for jobs that carry a tenant / quota, so legacy snapshots keep their
-/// exact instrument set.
+/// for jobs that carry a tenant / quota, so an untenanted job's snapshot
+/// has no job-scoped extras.
 void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
                      RunStats* stats) {
   const obs::LabelSet labels = JobLabels(run);
@@ -1857,7 +1859,7 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
         ->Add(run.records_migrated);
     registry->GetCounter(obs::metric::kElasticTraceDigest, labels)
         ->Add(coord.trace_digest());
-    for (int p = 0; p < run.config.nodes; ++p) {
+    for (int p = 0; p < run.cluster.nodes; ++p) {
       registry
           ->GetGauge(obs::metric::kElasticPartitionLoad,
                      labels.With("partition", std::to_string(p)))
@@ -1872,7 +1874,7 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
     if (ns == nullptr) continue;
     emitted->Add(ns->sink.count());
     checksum->Add(ns->sink.checksum());
-    if (run.config.collect_rows) {
+    if (run.job.collect_rows) {
       const auto& rows = ns->sink.rows();
       stats->rows.insert(stats->rows.end(), rows.begin(), rows.end());
     }
@@ -1906,65 +1908,66 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
 
 }  // namespace
 
-RunStats SlashEngine::Run(const JobSpec& job) {
+RunStats SlashEngine::Run(const JobSpec& spec) {
   RunStats stats;
   stats.engine = std::string(name());
-
-  core::QuerySpec query;
-  ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
-    stats.status = prepared;
+  if (spec.sources == nullptr) {
+    stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
     return stats;
   }
+  const ClusterConfig& cluster = spec.cluster;
+  const JobConfig& job = spec.config;
+  const core::QuerySpec query = spec.sources->MakeQuery();
 
   sim::Simulator sim;
   SlashRun run;
   run.sim = &sim;
   run.query = &query;
-  run.workload = job.sources;
-  run.config = config;
-  run.tenant = job.tenant;
-  if (job.quota > 0) {
-    run.quota = std::make_unique<channel::CreditQuota>(job.quota);
+  run.workload = spec.sources;
+  run.cluster = cluster;
+  run.job = job;
+  run.tenant = spec.tenant;
+  if (spec.quota > 0) {
+    run.quota = std::make_unique<channel::CreditQuota>(spec.quota);
   }
 
-  RunTelemetry telemetry(config);
+  RunTelemetry telemetry(job.tracer);
   obs::MetricsRegistry* registry = telemetry.registry();
 
   // Ingestion mode adds one dedicated source node per executor node.
   const int fabric_nodes =
-      config.rdma_ingestion ? 2 * config.nodes : config.nodes;
+      job.rdma_ingestion ? 2 * cluster.nodes : cluster.nodes;
 
   // The injector must be registered before the fabric is built so the
   // fabric attaches itself as the fault target at construction. The plan is
   // validated against the fabric's node count first: a malformed plan is a
   // configuration error reported up front, not a mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(fabric_nodes);
+  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
+    const Status plan_status = cluster.fault_plan->Validate(fabric_nodes);
     if (!plan_status.ok()) {
       stats.status = plan_status;
       return stats;
     }
     run.injector =
-        std::make_unique<sim::FaultInjector>(&sim, *config.fault_plan);
+        std::make_unique<sim::FaultInjector>(&sim, *cluster.fault_plan);
     sim.set_fault_injector(run.injector.get());
   }
-  if (config.health.enabled) {
-    const Status health_status = config.health.Validate();
+  if (cluster.health.enabled) {
+    const Status health_status = cluster.health.Validate();
     if (!health_status.ok()) {
       stats.status = health_status;
       return stats;
     }
   }
-  if (config.reconfig != nullptr) {
-    Status reconfig_status = config.reconfig->Validate(config.nodes);
-    if (reconfig_status.ok() && config.fault_plan != nullptr &&
-        !config.fault_plan->empty()) {
+  if (cluster.reconfig != nullptr) {
+    Status reconfig_status = cluster.reconfig->Validate(cluster.nodes);
+    if (reconfig_status.ok() && cluster.fault_plan != nullptr &&
+        !cluster.fault_plan->empty()) {
       reconfig_status =
-          config.reconfig->ValidateWithFaults(*config.fault_plan,
-                                              config.nodes);
+          cluster.reconfig->ValidateWithFaults(*cluster.fault_plan,
+                                              cluster.nodes);
     }
-    if (reconfig_status.ok() && !config.checkpoint.enabled) {
+    if (reconfig_status.ok() && !job.checkpoint.enabled) {
       reconfig_status = Status::InvalidArgument(
           "elastic reconfiguration requires checkpointing: handoffs restore "
           "state from checkpoint blobs and replay the tail");
@@ -1983,8 +1986,8 @@ RunStats SlashEngine::Run(const JobSpec& job) {
 
   rdma::FabricConfig fabric_config;
   fabric_config.nodes = fabric_nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
+  fabric_config.nic = cluster.nic;
+  fabric_config.connection = cluster.connection;
   rdma::Fabric fabric(&sim, fabric_config);
   run.fabric = &fabric;
   fabric.SetNodeCrashHandler(
@@ -1995,7 +1998,7 @@ RunStats SlashEngine::Run(const JobSpec& job) {
   // The monitor is constructed after the first attempt so its probe QPs
   // number after the data plane's (QPNs are assigned in Connect order);
   // health off keeps every baseline byte-identical.
-  if (config.health.enabled) {
+  if (cluster.health.enabled) {
     health::HealthMonitor::Callbacks callbacks;
     SlashRun* rp = &run;
     callbacks.on_suspect = [rp](int monitor, const std::vector<int>& s) {
@@ -2005,18 +2008,18 @@ RunStats SlashEngine::Run(const JobSpec& job) {
     callbacks.on_unfence = [rp](int node) { OnUnfence(rp, node); };
     callbacks.on_liveness_resumed = [rp](int node) { OnRejoin(rp, node); };
     run.health = std::make_unique<health::HealthMonitor>(
-        run.fabric, config.health, config.nodes, std::move(callbacks));
+        run.fabric, cluster.health, cluster.nodes, std::move(callbacks));
     // Provisioned-but-inactive nodes of an elastic run are not members yet:
     // they must not be probed, accused, or counted toward quorum until
     // their join executes.
-    for (int n = 0; n < config.nodes; ++n) {
+    for (int n = 0; n < cluster.nodes; ++n) {
       if (!run.alive[n]) run.health->SetMembership(n, false);
     }
     run.health->Start();
-    if (config.health.run_deadline > 0) {
-      const Nanos deadline_at = config.health.run_deadline;
+    if (cluster.health.run_deadline > 0) {
+      const Nanos deadline_at = cluster.health.run_deadline;
       sim.ScheduleAt(
-          std::min(config.health.heartbeat_interval * 4, deadline_at),
+          std::min(cluster.health.heartbeat_interval * 4, deadline_at),
           [rp, deadline_at] { PollRunDeadline(rp, deadline_at); });
     }
   }
@@ -2024,14 +2027,14 @@ RunStats SlashEngine::Run(const JobSpec& job) {
   // The reconfiguration control plane starts after the health monitor so
   // membership callbacks find it constructed; scheduled joins/leaves and
   // the load trigger all run on the shared DES clock.
-  if (config.reconfig != nullptr) {
+  if (cluster.reconfig != nullptr) {
     SlashRun* rp = &run;
     elastic::ReconfigCoordinator::Callbacks reconfig_callbacks;
     reconfig_callbacks.on_join = [rp](int n) { return OnNodeJoin(rp, n); };
     reconfig_callbacks.on_leave = [rp](int n) { return OnNodeLeave(rp, n); };
     reconfig_callbacks.sample_records = [rp] { return rp->records_in; };
     run.reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
-        &sim, config.reconfig, config.nodes, std::move(reconfig_callbacks));
+        &sim, cluster.reconfig, cluster.nodes, std::move(reconfig_callbacks));
     run.reconfig_coord->Start();
   }
 
@@ -2083,9 +2086,24 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     return multi;
   }
   for (size_t j = 0; j < jobs.size(); ++j) {
+    if (jobs[j].sources == nullptr) {
+      multi.status =
+          Status::InvalidArgument("JobSpec has no workload (sources)");
+      multi.cluster.status = multi.status;
+      return multi;
+    }
     if (jobs[j].tenant.empty()) {
       multi.status = Status::InvalidArgument(
           "every job of a multi-job run needs a non-empty tenant");
+      multi.cluster.status = multi.status;
+      return multi;
+    }
+    // One trace covers every job of the shared DES, so a per-job tracer
+    // has nowhere to go: the run traces through SLASH_TRACE instead.
+    if (jobs[j].config.tracer != nullptr) {
+      multi.status = Status::InvalidArgument(
+          "tenant '" + jobs[j].tenant +
+          "' sets a tracer; a multi-job run traces through SLASH_TRACE");
       multi.cluster.status = multi.status;
       return multi;
     }
@@ -2099,28 +2117,19 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     }
   }
 
-  // Compile every plan and overlay each job's knobs on the SHARED cluster
-  // description: one fabric, one node set — job.cluster is ignored here.
-  std::vector<core::QuerySpec> queries(jobs.size());
-  std::vector<ClusterConfig> configs(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    JobSpec on_cluster = jobs[j];
-    on_cluster.cluster = cluster;
-    if (Status prepared = PrepareJob(on_cluster, &queries[j], &configs[j]);
-        !prepared.ok()) {
-      multi.status = prepared;
-      multi.cluster.status = multi.status;
-      return multi;
-    }
-  }
+  // Every job runs on the SHARED cluster description: one fabric, one node
+  // set — job.cluster is ignored here.
+  std::vector<core::QuerySpec> queries;
+  queries.reserve(jobs.size());
+  for (const JobSpec& job : jobs) queries.push_back(job.sources->MakeQuery());
 
   sim::Simulator sim;
-  RunTelemetry telemetry(cluster);
+  RunTelemetry telemetry(/*external=*/nullptr);
   obs::MetricsRegistry* registry = telemetry.registry();
 
   // One shared set of source nodes as soon as any job ingests over RDMA.
   bool any_ingestion = false;
-  for (const ClusterConfig& c : configs) any_ingestion |= c.rdma_ingestion;
+  for (const JobSpec& job : jobs) any_ingestion |= job.config.rdma_ingestion;
   const int fabric_nodes =
       any_ingestion ? 2 * cluster.nodes : cluster.nodes;
 
@@ -2135,7 +2144,8 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     run->sim = &sim;
     run->query = &queries[j];
     run->workload = jobs[j].sources;
-    run->config = configs[j];
+    run->cluster = cluster;
+    run->job = jobs[j].config;
     run->tenant = jobs[j].tenant;
     if (jobs[j].quota > 0) {
       run->quota = std::make_unique<channel::CreditQuota>(jobs[j].quota);

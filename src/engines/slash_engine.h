@@ -31,20 +31,20 @@ class SlashEngine : public Engine {
  public:
   std::string_view name() const override { return "Slash"; }
 
-  using Engine::Run;  // the (query, workload, config) compatibility shim
-
   /// Runs one job. A non-empty job.tenant labels every job-scoped metric
   /// and trace track {tenant=...}; job.quota > 0 caps the job's in-flight
-  /// NIC credits. With an empty tenant and no quota the run is
-  /// byte-identical to the legacy (query, workload, config) path.
+  /// NIC credits. An empty tenant and no quota add no instruments.
   RunStats Run(const JobSpec& job) override;
 
   /// Multi-query multi-tenant execution (DESIGN.md §12): runs all `jobs`
   /// concurrently on ONE simulated cluster — one DES, one fabric, one
-  /// node set described by `cluster` — with per-tenant NIC-credit quotas
-  /// and per-tenant metric/trace labeling. Jobs must carry unique,
-  /// non-empty tenants. Fault plans and health detection are per-cluster
-  /// single-job constructs and are rejected with kUnimplemented here.
+  /// node set described by `cluster` (each job's own `cluster` field is
+  /// ignored) — with per-tenant NIC-credit quotas and per-tenant
+  /// metric/trace labeling. Jobs must carry unique, non-empty tenants and
+  /// no caller tracer (the run traces through SLASH_TRACE); violations fail
+  /// with kInvalidArgument. Fault plans, health detection and elastic
+  /// reconfiguration are single-job constructs and are rejected with
+  /// kUnimplemented here.
   /// Fair scheduling falls out of the DES: every job's coroutines
   /// interleave on the shared timestamp-ordered event queue.
   MultiRunStats RunJobs(const std::vector<JobSpec>& jobs,

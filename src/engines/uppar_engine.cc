@@ -74,7 +74,8 @@ struct ConsumerState {
 struct UpParRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
-  ClusterConfig config;
+  ClusterConfig cluster;
+  JobConfig job;
   sim::Simulator sim;
   std::unique_ptr<sim::FaultInjector> injector;
   std::unique_ptr<rdma::Fabric> fabric;
@@ -108,7 +109,7 @@ void FailRun(UpParRun* run, const Status& cause) {
 }
 
 uint64_t LaneCapacity(const UpParRun& run) {
-  return run.config.channel.slot_bytes - channel::kFooterBytes;
+  return run.job.channel.slot_bytes - channel::kFooterBytes;
 }
 
 /// Closes and ships the open buffer of lane `ob` (if any).
@@ -152,7 +153,7 @@ sim::Task FlushLane(UpParRun* run, SenderState* s, Outbound* ob,
 
 /// A sender thread: source -> stateless stages -> partition -> fan-out.
 ///
-/// Columnar staging (config.operator_batch > 1): records are pulled from
+/// Columnar staging (job.operator_batch > 1): records are pulled from
 /// the mux charge-free into a SoA RecordBatch — capturing the sender
 /// watermark each record observed at read time in the batch's watermark
 /// column — and then replayed in append order through the exact scalar
@@ -161,10 +162,10 @@ sim::Task FlushLane(UpParRun* run, SenderState* s, Outbound* ob,
 /// sizes (DESIGN.md §11).
 sim::Task Sender(UpParRun* run, SenderState* s) {
   perf::CpuContext* cpu = s->cpu.get();
-  core::RecordPipeline pipeline(run->query, cpu, run->config.execution);
+  core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
   const int total_consumers = static_cast<int>(run->consumers.size());
   const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
+      std::max<uint32_t>(1u, run->job.operator_batch);
   core::RecordBatch staged(operator_batch);
   Record r;
   uint64_t batch = 0;
@@ -228,7 +229,7 @@ sim::Task Sender(UpParRun* run, SenderState* s) {
           SLASH_CHECK(ob->writer->Append(cur, wire_size));
         }
       }
-      if (++batch >= run->config.source_batch) {
+      if (++batch >= run->job.source_batch) {
         batch = 0;
         co_await cpu->Sync();
       }
@@ -353,71 +354,62 @@ sim::Task Receiver(UpParRun* run, ConsumerState* c) {
 
 }  // namespace
 
-RunStats UpParEngine::Run(const JobSpec& job) {
-  core::QuerySpec query;
-  ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
+RunStats UpParEngine::Run(const JobSpec& spec) {
+  RunStats stats;
+  stats.engine = std::string(name());
+  if (spec.sources == nullptr) {
+    stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
     return stats;
   }
-  return RunQuery(query, *job.sources, config);
-}
-
-RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
-                               const workloads::Workload& workload,
-                               const ClusterConfig& config) {
-  SLASH_CHECK_MSG(config.workers_per_node >= 2,
+  const ClusterConfig& cluster = spec.cluster;
+  const JobConfig& job = spec.config;
+  SLASH_CHECK_MSG(cluster.workers_per_node >= 2,
                   "re-partitioning engines need at least one sender and one "
                   "receiver per node");
+  const core::QuerySpec query = spec.sources->MakeQuery();
+  const workloads::Workload& workload = *spec.sources;
   UpParRun run;
   run.query = &query;
   run.workload = &workload;
-  run.config = config;
-  run.senders_per_node = config.workers_per_node / 2;
-  run.receivers_per_node = config.workers_per_node - run.senders_per_node;
+  run.cluster = cluster;
+  run.job = job;
+  run.senders_per_node = cluster.workers_per_node / 2;
+  run.receivers_per_node = cluster.workers_per_node - run.senders_per_node;
 
-  if (config.health.enabled) {
-    RunStats stats;
-    stats.engine = std::string(name());
+  if (cluster.health.enabled) {
     stats.status = Status::Unimplemented(
         "health monitoring requires the Slash engine's quarantine/recovery "
         "path");
     return stats;
   }
-  if (config.reconfig != nullptr) {
-    RunStats stats;
-    stats.engine = std::string(name());
+  if (cluster.reconfig != nullptr) {
     stats.status = Status::Unimplemented(
         "elastic reconfiguration requires the Slash engine's handoff path");
     return stats;
   }
 
-  RunTelemetry telemetry(config);
+  RunTelemetry telemetry(job.tracer);
   obs::MetricsRegistry* registry = telemetry.registry();
 
   // The injector must be registered before the fabric is built so the
   // fabric attaches itself as the fault target at construction. The plan is
   // validated up front: a malformed plan is a configuration error, not a
   // mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(config.nodes);
+  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
+    const Status plan_status = cluster.fault_plan->Validate(cluster.nodes);
     if (!plan_status.ok()) {
-      RunStats stats;
-      stats.engine = std::string(name());
       stats.status = plan_status;
       return stats;
     }
     run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *config.fault_plan);
+        std::make_unique<sim::FaultInjector>(&run.sim, *cluster.fault_plan);
     run.sim.set_fault_injector(run.injector.get());
   }
 
   // Register the observability plane before building the fabric so the
   // per-node NIC counters and channel handles wire themselves up.
   telemetry.Register(&run.sim);
-  telemetry.NameNodes(config.nodes);
+  telemetry.NameNodes(cluster.nodes);
   run.latency = registry->GetHistogram(obs::metric::kTransferLatencyNs);
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
@@ -426,52 +418,51 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
   }
 
   rdma::FabricConfig fabric_config;
-  fabric_config.nodes = config.nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
+  fabric_config.nodes = cluster.nodes;
+  fabric_config.nic = cluster.nic;
+  fabric_config.connection = cluster.connection;
   run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
 
   state::PartitionConfig pcfg;
   pcfg.kind = query.is_join() ? state::StateKind::kAppend
                               : state::StateKind::kAggregate;
-  pcfg.lss_capacity = config.state_lss_capacity;
-  pcfg.index_buckets = config.state_index_buckets;
+  pcfg.lss_capacity = job.state_lss_capacity;
+  pcfg.index_buckets = job.state_index_buckets;
 
-  const int total_flows = config.nodes * config.workers_per_node;
-  const int flows_per_sender = config.workers_per_node / run.senders_per_node;
+  const int total_flows = cluster.nodes * cluster.workers_per_node;
+  const int flows_per_sender = cluster.workers_per_node / run.senders_per_node;
 
   // Consumers first (senders wire lanes to them).
-  for (int node = 0; node < config.nodes; ++node) {
+  for (int node = 0; node < cluster.nodes; ++node) {
     for (int rcv = 0; rcv < run.receivers_per_node; ++rcv) {
       auto c = std::make_unique<ConsumerState>();
       c->global_id = node * run.receivers_per_node + rcv;
       c->node = node;
-      c->cpu = std::make_unique<perf::CpuContext>(&run.sim, config.cost_model,
-                                                  config.cpu_ghz);
+      c->cpu = std::make_unique<perf::CpuContext>(&run.sim, cluster.cost_model,
+                                                  cluster.cpu_ghz);
       c->partition = std::make_unique<state::Partition>(c->global_id, pcfg);
       c->batch = std::make_unique<core::RecordBatch>(
-          std::max<uint32_t>(1u, config.operator_batch));
-      c->sink = core::ResultSink(config.collect_rows);
+          std::max<uint32_t>(1u, job.operator_batch));
+      c->sink = core::ResultSink(job.collect_rows);
       c->arrivals = std::make_unique<sim::Event>(&run.sim);
       run.consumers.push_back(std::move(c));
     }
   }
 
-  for (int node = 0; node < config.nodes; ++node) {
+  for (int node = 0; node < cluster.nodes; ++node) {
     for (int snd = 0; snd < run.senders_per_node; ++snd) {
       auto s = std::make_unique<SenderState>();
       s->global_id = node * run.senders_per_node + snd;
       s->node = node;
-      s->cpu = std::make_unique<perf::CpuContext>(&run.sim, config.cost_model,
-                                                  config.cpu_ghz);
+      s->cpu = std::make_unique<perf::CpuContext>(&run.sim, cluster.cost_model,
+                                                  cluster.cpu_ghz);
       // This sender's share of the node's canonical flows.
       std::vector<std::unique_ptr<core::RecordSource>> flows;
       for (int f = 0; f < flows_per_sender; ++f) {
-        const int flow = node * config.workers_per_node +
+        const int flow = node * cluster.workers_per_node +
                          snd * flows_per_sender + f;
         flows.push_back(workload.MakeFlow(flow, total_flows,
-                                          config.records_per_worker,
-                                          config.seed));
+                                          job.records_per_worker, job.seed));
       }
       s->mux = std::make_unique<FlowMux>(std::move(flows));
       s->outbound.resize(run.consumers.size());
@@ -485,7 +476,7 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
               {s->global_id, /*channel=*/nullptr, ob.local});
         } else {
           auto ch = RdmaChannel::Create(run.fabric.get(), node,
-                                        consumer->node, config.channel);
+                                        consumer->node, job.channel);
           ob.channel = ch.get();
           ch->AddDataObserver(consumer->arrivals.get());
           ch->SetCloseHandler([run_ptr = &run](const Status& cause) {
@@ -508,8 +499,6 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
   for (auto& s : run.senders) run.sim.Spawn(Sender(&run, s.get()));
   for (auto& c : run.consumers) run.sim.Spawn(Receiver(&run, c.get()));
 
-  RunStats stats;
-  stats.engine = std::string(name());
   TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
   // An aborted run legitimately strands coroutines that were mid-protocol
   // when their channel died; only a *completed* run must fully drain.
@@ -546,7 +535,7 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
     receivers->Merge(c->cpu->counters());
     emitted->Add(c->sink.count());
     checksum->Add(c->sink.checksum());
-    if (config.collect_rows) {
+    if (job.collect_rows) {
       const auto& rows = c->sink.rows();
       stats.rows.insert(stats.rows.end(), rows.begin(), rows.end());
     }

@@ -23,14 +23,7 @@ class UpParEngine : public Engine {
  public:
   std::string_view name() const override { return "RDMA UpPar"; }
 
-  using Engine::Run;  // the (query, workload, config) compatibility shim
-
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

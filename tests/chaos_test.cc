@@ -32,29 +32,30 @@
 namespace slash {
 namespace {
 
-using engines::ClusterConfig;
+using engines::JobSpec;
 using engines::RunStats;
 using engines::SlashEngine;
 
 constexpr int kSeeds = 24;
 
-ClusterConfig ChaosCluster() {
-  ClusterConfig cfg;
-  cfg.nodes = 3;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 8000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.checkpoint.enabled = true;
-  cfg.health.enabled = true;
-  cfg.health.heartbeat_interval = 20 * kMicrosecond;
-  cfg.health.probe_timeout = 10 * kMicrosecond;
-  cfg.health.suspicion_threshold = 4;
-  cfg.health.recovery_deadline = 10 * kMillisecond;
-  cfg.health.run_deadline = 200 * kMillisecond;  // hang -> clean abort
-  return cfg;
+JobSpec ChaosJob(const workloads::Workload& workload) {
+  engines::ClusterConfig cluster;
+  cluster.nodes = 3;
+  cluster.workers_per_node = 2;
+  cluster.health.enabled = true;
+  cluster.health.heartbeat_interval = 20 * kMicrosecond;
+  cluster.health.probe_timeout = 10 * kMicrosecond;
+  cluster.health.suspicion_threshold = 4;
+  cluster.health.recovery_deadline = 10 * kMillisecond;
+  cluster.health.run_deadline = 200 * kMillisecond;  // hang -> clean abort
+  engines::JobConfig config;
+  config.records_per_worker = 8000;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  config.checkpoint.enabled = true;
+  return engines::MakeJobSpec("", workload, cluster, config);
 }
 
 /// Derives a deterministic random failure schedule from `seed`. Fault
@@ -109,28 +110,27 @@ TEST(ChaosSweepTest, RandomGrayFailureSchedulesNeverHangOrCorrupt) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ChaosCluster();
+  JobSpec job = ChaosJob(workload);
 
   SlashEngine engine;
-  const RunStats clean = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats clean = engine.Run(job);
   ASSERT_TRUE(clean.ok()) << clean.status.message();
   const Nanos makespan = clean.makespan();
   const core::OracleOutput oracle = core::ComputeOracle(
       workload.MakeQuery(),
-      workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+      workload.Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 
   int completed = 0;
   int aborted = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
-    sim::FaultPlan plan = ChaosPlan(seed, cfg.nodes, makespan);
-    ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-    ClusterConfig chaos_cfg = cfg;
-    chaos_cfg.fault_plan = &plan;
+    sim::FaultPlan plan = ChaosPlan(seed, job.cluster.nodes, makespan);
+    ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+    JobSpec chaos_job = job;
+    chaos_job.cluster.fault_plan = &plan;
 
-    const RunStats first =
-        engine.Run(workload.MakeQuery(), workload, chaos_cfg);
+    const RunStats first = engine.Run(chaos_job);
     if (first.ok()) {
       ++completed;
       EXPECT_EQ(first.result_checksum(), oracle.checksum)
@@ -147,8 +147,7 @@ TEST(ChaosSweepTest, RandomGrayFailureSchedulesNeverHangOrCorrupt) {
 
     // Byte-identical replay: virtual-time failure detection is part of
     // the deterministic surface.
-    const RunStats second =
-        engine.Run(workload.MakeQuery(), workload, chaos_cfg);
+    const RunStats second = engine.Run(chaos_job);
     EXPECT_EQ(first.status.code(), second.status.code());
     EXPECT_EQ(first.metrics.ToJson(), second.metrics.ToJson())
         << "chaos replay diverged";
@@ -195,17 +194,17 @@ TEST(ChaosSweepTest, ReconfigUnderGrayFailuresStaysDeterministic) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ChaosCluster();
-  cfg.nodes = 4;  // room for a provisioned spare
+  JobSpec job = ChaosJob(workload);
+  job.cluster.nodes = 4;  // room for a provisioned spare
 
   SlashEngine engine;
-  const RunStats clean = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats clean = engine.Run(job);
   ASSERT_TRUE(clean.ok()) << clean.status.message();
   const Nanos makespan = clean.makespan();
   const core::OracleOutput oracle = core::ComputeOracle(
       workload.MakeQuery(),
-      workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+      workload.Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 
   int completed = 0;
   int aborted = 0;
@@ -215,22 +214,21 @@ TEST(ChaosSweepTest, ReconfigUnderGrayFailuresStaysDeterministic) {
     SCOPED_TRACE("reconfig chaos seed " + std::to_string(seed));
     Rng rng(seed * 0xD1B54A32D192ED03ull + 7);
     elastic::ReconfigPlan reconfig =
-        ChaosReconfigPlan(seed, cfg.nodes, makespan, &rng);
-    sim::FaultPlan faults = ChaosPlan(seed, cfg.nodes, makespan);
-    ASSERT_TRUE(reconfig.Validate(cfg.nodes).ok());
-    if (!reconfig.ValidateWithFaults(faults, cfg.nodes).ok()) {
+        ChaosReconfigPlan(seed, job.cluster.nodes, makespan, &rng);
+    sim::FaultPlan faults = ChaosPlan(seed, job.cluster.nodes, makespan);
+    ASSERT_TRUE(reconfig.Validate(job.cluster.nodes).ok());
+    if (!reconfig.ValidateWithFaults(faults, job.cluster.nodes).ok()) {
       // A membership event inside an un-healed partition window is a plan
       // error by contract; this sweep covers runtime interleavings, not
       // rejected plans (those have their own tests in the elastic tier).
       ++skipped;
       continue;
     }
-    ClusterConfig chaos_cfg = cfg;
-    chaos_cfg.fault_plan = &faults;
-    chaos_cfg.reconfig = &reconfig;
+    JobSpec chaos_job = job;
+    chaos_job.cluster.fault_plan = &faults;
+    chaos_job.cluster.reconfig = &reconfig;
 
-    const RunStats first =
-        engine.Run(workload.MakeQuery(), workload, chaos_cfg);
+    const RunStats first = engine.Run(chaos_job);
     if (first.ok()) {
       ++completed;
       reconfigs_executed += first.reconfigs();
@@ -244,8 +242,7 @@ TEST(ChaosSweepTest, ReconfigUnderGrayFailuresStaysDeterministic) {
           << first.status.message();
     }
 
-    const RunStats second =
-        engine.Run(workload.MakeQuery(), workload, chaos_cfg);
+    const RunStats second = engine.Run(chaos_job);
     EXPECT_EQ(first.status.code(), second.status.code());
     EXPECT_EQ(first.metrics.ToJson(), second.metrics.ToJson())
         << "reconfig chaos replay diverged";

@@ -39,29 +39,33 @@
 namespace slash {
 namespace {
 
-using engines::ClusterConfig;
+using engines::JobSpec;
 using engines::RunStats;
 using engines::SlashEngine;
 
-ClusterConfig ElasticCluster(int nodes, int workers, uint64_t records) {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;  // provisioned maximum
-  cfg.workers_per_node = workers;
-  cfg.records_per_worker = records;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
-  cfg.checkpoint.enabled = true;
-  return cfg;
+/// A checkpointed job of `workload` on a cluster of `nodes` provisioned
+/// nodes (the elastic maximum).
+JobSpec ElasticJob(const workloads::Workload& workload, int nodes, int workers,
+                   uint64_t records) {
+  engines::ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  engines::JobConfig config;
+  config.records_per_worker = records;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  config.collect_rows = true;
+  config.checkpoint.enabled = true;
+  return engines::MakeJobSpec("", workload, cluster, config);
 }
 
-core::OracleOutput Oracle(const workloads::Workload& workload,
-                          const ClusterConfig& cfg) {
-  return core::ComputeOracle(workload.MakeQuery(),
-                             workload.Sources(cfg.records_per_worker, cfg.seed),
-                             cfg.nodes * cfg.workers_per_node);
+core::OracleOutput Oracle(const JobSpec& job) {
+  return core::ComputeOracle(
+      job.sources->MakeQuery(),
+      job.sources->Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 }
 
 void ExpectMatchesOracle(const RunStats& stats,
@@ -74,13 +78,12 @@ void ExpectMatchesOracle(const RunStats& stats,
   EXPECT_EQ(rows, oracle.rows);
 }
 
-/// Fault-free, static-membership makespan of `cfg`: the yardstick used to
+/// Fault-free, static-membership makespan of `job`: the yardstick used to
 /// place reconfiguration events at deterministic mid-run fractions without
 /// hard-coding virtual-time constants.
-Nanos StaticMakespan(SlashEngine& engine, const workloads::Workload& workload,
-                     ClusterConfig cfg) {
-  cfg.reconfig = nullptr;
-  const RunStats clean = engine.Run(workload.MakeQuery(), workload, cfg);
+Nanos StaticMakespan(SlashEngine& engine, JobSpec job) {
+  job.cluster.reconfig = nullptr;
+  const RunStats clean = engine.Run(job);
   EXPECT_TRUE(clean.ok()) << clean.status.message();
   EXPECT_GT(clean.makespan(), 0);
   return clean.makespan();
@@ -92,21 +95,21 @@ TEST(ElasticJoinTest, JoinOnlyScalesOutToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 3000);
+  JobSpec job = ElasticJob(workload, 4, 2, 3000);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   // Start on nodes {0,1}; activate 2 then 3 mid-run.
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 2;
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.3), .node = 2});
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.6), .node = 3});
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_joins(), 2u);
   EXPECT_EQ(stats.elastic_leaves(), 0u);
   EXPECT_EQ(stats.reconfigs(), 2u);
@@ -123,18 +126,18 @@ TEST(ElasticJoinTest, LateJoinMovesCheckpointedStateAndInputIntervals) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(3, 2, 4000);
+  JobSpec job = ElasticJob(workload, 3, 2, 4000);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 2;
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.6), .node = 2});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_joins(), 1u);
   EXPECT_GT(stats.checkpoints_taken(), 0u);
   EXPECT_GT(stats.state_bytes_moved(), 0u)
@@ -149,20 +152,20 @@ TEST(ElasticLeaveTest, LeaveOnlyScalesInToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 3000);
+  JobSpec job = ElasticJob(workload, 4, 2, 3000);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   // All four start; 3 then 2 retire gracefully mid-run.
   elastic::ReconfigPlan plan;
   plan.leaves.push_back({.at = Nanos(double(makespan) * 0.35), .node = 3});
   plan.leaves.push_back({.at = Nanos(double(makespan) * 0.65), .node = 2});
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_leaves(), 2u);
   EXPECT_EQ(stats.elastic_joins(), 0u);
   EXPECT_EQ(stats.recoveries(), 0u) << "a planned leave is not a failure";
@@ -178,19 +181,19 @@ TEST(ElasticLeaveTest, LeaveDuringCheckpointTrafficStaysConsistent) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(3, 2, 4000);
-  cfg.checkpoint.interval_epochs = 1;
-  cfg.checkpoint.replication_factor = 2;
+  JobSpec job = ElasticJob(workload, 3, 2, 4000);
+  job.config.checkpoint.interval_epochs = 1;
+  job.config.checkpoint.replication_factor = 2;
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   elastic::ReconfigPlan plan;
   plan.leaves.push_back({.at = Nanos(double(makespan) * 0.5), .node = 1});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_leaves(), 1u);
   EXPECT_GT(stats.checkpoints_taken(), 0u);
 }
@@ -201,21 +204,21 @@ TEST(ElasticJoinLeaveTest, JoinThenLeaveOfDifferentNodesMatchesOracle) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 3000);
+  JobSpec job = ElasticJob(workload, 4, 2, 3000);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   // Grow {0,1,2} -> {0,1,2,3}, then shrink to {0,2,3}.
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 3;
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.3), .node = 3});
   plan.leaves.push_back({.at = Nanos(double(makespan) * 0.65), .node = 1});
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_joins(), 1u);
   EXPECT_EQ(stats.elastic_leaves(), 1u);
   EXPECT_EQ(stats.reconfigs(), 2u);
@@ -227,18 +230,18 @@ TEST(ElasticJoinLeaveTest, JoinWorksOnNexmarkJoinQuery) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
-  ClusterConfig cfg = ElasticCluster(3, 2, 900);
+  JobSpec job = ElasticJob(workload, 3, 2, 900);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 2;
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.4), .node = 2});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_joins(), 1u);
 }
 
@@ -252,22 +255,22 @@ TEST(ElasticHealthTest, PlannedLeaveRaisesNoSuspicionOrQuarantine) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 3000);
-  cfg.health.enabled = true;
-  cfg.health.heartbeat_interval = 20 * kMicrosecond;
-  cfg.health.probe_timeout = 10 * kMicrosecond;
-  cfg.health.suspicion_threshold = 4;
-  cfg.health.recovery_deadline = 10 * kMillisecond;
+  JobSpec job = ElasticJob(workload, 4, 2, 3000);
+  job.cluster.health.enabled = true;
+  job.cluster.health.heartbeat_interval = 20 * kMicrosecond;
+  job.cluster.health.probe_timeout = 10 * kMicrosecond;
+  job.cluster.health.suspicion_threshold = 4;
+  job.cluster.health.recovery_deadline = 10 * kMillisecond;
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   elastic::ReconfigPlan plan;
   plan.leaves.push_back({.at = Nanos(double(makespan) * 0.4), .node = 3});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_leaves(), 1u);
   EXPECT_EQ(stats.suspicions(), 0u)
       << "the failure detector accused a node that left on purpose";
@@ -282,23 +285,23 @@ TEST(ElasticHealthTest, JoinerEntersTheProbeRotation) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(3, 2, 3000);
-  cfg.health.enabled = true;
-  cfg.health.heartbeat_interval = 20 * kMicrosecond;
-  cfg.health.probe_timeout = 10 * kMicrosecond;
-  cfg.health.suspicion_threshold = 4;
-  cfg.health.recovery_deadline = 10 * kMillisecond;
+  JobSpec job = ElasticJob(workload, 3, 2, 3000);
+  job.cluster.health.enabled = true;
+  job.cluster.health.heartbeat_interval = 20 * kMicrosecond;
+  job.cluster.health.probe_timeout = 10 * kMicrosecond;
+  job.cluster.health.suspicion_threshold = 4;
+  job.cluster.health.recovery_deadline = 10 * kMillisecond;
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 2;
   plan.joins.push_back({.at = Nanos(double(makespan) * 0.4), .node = 2});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_joins(), 1u);
   EXPECT_EQ(stats.suspicions(), 0u)
       << "pre-join silence must not be counted as probe misses";
@@ -311,10 +314,10 @@ TEST(ElasticAutoscaleTest, FourToSixteenToEightIsExactAndDeterministic) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 600;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(16, 1, 1500);
+  JobSpec job = ElasticJob(workload, 16, 1, 1500);
 
   SlashEngine engine;
-  const Nanos makespan = StaticMakespan(engine, workload, cfg);
+  const Nanos makespan = StaticMakespan(engine, job);
 
   // Scale out 4 -> 16 across [8%, 30%] of the static makespan, then back
   // down 16 -> 8 across [45%, 80%]. Handoffs are serialized by deferral,
@@ -330,11 +333,11 @@ TEST(ElasticAutoscaleTest, FourToSixteenToEightIsExactAndDeterministic) {
     const double f = 0.45 + 0.05 * double(i);
     plan.leaves.push_back({.at = Nanos(double(makespan) * f), .node = 15 - i});
   }
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
 
-  const RunStats first = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(first, Oracle(workload, cfg));
+  const RunStats first = engine.Run(job);
+  ExpectMatchesOracle(first, Oracle(job));
   EXPECT_EQ(first.elastic_joins(), 12u);
   EXPECT_EQ(first.elastic_leaves(), 8u);
   EXPECT_EQ(first.reconfigs(), 20u);
@@ -344,7 +347,7 @@ TEST(ElasticAutoscaleTest, FourToSixteenToEightIsExactAndDeterministic) {
 
   // Byte-identical replay: the reconfiguration control plane is part of
   // the deterministic surface — same plan, same seed, same everything.
-  const RunStats second = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats second = engine.Run(job);
   ASSERT_TRUE(second.ok()) << second.status.message();
   EXPECT_EQ(first.result_checksum(), second.result_checksum());
   EXPECT_EQ(first.makespan(), second.makespan());
@@ -359,7 +362,7 @@ TEST(ElasticTriggerTest, LoadTriggerGrowsTheClusterUnderIngestPressure) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 4000);
+  JobSpec job = ElasticJob(workload, 4, 2, 4000);
 
   // Any sustained ingest trips the grow threshold; the cluster should
   // climb from 2 actives toward the max while records are flowing.
@@ -369,15 +372,15 @@ TEST(ElasticTriggerTest, LoadTriggerGrowsTheClusterUnderIngestPressure) {
   plan.trigger.interval = 20 * kMicrosecond;
   plan.trigger.join_above = 1;
   plan.trigger.cooldown_intervals = 1;
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_GT(stats.elastic_joins(), 0u) << "the load trigger never fired";
 
-  const RunStats replay = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats replay = engine.Run(job);
   ASSERT_TRUE(replay.ok()) << replay.status.message();
   EXPECT_EQ(stats.metrics.ToJson(), replay.metrics.ToJson())
       << "trigger-driven autoscale replay diverged";
@@ -503,14 +506,14 @@ TEST(ElasticRejectionTest, InvalidPlanFailsRunBeforeAnyVirtualTime) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 500);
+  JobSpec job = ElasticJob(workload, 4, 2, 500);
 
   elastic::ReconfigPlan plan;
   plan.joins.push_back({.at = 100, .node = 1});  // already active
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(stats.makespan(), 0);
@@ -520,19 +523,19 @@ TEST(ElasticRejectionTest, PlanOverlappingFaultPartitionFailsRun) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 500);
+  JobSpec job = ElasticJob(workload, 4, 2, 500);
 
   sim::FaultPlan faults;
   faults.partitions.push_back({.at = 1000, .side_a = {0}});
-  cfg.fault_plan = &faults;
+  job.cluster.fault_plan = &faults;
 
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 3;
   plan.joins.push_back({.at = 2000, .node = 3});  // inside the cut
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 }
@@ -541,16 +544,16 @@ TEST(ElasticRejectionTest, ReconfigWithoutCheckpointingIsRejected) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = ElasticCluster(4, 2, 500);
-  cfg.checkpoint.enabled = false;
+  JobSpec job = ElasticJob(workload, 4, 2, 500);
+  job.config.checkpoint.enabled = false;
 
   elastic::ReconfigPlan plan;
   plan.initial_nodes = 3;
   plan.joins.push_back({.at = 1000, .node = 3});
-  cfg.reconfig = &plan;
+  job.cluster.reconfig = &plan;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 }
@@ -564,28 +567,28 @@ TEST(ElasticRejectionTest, BaselineEnginesRejectReconfiguration) {
   plan.initial_nodes = 1;
   plan.joins.push_back({.at = 1000, .node = 1});
 
-  ClusterConfig cfg = ElasticCluster(2, 2, 500);
-  cfg.reconfig = &plan;
+  JobSpec job = ElasticJob(workload, 2, 2, 500);
+  job.cluster.reconfig = &plan;
 
   engines::FlinkLikeEngine flink;
-  RunStats stats = flink.Run(workload.MakeQuery(), workload, cfg);
+  RunStats stats = flink.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 
   engines::UpParEngine uppar;
-  ClusterConfig ucfg = cfg;
-  ucfg.checkpoint.enabled = false;
-  stats = uppar.Run(workload.MakeQuery(), workload, ucfg);
+  JobSpec uppar_job = job;
+  uppar_job.config.checkpoint.enabled = false;
+  stats = uppar.Run(uppar_job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 
   engines::LightSaberEngine lightsaber;
-  ClusterConfig lcfg = ElasticCluster(1, 2, 500);
+  JobSpec lightsaber_job = ElasticJob(workload, 1, 2, 500);
   elastic::ReconfigPlan lplan;
   lplan.trigger.enabled = true;
-  lcfg.reconfig = &lplan;
-  lcfg.checkpoint.enabled = false;
-  stats = lightsaber.Run(workload.MakeQuery(), workload, lcfg);
+  lightsaber_job.cluster.reconfig = &lplan;
+  lightsaber_job.config.checkpoint.enabled = false;
+  stats = lightsaber.Run(lightsaber_job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 }

@@ -15,27 +15,34 @@
 namespace slash::engines {
 namespace {
 
-ClusterConfig BaseConfig() {
-  ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 3000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = false;
-  return cfg;
+JobSpec BaseJob(const workloads::Workload& workload) {
+  ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 2;
+  JobConfig config;
+  config.records_per_worker = 3000;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  return MakeJobSpec("", workload, cluster, config);
+}
+
+core::OracleOutput Oracle(const JobSpec& job) {
+  return core::ComputeOracle(
+      job.sources->MakeQuery(),
+      job.sources->Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 }
 
 TEST(EnduranceTest, RunsAreBitDeterministic) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 5000;
   workloads::YsbWorkload workload(ycfg);
-  const ClusterConfig cfg = BaseConfig();
+  const JobSpec job = BaseJob(workload);
   SlashEngine a, b;
-  const RunStats ra = a.Run(workload.MakeQuery(), workload, cfg);
-  const RunStats rb = b.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats ra = a.Run(job);
+  const RunStats rb = b.Run(job);
   EXPECT_EQ(ra.makespan(), rb.makespan());
   EXPECT_EQ(ra.result_checksum(), rb.result_checksum());
   EXPECT_EQ(ra.network_bytes(), rb.network_bytes());
@@ -47,13 +54,11 @@ TEST(EnduranceTest, DifferentSeedsDifferentDataSameCorrectness) {
   ycfg.key_range = 500;
   workloads::YsbWorkload workload(ycfg);
   for (uint64_t seed : {7ULL, 8ULL}) {
-    ClusterConfig cfg = BaseConfig();
-    cfg.seed = seed;
+    JobSpec job = BaseJob(workload);
+    job.config.seed = seed;
     SlashEngine engine;
-    const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-    const core::OracleOutput oracle = core::ComputeOracle(
-        workload.MakeQuery(), workload.Sources(cfg.records_per_worker, seed),
-        cfg.nodes * cfg.workers_per_node);
+    const RunStats stats = engine.Run(job);
+    const core::OracleOutput oracle = Oracle(job);
     EXPECT_EQ(stats.result_checksum(), oracle.checksum) << "seed " << seed;
   }
 }
@@ -65,15 +70,13 @@ TEST(EnduranceTest, ManyEpochsManyWindowGenerations) {
   ycfg.key_range = 300;
   ycfg.windows = 12;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.records_per_worker = 20'000;
-  cfg.epoch_bytes = 16 * kKiB;
-  cfg.collect_rows = true;
+  JobSpec job = BaseJob(workload);
+  job.config.records_per_worker = 20'000;
+  job.config.epoch_bytes = 16 * kKiB;
+  job.config.collect_rows = true;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(job);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
   EXPECT_EQ(stats.records_emitted(), oracle.count);
   // All 12 window generations produced results.
@@ -88,14 +91,12 @@ TEST(EnduranceTest, SingleCreditChannelsStillCorrect) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 400;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.channel.credits = 1;  // maximal back-pressure, no pipelining
-  cfg.epoch_bytes = 32 * kKiB;
+  JobSpec job = BaseJob(workload);
+  job.config.channel.credits = 1;  // maximal back-pressure, no pipelining
+  job.config.epoch_bytes = 32 * kKiB;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(job);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
 }
 
@@ -106,14 +107,12 @@ TEST(EnduranceTest, TinySlotsForceChunkedDeltas) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 2000;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.channel.slot_bytes = 512;  // ~6 delta entries per chunk
-  cfg.epoch_bytes = 32 * kKiB;
+  JobSpec job = BaseJob(workload);
+  job.config.channel.slot_bytes = 512;  // ~6 delta entries per chunk
+  job.config.epoch_bytes = 32 * kKiB;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(job);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
 }
 
@@ -121,14 +120,12 @@ TEST(EnduranceTest, TinyLssForcesAdaptiveResizes) {
   workloads::RoConfig rcfg;
   rcfg.key_range = 50'000;
   workloads::RoWorkload workload(rcfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.state_lss_capacity = 1 << 10;  // 1 KiB: dozens of doublings
-  cfg.records_per_worker = 8000;
+  JobSpec job = BaseJob(workload);
+  job.config.state_lss_capacity = 1 << 10;  // 1 KiB: dozens of doublings
+  job.config.records_per_worker = 8000;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(job);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
 }
 
@@ -138,14 +135,12 @@ TEST(EnduranceTest, LargeClusterSmallInput) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 50;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.nodes = 12;
-  cfg.records_per_worker = 50;
+  JobSpec job = BaseJob(workload);
+  job.cluster.nodes = 12;
+  job.config.records_per_worker = 50;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(job);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
 }
 
@@ -153,7 +148,6 @@ TEST(EnduranceTest, ZeroSelectivityStream) {
   // A filter that drops everything: no state, no results, but watermarks
   // and epochs must still flow to termination.
   workloads::YsbConfig ycfg;
-  workloads::YsbWorkload base(ycfg);
   class DropAll : public workloads::YsbWorkload {
    public:
     using workloads::YsbWorkload::YsbWorkload;
@@ -164,9 +158,9 @@ TEST(EnduranceTest, ZeroSelectivityStream) {
     }
   };
   DropAll workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
+  JobSpec job = BaseJob(workload);
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(job);
   EXPECT_EQ(stats.records_emitted(), 0u);
   EXPECT_GT(stats.records_in(), 0u);
 }
@@ -182,9 +176,9 @@ TEST(EnduranceTest, SustainedFlakyLinkLongYsbRun) {
   ycfg.key_range = 2000;
   ycfg.windows = 8;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = BaseConfig();
-  cfg.records_per_worker = 20'000;
-  cfg.epoch_bytes = 32 * kKiB;
+  JobSpec job = BaseJob(workload);
+  job.config.records_per_worker = 20'000;
+  job.config.epoch_bytes = 32 * kKiB;
 
   sim::FaultPlan plan;
   for (int i = 0; i < 40; ++i) {
@@ -193,20 +187,18 @@ TEST(EnduranceTest, SustainedFlakyLinkLongYsbRun) {
                                  .bandwidth_scale = 0.3,
                                  .duration = 20 * kMicrosecond});
   }
-  cfg.fault_plan = &plan;
+  job.cluster.fault_plan = &plan;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(job);
   ASSERT_TRUE(stats.ok()) << stats.status.message();
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const core::OracleOutput oracle = Oracle(job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
   EXPECT_EQ(stats.records_emitted(), oracle.count);
   // Monotone progress: the whole stream was consumed despite the flapping.
-  EXPECT_EQ(stats.records_in(),
-            uint64_t(cfg.nodes) * cfg.workers_per_node *
-                cfg.records_per_worker);
+  EXPECT_EQ(stats.records_in(), uint64_t(job.cluster.nodes) *
+                                   job.cluster.workers_per_node *
+                                   job.config.records_per_worker);
   // No credit leak across the flap cycles.
   EXPECT_EQ(stats.credits_outstanding(), 0u);
   // The link actually flapped during the run (degrade + restore events).
@@ -217,10 +209,10 @@ TEST(EnduranceTest, UpParDeterministicToo) {
   workloads::RoConfig rcfg;
   rcfg.key_range = 1000;
   workloads::RoWorkload workload(rcfg);
-  const ClusterConfig cfg = BaseConfig();
+  const JobSpec job = BaseJob(workload);
   UpParEngine a, b;
-  const RunStats ra = a.Run(workload.MakeQuery(), workload, cfg);
-  const RunStats rb = b.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats ra = a.Run(job);
+  const RunStats rb = b.Run(job);
   EXPECT_EQ(ra.makespan(), rb.makespan());
   EXPECT_EQ(ra.result_checksum(), rb.result_checksum());
 }

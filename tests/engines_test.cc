@@ -20,26 +20,30 @@
 namespace slash::engines {
 namespace {
 
-ClusterConfig SmallCluster(int nodes, int workers, uint64_t records) {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = workers;
-  cfg.records_per_worker = records;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
-  return cfg;
+ClusterConfig SmallCluster(int nodes, int workers) {
+  ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  return cluster;
+}
+
+JobConfig SmallJob(uint64_t records) {
+  JobConfig job;
+  job.records_per_worker = records;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
+  job.collect_rows = true;
+  return job;
 }
 
 void ExpectMatchesOracle(Engine* engine, const workloads::Workload& workload,
-                         const ClusterConfig& cfg) {
-  const core::QuerySpec query = workload.MakeQuery();
-  const RunStats stats = engine->Run(query, workload, cfg);
+                         const ClusterConfig& cluster, const JobConfig& job) {
+  const RunStats stats = engine->Run(MakeJobSpec("", workload, cluster, job));
   const core::OracleOutput oracle = core::ComputeOracle(
-      query, workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+      workload.MakeQuery(), workload.Sources(job.records_per_worker, job.seed),
+      cluster.nodes * cluster.workers_per_node);
   EXPECT_EQ(stats.records_in(), oracle.records_in) << engine->name();
   EXPECT_EQ(stats.records_emitted(), oracle.count) << engine->name();
   EXPECT_EQ(stats.result_checksum(), oracle.checksum) << engine->name();
@@ -53,7 +57,7 @@ TEST(UpParEngineTest, YsbMatchesOracle) {
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
   UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4, 2000));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2000));
 }
 
 TEST(UpParEngineTest, CmMatchesOracle) {
@@ -61,7 +65,7 @@ TEST(UpParEngineTest, CmMatchesOracle) {
   ccfg.jobs = 200;
   workloads::CmWorkload workload(ccfg);
   UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(3, 2, 1500));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(3, 2), SmallJob(1500));
 }
 
 TEST(UpParEngineTest, Nb8JoinMatchesOracle) {
@@ -69,7 +73,7 @@ TEST(UpParEngineTest, Nb8JoinMatchesOracle) {
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
   UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4, 600));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(600));
 }
 
 TEST(UpParEngineTest, Nb11SessionJoinMatchesOracle) {
@@ -77,7 +81,7 @@ TEST(UpParEngineTest, Nb11SessionJoinMatchesOracle) {
   ncfg.sellers = 30;
   workloads::Nb11Workload workload(ncfg);
   UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2, 600));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(600));
 }
 
 TEST(UpParEngineTest, SkewedKeysStillCorrect) {
@@ -86,7 +90,7 @@ TEST(UpParEngineTest, SkewedKeysStillCorrect) {
   rcfg.keys = workloads::KeyDistribution::Zipf(1.8);
   workloads::RoWorkload workload(rcfg);
   UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4, 2500));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2500));
 }
 
 TEST(FlinkLikeEngineTest, YsbMatchesOracle) {
@@ -94,7 +98,7 @@ TEST(FlinkLikeEngineTest, YsbMatchesOracle) {
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
   FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4, 2000));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2000));
 }
 
 TEST(FlinkLikeEngineTest, Nb7MatchesOracle) {
@@ -102,7 +106,7 @@ TEST(FlinkLikeEngineTest, Nb7MatchesOracle) {
   ncfg.auctions = 500;
   workloads::Nb7Workload workload(ncfg);
   FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2, 1500));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(1500));
 }
 
 TEST(FlinkLikeEngineTest, Nb8JoinMatchesOracle) {
@@ -110,7 +114,7 @@ TEST(FlinkLikeEngineTest, Nb8JoinMatchesOracle) {
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
   FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2, 600));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(600));
 }
 
 TEST(LightSaberEngineTest, YsbMatchesOracle) {
@@ -118,7 +122,7 @@ TEST(LightSaberEngineTest, YsbMatchesOracle) {
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
   LightSaberEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(1, 4, 2000));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(1, 4), SmallJob(2000));
 }
 
 TEST(LightSaberEngineTest, CmMatchesOracle) {
@@ -126,23 +130,23 @@ TEST(LightSaberEngineTest, CmMatchesOracle) {
   ccfg.jobs = 150;
   workloads::CmWorkload workload(ccfg);
   LightSaberEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(1, 3, 2000));
+  ExpectMatchesOracle(&engine, workload, SmallCluster(1, 3), SmallJob(2000));
 }
 
 TEST(LightSaberEngineTest, RejectsJoins) {
   workloads::Nb8Workload workload;
   LightSaberEngine engine;
-  EXPECT_DEATH(
-      engine.Run(workload.MakeQuery(), workload, SmallCluster(1, 2, 100)),
-      "does not support join");
+  EXPECT_DEATH(engine.Run(MakeJobSpec("", workload, SmallCluster(1, 2),
+                                      SmallJob(100))),
+               "does not support join");
 }
 
 TEST(LightSaberEngineTest, RejectsMultiNode) {
   workloads::YsbWorkload workload;
   LightSaberEngine engine;
-  EXPECT_DEATH(
-      engine.Run(workload.MakeQuery(), workload, SmallCluster(2, 2, 100)),
-      "single-node");
+  EXPECT_DEATH(engine.Run(MakeJobSpec("", workload, SmallCluster(2, 2),
+                                      SmallJob(100))),
+               "single-node");
 }
 
 TEST(EngineOrderingTest, SlashFastestOnYsb) {
@@ -150,16 +154,16 @@ TEST(EngineOrderingTest, SlashFastestOnYsb) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 2000;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = SmallCluster(2, 4, 15'000);
-  cfg.collect_rows = false;
+  JobConfig job = SmallJob(15'000);
+  job.collect_rows = false;
+  const JobSpec spec = MakeJobSpec("", workload, SmallCluster(2, 4), job);
 
   SlashEngine slash;
   UpParEngine uppar;
   FlinkLikeEngine flink;
-  const core::QuerySpec query = workload.MakeQuery();
-  const RunStats s = slash.Run(query, workload, cfg);
-  const RunStats u = uppar.Run(query, workload, cfg);
-  const RunStats f = flink.Run(query, workload, cfg);
+  const RunStats s = slash.Run(spec);
+  const RunStats u = uppar.Run(spec);
+  const RunStats f = flink.Run(spec);
 
   // Identical work...
   EXPECT_EQ(s.result_checksum(), u.result_checksum());
@@ -180,9 +184,10 @@ TEST(EngineOrderingTest, UpParSuffersUnderSkewSlashDoesNot) {
     workloads::RoWorkload workload(rcfg);
     // 8 workers/node: like the paper's 10-thread nodes, enough sender
     // parallelism that the skew-hot receiver becomes the bottleneck.
-    ClusterConfig cfg = SmallCluster(2, 8, 8'000);
-    cfg.collect_rows = false;
-    return engine->Run(workload.MakeQuery(), workload, cfg).throughput_rps();
+    JobConfig job = SmallJob(8'000);
+    job.collect_rows = false;
+    return engine->Run(MakeJobSpec("", workload, SmallCluster(2, 8), job))
+        .throughput_rps();
   };
   SlashEngine slash;
   UpParEngine uppar;
@@ -196,15 +201,16 @@ TEST(ExecutionStrategyTest, CompiledMatchesInterpretedResultsAndIsFaster) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 1000;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig interpreted = SmallCluster(2, 4, 10'000);
+  const ClusterConfig cluster = SmallCluster(2, 4);
+  JobConfig interpreted = SmallJob(10'000);
   interpreted.collect_rows = false;
-  ClusterConfig compiled = interpreted;
+  JobConfig compiled = interpreted;
   compiled.execution = core::ExecutionStrategy::kCompiled;
 
   SlashEngine engine;
-  const core::QuerySpec query = workload.MakeQuery();
-  const RunStats a = engine.Run(query, workload, interpreted);
-  const RunStats b = engine.Run(query, workload, compiled);
+  const RunStats a =
+      engine.Run(MakeJobSpec("", workload, cluster, interpreted));
+  const RunStats b = engine.Run(MakeJobSpec("", workload, cluster, compiled));
 
   EXPECT_EQ(a.result_checksum(), b.result_checksum());  // identical semantics
   EXPECT_GT(a.TotalCounters().instructions,

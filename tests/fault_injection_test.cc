@@ -310,27 +310,27 @@ TEST(FaultInjectionTest, PermanentQpErrorClosesChannelCleanly) {
 // Engine-level: transient faults absorbed, permanent faults abort cleanly
 // ---------------------------------------------------------------------------
 
-engines::ClusterConfig EngineConfig() {
-  engines::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 2000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  return cfg;
+engines::JobSpec EngineJob(const workloads::Workload& workload) {
+  engines::ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 2;
+  engines::JobConfig config;
+  config.records_per_worker = 2000;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  return engines::MakeJobSpec("", workload, cluster, config);
 }
 
 TEST(FaultEngineTest, TransientQpErrorMidEpochIdenticalToFaultFreeRun) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 800;
   workloads::YsbWorkload workload(ycfg);
-  const engines::ClusterConfig cfg = EngineConfig();
+  const engines::JobSpec job = EngineJob(workload);
 
   engines::SlashEngine clean_engine;
-  const engines::RunStats clean =
-      clean_engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats clean = clean_engine.Run(job);
   ASSERT_TRUE(clean.ok());
 
   // Break the first state channel's connection halfway through the run and
@@ -339,11 +339,10 @@ TEST(FaultEngineTest, TransientQpErrorMidEpochIdenticalToFaultFreeRun) {
   plan.qp_errors.push_back({.at = clean.makespan() / 2,
                             .qp_num = 1,
                             .recover_after = 200 * kMicrosecond});
-  engines::ClusterConfig faulted = cfg;
-  faulted.fault_plan = &plan;
+  engines::JobSpec faulted = job;
+  faulted.cluster.fault_plan = &plan;
   engines::SlashEngine engine;
-  const engines::RunStats stats =
-      engine.Run(workload.MakeQuery(), workload, faulted);
+  const engines::RunStats stats = engine.Run(faulted);
 
   ASSERT_TRUE(stats.ok()) << stats.status.message();
   EXPECT_EQ(stats.result_checksum(), clean.result_checksum());
@@ -353,8 +352,9 @@ TEST(FaultEngineTest, TransientQpErrorMidEpochIdenticalToFaultFreeRun) {
   EXPECT_GE(stats.faults_injected(), 2u);  // error + recovery in the trace
   // And the oracle agrees (recovery did not corrupt or duplicate state).
   const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+      workload.MakeQuery(),
+      workload.Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
 }
 
@@ -362,11 +362,10 @@ TEST(FaultEngineTest, TransientPauseAndDegradationIdenticalResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 500;
   workloads::YsbWorkload workload(ycfg);
-  const engines::ClusterConfig cfg = EngineConfig();
+  const engines::JobSpec job = EngineJob(workload);
 
   engines::SlashEngine clean_engine;
-  const engines::RunStats clean =
-      clean_engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats clean = clean_engine.Run(job);
   ASSERT_TRUE(clean.ok());
 
   sim::FaultPlan plan;
@@ -377,11 +376,10 @@ TEST(FaultEngineTest, TransientPauseAndDegradationIdenticalResults) {
   plan.node_pauses.push_back({.at = clean.makespan() / 2,
                               .node = 0,
                               .duration = 50 * kMicrosecond});
-  engines::ClusterConfig faulted = cfg;
-  faulted.fault_plan = &plan;
+  engines::JobSpec faulted = job;
+  faulted.cluster.fault_plan = &plan;
   engines::SlashEngine engine;
-  const engines::RunStats stats =
-      engine.Run(workload.MakeQuery(), workload, faulted);
+  const engines::RunStats stats = engine.Run(faulted);
 
   ASSERT_TRUE(stats.ok()) << stats.status.message();
   EXPECT_EQ(stats.result_checksum(), clean.result_checksum());
@@ -404,11 +402,10 @@ TEST(FaultEngineTest, PermanentNicFailureAbortsWithCleanStatus) {
                              .src_node = 0,
                              .dst_node = sim::kAnyNode,
                              .probability = 1.0});
-  engines::ClusterConfig cfg = EngineConfig();
-  cfg.fault_plan = &plan;
+  engines::JobSpec job = EngineJob(workload);
+  job.cluster.fault_plan = &plan;
   engines::SlashEngine engine;
-  const engines::RunStats stats =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats stats = engine.Run(job);
 
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnavailable);
@@ -424,11 +421,10 @@ TEST(FaultEngineTest, UpParPermanentFailureAbortsWithCleanStatus) {
   sim::FaultPlan plan;
   plan.qp_errors.push_back(
       {.at = 50 * kMicrosecond, .qp_num = 1, .recover_after = 0});
-  engines::ClusterConfig cfg = EngineConfig();
-  cfg.fault_plan = &plan;
+  engines::JobSpec job = EngineJob(workload);
+  job.cluster.fault_plan = &plan;
   engines::UpParEngine engine;
-  const engines::RunStats stats =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats stats = engine.Run(job);
 
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnavailable);
@@ -446,12 +442,12 @@ TEST(FaultEngineTest, FaultedRunsAreDeterministic) {
                              .src_node = sim::kAnyNode,
                              .dst_node = sim::kAnyNode,
                              .probability = 0.3});
-  engines::ClusterConfig cfg = EngineConfig();
-  cfg.fault_plan = &plan;
+  engines::JobSpec job = EngineJob(workload);
+  job.cluster.fault_plan = &plan;
 
   engines::SlashEngine a, b;
-  const engines::RunStats ra = a.Run(workload.MakeQuery(), workload, cfg);
-  const engines::RunStats rb = b.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats ra = a.Run(job);
+  const engines::RunStats rb = b.Run(job);
   ASSERT_TRUE(ra.ok()) << ra.status.message();
   EXPECT_EQ(ra.makespan(), rb.makespan());
   EXPECT_EQ(ra.result_checksum(), rb.result_checksum());

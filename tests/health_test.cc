@@ -33,7 +33,7 @@
 namespace slash {
 namespace {
 
-using engines::ClusterConfig;
+using engines::JobSpec;
 using engines::RunStats;
 using engines::SlashEngine;
 
@@ -84,15 +84,17 @@ TEST(HealthConfigTest, InvalidConfigFailsRunUpFront) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 200;
-  cfg.health.enabled = true;
-  cfg.health.probe_timeout = cfg.health.heartbeat_interval;  // inverted
+  engines::ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 2;
+  cluster.health.enabled = true;
+  cluster.health.probe_timeout = cluster.health.heartbeat_interval;  // inverted
+  engines::JobConfig job;
+  job.records_per_worker = 200;
 
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 }
@@ -332,33 +334,35 @@ TEST(HealthMonitorTest, PlannedRetirementSilencesTheDetector) {
 
 // --- Engine integration ----------------------------------------------------
 
-ClusterConfig HealthCluster(int nodes, int workers, uint64_t records) {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = workers;
-  cfg.records_per_worker = records;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
-  cfg.checkpoint.enabled = true;
-  cfg.health.enabled = true;
+JobSpec HealthJob(const workloads::Workload& workload, int nodes, int workers,
+                  uint64_t records) {
+  engines::ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  cluster.health.enabled = true;
   // Test-scale detector: these runs drain in under a millisecond of
   // virtual time, so the production-scale defaults (100 us heartbeat,
   // 8-miss window) would never fire. Same hierarchy, compressed.
-  cfg.health.heartbeat_interval = 20 * kMicrosecond;
-  cfg.health.probe_timeout = 10 * kMicrosecond;
-  cfg.health.suspicion_threshold = 4;
-  cfg.health.recovery_deadline = 20 * kMillisecond;
-  return cfg;
+  cluster.health.heartbeat_interval = 20 * kMicrosecond;
+  cluster.health.probe_timeout = 10 * kMicrosecond;
+  cluster.health.suspicion_threshold = 4;
+  cluster.health.recovery_deadline = 20 * kMillisecond;
+  engines::JobConfig config;
+  config.records_per_worker = records;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  config.collect_rows = true;
+  config.checkpoint.enabled = true;
+  return engines::MakeJobSpec("", workload, cluster, config);
 }
 
-core::OracleOutput Oracle(const workloads::Workload& workload,
-                          const ClusterConfig& cfg) {
-  return core::ComputeOracle(workload.MakeQuery(),
-                             workload.Sources(cfg.records_per_worker, cfg.seed),
-                             cfg.nodes * cfg.workers_per_node);
+core::OracleOutput Oracle(const JobSpec& job) {
+  return core::ComputeOracle(
+      job.sources->MakeQuery(),
+      job.sources->Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 }
 
 void ExpectMatchesOracle(const RunStats& stats,
@@ -371,11 +375,10 @@ void ExpectMatchesOracle(const RunStats& stats,
   EXPECT_EQ(rows, oracle.rows);
 }
 
-/// Fault-free makespan of `cfg` (health on), used to place faults at
+/// Fault-free makespan of `job` (health on), used to place faults at
 /// deterministic fractions without hard-coding virtual-time constants.
-Nanos CleanMakespan(SlashEngine& engine, const workloads::Workload& workload,
-                    const ClusterConfig& cfg) {
-  const RunStats clean = engine.Run(workload.MakeQuery(), workload, cfg);
+Nanos CleanMakespan(SlashEngine& engine, const JobSpec& job) {
+  const RunStats clean = engine.Run(job);
   EXPECT_TRUE(clean.ok()) << clean.status.message();
   EXPECT_GT(clean.makespan(), 0);
   return clean.makespan();
@@ -385,19 +388,19 @@ TEST(SlashHealthTest, PartitionThenHealRecoversToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(3, 2, 30000);
+  JobSpec job = HealthJob(workload, 3, 2, 30000);
 
   SlashEngine engine;
-  const Nanos makespan = CleanMakespan(engine, workload, cfg);
+  const Nanos makespan = CleanMakespan(engine, job);
 
   sim::FaultPlan plan;
   plan.partitions.push_back(
       {.at = Nanos(double(makespan) * 0.4), .side_a = {2}});
   plan.partition_heals.push_back({.at = Nanos(double(makespan) * 0.7)});
-  cfg.fault_plan = &plan;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats stats = engine.Run(job);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_GE(stats.suspicions(), 1u);
   EXPECT_GE(stats.quarantines(), 1u);
   EXPECT_GE(stats.recoveries(), 1u);
@@ -411,18 +414,18 @@ TEST(SlashHealthTest, PermanentMinorityPartitionFencesAndExcludes) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(3, 2, 30000);
+  JobSpec job = HealthJob(workload, 3, 2, 30000);
 
   SlashEngine engine;
-  const Nanos makespan = CleanMakespan(engine, workload, cfg);
+  const Nanos makespan = CleanMakespan(engine, job);
 
   sim::FaultPlan plan;
   plan.partitions.push_back(
       {.at = Nanos(double(makespan) * 0.5), .side_a = {1}});
-  cfg.fault_plan = &plan;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats stats = engine.Run(job);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_GE(stats.fence_events(), 1u);
   EXPECT_GE(stats.quarantines(), 1u);
   EXPECT_EQ(stats.rejoins(), 0u);  // the cut never heals
@@ -435,20 +438,20 @@ TEST(SlashHealthTest, GrayNodeIsDetectedAndRunMatchesOracle) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(3, 2, 30000);
+  JobSpec job = HealthJob(workload, 3, 2, 30000);
 
   SlashEngine engine;
-  const Nanos makespan = CleanMakespan(engine, workload, cfg);
+  const Nanos makespan = CleanMakespan(engine, job);
 
   sim::FaultPlan plan;
   plan.node_slows.push_back({.at = Nanos(double(makespan) * 0.3),
                              .node = 2,
                              .factor = 50.0,
                              .duration = Nanos(double(makespan) * 0.4)});
-  cfg.fault_plan = &plan;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats stats = engine.Run(job);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_GE(stats.suspicions(), 1u);
   EXPECT_GE(stats.quarantines(), 1u);
 }
@@ -460,20 +463,20 @@ TEST(SlashHealthTest, SubThresholdSlowdownCausesNoSuspicion) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(3, 2, 20000);
+  JobSpec job = HealthJob(workload, 3, 2, 20000);
 
   SlashEngine engine;
-  const Nanos makespan = CleanMakespan(engine, workload, cfg);
+  const Nanos makespan = CleanMakespan(engine, job);
 
   sim::FaultPlan plan;
   plan.node_slows.push_back({.at = Nanos(double(makespan) * 0.2),
                              .node = 1,
                              .factor = 2.0,
                              .duration = Nanos(double(makespan) * 0.5)});
-  cfg.fault_plan = &plan;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats stats = engine.Run(job);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.suspicions(), 0u);
   EXPECT_EQ(stats.health_false_positives(), 0u);
   EXPECT_EQ(stats.quarantines(), 0u);
@@ -484,20 +487,20 @@ TEST(SlashHealthTest, HealthRunsAreDeterministicAcrossReplays) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(3, 2, 25000);
+  JobSpec job = HealthJob(workload, 3, 2, 25000);
 
   SlashEngine engine;
-  const Nanos makespan = CleanMakespan(engine, workload, cfg);
+  const Nanos makespan = CleanMakespan(engine, job);
 
   sim::FaultPlan plan;
   plan.partitions.push_back(
       {.at = Nanos(double(makespan) * 0.4), .side_a = {0}});
   plan.partition_heals.push_back({.at = Nanos(double(makespan) * 0.75)});
-  cfg.fault_plan = &plan;
+  job.cluster.fault_plan = &plan;
 
-  const RunStats first = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats first = engine.Run(job);
   ASSERT_TRUE(first.ok()) << first.status.message();
-  const RunStats second = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats second = engine.Run(job);
   ASSERT_TRUE(second.ok()) << second.status.message();
 
   EXPECT_EQ(first.metrics.ToJson(), second.metrics.ToJson())
@@ -511,12 +514,12 @@ TEST(SlashHealthTest, HealthOffKeepsBaselineByteIdentical) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(2, 2, 1500);
-  cfg.health.enabled = false;
+  JobSpec job = HealthJob(workload, 2, 2, 1500);
+  job.cluster.health.enabled = false;
 
   SlashEngine engine;
-  const RunStats first = engine.Run(workload.MakeQuery(), workload, cfg);
-  const RunStats second = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats first = engine.Run(job);
+  const RunStats second = engine.Run(job);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.metrics.ToJson(), second.metrics.ToJson());
@@ -527,22 +530,22 @@ TEST(BaselineEnginesTest, RejectHealthMonitoring) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = HealthCluster(2, 2, 500);
+  JobSpec job = HealthJob(workload, 2, 2, 500);
 
   engines::FlinkLikeEngine flink;
-  RunStats stats = flink.Run(workload.MakeQuery(), workload, cfg);
+  RunStats stats = flink.Run(job);
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 
   engines::UpParEngine uppar;
-  ClusterConfig ucfg = cfg;
-  ucfg.checkpoint.enabled = false;
-  stats = uppar.Run(workload.MakeQuery(), workload, ucfg);
+  JobSpec uppar_job = job;
+  uppar_job.config.checkpoint.enabled = false;
+  stats = uppar.Run(uppar_job);
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 
   engines::LightSaberEngine lightsaber;
-  ClusterConfig lcfg = ucfg;
-  lcfg.nodes = 1;
-  stats = lightsaber.Run(workload.MakeQuery(), workload, lcfg);
+  JobSpec lightsaber_job = uppar_job;
+  lightsaber_job.cluster.nodes = 1;
+  stats = lightsaber.Run(lightsaber_job);
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 }
 

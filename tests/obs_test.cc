@@ -159,24 +159,25 @@ TEST(ObsPropertyTest, SameSeedRunsProduceIdenticalTraceAndSnapshot) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  const core::QuerySpec query = workload.MakeQuery();
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 4;
-  cfg.records_per_worker = 2000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 4;
+  engines::JobConfig job;
+  job.records_per_worker = 2000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
 
   engines::SlashEngine engine;
   std::string traces[2];
   std::string snapshots[2];
   for (int i = 0; i < 2; ++i) {
     Tracer tracer(Tracer::Options{.capacity = 1 << 14, .enabled = true});
-    cfg.tracer = &tracer;
-    const engines::RunStats stats = engine.Run(query, workload, cfg);
+    job.tracer = &tracer;
+    const engines::RunStats stats =
+        engine.Run(engines::MakeJobSpec("", workload, cluster, job));
     ASSERT_TRUE(stats.ok());
     EXPECT_GT(tracer.size(), 0u);
     traces[i] = tracer.ToChromeJson();
@@ -194,23 +195,25 @@ TEST(ObsPropertyTest, TracingDoesNotPerturbMetrics) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  const core::QuerySpec query = workload.MakeQuery();
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 4;
-  cfg.records_per_worker = 2000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 4;
+  engines::JobConfig job;
+  job.records_per_worker = 2000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
 
   engines::SlashEngine engine;
-  const engines::RunStats plain = engine.Run(query, workload, cfg);
+  const engines::RunStats plain =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
 
   Tracer tracer(Tracer::Options{.capacity = 1 << 14, .enabled = true});
-  cfg.tracer = &tracer;
-  const engines::RunStats traced = engine.Run(query, workload, cfg);
+  job.tracer = &tracer;
+  const engines::RunStats traced =
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
 
   EXPECT_EQ(plain.metrics.ToJson(), traced.metrics.ToJson());
 }

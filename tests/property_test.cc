@@ -313,22 +313,24 @@ TEST_P(FaultDeterminismSweep, SameSeedSamePlanIdenticalReplay) {
   workloads::YsbWorkload workload(ycfg);
 
   const sim::FaultPlan plan = MakePlanVariant(variant);
-  engines::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 2000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.collect_rows = false;
-  cfg.fault_plan = &plan;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 2;
+  cluster.workers_per_node = 2;
+  cluster.fault_plan = &plan;
+  engines::JobConfig job;
+  job.records_per_worker = 2000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", workload, cluster, job);
 
   auto run_once = [&]() -> engines::RunStats {
     if (engine_kind == 0) {
       engines::SlashEngine engine;
-      return engine.Run(workload.MakeQuery(), workload, cfg);
+      return engine.Run(spec);
     }
     engines::UpParEngine engine;
-    return engine.Run(workload.MakeQuery(), workload, cfg);
+    return engine.Run(spec);
   };
 
   const engines::RunStats ra = run_once();
@@ -371,20 +373,20 @@ TEST_P(GrayFailureDeterminismSweep, HealthRunsReplayByteIdentically) {
   ycfg.key_range = 500;
   workloads::YsbWorkload workload(ycfg);
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = 3;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 8000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.collect_rows = false;
-  cfg.checkpoint.enabled = true;
-  cfg.health.enabled = true;
-  cfg.health.heartbeat_interval = 20 * kMicrosecond;
-  cfg.health.probe_timeout = 10 * kMicrosecond;
-  cfg.health.suspicion_threshold = 4;
-  cfg.health.recovery_deadline = 10 * kMillisecond;
-  cfg.health.run_deadline = 100 * kMillisecond;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 3;
+  cluster.workers_per_node = 2;
+  cluster.health.enabled = true;
+  cluster.health.heartbeat_interval = 20 * kMicrosecond;
+  cluster.health.probe_timeout = 10 * kMicrosecond;
+  cluster.health.suspicion_threshold = 4;
+  cluster.health.recovery_deadline = 10 * kMillisecond;
+  cluster.health.run_deadline = 100 * kMillisecond;
+  engines::JobConfig job;
+  job.records_per_worker = 8000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.checkpoint.enabled = true;
 
   sim::FaultPlan plan;
   switch (variant) {
@@ -403,11 +405,13 @@ TEST_P(GrayFailureDeterminismSweep, HealthRunsReplayByteIdentically) {
           {.from = 200 * kMicrosecond, .src_node = 0, .dst_node = 2});
       break;
   }
-  cfg.fault_plan = &plan;
+  cluster.fault_plan = &plan;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", workload, cluster, job);
 
   engines::SlashEngine engine;
-  const engines::RunStats ra = engine.Run(workload.MakeQuery(), workload, cfg);
-  const engines::RunStats rb = engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats ra = engine.Run(spec);
+  const engines::RunStats rb = engine.Run(spec);
 
   EXPECT_EQ(ra.status.code(), rb.status.code());
   EXPECT_EQ(ra.metrics.ToJson(), rb.metrics.ToJson())
@@ -438,18 +442,18 @@ TEST_P(ReconfigDeterminismSweep, ElasticRunsReplayByteIdentically) {
   ycfg.key_range = 400;
   workloads::YsbWorkload workload(ycfg);
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 4000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.collect_rows = false;
-  cfg.checkpoint.enabled = true;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 4;
+  cluster.workers_per_node = 2;
+  engines::JobConfig job;
+  job.records_per_worker = 4000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.checkpoint.enabled = true;
 
   engines::SlashEngine engine;
   const engines::RunStats clean =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   ASSERT_TRUE(clean.ok()) << clean.status.message();
   const Nanos makespan = clean.makespan();
   ASSERT_GT(makespan, 0);
@@ -475,11 +479,13 @@ TEST_P(ReconfigDeterminismSweep, ElasticRunsReplayByteIdentically) {
       plan.trigger.leave_below = 0;
       break;
   }
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(cluster.nodes).ok());
+  cluster.reconfig = &plan;
+  const engines::JobSpec spec =
+      engines::MakeJobSpec("", workload, cluster, job);
 
-  const engines::RunStats ra = engine.Run(workload.MakeQuery(), workload, cfg);
-  const engines::RunStats rb = engine.Run(workload.MakeQuery(), workload, cfg);
+  const engines::RunStats ra = engine.Run(spec);
+  const engines::RunStats rb = engine.Run(spec);
 
   ASSERT_TRUE(ra.ok()) << ra.status.message();
   ASSERT_TRUE(rb.ok()) << rb.status.message();
@@ -508,18 +514,19 @@ TEST(ElasticEqualsStatic, GrownClusterMatchesStaticResults) {
   ycfg.key_range = 400;
   workloads::YsbWorkload workload(ycfg);
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 4000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.collect_rows = true;
-  cfg.checkpoint.enabled = true;
+  engines::ClusterConfig cluster;
+  cluster.nodes = 4;
+  cluster.workers_per_node = 2;
+  engines::JobConfig job;
+  job.records_per_worker = 4000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.collect_rows = true;
+  job.checkpoint.enabled = true;
 
   engines::SlashEngine engine;
   const engines::RunStats fixed =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   ASSERT_TRUE(fixed.ok()) << fixed.status.message();
   ASSERT_GT(fixed.makespan(), 0);
 
@@ -529,11 +536,11 @@ TEST(ElasticEqualsStatic, GrownClusterMatchesStaticResults) {
       {.at = Nanos(double(fixed.makespan()) * 0.2), .node = 2});
   plan.joins.push_back(
       {.at = Nanos(double(fixed.makespan()) * 0.4), .node = 3});
-  ASSERT_TRUE(plan.Validate(cfg.nodes).ok());
-  cfg.reconfig = &plan;
+  ASSERT_TRUE(plan.Validate(cluster.nodes).ok());
+  cluster.reconfig = &plan;
 
   const engines::RunStats grown =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+      engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   ASSERT_TRUE(grown.ok()) << grown.status.message();
   EXPECT_EQ(grown.elastic_joins(), 2u);
   EXPECT_EQ(grown.records_emitted(), fixed.records_emitted());
@@ -660,20 +667,22 @@ TEST_P(ConnectionModeSweep, ModesAreByteIdentical) {
   workloads::YsbWorkload workload(ycfg);
 
   auto run_mode = [&](rdma::ConnectionMode mode) -> engines::RunStats {
-    engines::ClusterConfig cfg;
-    cfg.seed = uint64_t(seed);
-    cfg.nodes = 3;
-    cfg.workers_per_node = 2;
-    cfg.records_per_worker = 2000;
-    cfg.channel.slot_bytes = 16 * kKiB;
-    cfg.collect_rows = false;
-    cfg.connection.mode = mode;
+    engines::ClusterConfig cluster;
+    cluster.nodes = 3;
+    cluster.workers_per_node = 2;
+    cluster.connection.mode = mode;
+    engines::JobConfig job;
+    job.seed = uint64_t(seed);
+    job.records_per_worker = 2000;
+    job.channel.slot_bytes = 16 * kKiB;
+    const engines::JobSpec spec =
+        engines::MakeJobSpec("", workload, cluster, job);
     if (engine_kind == 0) {
       engines::SlashEngine engine;
-      return engine.Run(workload.MakeQuery(), workload, cfg);
+      return engine.Run(spec);
     }
     engines::UpParEngine engine;
-    return engine.Run(workload.MakeQuery(), workload, cfg);
+    return engine.Run(spec);
   };
 
   const engines::RunStats mesh = run_mode(rdma::ConnectionMode::kFullMesh);
@@ -731,36 +740,35 @@ TEST_P(BatchSizeSweep, BatchSizesAreByteIdentical) {
   workloads::YsbWorkload workload(ycfg);
 
   auto run_batch = [&](uint32_t operator_batch) -> engines::RunStats {
-    engines::ClusterConfig cfg;
-    cfg.seed = 11;
-    cfg.nodes = engine_kind == 4 ? 1 : 3;
-    cfg.workers_per_node = 2;
-    cfg.records_per_worker = 2000;
-    cfg.channel.slot_bytes = 16 * kKiB;
-    cfg.collect_rows = false;
-    cfg.operator_batch = operator_batch;
+    engines::ClusterConfig cluster;
+    cluster.nodes = engine_kind == 4 ? 1 : 3;
+    cluster.workers_per_node = 2;
+    engines::JobConfig job;
+    job.seed = 11;
+    job.records_per_worker = 2000;
+    job.channel.slot_bytes = 16 * kKiB;
+    job.operator_batch = operator_batch;
+    job.rdma_ingestion = engine_kind == 1;
+    job.checkpoint.enabled = engine_kind == 3;
+    const engines::JobSpec spec =
+        engines::MakeJobSpec("", workload, cluster, job);
     switch (engine_kind) {
-      case 0: {
-        engines::SlashEngine engine;
-        return engine.Run(workload.MakeQuery(), workload, cfg);
-      }
+      case 0:
       case 1: {
-        cfg.rdma_ingestion = true;
         engines::SlashEngine engine;
-        return engine.Run(workload.MakeQuery(), workload, cfg);
+        return engine.Run(spec);
       }
       case 2: {
         engines::UpParEngine engine;
-        return engine.Run(workload.MakeQuery(), workload, cfg);
+        return engine.Run(spec);
       }
       case 3: {
-        cfg.checkpoint.enabled = true;
         engines::FlinkLikeEngine engine;
-        return engine.Run(workload.MakeQuery(), workload, cfg);
+        return engine.Run(spec);
       }
       default: {
         engines::LightSaberEngine engine;
-        return engine.Run(workload.MakeQuery(), workload, cfg);
+        return engine.Run(spec);
       }
     }
   };
@@ -811,18 +819,18 @@ TEST(MultiJobDeterminism, ConcurrentJobsReplayByteIdenticallyAndMatchSolo) {
   engines::ClusterConfig cluster;
   cluster.nodes = 2;
   cluster.workers_per_node = 2;
-  cluster.channel.slot_bytes = 16 * kKiB;
-  cluster.epoch_bytes = 64 * kKiB;
-  cluster.state_lss_capacity = 1 << 16;
-  cluster.state_index_buckets = 1 << 10;
 
-  engines::JobConfig jcfg(cluster);
-  jcfg.records_per_worker = 1200;
+  engines::JobConfig job;
+  job.records_per_worker = 1200;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
 
   std::vector<engines::JobSpec> jobs;
-  jobs.push_back(engines::MakeJobSpec("t0", ysb, cluster, jcfg, /*quota=*/8));
-  jobs.push_back(engines::MakeJobSpec("t1", cm, cluster, jcfg, /*quota=*/4));
-  jobs.push_back(engines::MakeJobSpec("t2", nb8, cluster, jcfg));
+  jobs.push_back(engines::MakeJobSpec("t0", ysb, cluster, job, /*quota=*/8));
+  jobs.push_back(engines::MakeJobSpec("t1", cm, cluster, job, /*quota=*/4));
+  jobs.push_back(engines::MakeJobSpec("t2", nb8, cluster, job));
 
   engines::SlashEngine engine;
   const engines::MultiRunStats first = engine.RunJobs(jobs, cluster);
@@ -866,6 +874,16 @@ TEST(MultiJobDeterminism, ConcurrentJobsReplayByteIdenticallyAndMatchSolo) {
   engines::JobSpec anonymous = jobs[0];
   anonymous.tenant.clear();
   EXPECT_FALSE(engine.RunJobs({anonymous}, cluster).ok());
+  // ... and a per-job tracer, which the shared trace cannot honour.
+  obs::Tracer tracer(obs::Tracer::Options{.capacity = 1 << 10,
+                                          .enabled = true});
+  engines::JobSpec traced = jobs[1];
+  traced.config.tracer = &tracer;
+  const engines::MultiRunStats rejected =
+      engine.RunJobs({jobs[0], traced}, cluster);
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+      << rejected.status.ToString();
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
 }  // namespace

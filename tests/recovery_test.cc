@@ -17,25 +17,27 @@
 namespace slash::engines {
 namespace {
 
-ClusterConfig RecoveryCluster(int nodes, int workers, uint64_t records) {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = workers;
-  cfg.records_per_worker = records;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
-  cfg.checkpoint.enabled = true;
-  return cfg;
+JobSpec RecoveryJob(const workloads::Workload& workload, int nodes, int workers,
+                    uint64_t records) {
+  ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  JobConfig config;
+  config.records_per_worker = records;
+  config.channel.slot_bytes = 16 * kKiB;
+  config.epoch_bytes = 64 * kKiB;
+  config.state_lss_capacity = 1 << 16;
+  config.state_index_buckets = 1 << 10;
+  config.collect_rows = true;
+  config.checkpoint.enabled = true;
+  return MakeJobSpec("", workload, cluster, config);
 }
 
-core::OracleOutput Oracle(const workloads::Workload& workload,
-                          const ClusterConfig& cfg) {
-  return core::ComputeOracle(workload.MakeQuery(),
-                             workload.Sources(cfg.records_per_worker, cfg.seed),
-                             cfg.nodes * cfg.workers_per_node);
+core::OracleOutput Oracle(const JobSpec& job) {
+  return core::ComputeOracle(
+      job.sources->MakeQuery(),
+      job.sources->Sources(job.config.records_per_worker, job.config.seed),
+      job.cluster.nodes * job.cluster.workers_per_node);
 }
 
 void ExpectMatchesOracle(const RunStats& stats,
@@ -52,32 +54,30 @@ void ExpectMatchesOracle(const RunStats& stats,
 /// `victim` crashing at `fraction` of that makespan, and returns the
 /// crashed run's stats. The fault-free makespan makes the crash time
 /// deterministic without hard-coding virtual-time constants.
-RunStats RunWithMidRunCrash(Engine& engine, const workloads::Workload& workload,
-                            ClusterConfig cfg, int victim, double fraction,
-                            sim::FaultPlan* plan_out) {
-  const core::QuerySpec query = workload.MakeQuery();
-  const RunStats clean = engine.Run(query, workload, cfg);
+RunStats RunWithMidRunCrash(Engine& engine, JobSpec job, int victim,
+                            double fraction, sim::FaultPlan* plan_out) {
+  const RunStats clean = engine.Run(job);
   EXPECT_TRUE(clean.ok()) << clean.status.message();
   EXPECT_GT(clean.makespan(), 0);
 
   plan_out->node_crashes.push_back(
       {.at = Nanos(double(clean.makespan()) * fraction), .node = victim});
-  cfg.fault_plan = plan_out;
-  return engine.Run(query, workload, cfg);
+  job.cluster.fault_plan = plan_out;
+  return engine.Run(job);
 }
 
 TEST(SlashRecoveryTest, YsbNodeCrashRecoversToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(3, 2, 3000);
+  JobSpec job = RecoveryJob(workload, 3, 2, 3000);
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
   EXPECT_GT(stats.recovery_ns(), 0);
   EXPECT_GT(stats.records_replayed(), 0u);
@@ -90,14 +90,14 @@ TEST(SlashRecoveryTest, NexmarkJoinNodeCrashRecoversToOracleResults) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 800);
+  JobSpec job = RecoveryJob(workload, 2, 2, 800);
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/0, 0.4, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/0, 0.4, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
@@ -105,16 +105,16 @@ TEST(SlashRecoveryTest, CrashedRunIsDeterministicAcrossReplays) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(3, 2, 2500);
+  JobSpec job = RecoveryJob(workload, 3, 2, 2500);
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats first =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/2, 0.6, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/2, 0.6, &plan);
   ASSERT_TRUE(first.ok()) << first.status.message();
 
-  cfg.fault_plan = &plan;
-  const RunStats second = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats second = engine.Run(job);
   ASSERT_TRUE(second.ok()) << second.status.message();
 
   EXPECT_EQ(first.result_checksum(), second.result_checksum());
@@ -128,15 +128,15 @@ TEST(SlashRecoveryTest, ReplicationFactorTwoSurvivesCrash) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(4, 2, 2000);
-  cfg.checkpoint.replication_factor = 2;
+  JobSpec job = RecoveryJob(workload, 4, 2, 2000);
+  job.config.checkpoint.replication_factor = 2;
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
@@ -144,15 +144,15 @@ TEST(SlashRecoveryTest, WiderCheckpointIntervalStillRecovers) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 3000);
-  cfg.checkpoint.interval_epochs = 3;
+  JobSpec job = RecoveryJob(workload, 2, 2, 3000);
+  job.config.checkpoint.interval_epochs = 3;
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
@@ -160,15 +160,15 @@ TEST(SlashRecoveryTest, RdmaIngestionNodeCrashRecoversToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 2500);
-  cfg.rdma_ingestion = true;
+  JobSpec job = RecoveryJob(workload, 2, 2, 2500);
+  job.config.rdma_ingestion = true;
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
   EXPECT_GT(stats.records_replayed(), 0u);
 }
@@ -177,13 +177,13 @@ TEST(SlashRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 3000);
-  cfg.checkpoint.enabled = false;
+  JobSpec job = RecoveryJob(workload, 2, 2, 3000);
+  job.config.checkpoint.enabled = false;
 
   SlashEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnavailable);
@@ -197,15 +197,15 @@ TEST(SlashRecoveryTest, EarlyCrashBeforeFirstCheckpointRestartsFromScratch) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 3000);
+  JobSpec job = RecoveryJob(workload, 2, 2, 3000);
 
   SlashEngine engine;
   sim::FaultPlan plan;
   plan.node_crashes.push_back({.at = 1, .node = 1});
-  cfg.fault_plan = &plan;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats stats = engine.Run(job);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
@@ -249,26 +249,26 @@ TEST(FaultPlanValidationTest, InvalidPlanFailsRunAtRegistration) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 500);
+  JobSpec job = RecoveryJob(workload, 2, 2, 500);
 
   sim::FaultPlan plan;
   plan.node_crashes.push_back({.at = 100, .node = 99});
-  cfg.fault_plan = &plan;
+  job.cluster.fault_plan = &plan;
 
   SlashEngine slash;
-  RunStats stats = slash.Run(workload.MakeQuery(), workload, cfg);
+  RunStats stats = slash.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 
   FlinkLikeEngine flink;
-  stats = flink.Run(workload.MakeQuery(), workload, cfg);
+  stats = flink.Run(job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 
   UpParEngine uppar;
-  ClusterConfig ucfg = cfg;
-  ucfg.checkpoint.enabled = false;
-  stats = uppar.Run(workload.MakeQuery(), workload, ucfg);
+  JobSpec uppar_job = job;
+  uppar_job.config.checkpoint.enabled = false;
+  stats = uppar.Run(uppar_job);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
 }
@@ -279,14 +279,14 @@ TEST(FlinkRecoveryTest, YsbNodeCrashRecoversToOracleResults) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 300;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(3, 2, 3000);
+  JobSpec job = RecoveryJob(workload, 3, 2, 3000);
 
   FlinkLikeEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
-  ExpectMatchesOracle(stats, Oracle(workload, cfg));
+  ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
   EXPECT_GT(stats.recovery_ns(), 0);
   EXPECT_GT(stats.records_replayed(), 0u);
@@ -298,16 +298,16 @@ TEST(FlinkRecoveryTest, CrashedRunIsDeterministicAcrossReplays) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 2500);
+  JobSpec job = RecoveryJob(workload, 2, 2, 2500);
 
   FlinkLikeEngine engine;
   sim::FaultPlan plan;
   const RunStats first =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/0, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/0, 0.5, &plan);
   ASSERT_TRUE(first.ok()) << first.status.message();
 
-  cfg.fault_plan = &plan;
-  const RunStats second = engine.Run(workload.MakeQuery(), workload, cfg);
+  job.cluster.fault_plan = &plan;
+  const RunStats second = engine.Run(job);
   ASSERT_TRUE(second.ok()) << second.status.message();
 
   EXPECT_EQ(first.result_checksum(), second.result_checksum());
@@ -319,13 +319,13 @@ TEST(FlinkRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = RecoveryCluster(2, 2, 3000);
-  cfg.checkpoint.enabled = false;
+  JobSpec job = RecoveryJob(workload, 2, 2, 3000);
+  job.config.checkpoint.enabled = false;
 
   FlinkLikeEngine engine;
   sim::FaultPlan plan;
   const RunStats stats =
-      RunWithMidRunCrash(engine, workload, cfg, /*victim=*/1, 0.5, &plan);
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
 
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnavailable);

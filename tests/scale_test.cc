@@ -32,21 +32,21 @@ TEST(ScaleTest, SixtyFourNodeRunsAreByteIdenticalAcrossModes) {
   workloads::YsbWorkload workload(ycfg);
 
   auto run_mode = [&](rdma::ConnectionMode mode) -> engines::RunStats {
-    engines::ClusterConfig cfg;
-    cfg.nodes = kNodes;
-    cfg.workers_per_node = 1;
-    cfg.records_per_worker = 300;
-    cfg.channel.slot_bytes = 4 * kKiB;
-    cfg.channel.credits = 2;
+    engines::ClusterConfig cluster;
+    cluster.nodes = kNodes;
+    cluster.workers_per_node = 1;
+    cluster.connection.mode = mode;
+    engines::JobConfig job;
+    job.records_per_worker = 300;
+    job.channel.slot_bytes = 4 * kKiB;
+    job.channel.credits = 2;
     // Keep the per-run footprint small: 64 nodes mean 4032 channels and 64
     // state partitions, so the default (single-digit-node) sizings multiply
     // into needless gigabytes of zeroed pages.
-    cfg.state_lss_capacity = 1ULL << 16;
-    cfg.state_index_buckets = 1ULL << 8;
-    cfg.collect_rows = false;
-    cfg.connection.mode = mode;
+    job.state_lss_capacity = 1ULL << 16;
+    job.state_index_buckets = 1ULL << 8;
     engines::SlashEngine engine;
-    return engine.Run(workload.MakeQuery(), workload, cfg);
+    return engine.Run(engines::MakeJobSpec("", workload, cluster, job));
   };
 
   const engines::RunStats mesh = run_mode(rdma::ConnectionMode::kFullMesh);

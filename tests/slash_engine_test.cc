@@ -16,28 +16,36 @@
 namespace slash::engines {
 namespace {
 
-ClusterConfig SmallCluster(int nodes, int workers, uint64_t records) {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = workers;
-  cfg.records_per_worker = records;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
-  return cfg;
+ClusterConfig SmallCluster(int nodes, int workers) {
+  ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = workers;
+  return cluster;
+}
+
+JobConfig SmallJob(uint64_t records) {
+  JobConfig job;
+  job.records_per_worker = records;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
+  job.collect_rows = true;
+  return job;
+}
+
+core::OracleOutput Oracle(const workloads::Workload& workload,
+                          const ClusterConfig& cluster, const JobConfig& job) {
+  return core::ComputeOracle(
+      workload.MakeQuery(), workload.Sources(job.records_per_worker, job.seed),
+      cluster.nodes * cluster.workers_per_node);
 }
 
 void ExpectMatchesOracle(const workloads::Workload& workload,
-                         const ClusterConfig& cfg) {
-  const core::QuerySpec query = workload.MakeQuery();
+                         const ClusterConfig& cluster, const JobConfig& job) {
   SlashEngine engine;
-  const RunStats stats = engine.Run(query, workload, cfg);
-
-  const core::OracleOutput oracle = core::ComputeOracle(
-      query, workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(MakeJobSpec("", workload, cluster, job));
+  const core::OracleOutput oracle = Oracle(workload, cluster, job);
 
   EXPECT_EQ(stats.records_in(), oracle.records_in);
   EXPECT_EQ(stats.records_emitted(), oracle.count);
@@ -52,50 +60,58 @@ void ExpectMatchesOracle(const workloads::Workload& workload,
 TEST(SlashEngineTest, YsbMatchesOracleTwoNodes) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 500;
-  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(2, 2, 3000));
+  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(2, 2),
+                      SmallJob(3000));
 }
 
 TEST(SlashEngineTest, YsbMatchesOracleSingleNode) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100;
-  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(1, 3, 2000));
+  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(1, 3),
+                      SmallJob(2000));
 }
 
 TEST(SlashEngineTest, CmMatchesOracleFourNodes) {
   workloads::CmConfig ccfg;
   ccfg.jobs = 300;
-  ExpectMatchesOracle(workloads::CmWorkload(ccfg), SmallCluster(4, 2, 2000));
+  ExpectMatchesOracle(workloads::CmWorkload(ccfg), SmallCluster(4, 2),
+                      SmallJob(2000));
 }
 
 TEST(SlashEngineTest, Nb7ParetoHeavyHittersMatchOracle) {
   workloads::NexmarkConfig ncfg;
   ncfg.auctions = 1000;
-  ExpectMatchesOracle(workloads::Nb7Workload(ncfg), SmallCluster(3, 2, 2500));
+  ExpectMatchesOracle(workloads::Nb7Workload(ncfg), SmallCluster(3, 2),
+                      SmallJob(2500));
 }
 
 TEST(SlashEngineTest, Nb8JoinMatchesOracle) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 40;  // dense keys so joins find partners
-  ExpectMatchesOracle(workloads::Nb8Workload(ncfg), SmallCluster(2, 2, 800));
+  ExpectMatchesOracle(workloads::Nb8Workload(ncfg), SmallCluster(2, 2),
+                      SmallJob(800));
 }
 
 TEST(SlashEngineTest, Nb11SessionJoinMatchesOracle) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 30;
-  ExpectMatchesOracle(workloads::Nb11Workload(ncfg), SmallCluster(2, 2, 800));
+  ExpectMatchesOracle(workloads::Nb11Workload(ncfg), SmallCluster(2, 2),
+                      SmallJob(800));
 }
 
 TEST(SlashEngineTest, RoMatchesOracle) {
   workloads::RoConfig rcfg;
   rcfg.key_range = 1000;
-  ExpectMatchesOracle(workloads::RoWorkload(rcfg), SmallCluster(2, 2, 3000));
+  ExpectMatchesOracle(workloads::RoWorkload(rcfg), SmallCluster(2, 2),
+                      SmallJob(3000));
 }
 
 TEST(SlashEngineTest, SkewedYsbMatchesOracle) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 10'000;
   ycfg.keys = workloads::KeyDistribution::Zipf(1.4);
-  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(2, 2, 4000));
+  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(2, 2),
+                      SmallJob(4000));
 }
 
 TEST(SlashEngineTest, NetworkCarriesDeltasNotRecords) {
@@ -105,10 +121,9 @@ TEST(SlashEngineTest, NetworkCarriesDeltasNotRecords) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 64;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = SmallCluster(2, 2, 20'000);
   SlashEngine engine;
-  const RunStats stats =
-      engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(
+      MakeJobSpec("", workload, SmallCluster(2, 2), SmallJob(20'000)));
   const uint64_t input_bytes = stats.records_in() * 78;
   EXPECT_LT(stats.network_bytes(), input_bytes / 4);
   EXPECT_GT(stats.network_bytes(), 0u);
@@ -118,12 +133,14 @@ TEST(SlashEngineTest, CountersAccumulatePerRole) {
   workloads::RoConfig rcfg;
   rcfg.key_range = 100;
   workloads::RoWorkload workload(rcfg);
-  ClusterConfig cfg = SmallCluster(2, 2, 2000);
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats stats = engine.Run(
+      MakeJobSpec("", workload, SmallCluster(2, 2), SmallJob(2000)));
   // Merging happens on the worker cores (no dedicated leader role).
-  ASSERT_TRUE(stats.role_counters().count("worker"));
-  const perf::Counters& workers = stats.role_counters().at("worker");
+  // role_counters() returns by value: keep the map alive while reading it.
+  const auto roles = stats.role_counters();
+  ASSERT_TRUE(roles.count("worker"));
+  const perf::Counters& workers = roles.at("worker");
   EXPECT_EQ(workers.records, stats.records_in());
   EXPECT_GT(workers.instructions, 0);
   EXPECT_GT(workers.ipc(), 0);
@@ -136,13 +153,12 @@ TEST(SlashEngineTest, RdmaIngestionMatchesOracle) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 400;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = SmallCluster(2, 3, 3000);
-  cfg.rdma_ingestion = true;
+  const ClusterConfig cluster = SmallCluster(2, 3);
+  JobConfig job = SmallJob(3000);
+  job.rdma_ingestion = true;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(MakeJobSpec("", workload, cluster, job));
+  const core::OracleOutput oracle = Oracle(workload, cluster, job);
   EXPECT_EQ(stats.records_in(), oracle.records_in);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
   std::vector<core::WindowResult> rows = stats.rows;
@@ -160,12 +176,14 @@ TEST(SlashEngineTest, RdmaIngestionCarriesRawRecordsOnWire) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 64;
   workloads::YsbWorkload workload(ycfg);
-  ClusterConfig cfg = SmallCluster(2, 2, 10'000);
-  cfg.collect_rows = false;
+  const ClusterConfig cluster = SmallCluster(2, 2);
+  JobConfig job = SmallJob(10'000);
+  job.collect_rows = false;
   SlashEngine engine;
-  const RunStats local = engine.Run(workload.MakeQuery(), workload, cfg);
-  cfg.rdma_ingestion = true;
-  const RunStats ingested = engine.Run(workload.MakeQuery(), workload, cfg);
+  const RunStats local = engine.Run(MakeJobSpec("", workload, cluster, job));
+  job.rdma_ingestion = true;
+  const RunStats ingested =
+      engine.Run(MakeJobSpec("", workload, cluster, job));
   EXPECT_EQ(local.result_checksum(), ingested.result_checksum());
   EXPECT_GE(ingested.network_bytes(), ingested.records_in() * 78);
   EXPECT_LT(local.network_bytes(), ingested.network_bytes());
@@ -175,13 +193,12 @@ TEST(SlashEngineTest, RdmaIngestionJoinMatchesOracle) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
-  ClusterConfig cfg = SmallCluster(2, 2, 800);
-  cfg.rdma_ingestion = true;
+  const ClusterConfig cluster = SmallCluster(2, 2);
+  JobConfig job = SmallJob(800);
+  job.rdma_ingestion = true;
   SlashEngine engine;
-  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
-  const core::OracleOutput oracle = core::ComputeOracle(
-      workload.MakeQuery(), workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+  const RunStats stats = engine.Run(MakeJobSpec("", workload, cluster, job));
+  const core::OracleOutput oracle = Oracle(workload, cluster, job);
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
   EXPECT_EQ(stats.records_emitted(), oracle.count);
 }
@@ -197,10 +214,11 @@ TEST_P(SlashConsistencySweep, YsbAlwaysMatchesOracle) {
   const auto [nodes, workers, epoch_kib, seed] = GetParam();
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
-  ClusterConfig cfg = SmallCluster(nodes, workers, 1500);
-  cfg.epoch_bytes = uint64_t(epoch_kib) * kKiB;
-  cfg.seed = uint64_t(seed);
-  ExpectMatchesOracle(workloads::YsbWorkload(ycfg), cfg);
+  JobConfig job = SmallJob(1500);
+  job.epoch_bytes = uint64_t(epoch_kib) * kKiB;
+  job.seed = uint64_t(seed);
+  ExpectMatchesOracle(workloads::YsbWorkload(ycfg),
+                      SmallCluster(nodes, workers), job);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -149,17 +149,17 @@ TEST_P(SlidingEngineSweep, MatchesOracle) {
   ycfg.key_range = 200;
   ycfg.windows = 4;
   SlidingYsbWorkload workload(ycfg);
-  const core::QuerySpec query = workload.MakeQuery();
 
-  engines::ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.workers_per_node = 2;
-  cfg.records_per_worker = 3000;
-  cfg.channel.slot_bytes = 16 * kKiB;
-  cfg.epoch_bytes = 64 * kKiB;
-  cfg.state_lss_capacity = 1 << 16;
-  cfg.state_index_buckets = 1 << 10;
-  cfg.collect_rows = true;
+  engines::ClusterConfig cluster;
+  cluster.nodes = nodes;
+  cluster.workers_per_node = 2;
+  engines::JobConfig job;
+  job.records_per_worker = 3000;
+  job.channel.slot_bytes = 16 * kKiB;
+  job.epoch_bytes = 64 * kKiB;
+  job.state_lss_capacity = 1 << 16;
+  job.state_index_buckets = 1 << 10;
+  job.collect_rows = true;
 
   std::unique_ptr<engines::Engine> engine;
   switch (engine_id) {
@@ -174,15 +174,16 @@ TEST_P(SlidingEngineSweep, MatchesOracle) {
       break;
     default:
       engine = std::make_unique<engines::LightSaberEngine>();
-      cfg.nodes = 1;
+      cluster.nodes = 1;
       break;
   }
   if (engine_id == 3 && nodes != 1) GTEST_SKIP();
 
-  const engines::RunStats stats = engine->Run(query, workload, cfg);
+  const engines::RunStats stats =
+      engine->Run(engines::MakeJobSpec("", workload, cluster, job));
   const core::OracleOutput oracle = core::ComputeOracle(
-      query, workload.Sources(cfg.records_per_worker, cfg.seed),
-      cfg.nodes * cfg.workers_per_node);
+      workload.MakeQuery(), workload.Sources(job.records_per_worker, job.seed),
+      cluster.nodes * cluster.workers_per_node);
   EXPECT_EQ(stats.records_emitted(), oracle.count) << engine->name();
   EXPECT_EQ(stats.result_checksum(), oracle.checksum) << engine->name();
   std::vector<WindowResult> rows = stats.rows;
