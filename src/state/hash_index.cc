@@ -1,45 +1,64 @@
 #include "state/hash_index.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/logging.h"
 
 namespace slash::state {
 
-HashIndex::HashIndex(size_t bucket_count) : buckets_(bucket_count) {
+HashIndex::HashIndex(size_t bucket_count) : bucket_mask_(bucket_count - 1) {
   SLASH_CHECK_MSG(bucket_count != 0 && (bucket_count & (bucket_count - 1)) == 0,
                   "bucket count must be a power of two");
-  segments_ = std::make_unique<std::atomic<Bucket*>[]>(kMaxSegments);
-  for (size_t i = 0; i < kMaxSegments; ++i) {
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  Clear();
+  // calloc hands back zero pages that stay unmapped until first write;
+  // over-allocate so the array can start on a cache line.
+  storage_ =
+      std::calloc(bucket_count * sizeof(Bucket) + alignof(Bucket) - 1, 1);
+  SLASH_CHECK_MSG(storage_ != nullptr, "hash index allocation failed");
+  buckets_ = reinterpret_cast<Bucket*>(
+      (reinterpret_cast<uintptr_t>(storage_) + alignof(Bucket) - 1) &
+      ~uintptr_t{alignof(Bucket) - 1});
 }
 
 HashIndex::~HashIndex() {
-  for (size_t i = 0; i < kMaxSegments; ++i) {
-    delete[] segments_[i].load(std::memory_order_relaxed);
+  for (auto& segment : segments_) {
+    delete[] segment.load(std::memory_order_relaxed);
   }
+  std::free(storage_);
 }
 
 void HashIndex::Clear() {
-  for (auto& bucket : buckets_) {
-    for (auto& e : bucket.entries) e.store(kEmptySlot, std::memory_order_relaxed);
-    bucket.overflow.store(0, std::memory_order_relaxed);
-  }
+  // Overflow buckets need no pass: only claimed primary buckets link to
+  // them, and ExtendLocked zeroes each one as it is handed out again.
+  for (const size_t i : claimed_) buckets_[i] = Bucket{};
+  claimed_.clear();
   overflow_used_.store(0, std::memory_order_relaxed);
 }
 
-std::atomic<uint64_t>* HashIndex::FindSlot(Bucket* bucket, uint16_t tag,
-                                           bool allocate) {
+uint64_t HashIndex::ExtendLocked(Bucket* tail) {
+  const size_t idx = overflow_used_.load(std::memory_order_relaxed);
+  const size_t segment = SegmentOf(idx);
+  SLASH_CHECK_MSG(segment < kMaxSegments, "hash index overflow pool exhausted");
+  if (segments_[segment].load(std::memory_order_acquire) == nullptr) {
+    // Left uninitialized: each bucket is zeroed below when first handed out.
+    segments_[segment].store(new Bucket[kSegmentSize << segment],
+                             std::memory_order_release);
+  }
+  OverflowAt(idx) = Bucket{};
+  overflow_used_.store(idx + 1, std::memory_order_relaxed);
+  Ref(tail->overflow).store(idx + 1, std::memory_order_release);
+  return idx + 1;
+}
+
+uint64_t* HashIndex::FindSlot(Bucket* bucket, uint16_t tag, bool allocate) {
   for (Bucket* b = bucket;;) {
-    std::atomic<uint64_t>* empty = nullptr;
-    for (auto& e : b->entries) {
-      const uint64_t slot = e.load(std::memory_order_acquire);
+    uint64_t* empty = nullptr;
+    for (uint64_t& e : b->entries) {
+      const uint64_t slot = Ref(e).load(std::memory_order_acquire);
       if (slot != kEmptySlot && SlotTag(slot) == tag) return &e;
       if (slot == kEmptySlot && empty == nullptr) empty = &e;
     }
-    const uint64_t ov = b->overflow.load(std::memory_order_acquire);
+    const uint64_t ov = Ref(b->overflow).load(std::memory_order_acquire);
     if (ov != 0) {
       b = &OverflowAt(ov - 1);
       continue;
@@ -49,71 +68,36 @@ std::atomic<uint64_t>* HashIndex::FindSlot(Bucket* bucket, uint16_t tag,
     // Rare path: extend the overflow chain under a spinlock.
     while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
     }
-    uint64_t ov2 = b->overflow.load(std::memory_order_acquire);
-    if (ov2 == 0) {
-      const size_t idx = overflow_used_.load(std::memory_order_relaxed);
-      const size_t segment = idx / kSegmentSize;
-      SLASH_CHECK_MSG(segment < kMaxSegments,
-                      "hash index overflow pool exhausted");
-      if (segments_[segment].load(std::memory_order_acquire) == nullptr) {
-        segments_[segment].store(new Bucket[kSegmentSize],
-                                 std::memory_order_release);
-      }
-      Bucket& fresh = OverflowAt(idx);
-      for (auto& e : fresh.entries) {
-        e.store(kEmptySlot, std::memory_order_relaxed);
-      }
-      fresh.overflow.store(0, std::memory_order_relaxed);
-      overflow_used_.store(idx + 1, std::memory_order_relaxed);
-      b->overflow.store(idx + 1, std::memory_order_release);
-      ov2 = idx + 1;
-    }
+    uint64_t ov2 = Ref(b->overflow).load(std::memory_order_acquire);
+    if (ov2 == 0) ov2 = ExtendLocked(b);
     overflow_lock_.clear(std::memory_order_release);
     b = &OverflowAt(ov2 - 1);
   }
 }
 
-std::atomic<uint64_t>* HashIndex::FindSlotLocked(Bucket* bucket,
-                                                 uint16_t tag) {
+uint64_t* HashIndex::FindSlotLocked(Bucket* bucket, uint16_t tag) {
   for (Bucket* b = bucket;;) {
-    std::atomic<uint64_t>* empty = nullptr;
-    for (auto& e : b->entries) {
-      const uint64_t slot = e.load(std::memory_order_acquire);
+    uint64_t* empty = nullptr;
+    for (uint64_t& e : b->entries) {
+      const uint64_t slot = Ref(e).load(std::memory_order_acquire);
       if (slot != kEmptySlot && SlotTag(slot) == tag) return &e;
       if (slot == kEmptySlot && empty == nullptr) empty = &e;
     }
-    const uint64_t ov = b->overflow.load(std::memory_order_acquire);
-    if (ov != 0) {
-      b = &OverflowAt(ov - 1);
-      continue;
+    uint64_t ov = Ref(b->overflow).load(std::memory_order_acquire);
+    if (ov == 0) {
+      if (empty != nullptr) return empty;
+      ov = ExtendLocked(b);
     }
-    if (empty != nullptr) return empty;
-    // Extend the overflow chain; the caller already holds overflow_lock_.
-    const size_t idx = overflow_used_.load(std::memory_order_relaxed);
-    const size_t segment = idx / kSegmentSize;
-    SLASH_CHECK_MSG(segment < kMaxSegments,
-                    "hash index overflow pool exhausted");
-    if (segments_[segment].load(std::memory_order_acquire) == nullptr) {
-      segments_[segment].store(new Bucket[kSegmentSize],
-                               std::memory_order_release);
-    }
-    Bucket& fresh = OverflowAt(idx);
-    for (auto& e : fresh.entries) {
-      e.store(kEmptySlot, std::memory_order_relaxed);
-    }
-    fresh.overflow.store(0, std::memory_order_relaxed);
-    overflow_used_.store(idx + 1, std::memory_order_relaxed);
-    b->overflow.store(idx + 1, std::memory_order_release);
-    b = &OverflowAt(idx);
+    b = &OverflowAt(ov - 1);
   }
 }
 
 uint64_t HashIndex::Find(KeyHash h) const {
   auto* self = const_cast<HashIndex*>(this);
-  std::atomic<uint64_t>* slot =
+  uint64_t* slot =
       self->FindSlot(self->BucketFor(h), h.tag, /*allocate=*/false);
   if (slot == nullptr) return kInvalidAddress;
-  const uint64_t v = slot->load(std::memory_order_acquire);
+  const uint64_t v = Ref(*slot).load(std::memory_order_acquire);
   if (v == kEmptySlot || SlotTag(v) != h.tag) return kInvalidAddress;
   return SlotAddress(v);
 }
@@ -139,10 +123,10 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
                                     uint64_t desired, uint64_t* observed) {
   SLASH_CHECK_MSG(desired <= kAddressMask,
                   "log address exceeds 48-bit index capacity");
+  Bucket* const primary = BucketFor(h);
   for (;;) {
-    std::atomic<uint64_t>* slot =
-        FindSlot(BucketFor(h), h.tag, /*allocate=*/true);
-    uint64_t current = slot->load(std::memory_order_acquire);
+    uint64_t* slot = FindSlot(primary, h.tag, /*allocate=*/true);
+    uint64_t current = Ref(*slot).load(std::memory_order_acquire);
 
     if (current != kEmptySlot && SlotTag(current) == h.tag) {
       // Established slot: plain CAS on the chain head.
@@ -150,9 +134,9 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
         *observed = SlotAddress(current);
         return false;
       }
-      if (slot->compare_exchange_strong(current, Pack(h.tag, desired),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
+      if (Ref(*slot).compare_exchange_strong(current, Pack(h.tag, desired),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
         *observed = desired;
         return true;
       }
@@ -166,21 +150,25 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
       // chain across duplicate entries.
       while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
       }
-      std::atomic<uint64_t>* locked_slot =
-          FindSlotLocked(BucketFor(h), h.tag);
+      uint64_t* locked_slot = FindSlotLocked(primary, h.tag);
       if (locked_slot == nullptr) {
         // Bucket chain filled up meanwhile; extend outside the claim path.
         overflow_lock_.clear(std::memory_order_release);
         continue;
       }
-      uint64_t locked_current = locked_slot->load(std::memory_order_acquire);
+      uint64_t locked_current =
+          Ref(*locked_slot).load(std::memory_order_acquire);
       if (locked_current == kEmptySlot) {
         if (expected != kInvalidAddress) {
           overflow_lock_.clear(std::memory_order_release);
           *observed = kInvalidAddress;
           return false;
         }
-        locked_slot->store(Pack(h.tag, desired), std::memory_order_release);
+        Ref(*locked_slot).store(Pack(h.tag, desired),
+                                std::memory_order_release);
+        if (locked_slot == &primary->entries[0]) {
+          claimed_.push_back(size_t(primary - buckets_));
+        }
         overflow_lock_.clear(std::memory_order_release);
         *observed = desired;
         return true;
@@ -195,12 +183,12 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
 
 size_t HashIndex::size() const {
   size_t n = 0;
-  auto count = [&n](const Bucket& b) {
-    for (const auto& e : b.entries) {
-      if (e.load(std::memory_order_relaxed) != kEmptySlot) ++n;
+  auto count = [&n](Bucket& b) {
+    for (uint64_t& e : b.entries) {
+      if (Ref(e).load(std::memory_order_relaxed) != kEmptySlot) ++n;
     }
   };
-  for (const auto& b : buckets_) count(b);
+  for (const size_t i : claimed_) count(buckets_[i]);
   const size_t used = overflow_used_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < used; ++i) count(OverflowAt(i));
   return n;

@@ -9,17 +9,24 @@
 // bucket without touching the log. Keys that collide on (bucket, tag) share
 // one chain; the partition layer verifies full keys while walking it.
 //
-// Thread-safety: entry slots are atomics updated with compare-exchange, so
-// concurrent inserts/updates from multiple worker threads are safe (the
-// paper's executors concurrently update shared partition state). Overflow
-// bucket allocation takes a small spinlock (rare path). Clear() requires
-// external quiescence.
+// Cost: the index costs what it stores, not what it provisions. Bucket
+// storage is lazily zeroed — an all-zero bucket is a valid empty one, so the
+// primary array comes straight from calloc and the OS maps a page only when
+// a bucket on it is first written. Clear() takes time in proportion to the
+// primary buckets claimed since the last Clear(), not to bucket_count().
+//
+// Thread-safety: entry slots are updated through std::atomic_ref with
+// compare-exchange, so concurrent inserts/updates from multiple worker
+// threads are safe (the paper's executors concurrently update shared
+// partition state). Claiming an empty slot and overflow bucket allocation
+// take a small spinlock (rare path). Clear() and size() require external
+// quiescence.
 #ifndef SLASH_STATE_HASH_INDEX_H_
 #define SLASH_STATE_HASH_INDEX_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/hash.h"
@@ -59,13 +66,15 @@ class HashIndex {
   bool CompareExchangeHead(KeyHash h, uint64_t expected, uint64_t desired,
                            uint64_t* observed);
 
-  /// Number of occupied entry slots (linearizes only when quiescent).
+  /// Number of occupied entry slots. Requires external quiescence.
   size_t size() const;
 
-  /// Removes all entries. Requires external quiescence.
+  /// Removes all entries, zeroing only the primary buckets claimed since the
+  /// last Clear(); overflow segments and the claimed-bucket list keep their
+  /// capacity for reuse. Requires external quiescence.
   void Clear();
 
-  size_t bucket_count() const { return buckets_.size(); }
+  size_t bucket_count() const { return bucket_mask_ + 1; }
   size_t overflow_count() const {
     return overflow_used_.load(std::memory_order_relaxed);
   }
@@ -77,11 +86,16 @@ class HashIndex {
   // A slot value of 0 means empty (tags are never 0; see HashKey()).
   static constexpr uint64_t kEmptySlot = 0;
 
+  // Plain words accessed through std::atomic_ref, so zero-filled memory is a
+  // valid empty bucket without a constructor pass.
   struct alignas(64) Bucket {
-    std::atomic<uint64_t> entries[kEntriesPerBucket];
-    std::atomic<uint64_t> overflow;  // index+1 into overflow_, 0 = none
+    uint64_t entries[kEntriesPerBucket];
+    uint64_t overflow;  // index+1 into the overflow directory, 0 = none
   };
 
+  static std::atomic_ref<uint64_t> Ref(uint64_t& word) {
+    return std::atomic_ref<uint64_t>(word);
+  }
   static uint64_t Pack(uint16_t tag, uint64_t address) {
     return (uint64_t(tag) << kAddressBits) | (address & kAddressMask);
   }
@@ -91,30 +105,45 @@ class HashIndex {
   static uint64_t SlotAddress(uint64_t slot) { return slot & kAddressMask; }
 
   Bucket* BucketFor(KeyHash h) const {
-    return &buckets_[h.bucket_hash & (buckets_.size() - 1)];
+    return &buckets_[h.bucket_hash & bucket_mask_];
   }
   // Finds the slot holding `tag`, or (when allocate is true) claims an
   // empty slot for it, extending the overflow chain as needed.
-  std::atomic<uint64_t>* FindSlot(Bucket* bucket, uint16_t tag,
-                                  bool allocate);
+  uint64_t* FindSlot(Bucket* bucket, uint16_t tag, bool allocate);
   // FindSlot for callers already holding overflow_lock_: returns the slot
   // holding `tag`, an empty slot, or extends the chain in place. Never
   // returns nullptr except transiently impossible states.
-  std::atomic<uint64_t>* FindSlotLocked(Bucket* bucket, uint16_t tag);
+  uint64_t* FindSlotLocked(Bucket* bucket, uint16_t tag);
+  // Links a zeroed overflow bucket after `tail` (which has none) and returns
+  // the link value. The caller holds overflow_lock_.
+  uint64_t ExtendLocked(Bucket* tail);
 
-  // Overflow buckets live in fixed-size segments allocated on demand:
-  // bucket addresses stay stable forever, so readers can follow overflow
-  // links without synchronizing with pool growth.
+  // Overflow buckets live in a geometric directory: segment s holds
+  // kSegmentSize << s buckets and is allocated on first use, so bucket
+  // addresses stay stable forever and readers can follow overflow links
+  // without synchronizing with pool growth. 32 segments hold ~2^42 buckets,
+  // more than any host can back.
   static constexpr size_t kSegmentSize = 1024;
-  static constexpr size_t kMaxSegments = 1 << 16;
+  static constexpr size_t kMaxSegments = 32;
 
+  static size_t SegmentOf(size_t i) {
+    return size_t(std::bit_width(i / kSegmentSize + 1)) - 1;
+  }
   Bucket& OverflowAt(size_t i) const {
-    return segments_[i / kSegmentSize].load(
-        std::memory_order_acquire)[i % kSegmentSize];
+    const size_t s = SegmentOf(i);
+    return segments_[s].load(std::memory_order_acquire)
+        [i - kSegmentSize * ((size_t{1} << s) - 1)];
   }
 
-  mutable std::vector<Bucket> buckets_;
-  std::unique_ptr<std::atomic<Bucket*>[]> segments_;
+  size_t bucket_mask_;
+  void* storage_;     // calloc'd; owns buckets_
+  Bucket* buckets_;   // storage_ rounded up to a cache line
+  // Primary buckets whose entries[0] was claimed since the last Clear().
+  // Slots fill in order and are only emptied by Clear(), so a bucket is
+  // listed at most once and every non-empty primary bucket is listed.
+  // Appended under overflow_lock_.
+  std::vector<size_t> claimed_;
+  std::atomic<Bucket*> segments_[kMaxSegments] = {};
   std::atomic<size_t> overflow_used_{0};
   std::atomic_flag overflow_lock_ = ATOMIC_FLAG_INIT;
 };

@@ -1,6 +1,7 @@
 #include "state/log_store.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
@@ -13,29 +14,40 @@ bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 uint64_t AlignUp32(uint64_t v) { return (v + 31) & ~31ULL; }
 
+// calloc hands back zero pages that stay unmapped until first write, so a
+// buffer costs only the bytes appended to it.
+uint8_t* ZeroedBytes(uint64_t n) {
+  auto* bytes = static_cast<uint8_t*>(std::calloc(n, 1));
+  SLASH_CHECK_MSG(bytes != nullptr,
+                  "LSS allocation of " << n << " bytes failed");
+  return bytes;
+}
+
 }  // namespace
 
 LogStructuredStore::LogStructuredStore(uint64_t initial_capacity)
-    : data_(new uint8_t[initial_capacity]), capacity_(initial_capacity) {
+    : capacity_(initial_capacity) {
   SLASH_CHECK_MSG(IsPowerOfTwo(initial_capacity),
                   "LSS capacity must be a power of two, got "
                       << initial_capacity);
   SLASH_CHECK_GE(initial_capacity, 2 * sizeof(EntryHeader));
-  std::memset(data_.get(), 0, capacity_);
+  data_ = ZeroedBytes(capacity_);
 }
+
+LogStructuredStore::~LogStructuredStore() { std::free(data_); }
 
 uint8_t* LogStructuredStore::At(uint64_t addr) {
   SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
                   "address " << addr << " outside live range [" << head_
                              << ", " << tail_ << ")");
-  return data_.get() + Physical(addr);
+  return data_ + Physical(addr);
 }
 
 const uint8_t* LogStructuredStore::At(uint64_t addr) const {
   SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
                   "address " << addr << " outside live range [" << head_
                              << ", " << tail_ << ")");
-  return data_.get() + Physical(addr);
+  return data_ + Physical(addr);
 }
 
 uint64_t LogStructuredStore::Allocate(uint32_t size) {
@@ -61,7 +73,7 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
     // remainder always fits at least a bare filler header.
     SLASH_CHECK_GE(lap_remaining, sizeof(EntryHeader));
     auto* filler =
-        reinterpret_cast<EntryHeader*>(data_.get() + Physical(addr));
+        reinterpret_cast<EntryHeader*>(data_ + Physical(addr));
     *filler = EntryHeader{};
     filler->flags = kEntryFiller;
     filler->value_len =
@@ -81,8 +93,7 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
 void LogStructuredStore::Grow(uint64_t needed_capacity) {
   uint64_t new_capacity = capacity_;
   while (new_capacity < needed_capacity) new_capacity *= 2;
-  auto new_data = std::make_unique<uint8_t[]>(new_capacity);
-  std::memset(new_data.get(), 0, new_capacity);
+  uint8_t* new_data = ZeroedBytes(new_capacity);
   // Re-place every live byte at its logical address modulo the new capacity.
   for (uint64_t addr = head_; addr < tail_;) {
     const uint64_t old_lap_end = addr - Physical(addr) + capacity_;
@@ -92,14 +103,14 @@ void LogStructuredStore::Grow(uint64_t needed_capacity) {
     while (pos < chunk_end) {
       const uint64_t new_lap_remaining = new_capacity - (pos & (new_capacity - 1));
       const uint64_t n = std::min(chunk_end - pos, new_lap_remaining);
-      std::memcpy(new_data.get() + (pos & (new_capacity - 1)),
-                  data_.get() + src, n);
+      std::memcpy(new_data + (pos & (new_capacity - 1)), data_ + src, n);
       pos += n;
       src += n;
     }
     addr = chunk_end;
   }
-  data_ = std::move(new_data);
+  std::free(data_);
+  data_ = new_data;
   capacity_ = new_capacity;
   ++resize_count_;
 }

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -55,16 +54,22 @@ static_assert(sizeof(EntryHeader) == 32, "EntryHeader must stay 32 bytes");
 
 /// The log-structured store.
 ///
-/// Thread-safety: Allocate is lock-free (atomic tail bump) and entry values
-/// may be concurrently mutated through atomic_ref by the partition layer;
-/// resizing and scans require external quiescence (Slash performs them at
-/// epoch boundaries, where the coherence protocol guarantees it).
+/// Memory: the buffer (and each one Grow() moves to) is calloc'd, so its
+/// pages stay unmapped until an append first writes them.
+///
+/// Thread-safety: Allocate is not thread-safe (`tail_` is a plain word);
+/// callers serialize it, as Partition::InsertEntry does under its
+/// `alloc_lock_`. Entry values may be concurrently mutated through
+/// atomic_ref by the partition layer; resizing and scans require external
+/// quiescence (Slash performs them at epoch boundaries, where the coherence
+/// protocol guarantees it).
 class LogStructuredStore {
  public:
   static constexpr uint64_t kInvalidAddress = ~0ULL;
 
   /// `initial_capacity` must be a power of two.
   explicit LogStructuredStore(uint64_t initial_capacity);
+  ~LogStructuredStore();
 
   LogStructuredStore(const LogStructuredStore&) = delete;
   LogStructuredStore& operator=(const LogStructuredStore&) = delete;
@@ -119,7 +124,7 @@ class LogStructuredStore {
   uint64_t Physical(uint64_t addr) const { return addr & (capacity_ - 1); }
   void Grow(uint64_t needed_capacity);
 
-  std::unique_ptr<uint8_t[]> data_;
+  uint8_t* data_;  // calloc'd, capacity_ bytes
   uint64_t capacity_;
   uint64_t head_ = 0;
   uint64_t tail_ = 0;

@@ -1,6 +1,7 @@
 // Tests for the perf substrate: counters arithmetic, cost-model charging,
 // wait accounting, the CpuContext <-> simulator time coupling, and the
-// zero-allocation regression guard for the DES event path.
+// zero-allocation regression guards for the DES event path, the batched
+// channel and the SSB epoch cycle.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include "perf/counters.h"
 #include "rdma/fabric.h"
 #include "sim/simulator.h"
+#include "state/partition.h"
 
 // Global allocator overrides for THIS TEST BINARY ONLY: every heap
 // allocation is reported to AllocTracker (a no-op while disarmed). The
@@ -368,6 +370,47 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   EXPECT_EQ(received, kMessages);
   EXPECT_EQ(ch->sent_count(), kMessages);
   EXPECT_EQ(ch->pending_posts(), 0u);
+}
+
+// --- SSB epoch cycle steady-state guard --------------------------------------
+
+// A warm fragment's epoch cycle (batched RMW, serialize into a reserved
+// buffer, Reset) must not allocate: Clear() reuses the claimed-bucket list
+// and the overflow segments (allocated through operator new[], so a segment
+// reallocated per epoch would show here), and the LSS wraps within its
+// capacity.
+TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
+  state::PartitionConfig cfg;
+  cfg.kind = state::StateKind::kAggregate;
+  cfg.index_buckets = 16;  // 112 primary slots: the rest spill into overflow
+  cfg.lss_capacity = 1 << 16;
+  state::Partition partition(0, cfg);
+  std::vector<state::StateKey> keys;
+  std::vector<int64_t> values;
+  for (uint64_t i = 0; i < 512; ++i) {
+    keys.push_back({i * 7919, int64_t(i % 3)});
+    values.push_back(int64_t(i) - 256);
+  }
+  std::vector<uint8_t> delta;
+  size_t serialized = 0;
+  auto cycle = [&] {
+    partition.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
+    delta.clear();
+    serialized = partition.SerializeDelta(&delta);
+    partition.Reset();
+  };
+  cycle();  // warm: claimed list, overflow segments, delta buffer capacity
+  const uint64_t lss_capacity = partition.lss().capacity();
+
+  AllocTracker::Arm();
+  for (int i = 0; i < 16; ++i) cycle();
+  AllocTracker::Disarm();
+
+  EXPECT_EQ(AllocTracker::allocations(), 0u)
+      << "steady-state epoch cycle allocated " << AllocTracker::bytes()
+      << " bytes";
+  EXPECT_EQ(serialized, keys.size());
+  EXPECT_EQ(partition.lss().capacity(), lss_capacity);
 }
 
 TEST(CpuContextTest, CustomModelOverridesCosts) {

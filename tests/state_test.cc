@@ -171,6 +171,43 @@ TEST(HashIndexTest, ManyKeysOverflowIntoChains) {
   EXPECT_EQ(index.Find(HashKey(3)), HashIndex::kInvalidAddress);
 }
 
+// Clear() zeroes only the claimed primary buckets and hands overflow buckets
+// out again from a reused directory: after each Clear() no old key may
+// resolve, and a fresh key set spilling across three geometric segments
+// (1024 + 2048 + 4096 buckets) must see none of the previous round's slots.
+TEST(HashIndexTest, ClearReusesClaimedBucketsAndOverflowSegments) {
+  HashIndex index(4);
+  constexpr uint64_t kKeys = 32768;
+  for (uint64_t round = 0; round < 3; ++round) {
+    const uint64_t first = round * kKeys;
+    std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
+    for (uint64_t k = first; k < first + kKeys; ++k) {
+      const KeyHash h = HashKey(k);
+      uint64_t expected = HashIndex::kInvalidAddress;  // most groups are new
+      uint64_t observed;
+      while (!index.CompareExchangeHead(h, expected, k + 1, &observed)) {
+        expected = observed;
+      }
+      group_head[std::make_pair(h.bucket_hash & 3, h.tag)] = k + 1;
+    }
+    ASSERT_GT(index.overflow_count(), 3072u) << "round " << round;
+    EXPECT_EQ(index.size(), group_head.size()) << "round " << round;
+    for (uint64_t k = first; k < first + kKeys; ++k) {
+      const KeyHash h = HashKey(k);
+      ASSERT_EQ(index.Find(h),
+                group_head[std::make_pair(h.bucket_hash & 3, h.tag)])
+          << "round " << round << " key " << k;
+    }
+    index.Clear();
+    for (uint64_t k = first; k < first + kKeys; ++k) {
+      ASSERT_EQ(index.Find(HashKey(k)), HashIndex::kInvalidAddress)
+          << "round " << round << " key " << k << " survived Clear()";
+    }
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_EQ(index.overflow_count(), 0u);
+  }
+}
+
 TEST(HashIndexTest, ConcurrentInsertsFromRealThreads) {
   HashIndex index(1024);
   constexpr int kThreads = 4;
@@ -435,6 +472,36 @@ TEST(PartitionTest, RmwAfterResetRestartsFromZero) {
   ASSERT_TRUE(p.LookupAggregate({1, 0}, &s));
   EXPECT_EQ(s.sum, 1);  // restarted from the identity, not 43
   EXPECT_EQ(s.count, 1);
+}
+
+// A fragment recycled by Reset() across many epochs must serialize each
+// epoch exactly as a fresh partition fed the same records: nothing from an
+// earlier epoch may leak through the cleared index, the reused overflow
+// buckets or the wrapped log.
+TEST(PartitionTest, EpochCyclesMatchFreshPartition) {
+  PartitionConfig cfg = SmallAggConfig();
+  cfg.index_buckets = 8;  // tiny: chains spill into overflow buckets
+  cfg.lss_capacity = 1 << 13;
+  Partition recycled(0, cfg);
+  Rng rng(21);
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    std::vector<StateKey> keys;
+    std::vector<int64_t> values;
+    const uint64_t key_space = 20 + rng.NextBounded(120);
+    for (int i = 0; i < 300; ++i) {
+      keys.push_back({rng.NextBounded(key_space), int64_t(rng.NextBounded(3))});
+      values.push_back(int64_t(rng.NextBounded(1000)) - 500);
+    }
+    Partition fresh(0, cfg);
+    recycled.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
+    fresh.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
+
+    std::vector<uint8_t> got, want;
+    EXPECT_EQ(recycled.SerializeDelta(&got), fresh.SerializeDelta(&want));
+    EXPECT_EQ(got, want) << "epoch " << epoch;
+    recycled.Reset();
+    EXPECT_EQ(recycled.entry_count(), 0u);
+  }
 }
 
 TEST(PartitionTest, RmwOnReadOnlyRegionDies) {
