@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "channel/rdma_channel.h"
-#include "common/stats.h"
 #include "health/health.h"
 #include "common/status.h"
 #include "common/units.h"

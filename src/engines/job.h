@@ -144,7 +144,10 @@ struct JobConfig {
   /// record-at-a-time path.
   uint32_t operator_batch = 1;
 
-  /// State backend sizing.
+  /// State backend sizing: the LSS capacity and index buckets of a primary
+  /// partition. Slash's helper fragments start at 1/bit_ceil(nodes) of each
+  /// (floors 64 KiB and 256 buckets); a fragment index grows at epoch resets
+  /// up to `state_index_buckets` (state::SsbConfig).
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
 

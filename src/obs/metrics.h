@@ -183,8 +183,7 @@ class Gauge {
   double value_ = 0;
 };
 
-/// A log-bucketed histogram for latencies in nanoseconds (absorbs the old
-/// common/stats.h LatencyHistogram).
+/// A log-bucketed histogram for latencies in nanoseconds.
 ///
 /// Buckets grow geometrically (~8% per bucket), so percentile queries have
 /// bounded relative error over 1 ns .. 100 s without per-sample storage.

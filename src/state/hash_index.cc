@@ -1,36 +1,53 @@
 #include "state/hash_index.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <bit>
 
 #include "common/logging.h"
+#include "state/zero_pages.h"
 
 namespace slash::state {
 
-HashIndex::HashIndex(size_t bucket_count) : bucket_mask_(bucket_count - 1) {
-  SLASH_CHECK_MSG(bucket_count != 0 && (bucket_count & (bucket_count - 1)) == 0,
+HashIndex::HashIndex(size_t bucket_count, size_t max_bucket_count)
+    : max_bucket_count_(max_bucket_count) {
+  SLASH_CHECK_MSG(std::has_single_bit(bucket_count) &&
+                      std::has_single_bit(max_bucket_count),
                   "bucket count must be a power of two");
-  // calloc hands back zero pages that stay unmapped until first write;
-  // over-allocate so the array can start on a cache line.
-  storage_ =
-      std::calloc(bucket_count * sizeof(Bucket) + alignof(Bucket) - 1, 1);
-  SLASH_CHECK_MSG(storage_ != nullptr, "hash index allocation failed");
-  buckets_ = reinterpret_cast<Bucket*>(
-      (reinterpret_cast<uintptr_t>(storage_) + alignof(Bucket) - 1) &
-      ~uintptr_t{alignof(Bucket) - 1});
+  SLASH_CHECK_LE(bucket_count, max_bucket_count);
+  Provision(bucket_count);
+}
+
+void HashIndex::Provision(size_t bucket_count) {
+  bucket_mask_ = bucket_count - 1;
+  // Page-aligned, so every bucket sits on its own cache line.
+  buckets_ =
+      static_cast<Bucket*>(MapZeroPages(bucket_count * sizeof(Bucket)));
 }
 
 HashIndex::~HashIndex() {
   for (auto& segment : segments_) {
     delete[] segment.load(std::memory_order_relaxed);
   }
-  std::free(storage_);
+  UnmapZeroPages(buckets_, bucket_count() * sizeof(Bucket));
 }
 
 void HashIndex::Clear() {
-  // Overflow buckets need no pass: only claimed primary buckets link to
-  // them, and ExtendLocked zeroes each one as it is handed out again.
-  for (const size_t i : claimed_) buckets_[i] = Bucket{};
+  const size_t used =
+      claimed_.size() + overflow_used_.load(std::memory_order_relaxed);
+  size_t grown = bucket_count();
+  while (grown < max_bucket_count_ &&
+         used * kGrowLoadDen > grown * kGrowLoadNum) {
+    grown *= 2;
+  }
+  if (grown != bucket_count()) {
+    // The old array and its claimed buckets go away whole.
+    UnmapZeroPages(buckets_, bucket_count() * sizeof(Bucket));
+    Provision(grown);
+  } else {
+    // Overflow buckets need no pass: only claimed primary buckets link to
+    // them, and ExtendLocked zeroes each one as it is handed out again.
+    for (const size_t i : claimed_) buckets_[i] = Bucket{};
+  }
   claimed_.clear();
   overflow_used_.store(0, std::memory_order_relaxed);
 }

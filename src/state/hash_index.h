@@ -11,9 +11,16 @@
 //
 // Cost: the index costs what it stores, not what it provisions. Bucket
 // storage is lazily zeroed — an all-zero bucket is a valid empty one, so the
-// primary array comes straight from calloc and the OS maps a page only when
-// a bucket on it is first written. Clear() takes time in proportion to the
-// primary buckets claimed since the last Clear(), not to bucket_count().
+// primary array comes straight from MapZeroPages and the OS maps a page only
+// when a bucket on it is first written. Clear() takes time in proportion to
+// the primary buckets claimed since the last Clear(), not to bucket_count().
+//
+// Growth: an index may start below its maximum size (an SSB fragment holds
+// a share of its partition; see StateBackend). Clear() is the one point
+// where the bucket array may change: if the contents just cleared used more
+// than 3/4 of bucket_count() (claimed plus overflow buckets), it swaps in a
+// zeroed array large enough to bring that load back under 3/4, up to the
+// maximum. Between Clear() calls the overflow chains absorb any spill.
 //
 // Thread-safety: entry slots are updated through std::atomic_ref with
 // compare-exchange, so concurrent inserts/updates from multiple worker
@@ -37,8 +44,12 @@ class HashIndex {
  public:
   static constexpr uint64_t kInvalidAddress = ~0ULL;
 
-  /// `bucket_count` must be a power of two.
-  explicit HashIndex(size_t bucket_count);
+  /// `bucket_count` must be a power of two. The index never grows.
+  explicit HashIndex(size_t bucket_count)
+      : HashIndex(bucket_count, bucket_count) {}
+  /// Starts at `bucket_count` buckets and may grow at Clear() up to
+  /// `max_bucket_count`; both must be powers of two.
+  HashIndex(size_t bucket_count, size_t max_bucket_count);
   ~HashIndex();
 
   HashIndex(const HashIndex&) = delete;
@@ -71,7 +82,9 @@ class HashIndex {
 
   /// Removes all entries, zeroing only the primary buckets claimed since the
   /// last Clear(); overflow segments and the claimed-bucket list keep their
-  /// capacity for reuse. Requires external quiescence.
+  /// capacity for reuse. If the cleared contents used more than 3/4 of the
+  /// buckets, the bucket array is replaced by a larger zeroed one instead
+  /// (see the file comment). Requires external quiescence.
   void Clear();
 
   size_t bucket_count() const { return bucket_mask_ + 1; }
@@ -85,6 +98,10 @@ class HashIndex {
   static constexpr uint64_t kAddressMask = (1ULL << kAddressBits) - 1;
   // A slot value of 0 means empty (tags are never 0; see HashKey()).
   static constexpr uint64_t kEmptySlot = 0;
+  // Clear() grows the array when claimed + overflow buckets exceeded
+  // kGrowLoadNum / kGrowLoadDen of bucket_count().
+  static constexpr size_t kGrowLoadNum = 3;
+  static constexpr size_t kGrowLoadDen = 4;
 
   // Plain words accessed through std::atomic_ref, so zero-filled memory is a
   // valid empty bucket without a constructor pass.
@@ -117,6 +134,9 @@ class HashIndex {
   // Links a zeroed overflow bucket after `tail` (which has none) and returns
   // the link value. The caller holds overflow_lock_.
   uint64_t ExtendLocked(Bucket* tail);
+  // Points buckets_ at a fresh zeroed array of `bucket_count` buckets; the
+  // caller unmaps any previous one.
+  void Provision(size_t bucket_count);
 
   // Overflow buckets live in a geometric directory: segment s holds
   // kSegmentSize << s buckets and is allocated on first use, so bucket
@@ -136,8 +156,8 @@ class HashIndex {
   }
 
   size_t bucket_mask_;
-  void* storage_;     // calloc'd; owns buckets_
-  Bucket* buckets_;   // storage_ rounded up to a cache line
+  size_t max_bucket_count_;
+  Bucket* buckets_;  // from MapZeroPages
   // Primary buckets whose entries[0] was claimed since the last Clear().
   // Slots fill in order and are only emptied by Clear(), so a bucket is
   // listed at most once and every non-empty primary bucket is listed.

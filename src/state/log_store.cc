@@ -1,10 +1,11 @@
 #include "state/log_store.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
+#include "state/zero_pages.h"
 
 namespace slash::state {
 
@@ -14,15 +15,6 @@ bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 uint64_t AlignUp32(uint64_t v) { return (v + 31) & ~31ULL; }
 
-// calloc hands back zero pages that stay unmapped until first write, so a
-// buffer costs only the bytes appended to it.
-uint8_t* ZeroedBytes(uint64_t n) {
-  auto* bytes = static_cast<uint8_t*>(std::calloc(n, 1));
-  SLASH_CHECK_MSG(bytes != nullptr,
-                  "LSS allocation of " << n << " bytes failed");
-  return bytes;
-}
-
 }  // namespace
 
 LogStructuredStore::LogStructuredStore(uint64_t initial_capacity)
@@ -31,22 +23,20 @@ LogStructuredStore::LogStructuredStore(uint64_t initial_capacity)
                   "LSS capacity must be a power of two, got "
                       << initial_capacity);
   SLASH_CHECK_GE(initial_capacity, 2 * sizeof(EntryHeader));
-  data_ = ZeroedBytes(capacity_);
+  data_ = static_cast<uint8_t*>(MapZeroPages(capacity_));
 }
 
-LogStructuredStore::~LogStructuredStore() { std::free(data_); }
+LogStructuredStore::~LogStructuredStore() { UnmapZeroPages(data_, capacity_); }
 
 uint8_t* LogStructuredStore::At(uint64_t addr) {
-  SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
-                  "address " << addr << " outside live range [" << head_
-                             << ", " << tail_ << ")");
-  return data_ + Physical(addr);
+  return const_cast<uint8_t*>(std::as_const(*this).At(addr));
 }
 
 const uint8_t* LogStructuredStore::At(uint64_t addr) const {
-  SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
+  const uint64_t tail = this->tail();
+  SLASH_CHECK_MSG(addr >= head_ && addr < tail,
                   "address " << addr << " outside live range [" << head_
-                             << ", " << tail_ << ")");
+                             << ", " << tail << ")");
   return data_ + Physical(addr);
 }
 
@@ -56,17 +46,19 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
                       need <= capacity_ / 2,
                   "allocation of " << size << " bytes too large for LSS");
 
+  // Only the (serialized) allocating thread writes tail_.
+  uint64_t addr = tail_.load(std::memory_order_relaxed);
+
   // Avoid straddling the wrap point: if the allocation would cross a lap
   // boundary, pad with a filler entry and start at the next lap.
-  uint64_t addr = tail_;
   const uint64_t lap_remaining = capacity_ - Physical(addr);
   if (need > lap_remaining) {
     // The filler needs a header to stay scannable; if not even a header
     // fits, the remaining bytes become anonymous padding that ForEachEntry
     // cannot step over — so we always require header-sized laps. Grow first
     // if the padded allocation would overflow the live window.
-    if (tail_ + lap_remaining + need - head_ > capacity_) {
-      Grow(tail_ + lap_remaining + need - head_);
+    if (addr + lap_remaining + need - head_ > capacity_) {
+      Grow(addr + lap_remaining + need - head_);
       return Allocate(size);
     }
     // All allocations are 32-byte aligned and headers are 32 bytes, so the
@@ -78,26 +70,27 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
     filler->flags = kEntryFiller;
     filler->value_len =
         static_cast<uint32_t>(lap_remaining - sizeof(EntryHeader));
-    tail_ += lap_remaining;
-    addr = tail_;
+    addr += lap_remaining;
+    tail_.store(addr, std::memory_order_release);
   }
 
-  if (tail_ + need - head_ > capacity_) {
-    Grow(tail_ + need - head_);
+  if (addr + need - head_ > capacity_) {
+    Grow(addr + need - head_);
     return Allocate(size);
   }
-  tail_ += need;
+  tail_.store(addr + need, std::memory_order_release);
   return addr;
 }
 
 void LogStructuredStore::Grow(uint64_t needed_capacity) {
   uint64_t new_capacity = capacity_;
   while (new_capacity < needed_capacity) new_capacity *= 2;
-  uint8_t* new_data = ZeroedBytes(new_capacity);
+  auto* new_data = static_cast<uint8_t*>(MapZeroPages(new_capacity));
   // Re-place every live byte at its logical address modulo the new capacity.
-  for (uint64_t addr = head_; addr < tail_;) {
+  const uint64_t tail = this->tail();
+  for (uint64_t addr = head_; addr < tail;) {
     const uint64_t old_lap_end = addr - Physical(addr) + capacity_;
-    const uint64_t chunk_end = std::min(tail_, old_lap_end);
+    const uint64_t chunk_end = std::min(tail, old_lap_end);
     uint64_t src = Physical(addr);
     uint64_t pos = addr;
     while (pos < chunk_end) {
@@ -109,7 +102,7 @@ void LogStructuredStore::Grow(uint64_t needed_capacity) {
     }
     addr = chunk_end;
   }
-  std::free(data_);
+  UnmapZeroPages(data_, capacity_);
   data_ = new_data;
   capacity_ = new_capacity;
   ++resize_count_;
@@ -117,13 +110,13 @@ void LogStructuredStore::Grow(uint64_t needed_capacity) {
 
 void LogStructuredStore::MarkReadOnlyUpTo(uint64_t addr) {
   SLASH_CHECK_GE(addr, read_only_);
-  SLASH_CHECK_LE(addr, tail_);
+  SLASH_CHECK_LE(addr, tail());
   read_only_ = addr;
 }
 
 void LogStructuredStore::TruncateTo(uint64_t addr) {
   SLASH_CHECK_GE(addr, head_);
-  SLASH_CHECK_LE(addr, tail_);
+  SLASH_CHECK_LE(addr, tail());
   head_ = addr;
   if (read_only_ < head_) read_only_ = head_;
 }
@@ -132,7 +125,7 @@ void LogStructuredStore::ForEachEntry(
     uint64_t from, uint64_t to,
     const std::function<void(uint64_t, const EntryHeader&)>& fn) const {
   SLASH_CHECK_GE(from, head_);
-  SLASH_CHECK_LE(to, tail_);
+  SLASH_CHECK_LE(to, tail());
   uint64_t addr = from;
   while (addr < to) {
     const auto* header = HeaderAt(addr);

@@ -24,6 +24,7 @@
 #ifndef SLASH_STATE_LOG_STORE_H_
 #define SLASH_STATE_LOG_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -54,15 +55,20 @@ static_assert(sizeof(EntryHeader) == 32, "EntryHeader must stay 32 bytes");
 
 /// The log-structured store.
 ///
-/// Memory: the buffer (and each one Grow() moves to) is calloc'd, so its
-/// pages stay unmapped until an append first writes them.
+/// Memory: the buffer (and each one Grow() moves to) comes from
+/// MapZeroPages, so its pages stay unmapped until an append first writes
+/// them.
 ///
-/// Thread-safety: Allocate is not thread-safe (`tail_` is a plain word);
-/// callers serialize it, as Partition::InsertEntry does under its
-/// `alloc_lock_`. Entry values may be concurrently mutated through
-/// atomic_ref by the partition layer; resizing and scans require external
-/// quiescence (Slash performs them at epoch boundaries, where the coherence
-/// protocol guarantees it).
+/// Thread-safety: Allocate is not thread-safe; callers serialize it, as
+/// Partition::InsertEntry does under its `alloc_lock_`. `tail_` is atomic:
+/// Allocate publishes it with a release store and At()/Mutable()/tail()
+/// read it with acquire loads, so readers on other threads may run
+/// alongside a serialized Allocate that does not grow the buffer. Entry
+/// values may be concurrently mutated through atomic_ref by the partition
+/// layer. Grow() (reached from Allocate when the live window outgrows the
+/// buffer), truncation and scans still require external quiescence (Slash
+/// performs them at epoch boundaries, where the coherence protocol
+/// guarantees it, or from one thread).
 class LogStructuredStore {
  public:
   static constexpr uint64_t kInvalidAddress = ~0ULL;
@@ -95,11 +101,11 @@ class LogStructuredStore {
   /// First live logical address.
   uint64_t head() const { return head_; }
   /// Next append address (== end of live data).
-  uint64_t tail() const { return tail_; }
+  uint64_t tail() const { return tail_.load(std::memory_order_acquire); }
   /// Read-only boundary: addresses below it must not be CPU-mutated.
   uint64_t read_only_boundary() const { return read_only_; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t live_bytes() const { return tail_ - head_; }
+  uint64_t live_bytes() const { return tail() - head_; }
   uint64_t resize_count() const { return resize_count_; }
 
   /// Marks [head, addr) read-only prior to an RDMA transfer, preventing
@@ -108,7 +114,7 @@ class LogStructuredStore {
 
   /// True iff `addr` may be mutated in place.
   bool Mutable(uint64_t addr) const {
-    return addr >= read_only_ && addr < tail_;
+    return addr >= read_only_ && addr < tail();
   }
 
   /// Invalidates everything below `addr` after a transfer (step 4).
@@ -124,10 +130,10 @@ class LogStructuredStore {
   uint64_t Physical(uint64_t addr) const { return addr & (capacity_ - 1); }
   void Grow(uint64_t needed_capacity);
 
-  uint8_t* data_;  // calloc'd, capacity_ bytes
+  uint8_t* data_;  // from MapZeroPages, capacity_ bytes
   uint64_t capacity_;
   uint64_t head_ = 0;
-  uint64_t tail_ = 0;
+  std::atomic<uint64_t> tail_{0};
   uint64_t read_only_ = 0;
   uint64_t resize_count_ = 0;
 };

@@ -38,10 +38,11 @@ void AtomicMaxI64(int64_t* target, int64_t value) {
 
 }  // namespace
 
-Partition::Partition(int id, const PartitionConfig& config)
+Partition::Partition(int id, const PartitionConfig& config,
+                     size_t max_index_buckets)
     : id_(id),
       config_(config),
-      index_(config.index_buckets),
+      index_(config.index_buckets, max_index_buckets),
       lss_(config.lss_capacity) {}
 
 uint64_t Partition::FindEntry(StateKey k) const {

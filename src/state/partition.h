@@ -63,7 +63,12 @@ struct PartitionConfig {
 
 class Partition {
  public:
-  Partition(int id, const PartitionConfig& config);
+  /// A partition whose index stays at `config.index_buckets`.
+  Partition(int id, const PartitionConfig& config)
+      : Partition(id, config, config.index_buckets) {}
+  /// A partition whose index starts at `config.index_buckets` and may grow
+  /// at Reset() up to `max_index_buckets` (see HashIndex::Clear).
+  Partition(int id, const PartitionConfig& config, size_t max_index_buckets);
 
   Partition(const Partition&) = delete;
   Partition& operator=(const Partition&) = delete;
@@ -159,6 +164,7 @@ class Partition {
   // --- Introspection ---------------------------------------------------------
 
   uint64_t live_bytes() const { return lss_.live_bytes(); }
+  size_t index_buckets() const { return index_.bucket_count(); }
   uint64_t entry_count() const { return entry_count_.load(std::memory_order_relaxed); }
   const LogStructuredStore& lss() const { return lss_; }
 

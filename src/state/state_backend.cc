@@ -1,25 +1,59 @@
 #include "state/state_backend.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.h"
 
 namespace slash::state {
 
+namespace {
+
+// Fragment size floors: a few pages each, small enough to cost nothing
+// untouched and large enough that a typical epoch does not force growth.
+constexpr size_t kMinFragmentBuckets = 256;
+constexpr uint64_t kMinFragmentLss = 64 * kKiB;
+
+}  // namespace
+
 StateBackend::StateBackend(int node, const SsbConfig& config)
     : node_(node), config_(config) {
   SLASH_CHECK_GE(node, 0);
   SLASH_CHECK_LT(node, config.nodes);
-  PartitionConfig pcfg;
-  pcfg.kind = config.kind;
-  pcfg.lss_capacity = config.lss_capacity;
-  pcfg.index_buckets = config.index_buckets;
   partitions_.reserve(config.nodes);
   for (int p = 0; p < config.nodes; ++p) {
-    partitions_.push_back(std::make_unique<Partition>(p, pcfg));
+    partitions_.push_back(MakePartition(p, /*primary=*/p == node));
   }
   led_.assign(config.nodes, false);
   led_[node] = true;
+}
+
+std::unique_ptr<Partition> StateBackend::MakePartition(int p,
+                                                       bool primary) const {
+  PartitionConfig pcfg;
+  pcfg.kind = config_.kind;
+  pcfg.lss_capacity = config_.lss_capacity;
+  pcfg.index_buckets = config_.index_buckets;
+  if (!primary) {
+    // A fragment sees one helper's share of partition p per epoch.
+    const uint64_t share = std::bit_ceil(uint64_t(config_.nodes));
+    pcfg.index_buckets =
+        std::min(config_.index_buckets,
+                 std::max(kMinFragmentBuckets, config_.index_buckets / share));
+    pcfg.lss_capacity =
+        std::min(config_.lss_capacity,
+                 std::max(kMinFragmentLss, config_.lss_capacity / share));
+  }
+  return std::make_unique<Partition>(p, pcfg, config_.index_buckets);
+}
+
+void StateBackend::AddLeadership(int p) {
+  SLASH_CHECK_MSG(partitions_[p]->entry_count() == 0 &&
+                      partitions_[p]->lss().tail() == 0,
+                  "partition " << p << " promoted after it took updates");
+  partitions_[p] = MakePartition(p, /*primary=*/true);
+  led_[p] = true;
 }
 
 void StateBackend::BeginEpoch() {

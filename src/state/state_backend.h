@@ -32,6 +32,10 @@ namespace slash::state {
 struct SsbConfig {
   int nodes = 2;
   StateKind kind = StateKind::kAggregate;
+  /// Primary partition sizes. A helper fragment holds about one node's
+  /// share of a partition per epoch, so it starts at 1/bit_ceil(nodes) of
+  /// each (floors 64 KiB and 256 buckets); its index grows at epoch resets
+  /// up to `index_buckets` and its LSS grows on demand.
   uint64_t lss_capacity = 1ULL << 20;
   size_t index_buckets = 1ULL << 12;
   /// Epoch length: an executor triggers a synchronization after processing
@@ -83,9 +87,11 @@ class StateBackend {
   bool leads(int p) const { return led_[p]; }
 
   /// Promotes fragment `p` to a primary on this node (the node inherited
-  /// leadership of a crashed peer's partition). The caller restores the
-  /// partition content from the latest replicated snapshot afterwards.
-  void AddLeadership(int p) { led_[p] = true; }
+  /// leadership of a crashed peer's partition, or was handed it by a
+  /// reconfiguration). The fragment must still be empty: it is replaced by
+  /// an empty partition of primary size. The caller restores the partition
+  /// content from the latest replicated snapshot afterwards.
+  void AddLeadership(int p);
 
   // --- Record-level API (the hot path) -------------------------------------
 
@@ -150,6 +156,9 @@ class StateBackend {
   uint64_t total_live_bytes() const;
 
  private:
+  // Builds empty storage for partition `p` at primary or fragment size.
+  std::unique_ptr<Partition> MakePartition(int p, bool primary) const;
+
   int node_;
   SsbConfig config_;
   std::vector<std::unique_ptr<Partition>> partitions_;

@@ -9,7 +9,6 @@
 
 #include "common/hash.h"
 #include "common/random.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -187,17 +186,6 @@ TEST(ParetoTest, HeavyHittersAtSmallKeys) {
 TEST(ParetoTest, StaysInRange) {
   ParetoGenerator gen(1000, 1.2, 7);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(gen.Next(), 1000u);
-}
-
-TEST(RunningSummaryTest, TracksMoments) {
-  RunningSummary s;
-  s.Add(1);
-  s.Add(3);
-  s.Add(2);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
 // The latency-histogram tests moved to obs_test.cc with the histogram

@@ -375,16 +375,17 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
 // --- SSB epoch cycle steady-state guard --------------------------------------
 
 // A warm fragment's epoch cycle (batched RMW, serialize into a reserved
-// buffer, Reset) must not allocate: Clear() reuses the claimed-bucket list
-// and the overflow segments (allocated through operator new[], so a segment
-// reallocated per epoch would show here), and the LSS wraps within its
-// capacity.
+// buffer, Reset) must not allocate once its index has stopped growing:
+// Clear() reuses the claimed-bucket list and the overflow segments
+// (allocated through operator new[], so a segment reallocated per epoch
+// would show here), and the LSS wraps within its capacity.
 TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
   state::PartitionConfig cfg;
   cfg.kind = state::StateKind::kAggregate;
-  cfg.index_buckets = 16;  // 112 primary slots: the rest spill into overflow
+  cfg.index_buckets = 16;  // grows at the first Reset, to its 64-bucket cap
   cfg.lss_capacity = 1 << 16;
-  state::Partition partition(0, cfg);
+  // 64 buckets hold 448 primary slots: the rest spill into overflow.
+  state::Partition partition(0, cfg, /*max_index_buckets=*/64);
   std::vector<state::StateKey> keys;
   std::vector<int64_t> values;
   for (uint64_t i = 0; i < 512; ++i) {
@@ -399,6 +400,8 @@ TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
     serialized = partition.SerializeDelta(&delta);
     partition.Reset();
   };
+  cycle();  // grows the index to its cap
+  ASSERT_EQ(partition.index_buckets(), 64u);
   cycle();  // warm: claimed list, overflow segments, delta buffer capacity
   const uint64_t lss_capacity = partition.lss().capacity();
 
@@ -411,6 +414,7 @@ TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
       << " bytes";
   EXPECT_EQ(serialized, keys.size());
   EXPECT_EQ(partition.lss().capacity(), lss_capacity);
+  EXPECT_EQ(partition.index_buckets(), 64u);
 }
 
 TEST(CpuContextTest, CustomModelOverridesCosts) {

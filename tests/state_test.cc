@@ -1,8 +1,8 @@
 // Tests for the Slash State Backend storage layer: log-structured store
 // invariants (wrap, adaptive resize, read-only boundary, truncation), hash
-// index behaviour under collisions and real-thread concurrency, partition
-// RMW/append semantics, delta serialization round-trips, and the SSB
-// leader/helper epoch flow.
+// index behaviour under collisions, growth and real-thread concurrency,
+// partition RMW/append semantics, delta serialization round-trips, and the
+// SSB leader/helper epoch flow and fragment sizing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,6 +205,62 @@ TEST(HashIndexTest, ClearReusesClaimedBucketsAndOverflowSegments) {
     }
     EXPECT_EQ(index.size(), 0u);
     EXPECT_EQ(index.overflow_count(), 0u);
+  }
+}
+
+// Inserts keys [first, first + n) (key k at address k + 1), then checks that
+// every key resolves to the newest key of its (bucket, tag) group.
+void InsertAndVerify(HashIndex* index, uint64_t first, uint64_t n) {
+  const uint64_t mask = index->bucket_count() - 1;
+  std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
+  for (uint64_t k = first; k < first + n; ++k) {
+    const KeyHash h = HashKey(k);
+    uint64_t expected = index->Find(h);
+    uint64_t observed;
+    while (!index->CompareExchangeHead(h, expected, k + 1, &observed)) {
+      expected = observed;
+    }
+    group_head[std::make_pair(h.bucket_hash & mask, h.tag)] = k + 1;
+  }
+  for (uint64_t k = first; k < first + n; ++k) {
+    const KeyHash h = HashKey(k);
+    ASSERT_EQ(index->Find(h),
+              group_head[std::make_pair(h.bucket_hash & mask, h.tag)])
+        << "key " << k << " at " << index->bucket_count() << " buckets";
+  }
+}
+
+// An index that starts small keeps its array while the cleared contents
+// used at most 3/4 of its buckets, grows geometrically at Clear() once they
+// used more, and never grows past its maximum.
+TEST(HashIndexTest, GrowsAtClearUpToItsMaximum) {
+  HashIndex index(16, 256);
+
+  InsertAndVerify(&index, 0, 8);  // at most 8 of 16 buckets claimed
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 16u);
+
+  // 200 keys claim all 16 buckets and spill into overflow buckets: the next
+  // Clear() grows the array past 16, short of the cap.
+  InsertAndVerify(&index, 0, 200);
+  EXPECT_GT(index.overflow_count(), 0u);
+  index.Clear();
+  const size_t grown = index.bucket_count();
+  EXPECT_GT(grown, 16u);
+  EXPECT_LT(grown, 256u);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.overflow_count(), 0u);
+  for (uint64_t k = 0; k < 200; ++k) {
+    ASSERT_EQ(index.Find(HashKey(k)), HashIndex::kInvalidAddress)
+        << "key " << k << " survived growth";
+  }
+  InsertAndVerify(&index, 0, 200);  // every re-inserted key is found
+
+  // Far above the threshold at every size: the array stops at the cap.
+  for (uint64_t round = 0; round < 3; ++round) {
+    InsertAndVerify(&index, round * 4000, 4000);
+    index.Clear();
+    EXPECT_EQ(index.bucket_count(), 256u) << "round " << round;
   }
 }
 
@@ -643,6 +699,96 @@ TEST(StateBackendTest, PrimaryCheckpointRoundTrip) {
     ASSERT_TRUE(recovered.primary()->LookupAggregate({key, 1}, &b));
     EXPECT_EQ(a, b);
   }
+}
+
+// Fragments start at 1/bit_ceil(nodes) of the primary index and LSS, with
+// floors of 256 buckets and 64 KiB, and never above the primary size.
+TEST(StateBackendTest, FragmentsStartAtAShareOfThePrimary) {
+  struct Case {
+    int nodes;
+    size_t index_buckets;
+    uint64_t lss_capacity;
+    size_t fragment_buckets;
+    uint64_t fragment_lss;
+  };
+  const Case cases[] = {
+      {16, 1 << 14, 1 << 20, 1 << 10, 1 << 16},  // the JobConfig defaults
+      {6, 1 << 14, 1 << 22, 1 << 11, 1 << 19},   // bit_ceil(6) = 8
+      {6, 1 << 10, 1 << 18, 256, 1 << 16},       // both floors
+      {4, 64, 1 << 12, 64, 1 << 12},             // already below the floors
+  };
+  for (const Case& c : cases) {
+    SsbConfig cfg;
+    cfg.nodes = c.nodes;
+    cfg.index_buckets = c.index_buckets;
+    cfg.lss_capacity = c.lss_capacity;
+    StateBackend ssb(1, cfg);
+    for (int p = 0; p < c.nodes; ++p) {
+      const bool primary = p == 1;
+      EXPECT_EQ(ssb.local(p)->index_buckets(),
+                primary ? c.index_buckets : c.fragment_buckets)
+          << c.nodes << " nodes, partition " << p;
+      EXPECT_EQ(ssb.local(p)->lss().capacity(),
+                primary ? c.lss_capacity : c.fragment_lss)
+          << c.nodes << " nodes, partition " << p;
+    }
+  }
+}
+
+// A fragment whose epochs outgrow its index grows at the drain's reset, up
+// to the primary size, and the leader still merges the exact state.
+TEST(StateBackendTest, FragmentIndexGrowsAtDrainUpToPrimarySize) {
+  SsbConfig cfg = SmallSsbConfig(4);
+  cfg.index_buckets = 1 << 10;  // fragments start at the 256-bucket floor
+  StateBackend helper(0, cfg);
+  StateBackend leader(1, cfg);
+  ASSERT_EQ(helper.local(1)->index_buckets(), 256u);
+  std::map<uint64_t, int64_t> oracle;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (uint64_t key = 0; key < 40000; ++key) {
+      if (helper.partition_of(key) != 1) continue;
+      helper.UpdateAggregate(key, epoch, int64_t(key));
+      oracle[key] += int64_t(key);
+    }
+    helper.BeginEpoch();
+    std::vector<uint8_t> wire;
+    helper.DrainFragment(1, 0, &wire);
+    ASSERT_TRUE(
+        leader.MergeIntoPrimary(wire.data(), wire.size(), nullptr).ok());
+    EXPECT_GT(helper.local(1)->index_buckets(), 256u) << "epoch " << epoch;
+    EXPECT_LE(helper.local(1)->index_buckets(), cfg.index_buckets);
+  }
+  EXPECT_EQ(helper.local(1)->index_buckets(), cfg.index_buckets);
+  for (const auto& [key, sum] : oracle) {
+    int64_t merged = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      AggState s;
+      ASSERT_TRUE(leader.primary()->LookupAggregate({key, epoch}, &s));
+      merged += s.sum;
+    }
+    ASSERT_EQ(merged, sum) << "key " << key;
+  }
+}
+
+// Promotion re-provisions the empty fragment at primary size; promoting a
+// fragment that already took updates is a bug.
+TEST(StateBackendTest, AddLeadershipReprovisionsAtPrimarySize) {
+  SsbConfig cfg = SmallSsbConfig(4);
+  cfg.index_buckets = 1 << 12;
+  cfg.lss_capacity = 1 << 20;
+  StateBackend ssb(0, cfg);
+  ASSERT_EQ(ssb.local(2)->index_buckets(), 1u << 10);
+  ASSERT_EQ(ssb.local(2)->lss().capacity(), 1u << 18);
+  ssb.AddLeadership(2);
+  EXPECT_TRUE(ssb.leads(2));
+  EXPECT_EQ(ssb.local(2)->index_buckets(), cfg.index_buckets);
+  EXPECT_EQ(ssb.local(2)->lss().capacity(), cfg.lss_capacity);
+  EXPECT_EQ(ssb.local(2)->id(), 2);
+
+  uint64_t key = 0;
+  while (ssb.partition_of(key) != 3) ++key;
+  ssb.UpdateAggregate(key, 0, 1);
+  EXPECT_DEATH(ssb.AddLeadership(3), "promoted after it took updates");
 }
 
 TEST(StateBackendTest, MergeRejectsWrongLeader) {
