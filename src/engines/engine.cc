@@ -1,6 +1,8 @@
 #include "engines/engine.h"
 
 #include <algorithm>
+#include <chrono>
+#include <string>
 
 #include "common/logging.h"
 
@@ -164,6 +166,115 @@ void BlobReader::Raw(void* dst, size_t len) {
   SLASH_CHECK_LE(pos_ + len, len_);
   std::memcpy(dst, data_ + pos_, len);
   pos_ += len;
+}
+
+ClusterRuntime::ClusterRuntime(obs::Tracer* external)
+    : external_(external),
+      local_(obs::Tracer::Options{
+          .capacity = 1 << 16,
+          .enabled = external == nullptr &&
+                     obs::Exporter::TraceDir() != nullptr}) {}
+
+Result<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Create(
+    const ClusterConfig& cluster, int fabric_nodes,
+    const EngineSupport& support, obs::Tracer* tracer) {
+  const bool faults =
+      cluster.fault_plan != nullptr && !cluster.fault_plan->empty();
+  const auto unsupported = [&support](std::string_view what) {
+    return Status::Unimplemented(std::string(what) + " is not supported by " +
+                                 std::string(support.engine));
+  };
+  if (faults && !support.faults) return unsupported("fault injection");
+  if (cluster.health.enabled && !support.health) {
+    return unsupported("health monitoring");
+  }
+  if (cluster.reconfig != nullptr && !support.reconfig) {
+    return unsupported("elastic reconfiguration");
+  }
+  // A malformed plan is a configuration error reported up front, not a
+  // mid-run surprise: the fault plan is checked against the fabric's node
+  // count (source nodes included), the reconfiguration plan against the
+  // provisioned cluster and the fault plan it must not contradict.
+  if (faults) SLASH_RETURN_IF_ERROR(cluster.fault_plan->Validate(fabric_nodes));
+  if (cluster.health.enabled) SLASH_RETURN_IF_ERROR(cluster.health.Validate());
+  if (cluster.reconfig != nullptr) {
+    SLASH_RETURN_IF_ERROR(cluster.reconfig->Validate(cluster.nodes));
+    if (faults) {
+      SLASH_RETURN_IF_ERROR(cluster.reconfig->ValidateWithFaults(
+          *cluster.fault_plan, cluster.nodes));
+    }
+  }
+
+  std::unique_ptr<ClusterRuntime> rt(new ClusterRuntime(tracer));
+  if (faults) {
+    rt->injector_ =
+        std::make_unique<sim::FaultInjector>(&rt->sim_, *cluster.fault_plan);
+    rt->sim_.set_fault_injector(rt->injector_.get());
+  }
+  rt->sim_.set_metrics(&rt->registry_);
+  // Null when disabled, so every trace point downstream is one branch.
+  obs::Tracer* t = rt->tracer();
+  rt->sim_.set_tracer(t->enabled() ? t : nullptr);
+  if (t->enabled()) {
+    // The trace topology: one process per node, the conventional tracks
+    // per process.
+    const int nodes = fabric_nodes > 0 ? fabric_nodes : cluster.nodes;
+    for (int n = 0; n < nodes; ++n) {
+      t->SetProcessName(n, "node" + std::to_string(n));
+      t->SetTrackName(n, obs::kTrackEngine, "engine");
+      t->SetTrackName(n, obs::kTrackChannel, "channel");
+      t->SetTrackName(n, obs::kTrackRecovery, "recovery");
+      t->SetTrackName(n, obs::kTrackHealth, "health");
+      t->SetTrackName(n, obs::kTrackElastic, "elastic");
+    }
+  }
+  if (fabric_nodes > 0) {
+    rdma::FabricConfig fabric_config;
+    fabric_config.nodes = fabric_nodes;
+    fabric_config.nic = cluster.nic;
+    fabric_config.connection = cluster.connection;
+    rt->fabric_ = std::make_unique<rdma::Fabric>(&rt->sim_, fabric_config);
+  }
+  return rt;
+}
+
+void ClusterRuntime::Run(RunStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  const Nanos makespan = sim_.Run();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  stats->sim_events_per_sec_wall =
+      secs > 0 ? double(sim_.events_fired()) / secs : 0.0;
+  registry_.GetCounter(obs::metric::kRunMakespanNs)->Add(uint64_t(makespan));
+  registry_.GetCounter(obs::metric::kSimEventsFired)->Add(sim_.events_fired());
+  registry_.GetCounter(obs::metric::kSimEventBytes)
+      ->Add(sim_.event_bytes_allocated());
+  registry_.GetGauge(obs::metric::kSimPoolHitRate)->Set(sim_.pool_hit_rate());
+}
+
+void ClusterRuntime::Finish(RunStats* stats,
+                            const obs::LabelSet& fault_labels) {
+  SLASH_CHECK_MSG(!stats->ok() || sim_.pending_tasks() == 0,
+                  stats->engine << " run deadlocked with "
+                                << sim_.pending_tasks() << " pending tasks");
+  if (injector_ != nullptr) {
+    registry_.GetCounter(obs::metric::kFaultsInjected, fault_labels)
+        ->Add(injector_->trace().size());
+    registry_.GetCounter(obs::metric::kFaultTraceDigest, fault_labels)
+        ->Add(injector_->trace_digest());
+  }
+  if (fabric_ != nullptr) {
+    if (const auto& pool = fabric_->buffer_pool();
+        pool.hits() + pool.misses() > 0) {
+      registry_.GetGauge(obs::metric::kBufferPoolHitRate)
+          ->Set(pool.hit_rate());
+    }
+  }
+  stats->metrics = registry_.Snapshot();
+  if (external_ == nullptr && local_.enabled()) {
+    obs::Exporter::WriteRunArtifacts(local_, stats->metrics, stats->engine);
+  }
 }
 
 }  // namespace slash::engines

@@ -14,12 +14,17 @@
 // reports throughput (records per second of virtual time), result digests
 // for correctness checks, network volume, per-role top-down counters, and
 // buffer-latency histograms.
+//
+// Every engine runs on one ClusterRuntime: the single owner of the DES, the
+// fault injector, the metrics registry and tracer, and the RDMA fabric. It
+// validates each ClusterConfig against the engine's declared EngineSupport
+// and times, checks and snapshots the run (DESIGN.md §12.1).
 #ifndef SLASH_ENGINES_ENGINE_H_
 #define SLASH_ENGINES_ENGINE_H_
 
-#include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -237,7 +242,7 @@ struct RunStats {
   }
 };
 
-/// Aggregate outcome of a multi-job run (SlashEngine::RunJobs): the
+/// Aggregate outcome of a SlashEngine::RunJobs run: the
 /// cluster-wide stats plus one per-tenant RunStats view per submitted job,
 /// in submission order. Each job view's metrics are the cluster snapshot
 /// filtered to that job's tenant label (shared/unlabeled instruments are
@@ -431,84 +436,76 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
-/// Runs the simulator to completion under host wall-clock timing, publishes
-/// the makespan and the DES-kernel instruments into `registry`, and reports
-/// the host-side event rate through `events_per_sec_wall` (the one number
-/// that may differ between same-seed runs, so it stays out of the
-/// registry). Returns the virtual-time makespan, so engines use it as a
-/// drop-in for `sim->Run()`.
-inline Nanos TimedSimRun(sim::Simulator* sim, obs::MetricsRegistry* registry,
-                         double* events_per_sec_wall) {
-  const auto start = std::chrono::steady_clock::now();
-  const Nanos makespan = sim->Run();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *events_per_sec_wall = secs > 0 ? double(sim->events_fired()) / secs : 0.0;
-  registry->GetCounter(obs::metric::kRunMakespanNs)
-      ->Add(uint64_t(makespan));
-  registry->GetCounter(obs::metric::kSimEventsFired)
-      ->Add(sim->events_fired());
-  registry->GetCounter(obs::metric::kSimEventBytes)
-      ->Add(sim->event_bytes_allocated());
-  registry->GetGauge(obs::metric::kSimPoolHitRate)->Set(sim->pool_hit_rate());
-  return makespan;
-}
+/// The cluster features, beyond a static fault-free run, that an engine
+/// supports. Each engine declares one as a compile-time constant (its
+/// kSupport); ClusterRuntime::Create rejects a ClusterConfig that asks for
+/// more with kUnimplemented.
+struct EngineSupport {
+  std::string_view engine;  // names the engine in rejection messages
+  bool faults = false;      // a non-empty ClusterConfig::fault_plan
+  bool health = false;      // ClusterConfig::health.enabled
+  bool reconfig = false;    // a non-null ClusterConfig::reconfig
+};
 
-/// The per-run observability plane every engine sets up at the top of
-/// Run(): a fresh registry plus the tracer policy described at
-/// JobConfig::tracer (`external` is that tracer, or null). Construct BEFORE
-/// the fabric, call Register() on the run's simulator, and Finish() after
-/// the epilogue has published its instruments.
-class RunTelemetry {
+/// The simulated cluster one engine run executes on, and the single owner
+/// of its shared resources: the DES, the optional fault injector, the
+/// metrics registry and tracer policy, and the RDMA fabric.
+///
+/// Create() validates the ClusterConfig in one place (capabilities, then
+/// the fault plan against the fabric's node count, the health config and
+/// the reconfiguration plan) and builds the resources in the one order that
+/// works: the injector before the fabric (the fabric attaches itself as the
+/// fault target at construction), the registry and tracer before the fabric
+/// (the NICs resolve their per-node counters at construction). The engine
+/// then builds its jobs on sim() and fabric(), calls Run(), publishes its
+/// own instruments, sets stats.status, and calls Finish().
+class ClusterRuntime {
  public:
-  explicit RunTelemetry(obs::Tracer* external)
-      : external_(external),
-        local_(obs::Tracer::Options{
-            .capacity = 1 << 16,
-            .enabled = external == nullptr &&
-                       obs::Exporter::TraceDir() != nullptr}) {}
+  /// `fabric_nodes` is the fabric's node count; 0 builds no fabric (a
+  /// single-node engine), and the trace then names the cluster's nodes.
+  /// `tracer` is the caller's tracer (JobConfig::tracer) or null, in which
+  /// case the runtime owns one that is enabled iff SLASH_TRACE names a
+  /// directory, and Finish() writes its trace and snapshot files there.
+  static Result<std::unique_ptr<ClusterRuntime>> Create(
+      const ClusterConfig& cluster, int fabric_nodes,
+      const EngineSupport& support, obs::Tracer* tracer);
 
+  ClusterRuntime(const ClusterRuntime&) = delete;
+  ClusterRuntime& operator=(const ClusterRuntime&) = delete;
+
+  sim::Simulator* sim() { return &sim_; }
+  rdma::Fabric* fabric() { return fabric_.get(); }  // null: 0 fabric_nodes
   obs::MetricsRegistry* registry() { return &registry_; }
-  obs::Tracer* tracer() {
-    return external_ != nullptr ? external_ : &local_;
-  }
 
-  void Register(sim::Simulator* sim) {
-    sim->set_metrics(&registry_);
-    // Null when disabled, so every trace point downstream is one branch.
-    sim->set_tracer(tracer()->enabled() ? tracer() : nullptr);
-  }
+  /// Runs the DES to completion under host wall-clock timing, publishes
+  /// the makespan and the DES-kernel instruments, and reports the host-side
+  /// event rate through stats->sim_events_per_sec_wall (the one number that
+  /// may differ between same-seed runs, so it stays out of the registry).
+  void Run(RunStats* stats);
 
-  /// Names the trace topology: one process per fabric node, the three
-  /// conventional tracks per process. No-op when tracing is disabled.
-  void NameNodes(int nodes) {
-    obs::Tracer* t = tracer();
-    if (!t->enabled()) return;
-    for (int n = 0; n < nodes; ++n) {
-      t->SetProcessName(n, "node" + std::to_string(n));
-      t->SetTrackName(n, obs::kTrackEngine, "engine");
-      t->SetTrackName(n, obs::kTrackChannel, "channel");
-      t->SetTrackName(n, obs::kTrackRecovery, "recovery");
-      t->SetTrackName(n, obs::kTrackHealth, "health");
-      t->SetTrackName(n, obs::kTrackElastic, "elastic");
-    }
-  }
-
-  /// Snapshots the registry into `stats` and, for the internal
-  /// SLASH_TRACE-enabled tracer, writes the per-run trace + snapshot files.
-  void Finish(RunStats* stats) {
-    stats->metrics = registry_.Snapshot();
-    if (external_ == nullptr && local_.enabled()) {
-      obs::Exporter::WriteRunArtifacts(local_, stats->metrics,
-                                       stats->engine);
-    }
-  }
+  /// The epilogue, after the engine set stats->status and published its
+  /// instruments: CHECKs that a completed run drained every task (an
+  /// aborted run legitimately strands coroutines that were mid-protocol),
+  /// publishes the injector's counters (under `fault_labels`, the labels of
+  /// the one job the faults hit) and the buffer-pool hit rate, snapshots the
+  /// registry into stats->metrics, and writes the SLASH_TRACE files of an
+  /// internal tracer.
+  void Finish(RunStats* stats, const obs::LabelSet& fault_labels = {});
 
  private:
+  explicit ClusterRuntime(obs::Tracer* external);
+
+  obs::Tracer* tracer() { return external_ != nullptr ? external_ : &local_; }
+
+  // Declaration order is destruction order in reverse: the fabric and the
+  // injector go before the simulator they schedule on, which goes before
+  // the registry and tracer it publishes to.
   obs::MetricsRegistry registry_;
   obs::Tracer* external_;
   obs::Tracer local_;
+  sim::Simulator sim_;
+  std::unique_ptr<sim::FaultInjector> injector_;
+  std::unique_ptr<rdma::Fabric> fabric_;
 };
 
 }  // namespace slash::engines

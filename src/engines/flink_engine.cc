@@ -119,13 +119,15 @@ struct ReplState {
 };
 
 struct FlinkRun {
+  FlinkRun(sim::Simulator& sim, rdma::Fabric* fabric)
+      : sim(sim), fabric(fabric) {}
+
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig cluster;
   JobConfig job;
-  sim::Simulator sim;
-  std::unique_ptr<sim::FaultInjector> injector;
-  std::unique_ptr<rdma::Fabric> fabric;
+  sim::Simulator& sim;   // owned by the ClusterRuntime
+  rdma::Fabric* fabric;  // owned by the ClusterRuntime
   state::PartitionConfig pcfg;
 
   // Append-only across attempts; *_start marks the current attempt's slice.
@@ -935,7 +937,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
         c->inbound.push_back({gid, /*socket=*/nullptr, ob.local, round});
       } else {
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), s->node, c->node, cluster.socket);
+            run->fabric, s->node, c->node, cluster.socket);
         ob.socket = socket.get();
         socket->AddReadableObserver(c->node, c->arrivals.get());
         c->inbound.push_back({gid, socket.get(), /*local=*/nullptr, round});
@@ -959,7 +961,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
       for (int k = 1; k <= rf; ++k) {
         const int target = live_nodes[(i + size_t(k)) % live_nodes.size()];
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), src, target, cluster.socket);
+            run->fabric, src, target, cluster.socket);
         auto send_cpu = std::make_unique<perf::CpuContext>(
             &run->sim, cluster.cost_model, cluster.cpu_ghz);
         auto recv_cpu = std::make_unique<perf::CpuContext>(
@@ -1011,49 +1013,22 @@ RunStats FlinkLikeEngine::Run(const JobSpec& spec) {
   SLASH_CHECK_MSG(cluster.workers_per_node >= 2,
                   "re-partitioning engines need at least one sender and one "
                   "receiver per node");
+  auto runtime =
+      ClusterRuntime::Create(cluster, cluster.nodes, kSupport, job.tracer);
+  if (!runtime.ok()) {
+    stats.status = runtime.status();
+    return stats;
+  }
+  ClusterRuntime& rt = **runtime;
+  obs::MetricsRegistry* registry = rt.registry();
   const core::QuerySpec query = spec.sources->MakeQuery();
-  FlinkRun run;
+  FlinkRun run(*rt.sim(), rt.fabric());
   run.query = &query;
   run.workload = spec.sources;
   run.cluster = cluster;
   run.job = job;
   run.senders_per_node = cluster.workers_per_node / 2;
   run.receivers_per_node = cluster.workers_per_node - run.senders_per_node;
-
-  if (cluster.health.enabled) {
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
-    return stats;
-  }
-  if (cluster.reconfig != nullptr) {
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
-
-  RunTelemetry telemetry(job.tracer);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated up front: a malformed plan is a configuration error, not a
-  // mid-run surprise.
-  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
-    const Status plan_status = cluster.fault_plan->Validate(cluster.nodes);
-    if (!plan_status.ok()) {
-      stats.status = plan_status;
-      return stats;
-    }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *cluster.fault_plan);
-    run.sim.set_fault_injector(run.injector.get());
-  }
-
-  // Telemetry is registered on the simulator before the fabric is built so
-  // the NICs resolve their per-node tx counters at construction.
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(cluster.nodes);
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
     run.trace_barrier = run.tracer->Intern("engine.barrier");
@@ -1061,12 +1036,6 @@ RunStats FlinkLikeEngine::Run(const JobSpec& spec) {
     run.trace_recovery = run.tracer->Intern("recovery");
     run.trace_cat = run.tracer->Intern("flink");
   }
-
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = cluster.nodes;
-  fabric_config.nic = cluster.nic;
-  fabric_config.connection = cluster.connection;
-  run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
   run.fabric->SetNodeCrashHandler(
       [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
 
@@ -1090,24 +1059,9 @@ RunStats FlinkLikeEngine::Run(const JobSpec& spec) {
 
   BuildAttempt(&run, /*round=*/0);
 
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-exchange
-  // when their socket died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || run.sim.pending_tasks() == 0,
-                  "Flink-like run deadlocked with " << run.sim.pending_tasks()
-                                                    << " pending tasks");
+  rt.Run(&stats);
   stats.status = run.failed ? run.failure : Status::OK();
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest)
-        ->Add(run.injector->trace_digest());
-  }
   registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  if (const auto& pool = run.fabric->buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
   registry->GetCounter(obs::metric::kCheckpointBytesReplicated)
       ->Add(run.bytes_replicated);
   registry->GetCounter(obs::metric::kRecoveries)->Add(run.recoveries);
@@ -1139,7 +1093,7 @@ RunStats FlinkLikeEngine::Run(const JobSpec& spec) {
         registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "replication"}});
     for (auto& cpu : run.repl_cpus) replication->Merge(cpu->counters());
   }
-  telemetry.Finish(&stats);
+  rt.Finish(&stats);
   return stats;
 }
 

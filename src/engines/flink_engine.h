@@ -17,7 +17,12 @@ namespace slash::engines {
 
 class FlinkLikeEngine : public Engine {
  public:
-  std::string_view name() const override { return "Flink (IPoIB)"; }
+  /// Recovers node crashes from aligned-barrier checkpoints; no health
+  /// monitoring, no elasticity.
+  static constexpr EngineSupport kSupport{.engine = "Flink (IPoIB)",
+                                          .faults = true};
+
+  std::string_view name() const override { return kSupport.engine; }
 
   RunStats Run(const JobSpec& job) override;
 };

@@ -13,8 +13,8 @@
 //     epoch length, batching, state sizing, seed, execution strategy,
 //     checkpoint policy, tracer.
 //
-// Engine::Run(JobSpec) runs one job; SlashEngine::RunJobs runs several on
-// one shared ClusterConfig. MakeJobSpec builds the common case.
+// Engine::Run(JobSpec) runs one job; SlashEngine::RunJobs runs one or
+// several on one shared ClusterConfig. MakeJobSpec builds the common case.
 #ifndef SLASH_ENGINES_JOB_H_
 #define SLASH_ENGINES_JOB_H_
 
@@ -83,17 +83,20 @@ struct ClusterConfig {
   /// are byte-identical across modes at equal seed.
   rdma::ConnectionConfig connection;
 
-  /// Optional deterministic fault plan. When set (and non-empty), the
-  /// engine registers a sim::FaultInjector before building the fabric;
-  /// transient faults are absorbed by channel retry (results identical to
-  /// the fault-free run), permanent ones abort the run cleanly with
-  /// RunStats::status set — unless checkpointing is enabled, in which case
-  /// a node crash is recovered and the run completes with correct results.
-  /// Not owned; must outlive the Run() call.
+  /// Optional deterministic fault plan (Slash one-job runs, UpPar and
+  /// Flink-like; LightSaber and multi-job Slash runs reject a non-empty
+  /// plan with kUnimplemented). When set (and non-empty), the
+  /// ClusterRuntime validates it and registers a sim::FaultInjector before
+  /// building the fabric; transient faults are absorbed by channel retry
+  /// (results identical to the fault-free run), permanent ones abort the
+  /// run cleanly with RunStats::status set — unless checkpointing is
+  /// enabled, in which case a node crash is recovered and the run completes
+  /// with correct results. Not owned; must outlive the Run() call.
   const sim::FaultPlan* fault_plan = nullptr;
 
-  /// Failure detection and self-healing (Slash engine only; other engines
-  /// reject `health.enabled` with kUnimplemented). When enabled alongside
+  /// Failure detection and self-healing (one-job Slash runs only; other
+  /// engines and multi-job runs reject `health.enabled` with
+  /// kUnimplemented). When enabled alongside
   /// checkpointing, a deterministic HealthMonitor probes per-node liveness
   /// words over one-sided RDMA READs; a suspected node is quarantined and
   /// recovered exactly like a declared crash, a healed node rejoins via
@@ -101,16 +104,17 @@ struct ClusterConfig {
   /// commit twice.
   health::HealthConfig health;
 
-  /// Elastic scale-out (Slash engine only; other engines reject a non-null
-  /// plan with kUnimplemented). When set, `nodes` is the provisioned
-  /// maximum: the run starts on the plan's initial_nodes (0 = all) and a
-  /// ReconfigCoordinator executes the plan's scheduled — or load-triggered —
-  /// join/leave events against the running job. Each membership change is a
-  /// handoff at a checkpoint boundary (requires checkpoint.enabled): state
-  /// partitions move to their new owners by one-sided READs of the
-  /// checkpoint blobs and the tail since the boundary is replayed, reusing
-  /// the recovery path as the consistency mechanism. Not owned; must
-  /// outlive the Run() call and have passed Validate(nodes).
+  /// Elastic scale-out (one-job Slash runs only; other engines and
+  /// multi-job runs reject a non-null plan with kUnimplemented). When set,
+  /// `nodes` is the provisioned maximum: the run starts on the plan's
+  /// initial_nodes (0 = all) and a ReconfigCoordinator executes the plan's
+  /// scheduled — or load-triggered — join/leave events against the running
+  /// job. Each membership change is a handoff at a checkpoint boundary
+  /// (requires checkpoint.enabled): state partitions move to their new
+  /// owners by one-sided READs of the checkpoint blobs and the tail since
+  /// the boundary is replayed, reusing the recovery path as the consistency
+  /// mechanism. Not owned; must outlive the Run() call. A plan failing
+  /// Validate(nodes) or ValidateWithFaults fails the run with that status.
   const elastic::ReconfigPlan* reconfig = nullptr;
 
   const perf::CostModel* cost_model = &perf::CostModel::Default();
@@ -176,7 +180,8 @@ struct JobConfig {
   /// the engine owns an internal tracer that is enabled iff the SLASH_TRACE
   /// environment variable names a directory, and writes
   /// TRACE_<engine>_<k>.json / METRICS_<engine>_<k>.json there on return.
-  /// Single-job runs only: SlashEngine::RunJobs rejects it.
+  /// A SlashEngine::RunJobs of several jobs rejects it (one trace covers
+  /// the shared DES); a one-job RunJobs honours it.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -199,8 +204,8 @@ struct JobSpec {
   /// is created, keeping the channel hot path byte-identical).
   uint32_t quota = 0;
 
-  /// The cluster to run on (single-job path; RunJobs takes one cluster for
-  /// all jobs instead).
+  /// The cluster to run on (Engine::Run; SlashEngine::RunJobs takes one
+  /// cluster for all jobs instead and ignores this field).
   ClusterConfig cluster;
 
   /// This job's execution knobs.

@@ -20,11 +20,13 @@ using core::Record;
 using perf::Op;
 
 struct LightSaberRun {
+  explicit LightSaberRun(sim::Simulator& sim) : sim(sim) {}
+
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig cluster;
   JobConfig job;
-  sim::Simulator sim;
+  sim::Simulator& sim;  // owned by the ClusterRuntime
   std::vector<std::unique_ptr<perf::CpuContext>> worker_cpus;
   std::vector<std::unique_ptr<state::Partition>> partials;  // per worker
   std::unique_ptr<state::Partition> merged;  // shared merge target
@@ -126,29 +128,20 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
                   "(paper Sec. 8.2.4)");
   SLASH_CHECK_MSG(cluster.nodes == 1, "LightSaber is a single-node engine");
 
-  if (cluster.health.enabled) {
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
+  auto runtime = ClusterRuntime::Create(cluster, /*fabric_nodes=*/0,
+                                        kSupport, job.tracer);
+  if (!runtime.ok()) {
+    stats.status = runtime.status();
     return stats;
   }
-  if (cluster.reconfig != nullptr) {
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
-
-  LightSaberRun run;
+  ClusterRuntime& rt = **runtime;
+  obs::MetricsRegistry* registry = rt.registry();
+  LightSaberRun run(*rt.sim());
   run.query = &query;
   run.workload = spec.sources;
   run.cluster = cluster;
   run.job = job;
   run.sink = core::ResultSink(job.collect_rows);
-
-  RunTelemetry telemetry(job.tracer);
-  obs::MetricsRegistry* registry = telemetry.registry();
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(/*nodes=*/1);
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
     run.trace_window = run.tracer->Intern("engine.window_fire");
@@ -170,10 +163,7 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
     run.sim.Spawn(Worker(&run, w));
   }
 
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  SLASH_CHECK_MSG(run.sim.pending_tasks() == 0,
-                  "LightSaber run left " << run.sim.pending_tasks()
-                                         << " pending tasks");
+  rt.Run(&stats);
   registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
   registry->GetCounter(obs::metric::kRecordsEmitted)->Add(run.sink.count());
   registry->GetCounter(obs::metric::kResultChecksum)
@@ -182,7 +172,7 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
   perf::Counters* workers =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
   for (auto& cpu : run.worker_cpus) workers->Merge(cpu->counters());
-  telemetry.Finish(&stats);
+  rt.Finish(&stats);
   return stats;
 }
 

@@ -19,7 +19,11 @@ namespace slash::engines {
 
 class LightSaberEngine : public Engine {
  public:
-  std::string_view name() const override { return "LightSaber"; }
+  /// One node and no network: nothing to inject faults into, monitor or
+  /// rescale.
+  static constexpr EngineSupport kSupport{.engine = "LightSaber"};
+
+  std::string_view name() const override { return kSupport.engine; }
 
   /// Runs on a single node; the cluster must have nodes == 1. Joins are
   /// unsupported (check-fails), matching the real system.

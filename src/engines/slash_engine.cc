@@ -137,11 +137,11 @@ struct NodeState {
 };
 
 // One job's full execution state. The DES and the fabric are NOT owned:
-// Run() owns one pair per single-job run, RunJobs() shares one pair across
-// every concurrent job (DESIGN.md §12) — which is the whole point of the
-// multi-tenant design: fairness falls out of one timestamp-ordered event
-// queue, and the NIC model contends naturally because every job's channels
-// live on the same simulated fabric.
+// RunJobs' ClusterRuntime owns them and every concurrent job shares them
+// (DESIGN.md §12) — which is the whole point of the multi-tenant design:
+// fairness falls out of one timestamp-ordered event queue, and the NIC
+// model contends naturally because every job's channels live on the same
+// simulated fabric.
 struct SlashRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
@@ -150,7 +150,6 @@ struct SlashRun {
   state::SsbConfig ssb_config;
   sim::Simulator* sim = nullptr;
   rdma::Fabric* fabric = nullptr;
-  std::unique_ptr<sim::FaultInjector> injector;
   // Multi-tenant identity: a non-empty tenant labels this job's instruments
   // {tenant=...} and gives it dedicated trace tracks; the quota (job.quota
   // > 0) caps the job's in-flight NIC credits across all of its channels.
@@ -1739,7 +1738,7 @@ void ResolveObs(SlashRun* run, obs::MetricsRegistry* registry) {
   }
 }
 
-/// Per-job setup shared by Run and RunJobs: derives the SSB config, seeds
+/// Per-job setup: derives the SSB config, seeds
 /// the recovery control plane and the identity placement, threads the
 /// tenant identity and quota into the job's channel config, and builds
 /// attempt 1. The fabric and obs handles must already be wired up.
@@ -1818,12 +1817,6 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
     }
     registry->GetCounter(obs::metric::kChannelCreditsOutstanding, labels)
         ->Add(credits);
-  }
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected, labels)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest, labels)
-        ->Add(run.injector->trace_digest());
   }
   registry->GetCounter(obs::metric::kRecordsIn, labels)->Add(run.records_in);
   registry->GetCounter(obs::metric::kCheckpointBytesReplicated, labels)
@@ -1906,242 +1899,90 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
   }
 }
 
+MultiRunStats Rejected(std::string engine, Status status) {
+  MultiRunStats multi;
+  multi.cluster.engine = std::move(engine);
+  multi.cluster.status = status;
+  multi.status = std::move(status);
+  return multi;
+}
+
 }  // namespace
 
 RunStats SlashEngine::Run(const JobSpec& spec) {
-  RunStats stats;
-  stats.engine = std::string(name());
-  if (spec.sources == nullptr) {
-    stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
-    return stats;
-  }
-  const ClusterConfig& cluster = spec.cluster;
-  const JobConfig& job = spec.config;
-  const core::QuerySpec query = spec.sources->MakeQuery();
-
-  sim::Simulator sim;
-  SlashRun run;
-  run.sim = &sim;
-  run.query = &query;
-  run.workload = spec.sources;
-  run.cluster = cluster;
-  run.job = job;
-  run.tenant = spec.tenant;
-  if (spec.quota > 0) {
-    run.quota = std::make_unique<channel::CreditQuota>(spec.quota);
-  }
-
-  RunTelemetry telemetry(job.tracer);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // Ingestion mode adds one dedicated source node per executor node.
-  const int fabric_nodes =
-      job.rdma_ingestion ? 2 * cluster.nodes : cluster.nodes;
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated against the fabric's node count first: a malformed plan is a
-  // configuration error reported up front, not a mid-run surprise.
-  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
-    const Status plan_status = cluster.fault_plan->Validate(fabric_nodes);
-    if (!plan_status.ok()) {
-      stats.status = plan_status;
-      return stats;
-    }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&sim, *cluster.fault_plan);
-    sim.set_fault_injector(run.injector.get());
-  }
-  if (cluster.health.enabled) {
-    const Status health_status = cluster.health.Validate();
-    if (!health_status.ok()) {
-      stats.status = health_status;
-      return stats;
-    }
-  }
-  if (cluster.reconfig != nullptr) {
-    Status reconfig_status = cluster.reconfig->Validate(cluster.nodes);
-    if (reconfig_status.ok() && cluster.fault_plan != nullptr &&
-        !cluster.fault_plan->empty()) {
-      reconfig_status =
-          cluster.reconfig->ValidateWithFaults(*cluster.fault_plan,
-                                              cluster.nodes);
-    }
-    if (reconfig_status.ok() && !job.checkpoint.enabled) {
-      reconfig_status = Status::InvalidArgument(
-          "elastic reconfiguration requires checkpointing: handoffs restore "
-          "state from checkpoint blobs and replay the tail");
-    }
-    if (!reconfig_status.ok()) {
-      stats.status = reconfig_status;
-      return stats;
-    }
-  }
-
-  // Register the observability plane before building the fabric so the
-  // per-node NIC counters and channel handles wire themselves up.
-  telemetry.Register(&sim);
-  telemetry.NameNodes(fabric_nodes);
-  ResolveObs(&run, registry);
-
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = fabric_nodes;
-  fabric_config.nic = cluster.nic;
-  fabric_config.connection = cluster.connection;
-  rdma::Fabric fabric(&sim, fabric_config);
-  run.fabric = &fabric;
-  fabric.SetNodeCrashHandler(
-      [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
-
-  SetUpJob(&run, registry);
-
-  // The monitor is constructed after the first attempt so its probe QPs
-  // number after the data plane's (QPNs are assigned in Connect order);
-  // health off keeps every baseline byte-identical.
-  if (cluster.health.enabled) {
-    health::HealthMonitor::Callbacks callbacks;
-    SlashRun* rp = &run;
-    callbacks.on_suspect = [rp](int monitor, const std::vector<int>& s) {
-      OnSuspicion(rp, monitor, s);
-    };
-    callbacks.on_self_fence = [rp](int node) { OnSelfFence(rp, node); };
-    callbacks.on_unfence = [rp](int node) { OnUnfence(rp, node); };
-    callbacks.on_liveness_resumed = [rp](int node) { OnRejoin(rp, node); };
-    run.health = std::make_unique<health::HealthMonitor>(
-        run.fabric, cluster.health, cluster.nodes, std::move(callbacks));
-    // Provisioned-but-inactive nodes of an elastic run are not members yet:
-    // they must not be probed, accused, or counted toward quorum until
-    // their join executes.
-    for (int n = 0; n < cluster.nodes; ++n) {
-      if (!run.alive[n]) run.health->SetMembership(n, false);
-    }
-    run.health->Start();
-    if (cluster.health.run_deadline > 0) {
-      const Nanos deadline_at = cluster.health.run_deadline;
-      sim.ScheduleAt(
-          std::min(cluster.health.heartbeat_interval * 4, deadline_at),
-          [rp, deadline_at] { PollRunDeadline(rp, deadline_at); });
-    }
-  }
-
-  // The reconfiguration control plane starts after the health monitor so
-  // membership callbacks find it constructed; scheduled joins/leaves and
-  // the load trigger all run on the shared DES clock.
-  if (cluster.reconfig != nullptr) {
-    SlashRun* rp = &run;
-    elastic::ReconfigCoordinator::Callbacks reconfig_callbacks;
-    reconfig_callbacks.on_join = [rp](int n) { return OnNodeJoin(rp, n); };
-    reconfig_callbacks.on_leave = [rp](int n) { return OnNodeLeave(rp, n); };
-    reconfig_callbacks.sample_records = [rp] { return rp->records_in; };
-    run.reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
-        &sim, cluster.reconfig, cluster.nodes, std::move(reconfig_callbacks));
-    run.reconfig_coord->Start();
-  }
-
-  TimedSimRun(&sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-protocol
-  // when their channel died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || sim.pending_tasks() == 0,
-                  "Slash run deadlocked with " << sim.pending_tasks()
-                                               << " pending tasks");
-
-  stats.status = run.failed ? run.failure : Status::OK();
-  PublishJobStats(run, registry, &stats);
-  if (const auto& pool = fabric.buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
-  telemetry.Finish(&stats);
-  return stats;
+  MultiRunStats multi = RunJobs({spec}, spec.cluster);
+  if (!multi.jobs.empty()) multi.cluster.rows = std::move(multi.jobs[0].rows);
+  return std::move(multi.cluster);
 }
 
 MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
                                    const ClusterConfig& cluster) {
-  MultiRunStats multi;
-  multi.cluster.engine = std::string(name());
+  const std::string engine(name());
   if (jobs.empty()) {
-    multi.status = Status::InvalidArgument("RunJobs needs at least one job");
-    multi.cluster.status = multi.status;
-    return multi;
+    return Rejected(engine,
+                    Status::InvalidArgument("RunJobs needs at least one job"));
   }
-  // Fault injection and health detection reason about one job's ownership
-  // map and recovery rounds; neither concept is defined across tenants yet.
-  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
-    multi.status = Status::Unimplemented(
-        "fault injection in a multi-job run (use Run for a single job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  if (cluster.health.enabled) {
-    multi.status = Status::Unimplemented(
-        "health monitoring in a multi-job run (use Run for a single job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  if (cluster.reconfig != nullptr) {
-    multi.status = Status::Unimplemented(
-        "elastic reconfiguration in a multi-job run (use Run for a single "
-        "job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].sources == nullptr) {
-      multi.status =
-          Status::InvalidArgument("JobSpec has no workload (sources)");
-      multi.cluster.status = multi.status;
-      return multi;
+  for (const JobSpec& job : jobs) {
+    if (job.sources == nullptr) {
+      return Rejected(
+          engine, Status::InvalidArgument("JobSpec has no workload (sources)"));
     }
+  }
+  const bool one_job = jobs.size() == 1;
+  for (size_t j = 0; j < jobs.size() && !one_job; ++j) {
     if (jobs[j].tenant.empty()) {
-      multi.status = Status::InvalidArgument(
-          "every job of a multi-job run needs a non-empty tenant");
-      multi.cluster.status = multi.status;
-      return multi;
+      return Rejected(engine,
+                      Status::InvalidArgument(
+                          "every job of a multi-job run needs a non-empty "
+                          "tenant"));
     }
     // One trace covers every job of the shared DES, so a per-job tracer
     // has nowhere to go: the run traces through SLASH_TRACE instead.
     if (jobs[j].config.tracer != nullptr) {
-      multi.status = Status::InvalidArgument(
-          "tenant '" + jobs[j].tenant +
-          "' sets a tracer; a multi-job run traces through SLASH_TRACE");
-      multi.cluster.status = multi.status;
-      return multi;
+      return Rejected(engine, Status::InvalidArgument(
+                                  "tenant '" + jobs[j].tenant +
+                                  "' sets a tracer; a multi-job run traces "
+                                  "through SLASH_TRACE"));
     }
     for (size_t k = 0; k < j; ++k) {
       if (jobs[k].tenant == jobs[j].tenant) {
-        multi.status = Status::InvalidArgument(
-            "duplicate tenant '" + jobs[j].tenant + "' in a multi-job run");
-        multi.cluster.status = multi.status;
-        return multi;
+        return Rejected(engine, Status::InvalidArgument(
+                                    "duplicate tenant '" + jobs[j].tenant +
+                                    "' in a multi-job run"));
       }
     }
   }
 
   // Every job runs on the SHARED cluster description: one fabric, one node
-  // set — job.cluster is ignored here.
+  // set — job.cluster is ignored here. One shared set of source nodes as
+  // soon as any job ingests over RDMA.
+  bool any_ingestion = false;
+  for (const JobSpec& job : jobs) any_ingestion |= job.config.rdma_ingestion;
+  const int fabric_nodes = any_ingestion ? 2 * cluster.nodes : cluster.nodes;
+  auto runtime = ClusterRuntime::Create(
+      cluster, fabric_nodes, one_job ? kOneJobSupport : kMultiJobSupport,
+      one_job ? jobs[0].config.tracer : nullptr);
+  if (!runtime.ok()) return Rejected(engine, runtime.status());
+  ClusterRuntime& rt = **runtime;
+  obs::MetricsRegistry* registry = rt.registry();
+  if (cluster.reconfig != nullptr && !jobs[0].config.checkpoint.enabled) {
+    return Rejected(engine, Status::InvalidArgument(
+                                "elastic reconfiguration requires "
+                                "checkpointing: handoffs restore state from "
+                                "checkpoint blobs and replay the tail"));
+  }
+
   std::vector<core::QuerySpec> queries;
   queries.reserve(jobs.size());
   for (const JobSpec& job : jobs) queries.push_back(job.sources->MakeQuery());
-
-  sim::Simulator sim;
-  RunTelemetry telemetry(/*external=*/nullptr);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // One shared set of source nodes as soon as any job ingests over RDMA.
-  bool any_ingestion = false;
-  for (const JobSpec& job : jobs) any_ingestion |= job.config.rdma_ingestion;
-  const int fabric_nodes =
-      any_ingestion ? 2 * cluster.nodes : cluster.nodes;
-
-  telemetry.Register(&sim);
-  telemetry.NameNodes(fabric_nodes);
 
   // Stable addresses: coroutines and close handlers capture SlashRun*.
   std::vector<std::unique_ptr<SlashRun>> runs;
   runs.reserve(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     auto run = std::make_unique<SlashRun>();
-    run->sim = &sim;
+    run->sim = rt.sim();
+    run->fabric = rt.fabric();
     run->query = &queries[j];
     run->workload = jobs[j].sources;
     run->cluster = cluster;
@@ -2150,67 +1991,92 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     if (jobs[j].quota > 0) {
       run->quota = std::make_unique<channel::CreditQuota>(jobs[j].quota);
     }
-    // Dedicated trace tracks per job, named after the tenant, so one trace
-    // file shows every job's epochs and recovery side by side.
-    run->track_engine = obs::kTrackElastic + 1 + int(2 * j);
-    run->track_recovery = obs::kTrackElastic + 2 + int(2 * j);
-    if (obs::Tracer* tracer = telemetry.tracer(); tracer->enabled()) {
-      for (int n = 0; n < fabric_nodes; ++n) {
-        tracer->SetTrackName(n, run->track_engine,
-                             "engine/" + jobs[j].tenant);
-        tracer->SetTrackName(n, run->track_recovery,
-                             "recovery/" + jobs[j].tenant);
+    // A multi-job run gives every job dedicated trace tracks, named after
+    // its tenant, so one trace file shows every job's epochs and recovery
+    // side by side; a one-job run keeps the conventional tracks.
+    if (!one_job) {
+      run->track_engine = obs::kTrackElastic + 1 + int(2 * j);
+      run->track_recovery = obs::kTrackElastic + 2 + int(2 * j);
+      if (obs::Tracer* tracer = rt.sim()->tracer(); tracer != nullptr) {
+        for (int n = 0; n < fabric_nodes; ++n) {
+          tracer->SetTrackName(n, run->track_engine,
+                               "engine/" + jobs[j].tenant);
+          tracer->SetTrackName(n, run->track_recovery,
+                               "recovery/" + jobs[j].tenant);
+        }
       }
     }
     ResolveObs(run.get(), registry);
     runs.push_back(std::move(run));
   }
 
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = fabric_nodes;
-  fabric_config.nic = cluster.nic;
-  fabric_config.connection = cluster.connection;
-  rdma::Fabric fabric(&sim, fabric_config);
-  // No injector is installed (validated above), so this cannot fire today;
-  // it still fails every job loudly rather than hanging if it ever does.
-  fabric.SetNodeCrashHandler([&runs](int) {
-    for (auto& r : runs) {
-      if (!r->failed) {
-        FailRun(r.get(),
-                Status::Unimplemented("node crash in a multi-job run"));
-      }
-    }
-  });
+  for (auto& run : runs) SetUpJob(run.get(), registry);
 
-  for (auto& run : runs) {
-    run->fabric = &fabric;
-    SetUpJob(run.get(), registry);
+  // Faults, health and reconfiguration reason about one job's ownership
+  // map and recovery rounds, so the runtime admits them for one job only.
+  SlashRun* rp = runs[0].get();
+  if (one_job) {
+    rt.fabric()->SetNodeCrashHandler(
+        [rp](int node) { OnNodeCrash(rp, node); });
+  }
+  // The monitor is constructed after the first attempt so its probe QPs
+  // number after the data plane's (QPNs are assigned in Connect order);
+  // health off keeps every baseline byte-identical.
+  if (cluster.health.enabled) {
+    health::HealthMonitor::Callbacks callbacks;
+    callbacks.on_suspect = [rp](int monitor, const std::vector<int>& s) {
+      OnSuspicion(rp, monitor, s);
+    };
+    callbacks.on_self_fence = [rp](int node) { OnSelfFence(rp, node); };
+    callbacks.on_unfence = [rp](int node) { OnUnfence(rp, node); };
+    callbacks.on_liveness_resumed = [rp](int node) { OnRejoin(rp, node); };
+    rp->health = std::make_unique<health::HealthMonitor>(
+        rp->fabric, cluster.health, cluster.nodes, std::move(callbacks));
+    // Provisioned-but-inactive nodes of an elastic run are not members yet:
+    // they must not be probed, accused, or counted toward quorum until
+    // their join executes.
+    for (int n = 0; n < cluster.nodes; ++n) {
+      if (!rp->alive[n]) rp->health->SetMembership(n, false);
+    }
+    rp->health->Start();
+    if (cluster.health.run_deadline > 0) {
+      const Nanos deadline_at = cluster.health.run_deadline;
+      rt.sim()->ScheduleAt(
+          std::min(cluster.health.heartbeat_interval * 4, deadline_at),
+          [rp, deadline_at] { PollRunDeadline(rp, deadline_at); });
+    }
+  }
+  // The reconfiguration control plane starts after the health monitor so
+  // membership callbacks find it constructed; scheduled joins/leaves and
+  // the load trigger all run on the shared DES clock.
+  if (cluster.reconfig != nullptr) {
+    elastic::ReconfigCoordinator::Callbacks reconfig_callbacks;
+    reconfig_callbacks.on_join = [rp](int n) { return OnNodeJoin(rp, n); };
+    reconfig_callbacks.on_leave = [rp](int n) { return OnNodeLeave(rp, n); };
+    reconfig_callbacks.sample_records = [rp] { return rp->records_in; };
+    rp->reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
+        rt.sim(), cluster.reconfig, cluster.nodes,
+        std::move(reconfig_callbacks));
+    rp->reconfig_coord->Start();
   }
 
   // One DES drives every job's coroutines: fairness is the timestamp order
   // of the shared event queue, contention is the shared NIC model.
-  TimedSimRun(&sim, registry, &multi.cluster.sim_events_per_sec_wall);
-  bool all_ok = true;
-  for (auto& run : runs) all_ok = all_ok && !run->failed;
-  SLASH_CHECK_MSG(!all_ok || sim.pending_tasks() == 0,
-                  "multi-job run deadlocked with " << sim.pending_tasks()
-                                                   << " pending tasks");
-
+  MultiRunStats multi;
+  multi.cluster.engine = engine;
+  rt.Run(&multi.cluster);
   multi.jobs.resize(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     SlashRun& run = *runs[j];
     RunStats& stats = multi.jobs[j];
-    stats.engine = std::string(name());
+    stats.engine = engine;
     stats.status = run.failed ? run.failure : Status::OK();
     if (!stats.ok() && multi.status.ok()) multi.status = stats.status;
     PublishJobStats(run, registry, &stats);
   }
-  if (const auto& pool = fabric.buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
   multi.cluster.status = multi.status;
-  telemetry.Finish(&multi.cluster);
+  // Faults run with one job only, so their counters carry its labels.
+  rt.Finish(&multi.cluster, JobLabels(*rp));
   // Per-job views: the cluster snapshot filtered to each tenant's label
   // (shared, unlabeled instruments — makespan, NIC bytes, DES counters —
   // are retained, so the RunStats accessors work unchanged).

@@ -29,22 +29,33 @@ namespace slash::engines {
 
 class SlashEngine : public Engine {
  public:
-  std::string_view name() const override { return "Slash"; }
+  /// Faults, health detection and elastic reconfiguration reason about
+  /// one job's ownership map and recovery rounds: a one-job run supports
+  /// all three, a multi-job run none.
+  static constexpr EngineSupport kOneJobSupport{
+      .engine = "Slash", .faults = true, .health = true, .reconfig = true};
+  static constexpr EngineSupport kMultiJobSupport{
+      .engine = "a multi-job Slash run"};
 
-  /// Runs one job. A non-empty job.tenant labels every job-scoped metric
-  /// and trace track {tenant=...}; job.quota > 0 caps the job's in-flight
-  /// NIC credits. An empty tenant and no quota add no instruments.
+  std::string_view name() const override { return kOneJobSupport.engine; }
+
+  /// Runs one job: RunJobs({job}, job.cluster), returning the cluster stats
+  /// with the job's rows.
   RunStats Run(const JobSpec& job) override;
 
-  /// Multi-query multi-tenant execution (DESIGN.md §12): runs all `jobs`
+  /// The one Slash entry path (DESIGN.md §12): runs all `jobs`
   /// concurrently on ONE simulated cluster — one DES, one fabric, one
   /// node set described by `cluster` (each job's own `cluster` field is
-  /// ignored) — with per-tenant NIC-credit quotas and per-tenant
-  /// metric/trace labeling. Jobs must carry unique, non-empty tenants and
-  /// no caller tracer (the run traces through SLASH_TRACE); violations fail
-  /// with kInvalidArgument. Fault plans, health detection and elastic
-  /// reconfiguration are single-job constructs and are rejected with
-  /// kUnimplemented here.
+  /// ignored). A non-empty tenant labels every job-scoped metric
+  /// {tenant=...}; quota > 0 caps the job's in-flight NIC credits; an empty
+  /// tenant and no quota add no instruments. A one-job run honours the
+  /// job's tracer, traces on the conventional tracks and accepts a fault
+  /// plan, health detection and elastic reconfiguration (the latter
+  /// requires checkpointing). A run of several jobs gives each tenant its
+  /// own trace tracks; its jobs must carry unique, non-empty tenants and no
+  /// caller tracer (the run traces through SLASH_TRACE), or it fails with
+  /// kInvalidArgument, and the cluster may ask for none of faults, health
+  /// or reconfiguration, or it fails with kUnimplemented.
   /// Fair scheduling falls out of the DES: every job's coroutines
   /// interleave on the shared timestamp-ordered event queue.
   MultiRunStats RunJobs(const std::vector<JobSpec>& jobs,

@@ -72,13 +72,15 @@ struct ConsumerState {
 };
 
 struct UpParRun {
+  UpParRun(sim::Simulator& sim, rdma::Fabric* fabric)
+      : sim(sim), fabric(fabric) {}
+
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig cluster;
   JobConfig job;
-  sim::Simulator sim;
-  std::unique_ptr<sim::FaultInjector> injector;
-  std::unique_ptr<rdma::Fabric> fabric;
+  sim::Simulator& sim;   // owned by the ClusterRuntime
+  rdma::Fabric* fabric;  // owned by the ClusterRuntime
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   std::vector<std::unique_ptr<LocalQueue>> local_queues;
   std::vector<std::unique_ptr<SenderState>> senders;
@@ -366,62 +368,29 @@ RunStats UpParEngine::Run(const JobSpec& spec) {
   SLASH_CHECK_MSG(cluster.workers_per_node >= 2,
                   "re-partitioning engines need at least one sender and one "
                   "receiver per node");
+  auto runtime =
+      ClusterRuntime::Create(cluster, cluster.nodes, kSupport, job.tracer);
+  if (!runtime.ok()) {
+    stats.status = runtime.status();
+    return stats;
+  }
+  ClusterRuntime& rt = **runtime;
+  obs::MetricsRegistry* registry = rt.registry();
   const core::QuerySpec query = spec.sources->MakeQuery();
   const workloads::Workload& workload = *spec.sources;
-  UpParRun run;
+  UpParRun run(*rt.sim(), rt.fabric());
   run.query = &query;
   run.workload = &workload;
   run.cluster = cluster;
   run.job = job;
   run.senders_per_node = cluster.workers_per_node / 2;
   run.receivers_per_node = cluster.workers_per_node - run.senders_per_node;
-
-  if (cluster.health.enabled) {
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
-    return stats;
-  }
-  if (cluster.reconfig != nullptr) {
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
-
-  RunTelemetry telemetry(job.tracer);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated up front: a malformed plan is a configuration error, not a
-  // mid-run surprise.
-  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
-    const Status plan_status = cluster.fault_plan->Validate(cluster.nodes);
-    if (!plan_status.ok()) {
-      stats.status = plan_status;
-      return stats;
-    }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *cluster.fault_plan);
-    run.sim.set_fault_injector(run.injector.get());
-  }
-
-  // Register the observability plane before building the fabric so the
-  // per-node NIC counters and channel handles wire themselves up.
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(cluster.nodes);
   run.latency = registry->GetHistogram(obs::metric::kTransferLatencyNs);
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
     run.trace_window = run.tracer->Intern("engine.window_fire");
     run.trace_cat = run.tracer->Intern("uppar");
   }
-
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = cluster.nodes;
-  fabric_config.nic = cluster.nic;
-  fabric_config.connection = cluster.connection;
-  run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
 
   state::PartitionConfig pcfg;
   pcfg.kind = query.is_join() ? state::StateKind::kAppend
@@ -475,7 +444,7 @@ RunStats UpParEngine::Run(const JobSpec& spec) {
           consumer->inbound.push_back(
               {s->global_id, /*channel=*/nullptr, ob.local});
         } else {
-          auto ch = RdmaChannel::Create(run.fabric.get(), node,
+          auto ch = RdmaChannel::Create(run.fabric, node,
                                         consumer->node, job.channel);
           ob.channel = ch.get();
           ch->AddDataObserver(consumer->arrivals.get());
@@ -499,12 +468,7 @@ RunStats UpParEngine::Run(const JobSpec& spec) {
   for (auto& s : run.senders) run.sim.Spawn(Sender(&run, s.get()));
   for (auto& c : run.consumers) run.sim.Spawn(Receiver(&run, c.get()));
 
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-protocol
-  // when their channel died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || run.sim.pending_tasks() == 0,
-                  "UpPar run deadlocked with " << run.sim.pending_tasks()
-                                               << " pending tasks");
+  rt.Run(&stats);
   stats.status = run.failed ? run.failure : Status::OK();
   // Channel retries and NIC tx bytes were published live.
   if (!run.failed) {
@@ -513,17 +477,7 @@ RunStats UpParEngine::Run(const JobSpec& spec) {
     registry->GetCounter(obs::metric::kChannelCreditsOutstanding)
         ->Add(credits);
   }
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest)
-        ->Add(run.injector->trace_digest());
-  }
   registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  if (const auto& pool = run.fabric->buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
   perf::Counters* senders =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "sender"}});
   perf::Counters* receivers =
@@ -540,7 +494,7 @@ RunStats UpParEngine::Run(const JobSpec& spec) {
       stats.rows.insert(stats.rows.end(), rows.begin(), rows.end());
     }
   }
-  telemetry.Finish(&stats);
+  rt.Finish(&stats);
   return stats;
 }
 

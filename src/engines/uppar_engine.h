@@ -21,7 +21,12 @@ namespace slash::engines {
 
 class UpParEngine : public Engine {
  public:
-  std::string_view name() const override { return "RDMA UpPar"; }
+  /// Survives transient faults by channel retry; has no recovery path, so
+  /// a permanent fault aborts the run. No health monitoring, no elasticity.
+  static constexpr EngineSupport kSupport{.engine = "RDMA UpPar",
+                                          .faults = true};
+
+  std::string_view name() const override { return kSupport.engine; }
 
   RunStats Run(const JobSpec& job) override;
 };

@@ -549,5 +549,24 @@ TEST(BaselineEnginesTest, RejectHealthMonitoring) {
   EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented);
 }
 
+// LightSaber has no network to inject faults into: a non-empty fault plan
+// is rejected up front rather than silently never firing.
+TEST(BaselineEnginesTest, LightSaberRejectsFaultPlan) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 100;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = HealthJob(workload, 1, 2, 500);
+  job.cluster.health.enabled = false;
+  job.config.checkpoint.enabled = false;
+  sim::FaultPlan plan;
+  plan.node_pauses.push_back({.at = 100, .node = 0, .duration = 1000});
+  job.cluster.fault_plan = &plan;
+
+  engines::LightSaberEngine lightsaber;
+  const RunStats stats = lightsaber.Run(job);
+  EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented)
+      << stats.status.ToString();
+}
+
 }  // namespace
 }  // namespace slash

@@ -870,10 +870,10 @@ TEST(MultiJobDeterminism, ConcurrentJobsReplayByteIdenticallyAndMatchSolo) {
   // Validation: duplicate tenants are rejected up front.
   std::vector<engines::JobSpec> dup = {jobs[0], jobs[0]};
   EXPECT_FALSE(engine.RunJobs(dup, cluster).ok());
-  // ... and so is an empty tenant.
+  // ... and so is an empty tenant (a one-job run may leave it empty).
   engines::JobSpec anonymous = jobs[0];
   anonymous.tenant.clear();
-  EXPECT_FALSE(engine.RunJobs({anonymous}, cluster).ok());
+  EXPECT_FALSE(engine.RunJobs({anonymous, jobs[1]}, cluster).ok());
   // ... and a per-job tracer, which the shared trace cannot honour.
   obs::Tracer tracer(obs::Tracer::Options{.capacity = 1 << 10,
                                           .enabled = true});
@@ -884,6 +884,24 @@ TEST(MultiJobDeterminism, ConcurrentJobsReplayByteIdenticallyAndMatchSolo) {
   EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
       << rejected.status.ToString();
   EXPECT_EQ(tracer.size(), 0u);
+  // ... and so are the cluster services that reason about one job's
+  // ownership map and recovery rounds (a one-job run accepts them).
+  sim::FaultPlan plan;
+  plan.node_crashes.push_back({.at = 1000, .node = 1});
+  engines::ClusterConfig faulty = cluster;
+  faulty.fault_plan = &plan;
+  engines::ClusterConfig monitored = cluster;
+  monitored.health.enabled = true;
+  elastic::ReconfigPlan reconfig;
+  reconfig.initial_nodes = 1;
+  reconfig.joins.push_back({.at = 1000, .node = 1});
+  engines::ClusterConfig rescaled = cluster;
+  rescaled.reconfig = &reconfig;
+  for (const engines::ClusterConfig& c : {faulty, monitored, rescaled}) {
+    const engines::MultiRunStats two = engine.RunJobs({jobs[0], jobs[1]}, c);
+    EXPECT_EQ(two.status.code(), StatusCode::kUnimplemented)
+        << two.status.ToString();
+  }
 }
 
 }  // namespace

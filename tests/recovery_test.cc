@@ -140,6 +140,33 @@ TEST(SlashRecoveryTest, ReplicationFactorTwoSurvivesCrash) {
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
+// Run(spec) is RunJobs({spec}, spec.cluster): a one-job RunJobs accepts a
+// fault plan, recovers, and reports exactly what Run reports — the cluster
+// snapshot and the job's view byte for byte, tenant labels included.
+TEST(SlashRecoveryTest, OneJobRunJobsRecoversExactlyLikeRun) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 200;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = RecoveryJob(workload, 4, 2, 2000);
+  job.tenant = "t0";
+  job.config.checkpoint.replication_factor = 2;
+
+  SlashEngine engine;
+  sim::FaultPlan plan;
+  const RunStats run = RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5,
+                                          &plan);
+  ExpectMatchesOracle(run, Oracle(job));
+  EXPECT_EQ(run.recoveries(), 1u);
+
+  job.cluster.fault_plan = &plan;
+  const MultiRunStats multi = engine.RunJobs({job}, job.cluster);
+  ASSERT_TRUE(multi.ok()) << multi.status.ToString();
+  ASSERT_EQ(multi.jobs.size(), 1u);
+  EXPECT_EQ(multi.cluster.metrics.ToJson(), run.metrics.ToJson());
+  EXPECT_EQ(multi.jobs[0].metrics.ToJson(), run.metrics.ToJson());
+  EXPECT_EQ(multi.jobs[0].rows, run.rows);
+}
+
 TEST(SlashRecoveryTest, WiderCheckpointIntervalStillRecovers) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
