@@ -21,7 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/oracle.h"
@@ -32,6 +35,7 @@
 #include "engines/lightsaber_engine.h"
 #include "engines/slash_engine.h"
 #include "engines/uppar_engine.h"
+#include "obs/trace.h"
 #include "sim/fault.h"
 #include "workloads/nexmark.h"
 #include "workloads/ysb.h"
@@ -196,6 +200,80 @@ TEST(ElasticLeaveTest, LeaveDuringCheckpointTrafficStaysConsistent) {
   ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.elastic_leaves(), 1u);
   EXPECT_GT(stats.checkpoints_taken(), 0u);
+}
+
+/// The "ts" (virtual microseconds, 3 decimals) and "pid" of the first
+/// Chrome-trace event named `name` with phase `phase`, or {"", -1}.
+std::pair<std::string, int> FindTraceEvent(const std::string& json,
+                                           std::string_view name,
+                                           char phase) {
+  const std::string head = "{\"name\": \"" + std::string(name) + "\"";
+  const std::string ph = "\"ph\": \"" + std::string(1, phase) + "\"";
+  for (size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const std::string event = json.substr(at, json.find('}', at) - at);
+    if (event.find(ph) == std::string::npos) continue;
+    const size_t ts = event.find("\"ts\": ") + 6;
+    const size_t pid = event.find("\"pid\": ") + 7;
+    return {event.substr(ts, event.find(',', ts) - ts),
+            std::stoi(event.substr(pid))};
+  }
+  return {"", -1};
+}
+
+TEST(ElasticJoinTest, CrashDuringHandoffFoldsIntoOneRecovery) {
+  // A node that is not the joiner crashes while the join's rebuild is
+  // still pending: the aborted handoff and the crash fold into one
+  // recovery (no second teardown), which must still reach the oracle.
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = ElasticJob(workload, 3, 2, 3000);
+
+  SlashEngine engine;
+  const Nanos makespan = StaticMakespan(engine, job);
+
+  elastic::ReconfigPlan plan;
+  plan.initial_nodes = 2;
+  const Nanos join_at = Nanos(double(makespan) * 0.4);
+  plan.joins.push_back({.at = join_at, .node = 2});
+  job.cluster.reconfig = &plan;
+  // The rebuild waits at least one channel set-up (10 us) per new channel,
+  // so 5 us after the join the handoff is still in flight.
+  const Nanos crash_at = join_at + 5 * kMicrosecond;
+  sim::FaultPlan faults;
+  faults.node_crashes.push_back({.at = crash_at, .node = 1});
+  job.cluster.fault_plan = &faults;
+
+  std::string traces[2];
+  std::string snapshots[2];
+  for (int i = 0; i < 2; ++i) {
+    obs::Tracer tracer(obs::Tracer::Options{.capacity = 1 << 18,
+                                            .enabled = true});
+    job.config.tracer = &tracer;
+    const RunStats stats = engine.Run(job);
+    ExpectMatchesOracle(stats, Oracle(job));
+    EXPECT_EQ(stats.elastic_joins(), 1u);
+    EXPECT_EQ(stats.recoveries(), 1u);
+    EXPECT_GT(stats.handoff_ns(), 0);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    traces[i] = tracer.ToChromeJson();
+    snapshots[i] = stats.metrics.ToJson();
+  }
+  EXPECT_EQ(traces[0], traces[1]) << "crash-during-handoff replay diverged";
+  EXPECT_EQ(snapshots[0], snapshots[1]);
+
+  // The handoff span opens on the joiner at the join and is closed on the
+  // same track by the crash that superseded it.
+  const auto begin = FindTraceEvent(traces[0], "elastic.handoff", 'B');
+  const auto end = FindTraceEvent(traces[0], "elastic.handoff", 'E');
+  char crash_us[32];
+  std::snprintf(crash_us, sizeof(crash_us), "%lld.%03lld",
+                static_cast<long long>(crash_at / 1000),
+                static_cast<long long>(crash_at % 1000));
+  EXPECT_EQ(begin.second, 2);
+  EXPECT_EQ(end.first, crash_us);
+  EXPECT_EQ(end.second, begin.second);
 }
 
 // --- Join then leave --------------------------------------------------------
