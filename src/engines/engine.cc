@@ -86,14 +86,7 @@ uint64_t RecoveryCoordinator::LatestRecoverableRound(
   for (uint64_t k = max_round; k >= 1; --k) {
     bool all_restorable = true;
     for (int node = 0; node < nodes_ && all_restorable; ++node) {
-      // A retired node is exempt only for rounds after its retirement: the
-      // heir's own blobs carry its partitions from then on. At or before
-      // the retirement round the retired node's blob (on a live holder) is
-      // still required.
-      if (retired_[node] && k > retire_round_[node]) continue;
-      // An elastic joiner has no blobs at or before its join round — its
-      // partitions up to then live in the pre-join owners' blobs.
-      if (k <= join_round_[node]) continue;
+      if (!HasOwnBlob(node, k)) continue;
       const Blob* blob = FindBlob(node, k);
       if (blob == nullptr) {
         all_restorable = false;
@@ -106,6 +99,16 @@ uint64_t RecoveryCoordinator::LatestRecoverableRound(
     if (all_restorable) return k;
   }
   return 0;
+}
+
+bool RecoveryCoordinator::HasOwnBlob(int node, uint64_t round) const {
+  // A retired node is exempt only for rounds after its retirement: the
+  // heir's own blobs carry its partitions from then on. At or before the
+  // retirement round the retired node's blob (on a live holder) is still
+  // required. An elastic joiner has no blobs at or before its join round —
+  // its partitions up to then live in the pre-join owners' blobs.
+  if (retired_[node] && round > retire_round_[node]) return false;
+  return round > join_round_[node];
 }
 
 void RecoveryCoordinator::RetireNode(int node, uint64_t retirement_round) {

@@ -331,8 +331,11 @@ class RecoveryCoordinator {
   /// look for one). Rounds after the join round require its blobs normally.
   void JoinNode(int node, uint64_t join_round);
 
-  /// Node `node`'s join round (0 for nodes active since round 0).
-  uint64_t join_round(int node) const { return join_round_[node]; }
+  bool retired(int node) const { return retired_[node]; }
+
+  /// Whether round `round` is restored from a blob of `node`'s own: false
+  /// past its retirement round and at or before its join round.
+  bool HasOwnBlob(int node, uint64_t round) const;
 
   /// Drops every blob for rounds > `round` (and terminal marks past it).
   /// Called when recovery rolls the run back to round `round`: the later
