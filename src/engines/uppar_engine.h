@@ -3,9 +3,7 @@
 // UpPar keeps the classic scale-out SPE architecture — operator fission
 // with hash re-partitioning so every physical window operator owns a
 // disjoint key partition — and merely replaces socket transports with
-// Slash's RDMA channels. Per node, half the worker threads are *senders*
-// (source, filter/projection, per-record partitioning, fan-out buffers)
-// and half are *receivers* (co-partitioned window state, triggering).
+// Slash's RDMA channels (engines/repartition_engine.h).
 //
 // This is the paper's strongest baseline, and its failure mode is the
 // paper's central claim: partitioning is CPU-bound (front-end stalls from
@@ -16,6 +14,7 @@
 #define SLASH_ENGINES_UPPAR_ENGINE_H_
 
 #include "engines/engine.h"
+#include "engines/repartition_engine.h"
 
 namespace slash::engines {
 
@@ -25,10 +24,16 @@ class UpParEngine : public Engine {
   /// a permanent fault aborts the run. No health monitoring, no elasticity.
   static constexpr EngineSupport kSupport{.engine = "RDMA UpPar",
                                           .faults = true};
+  /// RDMA channels between nodes, native code, no recovery path: UpPar
+  /// ignores JobConfig::checkpoint.
+  static constexpr RepartitionDesign kDesign{
+      .remote = RemoteTransport::kRdmaChannel, .trace_category = "uppar"};
 
   std::string_view name() const override { return kSupport.engine; }
 
-  RunStats Run(const JobSpec& job) override;
+  RunStats Run(const JobSpec& job) override {
+    return RunRepartition(job, kSupport, kDesign);
+  }
 };
 
 }  // namespace slash::engines
