@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <tuple>
 
 #include "core/oracle.h"
 #include "engines/flink_engine.h"
@@ -52,37 +55,75 @@ void ExpectMatchesOracle(Engine* engine, const workloads::Workload& workload,
   EXPECT_EQ(rows, oracle.rows) << engine->name();
 }
 
-TEST(UpParEngineTest, YsbMatchesOracle) {
-  workloads::YsbConfig ycfg;
-  ycfg.key_range = 300;
-  workloads::YsbWorkload workload(ycfg);
-  UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2000));
-}
+// --- The re-partitioning engines -------------------------------------------
+// UpPar and Flink share one engine over two transports, so both run every
+// workload, on several nodes (remote and same-node lanes) and on one node
+// (same-node lanes only).
 
-TEST(UpParEngineTest, CmMatchesOracle) {
-  workloads::CmConfig ccfg;
-  ccfg.jobs = 200;
-  workloads::CmWorkload workload(ccfg);
-  UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(3, 2), SmallJob(1500));
-}
+struct OracleCase {
+  const char* workload;
+  int nodes;
+  int workers;
+  uint64_t records;
+};
 
-TEST(UpParEngineTest, Nb8JoinMatchesOracle) {
+constexpr OracleCase kOracleCases[] = {
+    {"ysb", 2, 4, 2000}, {"cm", 3, 2, 1500},  {"nb7", 2, 2, 1500},
+    {"nb8", 2, 4, 600},  {"nb11", 2, 2, 600}, {"ysb", 1, 4, 2000},
+    {"nb8", 1, 4, 600},
+};
+
+std::unique_ptr<workloads::Workload> OracleWorkload(std::string_view name) {
+  if (name == "ysb") {
+    return std::make_unique<workloads::YsbWorkload>(
+        workloads::YsbConfig{.key_range = 300});
+  }
+  if (name == "cm") {
+    workloads::CmConfig ccfg;
+    ccfg.jobs = 200;
+    return std::make_unique<workloads::CmWorkload>(ccfg);
+  }
   workloads::NexmarkConfig ncfg;
-  ncfg.sellers = 40;
-  workloads::Nb8Workload workload(ncfg);
-  UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(600));
-}
-
-TEST(UpParEngineTest, Nb11SessionJoinMatchesOracle) {
-  workloads::NexmarkConfig ncfg;
+  if (name == "nb7") {
+    ncfg.auctions = 500;
+    return std::make_unique<workloads::Nb7Workload>(ncfg);
+  }
+  if (name == "nb8") {
+    ncfg.sellers = 40;
+    return std::make_unique<workloads::Nb8Workload>(ncfg);
+  }
   ncfg.sellers = 30;
-  workloads::Nb11Workload workload(ncfg);
-  UpParEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(600));
+  return std::make_unique<workloads::Nb11Workload>(ncfg);
 }
+
+using RepartitionParam = std::tuple<std::string_view, OracleCase>;
+
+class RepartitionOracleTest
+    : public ::testing::TestWithParam<RepartitionParam> {};
+
+TEST_P(RepartitionOracleTest, MatchesOracle) {
+  const auto& [engine_name, c] = GetParam();
+  std::unique_ptr<Engine> engine;
+  if (engine_name == "uppar") {
+    engine = std::make_unique<UpParEngine>();
+  } else {
+    engine = std::make_unique<FlinkLikeEngine>();
+  }
+  const std::unique_ptr<workloads::Workload> workload =
+      OracleWorkload(c.workload);
+  ExpectMatchesOracle(engine.get(), *workload, SmallCluster(c.nodes, c.workers),
+                      SmallJob(c.records));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UpParAndFlink, RepartitionOracleTest,
+    ::testing::Combine(::testing::Values("uppar", "flink"),
+                       ::testing::ValuesIn(kOracleCases)),
+    [](const ::testing::TestParamInfo<RepartitionParam>& info) {
+      const OracleCase& c = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param)) + "_" + c.workload + "_" +
+             std::to_string(c.nodes) + "n";
+    });
 
 TEST(UpParEngineTest, SkewedKeysStillCorrect) {
   workloads::RoConfig rcfg;
@@ -91,30 +132,6 @@ TEST(UpParEngineTest, SkewedKeysStillCorrect) {
   workloads::RoWorkload workload(rcfg);
   UpParEngine engine;
   ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2500));
-}
-
-TEST(FlinkLikeEngineTest, YsbMatchesOracle) {
-  workloads::YsbConfig ycfg;
-  ycfg.key_range = 300;
-  workloads::YsbWorkload workload(ycfg);
-  FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 4), SmallJob(2000));
-}
-
-TEST(FlinkLikeEngineTest, Nb7MatchesOracle) {
-  workloads::NexmarkConfig ncfg;
-  ncfg.auctions = 500;
-  workloads::Nb7Workload workload(ncfg);
-  FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(1500));
-}
-
-TEST(FlinkLikeEngineTest, Nb8JoinMatchesOracle) {
-  workloads::NexmarkConfig ncfg;
-  ncfg.sellers = 40;
-  workloads::Nb8Workload workload(ncfg);
-  FlinkLikeEngine engine;
-  ExpectMatchesOracle(&engine, workload, SmallCluster(2, 2), SmallJob(600));
 }
 
 TEST(LightSaberEngineTest, YsbMatchesOracle) {
