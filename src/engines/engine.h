@@ -6,8 +6,11 @@
 //                          re-partitioning over RDMA channels
 //   * FlinkLikeEngine   — plug-and-play integration; queue-based
 //                          re-partitioning over sockets/IPoIB, managed-
-//                          runtime overheads
+//                          runtime overheads, barrier checkpoints
 //   * LightSaberEngine  — scale-up single-node late merge (COST yardstick)
+//
+// UpPar and Flink are one re-partitioning engine (repartition_engine.h),
+// each configured by a constexpr RepartitionDesign next to its kSupport.
 //
 // Engine::Run(JobSpec) executes one job — the workload's query over its
 // sources, on the cluster and with the knobs the JobSpec carries — and
