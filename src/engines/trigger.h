@@ -10,11 +10,11 @@
 #ifndef SLASH_ENGINES_TRIGGER_H_
 #define SLASH_ENGINES_TRIGGER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "core/join.h"
@@ -50,8 +50,11 @@ inline core::JoinElement ParseJoinElement(const uint8_t* payload) {
 }
 
 /// Emits every bucket of `partition` triggerable at watermark `wm` and
-/// tombstones it. `last_trigger_wm` suppresses redundant scans. All CPU
-/// costs are charged to `cpu`.
+/// tombstones it, in one log-order pass over the partition. A call with no
+/// bucket due (threshold below Partition::bucket_floor()) costs O(1),
+/// except on sliding windows, whose per-slice charge is due on every call.
+/// `last_trigger_wm` suppresses redundant calls. All CPU costs are charged
+/// to `cpu`.
 inline void TriggerWindows(const core::QuerySpec& query, int64_t wm,
                            state::Partition* partition,
                            core::ResultSink* sink, perf::CpuContext* cpu,
@@ -87,35 +90,54 @@ inline void TriggerWindows(const core::QuerySpec& query, int64_t wm,
     return;
   }
 
+  // Every live bucket is above the threshold: the pass below would emit,
+  // charge and retire nothing. Most watermark advances end here.
+  if (partition->bucket_floor() > threshold) return;
+
   if (query.is_join()) {
     // Lazy holistic evaluation on the merged state: group appended records
-    // by (bucket, key), then count pairwise combinations per window.
-    std::map<std::pair<int64_t, uint64_t>, std::vector<core::JoinElement>>
-        groups;
-    partition->ForEachLive(
-        [&](const state::EntryHeader& header, const uint8_t* value) {
-          if (header.bucket > threshold) return;
-          groups[{header.bucket, header.key}].push_back(
-              ParseJoinElement(value));
+    // by (bucket, key), then count pairwise combinations per window. The
+    // stable sort keeps each group's elements in log order.
+    struct Appended {
+      int64_t bucket;
+      uint64_t key;
+      core::JoinElement element;
+    };
+    std::vector<Appended> appended;
+    partition->RetireBucketsUpTo(
+        threshold, [&](const state::EntryHeader& header, const uint8_t* value) {
+          appended.push_back(
+              {header.bucket, header.key, ParseJoinElement(value)});
         });
-    for (auto& [group, elements] : groups) {
+    std::stable_sort(appended.begin(), appended.end(),
+                     [](const Appended& a, const Appended& b) {
+                       return std::tie(a.bucket, a.key) <
+                              std::tie(b.bucket, b.key);
+                     });
+    std::vector<core::JoinElement> elements;
+    for (size_t i = 0; i < appended.size();) {
+      const Appended& group = appended[i];
+      elements.clear();
+      for (; i < appended.size() && appended[i].bucket == group.bucket &&
+             appended[i].key == group.key;
+           ++i) {
+        elements.push_back(appended[i].element);
+      }
       cpu->Charge(perf::Op::kWindowTriggerPerKey);
       cpu->Charge(perf::Op::kCrdtMergePerPair, double(elements.size()));
       const uint64_t pairs = core::CountJoinPairs(
           query.window, query.left_stream, query.right_stream, &elements);
-      if (pairs > 0) sink->Emit(group.first, group.second, int64_t(pairs));
+      if (pairs > 0) sink->Emit(group.bucket, group.key, int64_t(pairs));
     }
   } else {
-    partition->ForEachLive(
-        [&](const state::EntryHeader& header, const uint8_t* value) {
-          if (header.bucket > threshold) return;
+    partition->RetireBucketsUpTo(
+        threshold, [&](const state::EntryHeader& header, const uint8_t* value) {
           cpu->Charge(perf::Op::kWindowTriggerPerKey);
           state::AggState s;
           std::memcpy(&s, value, sizeof(s));
           sink->Emit(header.bucket, header.key, s.Extract(query.agg));
         });
   }
-  partition->TombstoneBucketsUpTo(threshold);
 }
 
 /// Serializes one record into its wire form (header + opaque padding).

@@ -1,8 +1,7 @@
 #include "rdma/memory.h"
 
-#include <cstring>
-
 #include "common/logging.h"
+#include "common/zero_pages.h"
 
 namespace slash::rdma {
 
@@ -14,8 +13,16 @@ MemoryRegion::MemoryRegion(int node, uint32_t lkey, uint32_t rkey,
       lkey_(lkey),
       rkey_(rkey),
       size_(size),
-      data_(new uint8_t[size]) {
-  std::memset(data_.get(), 0, size);
+      data_(size >= kMappedRegionBytes
+                ? static_cast<uint8_t*>(MapZeroPages(size))
+                : new uint8_t[size]()) {}
+
+MemoryRegion::~MemoryRegion() {
+  if (size_ >= kMappedRegionBytes) {
+    UnmapZeroPages(data_, size_);
+  } else {
+    delete[] data_;
+  }
 }
 
 void MemoryRegion::NotifyRemoteWrite(uint64_t offset, uint64_t len) {

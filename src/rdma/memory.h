@@ -29,11 +29,16 @@ struct RemoteKey {
 
 /// A registered, RDMA-capable memory region on one node.
 ///
-/// Regions are allocated 64-byte aligned (cache lines) in 2 MiB-aligned
-/// slabs, matching the paper's hugepage configuration (Sec. 8.1.1), which in
-/// real deployments reduces NIC TLB misses.
+/// A region's bytes start zeroed. Regions of at least kMappedRegionBytes
+/// come page-aligned from MapZeroPages, so a page costs memory only when it
+/// is first written; smaller ones come from the heap, where a mapping per
+/// region costs more set-up time than it saves. The paper's hugepage
+/// configuration (Sec. 8.1.1) is not modelled.
 class MemoryRegion {
  public:
+  /// Smallest region mapped lazily: glibc's default mmap threshold.
+  static constexpr uint64_t kMappedRegionBytes = 128 * 1024;
+
   /// Notification hook invoked when a remote one-sided WRITE lands in this
   /// region. This models "polled memory changed" for the simulation's
   /// event-driven pollers; it carries no data and does not involve the
@@ -41,6 +46,7 @@ class MemoryRegion {
   using RemoteWriteListener = std::function<void(uint64_t offset, uint64_t len)>;
 
   MemoryRegion(int node, uint32_t lkey, uint32_t rkey, uint64_t size);
+  ~MemoryRegion();
   MemoryRegion(const MemoryRegion&) = delete;
   MemoryRegion& operator=(const MemoryRegion&) = delete;
 
@@ -50,8 +56,8 @@ class MemoryRegion {
   uint64_t size() const { return size_; }
 
   /// Raw access to the region's memory.
-  uint8_t* data() { return data_.get(); }
-  const uint8_t* data() const { return data_.get(); }
+  uint8_t* data() { return data_; }
+  const uint8_t* data() const { return data_; }
 
   /// Registers a listener fired after each inbound remote write.
   void AddRemoteWriteListener(RemoteWriteListener listener) {
@@ -67,7 +73,7 @@ class MemoryRegion {
   uint32_t lkey_;
   uint32_t rkey_;
   uint64_t size_;
-  std::unique_ptr<uint8_t[]> data_;
+  uint8_t* data_;  // MapZeroPages if size_ >= kMappedRegionBytes, else new[]
   std::vector<RemoteWriteListener> listeners_;
 };
 

@@ -4,7 +4,7 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "state/zero_pages.h"
+#include "common/zero_pages.h"
 
 namespace slash::state {
 

@@ -5,15 +5,13 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "state/zero_pages.h"
+#include "common/zero_pages.h"
 
 namespace slash::state {
 
 namespace {
 
 bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-uint64_t AlignUp32(uint64_t v) { return (v + 31) & ~31ULL; }
 
 }  // namespace
 
@@ -119,25 +117,6 @@ void LogStructuredStore::TruncateTo(uint64_t addr) {
   SLASH_CHECK_LE(addr, tail());
   head_ = addr;
   if (read_only_ < head_) read_only_ = head_;
-}
-
-void LogStructuredStore::ForEachEntry(
-    uint64_t from, uint64_t to,
-    const std::function<void(uint64_t, const EntryHeader&)>& fn) const {
-  SLASH_CHECK_GE(from, head_);
-  SLASH_CHECK_LE(to, tail());
-  uint64_t addr = from;
-  while (addr < to) {
-    const auto* header = HeaderAt(addr);
-    const uint64_t entry_bytes =
-        AlignUp32(sizeof(EntryHeader) + header->value_len);
-    if ((header->flags & kEntryFiller) == 0) {
-      fn(addr, *header);
-    }
-    addr += (header->flags & kEntryFiller)
-                ? sizeof(EntryHeader) + header->value_len
-                : entry_bytes;
-  }
 }
 
 }  // namespace slash::state

@@ -69,6 +69,7 @@ uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
   while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
   }
   const uint64_t addr = lss_.Allocate(sizeof(EntryHeader) + value_len);
+  bucket_floor_ = std::min(bucket_floor_, k.bucket);
   alloc_lock_.clear(std::memory_order_release);
 
   EntryHeader* header = lss_.HeaderAt(addr);
@@ -240,31 +241,6 @@ void Partition::CollectAppends(StateKey k, AppendSet* out) const {
   }
 }
 
-void Partition::ForEachLive(
-    const std::function<void(const EntryHeader&, const uint8_t*)>& fn) const {
-  lss_.ForEachEntry(lss_.head(), lss_.tail(),
-                    [this, &fn](uint64_t addr, const EntryHeader& header) {
-                      if (header.flags & kEntryTombstone) return;
-                      fn(header, lss_.At(addr) + sizeof(EntryHeader));
-                    });
-}
-
-size_t Partition::TombstoneBucketsUpTo(int64_t bucket) {
-  size_t count = 0;
-  lss_.ForEachEntry(lss_.head(), lss_.tail(),
-                    [this, bucket, &count](uint64_t addr,
-                                           const EntryHeader& header) {
-                      if (header.flags & kEntryTombstone) return;
-                      if (header.bucket > bucket) return;
-                      auto* h = const_cast<LogStructuredStore&>(lss_)
-                                    .HeaderAt(addr);
-                      h->flags |= kEntryTombstone;
-                      ++count;
-                    });
-  entry_count_.fetch_sub(count, std::memory_order_relaxed);
-  return count;
-}
-
 size_t Partition::SerializeDelta(std::vector<uint8_t>* out) const {
   // Step 2 of the coherence protocol: freeze the delta region against CPU
   // writes while it is read for transfer.
@@ -333,6 +309,7 @@ void Partition::Reset() {
   index_.Clear();
   lss_.TruncateTo(lss_.tail());
   entry_count_.store(0, std::memory_order_relaxed);
+  bucket_floor_ = std::numeric_limits<int64_t>::max();
 }
 
 std::vector<Partition::DeltaChunk> Partition::SplitDelta(

@@ -15,16 +15,24 @@
 //  * Append state (holistic windows / joins): one log entry per observed
 //    record, chained per (key, bucket) through the hash index.
 //
+// Retirement: a fired window's entries are tombstoned in place
+// (RetireBucketsUpTo), so the log keeps the run's history. The partition
+// keeps a lower bound on the bucket of every live entry (bucket_floor), so
+// a trigger with no bucket due skips its scan, and one with a bucket due
+// emits and tombstones in a single log-order pass.
+//
 // Thread-safety: concurrent UpdateAggregate/Append/Merge* calls are safe
 // (atomic RMW on values, CAS on chain heads, spinlock only on log
-// allocation). Scans, serialization, Reset and tombstoning require
-// quiescence, which Slash's epoch protocol provides by construction.
+// allocation, which also guards the bucket floor). Scans, serialization,
+// Reset and retirement require quiescence, which Slash's epoch protocol
+// provides by construction.
 #ifndef SLASH_STATE_PARTITION_H_
 #define SLASH_STATE_PARTITION_H_
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/hash.h"
@@ -106,13 +114,35 @@ class Partition {
 
   // --- Scans (require quiescence) ------------------------------------------
 
-  /// Visits every live (non-tombstoned) entry with its value bytes.
-  void ForEachLive(
-      const std::function<void(const EntryHeader&, const uint8_t*)>& fn) const;
+  /// Visits every live (non-tombstoned) entry in log order:
+  /// `fn(const EntryHeader& header, const uint8_t* value)`.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    lss_.ForEachEntry(lss_.head(), lss_.tail(),
+                      [&fn](uint64_t, const EntryHeader& header) {
+                        if (header.flags & kEntryTombstone) return;
+                        fn(header, ValueOf(header));
+                      });
+  }
 
-  /// Marks all entries of buckets <= `bucket` tombstoned (window triggered
-  /// and emitted; the state is dead). Returns the number tombstoned.
-  size_t TombstoneBucketsUpTo(int64_t bucket);
+  /// A lower bound on the bucket of every live entry; INT64_MAX after
+  /// Reset() or once every bucket retired. A trigger whose threshold lies
+  /// below it has nothing to emit and skips its scan.
+  int64_t bucket_floor() const { return bucket_floor_; }
+
+  /// Retires every live entry of a bucket <= `bucket` in one log-order
+  /// pass: calls `fn(const EntryHeader& header, const uint8_t* value)`,
+  /// then tombstones the entry (window triggered and emitted; the state is
+  /// dead). Returns the number retired. O(1) when `bucket` is below the
+  /// floor.
+  template <typename Fn>
+  size_t RetireBucketsUpTo(int64_t bucket, Fn&& fn);
+
+  /// RetireBucketsUpTo without a visitor.
+  size_t TombstoneBucketsUpTo(int64_t bucket) {
+    return RetireBucketsUpTo(bucket,
+                             [](const EntryHeader&, const uint8_t*) {});
+  }
 
   // --- Epoch support --------------------------------------------------------
 
@@ -181,6 +211,10 @@ class Partition {
                        const std::function<void(uint8_t*)>& init,
                        bool* inserted);
 
+  static const uint8_t* ValueOf(const EntryHeader& header) {
+    return reinterpret_cast<const uint8_t*>(&header) + sizeof(EntryHeader);
+  }
+
   int id_;
   PartitionConfig config_;
   HashIndex index_;
@@ -188,7 +222,29 @@ class Partition {
   std::atomic<uint64_t> entry_count_{0};
   uint64_t epoch_ = 0;
   mutable std::atomic_flag alloc_lock_ = ATOMIC_FLAG_INIT;
+  // Lowered by every insert under `alloc_lock_`; raised by retirement and
+  // Reset(), which run quiesced.
+  int64_t bucket_floor_ = std::numeric_limits<int64_t>::max();
 };
+
+template <typename Fn>
+size_t Partition::RetireBucketsUpTo(int64_t bucket, Fn&& fn) {
+  if (bucket < bucket_floor_) return 0;
+  size_t count = 0;
+  lss_.ForEachEntry(lss_.head(), lss_.tail(),
+                    [&](uint64_t addr, const EntryHeader& header) {
+                      if (header.flags & kEntryTombstone) return;
+                      if (header.bucket > bucket) return;
+                      fn(header, ValueOf(header));
+                      lss_.HeaderAt(addr)->flags |= kEntryTombstone;
+                      ++count;
+                    });
+  entry_count_.fetch_sub(count, std::memory_order_relaxed);
+  // Every live entry is now above `bucket` (none is left after INT64_MAX).
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  bucket_floor_ = bucket == kMax ? kMax : bucket + 1;
+  return count;
+}
 
 }  // namespace slash::state
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -677,6 +679,129 @@ TEST(PartitionTest, SnapshotSkipsTombstones) {
   AggState s;
   EXPECT_FALSE(restored.LookupAggregate({1, 0}, &s));
   EXPECT_TRUE(restored.LookupAggregate({2, 5}, &s));
+}
+
+// Checks that bucket_floor() bounds the bucket of every live entry.
+void ExpectFloorBoundsLive(const Partition& p) {
+  p.ForEachLive([&](const EntryHeader& header, const uint8_t*) {
+    EXPECT_GE(header.bucket, p.bucket_floor()) << "key " << header.key;
+  });
+}
+
+constexpr int64_t kNoFloor = std::numeric_limits<int64_t>::max();
+
+TEST(PartitionTest, BucketFloorFollowsInsertsRetirementAndReset) {
+  Partition p(0, SmallAggConfig());
+  EXPECT_EQ(p.bucket_floor(), kNoFloor);
+  p.UpdateAggregate({1, 5}, 1);
+  p.UpdateAggregate({2, 3}, 1);
+  EXPECT_EQ(p.bucket_floor(), 3);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(2), 0u);  // below the floor
+  EXPECT_EQ(p.bucket_floor(), 3);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(3), 1u);
+  EXPECT_EQ(p.bucket_floor(), 4);
+  ExpectFloorBoundsLive(p);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(9), 1u);
+  EXPECT_EQ(p.bucket_floor(), 10);
+  p.UpdateAggregate({3, 1}, 1);  // late entry for a retired bucket
+  EXPECT_EQ(p.bucket_floor(), 1);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(kNoFloor), 1u);
+  EXPECT_EQ(p.bucket_floor(), kNoFloor);
+  p.UpdateAggregate({4, 7}, 1);
+  p.Reset();
+  EXPECT_EQ(p.bucket_floor(), kNoFloor);
+  p.UpdateAggregate({4, 8}, 1);
+  EXPECT_EQ(p.bucket_floor(), 8);
+}
+
+TEST(PartitionTest, BucketFloorAfterMergeDeltaAndRestore) {
+  Partition helper(1, SmallAppendConfig());
+  const uint8_t v[] = {1};
+  helper.Append({5, 4}, 0, v, 1);
+  helper.Append({6, 2}, 1, v, 1);
+  std::vector<uint8_t> delta;
+  helper.SerializeDelta(&delta);
+
+  Partition leader(1, SmallAppendConfig());
+  leader.Append({7, 6}, 0, v, 1);
+  ASSERT_TRUE(leader.MergeDelta(delta.data(), delta.size()).ok());
+  EXPECT_EQ(leader.bucket_floor(), 2);
+  ExpectFloorBoundsLive(leader);
+
+  // A snapshot holds live entries only; the restored floor is theirs.
+  EXPECT_EQ(leader.TombstoneBucketsUpTo(2), 1u);
+  std::vector<uint8_t> snapshot;
+  EXPECT_EQ(leader.Snapshot(&snapshot), 2u);
+  Partition restored(1, SmallAppendConfig());
+  ASSERT_TRUE(restored.Restore(snapshot.data(), snapshot.size()).ok());
+  EXPECT_EQ(restored.bucket_floor(), 4);
+  ExpectFloorBoundsLive(restored);
+}
+
+TEST(PartitionTest, RetireVisitsDueEntriesOnceInLogOrder) {
+  Partition p(0, SmallAppendConfig());
+  const int64_t buckets[] = {2, 0, 3, 1, 0, 2};
+  for (size_t i = 0; i < std::size(buckets); ++i) {
+    const uint8_t v = uint8_t(i);
+    p.Append({i, buckets[i]}, 0, &v, 1);
+  }
+  std::vector<uint8_t> visited;
+  EXPECT_EQ(p.RetireBucketsUpTo(
+                1, [&](const EntryHeader& header, const uint8_t* value) {
+                  EXPECT_LE(header.bucket, 1);
+                  visited.push_back(*value);
+                }),
+            3u);
+  EXPECT_EQ(visited, (std::vector<uint8_t>{1, 3, 4}));
+  EXPECT_EQ(p.entry_count(), 3u);
+  EXPECT_EQ(p.bucket_floor(), 2);
+  // Retired entries are not visited again.
+  visited.clear();
+  EXPECT_EQ(p.RetireBucketsUpTo(
+                2, [&](const EntryHeader&, const uint8_t* value) {
+                  visited.push_back(*value);
+                }),
+            2u);
+  EXPECT_EQ(visited, (std::vector<uint8_t>{0, 5}));
+}
+
+TEST(PartitionTest, ConcurrentInsertsThenRetireFromRealThreads) {
+  PartitionConfig cfg = SmallAggConfig();
+  cfg.index_buckets = 1024;
+  cfg.lss_capacity = 1 << 20;
+  Partition p(0, cfg);
+  constexpr int kThreads = 4;
+  constexpr int kUpdates = 5000;
+  constexpr uint64_t kKeys = 64;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&p, t] {
+      Rng rng(2000 + t);
+      for (int i = 0; i < kUpdates; ++i) {
+        // Thread t writes buckets t + 1 .. t + 4.
+        p.UpdateAggregate({rng.NextBounded(kKeys), t + 1 + (i % 4)}, 1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(p.bucket_floor(), 1);
+  ExpectFloorBoundsLive(p);
+  int64_t retired = 0;
+  p.RetireBucketsUpTo(4, [&](const EntryHeader&, const uint8_t* value) {
+    AggState s;
+    std::memcpy(&s, value, sizeof(s));
+    retired += s.count;
+  });
+  EXPECT_EQ(p.bucket_floor(), 5);
+  ExpectFloorBoundsLive(p);
+  int64_t live = 0;
+  p.ForEachLive([&](const EntryHeader&, const uint8_t* value) {
+    AggState s;
+    std::memcpy(&s, value, sizeof(s));
+    live += s.count;
+  });
+  EXPECT_EQ(retired + live, int64_t(kThreads) * kUpdates);
+  EXPECT_GT(live, 0);
 }
 
 TEST(StateBackendTest, PrimaryCheckpointRoundTrip) {

@@ -4,6 +4,11 @@
 // boundary conditions (property P1 at the unit level).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "engines/trigger.h"
 #include "sim/simulator.h"
 #include "state/partition.h"
@@ -135,6 +140,170 @@ TEST(TriggerWindowsTest, SlidingEmitsAcrossCallsExactlyOnce) {
                            std::numeric_limits<int64_t>::min(),
                            std::numeric_limits<int64_t>::max(), &expected);
   EXPECT_EQ(h.sink.SortedRows(), expected.SortedRows());
+}
+
+TEST(TriggerWindowsTest, LateEntryInFiredBucketEmitsAtNextCall) {
+  TriggerHarness h;
+  QuerySpec q;
+  q.window = WindowSpec::Tumbling(100);
+  q.agg = state::AggKind::kSum;
+  h.partition.UpdateAggregate({1, 0}, 5);
+  TriggerWindows(q, 150, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 1u);
+  // Bucket 0 already fired; a late entry for it lowers the floor again, so
+  // the next call emits it although the threshold stays at 0.
+  h.partition.UpdateAggregate({2, 0}, 3);
+  TriggerWindows(q, 160, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 2u);
+  EXPECT_EQ(h.sink.rows()[1], (core::WindowResult{0, 2, 3}));
+  EXPECT_EQ(h.partition.entry_count(), 0u);
+}
+
+TEST(TriggerWindowsTest, IdleSlidingCallStillChargesRetainedSlices) {
+  TriggerHarness h;
+  QuerySpec q;
+  q.window = WindowSpec::Sliding(200, 100);  // k = 2
+  for (int64_t slice = 0; slice < 4; ++slice) {
+    h.partition.UpdateAggregate({9, slice}, 1);
+  }
+  // Threshold 2: windows up to e = 2 fire, slices 0 and 1 retire, slice 2
+  // is retained for the window ending at 3.
+  TriggerWindows(q, 300, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  const uint64_t rows = h.sink.count();
+  const double cycles = h.cpu.counters().total_cycles();
+  // The threshold does not move: nothing is emitted, but the retained
+  // slice is still charged once.
+  TriggerWindows(q, 350, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  EXPECT_EQ(h.sink.count(), rows);
+  EXPECT_DOUBLE_EQ(h.cpu.counters().total_cycles() - cycles,
+                   perf::CostModel::Default()
+                       .Get(perf::Op::kWindowTriggerPerKey)
+                       .total_cycles());
+}
+
+PartitionConfig AppendConfig() {
+  PartitionConfig cfg = AggConfig();
+  cfg.kind = state::StateKind::kAppend;
+  return cfg;
+}
+
+void AppendWire(Partition* p, uint64_t key, int64_t ts, uint16_t stream,
+                int64_t width) {
+  uint8_t buf[core::kMinWireRecord];
+  SerializeWireRecord(core::Record{ts, key, 0, stream}, sizeof(buf), buf);
+  p->Append({key, ts / width}, stream, buf, sizeof(buf));
+}
+
+TEST(TriggerWindowsTest, IdleCallsScanNothingAndFiringsScanOnce) {
+  // N entries over 3 buckets, then W rising watermarks inside each bucket:
+  // only the first call of buckets 1 and 2 finds a bucket due, so the
+  // partition's headers are walked twice in total (the per-call rescans
+  // used to walk about 2W times).
+  constexpr int kEntries = 3000;
+  constexpr int kCallsPerBucket = 10;
+  for (const bool join : {false, true}) {
+    SCOPED_TRACE(join ? "join" : "aggregate");
+    TriggerHarness h;
+    Partition partition(0, join ? AppendConfig() : AggConfig());
+    QuerySpec q;
+    q.window = WindowSpec::Tumbling(100);
+    q.agg = state::AggKind::kSum;
+    if (join) q.type = QuerySpec::Type::kJoin;
+    ResultSink expected(true);
+    for (int i = 0; i < kEntries; ++i) {
+      const int64_t bucket = i % 3;
+      if (join) {
+        AppendWire(&partition, uint64_t(i), bucket * 100, 0, 100);
+        AppendWire(&partition, uint64_t(i), bucket * 100 + 1, 1, 100);
+        if (bucket < 2) expected.Emit(bucket, uint64_t(i), 1);
+      } else {
+        partition.UpdateAggregate({uint64_t(i), bucket}, i);
+        if (bucket < 2) expected.Emit(bucket, uint64_t(i), i);
+      }
+    }
+    const uint64_t entries = join ? 2 * kEntries : kEntries;
+    for (int64_t bucket = 0; bucket < 3; ++bucket) {
+      for (int call = 0; call < kCallsPerBucket; ++call) {
+        TriggerWindows(q, bucket * 100 + 1 + call * 9, &partition, &h.sink,
+                       &h.cpu, &h.last_wm);
+      }
+    }
+    EXPECT_LE(partition.lss().entries_scanned(), 2 * entries);
+    EXPECT_EQ(h.sink.SortedRows(), expected.SortedRows());
+    EXPECT_EQ(partition.entry_count(), entries / 3);
+  }
+}
+
+// The join trigger as a std::map from (bucket, key) to the group's
+// elements, followed by a separate tombstone pass.
+void MapJoinTrigger(const QuerySpec& query, int64_t wm, Partition* partition,
+                    ResultSink* sink, perf::CpuContext* cpu,
+                    int64_t* last_trigger_wm) {
+  if (wm <= *last_trigger_wm || wm == core::kWatermarkMin) return;
+  *last_trigger_wm = wm;
+  const int64_t threshold = TriggerableBucket(query.window, wm);
+  if (threshold == std::numeric_limits<int64_t>::min()) return;
+  std::map<std::pair<int64_t, uint64_t>, std::vector<core::JoinElement>>
+      groups;
+  partition->ForEachLive(
+      [&](const state::EntryHeader& header, const uint8_t* value) {
+        if (header.bucket > threshold) return;
+        groups[{header.bucket, header.key}].push_back(ParseJoinElement(value));
+      });
+  for (auto& [group, elements] : groups) {
+    cpu->Charge(perf::Op::kWindowTriggerPerKey);
+    cpu->Charge(perf::Op::kCrdtMergePerPair, double(elements.size()));
+    const uint64_t pairs = core::CountJoinPairs(
+        query.window, query.left_stream, query.right_stream, &elements);
+    if (pairs > 0) sink->Emit(group.first, group.second, int64_t(pairs));
+  }
+  partition->TombstoneBucketsUpTo(threshold);
+}
+
+TEST(TriggerWindowsTest, JoinMatchesMapGroupingRowsOrderAndCharges) {
+  for (const WindowSpec window :
+       {WindowSpec::Tumbling(100), WindowSpec::Session(10, 10)}) {
+    SCOPED_TRACE(int(window.type));
+    QuerySpec q;
+    q.type = QuerySpec::Type::kJoin;
+    q.window = window;
+    TriggerHarness flat;
+    TriggerHarness mapped;
+    Partition flat_state(0, AppendConfig());
+    Partition mapped_state(0, AppendConfig());
+    const int64_t width = window.BucketWidth();
+    Rng rng(17);
+    int64_t wm = 0;
+    for (int round = 0; round < 8; ++round) {
+      // Keys and buckets interleave in log order; some appends land in
+      // buckets that already fired.
+      for (int i = 0; i < 200; ++i) {
+        const uint64_t key = rng.NextBounded(7);
+        const int64_t ts = wm - width + int64_t(rng.NextBounded(
+                                            uint64_t(3 * width)));
+        const uint16_t stream = uint16_t(rng.NextBounded(2));
+        AppendWire(&flat_state, key, std::max<int64_t>(ts, 0), stream, width);
+        AppendWire(&mapped_state, key, std::max<int64_t>(ts, 0), stream,
+                   width);
+      }
+      wm += width + int64_t(rng.NextBounded(uint64_t(width)));
+      const int64_t trigger_wm = round == 7 ? core::kWatermarkMax : wm;
+      TriggerWindows(q, trigger_wm, &flat_state, &flat.sink, &flat.cpu,
+                     &flat.last_wm);
+      MapJoinTrigger(q, trigger_wm, &mapped_state, &mapped.sink, &mapped.cpu,
+                     &mapped.last_wm);
+      ASSERT_EQ(flat.sink.rows(), mapped.sink.rows()) << "round " << round;
+      EXPECT_EQ(flat.sink.checksum(), mapped.sink.checksum());
+      EXPECT_EQ(flat.cpu.counters().instructions,
+                mapped.cpu.counters().instructions);
+      EXPECT_EQ(flat.cpu.counters().total_cycles(),
+                mapped.cpu.counters().total_cycles());
+      EXPECT_EQ(flat.cpu.pending_nanos(), mapped.cpu.pending_nanos());
+      EXPECT_EQ(flat_state.entry_count(), mapped_state.entry_count());
+    }
+    EXPECT_GT(flat.sink.count(), 0u);
+    EXPECT_EQ(flat_state.entry_count(), 0u);
+  }
 }
 
 TEST(SplitDeltaTest, ChunksAreEntryAlignedAndComplete) {
