@@ -442,6 +442,10 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
+/// Records a worker or sender coroutine reads from its source per
+/// scheduling quantum, before it syncs its core to the virtual clock.
+inline constexpr uint64_t kSourceBatch = 512;
+
 /// The cluster features, beyond a static fault-free run, that an engine
 /// supports. Each engine declares one as a compile-time constant (its
 /// kSupport); ClusterRuntime::Create rejects a ClusterConfig that asks for

@@ -134,20 +134,6 @@ struct JobConfig {
   /// Epoch length in processed input bytes (paper default 64 MiB; scaled).
   uint64_t epoch_bytes = 4 * kMiB;
 
-  /// Records deserialized per scheduling quantum of a worker coroutine.
-  uint64_t source_batch = 512;
-
-  /// Columnar micro-batch capacity of the operator pipeline: workers stage
-  /// up to this many records into a core::RecordBatch (SoA columns, pooled)
-  /// before running the processing stage over the batch. A scheduling/
-  /// layout knob, not a semantics knob — the per-record charge sequence is
-  /// preserved element-by-element, so result_checksum, the canonical
-  /// MetricsSnapshot and the virtual-time makespan are byte-identical
-  /// across batch sizes at equal seed (asserted by the batch sweep in
-  /// tests/property_test.cc). 1 (default) degenerates to the original
-  /// record-at-a-time path.
-  uint32_t operator_batch = 1;
-
   /// State backend sizing: the LSS capacity and index buckets of a primary
   /// partition. Slash's helper fragments start at 1/bit_ceil(nodes) of each
   /// (floors 64 KiB and 256 buckets); a fragment index grows at epoch resets

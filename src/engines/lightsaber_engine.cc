@@ -1,6 +1,5 @@
 #include "engines/lightsaber_engine.h"
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -8,7 +7,6 @@
 
 #include "core/pipeline.h"
 #include "core/record.h"
-#include "core/record_batch.h"
 #include "engines/trigger.h"
 #include "state/partition.h"
 
@@ -51,38 +49,21 @@ sim::Task Worker(LightSaberRun* run, int w) {
                                         run->job.records_per_worker,
                                         run->job.seed);
   state::Partition* partial = run->partials[w].get();
-  // Columnar staging (job.operator_batch > 1): source records are
-  // appended charge-free into a SoA RecordBatch and replayed in append
-  // order through the scalar per-record sequence, so charges (and virtual
-  // time) stay byte-identical across batch sizes (DESIGN.md §11).
-  const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->job.operator_batch);
-  core::RecordBatch staged(operator_batch);
-  auto replay = [&] {
-    for (uint32_t i = 0; i < staged.size(); ++i) {
-      Record cur = staged.Get(i);
-      const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-      cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
-      if (!pipeline.Process(&cur)) continue;
-      pipeline.ChargeStatefulPrologue();
-      cpu->Charge(Op::kIndexProbe);
-      cpu->Charge(Op::kStateRmw);
-      partial->UpdateAggregate(
-          {cur.key, run->query->window.BucketOf(cur.timestamp)}, cur.value);
-    }
-    staged.Clear();
-  };
   Record r;
   bool more = true;
   while (more) {
     uint64_t batch_records = 0;
-    while (batch_records < run->job.source_batch &&
-           (more = source->Next(&r))) {
+    while (batch_records < kSourceBatch && (more = source->Next(&r))) {
       ++batch_records;
-      staged.Append(r);
-      if (staged.full()) replay();
+      const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+      cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
+      if (!pipeline.Process(&r)) continue;
+      pipeline.ChargeStatefulPrologue();
+      cpu->Charge(Op::kIndexProbe);
+      cpu->Charge(Op::kStateRmw);
+      partial->UpdateAggregate(
+          {r.key, run->query->window.BucketOf(r.timestamp)}, r.value);
     }
-    replay();
     run->records_in += batch_records;
     cpu->CountRecords(batch_records);
     co_await cpu->Sync();

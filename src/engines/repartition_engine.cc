@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "core/pipeline.h"
 #include "core/record.h"
-#include "core/record_batch.h"
 #include "engines/membership.h"
 #include "engines/trigger.h"
 #include "state/partition.h"
@@ -178,9 +177,6 @@ struct ConsumerState {
   int attempt = 1;
   std::unique_ptr<perf::CpuContext> cpu;
   std::unique_ptr<state::Partition> partition;
-  // Columnar staging buffer for ApplyFrame (sized to operator_batch,
-  // allocated once — the receive path stays allocation-free per frame).
-  std::unique_ptr<core::RecordBatch> batch;
   core::ResultSink sink;
   std::vector<int64_t> sender_wm;
   std::vector<bool> sender_final;
@@ -585,95 +581,66 @@ sim::Task Sender(RepartitionRun* run, SenderState* s) {
   core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
   const int total_consumers = run->consumers_total();
   const uint64_t interval = run->BarrierInterval();
-  // Columnar staging (job.operator_batch > 1): records are pulled from
-  // the mux charge-free — capturing the watermark each one observed at read
-  // time — and replayed in append order through the exact scalar per-record
-  // sequence (DESIGN.md §11). A staged chunk never crosses an aligned-
-  // barrier boundary: the barrier block reads the mux's flow offsets and
-  // watermark directly, so the mux must not be read ahead of the cut.
-  const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->job.operator_batch);
-  core::RecordBatch staged(operator_batch);
   Record r;
   uint64_t batch = 0;
   bool more = s->mux->Next(&r);
   while (!run->Halted(attempt) && more) {
-    uint64_t bound = operator_batch;
-    if (run->checkpointing()) {
-      const uint64_t target = s->next_barrier * interval;
-      const uint64_t until_barrier =
-          target > s->consumed_total ? target - s->consumed_total : 1;
-      bound = std::min<uint64_t>(bound, until_barrier);
+    ++run->records_in;
+    ++s->consumed_total;
+    cpu->CountRecords(1);
+    const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+    cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
+    // Managed-runtime record handling: deserialization into objects,
+    // virtual operator dispatch, serialization back into network buffers.
+    if (run->design.managed_runtime) cpu->Charge(Op::kRuntimeOverhead);
+    if (pipeline.Process(&r)) {
+      // The costly part of the design: per-record destination selection
+      // and the data-dependent write into the destination's fan-out
+      // buffer.
+      cpu->Charge(Op::kHashCompute);
+      cpu->Charge(Op::kPartitionSelect);
+      cpu->Charge(Op::kFanoutWrite);
+      Lane* lane = &s->outbound[ConsumerOf(r.key, total_consumers)];
+      if (lane->writer == nullptr) {
+        co_await OpenLane(run, s, lane);
+        if (lane->writer == nullptr) co_return;
+      }
+      if (!lane->writer->Append(r, wire_size)) {
+        co_await FlushLane(run, s, lane, {.watermark = s->mux->watermark()});
+        if (run->Abandoned(attempt)) co_return;
+        // A fresh buffer always fits one record.
+        co_await OpenLane(run, s, lane);
+        if (lane->writer == nullptr) co_return;
+        SLASH_CHECK(lane->writer->Append(r, wire_size));
+      }
     }
-    staged.Clear();
-    staged.Append(r, s->mux->watermark());
-    // Short-circuit keeps the mux un-read past the chunk: the next chunk's
-    // first record is pulled only after this chunk (and any barrier on its
-    // last record) has been replayed.
-    while (staged.size() < bound && s->mux->Next(&r)) {
-      staged.Append(r, s->mux->watermark());
+    // Aligned checkpoint barrier: flush pending data on every lane, then
+    // close the round on every lane and record the flow offsets of this
+    // exact cut (the round's replay positions). The mux is read one record
+    // at a time, so it holds exactly the cut's offsets and watermark.
+    if (run->checkpointing() &&
+        s->consumed_total >= s->next_barrier * interval) {
+      const uint64_t round = s->next_barrier++;
+      const int64_t wm = s->mux->watermark();
+      for (Lane& lane : s->outbound) {
+        co_await FlushLane(run, s, &lane, {.watermark = wm});
+        if (run->Abandoned(attempt)) co_return;
+      }
+      for (Lane& lane : s->outbound) {
+        if (run->tracer != nullptr) {
+          run->tracer->Instant(run->sim.now(), run->trace_barrier,
+                               run->trace_cat, s->node, obs::kTrackEngine);
+        }
+        co_await FlushLane(run, s, &lane,
+                           {.watermark = wm, .barrier = round});
+        if (run->Abandoned(attempt)) co_return;
+      }
+      Contribute(run, s->node, s->global_id, round, SenderPart(*s),
+                 /*terminal=*/false);
     }
-    for (uint32_t i = 0; !run->Halted(attempt) && i < staged.size(); ++i) {
-      Record cur = staged.Get(i);
-      const int64_t staged_wm = staged.watermark(i);
-      ++run->records_in;
-      ++s->consumed_total;
-      cpu->CountRecords(1);
-      const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-      cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
-      // Managed-runtime record handling: deserialization into objects,
-      // virtual operator dispatch, serialization back into network buffers.
-      if (run->design.managed_runtime) cpu->Charge(Op::kRuntimeOverhead);
-      if (pipeline.Process(&cur)) {
-        // The costly part of the design: per-record destination selection
-        // and the data-dependent write into the destination's fan-out
-        // buffer.
-        cpu->Charge(Op::kHashCompute);
-        cpu->Charge(Op::kPartitionSelect);
-        cpu->Charge(Op::kFanoutWrite);
-        Lane* lane = &s->outbound[ConsumerOf(cur.key, total_consumers)];
-        if (lane->writer == nullptr) {
-          co_await OpenLane(run, s, lane);
-          if (lane->writer == nullptr) co_return;
-        }
-        if (!lane->writer->Append(cur, wire_size)) {
-          co_await FlushLane(run, s, lane, {.watermark = staged_wm});
-          if (run->Abandoned(attempt)) co_return;
-          // A fresh buffer always fits one record.
-          co_await OpenLane(run, s, lane);
-          if (lane->writer == nullptr) co_return;
-          SLASH_CHECK(lane->writer->Append(cur, wire_size));
-        }
-      }
-      // Aligned checkpoint barrier: flush pending data on every lane, then
-      // close the round on every lane and record the flow offsets of this
-      // exact cut (the round's replay positions). The staging bound
-      // guarantees this fires only on the chunk's last record, when the
-      // mux holds exactly the cut's offsets and watermark.
-      if (run->checkpointing() &&
-          s->consumed_total >= s->next_barrier * interval) {
-        const uint64_t round = s->next_barrier++;
-        const int64_t wm = s->mux->watermark();
-        for (Lane& lane : s->outbound) {
-          co_await FlushLane(run, s, &lane, {.watermark = wm});
-          if (run->Abandoned(attempt)) co_return;
-        }
-        for (Lane& lane : s->outbound) {
-          if (run->tracer != nullptr) {
-            run->tracer->Instant(run->sim.now(), run->trace_barrier,
-                                 run->trace_cat, s->node, obs::kTrackEngine);
-          }
-          co_await FlushLane(run, s, &lane,
-                             {.watermark = wm, .barrier = round});
-          if (run->Abandoned(attempt)) co_return;
-        }
-        Contribute(run, s->node, s->global_id, round, SenderPart(*s),
-                   /*terminal=*/false);
-      }
-      if (++batch >= run->job.source_batch) {
-        batch = 0;
-        co_await cpu->Sync();
-      }
+    if (++batch >= kSourceBatch) {
+      batch = 0;
+      co_await cpu->Sync();
     }
     if (run->Halted(attempt)) break;
     more = s->mux->Next(&r);
@@ -698,47 +665,32 @@ sim::Task Sender(RepartitionRun* run, SenderState* s) {
 
 /// Applies one frame's records to the consumer's co-partitioned state and
 /// returns the barrier round it closed (0 for data and final frames).
-///
-/// The records are staged charge-free into the consumer's columnar batch
-/// (chunked to operator_batch) and replayed in append order through the
-/// scalar per-record sequence — byte-identical charges across batch sizes
-/// (DESIGN.md §11).
 uint64_t ApplyFrame(RepartitionRun* run, ConsumerState* c,
                     const uint8_t* records, uint64_t len,
                     const FrameHeader& header, int sender) {
   perf::CpuContext* cpu = c->cpu.get();
-  core::RecordBatch* staged = c->batch.get();
   core::RecordReader reader(records, len);
   Record r;
   uint8_t wire_buf[512];
-  bool more = reader.Next(&r);
-  while (more) {
-    staged->Clear();
-    do {
-      staged->Append(r);
-      more = reader.Next(&r);
-    } while (more && !staged->full());
-    for (uint32_t i = 0; i < staged->size(); ++i) {
-      const Record cur = staged->Get(i);
-      cpu->CountRecords(1);
-      cpu->Charge(Op::kRecordParse);
-      cpu->Charge(Op::kDmaColdRead);
-      if (run->design.managed_runtime) cpu->Charge(Op::kRuntimeOverhead);
-      cpu->Charge(Op::kWindowAssign);
-      cpu->Charge(Op::kIndexProbe);
-      const int64_t bucket = run->query->window.BucketOf(cur.timestamp);
-      if (run->query->is_join()) {
-        const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-        SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
-        SerializeWireRecord(cur, wire_size, wire_buf);
-        cpu->Charge(Op::kStateAppend);
-        cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
-        c->partition->Append({cur.key, bucket}, cur.stream_id, wire_buf,
-                             wire_size);
-      } else {
-        cpu->Charge(Op::kStateRmw);
-        c->partition->UpdateAggregate({cur.key, bucket}, cur.value);
-      }
+  while (reader.Next(&r)) {
+    cpu->CountRecords(1);
+    cpu->Charge(Op::kRecordParse);
+    cpu->Charge(Op::kDmaColdRead);
+    if (run->design.managed_runtime) cpu->Charge(Op::kRuntimeOverhead);
+    cpu->Charge(Op::kWindowAssign);
+    cpu->Charge(Op::kIndexProbe);
+    const int64_t bucket = run->query->window.BucketOf(r.timestamp);
+    if (run->query->is_join()) {
+      const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+      SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
+      SerializeWireRecord(r, wire_size, wire_buf);
+      cpu->Charge(Op::kStateAppend);
+      cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
+      c->partition->Append({r.key, bucket}, r.stream_id, wire_buf,
+                           wire_size);
+    } else {
+      cpu->Charge(Op::kStateRmw);
+      c->partition->UpdateAggregate({r.key, bucket}, r.value);
     }
   }
   c->sender_wm[sender] = std::max(c->sender_wm[sender], header.watermark);
@@ -1012,8 +964,6 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     c->cpu = std::make_unique<perf::CpuContext>(&run->sim, cluster.cost_model,
                                                 cluster.cpu_ghz);
     c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
-    c->batch = std::make_unique<core::RecordBatch>(
-        std::max<uint32_t>(1u, job.operator_batch));
     c->sink = core::ResultSink(job.collect_rows);
     c->arrivals = std::make_unique<sim::Event>(&run->sim);
     c->rounds_complete = round;

@@ -12,7 +12,6 @@
 
 #include "core/pipeline.h"
 #include "core/record.h"
-#include "core/record_batch.h"
 #include "elastic/coordinator.h"
 #include "elastic/rebalancer.h"
 #include "engines/membership.h"
@@ -733,32 +732,6 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     }
   };
 
-  // Columnar staging (job.operator_batch > 1): input records are
-  // appended charge-free into a SoA RecordBatch and processed in append
-  // order, so the per-record charge sequence — and with it every
-  // virtual-time decision — stays byte-identical to the record-at-a-time
-  // path (DESIGN.md §11). Lane bookkeeping (last_ts, consumed) happens at
-  // stage time, exactly where the scalar path updates it.
-  const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->job.operator_batch);
-  core::RecordBatch batch(operator_batch);
-  auto flush_batch = [&] {
-    for (uint32_t i = 0; i < batch.size(); ++i) {
-      Record staged = batch.Get(i);
-      process(&staged);
-    }
-    batch.Clear();
-  };
-  auto stage = [&](const Record& rec) {
-    if (operator_batch == 1) {
-      Record row = rec;
-      process(&row);
-      return;
-    }
-    SLASH_CHECK(batch.Append(rec));
-    if (batch.full()) flush_batch();
-  };
-
   // A worker may only exit once the node's end-of-stream epoch has been
   // announced and it has shipped its share of it — otherwise its
   // partitions' final deltas (and watermarks) would never reach their
@@ -822,11 +795,8 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
       batch_bytes = 0;
       if (!run->job.rdma_ingestion) {
         // Round-robin across this worker's lanes (an heir's workers carry
-        // the crashed node's flows alongside their own). `pulled` counts
-        // staged records so the source-batch bound holds even while
-        // processing is deferred into the columnar batch.
-        uint64_t pulled = 0;
-        while (!lanes.empty() && pulled < run->job.source_batch) {
+        // the crashed node's flows alongside their own).
+        while (!lanes.empty() && batch_records < kSourceBatch) {
           Lane* lane = nullptr;
           const size_t n = lanes.size();
           for (size_t step = 0; step < n; ++step) {
@@ -845,10 +815,8 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
           }
           lane->last_ts = r.timestamp;
           ++lane->consumed;
-          ++pulled;
-          stage(r);
+          process(&r);
         }
-        flush_batch();
       } else {
         // Ingest one RDMA-delivered buffer per lane, if any has landed.
         for (Lane& lane : lanes) {
@@ -866,11 +834,8 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
           while (reader.Next(&r)) {
             lane.last_ts = r.timestamp;
             ++lane.consumed;
-            stage(r);
+            process(&r);
           }
-          // Flush before Release: the release's credit-update charge must
-          // stay ordered after the records' processing charges.
-          flush_batch();
           SLASH_CHECK(lane.ingest->Release(buffer, cpu).ok());
         }
       }

@@ -141,7 +141,7 @@ std::array<OpCost, static_cast<size_t>(Op::kNumOps)> BuildDefaultCosts() {
   set(Op::kRdmaInlineCopyPerByte,
       {.instructions = 0.06, .cycles = {0.015, 0, 0, 0.045, 0}, .mem_bytes = 1});
 
-  // --- Vectorized operator path ----------------------------------------------
+  // --- Vectorized operator path (uncharged; see cost_model.h) ---------------
   // Per-record costs inside a columnar micro-batch. Calibration: the tight
   // loops retire ~4x fewer instructions per record than the interpreted
   // scalar path (no per-record dispatch, predicated filters) and overlap

@@ -81,11 +81,10 @@ enum class Op : uint8_t {
   kRdmaDoorbell,        // one MMIO doorbell ringing a queued WR chain
   kRdmaInlineCopyPerByte, // copying payload bytes into the WQE (inline send)
 
-  // Vectorized operator path (columnar micro-batches, opt-in bench/kernel
-  // charging — see workloads/batch_kernels.h). Costs are per *record* in a
-  // batch: amortized dispatch, predicated filters instead of branches,
-  // software-prefetched index probes that overlap the DRAM misses the
-  // scalar path eats serially.
+  // Vectorized operator path: per-record costs inside a columnar
+  // micro-batch. No engine charges them (every operator runs record at a
+  // time); they stay because slashbench's pinned hardware digest covers
+  // ops 0-34, so removing them is a change to that benchmark.
   kBatchSetup,          // per-batch loop setup / column pointer materialization
   kVecRecordParse,      // columnar field load (no per-record dispatch)
   kVecFilterBranch,     // predicated filter evaluation over a column

@@ -1,6 +1,5 @@
 #include "state/hash_index.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -117,23 +116,6 @@ uint64_t HashIndex::Find(KeyHash h) const {
   const uint64_t v = Ref(*slot).load(std::memory_order_acquire);
   if (v == kEmptySlot || SlotTag(v) != h.tag) return kInvalidAddress;
   return SlotAddress(v);
-}
-
-void HashIndex::FindBatch(const KeyHash* hashes, size_t n,
-                          uint64_t* out) const {
-  // Prefetch in bounded strides so the touched lines are still resident
-  // when their probe runs (an unbounded prefetch pass would evict its own
-  // head on large batches).
-  constexpr size_t kStride = 16;
-  for (size_t base = 0; base < n; base += kStride) {
-    const size_t end = std::min(n, base + kStride);
-    for (size_t i = base; i < end; ++i) {
-      __builtin_prefetch(BucketFor(hashes[i]), /*rw=*/0, /*locality=*/1);
-    }
-    for (size_t i = base; i < end; ++i) {
-      out[i] = Find(hashes[i]);
-    }
-  }
 }
 
 bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,

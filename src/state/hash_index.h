@@ -58,13 +58,6 @@ class HashIndex {
   /// Returns the chain-head address for the hashed key, or kInvalidAddress.
   uint64_t Find(KeyHash h) const;
 
-  /// Batched Find over `n` hashed keys: a software-prefetch pass touches
-  /// every target bucket first, then the probe pass runs with the cache
-  /// lines (mostly) resident — the classic two-pass probe that overlaps the
-  /// DRAM misses a scalar probe loop eats serially. Results are exactly
-  /// `out[i] = Find(hashes[i])`; only the memory-access schedule differs.
-  void FindBatch(const KeyHash* hashes, size_t n, uint64_t* out) const;
-
   /// Atomically replaces the chain head for the hashed key: succeeds iff
   /// the current head equals `expected` (kInvalidAddress for a fresh key);
   /// on failure returns false and writes the observed head to `*observed`.

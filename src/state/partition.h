@@ -90,13 +90,6 @@ class Partition {
   /// read-modify-write that dominates streaming workloads. Thread-safe.
   void UpdateAggregate(StateKey k, int64_t value);
 
-  /// Batched UpdateAggregate over columnar inputs: index probes run through
-  /// HashIndex::FindBatch (prefetch-overlapped two-pass probe) before the
-  /// RMWs apply in element order. State after the call is identical to n
-  /// scalar UpdateAggregate calls in the same order. Thread-safe.
-  void UpdateAggregateBatch(const StateKey* keys, const int64_t* values,
-                            size_t n);
-
   /// CRDT-merges a transferred partial accumulator. Thread-safe.
   void MergeAggregate(StateKey k, const AggState& delta);
 

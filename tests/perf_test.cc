@@ -374,7 +374,7 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
 
 // --- SSB epoch cycle steady-state guard --------------------------------------
 
-// A warm fragment's epoch cycle (batched RMW, serialize into a reserved
+// A warm fragment's epoch cycle (RMWs, serialize into a reserved
 // buffer, Reset) must not allocate once its index has stopped growing:
 // Clear() reuses the claimed-bucket list and the overflow segments
 // (allocated through operator new[], so a segment reallocated per epoch
@@ -395,7 +395,9 @@ TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
   std::vector<uint8_t> delta;
   size_t serialized = 0;
   auto cycle = [&] {
-    partition.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      partition.UpdateAggregate(keys[i], values[i]);
+    }
     delta.clear();
     serialized = partition.SerializeDelta(&delta);
     partition.Reset();

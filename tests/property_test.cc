@@ -17,8 +17,6 @@
 #include "channel/rdma_channel.h"
 #include "common/random.h"
 #include "elastic/reconfig.h"
-#include "engines/flink_engine.h"
-#include "engines/lightsaber_engine.h"
 #include "engines/slash_engine.h"
 #include "engines/uppar_engine.h"
 #include "rdma/socket_transport.h"
@@ -704,8 +702,11 @@ TEST_P(ConnectionModeSweep, ModesAreByteIdentical) {
   EXPECT_EQ(mesh_json, srq.metrics.ToJson());
   EXPECT_EQ(mesh_json, shared.metrics.ToJson());
   // And the snapshot stays clean of connection-layer gauges unless a run
-  // opts in via publish_stats (off above).
+  // opts in via publish_stats (off above), and of the verbs-batching
+  // instruments unless the channel config enables them (default above).
   EXPECT_EQ(mesh_json.find("fabric.qp"), std::string::npos);
+  EXPECT_EQ(mesh_json.find("channel.doorbells"), std::string::npos);
+  EXPECT_EQ(mesh_json.find("channel.inline_sends"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -716,92 +717,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param) == 0 ? "slash" : "uppar") +
              "_s" + std::to_string(std::get<1>(info.param));
     });
-
-// --- Operator-batch determinism across engines -------------------------------
-//
-// operator_batch (engines/engine.h) is a scheduling/layout knob, not a
-// semantics knob: workers stage records charge-free into a columnar
-// RecordBatch and replay the identical per-record charge sequence in append
-// order, so result checksum, virtual-time makespan, and the full canonical
-// metrics snapshot must be byte-identical across batch sizes at equal seed.
-// This is the oracle the vectorized data plane rests on — any staged path
-// that reorders a charge, reads the mux ahead of a barrier, or captures a
-// stale watermark diverges here.
-
-// Engine under sweep: 0=Slash (local sources), 1=Slash (RDMA ingestion),
-// 2=UpPar, 3=Flink (checkpoint barriers on, exercising the barrier-bounded
-// staging chunk), 4=LightSaber (single node).
-class BatchSizeSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchSizeSweep, BatchSizesAreByteIdentical) {
-  const int engine_kind = GetParam();
-  workloads::YsbConfig ycfg;
-  ycfg.key_range = 1000;
-  workloads::YsbWorkload workload(ycfg);
-
-  auto run_batch = [&](uint32_t operator_batch) -> engines::RunStats {
-    engines::ClusterConfig cluster;
-    cluster.nodes = engine_kind == 4 ? 1 : 3;
-    cluster.workers_per_node = 2;
-    engines::JobConfig job;
-    job.seed = 11;
-    job.records_per_worker = 2000;
-    job.channel.slot_bytes = 16 * kKiB;
-    job.operator_batch = operator_batch;
-    job.rdma_ingestion = engine_kind == 1;
-    job.checkpoint.enabled = engine_kind == 3;
-    const engines::JobSpec spec =
-        engines::MakeJobSpec("", workload, cluster, job);
-    switch (engine_kind) {
-      case 0:
-      case 1: {
-        engines::SlashEngine engine;
-        return engine.Run(spec);
-      }
-      case 2: {
-        engines::UpParEngine engine;
-        return engine.Run(spec);
-      }
-      case 3: {
-        engines::FlinkLikeEngine engine;
-        return engine.Run(spec);
-      }
-      default: {
-        engines::LightSaberEngine engine;
-        return engine.Run(spec);
-      }
-    }
-  };
-
-  const engines::RunStats scalar = run_batch(1);
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_GT(scalar.records_emitted(), 0u);
-  const std::string scalar_json = scalar.metrics.ToJson();
-  // The default channel config keeps the verbs-batching instruments
-  // (doorbells, inline sends, transport choices) out of the snapshot.
-  EXPECT_EQ(scalar_json.find("channel.doorbells"), std::string::npos);
-  EXPECT_EQ(scalar_json.find("channel.inline_sends"), std::string::npos);
-
-  for (uint32_t b : {8u, 64u, 256u}) {
-    SCOPED_TRACE("operator_batch=" + std::to_string(b));
-    const engines::RunStats batched = run_batch(b);
-    ASSERT_TRUE(batched.ok());
-    EXPECT_EQ(scalar.result_checksum(), batched.result_checksum());
-    EXPECT_EQ(scalar.makespan(), batched.makespan());
-    EXPECT_EQ(scalar_json, batched.metrics.ToJson());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, BatchSizeSweep, ::testing::Values(0, 1, 2, 3, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           switch (info.param) {
-                             case 0: return std::string("slash");
-                             case 1: return std::string("slash_ingest");
-                             case 2: return std::string("uppar");
-                             case 3: return std::string("flink_ckpt");
-                             default: return std::string("lightsaber");
-                           }
-                         });
 
 // --- Multi-job determinism (DESIGN.md §12) ----------------------------------
 //

@@ -5,7 +5,6 @@
 // SSB leader/helper epoch flow and fragment sizing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -299,34 +298,6 @@ TEST(HashIndexTest, ConcurrentInsertsFromRealThreads) {
   EXPECT_EQ(index.size(), groups.size());
 }
 
-TEST(HashIndexTest, FindBatchMatchesScalar) {
-  HashIndex index(8);  // tiny: collisions and overflow chains in play
-  Rng rng(77);
-  for (uint64_t k = 0; k < 300; ++k) {
-    if (rng.NextBounded(3) == 0) continue;  // leave holes: some keys missing
-    const KeyHash h = HashKey(k);
-    uint64_t expected = index.Find(h);
-    uint64_t observed;
-    while (!index.CompareExchangeHead(h, expected, k + 1, &observed)) {
-      expected = observed;
-    }
-  }
-  // Mixed present/absent probe set, including duplicates within the batch.
-  std::vector<KeyHash> hashes;
-  for (uint64_t k = 0; k < 400; ++k) hashes.push_back(HashKey(k));
-  for (uint64_t k = 0; k < 50; ++k) hashes.push_back(HashKey(k));
-  std::vector<uint64_t> batched(hashes.size(), 0);
-  index.FindBatch(hashes.data(), hashes.size(), batched.data());
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    EXPECT_EQ(batched[i], index.Find(hashes[i])) << "probe " << i;
-  }
-  // Degenerate sizes: empty and single-element batches.
-  index.FindBatch(hashes.data(), 0, batched.data());
-  uint64_t one = ~0ULL;
-  index.FindBatch(hashes.data(), 1, &one);
-  EXPECT_EQ(one, index.Find(hashes[0]));
-}
-
 // --- Partition ----------------------------------------------------------------
 
 PartitionConfig SmallAggConfig() {
@@ -375,38 +346,6 @@ TEST(PartitionTest, AggregateMatchesSequentialOracle) {
     AggState got;
     ASSERT_TRUE(p.LookupAggregate({kb.first, kb.second}, &got));
     EXPECT_EQ(got, expected) << "key " << kb.first << " bucket " << kb.second;
-  }
-}
-
-TEST(PartitionTest, BatchedAggregateMatchesScalar) {
-  // Same update stream, applied scalar vs batched in chunks of varying
-  // width: final state must be identical (batching only reschedules the
-  // index probes, not the element-order RMWs).
-  Partition scalar(0, SmallAggConfig());
-  Partition batched(0, SmallAggConfig());
-  Rng rng(9);
-  std::vector<StateKey> keys;
-  std::vector<int64_t> values;
-  for (int i = 0; i < 4000; ++i) {
-    keys.push_back({rng.NextBounded(29), int64_t(rng.NextBounded(3))});
-    values.push_back(int64_t(rng.NextBounded(200)) - 100);
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    scalar.UpdateAggregate(keys[i], values[i]);
-  }
-  const size_t widths[] = {1, 7, 64, 256};
-  size_t pos = 0, w = 0;
-  while (pos < keys.size()) {
-    const size_t n = std::min(widths[w++ % 4], keys.size() - pos);
-    batched.UpdateAggregateBatch(&keys[pos], &values[pos], n);
-    pos += n;
-  }
-  EXPECT_EQ(scalar.entry_count(), batched.entry_count());
-  for (const auto& k : keys) {
-    AggState a, b;
-    ASSERT_TRUE(scalar.LookupAggregate(k, &a));
-    ASSERT_TRUE(batched.LookupAggregate(k, &b));
-    EXPECT_EQ(a, b) << "key " << k.key << " bucket " << k.bucket;
   }
 }
 
@@ -551,8 +490,10 @@ TEST(PartitionTest, EpochCyclesMatchFreshPartition) {
       values.push_back(int64_t(rng.NextBounded(1000)) - 500);
     }
     Partition fresh(0, cfg);
-    recycled.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
-    fresh.UpdateAggregateBatch(keys.data(), values.data(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      recycled.UpdateAggregate(keys[i], values[i]);
+      fresh.UpdateAggregate(keys[i], values[i]);
+    }
 
     std::vector<uint8_t> got, want;
     EXPECT_EQ(recycled.SerializeDelta(&got), fresh.SerializeDelta(&want));
