@@ -66,118 +66,74 @@ uint64_t HashIndex::ExtendLocked(Bucket* tail) {
   return idx + 1;
 }
 
-uint64_t* HashIndex::FindSlot(Bucket* bucket, uint16_t tag, bool allocate) {
-  for (Bucket* b = bucket;;) {
-    uint64_t* empty = nullptr;
-    for (uint64_t& e : b->entries) {
+uint64_t* HashIndex::Scan(uint16_t tag, Bucket** b, int* i) const {
+  Bucket* bucket = *b;
+  for (int j = *i;; j = 0) {
+    for (; j < kEntriesPerBucket; ++j) {
+      uint64_t& e = bucket->entries[j];
       const uint64_t slot = Ref(e).load(std::memory_order_acquire);
-      if (slot != kEmptySlot && SlotTag(slot) == tag) return &e;
-      if (slot == kEmptySlot && empty == nullptr) empty = &e;
+      if (slot == kEmptySlot || SlotTag(slot) == tag) {
+        *b = bucket;
+        *i = j;
+        return slot == kEmptySlot ? nullptr : &e;
+      }
     }
-    const uint64_t ov = Ref(b->overflow).load(std::memory_order_acquire);
-    if (ov != 0) {
-      b = &OverflowAt(ov - 1);
-      continue;
-    }
-    if (!allocate) return nullptr;
-    if (empty != nullptr) return empty;
-    // Rare path: extend the overflow chain under a spinlock.
-    while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
-    }
-    uint64_t ov2 = Ref(b->overflow).load(std::memory_order_acquire);
-    if (ov2 == 0) ov2 = ExtendLocked(b);
-    overflow_lock_.clear(std::memory_order_release);
-    b = &OverflowAt(ov2 - 1);
-  }
-}
-
-uint64_t* HashIndex::FindSlotLocked(Bucket* bucket, uint16_t tag) {
-  for (Bucket* b = bucket;;) {
-    uint64_t* empty = nullptr;
-    for (uint64_t& e : b->entries) {
-      const uint64_t slot = Ref(e).load(std::memory_order_acquire);
-      if (slot != kEmptySlot && SlotTag(slot) == tag) return &e;
-      if (slot == kEmptySlot && empty == nullptr) empty = &e;
-    }
-    uint64_t ov = Ref(b->overflow).load(std::memory_order_acquire);
+    const uint64_t ov = Ref(bucket->overflow).load(std::memory_order_acquire);
     if (ov == 0) {
-      if (empty != nullptr) return empty;
-      ov = ExtendLocked(b);
+      *b = bucket;
+      *i = kEntriesPerBucket;
+      return nullptr;
     }
-    b = &OverflowAt(ov - 1);
+    bucket = &OverflowAt(ov - 1);
   }
 }
 
 uint64_t HashIndex::Find(KeyHash h) const {
-  auto* self = const_cast<HashIndex*>(this);
-  uint64_t* slot =
-      self->FindSlot(self->BucketFor(h), h.tag, /*allocate=*/false);
-  if (slot == nullptr) return kInvalidAddress;
-  const uint64_t v = Ref(*slot).load(std::memory_order_acquire);
-  if (v == kEmptySlot || SlotTag(v) != h.tag) return kInvalidAddress;
-  return SlotAddress(v);
+  Bucket* b = BucketFor(h);
+  int i = 0;
+  uint64_t* slot = Scan(h.tag, &b, &i);
+  return slot == nullptr ? kInvalidAddress : Head(slot);
 }
 
-bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
-                                    uint64_t desired, uint64_t* observed) {
-  SLASH_CHECK_MSG(desired <= kAddressMask,
-                  "log address exceeds 48-bit index capacity");
+HashIndex::Slot HashIndex::Claim(KeyHash h) {
   Bucket* const primary = BucketFor(h);
-  for (;;) {
-    uint64_t* slot = FindSlot(primary, h.tag, /*allocate=*/true);
-    uint64_t current = Ref(*slot).load(std::memory_order_acquire);
-
-    if (current != kEmptySlot && SlotTag(current) == h.tag) {
-      // Established slot: plain CAS on the chain head.
-      if (SlotAddress(current) != expected) {
-        *observed = SlotAddress(current);
-        return false;
-      }
-      if (Ref(*slot).compare_exchange_strong(current, Pack(h.tag, desired),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-        *observed = desired;
-        return true;
-      }
-      continue;  // lost a race; re-observe
-    }
-
-    if (current == kEmptySlot) {
-      // Claiming a fresh slot for this tag. Serialize claims under the
-      // (rare-path) spinlock: without it, two threads scanning concurrently
-      // can claim *different* empty slots for the same tag, splitting the
-      // chain across duplicate entries.
-      while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
-      }
-      uint64_t* locked_slot = FindSlotLocked(primary, h.tag);
-      if (locked_slot == nullptr) {
-        // Bucket chain filled up meanwhile; extend outside the claim path.
-        overflow_lock_.clear(std::memory_order_release);
-        continue;
-      }
-      uint64_t locked_current =
-          Ref(*locked_slot).load(std::memory_order_acquire);
-      if (locked_current == kEmptySlot) {
-        if (expected != kInvalidAddress) {
-          overflow_lock_.clear(std::memory_order_release);
-          *observed = kInvalidAddress;
-          return false;
-        }
-        Ref(*locked_slot).store(Pack(h.tag, desired),
-                                std::memory_order_release);
-        if (locked_slot == &primary->entries[0]) {
-          claimed_.push_back(size_t(primary - buckets_));
-        }
-        overflow_lock_.clear(std::memory_order_release);
-        *observed = desired;
-        return true;
-      }
-      overflow_lock_.clear(std::memory_order_release);
-      continue;  // someone claimed it meanwhile; retry from the top
-    }
-
-    // The empty slot we found got claimed by another tag; rescan.
+  Bucket* b = primary;
+  int i = 0;
+  if (uint64_t* slot = Scan(h.tag, &b, &i)) return slot;
+  // Claims are serialized: two threads claiming concurrently could
+  // otherwise take different slots for one tag and split its chain. Slots
+  // before (b, i) were full and stay full, so the locked scan resumes there.
+  while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
   }
+  uint64_t* slot = Scan(h.tag, &b, &i);
+  if (slot == nullptr) {
+    if (i == kEntriesPerBucket) {
+      b = &OverflowAt(ExtendLocked(b) - 1);
+      i = 0;
+    }
+    slot = &b->entries[i];
+    Ref(*slot).store(Pack(h.tag, kNoHead), std::memory_order_release);
+    if (b == primary && i == 0) claimed_.push_back(size_t(primary - buckets_));
+  }
+  overflow_lock_.clear(std::memory_order_release);
+  return slot;
+}
+
+bool HashIndex::CompareExchangeHead(Slot slot, uint64_t* expected,
+                                    uint64_t desired) {
+  SLASH_CHECK_MSG(desired < kNoHead,
+                  "log address exceeds 48-bit index capacity");
+  // The tag never changes once claimed; only the address half moves.
+  const uint64_t tag_bits =
+      Ref(*slot).load(std::memory_order_acquire) & ~kAddressMask;
+  uint64_t current = tag_bits | (*expected & kAddressMask);
+  if (Ref(*slot).compare_exchange_strong(current, tag_bits | desired,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    return true;
+  }
+  *expected = HeadOf(current);
+  return false;
 }
 
 size_t HashIndex::size() const {

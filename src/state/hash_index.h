@@ -9,6 +9,13 @@
 // bucket without touching the log. Keys that collide on (bucket, tag) share
 // one chain; the partition layer verifies full keys while walking it.
 //
+// One walk per access: Claim() hands a key's slot to the caller, who swings
+// its chain head with a plain CAS on the slot word. Slots in a bucket chain
+// fill in order and only Clear() empties them, so a tag's slot lies before
+// the chain's first empty slot: lookups stop there, and a claim that misses
+// resumes there under the lock. A claimed slot with no entry yet holds the
+// 48-bit all-ones address, which no 32-byte-aligned log entry has.
+//
 // Cost: the index costs what it stores, not what it provisions. Bucket
 // storage is lazily zeroed — an all-zero bucket is a valid empty one, so the
 // primary array comes straight from MapZeroPages and the OS maps a page only
@@ -55,20 +62,31 @@ class HashIndex {
   HashIndex(const HashIndex&) = delete;
   HashIndex& operator=(const HashIndex&) = delete;
 
+  /// A key's slot: the index word holding its tag and chain head. Valid
+  /// until the next Clear().
+  using Slot = uint64_t*;
+
   /// Returns the chain-head address for the hashed key, or kInvalidAddress.
   uint64_t Find(KeyHash h) const;
 
-  /// Atomically replaces the chain head for the hashed key: succeeds iff
-  /// the current head equals `expected` (kInvalidAddress for a fresh key);
-  /// on failure returns false and writes the observed head to `*observed`.
-  /// The typical insert loop:
-  ///   uint64_t head = index.Find(h);
-  ///   for (;;) {
+  /// Returns the hashed key's slot, claiming an empty one (chain head
+  /// kInvalidAddress) if the key has none. The typical insert loop:
+  ///   HashIndex::Slot slot = index.Claim(h);
+  ///   uint64_t head = HashIndex::Head(slot);
+  ///   do {
   ///     entry->prev = head;
-  ///     if (index.CompareExchangeHead(h, head, addr, &head)) break;
-  ///   }
-  bool CompareExchangeHead(KeyHash h, uint64_t expected, uint64_t desired,
-                           uint64_t* observed);
+  ///   } while (!HashIndex::CompareExchangeHead(slot, &head, addr));
+  Slot Claim(KeyHash h);
+
+  /// The slot's chain head, or kInvalidAddress if its chain is empty.
+  static uint64_t Head(Slot slot) {
+    return HeadOf(Ref(*slot).load(std::memory_order_acquire));
+  }
+
+  /// Replaces the slot's chain head with `desired` iff it is `*expected`;
+  /// on failure writes the observed head to `*expected` and returns false.
+  static bool CompareExchangeHead(Slot slot, uint64_t* expected,
+                                  uint64_t desired);
 
   /// Number of occupied entry slots. Requires external quiescence.
   size_t size() const;
@@ -91,6 +109,9 @@ class HashIndex {
   static constexpr uint64_t kAddressMask = (1ULL << kAddressBits) - 1;
   // A slot value of 0 means empty (tags are never 0; see HashKey()).
   static constexpr uint64_t kEmptySlot = 0;
+  // The address of a claimed slot with no entry yet. Log entries are
+  // 32-byte aligned, so no entry has it; it is kInvalidAddress's low bits.
+  static constexpr uint64_t kNoHead = kAddressMask;
   // Clear() grows the array when claimed + overflow buckets exceeded
   // kGrowLoadNum / kGrowLoadDen of bucket_count().
   static constexpr size_t kGrowLoadNum = 3;
@@ -112,18 +133,18 @@ class HashIndex {
   static uint16_t SlotTag(uint64_t slot) {
     return static_cast<uint16_t>(slot >> kAddressBits);
   }
-  static uint64_t SlotAddress(uint64_t slot) { return slot & kAddressMask; }
+  static uint64_t HeadOf(uint64_t slot) {
+    const uint64_t address = slot & kAddressMask;
+    return address == kNoHead ? kInvalidAddress : address;
+  }
 
   Bucket* BucketFor(KeyHash h) const {
     return &buckets_[h.bucket_hash & bucket_mask_];
   }
-  // Finds the slot holding `tag`, or (when allocate is true) claims an
-  // empty slot for it, extending the overflow chain as needed.
-  uint64_t* FindSlot(Bucket* bucket, uint16_t tag, bool allocate);
-  // FindSlot for callers already holding overflow_lock_: returns the slot
-  // holding `tag`, an empty slot, or extends the chain in place. Never
-  // returns nullptr except transiently impossible states.
-  uint64_t* FindSlotLocked(Bucket* bucket, uint16_t tag);
+  // Walks the chain from slot `*i` of `*b` to the slot holding `tag`. On a
+  // miss returns nullptr with (*b, *i) at the first empty slot, or with
+  // *i == kEntriesPerBucket at the last bucket of a full chain.
+  uint64_t* Scan(uint16_t tag, Bucket** b, int* i) const;
   // Links a zeroed overflow bucket after `tail` (which has none) and returns
   // the link value. The caller holds overflow_lock_.
   uint64_t ExtendLocked(Bucket* tail);

@@ -72,8 +72,6 @@ static_assert(sizeof(EntryHeader) == 32, "EntryHeader must stay 32 bytes");
 /// guarantees it, or from one thread).
 class LogStructuredStore {
  public:
-  static constexpr uint64_t kInvalidAddress = ~0ULL;
-
   /// `initial_capacity` must be a power of two.
   explicit LogStructuredStore(uint64_t initial_capacity);
   ~LogStructuredStore();

@@ -45,9 +45,7 @@ Partition::Partition(int id, const PartitionConfig& config,
       index_(config.index_buckets, max_index_buckets),
       lss_(config.lss_capacity) {}
 
-uint64_t Partition::FindEntry(StateKey k) const {
-  const KeyHash h = HashStateKey(k);
-  uint64_t addr = index_.Find(h);
+uint64_t Partition::FindInChain(uint64_t addr, StateKey k) const {
   while (addr != HashIndex::kInvalidAddress) {
     const EntryHeader* header = lss_.HeaderAt(addr);
     if ((header->flags & kEntryTombstone) == 0 && header->key == k.key &&
@@ -59,11 +57,10 @@ uint64_t Partition::FindEntry(StateKey k) const {
   return HashIndex::kInvalidAddress;
 }
 
-uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
-                                uint16_t flags, uint32_t value_len,
-                                const std::function<void(uint8_t*)>& init,
-                                bool* inserted) {
-  const KeyHash h = HashStateKey(k);
+uint64_t Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
+                                uint64_t head, uint16_t stream_id,
+                                uint16_t flags, const void* value,
+                                uint32_t value_len) {
   // Log allocation is serialized by a spinlock (insertion is the rare path
   // for aggregates; the common per-record RMW never reaches here).
   while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
@@ -78,71 +75,38 @@ uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
   header->value_len = value_len;
   header->flags = flags;
   header->stream_id = stream_id;
-  init(lss_.At(addr) + sizeof(EntryHeader));
+  std::memcpy(lss_.At(addr) + sizeof(EntryHeader), value, value_len);
 
-  const bool dedupe = (flags & kEntryAggregate) != 0;
-  uint64_t head = index_.Find(h);
   for (;;) {
-    if (dedupe && head != HashIndex::kInvalidAddress) {
-      // Another thread may have inserted our key concurrently: adopt theirs
-      // and retire our orphan allocation.
-      uint64_t existing = head;
-      while (existing != HashIndex::kInvalidAddress) {
-        const EntryHeader* eh = lss_.HeaderAt(existing);
-        if ((eh->flags & kEntryTombstone) == 0 && eh->key == k.key &&
-            eh->bucket == k.bucket) {
-          header->flags |= kEntryTombstone;
-          *inserted = false;
-          return existing;
-        }
-        existing = eh->prev;
-      }
-    }
     header->prev = head;
-    if (index_.CompareExchangeHead(h, head, addr, &head)) {
+    if (HashIndex::CompareExchangeHead(slot, &head, addr)) {
       entry_count_.fetch_add(1, std::memory_order_relaxed);
-      *inserted = true;
       return addr;
     }
-    // Lost the race; `head` now holds the observed chain head. Loop.
+    // Lost a race; `head` is the observed head. An aggregate inserted
+    // concurrently for our key wins: adopt it and retire our entry.
+    if (flags & kEntryAggregate) {
+      const uint64_t existing = FindInChain(head, k);
+      if (existing != HashIndex::kInvalidAddress) {
+        header->flags |= kEntryTombstone;
+        return existing;
+      }
+    }
   }
-}
-
-void Partition::UpdateAggregate(StateKey k, int64_t value) {
-  SLASH_CHECK(config_.kind == StateKind::kAggregate);
-  uint64_t addr = FindEntry(k);
-  if (addr == HashIndex::kInvalidAddress) {
-    bool inserted;
-    addr = InsertEntry(k, /*stream_id=*/0, kEntryAggregate, sizeof(AggState),
-                       [](uint8_t* value_bytes) {
-                         const AggState identity = AggState::Identity();
-                         std::memcpy(value_bytes, &identity, sizeof(identity));
-                       },
-                       &inserted);
-  }
-  SLASH_CHECK_MSG(lss_.Mutable(addr),
-                  "RMW on read-only LSS region (epoch transfer in flight)");
-  auto* s = reinterpret_cast<AggState*>(lss_.At(addr) + sizeof(EntryHeader));
-  std::atomic_ref<int64_t>(s->sum).fetch_add(value, std::memory_order_relaxed);
-  std::atomic_ref<int64_t>(s->count).fetch_add(1, std::memory_order_relaxed);
-  AtomicMinI64(&s->min, value);
-  AtomicMaxI64(&s->max, value);
 }
 
 void Partition::MergeAggregate(StateKey k, const AggState& delta) {
   SLASH_CHECK(config_.kind == StateKind::kAggregate);
-  uint64_t addr = FindEntry(k);
+  const HashIndex::Slot slot = index_.Claim(HashStateKey(k));
+  const uint64_t head = HashIndex::Head(slot);
+  uint64_t addr = FindInChain(head, k);
   if (addr == HashIndex::kInvalidAddress) {
-    bool inserted;
-    addr = InsertEntry(k, /*stream_id=*/0, kEntryAggregate, sizeof(AggState),
-                       [](uint8_t* value_bytes) {
-                         const AggState identity = AggState::Identity();
-                         std::memcpy(value_bytes, &identity, sizeof(identity));
-                       },
-                       &inserted);
+    const AggState identity = AggState::Identity();
+    addr = InsertEntry(k, slot, head, /*stream_id=*/0, kEntryAggregate,
+                       &identity, sizeof(identity));
   }
   SLASH_CHECK_MSG(lss_.Mutable(addr),
-                  "merge into read-only LSS region");
+                  "RMW on read-only LSS region (epoch transfer in flight)");
   auto* s = reinterpret_cast<AggState*>(lss_.At(addr) + sizeof(EntryHeader));
   std::atomic_ref<int64_t>(s->sum).fetch_add(delta.sum,
                                              std::memory_order_relaxed);
@@ -154,7 +118,7 @@ void Partition::MergeAggregate(StateKey k, const AggState& delta) {
 
 bool Partition::LookupAggregate(StateKey k, AggState* out) const {
   SLASH_CHECK(config_.kind == StateKind::kAggregate);
-  const uint64_t addr = FindEntry(k);
+  const uint64_t addr = FindInChain(index_.Find(HashStateKey(k)), k);
   if (addr == HashIndex::kInvalidAddress) return false;
   // atomic_ref needs a non-const object; the loads do not mutate state.
   auto* s = reinterpret_cast<AggState*>(
@@ -170,28 +134,20 @@ bool Partition::LookupAggregate(StateKey k, AggState* out) const {
 void Partition::Append(StateKey k, uint16_t stream_id, const uint8_t* data,
                        uint32_t len) {
   SLASH_CHECK(config_.kind == StateKind::kAppend);
-  bool inserted;
-  InsertEntry(k, stream_id, kEntryAppend, len,
-              [data, len](uint8_t* value_bytes) {
-                std::memcpy(value_bytes, data, len);
-              },
-              &inserted);
-  SLASH_CHECK(inserted);  // appends never dedupe
+  const HashIndex::Slot slot = index_.Claim(HashStateKey(k));
+  InsertEntry(k, slot, HashIndex::Head(slot), stream_id, kEntryAppend, data,
+              len);
 }
 
 void Partition::CollectAppends(StateKey k, AppendSet* out) const {
   SLASH_CHECK(config_.kind == StateKind::kAppend);
-  const KeyHash h = HashStateKey(k);
-  uint64_t addr = index_.Find(h);
-  while (addr != HashIndex::kInvalidAddress) {
+  for (uint64_t addr = FindInChain(index_.Find(HashStateKey(k)), k);
+       addr != HashIndex::kInvalidAddress;
+       addr = FindInChain(lss_.HeaderAt(addr)->prev, k)) {
     const EntryHeader* header = lss_.HeaderAt(addr);
-    if ((header->flags & kEntryTombstone) == 0 && header->key == k.key &&
-        header->bucket == k.bucket) {
-      const uint8_t* value = lss_.At(addr) + sizeof(EntryHeader);
-      out->Add(header->stream_id,
-               std::vector<uint8_t>(value, value + header->value_len));
-    }
-    addr = header->prev;
+    const uint8_t* value = lss_.At(addr) + sizeof(EntryHeader);
+    out->Add(header->stream_id,
+             std::vector<uint8_t>(value, value + header->value_len));
   }
 }
 

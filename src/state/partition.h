@@ -22,16 +22,15 @@
 // emits and tombstones in a single log-order pass.
 //
 // Thread-safety: concurrent UpdateAggregate/Append/Merge* calls are safe
-// (atomic RMW on values, CAS on chain heads, spinlock only on log
-// allocation, which also guards the bucket floor). Scans, serialization,
-// Reset and retirement require quiescence, which Slash's epoch protocol
-// provides by construction.
+// (atomic RMW on values, CAS on chain heads, spinlocks only on claiming an
+// index slot and on log allocation, which also guards the bucket floor).
+// Scans, serialization, Reset and retirement require quiescence, which
+// Slash's epoch protocol provides by construction.
 #ifndef SLASH_STATE_PARTITION_H_
 #define SLASH_STATE_PARTITION_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -82,13 +81,14 @@ class Partition {
   Partition& operator=(const Partition&) = delete;
 
   int id() const { return id_; }
-  StateKind kind() const { return config_.kind; }
 
   // --- Aggregate state (kAggregate) ---------------------------------------
 
   /// Folds one record value into (key, bucket)'s accumulator: the
   /// read-modify-write that dominates streaming workloads. Thread-safe.
-  void UpdateAggregate(StateKey k, int64_t value);
+  void UpdateAggregate(StateKey k, int64_t value) {
+    MergeAggregate(k, AggState{value, 1, value, value});
+  }
 
   /// CRDT-merges a transferred partial accumulator. Thread-safe.
   void MergeAggregate(StateKey k, const AggState& delta);
@@ -186,23 +186,22 @@ class Partition {
 
   // --- Introspection ---------------------------------------------------------
 
-  uint64_t live_bytes() const { return lss_.live_bytes(); }
   size_t index_buckets() const { return index_.bucket_count(); }
   uint64_t entry_count() const { return entry_count_.load(std::memory_order_relaxed); }
   const LogStructuredStore& lss() const { return lss_; }
 
  private:
-  // Finds the live entry for `k`, walking the chain from the index head.
-  // Returns kInvalidAddress if absent.
-  uint64_t FindEntry(StateKey k) const;
+  // Returns the first live entry for `k` in the chain starting at `addr`,
+  // or kInvalidAddress.
+  uint64_t FindInChain(uint64_t addr, StateKey k) const;
 
-  // Allocates and links a new entry; returns its address, or the address of
-  // a concurrently inserted entry for the same key (losing allocation is
-  // tombstoned). `init` fills the value bytes before publication.
-  uint64_t InsertEntry(StateKey k, uint16_t stream_id, uint16_t flags,
-                       uint32_t value_len,
-                       const std::function<void(uint8_t*)>& init,
-                       bool* inserted);
+  // Allocates an entry holding a copy of `value`, and links it at `slot`,
+  // whose chain head was last read as `head`. Returns its address. If an
+  // aggregate loses the CAS to an insert of the same key, the new entry is
+  // tombstoned and the winner's address is returned.
+  uint64_t InsertEntry(StateKey k, HashIndex::Slot slot, uint64_t head,
+                       uint16_t stream_id, uint16_t flags, const void* value,
+                       uint32_t value_len);
 
   static const uint8_t* ValueOf(const EntryHeader& header) {
     return reinterpret_cast<const uint8_t*>(&header) + sizeof(EntryHeader);

@@ -99,10 +99,4 @@ Status StateBackend::MergeIntoPrimary(const uint8_t* data, size_t len,
                                     len - sizeof(DeltaEnvelope));
 }
 
-uint64_t StateBackend::total_live_bytes() const {
-  uint64_t total = 0;
-  for (const auto& p : partitions_) total += p->live_bytes();
-  return total;
-}
-
 }  // namespace slash::state

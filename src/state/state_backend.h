@@ -132,28 +132,15 @@ class StateBackend {
   Status MergeIntoPrimary(const uint8_t* data, size_t len,
                           DeltaEnvelope* envelope_out);
 
-  /// Serializes a consistent snapshot of this node's home primary partition
-  /// (for epoch-aligned checkpointing). Returns the entry count.
-  size_t SnapshotPrimary(std::vector<uint8_t>* out) const {
-    return local(node_)->Snapshot(out);
-  }
-
-  /// Restores home-primary-partition state from a snapshot.
-  Status RestorePrimary(const uint8_t* data, size_t len) {
-    return partitions_[node_]->Restore(data, len);
-  }
-
-  /// Per-partition snapshot/restore, used by checkpointing and recovery
-  /// (a recovered leader may hold several primaries).
+  /// Per-partition snapshot/restore, used by epoch-aligned checkpointing
+  /// and recovery (a recovered leader may hold several primaries).
+  /// SnapshotPartition returns the entry count.
   size_t SnapshotPartition(int p, std::vector<uint8_t>* out) const {
     return local(p)->Snapshot(out);
   }
   Status RestorePartition(int p, const uint8_t* data, size_t len) {
     return partitions_[p]->Restore(data, len);
   }
-
-  /// Total state bytes held locally across partitions.
-  uint64_t total_live_bytes() const;
 
  private:
   // Builds empty storage for partition `p` at primary or fragment size.

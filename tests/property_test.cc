@@ -552,7 +552,7 @@ TEST(ElasticEqualsStatic, GrownClusterMatchesStaticResults) {
 
 // --- Snapshot/restore round-trip (checkpointing) ----------------------------
 
-// SnapshotPrimary → restore into a fresh backend must reproduce the primary
+// SnapshotPartition → restore into a fresh backend must reproduce the primary
 // partition exactly — same entry count, keys, buckets, and value bytes —
 // for every workload key distribution (skew concentrates entries into long
 // hash chains, a different code path than uniform spray).
@@ -622,11 +622,12 @@ TEST_P(SnapshotRoundTripSweep, PrimaryRoundTripsExactly) {
   }
 
   std::vector<uint8_t> snapshot;
-  const size_t entries = source.SnapshotPrimary(&snapshot);
+  const size_t entries = source.SnapshotPartition(0, &snapshot);
   EXPECT_GT(entries, 0u);
 
   state::StateBackend restored(0, scfg);
-  ASSERT_TRUE(restored.RestorePrimary(snapshot.data(), snapshot.size()).ok());
+  ASSERT_TRUE(
+      restored.RestorePartition(0, snapshot.data(), snapshot.size()).ok());
 
   const std::vector<FlatEntry> want = FlattenPrimary(source, 0);
   const std::vector<FlatEntry> got = FlattenPrimary(restored, 0);

@@ -51,10 +51,11 @@ TEST(SimulatorTest, CallbackMayScheduleMore) {
 
 TEST(SimulatorTest, RunGuardsAgainstLivelock) {
   Simulator sim;
-  std::function<void()> reschedule = [&] {
-    sim.ScheduleAt(sim.now() + 1, reschedule);
+  struct Reschedule {
+    Simulator* sim;
+    void operator()() const { sim->ScheduleAt(sim->now() + 1, *this); }
   };
-  sim.ScheduleAt(0, reschedule);
+  sim.ScheduleAt(0, Reschedule{&sim});
   EXPECT_DEATH(sim.Run(/*max_events=*/100), "max_events");
 }
 

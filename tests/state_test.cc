@@ -126,23 +126,30 @@ TEST(HashIndexTest, InsertAndFind) {
   HashIndex index(64);
   const KeyHash h = HashKey(42);
   EXPECT_EQ(index.Find(h), HashIndex::kInvalidAddress);
-  uint64_t observed;
-  EXPECT_TRUE(index.CompareExchangeHead(h, HashIndex::kInvalidAddress, 100,
-                                        &observed));
+  const HashIndex::Slot slot = index.Claim(h);
+  // A claimed slot whose chain is still empty has no head.
+  EXPECT_EQ(HashIndex::Head(slot), HashIndex::kInvalidAddress);
+  EXPECT_EQ(index.Find(h), HashIndex::kInvalidAddress);
+  uint64_t head = HashIndex::kInvalidAddress;
+  EXPECT_TRUE(HashIndex::CompareExchangeHead(slot, &head, 100));
   EXPECT_EQ(index.Find(h), 100u);
+  EXPECT_EQ(index.size(), 1u);
+  // Claiming a present key returns its slot and claims nothing.
+  EXPECT_EQ(index.Claim(h), slot);
+  EXPECT_EQ(HashIndex::Head(slot), 100u);
   EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(HashIndexTest, CasFailsOnStaleExpected) {
   HashIndex index(64);
   const KeyHash h = HashKey(42);
-  uint64_t observed;
-  ASSERT_TRUE(index.CompareExchangeHead(h, HashIndex::kInvalidAddress, 100,
-                                        &observed));
-  EXPECT_FALSE(index.CompareExchangeHead(h, HashIndex::kInvalidAddress, 200,
-                                         &observed));
-  EXPECT_EQ(observed, 100u);
-  EXPECT_TRUE(index.CompareExchangeHead(h, 100, 200, &observed));
+  const HashIndex::Slot slot = index.Claim(h);
+  uint64_t head = HashIndex::kInvalidAddress;
+  ASSERT_TRUE(HashIndex::CompareExchangeHead(slot, &head, 100));
+  head = HashIndex::kInvalidAddress;  // stale
+  EXPECT_FALSE(HashIndex::CompareExchangeHead(slot, &head, 200));
+  EXPECT_EQ(head, 100u);
+  EXPECT_TRUE(HashIndex::CompareExchangeHead(slot, &head, 200));
   EXPECT_EQ(index.Find(h), 200u);
 }
 
@@ -153,10 +160,9 @@ TEST(HashIndexTest, ManyKeysOverflowIntoChains) {
   std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
   for (uint64_t k = 0; k < 200; ++k) {
     const KeyHash h = HashKey(k);
-    uint64_t expected = index.Find(h);
-    uint64_t observed;
-    while (!index.CompareExchangeHead(h, expected, k + 1, &observed)) {
-      expected = observed;
+    const HashIndex::Slot slot = index.Claim(h);
+    uint64_t head = HashIndex::Head(slot);
+    while (!HashIndex::CompareExchangeHead(slot, &head, k + 1)) {
     }
     group_head[std::make_pair(h.bucket_hash & 3, h.tag)] = k + 1;
   }
@@ -184,10 +190,9 @@ TEST(HashIndexTest, ClearReusesClaimedBucketsAndOverflowSegments) {
     std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
     for (uint64_t k = first; k < first + kKeys; ++k) {
       const KeyHash h = HashKey(k);
-      uint64_t expected = HashIndex::kInvalidAddress;  // most groups are new
-      uint64_t observed;
-      while (!index.CompareExchangeHead(h, expected, k + 1, &observed)) {
-        expected = observed;
+      const HashIndex::Slot slot = index.Claim(h);
+      uint64_t head = HashIndex::kInvalidAddress;  // most groups are new
+      while (!HashIndex::CompareExchangeHead(slot, &head, k + 1)) {
       }
       group_head[std::make_pair(h.bucket_hash & 3, h.tag)] = k + 1;
     }
@@ -216,10 +221,9 @@ void InsertAndVerify(HashIndex* index, uint64_t first, uint64_t n) {
   std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
   for (uint64_t k = first; k < first + n; ++k) {
     const KeyHash h = HashKey(k);
-    uint64_t expected = index->Find(h);
-    uint64_t observed;
-    while (!index->CompareExchangeHead(h, expected, k + 1, &observed)) {
-      expected = observed;
+    const HashIndex::Slot slot = index->Claim(h);
+    uint64_t head = HashIndex::Head(slot);
+    while (!HashIndex::CompareExchangeHead(slot, &head, k + 1)) {
     }
     group_head[std::make_pair(h.bucket_hash & mask, h.tag)] = k + 1;
   }
@@ -274,11 +278,9 @@ TEST(HashIndexTest, ConcurrentInsertsFromRealThreads) {
     threads.emplace_back([&index, t] {
       for (uint64_t i = 0; i < kKeysPerThread; ++i) {
         const uint64_t key = uint64_t(t) * kKeysPerThread + i;
-        const KeyHash h = HashKey(key);
-        uint64_t expected = index.Find(h);
-        uint64_t observed;
-        while (!index.CompareExchangeHead(h, expected, key + 1, &observed)) {
-          expected = observed;
+        const HashIndex::Slot slot = index.Claim(HashKey(key));
+        uint64_t head = HashIndex::Head(slot);
+        while (!HashIndex::CompareExchangeHead(slot, &head, key + 1)) {
         }
       }
     });
@@ -373,6 +375,45 @@ TEST(PartitionTest, ConcurrentRmwFromRealThreads) {
     if (p.LookupAggregate({k, 0}, &s)) total += s.count;
   }
   EXPECT_EQ(total, int64_t(kThreads) * kUpdates);
+}
+
+// Four threads update the same fresh keys of a 4-bucket partition in the
+// same order, so they race to claim the same tags, to extend the same
+// overflow chains and to insert the same aggregate: exactly one entry per
+// key may survive, holding every update.
+TEST(PartitionTest, ConcurrentFreshKeysInATinyIndex) {
+  PartitionConfig cfg = SmallAggConfig();
+  cfg.index_buckets = 4;
+  cfg.lss_capacity = 1 << 21;  // room for every orphan: no Grow() mid-race
+  Partition p(0, cfg);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 1024;
+  constexpr int64_t kBuckets = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&p] {
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        for (int64_t bucket = 0; bucket < kBuckets; ++bucket) {
+          p.UpdateAggregate({key, bucket}, 1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::set<std::pair<uint64_t, int64_t>> live;
+  size_t visited = 0;
+  int64_t total = 0;
+  p.ForEachLive([&](const EntryHeader& header, const uint8_t* value) {
+    live.insert({header.key, header.bucket});
+    ++visited;
+    AggState s;
+    std::memcpy(&s, value, sizeof(s));
+    total += s.count;
+  });
+  EXPECT_EQ(live.size(), kKeys * kBuckets);
+  EXPECT_EQ(visited, live.size());  // one live entry per (key, bucket)
+  EXPECT_EQ(p.entry_count(), kKeys * kBuckets);
+  EXPECT_EQ(total, int64_t(kThreads) * kKeys * kBuckets);
 }
 
 TEST(PartitionTest, AppendAndCollect) {
@@ -752,12 +793,14 @@ TEST(StateBackendTest, PrimaryCheckpointRoundTrip) {
     if (ssb.partition_of(key) == 0) ssb.UpdateAggregate(key, 1, int64_t(key));
   }
   std::vector<uint8_t> checkpoint;
-  const size_t entries = ssb.SnapshotPrimary(&checkpoint);
+  const size_t entries = ssb.SnapshotPartition(ssb.node(), &checkpoint);
   EXPECT_GT(entries, 0u);
 
   StateBackend recovered(0, SmallSsbConfig(2));
-  ASSERT_TRUE(
-      recovered.RestorePrimary(checkpoint.data(), checkpoint.size()).ok());
+  ASSERT_TRUE(recovered
+                  .RestorePartition(recovered.node(), checkpoint.data(),
+                                    checkpoint.size())
+                  .ok());
   for (uint64_t key = 0; key < 200; ++key) {
     if (ssb.partition_of(key) != 0) continue;
     AggState a, b;
