@@ -135,9 +135,9 @@ struct JobConfig {
   uint64_t epoch_bytes = 4 * kMiB;
 
   /// State backend sizing: the LSS capacity and index buckets of a primary
-  /// partition. Slash's helper fragments start at 1/bit_ceil(nodes) of each
-  /// (floors 64 KiB and 256 buckets); a fragment index grows at epoch resets
-  /// up to `state_index_buckets` (state::SsbConfig).
+  /// partition. A Slash helper fragment's index starts at 256 buckets and
+  /// resizes at epoch resets up to `state_index_buckets`; its LSS starts at
+  /// 1/bit_ceil(nodes) of `state_lss_capacity` (state::SsbConfig).
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
 

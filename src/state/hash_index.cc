@@ -8,7 +8,7 @@
 namespace slash::state {
 
 HashIndex::HashIndex(size_t bucket_count, size_t max_bucket_count)
-    : max_bucket_count_(max_bucket_count) {
+    : min_bucket_count_(bucket_count), max_bucket_count_(max_bucket_count) {
   SLASH_CHECK_MSG(std::has_single_bit(bucket_count) &&
                       std::has_single_bit(max_bucket_count),
                   "bucket count must be a power of two");
@@ -33,15 +33,16 @@ HashIndex::~HashIndex() {
 void HashIndex::Clear() {
   const size_t used =
       claimed_.size() + overflow_used_.load(std::memory_order_relaxed);
-  size_t grown = bucket_count();
-  while (grown < max_bucket_count_ &&
-         used * kGrowLoadDen > grown * kGrowLoadNum) {
-    grown *= 2;
+  size_t target = min_bucket_count_;
+  while (target < max_bucket_count_ &&
+         used * kGrowLoadDen > target * kGrowLoadNum) {
+    target *= 2;
   }
-  if (grown != bucket_count()) {
+  if (target > bucket_count() ||
+      (target < bucket_count() && used * kShrinkLoadDen < bucket_count())) {
     // The old array and its claimed buckets go away whole.
     UnmapZeroPages(buckets_, bucket_count() * sizeof(Bucket));
-    Provision(grown);
+    Provision(target);
   } else {
     // Overflow buckets need no pass: only claimed primary buckets link to
     // them, and ExtendLocked zeroes each one as it is handed out again.

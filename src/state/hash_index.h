@@ -22,12 +22,15 @@
 // when a bucket on it is first written. Clear() takes time in proportion to
 // the primary buckets claimed since the last Clear(), not to bucket_count().
 //
-// Growth: an index may start below its maximum size (an SSB fragment holds
-// a share of its partition; see StateBackend). Clear() is the one point
-// where the bucket array may change: if the contents just cleared used more
-// than 3/4 of bucket_count() (claimed plus overflow buckets), it swaps in a
-// zeroed array large enough to bring that load back under 3/4, up to the
-// maximum. Between Clear() calls the overflow chains absorb any spill.
+// Sizing: an index may start below its maximum size (an SSB fragment starts
+// at a small floor; see StateBackend) and never goes below that start size.
+// Clear() is the one point where the bucket array may change. It takes the
+// load just cleared (claimed plus overflow buckets) and the smallest power
+// of two in [start size, maximum] that keeps that load under 3/4. It swaps
+// in a zeroed array of that size when it is larger than bucket_count(), or
+// when the load fell below 1/4 of bucket_count(); the gap between 1/4 and
+// 3/4 keeps a steady load from remapping every epoch. Between Clear() calls
+// the overflow chains absorb any spill.
 //
 // Thread-safety: entry slots are updated through std::atomic_ref with
 // compare-exchange, so concurrent inserts/updates from multiple worker
@@ -51,11 +54,11 @@ class HashIndex {
  public:
   static constexpr uint64_t kInvalidAddress = ~0ULL;
 
-  /// `bucket_count` must be a power of two. The index never grows.
+  /// `bucket_count` must be a power of two. The index never resizes.
   explicit HashIndex(size_t bucket_count)
       : HashIndex(bucket_count, bucket_count) {}
-  /// Starts at `bucket_count` buckets and may grow at Clear() up to
-  /// `max_bucket_count`; both must be powers of two.
+  /// Starts at `bucket_count` buckets and may resize at Clear() between
+  /// that and `max_bucket_count`; both must be powers of two.
   HashIndex(size_t bucket_count, size_t max_bucket_count);
   ~HashIndex();
 
@@ -93,9 +96,10 @@ class HashIndex {
 
   /// Removes all entries, zeroing only the primary buckets claimed since the
   /// last Clear(); overflow segments and the claimed-bucket list keep their
-  /// capacity for reuse. If the cleared contents used more than 3/4 of the
-  /// buckets, the bucket array is replaced by a larger zeroed one instead
-  /// (see the file comment). Requires external quiescence.
+  /// capacity for reuse. If the cleared contents used more than 3/4 or
+  /// less than 1/4 of the buckets, the bucket array is replaced by a zeroed
+  /// one of the size they need instead (see the file comment). Requires
+  /// external quiescence.
   void Clear();
 
   size_t bucket_count() const { return bucket_mask_ + 1; }
@@ -113,9 +117,11 @@ class HashIndex {
   // 32-byte aligned, so no entry has it; it is kInvalidAddress's low bits.
   static constexpr uint64_t kNoHead = kAddressMask;
   // Clear() grows the array when claimed + overflow buckets exceeded
-  // kGrowLoadNum / kGrowLoadDen of bucket_count().
+  // kGrowLoadNum / kGrowLoadDen of bucket_count(), and shrinks it when they
+  // fell below 1 / kShrinkLoadDen of it.
   static constexpr size_t kGrowLoadNum = 3;
   static constexpr size_t kGrowLoadDen = 4;
+  static constexpr size_t kShrinkLoadDen = 4;
 
   // Plain words accessed through std::atomic_ref, so zero-filled memory is a
   // valid empty bucket without a constructor pass.
@@ -170,6 +176,7 @@ class HashIndex {
   }
 
   size_t bucket_mask_;
+  size_t min_bucket_count_;
   size_t max_bucket_count_;
   Bucket* buckets_;  // from MapZeroPages
   // Primary buckets whose entries[0] was claimed since the last Clear().

@@ -73,8 +73,9 @@ class Partition {
   /// A partition whose index stays at `config.index_buckets`.
   Partition(int id, const PartitionConfig& config)
       : Partition(id, config, config.index_buckets) {}
-  /// A partition whose index starts at `config.index_buckets` and may grow
-  /// at Reset() up to `max_index_buckets` (see HashIndex::Clear).
+  /// A partition whose index starts at `config.index_buckets` and may
+  /// resize at Reset() between that and `max_index_buckets` (see
+  /// HashIndex::Clear).
   Partition(int id, const PartitionConfig& config, size_t max_index_buckets);
 
   Partition(const Partition&) = delete;

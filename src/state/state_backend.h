@@ -32,10 +32,12 @@ namespace slash::state {
 struct SsbConfig {
   int nodes = 2;
   StateKind kind = StateKind::kAggregate;
-  /// Primary partition sizes. A helper fragment holds about one node's
-  /// share of a partition per epoch, so it starts at 1/bit_ceil(nodes) of
-  /// each (floors 64 KiB and 256 buckets); its index grows at epoch resets
-  /// up to `index_buckets` and its LSS grows on demand.
+  /// Primary partition sizes. A helper fragment's index starts at 256
+  /// buckets (or `index_buckets` if smaller) and, at each epoch reset,
+  /// grows or shrinks to what the fragment held, between that start and
+  /// `index_buckets`. Its LSS starts at 1/bit_ceil(nodes) of
+  /// `lss_capacity` (floor 64 KiB), about one node's share of a partition
+  /// per epoch, and grows on demand.
   uint64_t lss_capacity = 1ULL << 20;
   size_t index_buckets = 1ULL << 12;
   /// Epoch length: an executor triggers a synchronization after processing

@@ -375,48 +375,65 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
 // --- SSB epoch cycle steady-state guard --------------------------------------
 
 // A warm fragment's epoch cycle (RMWs, serialize into a reserved
-// buffer, Reset) must not allocate once its index has stopped growing:
-// Clear() reuses the claimed-bucket list and the overflow segments
-// (allocated through operator new[], so a segment reallocated per epoch
-// would show here), and the LSS wraps within its capacity.
+// buffer, Reset) must not allocate once its index has settled: Clear()
+// reuses the claimed-bucket list and the overflow segments (allocated
+// through operator new[], so a segment reallocated per epoch would show
+// here), and the LSS wraps within its capacity. A constant load settles
+// the index at its cap, or below it without remapping every epoch.
 TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
-  state::PartitionConfig cfg;
-  cfg.kind = state::StateKind::kAggregate;
-  cfg.index_buckets = 16;  // grows at the first Reset, to its 64-bucket cap
-  cfg.lss_capacity = 1 << 16;
-  // 64 buckets hold 448 primary slots: the rest spill into overflow.
-  state::Partition partition(0, cfg, /*max_index_buckets=*/64);
-  std::vector<state::StateKey> keys;
-  std::vector<int64_t> values;
-  for (uint64_t i = 0; i < 512; ++i) {
-    keys.push_back({i * 7919, int64_t(i % 3)});
-    values.push_back(int64_t(i) - 256);
-  }
-  std::vector<uint8_t> delta;
-  size_t serialized = 0;
-  auto cycle = [&] {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      partition.UpdateAggregate(keys[i], values[i]);
-    }
-    delta.clear();
-    serialized = partition.SerializeDelta(&delta);
-    partition.Reset();
+  struct Case {
+    size_t max_index_buckets;
+    uint64_t keys;
+    bool at_cap;
   };
-  cycle();  // grows the index to its cap
-  ASSERT_EQ(partition.index_buckets(), 64u);
-  cycle();  // warm: claimed list, overflow segments, delta buffer capacity
-  const uint64_t lss_capacity = partition.lss().capacity();
+  const Case cases[] = {
+      // 64 buckets hold 448 primary slots: the rest spill into overflow.
+      {64, 512, true},
+      // 128 keys settle the index between its 16-bucket start and its cap.
+      {256, 128, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.keys << " keys, cap "
+                                      << c.max_index_buckets);
+    state::PartitionConfig cfg;
+    cfg.kind = state::StateKind::kAggregate;
+    cfg.index_buckets = 16;
+    cfg.lss_capacity = 1 << 16;
+    state::Partition partition(0, cfg, c.max_index_buckets);
+    std::vector<state::StateKey> keys;
+    std::vector<int64_t> values;
+    for (uint64_t i = 0; i < c.keys; ++i) {
+      keys.push_back({i * 7919, int64_t(i % 3)});
+      values.push_back(int64_t(i) - 256);
+    }
+    std::vector<uint8_t> delta;
+    size_t serialized = 0;
+    auto cycle = [&] {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        partition.UpdateAggregate(keys[i], values[i]);
+      }
+      delta.clear();
+      serialized = partition.SerializeDelta(&delta);
+      partition.Reset();
+    };
+    // Settle the index, then warm the claimed list, the overflow segments
+    // and the delta buffer's capacity.
+    for (int i = 0; i < 4; ++i) cycle();
+    const size_t settled = partition.index_buckets();
+    EXPECT_EQ(settled == c.max_index_buckets, c.at_cap) << settled;
+    const uint64_t lss_capacity = partition.lss().capacity();
 
-  AllocTracker::Arm();
-  for (int i = 0; i < 16; ++i) cycle();
-  AllocTracker::Disarm();
+    AllocTracker::Arm();
+    for (int i = 0; i < 16; ++i) cycle();
+    AllocTracker::Disarm();
 
-  EXPECT_EQ(AllocTracker::allocations(), 0u)
-      << "steady-state epoch cycle allocated " << AllocTracker::bytes()
-      << " bytes";
-  EXPECT_EQ(serialized, keys.size());
-  EXPECT_EQ(partition.lss().capacity(), lss_capacity);
-  EXPECT_EQ(partition.index_buckets(), 64u);
+    EXPECT_EQ(AllocTracker::allocations(), 0u)
+        << "steady-state epoch cycle allocated " << AllocTracker::bytes()
+        << " bytes";
+    EXPECT_EQ(serialized, keys.size());
+    EXPECT_EQ(partition.lss().capacity(), lss_capacity);
+    EXPECT_EQ(partition.index_buckets(), settled);
+  }
 }
 
 TEST(CpuContextTest, CustomModelOverridesCosts) {

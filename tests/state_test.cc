@@ -269,6 +269,51 @@ TEST(HashIndexTest, GrowsAtClearUpToItsMaximum) {
   }
 }
 
+// After a heavy load grows the index to its cap, lighter loads shrink it at
+// Clear() to the smallest size that keeps them under 3/4, never below the
+// start size; a load between 1/4 and 3/4 of the buckets keeps the size.
+TEST(HashIndexTest, ShrinksAtClearDownToItsStartSize) {
+  HashIndex index(16, 256);
+  InsertAndVerify(&index, 0, 4000);
+  index.Clear();
+  ASSERT_EQ(index.bucket_count(), 256u);
+
+  // 80 keys claim more than 64 of 256 buckets: they would fit in 128 under
+  // 3/4, but a load above 1/4 keeps the size.
+  InsertAndVerify(&index, 0, 80);
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 256u);
+
+  // 40 keys claim fewer than 64 of 256 buckets but more than 24: the array
+  // shrinks to 64, the smallest size that keeps them under 3/4.
+  InsertAndVerify(&index, 0, 40);
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 64u);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.overflow_count(), 0u);
+  for (uint64_t k = 0; k < 4000; ++k) {
+    ASSERT_EQ(index.Find(HashKey(k)), HashIndex::kInvalidAddress)
+        << "key " << k << " survived the shrink";
+  }
+  InsertAndVerify(&index, 0, 40);  // every re-inserted key is found
+
+  // The same load at 64 buckets sits between 1/4 and 3/4: no remap.
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 64u);
+
+  // A light load and then an empty one end at the start size, not below.
+  InsertAndVerify(&index, 100, 8);
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 16u);
+  index.Clear();
+  EXPECT_EQ(index.bucket_count(), 16u);
+  for (uint64_t k = 100; k < 108; ++k) {
+    ASSERT_EQ(index.Find(HashKey(k)), HashIndex::kInvalidAddress)
+        << "key " << k << " survived the shrink";
+  }
+  InsertAndVerify(&index, 0, 200);
+}
+
 TEST(HashIndexTest, ConcurrentInsertsFromRealThreads) {
   HashIndex index(1024);
   constexpr int kThreads = 4;
@@ -810,9 +855,10 @@ TEST(StateBackendTest, PrimaryCheckpointRoundTrip) {
   }
 }
 
-// Fragments start at 1/bit_ceil(nodes) of the primary index and LSS, with
-// floors of 256 buckets and 64 KiB, and never above the primary size.
-TEST(StateBackendTest, FragmentsStartAtAShareOfThePrimary) {
+// A fragment index starts at 256 buckets whatever the node count; its LSS
+// starts at 1/bit_ceil(nodes) of the primary's, with a 64 KiB floor. Neither
+// starts above the primary size.
+TEST(StateBackendTest, FragmentsStartAtTheIndexFloorAndAnLssShare) {
   struct Case {
     int nodes;
     size_t index_buckets;
@@ -821,10 +867,11 @@ TEST(StateBackendTest, FragmentsStartAtAShareOfThePrimary) {
     uint64_t fragment_lss;
   };
   const Case cases[] = {
-      {16, 1 << 14, 1 << 20, 1 << 10, 1 << 16},  // the JobConfig defaults
-      {6, 1 << 14, 1 << 22, 1 << 11, 1 << 19},   // bit_ceil(6) = 8
-      {6, 1 << 10, 1 << 18, 256, 1 << 16},       // both floors
-      {4, 64, 1 << 12, 64, 1 << 12},             // already below the floors
+      {16, 1 << 14, 1 << 20, 256, 1 << 16},  // the JobConfig defaults
+      {6, 1 << 14, 1 << 22, 256, 1 << 19},   // bit_ceil(6) = 8
+      {2, 1 << 12, 1 << 20, 256, 1 << 19},
+      {6, 1 << 10, 1 << 18, 256, 1 << 16},   // the LSS floor
+      {4, 64, 1 << 12, 64, 1 << 12},         // already below the floors
   };
   for (const Case& c : cases) {
     SsbConfig cfg;
@@ -844,38 +891,85 @@ TEST(StateBackendTest, FragmentsStartAtAShareOfThePrimary) {
   }
 }
 
-// A fragment whose epochs outgrow its index grows at the drain's reset, up
-// to the primary size, and the leader still merges the exact state.
-TEST(StateBackendTest, FragmentIndexGrowsAtDrainUpToPrimarySize) {
+// Checks that the leader's merged partition holds exactly `oracle`, keyed
+// by (key, bucket).
+void ExpectMergedState(const StateBackend& leader,
+                       const std::map<std::pair<uint64_t, int64_t>, int64_t>&
+                           oracle) {
+  for (const auto& [k, sum] : oracle) {
+    AggState s;
+    ASSERT_TRUE(leader.local(leader.node())
+                    ->LookupAggregate({k.first, k.second}, &s))
+        << "key " << k.first << " bucket " << k.second;
+    ASSERT_EQ(s.sum, sum) << "key " << k.first << " bucket " << k.second;
+  }
+  EXPECT_EQ(leader.local(leader.node())->entry_count(), oracle.size());
+}
+
+// A skew shift: hot epochs outgrow fragment 1's index, which grows at the
+// drain's reset to the primary size; cold epochs then shrink it back to its
+// 256-bucket start. The leader merges the exact state across every resize.
+TEST(StateBackendTest, FragmentIndexFollowsASkewShift) {
   SsbConfig cfg = SmallSsbConfig(4);
-  cfg.index_buckets = 1 << 10;  // fragments start at the 256-bucket floor
+  cfg.index_buckets = 1 << 10;
   StateBackend helper(0, cfg);
   StateBackend leader(1, cfg);
   ASSERT_EQ(helper.local(1)->index_buckets(), 256u);
-  std::map<uint64_t, int64_t> oracle;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    for (uint64_t key = 0; key < 40000; ++key) {
+  std::map<std::pair<uint64_t, int64_t>, int64_t> oracle;
+  auto epoch = [&](int64_t bucket, uint64_t first, uint64_t keys) {
+    for (uint64_t key = first; key < first + keys; ++key) {
       if (helper.partition_of(key) != 1) continue;
-      helper.UpdateAggregate(key, epoch, int64_t(key));
-      oracle[key] += int64_t(key);
+      const int64_t value = int64_t(key % 97) - 48;
+      helper.UpdateAggregate(key, bucket, value);
+      oracle[{key, bucket}] += value;
     }
     helper.BeginEpoch();
     std::vector<uint8_t> wire;
     helper.DrainFragment(1, 0, &wire);
     ASSERT_TRUE(
         leader.MergeIntoPrimary(wire.data(), wire.size(), nullptr).ok());
-    EXPECT_GT(helper.local(1)->index_buckets(), 256u) << "epoch " << epoch;
-    EXPECT_LE(helper.local(1)->index_buckets(), cfg.index_buckets);
+    ExpectMergedState(leader, oracle);
+  };
+  for (int64_t e = 0; e < 2; ++e) {
+    epoch(e, 0, 40000);  // ~10 000 fresh keys for partition 1
+    EXPECT_EQ(helper.local(1)->index_buckets(), cfg.index_buckets)
+        << "hot epoch " << e;
   }
+  for (int64_t e = 2; e < 5; ++e) {
+    epoch(e, uint64_t(e) * 1000, 200);  // ~50 keys
+    EXPECT_EQ(helper.local(1)->index_buckets(), 256u) << "cold epoch " << e;
+  }
+  epoch(0, 0, 40000);  // the skew shifts back onto the first window's keys
   EXPECT_EQ(helper.local(1)->index_buckets(), cfg.index_buckets);
-  for (const auto& [key, sum] : oracle) {
-    int64_t merged = 0;
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      AggState s;
-      ASSERT_TRUE(leader.primary()->LookupAggregate({key, epoch}, &s));
-      merged += s.sum;
+}
+
+// At the JobConfig defaults (16 nodes, 16 384 primary buckets) a fragment
+// takes about 430 fresh keys per epoch, as in ysb-16n. After every reset
+// its index holds no more than 512 buckets.
+TEST(StateBackendTest, SixteenNodeFragmentsSettleAtWhatTheyHold) {
+  SsbConfig cfg;
+  cfg.nodes = 16;
+  cfg.index_buckets = 1 << 14;
+  cfg.lss_capacity = 1 << 20;
+  StateBackend ssb(0, cfg);
+  uint64_t key = 0;
+  for (int64_t epoch = 0; epoch < 3; ++epoch) {
+    std::vector<int> fresh(cfg.nodes, 0);
+    int full = 1;  // the primary takes no fragment keys
+    for (; full < cfg.nodes; ++key) {
+      const int p = ssb.partition_of(key);
+      if (p == 0 || fresh[p] == 430) continue;
+      ssb.UpdateAggregate(key, epoch, 1);
+      if (++fresh[p] == 430) ++full;
     }
-    ASSERT_EQ(merged, sum) << "key " << key;
+    ssb.BeginEpoch();
+    std::vector<uint8_t> wire;
+    for (int p = 1; p < cfg.nodes; ++p) {
+      wire.clear();
+      EXPECT_EQ(ssb.DrainFragment(p, 0, &wire).entry_count, 430u);
+      EXPECT_LE(ssb.local(p)->index_buckets(), 512u)
+          << "epoch " << epoch << ", fragment " << p;
+    }
   }
 }
 
@@ -886,7 +980,7 @@ TEST(StateBackendTest, AddLeadershipReprovisionsAtPrimarySize) {
   cfg.index_buckets = 1 << 12;
   cfg.lss_capacity = 1 << 20;
   StateBackend ssb(0, cfg);
-  ASSERT_EQ(ssb.local(2)->index_buckets(), 1u << 10);
+  ASSERT_EQ(ssb.local(2)->index_buckets(), 256u);
   ASSERT_EQ(ssb.local(2)->lss().capacity(), 1u << 18);
   ssb.AddLeadership(2);
   EXPECT_TRUE(ssb.leads(2));
