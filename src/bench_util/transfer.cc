@@ -292,7 +292,6 @@ TransferResult RunTransfer(const TransferConfig& config) {
   ch_cfg.slot_bytes = config.slot_bytes;
   ch_cfg.post_batch = config.post_batch;
   ch_cfg.inline_threshold = config.inline_threshold;
-  ch_cfg.send_threshold = config.send_threshold;
 
   state::PartitionConfig pcfg;
   pcfg.kind = state::StateKind::kAggregate;

@@ -46,11 +46,10 @@ struct TransferConfig {
   double cpu_ghz = 2.4;
   uint64_t seed = 42;
 
-  /// Verbs-level batching knobs, forwarded to ChannelConfig (all opt-in;
+  /// Verbs-level batching knobs, forwarded to ChannelConfig (both opt-in;
   /// defaults reproduce the unbatched protocol byte-for-byte).
   uint32_t post_batch = 1;        // doorbell batching
   uint32_t inline_threshold = 0;  // inline-send fast path
-  uint32_t send_threshold = 0;    // adaptive SEND vs WRITE transport
 };
 
 struct TransferResult {

@@ -55,9 +55,8 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
   channel->flow_ = fabric->OpenFlow(producer_node, consumer_node);
   channel->external_spans_.assign(config.credits, rdma::MemorySpan{});
   channel->merged_run_len_.assign(config.credits, 1);
-  channel->batched_mode_ = config.post_batch > 1 ||
-                           config.inline_threshold > 0 ||
-                           config.send_threshold > 0;
+  channel->batched_mode_ =
+      config.post_batch > 1 || config.inline_threshold > 0;
 
   RdmaChannel* ch = channel.get();
   if (config.quota != nullptr) {
@@ -69,35 +68,6 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
   }
   if (channel->batched_mode_) {
     channel->pending_.reserve(std::max<uint32_t>(config.post_batch, 1));
-  }
-  if (config.send_threshold > 0) {
-    // Adaptive transport needs a dedicated consumer endpoint with a private
-    // receive FIFO: on a shared hub (SRQ/shared modes) the ring's receives
-    // would be consumed by other flows' SENDs.
-    rdma::QpEndpoint* consumer = channel->flow_->consumer_endpoint();
-    SLASH_CHECK_MSG(!consumer->hub() && consumer->srq() == nullptr,
-                    "send_threshold requires the full-mesh connection mode");
-    SLASH_CHECK_GT(config.send_threshold,
-                   kSendHeaderBytes + kFooterBytes);
-    const uint64_t ring_bytes =
-        uint64_t(config.credits) * config.send_threshold;
-    channel->send_staging_ =
-        fabric->pd(producer_node)->RegisterRegion(ring_bytes);
-    channel->recv_ring_ =
-        fabric->pd(consumer_node)->RegisterRegion(ring_bytes);
-    for (uint32_t i = 0; i < config.credits; ++i) {
-      SLASH_CHECK(consumer
-                      ->PostRecv(rdma::MemorySpan{
-                                     channel->recv_ring_,
-                                     uint64_t(i) * config.send_threshold,
-                                     config.send_threshold},
-                                 /*wr_id=*/i)
-                      .ok());
-    }
-    channel->recv_ring_->AddRemoteWriteListener([ch](uint64_t, uint64_t) {
-      ch->data_event_.Notify();
-      for (sim::Event* observer : ch->data_observers_) observer->Notify();
-    });
   }
   channel->queue_->AddRemoteWriteListener([ch](uint64_t, uint64_t) {
     ch->data_event_.Notify();
@@ -135,10 +105,6 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
           registry->GetCounter(obs::metric::kChannelDoorbells, labels);
       channel->inline_counter_ =
           registry->GetCounter(obs::metric::kChannelInlineSends, labels);
-      channel->transport_send_counter_ =
-          registry->GetCounter(obs::metric::kChannelTransportSend, labels);
-      channel->transport_write_counter_ =
-          registry->GetCounter(obs::metric::kChannelTransportWrite, labels);
       channel->coalesced_counter_ =
           registry->GetCounter(obs::metric::kChannelCoalescedSlots, labels);
     }
@@ -238,36 +204,11 @@ Status RdmaChannel::Post(const SlotRef& slot, uint64_t payload_len,
 
   if (batched_mode_) {
     // Decomposed post: build the WQE now, ring the doorbell at Flush().
-    // The SEND-vs-WRITE transport decision is made here, while the payload
-    // length is at hand; the inline decision for WRITEs waits until
-    // Flush(), where adjacent-slot WRs coalesce and the final wire size of
-    // each message is known.
+    // The inline decision waits until Flush(), where adjacent-slot WRs
+    // coalesce and the final wire size of each WRITE is known.
     cpu->Charge(perf::Op::kRdmaWqeBuild);
     ++sent_count_;
-    PendingWr wr;
-    wr.msg = sent_count_;
-    wr.slot = slot.slot_index;
-    wr.payload_len = static_cast<uint32_t>(payload_len);
-    const uint64_t frame_bytes = kSendHeaderBytes + kFooterBytes + payload_len;
-    wr.send_transport =
-        config_.send_threshold > 0 && frame_bytes <= config_.send_threshold;
-    if (wr.send_transport) {
-      // Build the compact SEND frame [msg | footer | payload]. An inline
-      // frame is the WQE-embedded copy; a non-inline one is an ordinary
-      // staging copy the NIC DMA-fetches later.
-      wr.inline_send = config_.inline_threshold > 0 &&
-                       frame_bytes <= config_.inline_threshold;
-      uint8_t* frame =
-          send_staging_->data() + uint64_t(wr.slot) * config_.send_threshold;
-      std::memcpy(frame, &wr.msg, sizeof(wr.msg));
-      WriteFooter(frame + kSendHeaderBytes, footer);
-      std::memcpy(frame + kSendHeaderBytes + kFooterBytes, slot.payload,
-                  payload_len);
-      cpu->Charge(wr.inline_send ? perf::Op::kRdmaInlineCopyPerByte
-                                 : perf::Op::kBufferCopyPerByte,
-                  double(frame_bytes));
-    }
-    pending_.push_back(wr);
+    pending_.push_back(PendingWr{sent_count_, slot.slot_index});
     if (pending_.size() >= config_.post_batch) return Flush(cpu);
     return Status::OK();
   }
@@ -297,49 +238,17 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
   cpu->Charge(perf::Op::kRdmaDoorbell);
   if (doorbells_counter_ != nullptr) doorbells_counter_->Add(1);
   if (batches_counter_ != nullptr) batches_counter_->Add(1);
-  Status status;
   for (size_t i = 0; i < pending_.size();) {
     const PendingWr& wr = pending_[i];
-    if (wr.send_transport) {
-      const uint64_t frame_bytes =
-          kSendHeaderBytes + kFooterBytes + wr.payload_len;
-      status = flow_->SendToConsumer(
-          rdma::MemorySpan{send_staging_,
-                           uint64_t(wr.slot) * config_.send_threshold,
-                           frame_bytes},
-          MakeWrId(wr.msg, kWrSlot), /*signaled=*/false, /*immediate=*/0,
-          /*has_immediate=*/false, wr.inline_send);
-      if (status.ok()) {
-        // A retried SEND falls back to a single-slot WRITE, so the run
-        // length recorded for its slot must be 1 (not a stale merged run
-        // from an earlier round at the same slot).
-        merged_run_len_[wr.slot] = 1;
-        if (inline_counter_ != nullptr && wr.inline_send) {
-          inline_counter_->Add(1);
-        }
-        if (transport_send_counter_ != nullptr) {
-          transport_send_counter_->Add(1);
-        }
-        ++i;
-        continue;
-      }
-      // A SEND can be refused when its receive buffer was consumed by a
-      // message later lost mid-flight (the buffer is gone, nothing landed).
-      // Fall back to the one-sided WRITE: the consumer's in-order slot poll
-      // picks it up exactly like a retried transfer.
-    }
     // WR coalescing: queued WRITEs to consecutive ring slots are contiguous
     // in both the producer staging queue and the consumer mirror (flat
     // layout), so one spanning WRITE carries the whole run — one wire
     // message (one per-message overhead at each NIC) instead of run_len.
     // Runs never cross the ring wrap (slot c-1 -> 0 is not contiguous).
-    // A refused SEND retries as a plain single-slot WRITE (run = 1).
     size_t run = 1;
-    if (!wr.send_transport) {
-      while (i + run < pending_.size() && !pending_[i + run].send_transport &&
-             pending_[i + run].slot == wr.slot + run) {
-        ++run;
-      }
+    while (i + run < pending_.size() &&
+           pending_[i + run].slot == wr.slot + run) {
+      ++run;
     }
     const uint64_t wire_bytes = uint64_t(run) * config_.slot_bytes;
     // Inline decision on the coalesced message: the payload travels in the
@@ -351,7 +260,7 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
       cpu->Charge(perf::Op::kRdmaInlineCopyPerByte, double(wire_bytes));
     }
     merged_run_len_[wr.slot] = static_cast<uint32_t>(run);
-    status = flow_->PostToConsumer(
+    const Status status = flow_->PostToConsumer(
         rdma::MemorySpan{staging_, SlotOffset(wr.slot), wire_bytes},
         queue_->remote_key(), SlotOffset(wr.slot), MakeWrId(wr.msg, kWrSlot),
         /*signaled=*/false, inline_write);
@@ -360,7 +269,6 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
       return status;
     }
     if (inline_counter_ != nullptr && inline_write) inline_counter_->Add(1);
-    if (transport_write_counter_ != nullptr) transport_write_counter_->Add(1);
     if (coalesced_counter_ != nullptr && run > 1) coalesced_counter_->Add(run);
     i += run;
   }
@@ -437,39 +345,7 @@ void RdmaChannel::MarkCheckpoint() {
   for (sim::Event* observer : credit_observers_) observer->Notify();
 }
 
-void RdmaChannel::DrainRecvRing(perf::CpuContext* cpu) {
-  const uint64_t stride = config_.send_threshold;
-  for (uint32_t i = 0; i < config_.credits; ++i) {
-    uint8_t* entry = recv_ring_->data() + uint64_t(i) * stride;
-    uint64_t msg = 0;
-    std::memcpy(&msg, entry, sizeof(msg));
-    if (msg == 0) continue;
-    // A frame landed in this ring entry: materialize it in its queue slot
-    // (payload at the head, footer at the fixed tail) so the in-order
-    // footer poll below sees exactly what a WRITE would have produced.
-    const SlotFooter footer = ReadFooter(entry + kSendHeaderBytes);
-    const uint32_t slot = static_cast<uint32_t>((msg - 1) % config_.credits);
-    std::memcpy(queue_->data() + SlotOffset(slot),
-                entry + kSendHeaderBytes + kFooterBytes, footer.payload_len);
-    WriteFooter(queue_->data() + FooterOffset(slot), footer);
-    cpu->Charge(perf::Op::kBufferCopyPerByte,
-                double(footer.payload_len + kFooterBytes));
-    std::memset(entry, 0, sizeof(msg));
-    // Retire the receive completion and re-arm the consumed buffer.
-    rdma::Completion c;
-    if (flow_->consumer_endpoint()->recv_cq().TryPoll(&c)) {
-      cpu->Charge(perf::Op::kCqPoll);
-    }
-    SLASH_CHECK(flow_->consumer_endpoint()
-                    ->PostRecv(rdma::MemorySpan{recv_ring_,
-                                                uint64_t(i) * stride, stride},
-                               /*wr_id=*/i)
-                    .ok());
-  }
-}
-
 bool RdmaChannel::TryPoll(InboundBuffer* out, perf::CpuContext* cpu) {
-  if (recv_ring_ != nullptr) DrainRecvRing(cpu);
   const uint32_t slot = static_cast<uint32_t>(received_count_ % config_.credits);
   const SlotFooter footer = ReadFooter(queue_->data() + FooterOffset(slot));
   const uint32_t expected_seq =

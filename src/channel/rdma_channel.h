@@ -136,7 +136,7 @@ struct ChannelConfig {
   /// producer wedges permanently once the bound is hit.
   uint32_t replay_buffer_slots = 0;
 
-  // --- Verbs-level batching (all opt-in; the defaults keep the channel
+  // --- Verbs-level batching (both opt-in; the defaults keep the channel
   // byte-identical to the unbatched protocol, including its cost-model
   // charge sequence) -------------------------------------------------------
 
@@ -154,26 +154,13 @@ struct ChannelConfig {
   /// queued messages never leave.
   uint32_t post_batch = 1;
 
-  /// Inline-send fast path: wire messages whose size is <= this are posted
-  /// inline — the payload is copied into the WQE at build time
-  /// (kRdmaInlineCopyPerByte per byte) and the NIC skips the payload DMA
-  /// fetch (NicConfig::inline_overhead_discount). For WRITEs the decision
-  /// is made at Flush() on the coalesced wire size; for SEND frames at
-  /// Post() on the frame size. 0 disables. Setting any of the batching
-  /// knobs switches Post() to the decomposed build+doorbell charging even
-  /// at post_batch = 1.
+  /// Inline-send fast path: a coalesced WRITE whose wire size (run length
+  /// x slot_bytes) is <= this is posted inline — the payload is copied
+  /// into the WQE at Flush() (kRdmaInlineCopyPerByte per byte) and the NIC
+  /// skips the payload DMA fetch (NicConfig::inline_overhead_discount).
+  /// 0 disables. Setting either batching knob switches Post() to the
+  /// decomposed build+doorbell charging even at post_batch = 1.
   uint32_t inline_threshold = 0;
-
-  /// Adaptive transport selection: messages whose compact frame
-  /// (8-byte header + footer + payload) fits in `send_threshold` bytes go
-  /// as two-sided SENDs into a pre-posted receive ring on the consumer;
-  /// larger messages keep the one-sided WRITE into the mirror slot. Small
-  /// messages skip shipping the slot's unused tail; large ones keep the
-  /// zero-copy write path. 0 disables (always WRITE). Requires the
-  /// full-mesh connection mode (a dedicated consumer endpoint with a
-  /// private receive FIFO); a SEND that cannot be posted (e.g. its receive
-  /// buffer was lost with a dropped message) falls back to WRITE.
-  uint32_t send_threshold = 0;
 
   // --- Multi-tenant execution (engines/job.h) ------------------------------
 
@@ -203,11 +190,6 @@ struct SlotFooter {
 };
 
 inline constexpr uint64_t kFooterBytes = sizeof(SlotFooter);
-
-/// Adaptive-transport SEND frames are [message number | footer | payload]:
-/// the 8-byte message number maps an out-of-ring-order arrival back to its
-/// queue slot and doubles as the frame-valid flag (0 = empty ring entry).
-inline constexpr uint64_t kSendHeaderBytes = 8;
 
 /// A writable slot handed to the producer.
 struct SlotRef {
@@ -285,11 +267,10 @@ class RdmaChannel {
 
   /// Rings the doorbell for every queued work request (doorbell batching;
   /// no-op when nothing is queued). Charges one kRdmaDoorbell and posts
-  /// the WRs in order — SEND frames individually (per the transport
-  /// decision recorded at Post() time), WRITEs coalesced: runs of adjacent
-  /// ring slots merge into one spanning WRITE. Producers must call this
-  /// before parking (end of input, waiting on something other than
-  /// credits) so queued messages drain.
+  /// the WRs in order as coalesced WRITEs: each run of adjacent ring slots
+  /// goes as one spanning WRITE, inline when it fits inline_threshold.
+  /// Producers must call this before parking (end of input, waiting on
+  /// something other than credits) so queued messages drain.
   Status Flush(perf::CpuContext* cpu);
 
   /// Work requests built but not yet doorbelled (doorbell batching).
@@ -421,12 +402,6 @@ class RdmaChannel {
   bool OnProducerCompletion(const rdma::Completion& c);
   bool OnConsumerCompletion(const rdma::Completion& c);
 
-  // Drains SEND-delivered frames from the receive ring into their queue
-  // slots (adaptive transport), re-arming each consumed receive. Called by
-  // TryPoll before the in-order footer poll; frames may arrive in any ring
-  // entry, the embedded message number maps them to their slot.
-  void DrainRecvRing(perf::CpuContext* cpu);
-
   // Re-posts the transfer identified by `wr_id` (scheduled after backoff).
   void RetryPost(uint64_t wr_id);
   // Re-posts the latest cumulative credit count (idempotent).
@@ -459,8 +434,6 @@ class RdmaChannel {
   obs::Counter* batches_counter_ = nullptr;
   obs::Counter* doorbells_counter_ = nullptr;
   obs::Counter* inline_counter_ = nullptr;
-  obs::Counter* transport_send_counter_ = nullptr;
-  obs::Counter* transport_write_counter_ = nullptr;
   obs::Counter* coalesced_counter_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   uint32_t trace_transfer_ = 0;  // interned names (hot path emits by id)
@@ -490,11 +463,8 @@ class RdmaChannel {
   // kRdmaDoorbell sequence instead of the fused kRdmaPost (numerically
   // different even at post_batch = 1, which is why it is opt-in).
   struct PendingWr {
-    uint64_t msg = 0;           // 1-based message number
-    uint32_t slot = 0;          // staging/queue slot index
-    uint32_t payload_len = 0;
-    bool send_transport = false;  // SEND frame vs slot WRITE
-    bool inline_send = false;     // payload embedded in the WQE
+    uint64_t msg = 0;   // 1-based message number
+    uint32_t slot = 0;  // staging/queue slot index
   };
   bool batched_mode_ = false;
   std::vector<PendingWr> pending_;            // capacity reserved at Create
@@ -506,8 +476,6 @@ class RdmaChannel {
   // of the same slot is safe. Sized `credits` at Create; runs never cross
   // the ring wrap.
   std::vector<uint32_t> merged_run_len_;
-  rdma::MemoryRegion* send_staging_ = nullptr;  // producer compact SEND frames
-  rdma::MemoryRegion* recv_ring_ = nullptr;     // consumer receive ring
   // Upstream replay buffer (bounded; see ChannelConfig::replay_buffer_slots).
   std::deque<RetainedMessage> retained_;
   uint64_t retained_bytes_ = 0;

@@ -53,15 +53,12 @@ inline constexpr std::string_view kFabricQpMemoryBytes =
 inline constexpr std::string_view kFabricSrqs = "fabric.srqs";
 inline constexpr std::string_view kChannelRetries = "channel.retries";
 // Verbs-level batching instruments. Registered only by channels that opt
-// into batching (ChannelConfig::post_batch / inline_threshold /
-// send_threshold), so default-config snapshots stay byte-identical.
+// into batching (ChannelConfig::post_batch / inline_threshold), so
+// default-config snapshots stay byte-identical. inline_sends counts inline
+// wire WRITEs; coalesced_slots counts the slots of multi-slot WRITEs.
 inline constexpr std::string_view kChannelBatches = "channel.batches";
 inline constexpr std::string_view kChannelDoorbells = "channel.doorbells";
 inline constexpr std::string_view kChannelInlineSends = "channel.inline_sends";
-inline constexpr std::string_view kChannelTransportSend =
-    "channel.transport_send";
-inline constexpr std::string_view kChannelTransportWrite =
-    "channel.transport_write";
 inline constexpr std::string_view kChannelCoalescedSlots =
     "channel.coalesced_slots";
 inline constexpr std::string_view kChannelCreditsOutstanding =

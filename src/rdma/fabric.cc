@@ -38,13 +38,11 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
     case ConnectionMode::kFullMesh:
       break;
     case ConnectionMode::kSrq:
-      srqs_.reserve(config.nodes);
       srq_transports_.resize(config.nodes);
       for (int n = 0; n < config.nodes; ++n) {
-        srqs_.push_back(std::make_unique<Srq>(n, conn.srq_depth));
         srq_transports_[n].initiator = MakeEndpoint(n, /*hub=*/true);
         srq_transports_[n].target = MakeEndpoint(n, /*hub=*/true);
-        srq_transports_[n].target->srq_ = srqs_[n].get();
+        srq_transports_[n].target->srq_ = true;
       }
       break;
     case ConnectionMode::kShared:
@@ -152,25 +150,18 @@ Flow* Fabric::OpenFlow(int producer_node, int consumer_node) {
   return flow;
 }
 
-Srq* Fabric::srq(int node) const {
-  if (srqs_.empty()) return nullptr;
-  SLASH_CHECK_GE(node, 0);
-  SLASH_CHECK_LT(node, config_.nodes);
-  return srqs_[node].get();
-}
-
 ConnectionStats Fabric::connection_stats() const {
   ConnectionStats stats;
   stats.flows = flows_.size();
   stats.qp_endpoints = endpoints_.size();
-  stats.srqs = srqs_.size();
-  std::vector<uint64_t> mem_per_node(config_.nodes, 0);
+  // kSrq models one shared receive queue per node: its footprint joins the
+  // node's QP memory even though no receive is ever posted to it.
+  const bool srq_mode = config_.connection.mode == ConnectionMode::kSrq;
+  stats.srqs = srq_mode ? uint64_t(config_.nodes) : 0;
+  std::vector<uint64_t> mem_per_node(
+      config_.nodes, srq_mode ? config_.connection.SrqMemoryBytes() : 0);
   for (const auto& ep : endpoints_) {
-    mem_per_node[ep->node()] +=
-        config_.connection.QpMemoryBytes(ep->srq() != nullptr);
-  }
-  for (const auto& srq : srqs_) {
-    mem_per_node[srq->node()] += config_.connection.SrqMemoryBytes();
+    mem_per_node[ep->node()] += config_.connection.QpMemoryBytes(ep->srq());
   }
   for (int n = 0; n < config_.nodes; ++n) {
     stats.qp_memory_bytes += mem_per_node[n];
@@ -228,13 +219,6 @@ Status Flow::PostToProducer(MemorySpan local, RemoteKey rkey,
                                 Tag(wr_id, /*reverse=*/true), signaled);
 }
 
-Status Flow::SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                            uint32_t immediate, bool has_immediate,
-                            bool inline_send) {
-  return fwd_from_->PostSendTo(fwd_to_, local, Tag(wr_id, /*reverse=*/false),
-                               signaled, immediate, has_immediate, inline_send);
-}
-
 uint64_t Fabric::total_tx_bytes() const {
   uint64_t total = 0;
   for (const auto& nic : nics_) total += nic->tx_bytes();
@@ -277,8 +261,8 @@ void Fabric::FailQp(uint32_t qp_num) {
   QpEndpoint* ep = FindQp(qp_num);
   SLASH_CHECK_MSG(ep != nullptr, "FaultPlan names unknown qp_num " << qp_num);
   TraceFault("fabric.qp_fail", ep->node());
-  ep->EnterErrorState();
-  if (ep->peer() != nullptr) ep->peer()->EnterErrorState();
+  ep->state_ = QpState::kError;
+  if (ep->peer() != nullptr) ep->peer()->state_ = QpState::kError;
 }
 
 void Fabric::RecoverQp(uint32_t qp_num) {
@@ -315,18 +299,8 @@ void Fabric::CrashNode(int node) {
   // unaffected (the per-transfer destination check handles the dead side).
   for (const auto& ep : endpoints_) {
     if (ep->node() != node) continue;
-    ep->EnterErrorState();
-    if (ep->peer() != nullptr) ep->peer()->EnterErrorState();
-  }
-  // SRQ buffers are shared, node-wide state (not flushed by a single QP
-  // erroring), but a crash kills the whole node: drain them with flush
-  // errors like a private receive FIFO.
-  if (Srq* dead_srq = srq(node)) {
-    for (const PostedRecv& recv : dead_srq->Flush()) {
-      srq_transports_[node].target->recv_cq().Push(
-          Completion{recv.wr_id, WorkType::kRecv, 0, 0,
-                     /*has_immediate=*/false, WcStatus::kFlushErr});
-    }
+    ep->state_ = QpState::kError;
+    if (ep->peer() != nullptr) ep->peer()->state_ = QpState::kError;
   }
 }
 
@@ -370,16 +344,13 @@ void Fabric::FlushWr(QpEndpoint* from, WorkType type, uint64_t wr_id,
   ++from->outstanding_;
   sim_->ScheduleAt(sim_->now(), [from, type, wr_id, len] {
     --from->outstanding_;
-    from->send_cq().Push(Completion{wr_id, type, len, 0,
-                                    /*has_immediate=*/false,
-                                    WcStatus::kFlushErr});
+    from->send_cq().Push(Completion{wr_id, type, len, WcStatus::kFlushErr});
   });
 }
 
 Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                             RemoteKey rkey, uint64_t remote_offset,
-                            uint64_t wr_id, bool signaled, uint32_t immediate,
-                            bool has_immediate, bool inline_send) {
+                            uint64_t wr_id, bool signaled, bool inline_send) {
   MemoryRegion* remote = pd(to->node())->FindByRkey(rkey.rkey);
   if (remote == nullptr) {
     return Status::NotFound("unknown rkey on destination node");
@@ -411,9 +382,8 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       ++from->outstanding_;
       sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
         --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len, 0,
-                                        /*has_immediate=*/false,
-                                        WcStatus::kRetryExceeded});
+        from->send_cq().Push(
+            Completion{wr_id, WorkType::kWrite, len, WcStatus::kRetryExceeded});
       });
       return Status::OK();
     }
@@ -422,23 +392,21 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                                 ->ReserveRx(tx_end + lat + fault.extra_delay,
                                             len);
       ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                            signaled, immediate, has_immediate, arrival, lat);
+                            signaled, arrival, lat);
       return Status::OK();
     }
   }
 
   const Nanos arrival = nic(to->node())->ReserveRx(tx_end + lat, len);
   ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                        signaled, immediate, has_immediate, arrival, lat);
+                        signaled, arrival, lat);
   return Status::OK();
 }
 
 void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                                    MemoryRegion* remote, MemorySpan local,
                                    uint64_t remote_offset, uint64_t wr_id,
-                                   bool signaled, uint32_t immediate,
-                                   bool has_immediate, Nanos arrival,
-                                   Nanos lat) {
+                                   bool signaled, Nanos arrival, Nanos lat) {
   ++from->outstanding_;
   // Capture the source bytes lazily at delivery time: RDMA reads the send
   // buffer via DMA as the message serializes, and our protocol layers never
@@ -464,10 +432,6 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
     // simulation the whole message materializes atomically at `arrival`,
     // which preserves exactly the "footer last" guarantee.
     remote->NotifyRemoteWrite(remote_offset, len);
-    if (has_immediate) {
-      to->recv_cq().Push(Completion{wr_id, WorkType::kRecv, len, immediate,
-                                    /*has_immediate=*/true});
-    }
   });
   // The sender's completion means "acked by the responder": one extra
   // latency after remote delivery.
@@ -476,9 +440,8 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
     const bool ok = *delivered;
     ReleaseFlag(delivered);
     if (!ok || from->state_ == QpState::kError) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len, 0,
-                                      /*has_immediate=*/false,
-                                      WcStatus::kFlushErr});
+      from->send_cq().Push(
+          Completion{wr_id, WorkType::kWrite, len, WcStatus::kFlushErr});
       return;
     }
     if (signaled) {
@@ -520,9 +483,8 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       ++from->outstanding_;
       sim_->ScheduleAt(req_tx + inj->plan().drop_report_delay, [=] {
         --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kRead, len, 0,
-                                        /*has_immediate=*/false,
-                                        WcStatus::kRetryExceeded});
+        from->send_cq().Push(
+            Completion{wr_id, WorkType::kRead, len, WcStatus::kRetryExceeded});
       });
       return Status::OK();
     }
@@ -544,102 +506,13 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
     --from->outstanding_;
     if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
       // Connection died while the read was in flight.
-      from->send_cq().Push(Completion{wr_id, WorkType::kRead, len, 0,
-                                      /*has_immediate=*/false,
-                                      WcStatus::kFlushErr});
+      from->send_cq().Push(
+          Completion{wr_id, WorkType::kRead, len, WcStatus::kFlushErr});
       return;
     }
     std::memcpy(local.data(), remote->data() + remote_offset, len);
     local.region->NotifyRemoteWrite(local.offset, len);
     from->send_cq().Push(Completion{wr_id, WorkType::kRead, len});
-  });
-  return Status::OK();
-}
-
-Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                           uint64_t wr_id, bool signaled, uint32_t immediate,
-                           bool has_immediate, bool inline_send) {
-  if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
-    FlushWr(from, WorkType::kSend, wr_id, local.length);
-    return Status::OK();
-  }
-  // Receives come from the destination's node-wide SRQ when one is
-  // attached, otherwise from its private posted-receive FIFO. Either way
-  // the oldest buffer wins — arrival order, not sender identity.
-  const bool from_srq = to->srq_ != nullptr;
-  PostedRecv recv;
-  if (from_srq) {
-    if (!to->srq_->PeekFront(&recv)) {
-      return Status::FailedPrecondition("no posted receive buffer in srq");
-    }
-  } else {
-    if (to->recv_queue_.empty()) {
-      // Receiver-not-ready on a reliable connection; a real NIC would
-      // retry, our protocols are required to pre-post. Surface an error.
-      return Status::FailedPrecondition("no posted receive buffer on peer");
-    }
-    recv = to->recv_queue_.front();
-  }
-  if (recv.buffer.length < local.length) {
-    return Status::InvalidArgument("posted receive buffer too small");
-  }
-
-  const Nanos now = sim_->now();
-  const Nanos lat = config_.nic.wire_latency;
-  const uint64_t len = local.length;
-  const Nanos tx_end = nic(from->node())->ReserveTx(now, len, inline_send);
-
-  Nanos extra_delay = 0;
-  if (sim::FaultInjector* inj = injector()) {
-    const auto fault =
-        inj->OnTransfer(from->node(), to->node(), from->qp_num(), len);
-    if (fault.drop) {
-      // The receive buffer stays posted: nothing reached the receiver.
-      ++from->outstanding_;
-      sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
-        --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kSend, len, 0,
-                                        /*has_immediate=*/false,
-                                        WcStatus::kRetryExceeded});
-      });
-      return Status::OK();
-    }
-    extra_delay = fault.extra_delay;
-  }
-  if (from_srq) {
-    PostedRecv taken;
-    to->srq_->TakeFront(&taken);
-  } else {
-    to->recv_queue_.pop_front();
-  }
-  const Nanos arrival =
-      nic(to->node())->ReserveRx(tx_end + lat + extra_delay, len);
-
-  ++from->outstanding_;
-  bool* delivered = AcquireFlag();
-  sim_->ScheduleAt(arrival, [=] {
-    if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
-      return;  // lost mid-flight
-    }
-    *delivered = true;
-    std::memcpy(recv.buffer.data(), local.data(), len);
-    recv.buffer.region->NotifyRemoteWrite(recv.buffer.offset, len);
-    to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len, immediate,
-                                  has_immediate});
-  });
-  sim_->ScheduleAt(arrival + lat, [=, this] {
-    --from->outstanding_;
-    const bool ok = *delivered;
-    ReleaseFlag(delivered);
-    if (!ok || from->state_ == QpState::kError) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len, 0,
-                                      /*has_immediate=*/false,
-                                      WcStatus::kFlushErr});
-      return;
-    }
-    if (signaled) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len});
-    }
   });
   return Status::OK();
 }

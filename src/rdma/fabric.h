@@ -51,6 +51,9 @@ struct QpPair {
 /// posts of one flow complete in order, and completions are routed back to
 /// the flow that posted them even on a shared CQ.
 ///
+/// Both directions are one-sided WRITEs: data toward the consumer, credit
+/// returns toward the producer. Neither side ever posts a receive.
+///
 /// Routing works by tagging: the flow packs its id (and the direction) into
 /// the high bits of every wr_id it posts, and a fabric-installed CQ
 /// interceptor demultiplexes completions back to the flow's handler with
@@ -87,12 +90,6 @@ class Flow {
   /// One-sided write, consumer side -> producer node (credit returns).
   Status PostToProducer(MemorySpan local, RemoteKey rkey,
                         uint64_t remote_offset, uint64_t wr_id, bool signaled);
-
-  /// Two-sided send, producer side -> consumer node (consumes a posted
-  /// receive: the consumer endpoint's private FIFO, or its node SRQ).
-  Status SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                        uint32_t immediate = 0, bool has_immediate = false,
-                        bool inline_send = false);
 
   /// Handlers for completions of work this flow posted (producer-direction
   /// posts report to the producer handler, consumer-direction posts to the
@@ -165,11 +162,9 @@ class Fabric : public sim::FaultTarget {
   /// owned by the fabric.
   Flow* OpenFlow(int producer_node, int consumer_node);
 
-  /// The shared receive queue of `node` (kSrq mode), nullptr otherwise.
-  Srq* srq(int node) const;
-
   /// Connection-layer resource accounting: QP/SRQ counts and modeled QP
-  /// memory, cluster-wide and per-node maxima.
+  /// memory, cluster-wide and per-node maxima. kSrq models one SRQ per
+  /// node; the other modes have none.
   ConnectionStats connection_stats() const;
 
   /// Flows opened so far.
@@ -233,13 +228,9 @@ class Fabric : public sim::FaultTarget {
   // connected QPs, the flow's destination for hub endpoints).
   Status ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                       RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id,
-                      bool signaled, uint32_t immediate, bool has_immediate,
-                      bool inline_send = false);
+                      bool signaled, bool inline_send);
   Status ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                      RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id);
-  Status ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                     uint64_t wr_id, bool signaled, uint32_t immediate,
-                     bool has_immediate, bool inline_send = false);
 
   // Schedules an immediate flush completion for a WR posted while (or
   // delivered after) the QP entered the error state. Error completions are
@@ -251,8 +242,7 @@ class Fabric : public sim::FaultTarget {
   void ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                              MemoryRegion* remote, MemorySpan local,
                              uint64_t remote_offset, uint64_t wr_id,
-                             bool signaled, uint32_t immediate,
-                             bool has_immediate, Nanos arrival, Nanos lat);
+                             bool signaled, Nanos arrival, Nanos lat);
 
   // The injector registered on the simulator, or nullptr (fault-free).
   sim::FaultInjector* injector() const { return sim_->fault_injector(); }
@@ -304,7 +294,7 @@ class Fabric : public sim::FaultTarget {
   std::vector<bool*> free_flags_;
 
   // Connection-scaling state (rdma/srq.h). kSrq: per-node {initiator,
-  // SRQ-fed target} hub endpoints; kShared: per-node duplex hub pools.
+  // SRQ-attached target} hub endpoints; kShared: per-node duplex hub pools.
   // Built eagerly at construction so QP numbering and accounting do not
   // depend on flow-open order.
   struct SrqTransport {
@@ -312,7 +302,6 @@ class Fabric : public sim::FaultTarget {
     QpEndpoint* target = nullptr;
   };
   std::vector<SrqTransport> srq_transports_;
-  std::vector<std::unique_ptr<Srq>> srqs_;
   std::vector<std::vector<QpEndpoint*>> shared_pools_;
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<uint32_t> qp_per_node_;

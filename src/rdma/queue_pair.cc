@@ -34,8 +34,7 @@ QpEndpoint::QpEndpoint(Fabric* fabric, int node, uint32_t qp_num, bool hub)
       node_(node),
       qp_num_(qp_num),
       hub_(hub),
-      send_cq_(std::make_unique<CompletionQueue>(fabric->simulator())),
-      recv_cq_(std::make_unique<CompletionQueue>(fabric->simulator())) {
+      send_cq_(std::make_unique<CompletionQueue>(fabric->simulator())) {
   // A hub endpoint multiplexes the work queues of many flows; scale its
   // send-queue bound so the aggregate in-flight budget matches what the
   // same flows would have had over dedicated QPs.
@@ -61,13 +60,6 @@ Status QpEndpoint::PostWrite(MemorySpan local, RemoteKey rkey,
   return PostWriteTo(peer_, local, rkey, remote_offset, wr_id, signaled);
 }
 
-Status QpEndpoint::PostWriteWithImm(MemorySpan local, RemoteKey rkey,
-                                    uint64_t remote_offset, uint64_t wr_id,
-                                    bool signaled, uint32_t immediate) {
-  return PostWriteWithImmTo(peer_, local, rkey, remote_offset, wr_id, signaled,
-                            immediate);
-}
-
 Status QpEndpoint::PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                                uint64_t remote_offset, uint64_t wr_id,
                                bool signaled, bool inline_send) {
@@ -76,21 +68,7 @@ Status QpEndpoint::PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
   }
   SLASH_RETURN_IF_ERROR(ValidateLocal(local));
   return fabric_->ExecuteWrite(this, to, local, rkey, remote_offset, wr_id,
-                               signaled, 0, /*has_immediate=*/false,
-                               inline_send);
-}
-
-Status QpEndpoint::PostWriteWithImmTo(QpEndpoint* to, MemorySpan local,
-                                      RemoteKey rkey, uint64_t remote_offset,
-                                      uint64_t wr_id, bool signaled,
-                                      uint32_t immediate) {
-  if (to == nullptr) {
-    return Status::InvalidArgument("endpoint has no destination");
-  }
-  SLASH_RETURN_IF_ERROR(ValidateLocal(local));
-  return fabric_->ExecuteWrite(this, to, local, rkey, remote_offset, wr_id,
-                               signaled, immediate, /*has_immediate=*/true,
-                               /*inline_send=*/false);
+                               signaled, inline_send);
 }
 
 Status QpEndpoint::PostRead(MemorySpan local, RemoteKey rkey,
@@ -100,50 +78,6 @@ Status QpEndpoint::PostRead(MemorySpan local, RemoteKey rkey,
   }
   SLASH_RETURN_IF_ERROR(ValidateLocal(local));
   return fabric_->ExecuteRead(this, peer_, local, rkey, remote_offset, wr_id);
-}
-
-Status QpEndpoint::PostSend(MemorySpan local, uint64_t wr_id, bool signaled,
-                            uint32_t immediate, bool has_immediate) {
-  return PostSendTo(peer_, local, wr_id, signaled, immediate, has_immediate);
-}
-
-Status QpEndpoint::PostSendTo(QpEndpoint* to, MemorySpan local, uint64_t wr_id,
-                              bool signaled, uint32_t immediate,
-                              bool has_immediate, bool inline_send) {
-  if (to == nullptr) {
-    return Status::InvalidArgument("endpoint has no destination");
-  }
-  SLASH_RETURN_IF_ERROR(ValidateLocal(local));
-  return fabric_->ExecuteSend(this, to, local, wr_id, signaled, immediate,
-                              has_immediate, inline_send);
-}
-
-void QpEndpoint::EnterErrorState() {
-  if (state_ == QpState::kError) return;
-  state_ = QpState::kError;
-  // Flush pending receive buffers: they will never be matched by a SEND on
-  // this (now broken) connection. The owner re-posts after recovery.
-  while (!recv_queue_.empty()) {
-    const PostedRecv recv = recv_queue_.front();
-    recv_queue_.pop_front();
-    recv_cq_->Push(Completion{recv.wr_id, WorkType::kRecv, 0, 0,
-                              /*has_immediate=*/false, WcStatus::kFlushErr});
-  }
-}
-
-Status QpEndpoint::PostRecv(MemorySpan buffer, uint64_t wr_id) {
-  if (srq_ != nullptr) {
-    return Status::FailedPrecondition(
-        "endpoint receives from an SRQ; post to the shared queue");
-  }
-  if (!buffer.valid()) {
-    return Status::InvalidArgument("recv buffer out of region bounds");
-  }
-  if (buffer.region->node() != node_) {
-    return Status::InvalidArgument("recv buffer not registered on this node");
-  }
-  recv_queue_.push_back(PostedRecv{buffer, wr_id});
-  return Status::OK();
 }
 
 }  // namespace slash::rdma

@@ -1,25 +1,27 @@
-// Reliable-connection queue pairs, completion queues, and the one-sided /
-// two-sided verb set (ibverbs analogue).
+// Reliable-connection queue pairs, completion queues, and the one-sided
+// verb set (ibverbs analogue).
 //
 // Supported verbs, matching what the paper's protocol needs (Sec. 6):
 //  * RDMA WRITE (one-sided, push): passive receiver; bytes land in the
-//    target region; optional immediate value generates a receive completion.
+//    target region and the receiver polls its own memory. Doorbell
+//    batching, coalescing and inline payloads are built on top of it by
+//    the channel layer.
 //  * RDMA READ (one-sided, pull): full network round-trip, used by the
-//    verbs ablation (bench/ablation_verbs).
-//  * SEND/RECV (two-sided): receiver must pre-post buffers.
-// Reliable connections deliver in order; selective signaling is supported
-// (unsignaled writes produce no sender completion).
+//    verbs ablation (bench/ablation_verbs) and the health probes.
+// Slash never needs two-sided SEND/RECV, so the substrate does not model
+// it. Reliable connections deliver in order; selective signaling is
+// supported (unsignaled writes produce no sender completion).
 #ifndef SLASH_RDMA_QUEUE_PAIR_H_
 #define SLASH_RDMA_QUEUE_PAIR_H_
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string_view>
 
 #include "common/status.h"
 #include "rdma/memory.h"
-#include "rdma/srq.h"
 #include "sim/simulator.h"
 
 namespace slash::rdma {
@@ -30,8 +32,6 @@ class Fabric;
 enum class WorkType : uint8_t {
   kWrite,
   kRead,
-  kSend,
-  kRecv,
 };
 
 /// Completion status of a work request (ibv_wc_status analogue). Anything
@@ -64,8 +64,6 @@ struct Completion {
   uint64_t wr_id = 0;
   WorkType type = WorkType::kWrite;
   uint64_t byte_len = 0;
-  uint32_t immediate = 0;
-  bool has_immediate = false;
   WcStatus status = WcStatus::kSuccess;
 
   bool ok() const { return status == WcStatus::kSuccess; }
@@ -111,9 +109,8 @@ class CompletionQueue {
 /// Created in connected pairs by Fabric::Connect — or, in the scalable
 /// connection modes (rdma/srq.h), as a peer-less *hub* endpoint shared by
 /// many flows, where the destination endpoint is supplied per post instead
-/// of being fixed at connect time. Each endpoint has a send CQ, a receive
-/// CQ, and (unless an SRQ is attached) a private FIFO of pre-posted
-/// receive buffers.
+/// of being fixed at connect time. Each endpoint has one send CQ: with
+/// one-sided verbs only, the responder side never sees a completion.
 class QpEndpoint {
  public:
   QpEndpoint(Fabric* fabric, int node, uint32_t qp_num, bool hub = false);
@@ -124,16 +121,16 @@ class QpEndpoint {
   uint32_t qp_num() const { return qp_num_; }
   QpEndpoint* peer() const { return peer_; }
   CompletionQueue& send_cq() { return *send_cq_; }
-  CompletionQueue& recv_cq() { return *recv_cq_; }
 
   /// True for a shared (hub) endpoint: it has no fixed peer and is posted
-  /// to with the explicit-destination verbs below. Hub endpoints carry
+  /// to with the explicit-destination write below. Hub endpoints carry
   /// many flows, so their send-queue bound is sized accordingly.
   bool hub() const { return hub_; }
 
-  /// The node-wide shared receive queue feeding this endpoint's SENDs, or
-  /// nullptr when receives come from the private posted-receive FIFO.
-  Srq* srq() const { return srq_; }
+  /// True for a kSrq-mode target endpoint: its receive ring is the node's
+  /// shared one, so its modeled footprint omits a private ring
+  /// (ConnectionConfig::QpMemoryBytes).
+  bool srq() const { return srq_; }
 
   /// One-sided write of `local` into the peer region identified by `rkey`
   /// at `remote_offset`. If `signaled`, a kWrite completion is delivered to
@@ -142,45 +139,21 @@ class QpEndpoint {
   Status PostWrite(MemorySpan local, RemoteKey rkey, uint64_t remote_offset,
                    uint64_t wr_id, bool signaled);
 
-  /// Like PostWrite, but additionally delivers a kRecv completion carrying
-  /// `immediate` to the peer's receive CQ (RDMA WRITE_WITH_IMM).
-  Status PostWriteWithImm(MemorySpan local, RemoteKey rkey,
-                          uint64_t remote_offset, uint64_t wr_id,
-                          bool signaled, uint32_t immediate);
-
   /// One-sided read of the peer region (rkey, remote_offset, local.length)
   /// into `local`. Costs a full round-trip; completion is always signaled.
   Status PostRead(MemorySpan local, RemoteKey rkey, uint64_t remote_offset,
                   uint64_t wr_id);
 
-  /// Two-sided send of `local` to the peer, consuming the peer's oldest
-  /// posted receive buffer.
-  Status PostSend(MemorySpan local, uint64_t wr_id, bool signaled,
-                  uint32_t immediate = 0, bool has_immediate = false);
-
-  /// Explicit-destination variants of the verbs, used by flows over shared
-  /// (hub) endpoints, where one endpoint carries traffic to many
-  /// destinations (rdma/srq.h). The peer-based verbs above are exactly
-  /// PostXxxTo(peer(), ...). `inline_send` marks a WR whose payload was
-  /// embedded in the WQE by the poster (payload small enough for the
-  /// device's inline limit): the sending NIC skips the payload DMA fetch
+  /// Explicit-destination write, used by flows over shared (hub)
+  /// endpoints, where one endpoint carries traffic to many destinations
+  /// (rdma/srq.h). PostWrite is exactly PostWriteTo(peer(), ...).
+  /// `inline_send` marks a WR whose payload was embedded in the WQE by the
+  /// poster (payload small enough for the device's inline limit): the
+  /// sending NIC skips the payload DMA fetch
   /// (NicConfig::inline_overhead_discount); semantics are unchanged.
   Status PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                      uint64_t remote_offset, uint64_t wr_id, bool signaled,
                      bool inline_send = false);
-  Status PostWriteWithImmTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
-                            uint64_t remote_offset, uint64_t wr_id,
-                            bool signaled, uint32_t immediate);
-  Status PostSendTo(QpEndpoint* to, MemorySpan local, uint64_t wr_id,
-                    bool signaled, uint32_t immediate = 0,
-                    bool has_immediate = false, bool inline_send = false);
-
-  /// Posts a receive buffer for inbound SENDs. On an SRQ-attached endpoint
-  /// this fails: buffers must be posted to the node's shared receive queue.
-  Status PostRecv(MemorySpan buffer, uint64_t wr_id);
-
-  /// Number of posted-but-unmatched receive buffers.
-  size_t posted_recvs() const { return recv_queue_.size(); }
 
   /// Work requests posted but not yet completed on the wire.
   int outstanding() const { return outstanding_; }
@@ -195,19 +168,13 @@ class QpEndpoint {
 
   Status ValidateLocal(const MemorySpan& local) const;
 
-  /// Enters the error state: pending receive buffers are flushed to the
-  /// receive CQ with kFlushErr (the consumer must re-post after recovery).
-  void EnterErrorState();
-
   Fabric* fabric_;
   int node_;
   uint32_t qp_num_;
   bool hub_;
   QpEndpoint* peer_ = nullptr;
-  Srq* srq_ = nullptr;
+  bool srq_ = false;
   std::unique_ptr<CompletionQueue> send_cq_;
-  std::unique_ptr<CompletionQueue> recv_cq_;
-  std::deque<PostedRecv> recv_queue_;
   int outstanding_ = 0;
   int max_outstanding_ = 1024;
   QpState state_ = QpState::kReady;

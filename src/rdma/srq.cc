@@ -27,38 +27,4 @@ bool ParseConnectionMode(std::string_view name, ConnectionMode* out) {
   return true;
 }
 
-Status Srq::PostRecv(MemorySpan buffer, uint64_t wr_id) {
-  if (!buffer.valid()) {
-    return Status::InvalidArgument("srq recv buffer out of region bounds");
-  }
-  if (buffer.region->node() != node_) {
-    return Status::InvalidArgument("srq recv buffer not registered on node");
-  }
-  if (queue_.size() >= depth_) {
-    return Status::ResourceExhausted("srq receive ring full");
-  }
-  queue_.push_back(PostedRecv{buffer, wr_id});
-  return Status::OK();
-}
-
-bool Srq::PeekFront(PostedRecv* out) const {
-  if (queue_.empty()) return false;
-  *out = queue_.front();
-  return true;
-}
-
-bool Srq::TakeFront(PostedRecv* out) {
-  if (queue_.empty()) return false;
-  *out = queue_.front();
-  queue_.pop_front();
-  ++consumed_;
-  return true;
-}
-
-std::deque<PostedRecv> Srq::Flush() {
-  std::deque<PostedRecv> drained;
-  drained.swap(queue_);
-  return drained;
-}
-
 }  // namespace slash::rdma

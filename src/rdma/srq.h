@@ -14,8 +14,11 @@
 //  * kFullMesh — the paper's configuration: every flow gets a dedicated
 //    QP pair. O(N^2) QPs for all-pairs traffic.
 //  * kSrq     — XRC/DC-style: each node owns one initiator endpoint (all
-//    outbound flows) and one target endpoint whose receives are fed from a
-//    node-wide shared receive queue. 2 QPs per node, O(N) total.
+//    outbound flows) and one target endpoint attached to a node-wide
+//    shared receive queue. 2 QPs per node, O(N) total. Every flow moves
+//    its bytes with one-sided WRITEs, so no receive is ever posted: the
+//    SRQ is modeled by its footprint alone (srq_depth x wqe_bytes per
+//    node, ConnectionConfig::SrqMemoryBytes).
 //  * kShared  — RDMAvisor-style: each node owns a small pool of duplex
 //    shared endpoints; flows are assigned to pool members statically by
 //    flow id. pool_size QPs per node, O(N) total.
@@ -31,11 +34,7 @@
 #define SLASH_RDMA_SRQ_H_
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
-
-#include "common/status.h"
-#include "rdma/memory.h"
 
 namespace slash::rdma {
 
@@ -105,56 +104,6 @@ struct ConnectionStats {
   uint64_t max_qp_endpoints_per_node = 0;
   uint64_t qp_memory_bytes = 0;              // cluster-wide modeled total
   uint64_t max_qp_memory_bytes_per_node = 0;
-};
-
-/// A posted receive buffer (ibv_recv_wr analogue), queued either on a
-/// QpEndpoint's private receive FIFO or on a node-wide Srq.
-struct PostedRecv {
-  MemorySpan buffer;
-  uint64_t wr_id = 0;
-};
-
-/// A shared receive queue (ibv_srq analogue): one per node in kSrq mode.
-///
-/// Receive buffers posted here are consumed in FIFO order by inbound SENDs
-/// from *any* peer multiplexed onto the node's target endpoint — exactly
-/// the real SRQ contract: the arrival order of matched sends, not the
-/// identity of the sender, decides which buffer each message lands in.
-/// Completions are still delivered to the consuming endpoint's receive CQ.
-class Srq {
- public:
-  Srq(int node, uint32_t depth) : node_(node), depth_(depth) {}
-  Srq(const Srq&) = delete;
-  Srq& operator=(const Srq&) = delete;
-
-  int node() const { return node_; }
-  uint32_t depth() const { return depth_; }
-
-  /// Posts a receive buffer; fails when the ring is full or the buffer is
-  /// not registered on this SRQ's node.
-  Status PostRecv(MemorySpan buffer, uint64_t wr_id);
-
-  /// Posted-but-unmatched buffers.
-  size_t posted() const { return queue_.size(); }
-
-  /// Buffers consumed by inbound sends over the SRQ's lifetime.
-  uint64_t consumed() const { return consumed_; }
-
-  /// Copies the oldest posted buffer without consuming it.
-  bool PeekFront(PostedRecv* out) const;
-
-  /// Dequeues the oldest posted buffer (fabric-internal, on SEND arrival).
-  bool TakeFront(PostedRecv* out);
-
-  /// Drains all posted buffers (fabric-internal, on node crash); the
-  /// caller flushes them to the owning endpoint's receive CQ.
-  std::deque<PostedRecv> Flush();
-
- private:
-  int node_;
-  uint32_t depth_;
-  std::deque<PostedRecv> queue_;
-  uint64_t consumed_ = 0;
 };
 
 }  // namespace slash::rdma

@@ -12,6 +12,7 @@
 
 #include "channel/rdma_channel.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "perf/cost_model.h"
 #include "rdma/fabric.h"
 #include "sim/simulator.h"
@@ -172,19 +173,20 @@ TEST(RdmaChannelTest, DoorbellBatchingPreservesFifoAndDrainsOnFlush) {
   EXPECT_EQ(h.sim.pending_tasks(), 0);
 }
 
-TEST(RdmaChannelTest, AdaptiveTransportMixedSizesStayFifoAndIntact) {
+TEST(RdmaChannelTest, MixedSizesUnderBatchingStayFifoAndIntact) {
   Harness h;
   ChannelConfig cfg;
   cfg.credits = 4;
   cfg.slot_bytes = 4096;
   cfg.post_batch = 2;
-  cfg.inline_threshold = 128;  // SEND frames of the small messages inline
-  cfg.send_threshold = 600;    // 32B payloads -> SEND, 2000B -> slot WRITE
+  cfg.inline_threshold = 2 * 4096;  // every coalesced run goes inline
+  obs::MetricsRegistry registry;
+  h.sim.set_metrics(&registry);
   auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
   std::vector<uint64_t> tags;
-  // Alternating small/large: SEND frames land in the receive ring in ring
-  // order while WRITEs land directly in their slots; the consumer's
-  // in-order footer poll must interleave both transports seamlessly.
+  // Alternating small/large payloads: every slot ships whole, so the
+  // consumer's in-order footer poll must see intact payloads of either
+  // size whether a message went alone or inside a coalesced WRITE.
   h.sim.Spawn(FlushingProducer(ch.get(), 60, &h.producer_cpu, 32, 2000));
   h.sim.Spawn(MixedSizeConsumer(ch.get(), 60, &h.consumer_cpu, &tags, 32,
                                 2000));
@@ -193,6 +195,13 @@ TEST(RdmaChannelTest, AdaptiveTransportMixedSizesStayFifoAndIntact) {
   for (int i = 0; i < 60; ++i) EXPECT_EQ(tags[i], uint64_t(i));
   EXPECT_EQ(ch->pending_posts(), 0u);
   EXPECT_EQ(h.sim.pending_tasks(), 0);
+  // Runs hold at most post_batch = 2 slots, so the wire WRITEs are the
+  // coalesced pairs plus the single-slot rest; every one of them inline.
+  const uint64_t paired =
+      registry.GetCounter(obs::metric::kChannelCoalescedSlots)->value();
+  EXPECT_GT(paired, 0u);
+  EXPECT_EQ(registry.GetCounter(obs::metric::kChannelInlineSends)->value(),
+            paired / 2 + (60 - paired));
 }
 
 TEST(RdmaChannelTest, PollOnEmptyChannelFailsAndChargesPause) {

@@ -65,10 +65,12 @@ struct FaultHarness {
 };
 
 /// Consumes `count` messages and records the virtual time each one became
-/// pollable (== its delivery time).
+/// pollable (== its delivery time), and optionally a copy of its payload.
 sim::Task RecordDeliveries(RdmaChannel* ch, int count, perf::CpuContext* cpu,
                            std::vector<Nanos>* times,
-                           std::vector<uint64_t>* tags) {
+                           std::vector<uint64_t>* tags,
+                           std::vector<std::vector<uint8_t>>* payloads =
+                               nullptr) {
   for (int i = 0; i < count; ++i) {
     InboundBuffer buffer;
     while (!ch->TryPoll(&buffer, cpu)) {
@@ -77,6 +79,10 @@ sim::Task RecordDeliveries(RdmaChannel* ch, int count, perf::CpuContext* cpu,
     }
     times->push_back(cpu->simulator()->now());
     tags->push_back(buffer.user_tag);
+    if (payloads != nullptr) {
+      payloads->emplace_back(buffer.payload,
+                             buffer.payload + buffer.payload_len);
+    }
     SLASH_CHECK(ch->Release(buffer, cpu).ok());
   }
 }
@@ -121,6 +127,57 @@ TEST(FaultInjectionTest, DroppedTransferRetriedAtExactBackoffTime) {
   ASSERT_EQ(times.size(), 1u);
   EXPECT_EQ(times[0], expected_delivery);
   EXPECT_EQ(tags[0], 7u);
+  EXPECT_EQ(ch->retries(), 1u);
+  EXPECT_FALSE(ch->broken());
+  EXPECT_EQ(h.injector->dropped_transfers(), 1u);
+}
+
+// Doorbell batching coalesces adjacent slots into one wire WRITE, so a drop
+// loses all of them at once: the retry must re-post the whole recorded
+// span, not just the slot whose wr_id reported the error.
+TEST(FaultInjectionTest, DroppedCoalescedWriteRetriesWholeSpan) {
+  sim::FaultPlan plan;
+  plan.drop_rules.push_back({.from = 0,
+                             .until = 0,  // forever
+                             .src_node = 0,
+                             .dst_node = 1,
+                             .probability = 1.0,
+                             .max_drops = 1});
+  FaultHarness h(plan);
+  ChannelConfig cfg;
+  cfg.credits = 4;
+  cfg.slot_bytes = 16 * kKiB;
+  cfg.post_batch = 4;
+  auto ch = RdmaChannel::Create(h.fabric.get(), 0, 1, cfg);
+
+  // The fourth post fills the batch: one 64 KiB WRITE covers all slots.
+  constexpr uint64_t kLen = 1000;
+  for (int i = 0; i < 4; ++i) {
+    SlotRef slot;
+    ASSERT_TRUE(ch->TryAcquire(&slot, h.producer_cpu.get()));
+    std::memset(slot.payload, 0xA0 + i, kLen);
+    ASSERT_TRUE(
+        ch->Post(slot, kLen, /*user_tag=*/i, 0, h.producer_cpu.get()).ok());
+  }
+  ASSERT_EQ(ch->pending_posts(), 0u);
+  std::vector<Nanos> times;
+  std::vector<uint64_t> tags;
+  std::vector<std::vector<uint8_t>> payloads;
+  h.sim.Spawn(RecordDeliveries(ch.get(), 4, h.consumer_cpu.get(), &times,
+                               &tags, &payloads));
+  h.sim.Run();
+
+  // Same timeline as the single-slot drop above, at the coalesced size.
+  const Nanos dur = h.Duration(4 * cfg.slot_bytes);
+  const Nanos expected_delivery = dur + plan.drop_report_delay +
+                                  cfg.retry_backoff_base + dur +
+                                  h.wire_latency();
+  ASSERT_EQ(times.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(times[i], expected_delivery);
+    EXPECT_EQ(tags[i], uint64_t(i));
+    EXPECT_EQ(payloads[i], std::vector<uint8_t>(kLen, uint8_t(0xA0 + i)));
+  }
   EXPECT_EQ(ch->retries(), 1u);
   EXPECT_FALSE(ch->broken());
   EXPECT_EQ(h.injector->dropped_transfers(), 1u);

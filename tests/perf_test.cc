@@ -328,6 +328,8 @@ sim::Task BatchedEchoConsumer(channel::RdmaChannel* ch, CpuContext* cpu,
 // completion-queue churn), and retry state only materializes on faults.
 TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   sim::Simulator sim;
+  obs::MetricsRegistry registry;
+  sim.set_metrics(&registry);
   rdma::Fabric fabric(&sim, [] {
     rdma::FabricConfig cfg;
     cfg.nodes = 2;
@@ -338,8 +340,9 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   channel::ChannelConfig cfg;
   cfg.credits = 8;
   cfg.slot_bytes = 4096;
-  cfg.post_batch = 8;           // doorbell batching on
-  cfg.inline_threshold = 4096;  // every slot WRITE goes inline
+  cfg.post_batch = 8;  // doorbell batching on
+  // A full batch coalesces into one 8 x 4 KiB WRITE: inline up to that.
+  cfg.inline_threshold = 32 * 1024;
   auto ch = channel::RdmaChannel::Create(&fabric, 0, 1, cfg);
 
   // Sized so the echo outlasts warmup + armed region: WR coalescing merges
@@ -370,6 +373,13 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   EXPECT_EQ(received, kMessages);
   EXPECT_EQ(ch->sent_count(), kMessages);
   EXPECT_EQ(ch->pending_posts(), 0u);
+  // Every doorbell rang for exactly one inline WRITE: the guard covers the
+  // inline path, not just coalescing.
+  const uint64_t doorbells =
+      registry.GetCounter(obs::metric::kChannelDoorbells)->value();
+  EXPECT_GT(doorbells, 0u);
+  EXPECT_EQ(registry.GetCounter(obs::metric::kChannelInlineSends)->value(),
+            doorbells);
 }
 
 // --- SSB epoch cycle steady-state guard --------------------------------------

@@ -1,7 +1,6 @@
-// Connection-scaling substrate tests (rdma/srq.h): the SRQ contract, the
-// flow abstraction over shared hub endpoints, exact QP accounting per
-// connection mode, fault isolation on shared QPs, and teardown with work
-// still in flight.
+// Connection-scaling substrate tests (rdma/srq.h): the flow abstraction
+// over shared hub endpoints, exact QP accounting per connection mode,
+// fault isolation on shared QPs, and teardown with work still in flight.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -38,126 +37,6 @@ TEST(ConnectionModeTest, NamesRoundTrip) {
   ConnectionMode out = ConnectionMode::kSrq;
   EXPECT_FALSE(ParseConnectionMode("bogus", &out));
   EXPECT_EQ(out, ConnectionMode::kSrq);  // untouched on failure
-}
-
-// ---------------------------------------------------------------------------
-// Srq unit: posting rules and FIFO hand-out
-// ---------------------------------------------------------------------------
-
-TEST(SrqTest, PostRecvValidatesNodeAndCapacity) {
-  sim::Simulator sim;
-  FabricConfig cfg = Config(2, ConnectionMode::kSrq);
-  cfg.connection.srq_depth = 2;
-  Fabric fabric(&sim, cfg);
-  MemoryRegion* home = fabric.pd(1)->RegisterRegion(256);
-  MemoryRegion* away = fabric.pd(0)->RegisterRegion(256);
-  Srq* srq = fabric.srq(1);
-  ASSERT_NE(srq, nullptr);
-  EXPECT_EQ(srq->node(), 1);
-  EXPECT_EQ(srq->depth(), 2u);
-
-  // Buffers must live on the SRQ's node.
-  EXPECT_EQ(srq->PostRecv(MemorySpan{away, 0, 64}, 1).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(srq->PostRecv(MemorySpan{home, 200, 64}, 1).code(),
-            StatusCode::kInvalidArgument);
-
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{home, 0, 64}, 1).ok());
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{home, 64, 64}, 2).ok());
-  // The ring is bounded by srq_depth.
-  EXPECT_EQ(srq->PostRecv(MemorySpan{home, 128, 64}, 3).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(srq->posted(), 2u);
-
-  // Peek copies without consuming; Take consumes in FIFO order.
-  PostedRecv peeked;
-  ASSERT_TRUE(srq->PeekFront(&peeked));
-  EXPECT_EQ(peeked.wr_id, 1u);
-  EXPECT_EQ(srq->posted(), 2u);
-  PostedRecv taken;
-  ASSERT_TRUE(srq->TakeFront(&taken));
-  EXPECT_EQ(taken.wr_id, 1u);
-  ASSERT_TRUE(srq->TakeFront(&taken));
-  EXPECT_EQ(taken.wr_id, 2u);
-  EXPECT_FALSE(srq->TakeFront(&taken));
-  EXPECT_FALSE(srq->PeekFront(&peeked));
-  EXPECT_EQ(srq->consumed(), 2u);
-}
-
-TEST(SrqTest, AttachedEndpointRejectsPrivatePostRecv) {
-  sim::Simulator sim;
-  Fabric fabric(&sim, Config(2, ConnectionMode::kSrq));
-  MemoryRegion* dst = fabric.pd(1)->RegisterRegion(256);
-  Flow* flow = fabric.OpenFlow(0, 1);
-  // The consumer-side endpoint is the node's SRQ-fed target hub: receives
-  // must go through the shared queue.
-  ASSERT_NE(flow->consumer_endpoint()->srq(), nullptr);
-  EXPECT_EQ(flow->consumer_endpoint()->PostRecv(MemorySpan{dst, 0, 64}, 1)
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-// ---------------------------------------------------------------------------
-// SRQ FIFO across multiplexed peers
-// ---------------------------------------------------------------------------
-
-// The real SRQ contract: buffers are matched to inbound SENDs in arrival
-// order, regardless of which peer sent them. Two producers (nodes 0 and 1)
-// send to node 2; the first-posted buffer goes to whichever send lands
-// first.
-TEST(SrqModeTest, FifoAcrossMultiplexedPeers) {
-  sim::Simulator sim;
-  Fabric fabric(&sim, Config(3, ConnectionMode::kSrq));
-  MemoryRegion* src_a = fabric.pd(0)->RegisterRegion(64);
-  MemoryRegion* src_b = fabric.pd(1)->RegisterRegion(64);
-  MemoryRegion* dst = fabric.pd(2)->RegisterRegion(256);
-  Flow* from_a = fabric.OpenFlow(0, 2);
-  Flow* from_b = fabric.OpenFlow(1, 2);
-  // Both flows land on the same target hub endpoint of node 2.
-  ASSERT_EQ(from_a->consumer_endpoint(), from_b->consumer_endpoint());
-  QpEndpoint* target = from_a->consumer_endpoint();
-
-  Srq* srq = fabric.srq(2);
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 0, 64}, 101).ok());
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 64, 64}, 102).ok());
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 128, 64}, 103).ok());
-
-  // Serialize arrivals: b first, then a, then b again.
-  std::memcpy(src_b->data(), "from-b-1", 8);
-  ASSERT_TRUE(from_b->SendToConsumer(MemorySpan{src_b, 0, 8}, 0,
-                                     /*signaled=*/false)
-                  .ok());
-  sim.Run();
-  std::memcpy(src_a->data(), "from-a-1", 8);
-  ASSERT_TRUE(from_a->SendToConsumer(MemorySpan{src_a, 0, 8}, 0,
-                                     /*signaled=*/false)
-                  .ok());
-  sim.Run();
-  std::memcpy(src_b->data(), "from-b-2", 8);
-  ASSERT_TRUE(from_b->SendToConsumer(MemorySpan{src_b, 0, 8}, 0,
-                                     /*signaled=*/false)
-                  .ok());
-  sim.Run();
-
-  // Buffers consumed in posting order, senders interleaved.
-  Completion c;
-  ASSERT_TRUE(target->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.wr_id, 101u);
-  EXPECT_EQ(std::memcmp(dst->data(), "from-b-1", 8), 0);
-  ASSERT_TRUE(target->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.wr_id, 102u);
-  EXPECT_EQ(std::memcmp(dst->data() + 64, "from-a-1", 8), 0);
-  ASSERT_TRUE(target->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.wr_id, 103u);
-  EXPECT_EQ(std::memcmp(dst->data() + 128, "from-b-2", 8), 0);
-  EXPECT_FALSE(target->recv_cq().TryPoll(&c));
-  EXPECT_EQ(srq->posted(), 0u);
-  EXPECT_EQ(srq->consumed(), 3u);
-
-  // With the shared queue empty, a send hits RNR exactly like a private
-  // FIFO would.
-  EXPECT_EQ(from_a->SendToConsumer(MemorySpan{src_a, 0, 8}, 0, false).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,62 +238,35 @@ TEST(SharedModeTest, DeadDestinationLeavesSharedHubUsable) {
 }
 
 // ---------------------------------------------------------------------------
-// Node crash: SRQ drains with flush errors
-// ---------------------------------------------------------------------------
-
-TEST(SrqModeTest, CrashDrainsSharedReceiveQueue) {
-  sim::Simulator sim;
-  Fabric fabric(&sim, Config(3, ConnectionMode::kSrq));
-  MemoryRegion* dst = fabric.pd(2)->RegisterRegion(256);
-  Flow* flow = fabric.OpenFlow(0, 2);
-  Srq* srq = fabric.srq(2);
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 0, 64}, 21).ok());
-  ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 64, 64}, 22).ok());
-
-  fabric.CrashNode(2);
-  EXPECT_TRUE(fabric.node_dead(2));
-  EXPECT_EQ(srq->posted(), 0u);
-  // Both buffers flushed to the target hub's receive CQ, like a private
-  // FIFO on QP error.
-  Completion c;
-  ASSERT_TRUE(flow->consumer_endpoint()->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.wr_id, 21u);
-  EXPECT_EQ(c.status, WcStatus::kFlushErr);
-  ASSERT_TRUE(flow->consumer_endpoint()->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.wr_id, 22u);
-  EXPECT_EQ(c.status, WcStatus::kFlushErr);
-  EXPECT_FALSE(flow->consumer_endpoint()->recv_cq().TryPoll(&c));
-}
-
-// ---------------------------------------------------------------------------
 // Teardown with in-flight transfers
 // ---------------------------------------------------------------------------
 
-// Destroying the fabric (and simulator) with posted-but-undelivered work,
-// unpolled completions, and populated SRQs must be clean — no leaks, no
-// dangling event references. ASan/UBSan in CI give this test its teeth.
+// Posts `count` signaled 64-byte WRITEs on `flow`, starting at slot `first`.
+void PostWrites(Flow* flow, MemoryRegion* src, MemoryRegion* dst, int first,
+                int count) {
+  for (int i = first; i < first + count; ++i) {
+    ASSERT_TRUE(flow->PostToConsumer(MemorySpan{src, uint64_t(i) * 64, 64},
+                                     dst->remote_key(), uint64_t(i) * 64, i,
+                                     /*signaled=*/true)
+                    .ok());
+  }
+}
+
+// Destroying the fabric (and simulator) with posted-but-undelivered work
+// must be clean — no leaks, no dangling event references. ASan/UBSan in CI
+// give this test its teeth.
 TEST(TeardownTest, InFlightTransfersTearDownCleanly) {
   for (ConnectionMode mode : {ConnectionMode::kFullMesh, ConnectionMode::kSrq,
                               ConnectionMode::kShared}) {
+    SCOPED_TRACE(ConnectionModeName(mode));
     auto sim = std::make_unique<sim::Simulator>();
     auto fabric = std::make_unique<Fabric>(sim.get(), Config(3, mode));
     MemoryRegion* src = fabric->pd(0)->RegisterRegion(4096);
     MemoryRegion* dst = fabric->pd(2)->RegisterRegion(4096);
     Flow* flow = fabric->OpenFlow(0, 2);
     flow->SetProducerHandler([](const Completion&) { return true; });
-    if (Srq* srq = fabric->srq(2)) {
-      ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 0, 64}, 1).ok());
-      ASSERT_TRUE(srq->PostRecv(MemorySpan{dst, 64, 64}, 2).ok());
-      ASSERT_TRUE(
-          flow->SendToConsumer(MemorySpan{src, 0, 64}, 0, /*signaled=*/true)
-              .ok());
-    }
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(flow->PostToConsumer(MemorySpan{src, uint64_t(i) * 64, 64},
-                                       dst->remote_key(), uint64_t(i) * 64,
-                                       i, /*signaled=*/true)
-                      .ok());
-    }
+    PostWrites(flow, src, dst, 0, 8);
+    EXPECT_EQ(flow->producer_endpoint()->outstanding(), 8);
     // Deliberately do NOT run the simulator: delivery/ack events, NIC
     // reservations, and CQ wakeups are all still pending. Fabric first,
     // then the simulator with its orphaned events.
@@ -423,30 +275,26 @@ TEST(TeardownTest, InFlightTransfersTearDownCleanly) {
   }
 }
 
-// Same, but after running partway: completions sit unpolled in CQs and the
-// SRQ still holds unmatched buffers.
+// Same, but after running partway: completions sit unpolled in the send
+// CQ (no flow handler consumes them) while later writes are still in
+// flight.
 TEST(TeardownTest, UnpolledCompletionsTearDownCleanly) {
-  auto sim = std::make_unique<sim::Simulator>();
-  auto fabric =
-      std::make_unique<Fabric>(sim.get(), Config(3, ConnectionMode::kSrq));
-  MemoryRegion* src = fabric->pd(0)->RegisterRegion(4096);
-  MemoryRegion* dst = fabric->pd(2)->RegisterRegion(4096);
-  Flow* flow = fabric->OpenFlow(0, 2);
-  Srq* srq = fabric->srq(2);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        srq->PostRecv(MemorySpan{dst, uint64_t(i) * 64, 64}, 100 + i).ok());
+  for (ConnectionMode mode : {ConnectionMode::kFullMesh, ConnectionMode::kSrq,
+                              ConnectionMode::kShared}) {
+    SCOPED_TRACE(ConnectionModeName(mode));
+    auto sim = std::make_unique<sim::Simulator>();
+    auto fabric = std::make_unique<Fabric>(sim.get(), Config(3, mode));
+    MemoryRegion* src = fabric->pd(0)->RegisterRegion(4096);
+    MemoryRegion* dst = fabric->pd(2)->RegisterRegion(4096);
+    Flow* flow = fabric->OpenFlow(0, 2);
+    PostWrites(flow, src, dst, 0, 4);
+    sim->Run();
+    EXPECT_EQ(flow->producer_endpoint()->send_cq().depth(), 4u);
+    PostWrites(flow, src, dst, 4, 2);
+    EXPECT_EQ(flow->producer_endpoint()->outstanding(), 2);
+    fabric.reset();
+    sim.reset();
   }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(flow->SendToConsumer(MemorySpan{src, uint64_t(i) * 64, 64},
-                                     i, /*signaled=*/true)
-                    .ok());
-  }
-  sim->Run();
-  // Two send + two recv completions unpolled, two buffers still posted.
-  EXPECT_EQ(srq->posted(), 2u);
-  fabric.reset();
-  sim.reset();
 }
 
 }  // namespace
