@@ -4,9 +4,8 @@
 // c = 16 costs up to ~3% and c = 64 up to ~10% throughput (larger rings
 // spread the working set over more memory and deepen queues), while too
 // few credits cannot cover the bandwidth-delay product of the link.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "bench_util/transfer.h"
@@ -14,13 +13,7 @@
 namespace slash::bench {
 namespace {
 
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Ablation: RDMA channel credits (RO, 2 threads, 4 KiB slots)");
-  return table;
-}
-
-void RunCase(benchmark::State& state, uint32_t credits) {
+void RunCase(SeriesTable& table, uint32_t credits) {
   TransferConfig cfg;
   cfg.producers = 2;
   cfg.consumers = 2;  // one lane per producer: credits gate the pipeline
@@ -31,39 +24,29 @@ void RunCase(benchmark::State& state, uint32_t credits) {
   cfg.slot_bytes = 4 * kKiB;
   cfg.credits = credits;
   cfg.records_per_producer = BenchRecords(300'000);
-  TransferResult result;
-  for (auto _ : state) {
-    result = RunTransfer(cfg);
-  }
-  state.counters["GB/s"] = result.goodput_gbytes_per_sec();
-  state.counters["p50_lat_us"] =
-      double(result.buffer_latency.Percentile(50)) / double(kMicrosecond);
-  Table()->Add("Slash channel", "c=" + std::to_string(credits),
-               "goodput [GB/s]", result.goodput_gbytes_per_sec());
-  Table()->Add("Slash channel", "c=" + std::to_string(credits),
-               "latency p50 [us]",
-               double(result.buffer_latency.Percentile(50)) /
-                   double(kMicrosecond));
+  const TransferResult result = RunTransfer(cfg);
+  const std::string x = "c=" + std::to_string(credits);
+  RequireCompleted(result.status, "ablation_credits/" + x);
+  table.Add("Slash channel", x, "goodput [GB/s]",
+            result.goodput_gbytes_per_sec());
+  table.Add("Slash channel", x, "latency p50 [us]",
+            double(result.buffer_latency.Percentile(50)) /
+                double(kMicrosecond));
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
+  using namespace slash::bench;
+  SeriesTable table(
+      "Ablation: RDMA channel credits (RO, 2 threads, 4 KiB slots)");
+  std::vector<Point> points;
   for (const uint32_t credits : {1, 2, 4, 8, 16, 32, 64}) {
-    const std::string name =
-        "ablation_credits/c:" + std::to_string(credits);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [credits](benchmark::State& state) {
-          slash::bench::RunCase(state, credits);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    points.push_back({"ablation_credits/c:" + std::to_string(credits),
+                      [&table, credits] { RunCase(table, credits); }});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -5,9 +5,8 @@
 // result latency; less RMW consolidation per delta), longer epochs
 // amortize the drain but delay window results and grow fragments. This
 // sweep shows the throughput/merge-volume trade-off on YSB.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "engines/slash_engine.h"
@@ -16,13 +15,7 @@
 namespace slash::bench {
 namespace {
 
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Ablation: SSB epoch length (Slash, YSB, 4 nodes)");
-  return table;
-}
-
-void RunCase(benchmark::State& state, uint64_t epoch_kib) {
+void RunCase(SeriesTable& table, uint64_t epoch_kib) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 100'000;
   workloads::YsbWorkload workload(ycfg);
@@ -31,36 +24,27 @@ void RunCase(benchmark::State& state, uint64_t epoch_kib) {
   job.epoch_bytes = epoch_kib * kKiB;
   const engines::JobSpec spec =
       engines::MakeJobSpec("", workload, BenchCluster(4, 8), job);
-  engines::RunStats stats;
-  for (auto _ : state) {
-    engines::SlashEngine engine;
-    stats = engine.Run(spec);
-    RequireCompleted(stats, "ablation_epoch/" + std::to_string(epoch_kib) +
-                                "KiB");
-  }
-  state.counters["Mrec/s"] = stats.throughput_rps() / 1e6;
-  state.counters["net_MB"] = double(stats.network_bytes()) / 1e6;
-  Table()->Add("Slash", std::to_string(epoch_kib) + "KiB",
-               "throughput [M rec/s]", stats.throughput_rps() / 1e6);
-  Table()->Add("Slash", std::to_string(epoch_kib) + "KiB",
-               "network volume [MB]", double(stats.network_bytes()) / 1e6);
+  engines::SlashEngine engine;
+  const engines::RunStats stats = engine.Run(spec);
+  const std::string x = std::to_string(epoch_kib) + "KiB";
+  RequireCompleted(stats, "ablation_epoch/" + x);
+  table.Add("Slash", x, "throughput [M rec/s]", stats.throughput_rps() / 1e6);
+  table.Add("Slash", x, "network volume [MB]",
+            double(stats.network_bytes()) / 1e6);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
+  using namespace slash::bench;
+  SeriesTable table("Ablation: SSB epoch length (Slash, YSB, 4 nodes)");
+  std::vector<Point> points;
   for (const uint64_t kib : {64, 256, 1024, 4096, 16384}) {
-    const std::string name = "ablation_epoch/e:" + std::to_string(kib) + "KiB";
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [kib](benchmark::State& state) { slash::bench::RunCase(state, kib); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    points.push_back({"ablation_epoch/e:" + std::to_string(kib) + "KiB",
+                      [&table, kib] { RunCase(table, kib); }});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -7,10 +7,9 @@
 // compilation helps, but modestly, because streaming aggregation is
 // state-access-bound — matching Grizzly's observation that fusion gains
 // shrink as state costs dominate.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "engines/slash_engine.h"
@@ -20,13 +19,7 @@
 namespace slash::bench {
 namespace {
 
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Ablation: execution strategy (Slash, 2 nodes)");
-  return table;
-}
-
-void RunCase(benchmark::State& state, bool ysb, bool compiled) {
+void RunCase(SeriesTable& table, bool ysb, bool compiled) {
   std::unique_ptr<workloads::Workload> workload;
   if (ysb) {
     workloads::YsbConfig cfg;
@@ -43,42 +36,32 @@ void RunCase(benchmark::State& state, bool ysb, bool compiled) {
                            : core::ExecutionStrategy::kInterpreted;
   const engines::JobSpec spec =
       engines::MakeJobSpec("", *workload, BenchCluster(2, 8), job);
-  engines::RunStats stats;
-  for (auto _ : state) {
-    engines::SlashEngine engine;
-    stats = engine.Run(spec);
-    RequireCompleted(stats, compiled ? "ablation_execution/compiled"
-                                     : "ablation_execution/interpreted");
-  }
-  state.counters["Mrec/s"] = stats.throughput_rps() / 1e6;
-  state.counters["instr/rec"] =
-      stats.TotalCounters().instructions / double(stats.records_in());
-  Table()->Add(compiled ? "compiled (fused)" : "interpreted",
-               ysb ? "YSB" : "RO", "throughput [M rec/s]",
-               stats.throughput_rps() / 1e6);
+  engines::SlashEngine engine;
+  const engines::RunStats stats = engine.Run(spec);
+  RequireCompleted(stats, compiled ? "ablation_execution/compiled"
+                                   : "ablation_execution/interpreted");
+  table.Add(compiled ? "compiled (fused)" : "interpreted", ysb ? "YSB" : "RO",
+            "throughput [M rec/s]", stats.throughput_rps() / 1e6);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
+  using namespace slash::bench;
+  SeriesTable table("Ablation: execution strategy (Slash, 2 nodes)");
+  std::vector<Point> points;
   for (const bool ysb : {true, false}) {
     for (const bool compiled : {false, true}) {
-      const std::string name = std::string("ablation_execution/") +
-                               (ysb ? "YSB" : "RO") + "/" +
-                               (compiled ? "compiled" : "interpreted");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [ysb, compiled](benchmark::State& state) {
-            slash::bench::RunCase(state, ysb, compiled);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({std::string("ablation_execution/") +
+                            (ysb ? "YSB" : "RO") + "/" +
+                            (compiled ? "compiled" : "interpreted"),
+                        [&table, ysb, compiled] {
+                          RunCase(table, ysb, compiled);
+                        }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -27,9 +27,8 @@
 // model is retuned; the gate asserts the tax stays bounded, not a bit
 // pattern) — the counting metrics (checksums, reconfig/migration counts)
 // compare exactly.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "common/logging.h"
@@ -39,11 +38,6 @@
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table = new SeriesTable("elasticity");
-  return table;
-}
 
 constexpr uint64_t kBaseRecordsPerWorker = 20000;
 constexpr int kWorkersPerNode = 2;
@@ -67,8 +61,7 @@ engines::RunStats RunShape(const engines::JobSpec& job,
   return stats;
 }
 
-void Elasticity(benchmark::State& state) {
-  const int nodes = int(state.range(0));
+void Elasticity(SeriesTable& table, int nodes) {
   SLASH_CHECK_GE(nodes, 8);
   SLASH_CHECK_EQ(nodes % 4, 0);
   workloads::YsbConfig ycfg;
@@ -76,106 +69,94 @@ void Elasticity(benchmark::State& state) {
   workloads::YsbWorkload workload(ycfg);
   const std::string label = "elasticity/nodes:" + std::to_string(nodes);
 
-  for (auto _ : state) {
-    const engines::JobSpec job = ElasticityJob(workload, nodes);
-    const engines::RunStats st = RunShape(job, label + "/static");
+  const engines::JobSpec job = ElasticityJob(workload, nodes);
+  const engines::RunStats st = RunShape(job, label + "/static");
 
-    // The autoscale arc, placed at fractions of the static makespan so the
-    // shape is self-scaling: N/4 initial, out to N, back in to N/2.
-    // Handoffs serialize by deferral, so closely spaced events queue.
-    elastic::ReconfigPlan plan;
-    plan.initial_nodes = nodes / 4;
-    plan.min_active = nodes / 4;
-    const int joins = nodes - plan.initial_nodes;
-    for (int i = 0; i < joins; ++i) {
-      const double f = 0.08 + 0.27 * double(i) / double(joins);
-      plan.joins.push_back({.at = Nanos(double(st.makespan()) * f),
-                            .node = plan.initial_nodes + i});
-    }
-    const int leaves = nodes / 2;
-    for (int i = 0; i < leaves; ++i) {
-      const double f = 0.50 + 0.30 * double(i) / double(leaves);
-      plan.leaves.push_back({.at = Nanos(double(st.makespan()) * f),
-                             .node = nodes - 1 - i});
-    }
-    SLASH_CHECK(plan.Validate(job.cluster.nodes).ok());
-    engines::JobSpec elastic_job = job;
-    elastic_job.cluster.reconfig = &plan;
-    const engines::RunStats el = RunShape(elastic_job, label + "/elastic");
-
-    // The elastic tier's contracts, re-CHECKed at bench scale: same
-    // answer, every event executed, no membership change mistaken for a
-    // failure, and the handoffs actually moved state.
-    SLASH_CHECK_EQ(st.result_checksum(), el.result_checksum());
-    SLASH_CHECK_EQ(st.records_emitted(), el.records_emitted());
-    SLASH_CHECK_EQ(el.elastic_joins(), uint64_t(joins));
-    SLASH_CHECK_EQ(el.elastic_leaves(), uint64_t(leaves));
-    SLASH_CHECK_EQ(el.reconfigs(), uint64_t(joins + leaves));
-    SLASH_CHECK_EQ(el.recoveries(), 0u);
-    SLASH_CHECK_GT(el.handoff_ns(), 0);
-    SLASH_CHECK_GT(el.partitions_moved(), 0u);
-    SLASH_CHECK_GT(el.state_bytes_moved(), 0u);
-    SLASH_CHECK_GT(el.records_migrated(), 0u);
-
-    // The elasticity tax: time under-provisioned plus handoff pauses. It
-    // must cost something (>1) but stay within 3x the worst case of
-    // running the whole job on the N/4 initial fleet — each handoff is a
-    // full rollback+replay cycle, so the tax grows with the event count,
-    // not just the provisioning gap. The committed baseline pins the
-    // exact-ish value; this band only catches a runaway.
-    const double worst = 3.0 * double(nodes) / double(plan.initial_nodes);
-    const double ratio = double(el.makespan()) / double(st.makespan());
-    SLASH_CHECK_MSG(ratio > 1.0 && ratio < worst,
-                    "elastic/static makespan ratio out of band: " << ratio);
-
-    const std::string x = "n=" + std::to_string(nodes);
-    struct Row {
-      const char* name;
-      const engines::RunStats* stats;
-    };
-    const Row rows[] = {{"static", &st}, {"elastic", &el}};
-    for (const Row& row : rows) {
-      Table()->Add(row.name, x, "makespan [us]",
-                   double(row.stats->makespan()) / 1e3);
-      Table()->Add(row.name, x, "checksum lo32",
-                   double(row.stats->result_checksum() & 0xffffffffu));
-      Table()->Add(row.name, x, "sim events/s (wall)",
-                   row.stats->sim_events_per_sec_wall);
-    }
-    Table()->Add("elastic", x, "makespan ratio vs static", ratio);
-    Table()->Add("elastic", x, "handoff pause [us]",
-                 double(el.handoff_ns()) / 1e3);
-    Table()->Add("elastic", x, "joins", double(el.elastic_joins()));
-    Table()->Add("elastic", x, "leaves", double(el.elastic_leaves()));
-    Table()->Add("elastic", x, "deferrals", double(el.elastic_deferrals()));
-    Table()->Add("elastic", x, "partitions moved",
-                 double(el.partitions_moved()));
-    Table()->Add("elastic", x, "state moved [KiB]",
-                 double(el.state_bytes_moved()) / double(kKiB));
-    Table()->Add("elastic", x, "records migrated",
-                 double(el.records_migrated()));
-
-    state.counters["makespan_static_us"] = double(st.makespan()) / 1e3;
-    state.counters["makespan_elastic_us"] = double(el.makespan()) / 1e3;
-    state.counters["ratio"] = ratio;
-    state.counters["handoff_us"] = double(el.handoff_ns()) / 1e3;
+  // The autoscale arc, placed at fractions of the static makespan so the
+  // shape is self-scaling: N/4 initial, out to N, back in to N/2.
+  // Handoffs serialize by deferral, so closely spaced events queue.
+  elastic::ReconfigPlan plan;
+  plan.initial_nodes = nodes / 4;
+  plan.min_active = nodes / 4;
+  const int joins = nodes - plan.initial_nodes;
+  for (int i = 0; i < joins; ++i) {
+    const double f = 0.08 + 0.27 * double(i) / double(joins);
+    plan.joins.push_back({.at = Nanos(double(st.makespan()) * f),
+                          .node = plan.initial_nodes + i});
   }
-}
+  const int leaves = nodes / 2;
+  for (int i = 0; i < leaves; ++i) {
+    const double f = 0.50 + 0.30 * double(i) / double(leaves);
+    plan.leaves.push_back({.at = Nanos(double(st.makespan()) * f),
+                           .node = nodes - 1 - i});
+  }
+  SLASH_CHECK(plan.Validate(job.cluster.nodes).ok());
+  engines::JobSpec elastic_job = job;
+  elastic_job.cluster.reconfig = &plan;
+  const engines::RunStats el = RunShape(elastic_job, label + "/elastic");
 
-BENCHMARK(Elasticity)
-    ->ArgName("nodes")
-    ->Arg(8)
-    ->Arg(16)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+  // The elastic tier's contracts, re-CHECKed at bench scale: same
+  // answer, every event executed, no membership change mistaken for a
+  // failure, and the handoffs actually moved state.
+  SLASH_CHECK_EQ(st.result_checksum(), el.result_checksum());
+  SLASH_CHECK_EQ(st.records_emitted(), el.records_emitted());
+  SLASH_CHECK_EQ(el.elastic_joins(), uint64_t(joins));
+  SLASH_CHECK_EQ(el.elastic_leaves(), uint64_t(leaves));
+  SLASH_CHECK_EQ(el.reconfigs(), uint64_t(joins + leaves));
+  SLASH_CHECK_EQ(el.recoveries(), 0u);
+  SLASH_CHECK_GT(el.handoff_ns(), 0);
+  SLASH_CHECK_GT(el.partitions_moved(), 0u);
+  SLASH_CHECK_GT(el.state_bytes_moved(), 0u);
+  SLASH_CHECK_GT(el.records_migrated(), 0u);
+
+  // The elasticity tax: time under-provisioned plus handoff pauses. It
+  // must cost something (>1) but stay within 3x the worst case of
+  // running the whole job on the N/4 initial fleet — each handoff is a
+  // full rollback+replay cycle, so the tax grows with the event count,
+  // not just the provisioning gap. The committed baseline pins the
+  // exact-ish value; this band only catches a runaway.
+  const double worst = 3.0 * double(nodes) / double(plan.initial_nodes);
+  const double ratio = double(el.makespan()) / double(st.makespan());
+  SLASH_CHECK_MSG(ratio > 1.0 && ratio < worst,
+                  "elastic/static makespan ratio out of band: " << ratio);
+
+  const std::string x = "n=" + std::to_string(nodes);
+  struct Row {
+    const char* name;
+    const engines::RunStats* stats;
+  };
+  const Row rows[] = {{"static", &st}, {"elastic", &el}};
+  for (const Row& row : rows) {
+    table.Add(row.name, x, "makespan [us]",
+              double(row.stats->makespan()) / 1e3);
+    table.Add(row.name, x, "checksum lo32",
+              double(row.stats->result_checksum() & 0xffffffffu));
+    table.Add(row.name, x, "sim events/s (wall)",
+              row.stats->sim_events_per_sec_wall);
+  }
+  table.Add("elastic", x, "makespan ratio vs static", ratio);
+  table.Add("elastic", x, "handoff pause [us]", double(el.handoff_ns()) / 1e3);
+  table.Add("elastic", x, "joins", double(el.elastic_joins()));
+  table.Add("elastic", x, "leaves", double(el.elastic_leaves()));
+  table.Add("elastic", x, "deferrals", double(el.elastic_deferrals()));
+  table.Add("elastic", x, "partitions moved", double(el.partitions_moved()));
+  table.Add("elastic", x, "state moved [KiB]",
+            double(el.state_bytes_moved()) / double(kKiB));
+  table.Add("elastic", x, "records migrated", double(el.records_migrated()));
+}
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  using namespace slash::bench;
+  SeriesTable table("elasticity");
+  std::vector<Point> points;
+  for (const int n : {8, 16}) {
+    points.push_back({"Elasticity/nodes:" + std::to_string(n),
+                      [&table, n] { Elasticity(table, n); }});
+  }
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

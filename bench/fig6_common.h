@@ -9,11 +9,10 @@
 #ifndef SLASH_BENCH_FIG6_COMMON_H_
 #define SLASH_BENCH_FIG6_COMMON_H_
 
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "engines/flink_engine.h"
@@ -40,47 +39,30 @@ inline int WeakScalingMain(int argc, char** argv, const std::string& title,
                            const WorkloadFactory& factory,
                            uint64_t base_records_per_worker,
                            int workers_per_node = 4) {
-  static SeriesTable* table = new SeriesTable(title);
+  SeriesTable table(title);
+  std::vector<Point> points;
   for (int sut = 0; sut < 3; ++sut) {
     for (int nodes : {2, 4, 8, 16}) {
-      auto engine = MakeSut(sut);
+      const std::string engine(MakeSut(sut)->name());
       const std::string name =
-          title + "/" + std::string(engine->name()) + "/nodes:" +
-          std::to_string(nodes);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [sut, nodes, &factory, base_records_per_worker,
-           workers_per_node](benchmark::State& state) {
-            auto workload = factory();
-            auto sut_engine = MakeSut(sut);
-            engines::JobConfig job = BenchJob();
-            job.records_per_worker = BenchRecords(base_records_per_worker);
-            const engines::JobSpec spec = engines::MakeJobSpec(
-                "", *workload, BenchCluster(nodes, workers_per_node), job);
-            engines::RunStats stats;
-            for (auto _ : state) {
-              stats = sut_engine->Run(spec);
-              RequireCompleted(stats, std::string(sut_engine->name()) +
-                                          "/nodes:" + std::to_string(nodes));
-            }
-            state.counters["Mrec/s"] = stats.throughput_rps() / 1e6;
-            state.counters["net_GB/s"] = stats.network_gbytes_per_sec();
-            state.counters["results"] = double(stats.records_emitted());
-            table->Add(std::string(sut_engine->name()),
-                       "n=" + std::to_string(nodes), "throughput [M rec/s]",
-                       stats.throughput_rps() / 1e6);
-            table->Add(std::string(sut_engine->name()),
-                       "n=" + std::to_string(nodes), "sim events/s (wall)",
-                       stats.sim_events_per_sec_wall);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+          title + "/" + engine + "/nodes:" + std::to_string(nodes);
+      points.push_back({name, [&, sut, nodes, engine, name] {
+        auto workload = factory();
+        engines::JobConfig job = BenchJob();
+        job.records_per_worker = BenchRecords(base_records_per_worker);
+        const engines::RunStats stats = MakeSut(sut)->Run(engines::MakeJobSpec(
+            "", *workload, BenchCluster(nodes, workers_per_node), job));
+        RequireCompleted(stats, name);
+        const std::string x = "n=" + std::to_string(nodes);
+        table.Add(engine, x, "throughput [M rec/s]",
+                  stats.throughput_rps() / 1e6);
+        table.Add(engine, x, "sim events/s (wall)",
+                  stats.sim_events_per_sec_wall);
+      }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  table->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }
 

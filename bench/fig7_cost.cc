@@ -6,10 +6,9 @@
 // Paper shape: Slash beats LightSaber already at 2 nodes and reaches up to
 // 11.6x on YSB/CM and 4.4x on NB7 at 16 nodes (sub-linear on NB7 due to
 // the heavy-hitter key distribution).
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "engines/lightsaber_engine.h"
@@ -47,12 +46,7 @@ const char* WorkloadName(int id) {
   }
 }
 
-SeriesTable* Table() {
-  static SeriesTable* table = new SeriesTable("Fig 7: COST vs LightSaber");
-  return table;
-}
-
-void RunCase(benchmark::State& state, int workload_id, int nodes) {
+void RunCase(SeriesTable& table, int workload_id, int nodes) {
   auto workload = MakeWorkload(workload_id);
   const int workers = 10;  // paper configuration: 10 threads per node
   engines::JobConfig job = BenchJob();
@@ -60,48 +54,38 @@ void RunCase(benchmark::State& state, int workload_id, int nodes) {
   const engines::JobSpec spec =
       engines::MakeJobSpec("", *workload, BenchCluster(nodes, workers), job);
   engines::RunStats stats;
-  for (auto _ : state) {
-    if (nodes == 1) {
-      engines::LightSaberEngine engine;
-      stats = engine.Run(spec);
-    } else {
-      engines::SlashEngine engine;
-      stats = engine.Run(spec);
-    }
-    RequireCompleted(stats, std::string(WorkloadName(workload_id)) +
-                                "/nodes:" + std::to_string(nodes));
+  if (nodes == 1) {
+    engines::LightSaberEngine engine;
+    stats = engine.Run(spec);
+  } else {
+    engines::SlashEngine engine;
+    stats = engine.Run(spec);
   }
-  state.counters["Mrec/s"] = stats.throughput_rps() / 1e6;
-  Table()->Add(nodes == 1 ? "LightSaber (L)" : "Slash",
-               nodes == 1 ? "L" : "n=" + std::to_string(nodes),
-               std::string("throughput [M rec/s] — ") +
-                   WorkloadName(workload_id),
-               stats.throughput_rps() / 1e6);
+  RequireCompleted(stats, std::string(WorkloadName(workload_id)) +
+                              "/nodes:" + std::to_string(nodes));
+  table.Add(nodes == 1 ? "LightSaber (L)" : "Slash",
+            nodes == 1 ? "L" : "n=" + std::to_string(nodes),
+            std::string("throughput [M rec/s] — ") +
+                WorkloadName(workload_id),
+            stats.throughput_rps() / 1e6);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  using slash::bench::RunCase;
-  using slash::bench::WorkloadName;
+  using namespace slash::bench;
+  SeriesTable table("Fig 7: COST vs LightSaber");
+  std::vector<Point> points;
   for (int workload = 0; workload < 3; ++workload) {
     for (int nodes : {1, 2, 4, 8, 16}) {
-      const std::string name =
-          std::string("fig7/") + WorkloadName(workload) + "/" +
-          (nodes == 1 ? "LightSaber" : "Slash_n" + std::to_string(nodes));
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [workload, nodes](benchmark::State& state) {
-            RunCase(state, workload, nodes);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back(
+          {std::string("fig7/") + WorkloadName(workload) + "/" +
+               (nodes == 1 ? "LightSaber" : "Slash_n" + std::to_string(nodes)),
+           [&table, workload, nodes] { RunCase(table, workload, nodes); }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -10,21 +10,14 @@
 // overhead dominates (small buffers), and give the lead back once
 // transfers are large enough that deferring the NIC start until the flush
 // costs more than the saved MMIOs.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "bench_util/transfer.h"
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Fig 8a: buffer throughput");
-  return table;
-}
 
 enum class Mode { kDirect, kBatched, kPartitioned };
 
@@ -37,7 +30,7 @@ const char* SeriesName(Mode mode) {
   return "?";
 }
 
-void RunCase(benchmark::State& state, Mode mode, uint64_t slot_kib) {
+void RunCase(SeriesTable& table, Mode mode, uint64_t slot_kib) {
   TransferConfig cfg;
   cfg.producers = 2;
   cfg.consumers = 10;
@@ -48,42 +41,29 @@ void RunCase(benchmark::State& state, Mode mode, uint64_t slot_kib) {
     cfg.post_batch = 4;                  // one doorbell per 4 queued WRs
     cfg.inline_threshold = 4 * kKiB;     // small slots ride in the WQE
   }
-  TransferResult result;
-  for (auto _ : state) {
-    result = RunTransfer(cfg);
-  }
+  const TransferResult result = RunTransfer(cfg);
   RequireCompleted(result.status, std::string("fig8a/") + SeriesName(mode) +
                                       "/" + std::to_string(slot_kib) + "KiB");
-  state.counters["GB/s"] = result.goodput_gbytes_per_sec();
-  state.counters["pct_line_rate"] = result.goodput_gbytes_per_sec() / 11.8 * 100.0;
-  state.counters["Mrec/s"] = result.records_per_second() / 1e6;
-  Table()->Add(SeriesName(mode), std::to_string(slot_kib) + "KiB",
-               "goodput [GB/s]", result.goodput_gbytes_per_sec());
+  table.Add(SeriesName(mode), std::to_string(slot_kib) + "KiB",
+            "goodput [GB/s]", result.goodput_gbytes_per_sec());
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  using slash::bench::Mode;
+  using namespace slash::bench;
+  SeriesTable table("Fig 8a: buffer throughput");
+  std::vector<Point> points;
   for (const Mode mode :
        {Mode::kDirect, Mode::kBatched, Mode::kPartitioned}) {
     for (const uint64_t kib : {1, 4, 16, 32, 64, 128, 256, 1024}) {
-      const std::string name = std::string("fig8a/") +
-                               slash::bench::SeriesName(mode) + "/buffer:" +
-                               std::to_string(kib) + "KiB";
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [mode, kib](benchmark::State& state) {
-            slash::bench::RunCase(state, mode, kib);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({std::string("fig8a/") + SeriesName(mode) +
+                            "/buffer:" + std::to_string(kib) + "KiB",
+                        [&table, mode, kib] { RunCase(table, mode, kib); }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

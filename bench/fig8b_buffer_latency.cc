@@ -9,21 +9,14 @@
 // buffers sit on the producer until the flush and report higher
 // acquire-to-poll latency — the same crossover as Fig 8a, seen from the
 // latency side.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "bench_util/transfer.h"
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Fig 8b: buffer latency");
-  return table;
-}
 
 enum class Mode { kDirect, kBatched, kPartitioned };
 
@@ -36,7 +29,7 @@ const char* SeriesName(Mode mode) {
   return "?";
 }
 
-void RunCase(benchmark::State& state, Mode mode, uint64_t slot_kib) {
+void RunCase(SeriesTable& table, Mode mode, uint64_t slot_kib) {
   TransferConfig cfg;
   cfg.producers = 2;
   cfg.consumers = 10;
@@ -47,48 +40,33 @@ void RunCase(benchmark::State& state, Mode mode, uint64_t slot_kib) {
     cfg.post_batch = 4;
     cfg.inline_threshold = 4 * kKiB;
   }
-  TransferResult result;
-  for (auto _ : state) {
-    result = RunTransfer(cfg);
+  const TransferResult result = RunTransfer(cfg);
+  const std::string x = std::to_string(slot_kib) + "KiB";
+  RequireCompleted(result.status,
+                   std::string("fig8b/") + SeriesName(mode) + "/" + x);
+  for (const int p : {50, 99}) {
+    table.Add(SeriesName(mode), x, "latency p" + std::to_string(p) + " [us]",
+              double(result.buffer_latency.Percentile(p)) /
+                  double(kMicrosecond));
   }
-  RequireCompleted(result.status, std::string("fig8b/") + SeriesName(mode) +
-                                      "/" + std::to_string(slot_kib) + "KiB");
-  const double p50_us =
-      double(result.buffer_latency.Percentile(50)) / double(kMicrosecond);
-  const double p99_us =
-      double(result.buffer_latency.Percentile(99)) / double(kMicrosecond);
-  state.counters["p50_us"] = p50_us;
-  state.counters["p99_us"] = p99_us;
-  state.counters["Mrec/s"] = result.records_per_second() / 1e6;
-  Table()->Add(SeriesName(mode), std::to_string(slot_kib) + "KiB",
-               "latency p50 [us]", p50_us);
-  Table()->Add(SeriesName(mode), std::to_string(slot_kib) + "KiB",
-               "latency p99 [us]", p99_us);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  using slash::bench::Mode;
+  using namespace slash::bench;
+  SeriesTable table("Fig 8b: buffer latency");
+  std::vector<Point> points;
   for (const Mode mode :
        {Mode::kDirect, Mode::kBatched, Mode::kPartitioned}) {
     for (const uint64_t kib : {4, 16, 32, 64, 128, 256, 1024}) {
-      const std::string name = std::string("fig8b/") +
-                               slash::bench::SeriesName(mode) + "/buffer:" +
-                               std::to_string(kib) + "KiB";
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [mode, kib](benchmark::State& state) {
-            slash::bench::RunCase(state, mode, kib);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({std::string("fig8b/") + SeriesName(mode) +
+                            "/buffer:" + std::to_string(kib) + "KiB",
+                        [&table, mode, kib] { RunCase(table, mode, kib); }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

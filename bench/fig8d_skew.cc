@@ -6,10 +6,10 @@
 // YSB with rising skew (fewer key-value pairs to merge at epochs); RDMA
 // UpPar loses throughput steeply because hash partitioning concentrates
 // load on single receivers.
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "bench_util/transfer.h"
@@ -20,12 +20,6 @@
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Fig 8d: throughput vs key skew (Zipf z)");
-  return table;
-}
 
 std::unique_ptr<workloads::Workload> MakeWorkload(bool ysb, double z) {
   const workloads::KeyDistribution keys =
@@ -43,7 +37,9 @@ std::unique_ptr<workloads::Workload> MakeWorkload(bool ysb, double z) {
   return std::make_unique<workloads::RoWorkload>(cfg);
 }
 
-void RunCase(benchmark::State& state, bool ysb, bool slash_engine, double z) {
+void RunCase(SeriesTable& table, bool ysb, bool slash_engine, double z) {
+  const std::string context = std::string(slash_engine ? "Slash" : "UpPar") +
+                              "/z=" + std::to_string(z);
   double mrec_per_s = 0;
   if (ysb) {
     // End-to-end stateful query on the full engines.
@@ -53,17 +49,14 @@ void RunCase(benchmark::State& state, bool ysb, bool slash_engine, double z) {
     const engines::JobSpec spec =
         engines::MakeJobSpec("", *workload, BenchCluster(2, 8), job);
     engines::RunStats stats;
-    for (auto _ : state) {
-      if (slash_engine) {
-        engines::SlashEngine engine;
-        stats = engine.Run(spec);
-      } else {
-        engines::UpParEngine engine;
-        stats = engine.Run(spec);
-      }
-      RequireCompleted(stats, std::string(slash_engine ? "Slash" : "UpPar") +
-                                  "/z=" + std::to_string(z));
+    if (slash_engine) {
+      engines::SlashEngine engine;
+      stats = engine.Run(spec);
+    } else {
+      engines::UpParEngine engine;
+      stats = engine.Run(spec);
     }
+    RequireCompleted(stats, context);
     mrec_per_s = stats.throughput_rps() / 1e6;
   } else {
     // RO uses the paper's two-instance transfer setup (Sec. 8.3.2): the
@@ -77,24 +70,24 @@ void RunCase(benchmark::State& state, bool ysb, bool slash_engine, double z) {
     cfg.keys = z == 0.0 ? workloads::KeyDistribution::Uniform()
                         : workloads::KeyDistribution::Zipf(z);
     cfg.key_range = 1'000'000;
-    TransferResult result;
-    for (auto _ : state) {
-      result = RunTransfer(cfg);
-    }
+    const TransferResult result = RunTransfer(cfg);
+    RequireCompleted(result.status, "RO/" + context);
     mrec_per_s = result.records_per_second() / 1e6;
   }
-  state.counters["Mrec/s"] = mrec_per_s;
   char zbuf[16];
   std::snprintf(zbuf, sizeof(zbuf), "z=%.1f", z);
-  Table()->Add(std::string(slash_engine ? "Slash" : "RDMA UpPar") + " " +
-                   (ysb ? "YSB" : "RO"),
-               zbuf, "throughput [M rec/s]", mrec_per_s);
+  table.Add(std::string(slash_engine ? "Slash" : "RDMA UpPar") + " " +
+                (ysb ? "YSB" : "RO"),
+            zbuf, "throughput [M rec/s]", mrec_per_s);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
+  using namespace slash::bench;
+  SeriesTable table("Fig 8d: throughput vs key skew (Zipf z)");
+  std::vector<Point> points;
   for (const bool ysb : {false, true}) {
     for (const bool slash_engine : {true, false}) {
       for (const double z : {0.2, 0.6, 1.0, 1.4, 1.8, 2.0}) {
@@ -102,19 +95,13 @@ int main(int argc, char** argv) {
         std::snprintf(name, sizeof(name), "fig8d/%s/%s/z:%.1f",
                       ysb ? "YSB" : "RO",
                       slash_engine ? "Slash" : "UpPar", z);
-        benchmark::RegisterBenchmark(
-            name,
-            [ysb, slash_engine, z](benchmark::State& state) {
-              slash::bench::RunCase(state, ysb, slash_engine, z);
-            })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        points.push_back({name, [&table, ysb, slash_engine, z] {
+                            RunCase(table, ysb, slash_engine, z);
+                          }});
       }
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -8,10 +8,8 @@
 // the branchy partitioning code and retire up to 2x the u-ops of Slash;
 // Slash senders are core-bound (pause loops while the saturated NIC
 // drains) and its receivers memory-bound (waiting for in-flight data).
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "bench_util/transfer.h"
@@ -19,62 +17,39 @@
 namespace slash::bench {
 namespace {
 
-void PrintBreakdown(const char* label, const perf::Counters& c) {
-  std::printf("%-22s", label);
-  for (int i = 0; i < perf::kNumCategories; ++i) {
-    std::printf("  %s=%5.1f%%",
-                std::string(perf::CategoryName(perf::Category(i))).c_str(),
-                c.fraction(perf::Category(i)) * 100.0);
-  }
-  std::printf("  instr=%.0fM\n", c.instructions / 1e6);
-}
-
-void RunCase(benchmark::State& state, bool partitioned, int threads) {
+void RunCase(SeriesTable& table, bool partitioned, int threads) {
   TransferConfig cfg;
   cfg.producers = threads;
   cfg.consumers = 10;
   cfg.slot_bytes = 64 * kKiB;
   cfg.records_per_producer = BenchRecords(200'000);
   cfg.partitioned = partitioned;
-  TransferResult result;
-  for (auto _ : state) {
-    result = RunTransfer(cfg);
-  }
-  char label[64];
-  std::snprintf(label, sizeof(label), "%s snd (t=%d)",
-                partitioned ? "UpPar" : "Slash", threads);
-  PrintBreakdown(label, result.sender);
-  std::snprintf(label, sizeof(label), "%s rcv (t=%d)",
-                partitioned ? "UpPar" : "Slash", threads);
-  PrintBreakdown(label, result.receiver);
-  state.counters["snd_FeB_pct"] =
-      result.sender.fraction(perf::Category::kFrontEnd) * 100.0;
-  state.counters["snd_instr_M"] = result.sender.instructions / 1e6;
-  state.counters["rcv_MemB_pct"] =
-      result.receiver.fraction(perf::Category::kBackEndMemory) * 100.0;
+  const TransferResult result = RunTransfer(cfg);
+  const std::string engine = partitioned ? "UpPar" : "Slash";
+  const std::string t = " (t=" + std::to_string(threads) + ")";
+  RequireCompleted(result.status, "fig9/" + engine + t);
+  AddTopDown(table, engine + " snd" + t, result.sender);
+  AddTopDown(table, engine + " rcv" + t, result.receiver);
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  std::printf("Fig 9: execution breakdown of RO (top-down categories)\n");
+  using namespace slash::bench;
+  SeriesTable table("Fig 9: execution breakdown of RO");
+  std::vector<Point> points;
   for (const bool partitioned : {false, true}) {
     for (const int threads : {2, 10}) {
-      const std::string name = std::string("fig9/") +
-                               (partitioned ? "UpPar" : "Slash") +
-                               "/threads:" + std::to_string(threads);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [partitioned, threads](benchmark::State& state) {
-            slash::bench::RunCase(state, partitioned, threads);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back(
+          {std::string("fig9/") + (partitioned ? "UpPar" : "Slash") +
+               "/threads:" + std::to_string(threads),
+           [&table, partitioned, threads] {
+             RunCase(table, partitioned, threads);
+           }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

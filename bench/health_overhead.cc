@@ -29,9 +29,8 @@
 // The makespan and ratio metrics compare under --rel-tol there (the gate
 // checks "still ~free", not bit-equal schedules); the counting metrics
 // compare exactly.
-#include <benchmark/benchmark.h>
-
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "common/logging.h"
@@ -40,11 +39,6 @@
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table = new SeriesTable("health_overhead");
-  return table;
-}
 
 constexpr uint64_t kBaseRecordsPerWorker = 40000;
 constexpr int kWorkersPerNode = 4;
@@ -70,72 +64,61 @@ engines::RunStats RunOnce(int nodes, bool health_on) {
   return stats;
 }
 
-void HealthOverhead(benchmark::State& state) {
-  const int nodes = int(state.range(0));
-  for (auto _ : state) {
-    const engines::RunStats off = RunOnce(nodes, false);
-    const engines::RunStats on = RunOnce(nodes, true);
+void HealthOverhead(SeriesTable& table, int nodes) {
+  const engines::RunStats off = RunOnce(nodes, false);
+  const engines::RunStats on = RunOnce(nodes, true);
 
-    // The detector observes a clean run; it never changes the answer and
-    // never cries wolf.
-    SLASH_CHECK_EQ(off.result_checksum(), on.result_checksum());
-    SLASH_CHECK_EQ(on.suspicions(), 0u);
-    SLASH_CHECK_EQ(on.quarantines(), 0u);
-    SLASH_CHECK_EQ(on.health_probe_misses(), 0u);
-    SLASH_CHECK_GT(on.health_probes_sent(), 0u);
+  // The detector observes a clean run; it never changes the answer and
+  // never cries wolf.
+  SLASH_CHECK_EQ(off.result_checksum(), on.result_checksum());
+  SLASH_CHECK_EQ(on.suspicions(), 0u);
+  SLASH_CHECK_EQ(on.quarantines(), 0u);
+  SLASH_CHECK_EQ(on.health_probe_misses(), 0u);
+  SLASH_CHECK_GT(on.health_probes_sent(), 0u);
 
-    // The hard overhead gate: schedule perturbation from probe traffic
-    // (and up to one heartbeat of drain rounding) stays within a quarter
-    // of the fault-free makespan in either direction.
-    const double ratio = double(on.makespan()) / double(off.makespan());
-    SLASH_CHECK_MSG(ratio > 0.75 && ratio < 1.25,
-                    "health-on makespan diverged from health-off by more "
-                    "than 25%: ratio " << ratio);
+  // The hard overhead gate: schedule perturbation from probe traffic
+  // (and up to one heartbeat of drain rounding) stays within a quarter
+  // of the fault-free makespan in either direction.
+  const double ratio = double(on.makespan()) / double(off.makespan());
+  SLASH_CHECK_MSG(ratio > 0.75 && ratio < 1.25,
+                  "health-on makespan diverged from health-off by more "
+                  "than 25%: ratio " << ratio);
 
-    const std::string x = "n=" + std::to_string(nodes);
-    struct Row {
-      const char* name;
-      const engines::RunStats* stats;
-    };
-    const Row rows[] = {{"off", &off}, {"on", &on}};
-    for (const Row& row : rows) {
-      Table()->Add(row.name, x, "makespan [us]",
-                   double(row.stats->makespan()) / 1e3);
-      Table()->Add(row.name, x, "probes sent",
-                   double(row.stats->health_probes_sent()));
-      Table()->Add(row.name, x, "probe misses",
-                   double(row.stats->health_probe_misses()));
-      Table()->Add(row.name, x, "fence events",
-                   double(row.stats->fence_events()));
-      Table()->Add(row.name, x, "suspicions",
-                   double(row.stats->suspicions()));
-      Table()->Add(row.name, x, "checksum lo32",
-                   double(row.stats->result_checksum() & 0xffffffffu));
-      Table()->Add(row.name, x, "sim events/s (wall)",
-                   row.stats->sim_events_per_sec_wall);
-    }
-    Table()->Add("on", x, "makespan ratio vs off", ratio);
-    state.counters["makespan_off_us"] = double(off.makespan()) / 1e3;
-    state.counters["makespan_on_us"] = double(on.makespan()) / 1e3;
-    state.counters["probes"] = double(on.health_probes_sent());
-    state.counters["ratio"] = ratio;
+  const std::string x = "n=" + std::to_string(nodes);
+  struct Row {
+    const char* name;
+    const engines::RunStats* stats;
+  };
+  const Row rows[] = {{"off", &off}, {"on", &on}};
+  for (const Row& row : rows) {
+    table.Add(row.name, x, "makespan [us]",
+              double(row.stats->makespan()) / 1e3);
+    table.Add(row.name, x, "probes sent",
+              double(row.stats->health_probes_sent()));
+    table.Add(row.name, x, "probe misses",
+              double(row.stats->health_probe_misses()));
+    table.Add(row.name, x, "fence events", double(row.stats->fence_events()));
+    table.Add(row.name, x, "suspicions", double(row.stats->suspicions()));
+    table.Add(row.name, x, "checksum lo32",
+              double(row.stats->result_checksum() & 0xffffffffu));
+    table.Add(row.name, x, "sim events/s (wall)",
+              row.stats->sim_events_per_sec_wall);
   }
+  table.Add("on", x, "makespan ratio vs off", ratio);
 }
-
-BENCHMARK(HealthOverhead)
-    ->ArgName("nodes")
-    ->Arg(2)
-    ->Arg(4)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  using namespace slash::bench;
+  SeriesTable table("health_overhead");
+  std::vector<Point> points;
+  for (const int n : {2, 4}) {
+    points.push_back({"HealthOverhead/nodes:" + std::to_string(n),
+                      [&table, n] { HealthOverhead(table, n); }});
+  }
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

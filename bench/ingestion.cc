@@ -6,10 +6,9 @@
 // compares the two ingestion paths on the same queries: with RDMA
 // ingestion, raw records cross the fabric (bounded by the 11.8 GB/s NIC),
 // while state-delta traffic rides the same links.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "engines/slash_engine.h"
@@ -19,13 +18,7 @@
 namespace slash::bench {
 namespace {
 
-SeriesTable* Table() {
-  static SeriesTable* table =
-      new SeriesTable("Supplementary: local-memory vs RDMA ingestion (Slash)");
-  return table;
-}
-
-void RunCase(benchmark::State& state, bool ysb, bool rdma_ingestion) {
+void RunCase(SeriesTable& table, bool ysb, bool rdma_ingestion) {
   std::unique_ptr<workloads::Workload> workload;
   if (ysb) {
     workloads::YsbConfig cfg;
@@ -41,43 +34,34 @@ void RunCase(benchmark::State& state, bool ysb, bool rdma_ingestion) {
   job.rdma_ingestion = rdma_ingestion;
   const engines::JobSpec spec =
       engines::MakeJobSpec("", *workload, BenchCluster(4, 8), job);
-  engines::RunStats stats;
-  for (auto _ : state) {
-    engines::SlashEngine engine;
-    stats = engine.Run(spec);
-    RequireCompleted(stats, rdma_ingestion ? "ingestion/rdma"
-                                           : "ingestion/local");
-  }
-  state.counters["Mrec/s"] = stats.throughput_rps() / 1e6;
-  state.counters["net_GB/s"] = stats.network_gbytes_per_sec();
-  Table()->Add(rdma_ingestion ? "RDMA ingestion" : "local memory",
-               ysb ? "YSB" : "RO", "throughput [M rec/s]",
-               stats.throughput_rps() / 1e6);
-  Table()->Add(rdma_ingestion ? "RDMA ingestion" : "local memory",
-               ysb ? "YSB" : "RO", "network [GB/s]", stats.network_gbytes_per_sec());
+  engines::SlashEngine engine;
+  const engines::RunStats stats = engine.Run(spec);
+  RequireCompleted(stats,
+                   rdma_ingestion ? "ingestion/rdma" : "ingestion/local");
+  const char* series = rdma_ingestion ? "RDMA ingestion" : "local memory";
+  table.Add(series, ysb ? "YSB" : "RO", "throughput [M rec/s]",
+            stats.throughput_rps() / 1e6);
+  table.Add(series, ysb ? "YSB" : "RO", "network [GB/s]",
+            stats.network_gbytes_per_sec());
 }
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
+  using namespace slash::bench;
+  SeriesTable table("Supplementary: local-memory vs RDMA ingestion (Slash)");
+  std::vector<Point> points;
   for (const bool ysb : {false, true}) {
     for (const bool ingest : {false, true}) {
-      const std::string name = std::string("ingestion/") +
-                               (ysb ? "YSB" : "RO") + "/" +
-                               (ingest ? "rdma" : "local");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [ysb, ingest](benchmark::State& state) {
-            slash::bench::RunCase(state, ysb, ingest);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({std::string("ingestion/") + (ysb ? "YSB" : "RO") +
+                            "/" + (ingest ? "rdma" : "local"),
+                        [&table, ysb, ingest] {
+                          RunCase(table, ysb, ingest);
+                        }});
     }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

@@ -20,8 +20,6 @@
 // Every datapoint is virtual-time or a count, so the committed
 // bench/baselines/BENCH_multitenant.json pins them exactly
 // (tools/bench_compare.py in CI); only "sim events/s (wall)" is host-speed.
-#include <benchmark/benchmark.h>
-
 #include <limits>
 #include <memory>
 #include <string>
@@ -38,11 +36,6 @@
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table = new SeriesTable("multitenant");
-  return table;
-}
 
 std::unique_ptr<workloads::Workload> MakeWorkload(int j) {
   switch (j % 3) {
@@ -66,101 +59,87 @@ const char* WorkloadName(int j) {
   }
 }
 
-void MultiTenant(benchmark::State& state) {
-  const int njobs = int(state.range(0));
-  for (auto _ : state) {
-    const engines::ClusterConfig cluster = BenchCluster(4, 4);
-    engines::JobConfig job = BenchJob();
-    job.records_per_worker = BenchRecords(3000);
+void MultiTenant(SeriesTable& table, int njobs) {
+  const engines::ClusterConfig cluster = BenchCluster(4, 4);
+  engines::JobConfig job = BenchJob();
+  job.records_per_worker = BenchRecords(3000);
 
-    // Alternating gold/silver quotas: half the tenants may hold 64 NIC
-    // credits in flight across all their channels, half only 32 (each
-    // job's full mesh alone could hold 4*3 channels * 8 credits = 96).
-    std::vector<std::unique_ptr<workloads::Workload>> workloads;
-    std::vector<engines::JobSpec> jobs;
-    for (int j = 0; j < njobs; ++j) {
-      workloads.push_back(MakeWorkload(j));
-      const uint32_t quota = (j % 2 == 0) ? 64 : 32;
-      jobs.push_back(engines::MakeJobSpec("t" + std::to_string(j),
-                                          *workloads.back(), cluster, job,
-                                          quota));
-    }
-
-    engines::SlashEngine engine;
-    const engines::MultiRunStats multi = engine.RunJobs(jobs, cluster);
-    RequireCompleted(multi, "multitenant/jobs=" + std::to_string(njobs));
-
-    // Correctness gate: each tenant's results are exactly what its query
-    // computes sequentially, co-location notwithstanding.
-    for (int j = 0; j < njobs; ++j) {
-      const core::OracleOutput oracle = core::ComputeOracle(
-          workloads[j]->MakeQuery(),
-          workloads[j]->Sources(job.records_per_worker, job.seed),
-          cluster.nodes * cluster.workers_per_node);
-      SLASH_CHECK_EQ(multi.jobs[j].records_in(), oracle.records_in);
-      SLASH_CHECK_EQ(multi.jobs[j].records_emitted(), oracle.count);
-      SLASH_CHECK_EQ(multi.jobs[j].result_checksum(), oracle.checksum);
-    }
-
-    const std::string x = "jobs=" + std::to_string(njobs);
-    const Nanos makespan = multi.cluster.makespan();
-    Nanos min_drain = std::numeric_limits<Nanos>::max();
-    Nanos max_drain = 0;
-    uint64_t denials = 0;
-    for (int j = 0; j < njobs; ++j) {
-      const engines::RunStats& job = multi.jobs[j];
-      const Nanos drain =
-          Nanos(job.metrics.CounterValue(obs::metric::kJobDrainNs));
-      min_drain = std::min(min_drain, drain);
-      max_drain = std::max(max_drain, drain);
-      denials += job.metrics.CounterValue(obs::metric::kChannelQuotaDenials);
-      const std::string series =
-          "t" + std::to_string(j) + "/" + WorkloadName(j);
-      Table()->Add(series, x, "drain [ms]", double(drain) / 1e6);
-      Table()->Add(series, x, "records in", double(job.records_in()));
-      Table()->Add(series, x, "quota denials",
-                   double(job.metrics.CounterValue(
-                       obs::metric::kChannelQuotaDenials)));
-      Table()->Add(series, x, "checksum lo32",
-                   double(job.result_checksum() & 0xffffffffu));
-    }
-
-    Table()->Add("cluster", x, "makespan [ms]", double(makespan) / 1e6);
-    Table()->Add("cluster", x, "aggregate throughput [M rec/s]",
-                 makespan > 0 ? double(multi.cluster.records_in()) * 1e3 /
-                                    double(makespan)
-                              : 0.0);
-    Table()->Add("cluster", x, "fairness (min/max drain)",
-                 max_drain > 0 ? double(min_drain) / double(max_drain) : 1.0);
-    Table()->Add("cluster", x, "quota denials", double(denials));
-    Table()->Add("cluster", x, "sim events/s (wall)",
-                 multi.cluster.sim_events_per_sec_wall);
-
-    state.counters["Mrec/s"] =
-        makespan > 0
-            ? double(multi.cluster.records_in()) * 1e3 / double(makespan)
-            : 0.0;
-    state.counters["denials"] = double(denials);
-    state.counters["makespan_ms"] = double(makespan) / 1e6;
+  // Alternating gold/silver quotas: half the tenants may hold 64 NIC
+  // credits in flight across all their channels, half only 32 (each
+  // job's full mesh alone could hold 4*3 channels * 8 credits = 96).
+  std::vector<std::unique_ptr<workloads::Workload>> workloads;
+  std::vector<engines::JobSpec> jobs;
+  for (int j = 0; j < njobs; ++j) {
+    workloads.push_back(MakeWorkload(j));
+    const uint32_t quota = (j % 2 == 0) ? 64 : 32;
+    jobs.push_back(engines::MakeJobSpec("t" + std::to_string(j),
+                                        *workloads.back(), cluster, job,
+                                        quota));
   }
-}
 
-BENCHMARK(MultiTenant)
-    ->ArgName("jobs")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+  engines::SlashEngine engine;
+  const engines::MultiRunStats multi = engine.RunJobs(jobs, cluster);
+  RequireCompleted(multi, "multitenant/jobs=" + std::to_string(njobs));
+
+  // Correctness gate: each tenant's results are exactly what its query
+  // computes sequentially, co-location notwithstanding.
+  for (int j = 0; j < njobs; ++j) {
+    const core::OracleOutput oracle = core::ComputeOracle(
+        workloads[j]->MakeQuery(),
+        workloads[j]->Sources(job.records_per_worker, job.seed),
+        cluster.nodes * cluster.workers_per_node);
+    SLASH_CHECK_EQ(multi.jobs[j].records_in(), oracle.records_in);
+    SLASH_CHECK_EQ(multi.jobs[j].records_emitted(), oracle.count);
+    SLASH_CHECK_EQ(multi.jobs[j].result_checksum(), oracle.checksum);
+  }
+
+  const std::string x = "jobs=" + std::to_string(njobs);
+  const Nanos makespan = multi.cluster.makespan();
+  Nanos min_drain = std::numeric_limits<Nanos>::max();
+  Nanos max_drain = 0;
+  uint64_t denials = 0;
+  for (int j = 0; j < njobs; ++j) {
+    const engines::RunStats& job = multi.jobs[j];
+    const Nanos drain =
+        Nanos(job.metrics.CounterValue(obs::metric::kJobDrainNs));
+    min_drain = std::min(min_drain, drain);
+    max_drain = std::max(max_drain, drain);
+    denials += job.metrics.CounterValue(obs::metric::kChannelQuotaDenials);
+    const std::string series =
+        "t" + std::to_string(j) + "/" + WorkloadName(j);
+    table.Add(series, x, "drain [ms]", double(drain) / 1e6);
+    table.Add(series, x, "records in", double(job.records_in()));
+    table.Add(series, x, "quota denials",
+              double(job.metrics.CounterValue(
+                  obs::metric::kChannelQuotaDenials)));
+    table.Add(series, x, "checksum lo32",
+              double(job.result_checksum() & 0xffffffffu));
+  }
+
+  table.Add("cluster", x, "makespan [ms]", double(makespan) / 1e6);
+  table.Add("cluster", x, "aggregate throughput [M rec/s]",
+            makespan > 0 ? double(multi.cluster.records_in()) * 1e3 /
+                               double(makespan)
+                         : 0.0);
+  table.Add("cluster", x, "fairness (min/max drain)",
+            max_drain > 0 ? double(min_drain) / double(max_drain) : 1.0);
+  table.Add("cluster", x, "quota denials", double(denials));
+  table.Add("cluster", x, "sim events/s (wall)",
+            multi.cluster.sim_events_per_sec_wall);
+}
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  using namespace slash::bench;
+  SeriesTable table("multitenant");
+  std::vector<Point> points;
+  for (const int n : {1, 2, 4, 8}) {
+    points.push_back({"MultiTenant/jobs:" + std::to_string(n),
+                      [&table, n] { MultiTenant(table, n); }});
+  }
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

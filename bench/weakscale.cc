@@ -20,8 +20,6 @@
 // Every datapoint lands in the "weakscale" series table; with
 // SLASH_BENCH_JSON set, the table is written to BENCH_weakscale.json
 // (compared against bench/baselines/ by tools/bench_compare.py in CI).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -40,11 +38,6 @@
 
 namespace slash::bench {
 namespace {
-
-SeriesTable* Table() {
-  static SeriesTable* table = new SeriesTable("weakscale");
-  return table;
-}
 
 // Small per-channel footprint: at 256 nodes the all-pairs population is
 // 65,280 channels, so slots and message counts stay tiny while the flow
@@ -162,82 +155,70 @@ RunResult RunAllPairs(int nodes, rdma::ConnectionMode mode,
   return result;
 }
 
-void WeakScale(benchmark::State& state) {
-  const int nodes = int(state.range(0));
-  for (auto _ : state) {
-    // Pass 1, cache model off: all three modes must be byte-identical.
-    const RunResult mesh =
-        RunAllPairs(nodes, rdma::ConnectionMode::kFullMesh, false);
-    const RunResult srq =
-        RunAllPairs(nodes, rdma::ConnectionMode::kSrq, false);
-    const RunResult shared =
-        RunAllPairs(nodes, rdma::ConnectionMode::kShared, false);
-    SLASH_CHECK_EQ(mesh.makespan, srq.makespan);
-    SLASH_CHECK_EQ(mesh.makespan, shared.makespan);
-    SLASH_CHECK_EQ(mesh.checksum, srq.checksum);
-    SLASH_CHECK_EQ(mesh.checksum, shared.checksum);
-    SLASH_CHECK_MSG(mesh.metrics_json == srq.metrics_json,
-                    "srq metrics snapshot diverged from full mesh");
-    SLASH_CHECK_MSG(mesh.metrics_json == shared.metrics_json,
-                    "shared metrics snapshot diverged from full mesh");
+void WeakScale(SeriesTable& table, int nodes) {
+  // Pass 1, cache model off: all three modes must be byte-identical.
+  const RunResult mesh =
+      RunAllPairs(nodes, rdma::ConnectionMode::kFullMesh, false);
+  const RunResult srq =
+      RunAllPairs(nodes, rdma::ConnectionMode::kSrq, false);
+  const RunResult shared =
+      RunAllPairs(nodes, rdma::ConnectionMode::kShared, false);
+  SLASH_CHECK_EQ(mesh.makespan, srq.makespan);
+  SLASH_CHECK_EQ(mesh.makespan, shared.makespan);
+  SLASH_CHECK_EQ(mesh.checksum, srq.checksum);
+  SLASH_CHECK_EQ(mesh.checksum, shared.checksum);
+  SLASH_CHECK_MSG(mesh.metrics_json == srq.metrics_json,
+                  "srq metrics snapshot diverged from full mesh");
+  SLASH_CHECK_MSG(mesh.metrics_json == shared.metrics_json,
+                  "shared metrics snapshot diverged from full mesh");
 
-    const std::string x = "n=" + std::to_string(nodes);
-    struct ModeRow {
-      const char* name;
-      const RunResult* off;
-      rdma::ConnectionMode mode;
-    };
-    const ModeRow rows[] = {
-        {"full_mesh", &mesh, rdma::ConnectionMode::kFullMesh},
-        {"srq", &srq, rdma::ConnectionMode::kSrq},
-        {"shared", &shared, rdma::ConnectionMode::kShared},
-    };
-    for (const ModeRow& row : rows) {
-      // Pass 2, cache model on: the deterministic degradation series.
-      const RunResult cached = RunAllPairs(nodes, row.mode, true);
-      SLASH_CHECK_EQ(cached.checksum, row.off->checksum);
+  const std::string x = "n=" + std::to_string(nodes);
+  struct ModeRow {
+    const char* name;
+    const RunResult* off;
+    rdma::ConnectionMode mode;
+  };
+  const ModeRow rows[] = {
+      {"full_mesh", &mesh, rdma::ConnectionMode::kFullMesh},
+      {"srq", &srq, rdma::ConnectionMode::kSrq},
+      {"shared", &shared, rdma::ConnectionMode::kShared},
+  };
+  for (const ModeRow& row : rows) {
+    // Pass 2, cache model on: the deterministic degradation series.
+    const RunResult cached = RunAllPairs(nodes, row.mode, true);
+    SLASH_CHECK_EQ(cached.checksum, row.off->checksum);
 
-      const rdma::ConnectionStats& stats = row.off->stats;
-      Table()->Add(row.name, x, "qp endpoints", double(stats.qp_endpoints));
-      Table()->Add(row.name, x, "qp endpoints per node (max)",
-                   double(stats.max_qp_endpoints_per_node));
-      Table()->Add(row.name, x, "qp memory per node (max) [KiB]",
-                   double(stats.max_qp_memory_bytes_per_node) / double(kKiB));
-      Table()->Add(row.name, x, "srqs", double(stats.srqs));
-      Table()->Add(row.name, x, "makespan [us]",
-                   double(row.off->makespan) / 1e3);
-      Table()->Add(row.name, x, "makespan qp-cache-on [us]",
-                   double(cached.makespan) / 1e3);
-      Table()->Add(row.name, x, "checksum lo32",
-                   double(row.off->checksum & 0xffffffffu));
-      Table()->Add(row.name, x, "sim events/s (wall)",
-                   row.off->wall_seconds > 0
-                       ? double(row.off->events_fired) / row.off->wall_seconds
-                       : 0.0);
-    }
-    state.counters["flows"] = double(mesh.stats.flows);
-    state.counters["mesh_qps"] = double(mesh.stats.qp_endpoints);
-    state.counters["srq_qps"] = double(srq.stats.qp_endpoints);
-    state.counters["makespan_us"] = double(mesh.makespan) / 1e3;
+    const rdma::ConnectionStats& stats = row.off->stats;
+    table.Add(row.name, x, "qp endpoints", double(stats.qp_endpoints));
+    table.Add(row.name, x, "qp endpoints per node (max)",
+              double(stats.max_qp_endpoints_per_node));
+    table.Add(row.name, x, "qp memory per node (max) [KiB]",
+              double(stats.max_qp_memory_bytes_per_node) / double(kKiB));
+    table.Add(row.name, x, "srqs", double(stats.srqs));
+    table.Add(row.name, x, "makespan [us]", double(row.off->makespan) / 1e3);
+    table.Add(row.name, x, "makespan qp-cache-on [us]",
+              double(cached.makespan) / 1e3);
+    table.Add(row.name, x, "checksum lo32",
+              double(row.off->checksum & 0xffffffffu));
+    table.Add(row.name, x, "sim events/s (wall)",
+              row.off->wall_seconds > 0
+                  ? double(row.off->events_fired) / row.off->wall_seconds
+                  : 0.0);
   }
 }
-
-BENCHMARK(WeakScale)
-    ->ArgName("nodes")
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace slash::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  slash::bench::Table()->PrintAll();
+  using namespace slash::bench;
+  SeriesTable table("weakscale");
+  std::vector<Point> points;
+  for (const int n : {16, 64, 128, 256}) {
+    points.push_back({"WeakScale/nodes:" + std::to_string(n),
+                      [&table, n] { WeakScale(table, n); }});
+  }
+  RunPoints(argc, argv, points);
+  table.PrintAll();
   return 0;
 }

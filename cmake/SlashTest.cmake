@@ -19,10 +19,15 @@ function(slash_add_test test_src)
 endfunction()
 
 # slash_add_bench(<source.cc>): one benchmark binary under build/bench/.
+# The figure binaries run through bench::RunPoints (bench_util/harness.h);
+# only microbench_sim, which measures host wall time, uses google-benchmark.
 function(slash_add_bench bench_src)
   get_filename_component(bench_name ${bench_src} NAME_WE)
   add_executable(${bench_name} ${bench_src})
-  target_link_libraries(${bench_name} PRIVATE slash benchmark::benchmark)
+  target_link_libraries(${bench_name} PRIVATE slash)
+  if(bench_name STREQUAL "microbench_sim")
+    target_link_libraries(${bench_name} PRIVATE benchmark::benchmark)
+  endif()
   # Keep ${CMAKE_BINARY_DIR}/bench free of CMake metadata so
   # `for b in build/bench/*; do $b; done` runs exactly the bench binaries.
   set_target_properties(${bench_name} PROPERTIES

@@ -34,7 +34,7 @@ Usage:
         [--rel-tol SUBSTR=FRAC ...] [--subset] [--allow-new-fields]
 
     --subset   Allow CURRENT to cover only part of the baseline's keys
-               (CI smoke runs a --benchmark_filter slice); missing keys
+               (CI smoke runs a --filter slice); missing keys
                are not failures, but keys absent from the BASELINE still
                are. Without it, key sets must match exactly.
 
