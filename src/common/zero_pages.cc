@@ -14,6 +14,16 @@ void* MapZeroPages(size_t bytes) {
   return data;
 }
 
+void* RemapZeroPages(void* data, size_t old_bytes, size_t new_bytes) {
+  SLASH_CHECK_GT(new_bytes, old_bytes);
+  void* moved = mremap(data, old_bytes, new_bytes, MREMAP_MAYMOVE);
+  SLASH_CHECK_MSG(moved != MAP_FAILED, "growing a " << old_bytes
+                                                    << "-byte mapping to "
+                                                    << new_bytes
+                                                    << " bytes failed");
+  return moved;
+}
+
 void UnmapZeroPages(void* data, size_t bytes) { munmap(data, bytes); }
 
 }  // namespace slash

@@ -5,7 +5,8 @@
 // until first written: an array costs the pages written to it, whatever its
 // size. calloc gives that only above glibc's (dynamic) mmap threshold; below
 // it, blocks come from the heap and may be cleared eagerly, which touches
-// every page at construction.
+// every page at construction. A mapping grows with RemapZeroPages, which
+// moves page table entries rather than bytes.
 #ifndef SLASH_COMMON_ZERO_PAGES_H_
 #define SLASH_COMMON_ZERO_PAGES_H_
 
@@ -17,7 +18,15 @@ namespace slash {
 /// mapping fails.
 void* MapZeroPages(size_t bytes);
 
-/// Releases memory from MapZeroPages; `bytes` must be the size mapped.
+/// Grows a MapZeroPages mapping of `old_bytes` to `new_bytes` (>
+/// `old_bytes`) and returns its address, which may differ from `data`
+/// (`data` is invalid afterwards). Nothing is copied: pages already written
+/// keep their contents and stay resident, and the grown tail is zeroed on
+/// first touch. CHECK-fails if the remap fails.
+void* RemapZeroPages(void* data, size_t old_bytes, size_t new_bytes);
+
+/// Releases memory from MapZeroPages or RemapZeroPages; `bytes` must be the
+/// size mapped.
 void UnmapZeroPages(void* data, size_t bytes);
 
 }  // namespace slash

@@ -137,7 +137,7 @@ struct JobConfig {
   /// State backend sizing: the LSS capacity and index buckets of a primary
   /// partition. A Slash helper fragment's index starts at 256 buckets and
   /// resizes at epoch resets up to `state_index_buckets`; its LSS starts at
-  /// 1/bit_ceil(nodes) of `state_lss_capacity` (state::SsbConfig).
+  /// 64 KiB and grows on demand (state::SsbConfig).
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
 

@@ -217,7 +217,7 @@ Status Partition::MergeDelta(const uint8_t* data, size_t len) {
 
 void Partition::Reset() {
   index_.Clear();
-  lss_.TruncateTo(lss_.tail());
+  lss_.Clear();
   entry_count_.store(0, std::memory_order_relaxed);
   bucket_floor_ = std::numeric_limits<int64_t>::max();
 }

@@ -112,11 +112,10 @@ class Partition {
   /// `fn(const EntryHeader& header, const uint8_t* value)`.
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
-    lss_.ForEachEntry(lss_.head(), lss_.tail(),
-                      [&fn](uint64_t, const EntryHeader& header) {
-                        if (header.flags & kEntryTombstone) return;
-                        fn(header, ValueOf(header));
-                      });
+    lss_.ForEachEntry([&fn](uint64_t, const EntryHeader& header) {
+      if (header.flags & kEntryTombstone) return;
+      fn(header, ValueOf(header));
+    });
   }
 
   /// A lower bound on the bucket of every live entry; INT64_MAX after
@@ -224,14 +223,13 @@ template <typename Fn>
 size_t Partition::RetireBucketsUpTo(int64_t bucket, Fn&& fn) {
   if (bucket < bucket_floor_) return 0;
   size_t count = 0;
-  lss_.ForEachEntry(lss_.head(), lss_.tail(),
-                    [&](uint64_t addr, const EntryHeader& header) {
-                      if (header.flags & kEntryTombstone) return;
-                      if (header.bucket > bucket) return;
-                      fn(header, ValueOf(header));
-                      lss_.HeaderAt(addr)->flags |= kEntryTombstone;
-                      ++count;
-                    });
+  lss_.ForEachEntry([&](uint64_t addr, const EntryHeader& header) {
+    if (header.flags & kEntryTombstone) return;
+    if (header.bucket > bucket) return;
+    fn(header, ValueOf(header));
+    lss_.HeaderAt(addr)->flags |= kEntryTombstone;
+    ++count;
+  });
   entry_count_.fetch_sub(count, std::memory_order_relaxed);
   // Every live entry is now above `bucket` (none is left after INT64_MAX).
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();

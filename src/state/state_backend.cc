@@ -1,7 +1,6 @@
 #include "state/state_backend.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/logging.h"
@@ -12,7 +11,9 @@ namespace {
 
 // Fragment size floors: a few pages each, small enough to cost nothing
 // untouched. A fragment index starts at its floor and sizes itself at each
-// epoch reset to what the fragment held (HashIndex::Clear).
+// epoch reset to what the fragment held (HashIndex::Clear). A fragment log
+// starts at its floor, grows in place and restarts at offset 0 at each
+// reset, so it keeps the pages its largest epoch needed.
 constexpr size_t kMinFragmentBuckets = 256;
 constexpr uint64_t kMinFragmentLss = 64 * kKiB;
 
@@ -38,24 +39,15 @@ std::unique_ptr<Partition> StateBackend::MakePartition(int p,
   pcfg.index_buckets = config_.index_buckets;
   if (!primary) {
     pcfg.index_buckets = std::min(config_.index_buckets, kMinFragmentBuckets);
-    // The LSS keeps a share rule: a fragment sees about one helper's share
-    // of partition p per epoch. Unlike the index, which resizes only when
-    // Clear() has emptied it, a log that starts below that grows mid-epoch,
-    // and LogStructuredStore::Grow() copies every live entry. Starting it at
-    // the floor lowered cm-crash-8n peak RSS, but its host-time cost is
-    // unresolved (EXPERIMENTS.md, "Fragment indexes sized by what they
-    // held").
-    const uint64_t share = std::bit_ceil(uint64_t(config_.nodes));
-    pcfg.lss_capacity =
-        std::min(config_.lss_capacity,
-                 std::max(kMinFragmentLss, config_.lss_capacity / share));
+    pcfg.lss_capacity = std::min(config_.lss_capacity, kMinFragmentLss);
   }
   return std::make_unique<Partition>(p, pcfg, config_.index_buckets);
 }
 
 void StateBackend::AddLeadership(int p) {
-  SLASH_CHECK_MSG(partitions_[p]->entry_count() == 0 &&
-                      partitions_[p]->lss().tail() == 0,
+  // Clear() rewinds a drained fragment's tail, so ask the log whether it
+  // ever allocated.
+  SLASH_CHECK_MSG(partitions_[p]->lss().allocated_bytes() == 0,
                   "partition " << p << " promoted after it took updates");
   partitions_[p] = MakePartition(p, /*primary=*/true);
   led_[p] = true;

@@ -35,9 +35,8 @@ struct SsbConfig {
   /// Primary partition sizes. A helper fragment's index starts at 256
   /// buckets (or `index_buckets` if smaller) and, at each epoch reset,
   /// grows or shrinks to what the fragment held, between that start and
-  /// `index_buckets`. Its LSS starts at 1/bit_ceil(nodes) of
-  /// `lss_capacity` (floor 64 KiB), about one node's share of a partition
-  /// per epoch, and grows on demand.
+  /// `index_buckets`. Its LSS starts at 64 KiB (or `lss_capacity` if
+  /// smaller), grows in place on demand and rewinds at each reset.
   uint64_t lss_capacity = 1ULL << 20;
   size_t index_buckets = 1ULL << 12;
   /// Epoch length: an executor triggers a synchronization after processing

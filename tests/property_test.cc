@@ -1,4 +1,4 @@
-// Cross-module property sweeps (TEST_P): log-store wrap/resize/truncate
+// Cross-module property sweeps (TEST_P): log-store resize/update/clear
 // invariants under randomized operation sequences, socket flow-control
 // under window/message-size combinations, zero-copy external posts
 // across credit configurations, and engine determinism under injected
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <compare>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -36,9 +35,15 @@ using LssParam = std::tuple<int /*capacity_log2*/, int /*seed*/>;
 
 class LssLifecycleSweep : public ::testing::TestWithParam<LssParam> {};
 
-TEST_P(LssLifecycleSweep, RandomAppendTruncateScanNeverCorrupts) {
+// Appends, in-place updates, read-only marks and clears in random order.
+// Epochs (runs between clears) grow the log through several remaps; after
+// every step a scan sees exactly the live entries with intact headers and
+// payloads, and the capacity is the start doubled until the largest epoch
+// fit.
+TEST_P(LssLifecycleSweep, RandomAppendUpdateClearScanNeverCorrupts) {
   const auto [capacity_log2, seed] = GetParam();
-  state::LogStructuredStore lss(1ULL << capacity_log2);
+  const uint64_t start = 1ULL << capacity_log2;
+  state::LogStructuredStore lss(start);
   Rng rng{uint64_t(seed)};
 
   // Model of the live log: (address, key, value bytes).
@@ -48,16 +53,42 @@ TEST_P(LssLifecycleSweep, RandomAppendTruncateScanNeverCorrupts) {
     uint8_t fill;
     uint32_t len;
   };
-  std::deque<Live> live;
+  std::vector<Live> live;
   uint64_t next_key = 1;
+  uint64_t read_only = 0;
+  uint64_t largest_tail = 0;
+  int clears = 0;
 
   for (int step = 0; step < 2000; ++step) {
-    const int action = int(rng.NextBounded(10));
-    if (action < 7) {
+    const uint64_t action = rng.NextBounded(400);
+    if (action == 0) {
+      // Epoch end: the delta shipped, the log restarts at address 0.
+      lss.Clear();
+      live.clear();
+      read_only = 0;
+      ++clears;
+    } else if (action < 40) {
+      // Freeze everything so far, as SerializeDelta does.
+      lss.MarkReadOnlyUpTo(lss.tail());
+      read_only = lss.tail();
+    } else if (action < 120) {
+      // In-place update of a random entry, refused below the boundary.
+      if (!live.empty()) {
+        Live& target = live[rng.NextBounded(live.size())];
+        ASSERT_EQ(lss.Mutable(target.addr), target.addr >= read_only);
+        if (target.addr >= read_only) {
+          target.fill = uint8_t(rng.NextBounded(251));
+          std::memset(lss.At(target.addr) + sizeof(state::EntryHeader),
+                      target.fill, target.len);
+        }
+      }
+    } else {
       // Append an entry with a random payload size.
-      const uint32_t len = 8 + uint32_t(rng.NextBounded(120));
+      const uint32_t len = 8 + uint32_t(rng.NextBounded(1000));
+      const uint64_t expected_addr = lss.tail();
       const uint64_t addr =
           lss.Allocate(uint32_t(sizeof(state::EntryHeader)) + len);
+      ASSERT_EQ(addr, expected_addr);
       auto* h = lss.HeaderAt(addr);
       *h = state::EntryHeader{};
       h->key = next_key;
@@ -67,41 +98,33 @@ TEST_P(LssLifecycleSweep, RandomAppendTruncateScanNeverCorrupts) {
       std::memset(lss.At(addr) + sizeof(state::EntryHeader), fill, len);
       live.push_back(Live{addr, next_key, fill, len});
       ++next_key;
-    } else if (action < 9 && live.size() > 3) {
-      // Truncate a prefix of the log (epoch invalidation).
-      const size_t drop = 1 + rng.NextBounded(live.size() / 2);
-      for (size_t i = 0; i < drop; ++i) live.pop_front();
-      lss.TruncateTo(live.empty() ? lss.tail() : live.front().addr);
-    } else if (!live.empty()) {
-      // In-place update of the newest (mutable) entry.
-      Live& target = live.back();
-      if (lss.Mutable(target.addr)) {
-        target.fill = uint8_t(rng.NextBounded(251));
-        std::memset(lss.At(target.addr) + sizeof(state::EntryHeader),
-                    target.fill, target.len);
-      }
+      largest_tail = std::max(largest_tail, lss.tail());
     }
 
     // Invariant: a full scan sees exactly the live entries, in order, with
     // intact headers and payloads.
     size_t idx = 0;
-    lss.ForEachEntry(lss.head(), lss.tail(),
-                     [&](uint64_t addr, const state::EntryHeader& h) {
-                       ASSERT_LT(idx, live.size());
-                       const Live& expected = live[idx];
-                       ASSERT_EQ(addr, expected.addr);
-                       ASSERT_EQ(h.key, expected.key);
-                       ASSERT_EQ(h.value_len, expected.len);
-                       const uint8_t* value =
-                           lss.At(addr) + sizeof(state::EntryHeader);
-                       for (uint32_t b = 0; b < h.value_len; ++b) {
-                         ASSERT_EQ(value[b], expected.fill)
-                             << "corrupt payload at step " << step;
-                       }
-                       ++idx;
-                     });
+    lss.ForEachEntry([&](uint64_t addr, const state::EntryHeader& h) {
+      ASSERT_LT(idx, live.size());
+      const Live& expected = live[idx];
+      ASSERT_EQ(addr, expected.addr);
+      ASSERT_EQ(h.key, expected.key);
+      ASSERT_EQ(h.value_len, expected.len);
+      const uint8_t* value = lss.At(addr) + sizeof(state::EntryHeader);
+      ASSERT_TRUE(std::all_of(value, value + h.value_len,
+                              [&](uint8_t b) { return b == expected.fill; }))
+          << "corrupt payload of key " << h.key << " at step " << step;
+      ++idx;
+    });
     ASSERT_EQ(idx, live.size()) << "scan missed entries at step " << step;
   }
+
+  uint64_t capacity = start;
+  while (capacity < largest_tail) capacity *= 2;
+  EXPECT_EQ(lss.capacity(), capacity);
+  EXPECT_GE(lss.resize_count(), 2u)
+      << "the sweep should grow through several remaps";
+  EXPECT_GE(clears, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

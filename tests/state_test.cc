@@ -1,9 +1,10 @@
 // Tests for the Slash State Backend storage layer: log-structured store
-// invariants (wrap, adaptive resize, read-only boundary, truncation), hash
+// invariants (adaptive resize in place, read-only boundary, clear), hash
 // index behaviour under collisions, growth and real-thread concurrency,
 // partition RMW/append semantics, delta serialization round-trips, and the
 // SSB leader/helper epoch flow and fragment sizing.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstring>
 #include <iterator>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/units.h"
 #include "state/hash_index.h"
 #include "state/log_store.h"
 #include "state/partition.h"
@@ -31,49 +33,20 @@ TEST(LogStoreTest, AllocateAdvancesTailAligned) {
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 64u);  // 40 -> 64 (32-byte alignment)
   EXPECT_EQ(lss.tail(), 96u);
-  EXPECT_EQ(lss.live_bytes(), 96u);
+  EXPECT_EQ(lss.allocated_bytes(), 96u);
 }
 
-TEST(LogStoreTest, EntriesNeverStraddleWrap) {
-  LogStructuredStore lss(256);
-  std::vector<uint64_t> addrs;
-  // 96-byte entries (32B header + 64B value): the third would straddle the
-  // 256-byte lap; truncation keeps the window small so no growth is needed.
-  for (int i = 0; i < 8; ++i) {
-    const uint64_t addr = lss.Allocate(96);
-    auto* h = lss.HeaderAt(addr);
-    *h = EntryHeader{};
-    h->key = uint64_t(i);
-    h->value_len = 64;
-    h->flags = kEntryAggregate;
-    addrs.push_back(addr);
-    // Physical contiguity inside the lap.
-    EXPECT_LE((addr % 256) + 96, 256u);
-    lss.TruncateTo(addr);  // keep only the newest entry live
-  }
-}
-
-TEST(LogStoreTest, ForEachEntrySkipsFillers) {
-  LogStructuredStore lss(256);
-  // Two 96-byte entries fill 192 of 256; the next allocation inserts a
-  // 64-byte filler and wraps (after truncation makes room).
-  std::vector<uint64_t> addrs;
-  for (int i = 0; i < 3; ++i) {
-    const uint64_t addr = lss.Allocate(96);
-    auto* h = lss.HeaderAt(addr);
-    *h = EntryHeader{};
-    h->key = 100 + uint64_t(i);
-    h->value_len = 64;
-    h->flags = kEntryAggregate;
-    addrs.push_back(addr);
-    if (i == 1) lss.TruncateTo(96);  // free the first entry before wrapping
-  }
-  std::vector<uint64_t> seen;
-  lss.ForEachEntry(lss.head(), lss.tail(),
-                   [&](uint64_t, const EntryHeader& h) {
-                     seen.push_back(h.key);
-                   });
-  EXPECT_EQ(seen, (std::vector<uint64_t>{101, 102}));
+// Writes a 96-byte entry (32-byte header, 64-byte value filled with `fill`)
+// and returns its address.
+uint64_t AppendEntry(LogStructuredStore* lss, uint64_t key, uint8_t fill) {
+  const uint64_t addr = lss->Allocate(96);
+  auto* h = lss->HeaderAt(addr);
+  *h = EntryHeader{};
+  h->key = key;
+  h->value_len = 64;
+  h->flags = kEntryAggregate;
+  std::memset(lss->At(addr) + sizeof(EntryHeader), fill, 64);
+  return addr;
 }
 
 TEST(LogStoreTest, AdaptiveResizePreservesContent) {
@@ -81,18 +54,12 @@ TEST(LogStoreTest, AdaptiveResizePreservesContent) {
   std::vector<uint64_t> addrs;
   // Write 20 entries of 96 bytes; capacity must grow, content must survive.
   for (int i = 0; i < 20; ++i) {
-    const uint64_t addr = lss.Allocate(96);
-    auto* h = lss.HeaderAt(addr);
-    *h = EntryHeader{};
-    h->key = uint64_t(i);
-    h->value_len = 64;
-    h->flags = kEntryAggregate;
-    std::memset(lss.At(addr) + sizeof(EntryHeader), i, 64);
-    addrs.push_back(addr);
+    addrs.push_back(AppendEntry(&lss, uint64_t(i), uint8_t(i)));
   }
   EXPECT_GT(lss.resize_count(), 0u);
   EXPECT_GE(lss.capacity(), 20u * 96);
   for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(addrs[i], uint64_t(i) * 96);  // a plain offset into the log
     const auto* h = lss.HeaderAt(addrs[i]);
     EXPECT_EQ(h->key, uint64_t(i));
     const uint8_t* v = lss.At(addrs[i]) + sizeof(EntryHeader);
@@ -100,7 +67,41 @@ TEST(LogStoreTest, AdaptiveResizePreservesContent) {
   }
 }
 
-TEST(LogStoreTest, ReadOnlyBoundaryAndTruncate) {
+// Clear() returns the next entry to address 0, keeps the grown capacity, and
+// leaves nothing for a scan; a cleared log refills without growing.
+TEST(LogStoreTest, ClearRewindsToAddressZeroAndKeepsCapacity) {
+  LogStructuredStore lss(256);
+  for (int i = 0; i < 8; ++i) AppendEntry(&lss, uint64_t(i), uint8_t(i));
+  lss.MarkReadOnlyUpTo(lss.tail());
+  const uint64_t capacity = lss.capacity();
+  const uint64_t resizes = lss.resize_count();
+  ASSERT_GT(resizes, 0u);
+
+  lss.Clear();
+  EXPECT_EQ(lss.tail(), 0u);
+  EXPECT_EQ(lss.read_only_boundary(), 0u);
+  EXPECT_EQ(lss.capacity(), capacity);
+  EXPECT_EQ(lss.allocated_bytes(), 8u * 96);
+  size_t visited = 0;
+  lss.ForEachEntry([&](uint64_t, const EntryHeader&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(AppendEntry(&lss, 100 + uint64_t(i), uint8_t(i)),
+              uint64_t(i) * 96);
+  }
+  EXPECT_TRUE(lss.Mutable(0));
+  EXPECT_EQ(lss.resize_count(), resizes);
+  EXPECT_EQ(lss.capacity(), capacity);
+  std::vector<uint64_t> seen;
+  lss.ForEachEntry([&](uint64_t, const EntryHeader& h) {
+    seen.push_back(h.key);
+  });
+  EXPECT_EQ(seen, (std::vector<uint64_t>{100, 101, 102, 103, 104, 105, 106,
+                                         107}));
+}
+
+TEST(LogStoreTest, ReadOnlyBoundaryAndClear) {
   LogStructuredStore lss(1024);
   const uint64_t a = lss.Allocate(64);
   const uint64_t b = lss.Allocate(64);
@@ -109,9 +110,37 @@ TEST(LogStoreTest, ReadOnlyBoundaryAndTruncate) {
   EXPECT_FALSE(lss.Mutable(b));
   const uint64_t c = lss.Allocate(64);
   EXPECT_TRUE(lss.Mutable(c));
-  lss.TruncateTo(c);
-  EXPECT_EQ(lss.head(), c);
-  EXPECT_EQ(lss.live_bytes(), 64u);
+  lss.Clear();
+  EXPECT_FALSE(lss.Mutable(a));  // nothing is live
+  EXPECT_EQ(lss.Allocate(64), 0u);
+  EXPECT_TRUE(lss.Mutable(0));
+}
+
+// Growing a written log keeps its pages where they are. A Grow() that
+// copied the log into a fresh buffer would fault in one page per 4 KiB
+// copied: about 1 024 for 4 MiB.
+TEST(LogStoreTest, GrowDoesNotFaultTheLogInAgain) {
+  constexpr uint64_t kLog = 4 * kMiB;
+  LogStructuredStore lss(kLog);
+  for (uint64_t page = 0; page < kLog / 4096; ++page) {
+    std::memset(lss.At(lss.Allocate(4096)), 0xab, 4096);
+  }
+  ASSERT_EQ(lss.tail(), kLog);
+  ASSERT_EQ(lss.resize_count(), 0u);
+
+  rusage before{}, after{};
+  getrusage(RUSAGE_THREAD, &before);
+  const uint64_t grown = lss.Allocate(96);
+  getrusage(RUSAGE_THREAD, &after);
+
+  ASSERT_EQ(lss.resize_count(), 1u);
+  EXPECT_EQ(lss.capacity(), 2 * kLog);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 64)
+      << "Grow() faulted the log in again";
+  EXPECT_EQ(grown, kLog);
+  const uint8_t* log = lss.At(0);
+  for (uint64_t i = 0; i < kLog; i += 4096) ASSERT_EQ(log[i], 0xab) << i;
+  EXPECT_EQ(log[kLog - 1], 0xab);
 }
 
 TEST(LogStoreTest, DeathOnOutOfRangeAccess) {
@@ -855,10 +884,9 @@ TEST(StateBackendTest, PrimaryCheckpointRoundTrip) {
   }
 }
 
-// A fragment index starts at 256 buckets whatever the node count; its LSS
-// starts at 1/bit_ceil(nodes) of the primary's, with a 64 KiB floor. Neither
-// starts above the primary size.
-TEST(StateBackendTest, FragmentsStartAtTheIndexFloorAndAnLssShare) {
+// A fragment starts at the floors, 256 index buckets and 64 KiB of LSS,
+// whatever the node count, and never above the primary size.
+TEST(StateBackendTest, FragmentsStartAtTheFloors) {
   struct Case {
     int nodes;
     size_t index_buckets;
@@ -868,9 +896,8 @@ TEST(StateBackendTest, FragmentsStartAtTheIndexFloorAndAnLssShare) {
   };
   const Case cases[] = {
       {16, 1 << 14, 1 << 20, 256, 1 << 16},  // the JobConfig defaults
-      {6, 1 << 14, 1 << 22, 256, 1 << 19},   // bit_ceil(6) = 8
-      {2, 1 << 12, 1 << 20, 256, 1 << 19},
-      {6, 1 << 10, 1 << 18, 256, 1 << 16},   // the LSS floor
+      {6, 1 << 14, 1 << 22, 256, 1 << 16},
+      {2, 1 << 12, 1 << 20, 256, 1 << 16},
       {4, 64, 1 << 12, 64, 1 << 12},         // already below the floors
   };
   for (const Case& c : cases) {
@@ -974,14 +1001,15 @@ TEST(StateBackendTest, SixteenNodeFragmentsSettleAtWhatTheyHold) {
 }
 
 // Promotion re-provisions the empty fragment at primary size; promoting a
-// fragment that already took updates is a bug.
+// fragment that ever took updates is a bug, also once a drain has emptied
+// it.
 TEST(StateBackendTest, AddLeadershipReprovisionsAtPrimarySize) {
   SsbConfig cfg = SmallSsbConfig(4);
   cfg.index_buckets = 1 << 12;
   cfg.lss_capacity = 1 << 20;
   StateBackend ssb(0, cfg);
   ASSERT_EQ(ssb.local(2)->index_buckets(), 256u);
-  ASSERT_EQ(ssb.local(2)->lss().capacity(), 1u << 18);
+  ASSERT_EQ(ssb.local(2)->lss().capacity(), 1u << 16);
   ssb.AddLeadership(2);
   EXPECT_TRUE(ssb.leads(2));
   EXPECT_EQ(ssb.local(2)->index_buckets(), cfg.index_buckets);
@@ -992,6 +1020,14 @@ TEST(StateBackendTest, AddLeadershipReprovisionsAtPrimarySize) {
   while (ssb.partition_of(key) != 3) ++key;
   ssb.UpdateAggregate(key, 0, 1);
   EXPECT_DEATH(ssb.AddLeadership(3), "promoted after it took updates");
+
+  while (ssb.partition_of(key) != 1) ++key;
+  ssb.UpdateAggregate(key, 0, 1);
+  ssb.BeginEpoch();
+  std::vector<uint8_t> wire;
+  ASSERT_EQ(ssb.DrainFragment(1, 0, &wire).entry_count, 1u);
+  ASSERT_EQ(ssb.local(1)->lss().tail(), 0u);  // rewound by the drain
+  EXPECT_DEATH(ssb.AddLeadership(1), "promoted after it took updates");
 }
 
 TEST(StateBackendTest, MergeRejectsWrongLeader) {
