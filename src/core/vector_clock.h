@@ -11,17 +11,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/logging.h"
+#include "core/window.h"
 
 namespace slash::core {
-
-/// Sentinel watermark meaning "stream exhausted".
-inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
-/// Initial watermark: nothing processed yet.
-inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 
 class VectorClock {
  public:

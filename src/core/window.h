@@ -18,10 +18,16 @@
 #define SLASH_CORE_WINDOW_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace slash::core {
+
+/// Sentinel watermark meaning "stream exhausted".
+inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
+/// Initial watermark: nothing processed yet.
+inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 
 /// Window shape of a stateful operator.
 struct WindowSpec {

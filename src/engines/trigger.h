@@ -17,12 +17,12 @@
 #include <tuple>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/join.h"
 #include "core/query.h"
 #include "core/record.h"
 #include "core/result_sink.h"
 #include "core/sliding.h"
-#include "core/vector_clock.h"
 #include "perf/cost_model.h"
 #include "state/partition.h"
 
@@ -48,6 +48,101 @@ inline core::JoinElement ParseJoinElement(const uint8_t* payload) {
   std::memcpy(&header, payload, sizeof(header));
   return core::JoinElement{header.timestamp, header.stream_id};
 }
+
+/// The due elements of one join firing, grouped by (bucket, key). Add()
+/// numbers each element's group through a flat open-addressing table (a
+/// group index per slot, grown at load 1/2); ForEachGroup() sorts only the
+/// groups by (bucket, key) and lays each group's elements out in log order
+/// with a counting scatter. That is the order a stable sort of the elements
+/// by (bucket, key) gives, at a sort of ~1/10 the size on NEXMark Q8.
+class JoinGroups {
+ public:
+  /// Adds the next due element, in log order.
+  void Add(int64_t bucket, uint64_t key, core::JoinElement element) {
+    if (2 * (groups_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t slot = Hash(bucket, key) & mask;
+    uint32_t group = slots_[slot];
+    while (group != kEmpty &&
+           (groups_[group].bucket != bucket || groups_[group].key != key)) {
+      slot = (slot + 1) & mask;
+      group = slots_[slot];
+    }
+    if (group == kEmpty) {
+      group = uint32_t(groups_.size());
+      slots_[slot] = group;
+      groups_.push_back({bucket, key, group});
+      sizes_.push_back(0);
+    }
+    ++sizes_[group];
+    group_of_.push_back(group);
+    elements_.push_back(element);
+  }
+
+  /// Calls `fn(int64_t bucket, uint64_t key,
+  /// std::vector<core::JoinElement>* elements)` once per group in
+  /// (bucket, key) order, with the group's elements in log order. Call it
+  /// once, after the last Add(): it reorders the groups under the table.
+  template <typename Fn>
+  void ForEachGroup(Fn&& fn) {
+    SLASH_CHECK_LT(elements_.size(), size_t(kEmpty));
+    std::sort(groups_.begin(), groups_.end(),
+              [](const Group& a, const Group& b) {
+                return std::tie(a.bucket, a.key) < std::tie(b.bucket, b.key);
+              });
+    // sizes_[id] becomes the group's first position, then, once the
+    // scatter has advanced it, its end.
+    uint32_t begin = 0;
+    for (const Group& g : groups_) {
+      const uint32_t size = sizes_[g.id];
+      sizes_[g.id] = begin;
+      begin += size;
+    }
+    std::vector<core::JoinElement> grouped(elements_.size());
+    for (size_t i = 0; i < elements_.size(); ++i) {
+      grouped[sizes_[group_of_[i]]++] = elements_[i];
+    }
+    std::vector<core::JoinElement> elements;
+    begin = 0;
+    for (const Group& g : groups_) {
+      const uint32_t end = sizes_[g.id];
+      elements.assign(grouped.begin() + begin, grouped.begin() + end);
+      begin = end;
+      fn(g.bucket, g.key, &elements);
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  struct Group {
+    int64_t bucket;
+    uint64_t key;
+    uint32_t id;  // index in first-seen order, as group_of_ holds it
+  };
+
+  static uint64_t Hash(int64_t bucket, uint64_t key) {
+    return state::HashStateKey({key, bucket}).bucket_hash;
+  }
+
+  // Doubles the table (16 slots at first) and re-places every group; the
+  // groups are still in first-seen order, so groups_[i].id == i.
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (const Group& g : groups_) {
+      size_t slot = Hash(g.bucket, g.key) & mask;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = g.id;
+    }
+  }
+
+  std::vector<uint32_t> slots_;              // group id, or kEmpty
+  std::vector<Group> groups_;
+  std::vector<uint32_t> sizes_;              // elements per group id
+  std::vector<uint32_t> group_of_;           // group id per element
+  std::vector<core::JoinElement> elements_;  // due elements, log order
+};
 
 /// Emits every bucket of `partition` triggerable at watermark `wm` and
 /// tombstones it, in one log-order pass over the partition. A call with no
@@ -95,40 +190,22 @@ inline void TriggerWindows(const core::QuerySpec& query, int64_t wm,
   if (partition->bucket_floor() > threshold) return;
 
   if (query.is_join()) {
-    // Lazy holistic evaluation on the merged state: group appended records
-    // by (bucket, key), then count pairwise combinations per window. The
-    // stable sort keeps each group's elements in log order.
-    struct Appended {
-      int64_t bucket;
-      uint64_t key;
-      core::JoinElement element;
-    };
-    std::vector<Appended> appended;
+    // Lazy holistic evaluation on the merged state: group the due
+    // appended records by (bucket, key) in the retire walk, then count
+    // pairwise combinations per window.
+    JoinGroups groups;
     partition->RetireBucketsUpTo(
         threshold, [&](const state::EntryHeader& header, const uint8_t* value) {
-          appended.push_back(
-              {header.bucket, header.key, ParseJoinElement(value)});
+          groups.Add(header.bucket, header.key, ParseJoinElement(value));
         });
-    std::stable_sort(appended.begin(), appended.end(),
-                     [](const Appended& a, const Appended& b) {
-                       return std::tie(a.bucket, a.key) <
-                              std::tie(b.bucket, b.key);
-                     });
-    std::vector<core::JoinElement> elements;
-    for (size_t i = 0; i < appended.size();) {
-      const Appended& group = appended[i];
-      elements.clear();
-      for (; i < appended.size() && appended[i].bucket == group.bucket &&
-             appended[i].key == group.key;
-           ++i) {
-        elements.push_back(appended[i].element);
-      }
+    groups.ForEachGroup([&](int64_t bucket, uint64_t key,
+                            std::vector<core::JoinElement>* elements) {
       cpu->Charge(perf::Op::kWindowTriggerPerKey);
-      cpu->Charge(perf::Op::kCrdtMergePerPair, double(elements.size()));
+      cpu->Charge(perf::Op::kCrdtMergePerPair, double(elements->size()));
       const uint64_t pairs = core::CountJoinPairs(
-          query.window, query.left_stream, query.right_stream, &elements);
-      if (pairs > 0) sink->Emit(group.bucket, group.key, int64_t(pairs));
-    }
+          query.window, query.left_stream, query.right_stream, elements);
+      if (pairs > 0) sink->Emit(bucket, key, int64_t(pairs));
+    });
   } else {
     partition->RetireBucketsUpTo(
         threshold, [&](const state::EntryHeader& header, const uint8_t* value) {

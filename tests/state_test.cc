@@ -143,6 +143,62 @@ TEST(LogStoreTest, GrowDoesNotFaultTheLogInAgain) {
   EXPECT_EQ(log[kLog - 1], 0xab);
 }
 
+// ForEachEntry prefetches up to kScanPrefetchBytes ahead of its cursor,
+// clamped to the tail. Whatever the tail (below, at and past that distance,
+// on and off a 64-byte line) and whatever the entry sizes (empty values, one
+// entry longer than the distance), a scan visits every header once, in log
+// order.
+TEST(LogStoreTest, ScanVisitsEveryHeaderOnceAtAnyTail) {
+  constexpr uint64_t kDistance = LogStructuredStore::kScanPrefetchBytes;
+  LogStructuredStore lss(256);
+  std::vector<uint64_t> addrs;
+  auto append = [&](uint32_t value_len) {
+    const uint64_t addr =
+        lss.Allocate(uint32_t(sizeof(EntryHeader)) + value_len);
+    auto* h = lss.HeaderAt(addr);
+    *h = EntryHeader{};
+    h->key = addrs.size();
+    h->value_len = value_len;
+    addrs.push_back(addr);
+  };
+  std::set<uint64_t> tails;
+  auto check_scan = [&] {
+    tails.insert(lss.tail());
+    std::vector<uint64_t> seen;
+    const uint64_t scanned = lss.entries_scanned();
+    lss.ForEachEntry([&](uint64_t addr, const EntryHeader& h) {
+      EXPECT_EQ(h.key, seen.size()) << "at " << addr;
+      seen.push_back(addr);
+    });
+    ASSERT_EQ(seen, addrs) << "tail " << lss.tail();
+    EXPECT_EQ(lss.entries_scanned() - scanned, addrs.size());
+  };
+
+  check_scan();  // empty log
+  for (const uint32_t len : {0u, 1u, 33u, 64u, 0u, 200u, 31u, 95u}) {
+    append(len);
+    check_scan();
+  }
+  while (lss.tail() < kDistance) {  // header-only entries land on kDistance
+    append(0);
+    check_scan();
+  }
+  append(uint32_t(kDistance) + 100);  // one entry longer than the distance
+  check_scan();
+  for (int i = 0; i < 40; ++i) {
+    append(uint32_t(i * 37 % 300));
+    check_scan();
+  }
+
+  EXPECT_TRUE(tails.count(kDistance));
+  EXPECT_LT(*std::next(tails.begin()), kDistance);
+  EXPECT_GT(*tails.rbegin(), 2 * kDistance);
+  size_t off_line = 0;
+  for (const uint64_t tail : tails) off_line += tail % 64 != 0;
+  EXPECT_GT(off_line, 5u);
+  EXPECT_GT(lss.resize_count(), 0u);
+}
+
 TEST(LogStoreTest, DeathOnOutOfRangeAccess) {
   LogStructuredStore lss(1024);
   lss.Allocate(64);

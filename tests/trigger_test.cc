@@ -4,7 +4,9 @@
 // boundary conditions (property P1 at the unit level).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -302,6 +304,66 @@ TEST(TriggerWindowsTest, JoinMatchesMapGroupingRowsOrderAndCharges) {
       EXPECT_EQ(flat_state.entry_count(), mapped_state.entry_count());
     }
     EXPECT_GT(flat.sink.count(), 0u);
+    EXPECT_EQ(flat_state.entry_count(), 0u);
+  }
+}
+
+TEST(TriggerWindowsTest, JoinMatchesMapGroupingAcrossThousandsOfGroups) {
+  // 5 000 keys over 3 buckets: the first firing holds thousands of
+  // (bucket, key) groups, so the trigger's grouping table grows many times
+  // within one firing. Late appends into fired buckets then reopen groups
+  // for the next firing.
+  constexpr uint64_t kKeys = 5000;
+  for (const WindowSpec window :
+       {WindowSpec::Tumbling(100), WindowSpec::Session(10, 10)}) {
+    SCOPED_TRACE(int(window.type));
+    QuerySpec q;
+    q.type = QuerySpec::Type::kJoin;
+    q.window = window;
+    TriggerHarness flat;
+    TriggerHarness mapped;
+    Partition flat_state(0, AppendConfig());
+    Partition mapped_state(0, AppendConfig());
+    const int64_t width = window.BucketWidth();
+    Rng rng(23);
+    std::set<std::pair<int64_t, uint64_t>> groups;  // every (bucket, key)
+    auto append = [&](int count, uint64_t buckets) {
+      for (int i = 0; i < count; ++i) {
+        const uint64_t key = rng.NextBounded(kKeys);
+        const int64_t bucket = int64_t(rng.NextBounded(buckets));
+        const int64_t ts =
+            bucket * width + int64_t(rng.NextBounded(uint64_t(width)));
+        groups.insert({bucket, key});
+        const uint16_t stream = uint16_t(rng.NextBounded(2));
+        AppendWire(&flat_state, key, ts, stream, width);
+        AppendWire(&mapped_state, key, ts, stream, width);
+      }
+    };
+    auto fire_both = [&](int64_t wm) {
+      TriggerWindows(q, wm, &flat_state, &flat.sink, &flat.cpu,
+                     &flat.last_wm);
+      MapJoinTrigger(q, wm, &mapped_state, &mapped.sink, &mapped.cpu,
+                     &mapped.last_wm);
+      ASSERT_EQ(flat.sink.rows(), mapped.sink.rows()) << "wm " << wm;
+      EXPECT_EQ(flat.cpu.counters().total_cycles(),
+                mapped.cpu.counters().total_cycles());
+      EXPECT_EQ(flat_state.entry_count(), mapped_state.entry_count());
+    };
+
+    append(6 * int(kKeys), 3);
+    // Buckets 0 and 1 fire: about 8 600 groups.
+    EXPECT_GT(std::distance(groups.begin(), groups.lower_bound({2, 0})),
+              8000);
+    const int64_t wm = 2 * width + window.gap;
+    ASSERT_EQ(TriggerableBucket(window, wm), 1);
+    fire_both(wm);
+    EXPECT_GT(flat.sink.count(), 1000u);
+    // Late appends, most into the two fired buckets, fire at the same
+    // threshold; the end of stream fires the rest.
+    append(3000, 2);
+    append(1000, 3);
+    fire_both(wm + 1);
+    fire_both(core::kWatermarkMax);
     EXPECT_EQ(flat_state.entry_count(), 0u);
   }
 }
