@@ -14,7 +14,7 @@
 //     --verify             compare results against the sequential oracle
 //
 // Example:
-//   $ ./build/examples/slash_cli --engine uppar --workload cm --nodes 8 \
+//   $ ./build/examples/slash_cli --engine uppar --workload cm --nodes 8
 //       --workers 10 --verify
 #include <cstdio>
 #include <cstdlib>

@@ -71,9 +71,7 @@ sim::Task Producer(TransferRun* run, int p) {
   auto acquire = [&](int lane_id, OpenSlot* os) -> sim::Task {
     Lane& lane = run->lanes[lane_id];
     while (!lane.push->TryAcquire(&os->slot, cpu)) {
-      const Nanos wait_start = run->sim.now();
-      co_await lane.push->credit_event().Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      co_await cpu->Park(lane.push->credit_event());
     }
     os->open = true;
     os->writer = std::make_unique<core::RecordWriter>(
@@ -83,9 +81,7 @@ sim::Task Producer(TransferRun* run, int p) {
   auto pull_acquire = [&](int lane_id, OpenSlot* os) -> sim::Task {
     Lane& lane = run->lanes[lane_id];
     while (!lane.pull->TryAcquire(&os->slot, cpu)) {
-      const Nanos wait_start = run->sim.now();
-      co_await lane.pull->credit_event().Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      co_await cpu->Park(lane.pull->credit_event());
     }
     os->open = true;
     os->writer = std::make_unique<core::RecordWriter>(
@@ -238,9 +234,7 @@ sim::Task PushConsumer(TransferRun* run, int c) {
     if (progressed) {
       co_await cpu->Sync();
     } else {
-      const Nanos wait_start = run->sim.now();
-      co_await run->consumer_events[c]->Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      co_await cpu->Park(*run->consumer_events[c]);
     }
   }
 }

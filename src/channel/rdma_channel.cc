@@ -416,8 +416,7 @@ bool RdmaChannel::OnProducerCompletion(const rdma::Completion& c) {
     tracer_->Instant(sim_->now(), trace_retry_, trace_cat_, producer_node_,
                      obs::kTrackChannel);
   }
-  const Nanos backoff = config_.retry_backoff_base
-                        << (attempts > 1 ? attempts - 1 : 0);
+  const Nanos backoff = kRetryBackoffBase << (attempts > 1 ? attempts - 1 : 0);
   const uint64_t wr_id = c.wr_id;
   sim_->ScheduleAt(sim_->now() + backoff, [this, wr_id] { RetryPost(wr_id); });
   return true;
@@ -445,8 +444,7 @@ bool RdmaChannel::OnConsumerCompletion(const rdma::Completion& c) {
                      obs::kTrackChannel);
   }
   credit_retry_pending_ = true;
-  const Nanos backoff = config_.retry_backoff_base
-                        << (attempts > 1 ? attempts - 1 : 0);
+  const Nanos backoff = kRetryBackoffBase << (attempts > 1 ? attempts - 1 : 0);
   sim_->ScheduleAt(sim_->now() + backoff, [this] { RetryCreditWrite(); });
   return true;
 }
@@ -630,9 +628,7 @@ sim::Task PullChannel::Pull(PullResult* result, perf::CpuContext* cpu) {
                   .ok());
   rdma::Completion c;
   while (!consumer_qp_->send_cq().TryPoll(&c)) {
-    const Nanos wait_start = sim_->now();
-    co_await consumer_qp_->send_cq().ready_event().Wait();
-    cpu->ChargeWait(sim_->now() - wait_start);
+    co_await cpu->Park(consumer_qp_->send_cq().ready_event());
   }
   cpu->Charge(perf::Op::kCqPoll);
   if (!c.ok()) co_return;  // failed READ: not ready, caller decides

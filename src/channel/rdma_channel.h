@@ -112,6 +112,10 @@ class CreditQuota {
   std::vector<sim::Event*> observers_;
 };
 
+/// Backoff before a channel's first re-post of a failed transfer; each
+/// further attempt doubles it (ChannelConfig::max_retries).
+inline constexpr Nanos kRetryBackoffBase = 8 * kMicrosecond;
+
 /// Channel sizing parameters. The paper's best configuration is c = 8
 /// credits with 32-64 KiB buffers (Sec. 8.3.2).
 struct ChannelConfig {
@@ -121,11 +125,10 @@ struct ChannelConfig {
   /// Fault recovery: how many times a failed transfer (error completion
   /// from the QP) is re-posted before the channel is declared broken and
   /// closed. Retries back off exponentially in virtual time:
-  /// retry_backoff_base, 2x, 4x, ... per attempt. Retry is transparent —
+  /// kRetryBackoffBase, 2x, 4x, ... per attempt. Retry is transparent —
   /// slots are re-posted from the producer staging queue, which is never
   /// reused before its credit returns, so payloads are still intact.
   uint32_t max_retries = 10;
-  Nanos retry_backoff_base = 8 * kMicrosecond;
 
   /// Upstream replay buffer: when > 0, the producer retains a copy of every
   /// posted message until the consumer acknowledges a checkpoint covering
@@ -248,7 +251,7 @@ class RdmaChannel {
   // --- Producer side -------------------------------------------------------
 
   /// Acquires the next slot if a credit is available. Returns false when
-  /// the producer must wait (then: co_await credit_event().Wait()).
+  /// the producer must wait (then: co_await cpu->Park(credit_event())).
   bool TryAcquire(SlotRef* out, perf::CpuContext* cpu);
 
   /// Publishes `payload_len` bytes of the acquired slot to the consumer as

@@ -2,7 +2,6 @@
 #ifndef SLASH_COMMON_HASH_H_
 #define SLASH_COMMON_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace slash {
@@ -15,9 +14,6 @@ inline uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Hashes an arbitrary byte buffer (FNV-1a core with a Mix64 finalizer).
-uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
 
 /// A hash fingerprint pair used by the FASTER-style hash index: `bucket`
 /// selects the bucket, `tag` disambiguates entries within a bucket without

@@ -39,15 +39,6 @@ class ResultSink {
     if (keep_rows_) rows_.push_back(WindowResult{bucket, key, value});
   }
 
-  /// Merges another sink (e.g. per-node sinks into a cluster total).
-  void MergeFrom(const ResultSink& other) {
-    count_ += other.count_;
-    checksum_ += other.checksum_;
-    if (keep_rows_) {
-      rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-    }
-  }
-
   uint64_t count() const { return count_; }
 
   /// Order-insensitive digest of all emitted rows.

@@ -68,7 +68,7 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
     // serialized, so back off and retry.
     ++deferrals_;
     Record(ReconfigKind::kDeferred, node);
-    sim_->ScheduleAt(sim_->now() + plan_->retry_interval,
+    sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
                      [this, node, from_trigger] {
                        FireJoin(node, from_trigger);
                      });
@@ -90,7 +90,7 @@ void ReconfigCoordinator::FireLeave(int node, bool from_trigger) {
   if (!callbacks_.on_leave(node)) {
     ++deferrals_;
     Record(ReconfigKind::kDeferred, node);
-    sim_->ScheduleAt(sim_->now() + plan_->retry_interval,
+    sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
                      [this, node, from_trigger] {
                        FireLeave(node, from_trigger);
                      });
@@ -114,12 +114,11 @@ void ReconfigCoordinator::SampleLoad() {
   const uint64_t records = callbacks_.sample_records();
   const uint64_t delta = records - last_sample_;
   last_sample_ = records;
-  const int max_active = t.max_active == 0 ? nodes_ : t.max_active;
   if (cooldown_ > 0) {
     --cooldown_;
   } else if (active_count_ > 0) {
     const uint64_t per_node = delta / uint64_t(active_count_);
-    if (per_node > t.join_above && active_count_ < max_active) {
+    if (per_node > t.join_above && active_count_ < nodes_) {
       // Lowest-numbered inactive node that never left joins first.
       for (int n = 0; n < nodes_; ++n) {
         if (!active_[size_t(n)] && !left_[size_t(n)]) {

@@ -8,7 +8,7 @@
 // state backends. The engine supplies three callbacks: on_join / on_leave
 // return false when the event cannot execute right now (a recovery or an
 // earlier handoff is still in flight), in which case the coordinator
-// re-fires it after the plan's retry_interval — handoffs are serialized,
+// re-fires it after kDeferralRetryInterval — handoffs are serialized,
 // never overlapped. sample_records feeds the load trigger.
 //
 // Determinism: everything is driven by ScheduleAt on the shared virtual
@@ -28,6 +28,10 @@
 #include "sim/simulator.h"
 
 namespace slash::elastic {
+
+/// Virtual time between a deferred membership event (the engine was
+/// mid-recovery or mid-handoff) and its retry.
+inline constexpr Nanos kDeferralRetryInterval = 50 * kMicrosecond;
 
 /// Kinds of membership events, for the trace.
 enum class ReconfigKind : uint8_t {
@@ -52,9 +56,9 @@ class ReconfigCoordinator {
   struct Callbacks {
     /// Activate `node`. Returns false when the engine cannot take a
     /// membership change right now (recovery or handoff in flight); the
-    /// coordinator retries after retry_interval. A true return means the
-    /// event is consumed — executed, or discarded as moot (the run already
-    /// drained, the node crashed in the meantime).
+    /// coordinator retries after kDeferralRetryInterval. A true return
+    /// means the event is consumed — executed, or discarded as moot (the
+    /// run already drained, the node crashed in the meantime).
     std::function<bool(int node)> on_join;
     /// Retire `node` gracefully; same return contract as on_join.
     std::function<bool(int node)> on_leave;

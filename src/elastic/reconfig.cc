@@ -27,7 +27,6 @@ Status ReconfigPlan::Validate(int nodes) const {
     return InvalidPlan("initial_nodes must lie in [0, provisioned nodes]");
   }
   const int floor = std::max(min_active, 1);
-  if (retry_interval <= 0) return InvalidPlan("retry_interval must be positive");
 
   std::vector<Entry> entries;
   entries.reserve(joins.size() + leaves.size());
@@ -108,11 +107,6 @@ Status ReconfigPlan::Validate(int nodes) const {
     }
     if (trigger.min_active < 1 || trigger.min_active > nodes) {
       return InvalidPlan("trigger min_active must lie in [1, nodes]");
-    }
-    const int max_active =
-        trigger.max_active == 0 ? nodes : trigger.max_active;
-    if (max_active < trigger.min_active || max_active > nodes) {
-      return InvalidPlan("trigger max_active must lie in [min_active, nodes]");
     }
     if (trigger.leave_below > 0 && trigger.join_above <= trigger.leave_below) {
       return InvalidPlan(

@@ -72,9 +72,9 @@ struct ReconfigPlan {
     uint64_t join_above = UINT64_MAX;
     /// Leave when it falls below this (the cluster is over-provisioned).
     uint64_t leave_below = 0;
-    /// Active-set bounds the trigger must respect.
+    /// Floor on the active set the trigger must respect; its cap is the
+    /// provisioned node count.
     int min_active = 1;
-    int max_active = 0;  // 0 = every provisioned node
     /// Intervals to hold after any membership change before the trigger
     /// may fire again (handoffs pause ingest; reacting to the pause itself
     /// would oscillate).
@@ -86,10 +86,6 @@ struct ReconfigPlan {
   /// schedule ever drops the active count below this is rejected (the
   /// "leave below quorum" case). At least 1 regardless.
   int min_active = 1;
-
-  /// Virtual time between a deferred membership event (the engine was
-  /// mid-recovery or mid-handoff) and its retry.
-  Nanos retry_interval = 50 * kMicrosecond;
 
   std::vector<NodeJoin> joins;
   std::vector<NodeLeave> leaves;

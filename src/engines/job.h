@@ -27,7 +27,6 @@
 #include "elastic/reconfig.h"
 #include "health/health.h"
 #include "obs/trace.h"
-#include "perf/cost_model.h"
 #include "rdma/fabric.h"
 #include "rdma/socket_transport.h"
 #include "sim/fault.h"
@@ -49,20 +48,13 @@ struct CheckpointConfig {
   /// Slash: a checkpoint round every `interval_epochs` state-backend
   /// epochs (round r is taken when a node's epoch sequence reaches
   /// r * interval_epochs, aligned across nodes by the epoch protocol).
+  /// The Flink-like engine instead has each sender emit a barrier after
+  /// every records_per_worker / 4 records it consumed.
   uint32_t interval_epochs = 1;
 
   /// Peers each snapshot is replicated to (1 or 2). With n live nodes the
   /// peers of node p are (p+1) mod n and, for factor 2, (p+2) mod n.
   int replication_factor = 1;
-
-  /// Bound (in messages) of the upstream replay buffer retained on ingest
-  /// channels between checkpoints; producers back-pressure at the bound.
-  uint32_t replay_buffer_slots = 32;
-
-  /// Flink-like: each sender emits a checkpoint barrier after every
-  /// `interval_records` records it consumed (0 = derive a default of
-  /// records_per_worker / 4 at run time).
-  uint64_t interval_records = 0;
 };
 
 /// The simulated cluster: topology, hardware models and cluster-wide
@@ -116,8 +108,6 @@ struct ClusterConfig {
   /// mechanism. Not owned; must outlive the Run() call. A plan failing
   /// Validate(nodes) or ValidateWithFaults fails the run with that status.
   const elastic::ReconfigPlan* reconfig = nullptr;
-
-  const perf::CostModel* cost_model = &perf::CostModel::Default();
 };
 
 /// The per-job execution knobs: everything a tenant may choose

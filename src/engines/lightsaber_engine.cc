@@ -135,7 +135,7 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
   pcfg.index_buckets = job.state_index_buckets;
   for (int w = 0; w < cluster.workers_per_node; ++w) {
     run.worker_cpus.push_back(std::make_unique<perf::CpuContext>(
-        &run.sim, cluster.cost_model, cluster.cpu_ghz));
+        &run.sim, &perf::CostModel::Default(), cluster.cpu_ghz));
     run.partials.push_back(std::make_unique<state::Partition>(w, pcfg));
   }
   run.merged = std::make_unique<state::Partition>(-1, pcfg);

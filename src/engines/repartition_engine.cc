@@ -296,9 +296,6 @@ struct RepartitionRun {
     return job.channel.slot_bytes - channel::kFooterBytes;
   }
   uint64_t BarrierInterval() const {
-    if (job.checkpoint.interval_records > 0) {
-      return job.checkpoint.interval_records;
-    }
     return std::max<uint64_t>(1, job.records_per_worker / 4);
   }
 };
@@ -348,9 +345,7 @@ sim::Task OpenLane(RepartitionRun* run, SenderState* s, Lane* lane) {
   perf::CpuContext* cpu = s->cpu.get();
   while (!lane->channel->TryAcquire(&lane->slot, cpu)) {
     if (run->failed || lane->channel->broken()) co_return;
-    const Nanos wait_start = run->sim.now();
-    co_await lane->channel->credit_event().Wait();
-    cpu->ChargeWait(run->sim.now() - wait_start);
+    co_await cpu->Park(lane->channel->credit_event());
   }
   lane->writer =
       std::make_unique<core::RecordWriter>(lane->slot.payload, capacity);
@@ -544,9 +539,7 @@ sim::Task Replicator(RepartitionRun* run, int node, ReplState* repl,
       ++cursor;
       if (terminal) co_return;  // nothing further will be queued
     }
-    const Nanos wait_start = run->sim.now();
-    co_await repl->event->Wait();
-    cpu->ChargeWait(run->sim.now() - wait_start);
+    co_await cpu->Park(*repl->event);
   }
 }
 
@@ -566,9 +559,7 @@ sim::Task ReplicaReceiver(RepartitionRun* run, int target,
       if (terminal) break;
     }
     if (terminal) co_return;
-    const Nanos wait_start = run->sim.now();
-    co_await socket->readable(target).Wait();
-    cpu->ChargeWait(run->sim.now() - wait_start);
+    co_await cpu->Park(socket->readable(target));
   }
 }
 
@@ -797,9 +788,7 @@ sim::Task Receiver(RepartitionRun* run, ConsumerState* c) {
       }
       co_await cpu->Sync();
     } else {
-      const Nanos wait_start = run->sim.now();
-      co_await c->arrivals->Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      co_await cpu->Park(*c->arrivals);
     }
   }
   if (run->Abandoned(attempt)) co_return;
@@ -961,8 +950,8 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     c->global_id = gid;
     c->node = run->consumer_node[gid];
     c->attempt = attempt;
-    c->cpu = std::make_unique<perf::CpuContext>(&run->sim, cluster.cost_model,
-                                                cluster.cpu_ghz);
+    c->cpu = std::make_unique<perf::CpuContext>(
+        &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
     c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
     c->sink = core::ResultSink(job.collect_rows);
     c->arrivals = std::make_unique<sim::Event>(&run->sim);
@@ -986,8 +975,8 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     s->node = run->sender_node[gid];
     s->attempt = attempt;
     s->next_barrier = round + 1;
-    s->cpu = std::make_unique<perf::CpuContext>(&run->sim, cluster.cost_model,
-                                                cluster.cpu_ghz);
+    s->cpu = std::make_unique<perf::CpuContext>(
+        &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
     const int home = gid / run->senders_per_node;
     const int snd = gid % run->senders_per_node;
     std::vector<std::unique_ptr<core::RecordSource>> flows;
@@ -1048,9 +1037,9 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
         auto socket = std::make_unique<SocketConnection>(
             run->fabric, src, target, cluster.socket);
         auto send_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, cluster.cost_model, cluster.cpu_ghz);
+            &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
         auto recv_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, cluster.cost_model, cluster.cpu_ghz);
+            &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
         run->sim.Spawn(Replicator(run, src, run->repl[src], socket.get(),
                                   send_cpu.get(), attempt));
         run->sim.Spawn(ReplicaReceiver(run, target, socket.get(),

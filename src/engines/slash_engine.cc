@@ -230,6 +230,9 @@ struct SlashRun {
   int total_workers() const { return cluster.nodes * cluster.workers_per_node; }
   bool checkpointing() const { return job.checkpoint.enabled; }
   bool elastic() const { return cluster.reconfig != nullptr; }
+  /// Whether a task of attempt `a` must stop: the run failed, or a crash
+  /// tore its attempt down.
+  bool Halted(int a) const { return failed || attempt != a; }
   uint64_t interval() const {
     return std::max<uint32_t>(1u, job.checkpoint.interval_epochs);
   }
@@ -561,10 +564,8 @@ sim::Task Generator(SlashRun* run, RdmaChannel* ch, uint64_t flow,
   while (more) {
     SlotRef slot;
     while (!ch->TryAcquire(&slot, cpu)) {
-      if (run->failed || run->attempt != attempt || ch->broken()) co_return;
-      const Nanos wait_start = run->sim->now();
-      co_await ch->credit_event().Wait();
-      cpu->ChargeWait(run->sim->now() - wait_start);
+      if (run->Halted(attempt) || ch->broken()) co_return;
+      co_await cpu->Park(ch->credit_event());
     }
     core::RecordWriter writer(slot.payload, ch->payload_capacity());
     do {
@@ -585,10 +586,8 @@ sim::Task Generator(SlashRun* run, RdmaChannel* ch, uint64_t flow,
   }
   SlotRef final_slot;
   while (!ch->TryAcquire(&final_slot, cpu)) {
-    if (run->failed || run->attempt != attempt || ch->broken()) co_return;
-    const Nanos wait_start = run->sim->now();
-    co_await ch->credit_event().Wait();
-    cpu->ChargeWait(run->sim->now() - wait_start);
+    if (run->Halted(attempt) || ch->broken()) co_return;
+    co_await cpu->Park(ch->credit_event());
   }
   if (!ch->Post(final_slot, 0, /*user_tag=*/1,
                 /*watermark=*/core::kWatermarkMax, cpu)
@@ -611,7 +610,7 @@ sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
                      perf::CpuContext* cpu, int attempt) {
   size_t cursor = 0;
   for (;;) {
-    if (run->failed || run->attempt != attempt || ch->broken()) co_return;
+    if (run->Halted(attempt) || ch->broken()) co_return;
     if (cursor < rs->items.size()) {
       const ReplState::Item& item = rs->items[cursor];
       const uint64_t cap = ch->payload_capacity();
@@ -619,12 +618,8 @@ sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
       do {
         SlotRef slot;
         while (!ch->TryAcquire(&slot, cpu)) {
-          if (run->failed || run->attempt != attempt || ch->broken()) {
-            co_return;
-          }
-          const Nanos wait_start = run->sim->now();
-          co_await ch->credit_event().Wait();
-          cpu->ChargeWait(run->sim->now() - wait_start);
+          if (run->Halted(attempt) || ch->broken()) co_return;
+          co_await cpu->Park(ch->credit_event());
         }
         const uint64_t len = std::min(cap, uint64_t(item.bytes.size()) - off);
         std::memcpy(slot.payload, item.bytes.data() + off, len);
@@ -642,16 +637,12 @@ sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
       continue;
     }
     if (rs->terminal) break;
-    const Nanos wait_start = run->sim->now();
-    co_await rs->event->Wait();
-    cpu->ChargeWait(run->sim->now() - wait_start);
+    co_await cpu->Park(*rs->event);
   }
   SlotRef slot;
   while (!ch->TryAcquire(&slot, cpu)) {
-    if (run->failed || run->attempt != attempt || ch->broken()) co_return;
-    const Nanos wait_start = run->sim->now();
-    co_await ch->credit_event().Wait();
-    cpu->ChargeWait(run->sim->now() - wait_start);
+    if (run->Halted(attempt) || ch->broken()) co_return;
+    co_await cpu->Park(ch->credit_event());
   }
   if (!ch->Post(slot, 0, kReplTerminal, /*watermark=*/0, cpu).ok()) co_return;
   co_await cpu->Sync();
@@ -663,13 +654,11 @@ sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
 sim::Task ReplicaReceiver(SlashRun* run, int src, int holder, RdmaChannel* ch,
                           perf::CpuContext* cpu, int attempt) {
   for (;;) {
-    if (run->failed || run->attempt != attempt) co_return;
+    if (run->Halted(attempt)) co_return;
     InboundBuffer buffer;
     if (!ch->TryPoll(&buffer, cpu)) {
       if (ch->broken()) co_return;
-      const Nanos wait_start = run->sim->now();
-      co_await ch->data_event().Wait();
-      cpu->ChargeWait(run->sim->now() - wait_start);
+      co_await cpu->Park(ch->data_event());
       continue;
     }
     const uint64_t tag = buffer.user_tag;
@@ -704,8 +693,6 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
   Record r;
   bool more = true;
 
-  auto halted = [&] { return run->failed || run->attempt != attempt; };
-
   uint64_t batch_records = 0;
   uint64_t batch_bytes = 0;
   auto process = [&](Record* rec) {
@@ -736,16 +723,14 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
   // announced and it has shipped its share of it — otherwise its
   // partitions' final deltas (and watermarks) would never reach their
   // leaders. A failed or torn-down run releases workers immediately.
-  while (!halted() &&
+  while (!run->Halted(attempt) &&
          (more || !ns->channels_done() || drained_seq < ns->epoch_seq ||
           !ns->final_bumped || !send_queue.empty())) {
     // Self-fenced (no majority contact): park without processing, draining,
     // committing, or emitting until the fence lifts or the attempt is torn
     // down. The health monitor keeps ticking, so a healed link unfences.
     if (run->members->fenced(ns->node)) {
-      const Nanos wait_start = run->sim->now();
-      co_await ns->activity->Wait();
-      cpu->ChargeWait(run->sim->now() - wait_start);
+      co_await cpu->Park(*ns->activity);
       continue;
     }
     // Serialize this worker's share of any newly announced epoch (frees
@@ -767,7 +752,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     const bool merged = PollAndMerge(run, ns, cpu);
     if (merged) TryTrigger(run, ns, cpu);
     MaybeSnapshot(run, ns, cpu);
-    if (halted()) break;
+    if (run->Halted(attempt)) break;
 
     // Input suppression at a checkpoint boundary: once this node announced
     // the boundary epoch, no worker may push post-boundary records into the
@@ -851,7 +836,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
       cpu->CountRecords(batch_records);
       ns->ssb->AccountProcessedBytes(batch_bytes);
       co_await cpu->Sync();
-      if (halted()) break;
+      if (run->Halted(attempt)) break;
       if (lanes_done) {
         more = false;
         if (++ns->finished_workers == run->cluster.workers_per_node) {
@@ -864,7 +849,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
         BumpEpoch(run, ns);
       }
     }
-    if (!merged && !sent && !input_progress && !halted() &&
+    if (!merged && !sent && !input_progress && !run->Halted(attempt) &&
         drained_seq == ns->epoch_seq && !SnapshotReady(run, ns) &&
         (more || !ns->channels_done() || !ns->final_bumped ||
          !send_queue.empty())) {
@@ -873,14 +858,12 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
       // data arrives, a new epoch is announced, or a snapshot lifts the
       // suppression. The exit- and snapshot-readiness checks in the
       // condition guarantee we never park past the last event.
-      const Nanos wait_start = run->sim->now();
-      co_await ns->activity->Wait();
-      cpu->ChargeWait(run->sim->now() - wait_start);
+      co_await cpu->Park(*ns->activity);
     } else {
       co_await cpu->Sync();
     }
   }
-  if (!halted() && !run->members->fenced(ns->node)) {
+  if (!run->Halted(attempt) && !run->members->fenced(ns->node)) {
     // Fully drained: cut any outstanding boundary/terminal snapshot, then
     // fire the final safety trigger — whichever worker observes global
     // completion last emits the remaining windows (idempotent via
@@ -980,7 +963,7 @@ void BeginRollback(SlashRun* run, RunPhase phase, int trace_node) {
 void FinishRebuild(SlashRun* run, uint64_t round, int attempt) {
   // A crash during the wait superseded this rebuild (it bumped the attempt
   // and scheduled its own).
-  if (run->failed || run->attempt != attempt) return;
+  if (run->Halted(attempt)) return;
   if (PartitionCutsMesh(run, -1)) {
     const Nanos retry = std::max<Nanos>(run->cluster.health.heartbeat_interval,
                                         10 * kMicrosecond);
@@ -1210,7 +1193,7 @@ bool OnMembershipChange(SlashRun* run, int node, NodeEvent event) {
 /// One poll of the recovery watchdog; re-arms itself while the attempt is
 /// still stuck and the deadline has not passed.
 void PollRecoveryWatchdog(SlashRun* run, int attempt, Nanos deadline_at) {
-  if (run->failed || run->attempt != attempt) return;
+  if (run->Halted(attempt)) return;
   const bool stuck =
       run->phase != RunPhase::kRunning ||
       (run->workers_running > 0 && run->records_in <= run->restore_floor);
@@ -1309,7 +1292,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
     ns->snapshots_taken = round;
     for (int w = 0; w < cluster.workers_per_node; ++w) {
       ns->worker_cpus.push_back(std::make_unique<perf::CpuContext>(
-          run->sim, cluster.cost_model, cluster.cpu_ghz));
+          run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
       // Gray-node faults (kNodeSlow) stretch this node's compute too.
       ns->worker_cpus.back()->BindSpeedDial(run->fabric->speed_dial(n));
     }
@@ -1429,7 +1412,10 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
   // them — with the bounded upstream replay buffer when checkpointing).
   channel::ChannelConfig ingest_config = job.channel;
   if (run->checkpointing()) {
-    ingest_config.replay_buffer_slots = job.checkpoint.replay_buffer_slots;
+    // Bound (in messages) of the upstream replay buffer retained between
+    // checkpoints; producers back-pressure at the bound.
+    constexpr uint32_t kReplayBufferSlots = 32;
+    ingest_config.replay_buffer_slots = kReplayBufferSlots;
   }
   for (int n = 0; n < cluster.nodes; ++n) {
     NodeState* ns = nodes[n];
@@ -1451,7 +1437,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
         FailRunOnClose(run, ch.get());
         lane.ingest = ch.get();
         run->generator_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, cluster.cost_model, cluster.cpu_ghz));
+            run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
         run->generator_cpus.back()->BindSpeedDial(
             run->fabric->speed_dial(cluster.nodes + n));
         run->sim->Spawn(Generator(run, ch.get(), lane.flow, lane.consumed,
@@ -1505,11 +1491,11 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
             RdmaChannel::Create(run->fabric, n, t, job.channel);
         FailRunOnClose(run, ch.get());
         run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, cluster.cost_model, cluster.cpu_ghz));
+            run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
         perf::CpuContext* send_cpu = run->repl_cpus.back().get();
         send_cpu->BindSpeedDial(run->fabric->speed_dial(n));
         run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, cluster.cost_model, cluster.cpu_ghz));
+            run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
         perf::CpuContext* recv_cpu = run->repl_cpus.back().get();
         recv_cpu->BindSpeedDial(run->fabric->speed_dial(t));
         run->sim->Spawn(Replicator(run, rs.get(), ch.get(), send_cpu, attempt));

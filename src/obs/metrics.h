@@ -42,15 +42,6 @@ inline constexpr std::string_view kResultChecksum = "sink.result_checksum";
 inline constexpr std::string_view kNetworkTxBytes = "fabric.tx_bytes";
 inline constexpr std::string_view kBufferPoolHitRate =
     "fabric.buffer_pool_hit_rate";
-// Connection-scaling gauges (rdma/srq.h). Only registered when
-// ConnectionConfig::publish_stats is set: the canonical engine snapshot
-// must stay byte-identical across connection modes, so mode-dependent
-// instruments are strictly opt-in.
-inline constexpr std::string_view kFabricFlows = "fabric.flows";
-inline constexpr std::string_view kFabricQpEndpoints = "fabric.qp_endpoints";
-inline constexpr std::string_view kFabricQpMemoryBytes =
-    "fabric.qp_memory_bytes";
-inline constexpr std::string_view kFabricSrqs = "fabric.srqs";
 inline constexpr std::string_view kChannelRetries = "channel.retries";
 // Verbs-level batching instruments. Registered only by channels that opt
 // into batching (ChannelConfig::post_batch / inline_threshold), so

@@ -179,14 +179,33 @@ class CpuContext {
 
   /// Accounts for time this worker already spent waiting (credit stalls,
   /// pause-polling an empty channel). The duration has *already elapsed* in
-  /// virtual time, so it only updates counters — attributed to `category`
-  /// (typically kBackEndCore: a pause spin loop) — and adds no pending delay.
-  void ChargeWait(Nanos waited, Category category = Category::kBackEndCore) {
+  /// virtual time, so it only updates counters — attributed to kBackEndCore
+  /// (a pause spin loop) — and adds no pending delay.
+  void ChargeWait(Nanos waited) {
     if (waited <= 0) return;
     const double cycles = double(waited) / ns_per_cycle_;
-    counters_.cycles[static_cast<int>(category)] += cycles;
+    counters_.cycles[static_cast<int>(Category::kBackEndCore)] += cycles;
     // A pause loop retires ~2 instructions every ~30 cycles.
     counters_.instructions += cycles / 15.0;
+  }
+
+  /// Awaitable: parks on `event` until its next Notify(), then charges the
+  /// time parked as a wait (ChargeWait). Allocation-free.
+  auto Park(sim::Event& event) {
+    struct Awaiter {
+      CpuContext* cpu;
+      sim::Event* event;
+      Nanos start = 0;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        start = cpu->sim_->now();
+        event->Wait().await_suspend(h);
+      }
+      void await_resume() noexcept {
+        cpu->ChargeWait(cpu->sim_->now() - start);
+      }
+    };
+    return Awaiter{this, &event};
   }
 
   /// Counts one processed record (for per-record counter normalization).

@@ -56,7 +56,6 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
       }
       break;
   }
-  PublishConnectionStats();
   if (sim::FaultInjector* inj = sim_->fault_injector()) {
     inj->Attach(this);
   }
@@ -146,7 +145,6 @@ Flow* Fabric::OpenFlow(int producer_node, int consumer_node) {
   auto demux = [this](const Completion& c) { return DemuxFlowCompletion(c); };
   fwd_from->send_cq().SetInterceptor(demux);
   rev_from->send_cq().SetInterceptor(demux);
-  PublishConnectionStats();
   return flow;
 }
 
@@ -159,9 +157,9 @@ ConnectionStats Fabric::connection_stats() const {
   const bool srq_mode = config_.connection.mode == ConnectionMode::kSrq;
   stats.srqs = srq_mode ? uint64_t(config_.nodes) : 0;
   std::vector<uint64_t> mem_per_node(
-      config_.nodes, srq_mode ? config_.connection.SrqMemoryBytes() : 0);
+      config_.nodes, srq_mode ? SrqMemoryBytes() : 0);
   for (const auto& ep : endpoints_) {
-    mem_per_node[ep->node()] += config_.connection.QpMemoryBytes(ep->srq());
+    mem_per_node[ep->node()] += QpMemoryBytes(ep->srq());
   }
   for (int n = 0; n < config_.nodes; ++n) {
     stats.qp_memory_bytes += mem_per_node[n];
@@ -171,19 +169,6 @@ ConnectionStats Fabric::connection_stats() const {
         stats.max_qp_endpoints_per_node, uint64_t(qp_per_node_[n]));
   }
   return stats;
-}
-
-void Fabric::PublishConnectionStats() {
-  if (!config_.connection.publish_stats) return;
-  obs::MetricsRegistry* registry = sim_->metrics();
-  if (registry == nullptr) return;
-  const ConnectionStats stats = connection_stats();
-  registry->GetGauge(obs::metric::kFabricFlows)->Set(double(stats.flows));
-  registry->GetGauge(obs::metric::kFabricQpEndpoints)
-      ->Set(double(stats.qp_endpoints));
-  registry->GetGauge(obs::metric::kFabricQpMemoryBytes)
-      ->Set(double(stats.qp_memory_bytes));
-  registry->GetGauge(obs::metric::kFabricSrqs)->Set(double(stats.srqs));
 }
 
 uint64_t Flow::Tag(uint64_t wr_id, bool reverse) const {
@@ -380,7 +365,7 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       // nothing lands. The sender learns after the transport retransmit
       // budget expires — always signaled, like every error completion.
       ++from->outstanding_;
-      sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
+      sim_->ScheduleAt(tx_end + sim::kDropReportDelay, [=] {
         --from->outstanding_;
         from->send_cq().Push(
             Completion{wr_id, WorkType::kWrite, len, WcStatus::kRetryExceeded});
@@ -481,7 +466,7 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       const Nanos req_tx =
           nic(from->node())->ReserveTx(now, kReadRequestBytes);
       ++from->outstanding_;
-      sim_->ScheduleAt(req_tx + inj->plan().drop_report_delay, [=] {
+      sim_->ScheduleAt(req_tx + sim::kDropReportDelay, [=] {
         --from->outstanding_;
         from->send_cq().Push(
             Completion{wr_id, WorkType::kRead, len, WcStatus::kRetryExceeded});

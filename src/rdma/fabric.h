@@ -270,11 +270,6 @@ class Fabric : public sim::FaultTarget {
   // endpoint that carries flows.
   bool DemuxFlowCompletion(const Completion& c);
 
-  // Mirrors connection_stats() into the metrics registry; no-op unless
-  // config_.connection.publish_stats (keeping the canonical engine
-  // snapshot byte-identical across modes).
-  void PublishConnectionStats();
-
   sim::Simulator* sim_;
   FabricConfig config_;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;

@@ -83,7 +83,7 @@ class CompletionQueue {
   size_t depth() const { return entries_.size(); }
 
   /// Event notified whenever a completion is pushed. Poll loops park here:
-  ///   while (!cq.TryPoll(&c)) co_await cq.ready_event().Wait();
+  ///   while (!cq.TryPoll(&c)) co_await cpu->Park(cq.ready_event());
   sim::Event& ready_event() { return ready_; }
 
   /// Enqueues a completion (fabric-internal).
@@ -129,7 +129,7 @@ class QpEndpoint {
 
   /// True for a kSrq-mode target endpoint: its receive ring is the node's
   /// shared one, so its modeled footprint omits a private ring
-  /// (ConnectionConfig::QpMemoryBytes).
+  /// (QpMemoryBytes, rdma/srq.h).
   bool srq() const { return srq_; }
 
   /// One-sided write of `local` into the peer region identified by `rkey`

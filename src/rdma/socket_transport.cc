@@ -12,8 +12,7 @@ SocketConnection::SocketConnection(Fabric* fabric, int node_a, int node_b,
       sim_(fabric->simulator()),
       nodes_{node_a, node_b},
       config_(config),
-      inflation_(fabric->config().nic.bandwidth_bps /
-                 config.effective_bandwidth_bps),
+      inflation_(fabric->config().nic.bandwidth_bps / kIpoibBandwidthBps),
       sides_{Side(fabric->simulator()), Side(fabric->simulator())} {
   SLASH_CHECK_NE(node_a, node_b);
   SLASH_CHECK_GE(inflation_, 1.0);
@@ -33,12 +32,10 @@ sim::Task SocketConnection::Send(int from_node, const uint8_t* data,
 
   if (aborted_) co_return;
   // TCP-style flow control: block while the window towards the peer is full.
-  const Nanos wait_start = sim_->now();
   while (!aborted_ && dst.in_flight + len > config_.window_bytes &&
          dst.in_flight > 0) {
-    co_await dst.window_open.Wait();
+    co_await cpu->Park(dst.window_open);
   }
-  cpu->ChargeWait(sim_->now() - wait_start, perf::Category::kBackEndCore);
   if (aborted_) co_return;
   // Reserve window space before suspending again so concurrent senders
   // cannot all pass the check at the same instant.
@@ -56,8 +53,7 @@ sim::Task SocketConnection::Send(int from_node, const uint8_t* data,
   // still contending with verbs traffic on the same port.
   const uint64_t wire_bytes =
       static_cast<uint64_t>(double(len) * inflation_) + 1;
-  const Nanos lat =
-      fabric_->config().nic.wire_latency + config_.stack_latency;
+  const Nanos lat = fabric_->config().nic.wire_latency + kIpoibStackLatency;
   const Nanos tx_end = fabric_->nic(from_node)->ReserveTx(sim_->now(), wire_bytes);
   const Nanos arrival =
       fabric_->nic(nodes_[to])->ReserveRx(tx_end + lat, wire_bytes);
@@ -72,7 +68,7 @@ sim::Task SocketConnection::Send(int from_node, const uint8_t* data,
     dst_ptr->readable.Notify();
     for (sim::Event* observer : dst_ptr->observers) observer->Notify();
     // ACK opens the window (we release on delivery; the extra half-RTT is
-    // folded into stack_latency).
+    // folded into kIpoibStackLatency).
     dst_ptr->window_open.Notify();
   });
 }

@@ -23,13 +23,14 @@
 
 namespace slash::rdma {
 
+/// Effective IPoIB goodput; far below the verbs-achievable 11.8 GB/s
+/// (the paper cites IPoIB's failure to saturate bandwidth).
+inline constexpr double kIpoibBandwidthBps = 2.8e9;
+/// Kernel network-stack latency added per message (each direction).
+inline constexpr Nanos kIpoibStackLatency = 12 * kMicrosecond;
+
 /// IPoIB transport parameters.
 struct SocketConfig {
-  /// Effective IPoIB goodput; far below the verbs-achievable 11.8 GB/s
-  /// (the paper cites IPoIB's failure to saturate bandwidth).
-  double effective_bandwidth_bps = 2.8e9;
-  /// Kernel network-stack latency added per message (each direction).
-  Nanos stack_latency = 12 * kMicrosecond;
   /// Maximum un-acknowledged bytes in flight (TCP window).
   uint64_t window_bytes = 4 * kMiB;
 };

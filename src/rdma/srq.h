@@ -17,8 +17,8 @@
 //    outbound flows) and one target endpoint attached to a node-wide
 //    shared receive queue. 2 QPs per node, O(N) total. Every flow moves
 //    its bytes with one-sided WRITEs, so no receive is ever posted: the
-//    SRQ is modeled by its footprint alone (srq_depth x wqe_bytes per
-//    node, ConnectionConfig::SrqMemoryBytes).
+//    SRQ is modeled by its footprint alone (kSrqDepth x kWqeBytes per
+//    node, SrqMemoryBytes()).
 //  * kShared  — RDMAvisor-style: each node owns a small pool of duplex
 //    shared endpoints; flows are assigned to pool members statically by
 //    flow id. pool_size QPs per node, O(N) total.
@@ -34,7 +34,6 @@
 #define SLASH_RDMA_SRQ_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace slash::rdma {
 
@@ -45,14 +44,6 @@ enum class ConnectionMode : uint8_t {
   kShared = 2,
 };
 
-/// Stable lowercase name ("full_mesh", "srq", "shared") for configs,
-/// bench series and logs.
-std::string_view ConnectionModeName(ConnectionMode mode);
-
-/// Parses a mode name; returns false (and leaves `out` untouched) on an
-/// unknown name.
-bool ParseConnectionMode(std::string_view name, ConnectionMode* out);
-
 /// Connection-layer configuration, part of FabricConfig (and surfaced
 /// per-run through engines::ClusterConfig).
 struct ConnectionConfig {
@@ -61,37 +52,28 @@ struct ConnectionConfig {
   /// kShared: duplex shared endpoints per node. Flows hash onto the pool
   /// by flow id.
   uint32_t shared_pool_size = 2;
-
-  /// kSrq: receive-ring entries of each node-wide shared receive queue.
-  uint32_t srq_depth = 1024;
-
-  /// Modeled per-QP footprint: NIC-resident connection context plus the
-  /// host send/recv work-queue rings (entries x descriptor bytes). The
-  /// defaults land in the tens-of-KiB-per-QP range reported for RC
-  /// contexts by the connection-scalability literature. SRQ-attached
-  /// endpoints share the node-wide receive ring and skip the private one.
-  uint32_t qp_context_bytes = 512;
-  uint32_t send_wqe_entries = 256;
-  uint32_t recv_wqe_entries = 256;
-  uint32_t wqe_bytes = 64;
-
-  /// Publish fabric.qp_* gauges into the run's MetricsRegistry. Off by
-  /// default so the canonical engine MetricsSnapshot stays byte-identical
-  /// across connection modes (the cross-mode determinism oracle); benches
-  /// and tests that want the gauges opt in.
-  bool publish_stats = false;
-
-  /// Modeled bytes of one QP endpoint (context + rings).
-  uint64_t QpMemoryBytes(bool srq_attached) const {
-    uint64_t bytes = uint64_t(qp_context_bytes) +
-                     uint64_t(send_wqe_entries) * wqe_bytes;
-    if (!srq_attached) bytes += uint64_t(recv_wqe_entries) * wqe_bytes;
-    return bytes;
-  }
-
-  /// Modeled bytes of one node-wide shared receive queue.
-  uint64_t SrqMemoryBytes() const { return uint64_t(srq_depth) * wqe_bytes; }
 };
+
+/// Modeled per-QP footprint: NIC-resident connection context plus the host
+/// send/recv work-queue rings (entries x descriptor bytes). The values land
+/// in the tens-of-KiB-per-QP range reported for RC contexts by the
+/// connection-scalability literature. SRQ-attached endpoints share the
+/// node-wide receive ring and skip the private one.
+inline constexpr uint64_t kQpContextBytes = 512;
+inline constexpr uint64_t kSendWqeEntries = 256;
+inline constexpr uint64_t kRecvWqeEntries = 256;
+inline constexpr uint64_t kWqeBytes = 64;
+/// kSrq: receive-ring entries of each node-wide shared receive queue.
+inline constexpr uint64_t kSrqDepth = 1024;
+
+/// Modeled bytes of one QP endpoint (context + rings).
+constexpr uint64_t QpMemoryBytes(bool srq_attached) {
+  return kQpContextBytes + kSendWqeEntries * kWqeBytes +
+         (srq_attached ? 0 : kRecvWqeEntries * kWqeBytes);
+}
+
+/// Modeled bytes of one node-wide shared receive queue.
+constexpr uint64_t SrqMemoryBytes() { return kSrqDepth * kWqeBytes; }
 
 /// Connection-layer resource accounting, computed on demand by
 /// Fabric::connection_stats(). This is what the weak-scaling bench plots:

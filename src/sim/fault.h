@@ -43,16 +43,16 @@ namespace slash::sim {
 /// Wildcard for DropRule/DelayRule endpoints: matches every node.
 inline constexpr int kAnyNode = -1;
 
+/// Virtual time between a transfer being lost and the sender's NIC
+/// reporting retry-exhausted (models the RC transport retransmit budget).
+inline constexpr Nanos kDropReportDelay = 10 * kMicrosecond;
+
 /// A declarative failure schedule. Plain data: build one, hand it to a
 /// FaultInjector (engines take it via ClusterConfig::fault_plan).
 struct FaultPlan {
   /// Seed for the per-transfer coin flips (drop probability). Independent
   /// of the workload seed so data and faults can vary separately.
   uint64_t seed = 1;
-
-  /// Virtual time between a transfer being lost and the sender's NIC
-  /// reporting retry-exhausted (models the RC transport retransmit budget).
-  Nanos drop_report_delay = 10 * kMicrosecond;
 
   /// Connection error on the QP with number `qp_num` (both endpoints of
   /// the connection enter the error state). `recover_after == 0` means the
@@ -112,7 +112,7 @@ struct FaultPlan {
 
   /// Bipartitions the cluster at virtual time `at`: every transfer crossing
   /// the cut between `side_a` and its complement is dropped (reported to the
-  /// sender as retry-exhausted after `drop_report_delay`), in both
+  /// sender as retry-exhausted after kDropReportDelay), in both
   /// directions, until the matching PartitionHeal fires. Nodes keep running
   /// — nothing errors, traffic just silently dies on the wire. `side_a`
   /// must be a non-empty strict subset of [0, nodes).

@@ -8,20 +8,19 @@
 //  * Non-holistic window computations (sum/count/min/max/avg aggregations)
 //    use `AggState`: a commutative monoid — each executor accumulates a
 //    partial aggregate and merging combines partials.
-//  * Holistic window computations (joins) use an append set: the
-//    join-semilattice of sets of observed records, merged by union, with
-//    epoch transfers acting as delta updates (delta-state CRDT).
+//  * Holistic window computations (joins) use the join-semilattice of sets
+//    of observed records, merged by union. It has no type of its own: the
+//    set is a partition's LSS append entries (state/partition.h), and
+//    Partition::MergeDelta unions a helper's epoch delta into the leader's
+//    log (delta-state CRDT).
 //
-// Both types satisfy the CRDT laws (commutativity, associativity,
-// idempotence of merging identical replicas for the semilattice, identity
-// element), which the unit tests verify property-style.
+// AggState satisfies the monoid laws (commutativity, associativity,
+// identity element), which the unit tests verify property-style.
 #ifndef SLASH_STATE_CRDT_H_
 #define SLASH_STATE_CRDT_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace slash::state {
 
@@ -85,49 +84,6 @@ struct AggState {
 };
 
 static_assert(sizeof(AggState) == 32, "AggState must stay a 32-byte POD");
-
-/// One element of the holistic (join) CRDT: an observed record tagged with
-/// the stream it came from.
-struct AppendElement {
-  uint16_t stream_id = 0;
-  std::vector<uint8_t> payload;
-
-  bool operator==(const AppendElement& other) const = default;
-};
-
-/// The holistic-window CRDT: a grow-only multiset of observed records,
-/// merged by (multiset) union. Used by windowed joins, where the final
-/// result concatenates all partial values with the same key (Sec. 5.2).
-///
-/// Element identity for idempotence checks is (stream_id, payload); Slash's
-/// epoch protocol never re-delivers the same delta (the LSS fragment is
-/// invalidated after transfer), so multiset semantics match a sequential
-/// execution.
-class AppendSet {
- public:
-  void Add(uint16_t stream_id, std::vector<uint8_t> payload) {
-    elements_.push_back(AppendElement{stream_id, std::move(payload)});
-  }
-
-  /// Delta-merge: unions another replica's elements into this one.
-  void Merge(const AppendSet& other) {
-    elements_.insert(elements_.end(), other.elements_.begin(),
-                     other.elements_.end());
-  }
-
-  const std::vector<AppendElement>& elements() const { return elements_; }
-  size_t size() const { return elements_.size(); }
-
-  /// Order-insensitive equality (the CRDT is a multiset; replicas may
-  /// interleave differently).
-  bool EquivalentTo(const AppendSet& other) const;
-
-  /// A canonical content fingerprint, also order-insensitive.
-  uint64_t Fingerprint() const;
-
- private:
-  std::vector<AppendElement> elements_;
-};
 
 }  // namespace slash::state
 

@@ -139,18 +139,6 @@ void Partition::Append(StateKey k, uint16_t stream_id, const uint8_t* data,
               len);
 }
 
-void Partition::CollectAppends(StateKey k, AppendSet* out) const {
-  SLASH_CHECK(config_.kind == StateKind::kAppend);
-  for (uint64_t addr = FindInChain(index_.Find(HashStateKey(k)), k);
-       addr != HashIndex::kInvalidAddress;
-       addr = FindInChain(lss_.HeaderAt(addr)->prev, k)) {
-    const EntryHeader* header = lss_.HeaderAt(addr);
-    const uint8_t* value = lss_.At(addr) + sizeof(EntryHeader);
-    out->Add(header->stream_id,
-             std::vector<uint8_t>(value, value + header->value_len));
-  }
-}
-
 size_t Partition::SerializeDelta(std::vector<uint8_t>* out) const {
   // Step 2 of the coherence protocol: freeze the delta region against CPU
   // writes while it is read for transfer.

@@ -103,9 +103,6 @@ class Partition {
   void Append(StateKey k, uint16_t stream_id, const uint8_t* data,
               uint32_t len);
 
-  /// Collects every appended element of (key, bucket), newest first.
-  void CollectAppends(StateKey k, AppendSet* out) const;
-
   // --- Scans (require quiescence) ------------------------------------------
 
   /// Visits every live (non-tombstoned) entry in log order:

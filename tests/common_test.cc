@@ -87,14 +87,6 @@ TEST(HashTest, Mix64IsDeterministicAndSpreads) {
   EXPECT_GT(low_bits.size(), 700u);
 }
 
-TEST(HashTest, HashBytesDependsOnContentAndSeed) {
-  const char a[] = "stream";
-  const char b[] = "strean";
-  EXPECT_NE(HashBytes(a, sizeof(a)), HashBytes(b, sizeof(b)));
-  EXPECT_NE(HashBytes(a, sizeof(a), 1), HashBytes(a, sizeof(a), 2));
-  EXPECT_EQ(HashBytes(a, sizeof(a)), HashBytes(a, sizeof(a)));
-}
-
 TEST(HashTest, KeyHashTagNonZero) {
   // A zero tag would collide with empty index entries.
   for (uint64_t k = 0; k < 10000; ++k) {

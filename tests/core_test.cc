@@ -10,7 +10,6 @@
 #include "core/pipeline.h"
 #include "core/record.h"
 #include "core/result_sink.h"
-#include "core/vector_clock.h"
 #include "core/window.h"
 #include "perf/cost_model.h"
 #include "sim/simulator.h"
@@ -82,32 +81,6 @@ TEST(WindowTest, SessionBucketsUseHorizon) {
   EXPECT_EQ(w.TriggerWatermark(0), 1100);
 }
 
-TEST(VectorClockTest, MinTracksSlowestExecutor) {
-  VectorClock clock(3);
-  EXPECT_EQ(clock.Min(), kWatermarkMin);
-  clock.Update(0, 100);
-  clock.Update(1, 50);
-  clock.Update(2, 200);
-  EXPECT_EQ(clock.Min(), 50);
-  clock.Update(1, 300);
-  EXPECT_EQ(clock.Min(), 100);
-}
-
-TEST(VectorClockTest, UpdatesAreMonotonic) {
-  VectorClock clock(2);
-  clock.Update(0, 100);
-  clock.Update(0, 50);  // regression ignored (out-of-order channel delivery)
-  EXPECT_EQ(clock.Get(0), 100);
-}
-
-TEST(VectorClockTest, AllFinished) {
-  VectorClock clock(2);
-  clock.Update(0, kWatermarkMax);
-  EXPECT_FALSE(clock.AllFinished());
-  clock.Update(1, kWatermarkMax);
-  EXPECT_TRUE(clock.AllFinished());
-}
-
 TEST(JoinTest, TumblingCountsCrossProduct) {
   const WindowSpec w = WindowSpec::Tumbling(1000);
   std::vector<JoinElement> elems = {
@@ -173,15 +146,6 @@ TEST(ResultSinkTest, ChecksumDetectsValueChanges) {
   a.Emit(1, 2, 3);
   b.Emit(1, 2, 4);
   EXPECT_NE(a.checksum(), b.checksum());
-}
-
-TEST(ResultSinkTest, MergeFromAccumulates) {
-  ResultSink a, b;
-  a.Emit(1, 1, 1);
-  b.Emit(2, 2, 2);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.rows().size(), 2u);
 }
 
 // A tiny deterministic source for oracle tests.

@@ -1,10 +1,9 @@
 // Property-style tests of the CRDT laws that Slash's consistency argument
-// rests on (Sec. 5.1): commutativity, associativity, identity for the
-// aggregate monoid; union semantics and order-insensitivity for the
-// holistic append set.
+// rests on (Sec. 5.1): commutativity, associativity and identity for the
+// aggregate monoid. The holistic append set is the partition log itself;
+// state_test covers its append chaining and delta union.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -104,66 +103,6 @@ TEST_P(AggStateLawTest, MergeIsCommutativeAndAssociative) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggStateLawTest,
                          ::testing::Range<uint64_t>(0, 50));
-
-TEST(AppendSetTest, MergeIsMultisetUnion) {
-  AppendSet a, b;
-  a.Add(0, {1, 2});
-  a.Add(1, {3});
-  b.Add(0, {4, 5, 6});
-  AppendSet merged = a;
-  merged.Merge(b);
-  EXPECT_EQ(merged.size(), 3u);
-}
-
-TEST(AppendSetTest, EquivalenceIsOrderInsensitive) {
-  AppendSet a, b;
-  a.Add(0, {1});
-  a.Add(1, {2});
-  b.Add(1, {2});
-  b.Add(0, {1});
-  EXPECT_TRUE(a.EquivalentTo(b));
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  b.Add(0, {9});
-  EXPECT_FALSE(a.EquivalentTo(b));
-}
-
-TEST(AppendSetTest, MultisetKeepsDuplicates) {
-  AppendSet a, b;
-  a.Add(0, {7});
-  a.Add(0, {7});
-  b.Add(0, {7});
-  EXPECT_FALSE(a.EquivalentTo(b));
-  b.Add(0, {7});
-  EXPECT_TRUE(a.EquivalentTo(b));
-}
-
-TEST(AppendSetTest, StreamIdDistinguishesElements) {
-  AppendSet a, b;
-  a.Add(0, {1});
-  b.Add(1, {1});
-  EXPECT_FALSE(a.EquivalentTo(b));
-}
-
-TEST(AppendSetTest, MergeCommutesUnderEquivalence) {
-  Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    AppendSet a, b;
-    const int na = int(rng.NextBounded(8));
-    const int nb = int(rng.NextBounded(8));
-    for (int i = 0; i < na; ++i) {
-      a.Add(uint16_t(rng.NextBounded(2)), {uint8_t(rng.NextBounded(256))});
-    }
-    for (int i = 0; i < nb; ++i) {
-      b.Add(uint16_t(rng.NextBounded(2)), {uint8_t(rng.NextBounded(256))});
-    }
-    AppendSet ab = a;
-    ab.Merge(b);
-    AppendSet ba = b;
-    ba.Merge(a);
-    EXPECT_TRUE(ab.EquivalentTo(ba));
-    EXPECT_EQ(ab.Fingerprint(), ba.Fingerprint());
-  }
-}
 
 }  // namespace
 }  // namespace slash::state

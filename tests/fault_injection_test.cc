@@ -117,12 +117,12 @@ TEST(FaultInjectionTest, DroppedTransferRetriedAtExactBackoffTime) {
   h.sim.Run();
 
   // Timeline: the first attempt serializes (dur), is lost on the wire, and
-  // the NIC reports retry-exhausted after drop_report_delay. The channel
-  // backs off retry_backoff_base (first attempt), re-posts, and the retry
+  // the NIC reports retry-exhausted after kDropReportDelay. The channel
+  // backs off kRetryBackoffBase (first attempt), re-posts, and the retry
   // serializes and lands one wire latency later.
   const Nanos dur = h.Duration(cfg.slot_bytes);
-  const Nanos expected_delivery = dur + plan.drop_report_delay +
-                                  cfg.retry_backoff_base + dur +
+  const Nanos expected_delivery = dur + sim::kDropReportDelay +
+                                  channel::kRetryBackoffBase + dur +
                                   h.wire_latency();
   ASSERT_EQ(times.size(), 1u);
   EXPECT_EQ(times[0], expected_delivery);
@@ -169,8 +169,8 @@ TEST(FaultInjectionTest, DroppedCoalescedWriteRetriesWholeSpan) {
 
   // Same timeline as the single-slot drop above, at the coalesced size.
   const Nanos dur = h.Duration(4 * cfg.slot_bytes);
-  const Nanos expected_delivery = dur + plan.drop_report_delay +
-                                  cfg.retry_backoff_base + dur +
+  const Nanos expected_delivery = dur + sim::kDropReportDelay +
+                                  channel::kRetryBackoffBase + dur +
                                   h.wire_latency();
   ASSERT_EQ(times.size(), 4u);
   for (int i = 0; i < 4; ++i) {

@@ -153,12 +153,40 @@ TEST(CpuContextTest, SyncConvertsPendingCyclesToVirtualTime) {
 TEST(CpuContextTest, ChargeWaitCountsCyclesWithoutPendingTime) {
   sim::Simulator sim;
   CpuContext cpu(&sim, &CostModel::Default(), 2.4);
-  cpu.ChargeWait(1000, Category::kBackEndCore);
+  cpu.ChargeWait(1000);
   EXPECT_EQ(cpu.pending_nanos(), 0);  // the time already passed
   EXPECT_NEAR(cpu.counters().cycles[int(Category::kBackEndCore)], 2400, 1);
   EXPECT_GT(cpu.counters().instructions, 0);  // pause retires a trickle
   cpu.ChargeWait(-5);                         // negative waits are ignored
   EXPECT_NEAR(cpu.counters().cycles[int(Category::kBackEndCore)], 2400, 1);
+}
+
+sim::Task ParkTwice(sim::Simulator* sim, CpuContext* cpu, sim::Event* event,
+                    Nanos* woke) {
+  co_await cpu->Park(*event);
+  co_await cpu->Park(*event);
+  *woke = sim->now();
+}
+
+TEST(CpuContextTest, ParkChargesTheTimeParkedAsAWait) {
+  sim::Simulator sim;
+  CpuContext cpu(&sim, &CostModel::Default(), 2.4);
+  sim::Event event(&sim);
+  Nanos woke = -1;
+  sim.Spawn(ParkTwice(&sim, &cpu, &event, &woke));
+  sim.ScheduleAt(1000, [&] { event.Notify(); });
+  sim.ScheduleAt(1700, [&] { event.Notify(); });
+  sim.Run();
+  EXPECT_EQ(woke, 1700);
+  // Exactly the charges of the two waits made by hand, in order.
+  CpuContext by_hand(&sim, &CostModel::Default(), 2.4);
+  by_hand.ChargeWait(1000);
+  by_hand.ChargeWait(700);
+  for (int c = 0; c < kNumCategories; ++c) {
+    EXPECT_EQ(cpu.counters().cycles[c], by_hand.counters().cycles[c]);
+  }
+  EXPECT_EQ(cpu.counters().instructions, by_hand.counters().instructions);
+  EXPECT_EQ(cpu.pending_nanos(), 0);
 }
 
 TEST(CpuContextTest, ChargeBytesScalesPerByteOps) {

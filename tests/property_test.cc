@@ -725,9 +725,10 @@ TEST_P(ConnectionModeSweep, ModesAreByteIdentical) {
   const std::string mesh_json = mesh.metrics.ToJson();
   EXPECT_EQ(mesh_json, srq.metrics.ToJson());
   EXPECT_EQ(mesh_json, shared.metrics.ToJson());
-  // And the snapshot stays clean of connection-layer gauges unless a run
-  // opts in via publish_stats (off above), and of the verbs-batching
-  // instruments unless the channel config enables them (default above).
+  // And the snapshot stays clean of connection-layer gauges (the fabric
+  // reports QP counts and memory through connection_stats() only), and of
+  // the verbs-batching instruments unless the channel config enables them
+  // (default above).
   EXPECT_EQ(mesh_json.find("fabric.qp"), std::string::npos);
   EXPECT_EQ(mesh_json.find("channel.doorbells"), std::string::npos);
   EXPECT_EQ(mesh_json.find("channel.inline_sends"), std::string::npos);

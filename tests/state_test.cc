@@ -546,6 +546,45 @@ TEST(PartitionTest, ConcurrentFreshKeysInATinyIndex) {
   EXPECT_EQ(total, int64_t(kThreads) * kKeys * kBuckets);
 }
 
+// One live append entry as ForEachLive visits it: the header in the log and
+// a copy of its payload.
+struct LiveAppend {
+  const EntryHeader* header;
+  std::vector<uint8_t> payload;
+};
+
+std::vector<LiveAppend> LiveAppends(const Partition& p) {
+  std::vector<LiveAppend> out;
+  p.ForEachLive([&](const EntryHeader& header, const uint8_t* value) {
+    out.push_back(
+        {&header, std::vector<uint8_t>(value, value + header.value_len)});
+  });
+  return out;
+}
+
+// Follows `newest`'s hash chain through the log, newest first, keeping the
+// entries of its (key, bucket) and skipping other keys that share the chain.
+std::vector<const EntryHeader*> ChainOf(const Partition& p,
+                                        const EntryHeader* newest) {
+  std::vector<const EntryHeader*> out;
+  for (const EntryHeader* h = newest;;) {
+    if (h->key == newest->key && h->bucket == newest->bucket) out.push_back(h);
+    if (h->prev == HashIndex::kInvalidAddress) break;
+    h = p.lss().HeaderAt(h->prev);
+  }
+  return out;
+}
+
+void ExpectAppend(const LiveAppend& e, uint64_t key, int64_t bucket,
+                  uint16_t stream_id, std::vector<uint8_t> payload) {
+  EXPECT_EQ(e.header->key, key);
+  EXPECT_EQ(e.header->bucket, bucket);
+  EXPECT_EQ(e.header->stream_id, stream_id);
+  EXPECT_TRUE(e.header->flags & kEntryAppend);
+  EXPECT_EQ(e.header->value_len, payload.size());
+  EXPECT_EQ(e.payload, payload);
+}
+
 TEST(PartitionTest, AppendAndCollect) {
   Partition p(0, SmallAppendConfig());
   const uint8_t a[] = {1, 2, 3};
@@ -553,13 +592,16 @@ TEST(PartitionTest, AppendAndCollect) {
   p.Append({9, 2}, 0, a, sizeof(a));
   p.Append({9, 2}, 1, b, sizeof(b));
   p.Append({9, 3}, 0, a, sizeof(a));  // other bucket
-  AppendSet set;
-  p.CollectAppends({9, 2}, &set);
-  ASSERT_EQ(set.size(), 2u);
-  AppendSet expected;
-  expected.Add(1, {4, 5});
-  expected.Add(0, {1, 2, 3});
-  EXPECT_TRUE(set.EquivalentTo(expected));
+  const std::vector<LiveAppend> live = LiveAppends(p);
+  ASSERT_EQ(live.size(), 3u);
+  ExpectAppend(live[0], 9, 2, 0, {1, 2, 3});
+  ExpectAppend(live[1], 9, 2, 1, {4, 5});
+  ExpectAppend(live[2], 9, 3, 0, {1, 2, 3});
+  // Each (key, bucket) chains its elements newest first.
+  EXPECT_EQ(ChainOf(p, live[1].header),
+            (std::vector<const EntryHeader*>{live[1].header, live[0].header}));
+  EXPECT_EQ(ChainOf(p, live[2].header),
+            std::vector<const EntryHeader*>{live[2].header});
 }
 
 TEST(PartitionTest, TombstoneHidesTriggeredBuckets) {
@@ -603,17 +645,32 @@ TEST(PartitionTest, DeltaRoundTripAggregate) {
 TEST(PartitionTest, DeltaRoundTripAppend) {
   Partition helper(1, SmallAppendConfig());
   const uint8_t a[] = {9, 9};
+  const uint8_t b[] = {7, 8, 6};
+  const uint8_t c[] = {42};
   helper.Append({5, 1}, 0, a, sizeof(a));
-  helper.Append({5, 1}, 1, a, sizeof(a));
+  helper.Append({5, 1}, 1, b, sizeof(b));
+  helper.Append({6, 2}, 1, c, sizeof(c));
   std::vector<uint8_t> wire;
-  EXPECT_EQ(helper.SerializeDelta(&wire), 2u);
+  EXPECT_EQ(helper.SerializeDelta(&wire), 3u);
   helper.Reset();
 
+  // The merge unions the delta into the leader's own elements: every
+  // element arrives intact, after the leader's, in the helper's log order.
   Partition leader(1, SmallAppendConfig());
+  const uint8_t own[] = {1, 2, 3, 4};
+  leader.Append({5, 1}, 2, own, sizeof(own));
   ASSERT_TRUE(leader.MergeDelta(wire.data(), wire.size()).ok());
-  AppendSet set;
-  leader.CollectAppends({5, 1}, &set);
-  EXPECT_EQ(set.size(), 2u);
+  const std::vector<LiveAppend> live = LiveAppends(leader);
+  ASSERT_EQ(live.size(), 4u);
+  ExpectAppend(live[0], 5, 1, 2, {1, 2, 3, 4});
+  ExpectAppend(live[1], 5, 1, 0, {9, 9});
+  ExpectAppend(live[2], 5, 1, 1, {7, 8, 6});
+  ExpectAppend(live[3], 6, 2, 1, {42});
+  EXPECT_EQ(ChainOf(leader, live[2].header),
+            (std::vector<const EntryHeader*>{live[2].header, live[1].header,
+                                             live[0].header}));
+  EXPECT_EQ(ChainOf(leader, live[3].header),
+            std::vector<const EntryHeader*>{live[3].header});
 }
 
 TEST(PartitionTest, MergeDeltaRejectsGarbage) {
