@@ -8,9 +8,9 @@
 //   event_ping_pong  — Event::Notify wakeup chains between two coroutines
 //   channel_echo     — full credit-based RDMA channel round trips (the
 //                      event path under the real protocol stack)
-//   channel_echo_obs — the same round trips with the observability plane
-//                      (metrics registry + enabled tracer) attached, to
-//                      bound the live-publish overhead
+//   channel_echo_obs — the same round trips with an enabled tracer
+//                      attached, to bound the live-trace overhead (both
+//                      runs publish into the simulator's registry)
 //
 // Plus one verbs-level batching sweep:
 //
@@ -158,23 +158,20 @@ sim::Task EchoConsumer(channel::RdmaChannel* ch, uint64_t count,
   }
 }
 
-// `observed` attaches the full observability plane (registry + enabled
-// tracer) before the fabric is built, so the channel/NIC publish points go
-// live; the plain run leaves them null and measures the disabled-path
-// (one predicted branch per point) overhead against the same workload.
+// The two runs differ in the tracer only: `observed` attaches an enabled
+// tracer before the fabric is built, so the channel trace points go live;
+// the plain run leaves it null and measures the disabled path (one
+// predicted branch per trace point). Both publish into the simulator's
+// always-present registry.
 void ChannelEchoImpl(benchmark::State& state, bool observed,
                      const char* name) {
   constexpr uint64_t kMessages = 50000;
   constexpr uint64_t kPayload = 64;
   for (auto _ : state) {
     sim::Simulator sim;
-    obs::MetricsRegistry registry;
     obs::Tracer tracer(
         obs::Tracer::Options{.capacity = 1 << 12, .enabled = true});
-    if (observed) {
-      sim.set_metrics(&registry);
-      sim.set_tracer(&tracer);
-    }
+    if (observed) sim.set_tracer(&tracer);
     rdma::FabricConfig fcfg;
     fcfg.nodes = 2;
     rdma::Fabric fabric(&sim, fcfg);

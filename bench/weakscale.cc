@@ -95,17 +95,15 @@ sim::Task Consumer(channel::RdmaChannel* ch, uint64_t* checksum,
   }
 }
 
-// One complete all-pairs run at `nodes` under `mode`. The observability
-// plane (metrics registry + virtual-time tracer) is attached exactly as
-// the engines attach it, so the snapshot is a full-fidelity determinism
-// oracle and the trace hooks are exercised at scale.
+// One complete all-pairs run at `nodes` under `mode`. The tracer is
+// attached exactly as the engines attach it, so the simulator's registry
+// snapshot is a full-fidelity determinism oracle and the trace hooks are
+// exercised at scale.
 RunResult RunAllPairs(int nodes, rdma::ConnectionMode mode,
                       bool cache_pressure) {
   sim::Simulator sim;
-  obs::MetricsRegistry registry;
   obs::Tracer tracer(obs::Tracer::Options{.capacity = 1 << 12,
                                           .enabled = true});
-  sim.set_metrics(&registry);
   sim.set_tracer(&tracer);
 
   rdma::FabricConfig fcfg;
@@ -150,7 +148,7 @@ RunResult RunAllPairs(int nodes, rdma::ConnectionMode mode,
           .count();
   SLASH_CHECK_EQ(sim.pending_tasks(), 0);
   result.events_fired = sim.events_fired();
-  result.metrics_json = registry.Snapshot().ToJson();
+  result.metrics_json = sim.metrics().Snapshot().ToJson();
   result.stats = fabric.connection_stats();
   return result;
 }

@@ -50,7 +50,6 @@ struct TransferRun {
   std::vector<std::unique_ptr<perf::CpuContext>> consumer_cpus;
   std::vector<std::unique_ptr<sim::Event>> consumer_events;
   std::unique_ptr<state::Partition> state;  // consumer-side RO count state
-  obs::MetricsRegistry registry;            // the run's metrics plane
   obs::Counter* records_out = nullptr;      // "transfer.records_out"
   TransferResult result;
 };
@@ -278,8 +277,7 @@ TransferResult RunTransfer(const TransferConfig& config) {
   fabric_config.connection = config.connection;
   run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
 
-  run.sim.set_metrics(&run.registry);
-  run.records_out = run.registry.GetCounter("transfer.records_out");
+  run.records_out = run.sim.metrics().GetCounter("transfer.records_out");
 
   channel::ChannelConfig ch_cfg;
   ch_cfg.credits = config.credits;

@@ -53,7 +53,6 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
   channel->credit_src_ = fabric->pd(consumer_node)->RegisterRegion(64);
 
   channel->flow_ = fabric->OpenFlow(producer_node, consumer_node);
-  channel->external_spans_.assign(config.credits, rdma::MemorySpan{});
   channel->merged_run_len_.assign(config.credits, 1);
   channel->batched_mode_ =
       config.post_batch > 1 || config.inline_threshold > 0;
@@ -84,30 +83,29 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
   channel->flow_->SetConsumerHandler(
       [ch](const rdma::Completion& c) { return ch->OnConsumerCompletion(c); });
 
-  // Resolve observability handles once; publish points are one branch each.
-  // Channels of a tenant-carrying job label their counters {tenant=...} so
-  // multi-job snapshots split per job; the default empty tenant keeps the
-  // unlabeled instruments (byte-identical single-job snapshots).
+  // Resolve observability handles once. Channels of a tenant-carrying job
+  // label their counters {tenant=...} so multi-job snapshots split per
+  // job; the default empty tenant keeps the unlabeled instruments
+  // (byte-identical single-job snapshots).
   sim::Simulator* sim = fabric->simulator();
-  if (obs::MetricsRegistry* registry = sim->metrics()) {
-    const obs::LabelSet labels =
-        config.tenant.empty()
-            ? obs::LabelSet{}
-            : obs::LabelSet{{obs::kLabelTenant, config.tenant}};
-    channel->retries_counter_ =
-        registry->GetCounter(obs::metric::kChannelRetries, labels);
-    if (channel->batched_mode_) {
-      // Opt-in instruments: never registered on default-config channels so
-      // the canonical engine snapshots stay byte-identical.
-      channel->batches_counter_ =
-          registry->GetCounter(obs::metric::kChannelBatches, labels);
-      channel->doorbells_counter_ =
-          registry->GetCounter(obs::metric::kChannelDoorbells, labels);
-      channel->inline_counter_ =
-          registry->GetCounter(obs::metric::kChannelInlineSends, labels);
-      channel->coalesced_counter_ =
-          registry->GetCounter(obs::metric::kChannelCoalescedSlots, labels);
-    }
+  obs::MetricsRegistry& registry = sim->metrics();
+  const obs::LabelSet labels =
+      config.tenant.empty()
+          ? obs::LabelSet{}
+          : obs::LabelSet{{obs::kLabelTenant, config.tenant}};
+  channel->retries_counter_ =
+      registry.GetCounter(obs::metric::kChannelRetries, labels);
+  if (channel->batched_mode_) {
+    // Opt-in instruments: never registered on default-config channels so
+    // the canonical engine snapshots stay byte-identical.
+    channel->batches_counter_ =
+        registry.GetCounter(obs::metric::kChannelBatches, labels);
+    channel->doorbells_counter_ =
+        registry.GetCounter(obs::metric::kChannelDoorbells, labels);
+    channel->inline_counter_ =
+        registry.GetCounter(obs::metric::kChannelInlineSends, labels);
+    channel->coalesced_counter_ =
+        registry.GetCounter(obs::metric::kChannelCoalescedSlots, labels);
   }
   if (obs::Tracer* tracer = sim->tracer()) {
     channel->tracer_ = tracer;
@@ -276,62 +274,6 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
   return Status::OK();
 }
 
-Status RdmaChannel::PostExternal(rdma::MemorySpan payload, uint64_t user_tag,
-                                 int64_t watermark, perf::CpuContext* cpu) {
-  if (broken_) {
-    return Status::Unavailable("channel closed: " +
-                               std::string(channel_status_.message()));
-  }
-  if (!pending_.empty()) {
-    // External posts bypass the WR queue (zero-copy, always WRITE); drain
-    // queued slot posts first so the wire sees messages in order.
-    SLASH_RETURN_IF_ERROR(Flush(cpu));
-  }
-  if (!has_credit()) {
-    return Status::FailedPrecondition("no credit available");
-  }
-  if (config_.replay_buffer_slots > 0 &&
-      retained_.size() >= config_.replay_buffer_slots) {
-    return Status::FailedPrecondition("replay buffer full");
-  }
-  if (payload.length > payload_capacity()) {
-    return Status::InvalidArgument("payload exceeds slot capacity");
-  }
-  const uint32_t slot = static_cast<uint32_t>(acquired_count_ % config_.credits);
-  SLASH_CHECK_EQ(acquired_count_, sent_count_);  // no interleave with Post
-
-  SlotFooter footer;
-  footer.payload_len = static_cast<uint32_t>(payload.length);
-  footer.seq = static_cast<uint32_t>(sent_count_ / config_.credits + 1);
-  footer.user_tag = user_tag;
-  footer.watermark = watermark;
-  footer.send_time = sim_->now();
-  // The footer still goes through a (tiny) staging slot; the payload ships
-  // zero-copy from the external region (the LSS). The payload write is
-  // signaled and the footer is posted only once the payload completes: a
-  // dropped-and-retried payload must never race a footer that already
-  // landed, or the consumer would read a valid footer over garbage bytes.
-  WriteFooter(staging_->data() + FooterOffset(slot), footer);
-  external_spans_[slot] = payload;
-
-  if (config_.replay_buffer_slots > 0) {
-    RetainedMessage retained;
-    retained.bytes = fabric_->buffer_pool().Get(payload.length);
-    retained.bytes.assign(payload.data(), payload.data() + payload.length);
-    retained.user_tag = user_tag;
-    retained.watermark = watermark;
-    retained_bytes_ += payload.length;
-    retained_.push_back(std::move(retained));
-  }
-
-  cpu->Charge(perf::Op::kRdmaPost, 2);
-  ++acquired_count_;
-  ++sent_count_;
-  return flow_->PostToConsumer(payload, queue_->remote_key(), SlotOffset(slot),
-                               MakeWrId(sent_count_, kWrExtPayload),
-                               /*signaled=*/true);
-}
-
 void RdmaChannel::MarkCheckpoint() {
   if (retained_.empty()) return;
   // Recycle the replay copies' backing stores for the next epoch's posts.
@@ -397,8 +339,6 @@ Status RdmaChannel::Release(const InboundBuffer& buffer,
 
 bool RdmaChannel::OnProducerCompletion(const rdma::Completion& c) {
   if (c.ok()) {
-    const WrKind kind = static_cast<WrKind>(c.wr_id % 4);
-    if (kind == kWrExtPayload) PostExternalFooter(c.wr_id / 4);
     retry_attempts_.erase(c.wr_id);
     return true;
   }
@@ -411,7 +351,7 @@ bool RdmaChannel::OnProducerCompletion(const rdma::Completion& c) {
     return true;
   }
   ++retries_;
-  if (retries_counter_ != nullptr) retries_counter_->Add(1);
+  retries_counter_->Add(1);
   if (tracer_ != nullptr) {
     tracer_->Instant(sim_->now(), trace_retry_, trace_cat_, producer_node_,
                      obs::kTrackChannel);
@@ -438,7 +378,7 @@ bool RdmaChannel::OnConsumerCompletion(const rdma::Completion& c) {
     return true;
   }
   ++retries_;
-  if (retries_counter_ != nullptr) retries_counter_->Add(1);
+  retries_counter_->Add(1);
   if (tracer_ != nullptr) {
     tracer_->Instant(sim_->now(), trace_retry_, trace_cat_, consumer_node_,
                      obs::kTrackChannel);
@@ -451,38 +391,22 @@ bool RdmaChannel::OnConsumerCompletion(const rdma::Completion& c) {
 
 void RdmaChannel::RetryPost(uint64_t wr_id) {
   if (broken_) return;
-  const WrKind kind = static_cast<WrKind>(wr_id % 4);
+  // Only slot writes complete on the producer side; credit writes retry
+  // through RetryCreditWrite.
+  SLASH_CHECK_EQ(wr_id % 4, uint64_t(kWrSlot));
   const uint64_t msg = wr_id / 4;
   const uint32_t slot = static_cast<uint32_t>((msg - 1) % config_.credits);
-  // The staging/external bytes for `msg` are intact: slots are not reused
-  // until the consumer releases them, and the consumer polls in order, so a
-  // lost message blocks release of its own slot.
-  Status status;
-  switch (kind) {
-    case kWrSlot: {
-      // A coalesced WRITE (doorbell batching) failed as one wire message:
-      // re-post the whole recorded span. Every covered slot's bytes are
-      // still intact — none of their credits can have returned, because
-      // the in-order consumer cannot poll past the lost message.
-      const uint64_t span = uint64_t(merged_run_len_[slot]) * config_.slot_bytes;
-      status = flow_->PostToConsumer(
-          rdma::MemorySpan{staging_, SlotOffset(slot), span},
-          queue_->remote_key(), SlotOffset(slot), wr_id, /*signaled=*/true);
-      break;
-    }
-    case kWrExtPayload:
-      status = flow_->PostToConsumer(external_spans_[slot],
-                                     queue_->remote_key(), SlotOffset(slot),
-                                     wr_id, /*signaled=*/true);
-      break;
-    case kWrExtFooter:
-      status = flow_->PostToConsumer(
-          rdma::MemorySpan{staging_, FooterOffset(slot), kFooterBytes},
-          queue_->remote_key(), FooterOffset(slot), wr_id, /*signaled=*/true);
-      break;
-    default:
-      SLASH_CHECK(false);
-  }
+  // The staging bytes for `msg` are intact: slots are not reused until the
+  // consumer releases them, and the consumer polls in order, so a lost
+  // message blocks release of its own slot. A coalesced WRITE (doorbell
+  // batching) failed as one wire message: re-post the whole recorded span.
+  // Every covered slot's bytes are still intact — none of their credits can
+  // have returned, because the in-order consumer cannot poll past the lost
+  // message.
+  const uint64_t span = uint64_t(merged_run_len_[slot]) * config_.slot_bytes;
+  const Status status = flow_->PostToConsumer(
+      rdma::MemorySpan{staging_, SlotOffset(slot), span}, queue_->remote_key(),
+      SlotOffset(slot), wr_id, /*signaled=*/true);
   if (!status.ok()) CloseChannel(status);
 }
 
@@ -495,16 +419,6 @@ void RdmaChannel::RetryCreditWrite() {
       rdma::MemorySpan{credit_src_, 0, 8}, credit_mr_->remote_key(),
       /*remote_offset=*/0, MakeWrId(released_count_, kWrCredit),
       /*signaled=*/true);
-  if (!status.ok()) CloseChannel(status);
-}
-
-void RdmaChannel::PostExternalFooter(uint64_t msg) {
-  if (broken_) return;
-  const uint32_t slot = static_cast<uint32_t>((msg - 1) % config_.credits);
-  Status status = flow_->PostToConsumer(
-      rdma::MemorySpan{staging_, FooterOffset(slot), kFooterBytes},
-      queue_->remote_key(), FooterOffset(slot), MakeWrId(msg, kWrExtFooter),
-      /*signaled=*/false);
   if (!status.ok()) CloseChannel(status);
 }
 

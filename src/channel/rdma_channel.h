@@ -75,7 +75,9 @@ namespace slash::channel {
 /// The quota is engine-owned and outlives every channel that references it.
 class CreditQuota {
  public:
-  explicit CreditQuota(uint32_t limit) : limit_(limit) {}
+  /// `denials` is the job's channel.quota_denials registry counter.
+  CreditQuota(uint32_t limit, obs::Counter* denials)
+      : limit_(limit), denials_(denials) {}
 
   CreditQuota(const CreditQuota&) = delete;
   CreditQuota& operator=(const CreditQuota&) = delete;
@@ -84,7 +86,7 @@ class CreditQuota {
   /// and returns false otherwise.
   bool TryCharge() {
     if (in_flight_ >= limit_) {
-      ++denials_;
+      denials_->Add(1);
       return false;
     }
     ++in_flight_;
@@ -103,12 +105,11 @@ class CreditQuota {
 
   uint32_t limit() const { return limit_; }
   uint64_t in_flight() const { return in_flight_; }
-  uint64_t denials() const { return denials_; }
 
  private:
   uint32_t limit_;
   uint64_t in_flight_ = 0;
-  uint64_t denials_ = 0;
+  obs::Counter* denials_;
   std::vector<sim::Event*> observers_;
 };
 
@@ -260,14 +261,6 @@ class RdmaChannel {
   Status Post(const SlotRef& slot, uint64_t payload_len, uint64_t user_tag,
               int64_t watermark, perf::CpuContext* cpu);
 
-  /// Zero-copy variant used by the state backend (Sec. 7.2.1): ships
-  /// `payload` directly from an external registered region (the LSS) into
-  /// the next slot, then publishes the footer with a second, RC-ordered
-  /// write. Requires an available credit (TryAcquire-style flow applies:
-  /// call only when has_credit()).
-  Status PostExternal(rdma::MemorySpan payload, uint64_t user_tag,
-                      int64_t watermark, perf::CpuContext* cpu);
-
   /// Rings the doorbell for every queued work request (doorbell batching;
   /// no-op when nothing is queued). Charges one kRdmaDoorbell and posts
   /// the WRs in order as coalesced WRITEs: each run of adjacent ring slots
@@ -389,12 +382,11 @@ class RdmaChannel {
   // Work-request id encoding: wr_id = message_number * 4 + kind. The kind
   // tells the retry machinery what to re-post when a completion comes back
   // with an error status; the message number locates the slot (and hence
-  // the still-intact bytes) in the staging queue.
+  // the still-intact bytes) in the staging queue. Kinds 1 and 2 are unused;
+  // kWrCredit keeps its value so no wr_id changes.
   enum WrKind : uint64_t {
-    kWrSlot = 0,        // Post(): one write of the whole slot
-    kWrExtPayload = 1,  // PostExternal(): zero-copy payload write
-    kWrExtFooter = 2,   // PostExternal(): footer write (after payload ack)
-    kWrCredit = 3,      // Release(): cumulative credit-counter write
+    kWrSlot = 0,    // Post(): one write of the whole slot
+    kWrCredit = 3,  // Release(): cumulative credit-counter write
   };
   static uint64_t MakeWrId(uint64_t msg, WrKind kind) {
     return msg * 4 + kind;
@@ -413,10 +405,6 @@ class RdmaChannel {
   // Producer-side reaction to the consumer's credit write: returns newly
   // acked credits to the tenant quota, then wakes parked producers.
   void OnCreditReturn();
-  // Posts the deferred footer of external message `msg` (after its payload
-  // was acked; keeps the footer-last guarantee even when transfers can be
-  // lost and re-sent out of order).
-  void PostExternalFooter(uint64_t msg);
 
   // Declares the channel permanently broken: wakes both sides, then fires
   // the close handler.
@@ -429,10 +417,9 @@ class RdmaChannel {
   ChannelConfig config_;
 
   // Observability handles, resolved once at Create() from the simulator's
-  // registered plane (see Simulator::set_metrics/set_tracer). Null when
-  // that plane is absent/disabled, so each publish point is one branch.
-  // The batching instruments are additionally gated on batched_mode_ so
-  // default-config runs register no new metrics.
+  // registry and tracer. The batching instruments are null unless
+  // batched_mode_, so default-config runs register no batching metrics;
+  // the tracer is null when tracing is disabled.
   obs::Counter* retries_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
   obs::Counter* doorbells_counter_ = nullptr;
@@ -457,9 +444,6 @@ class RdmaChannel {
   uint64_t quota_released_ = 0;
   sim::Event credit_event_;
   std::vector<sim::Event*> credit_observers_;
-  // Zero-copy payload spans of in-flight external messages, indexed by
-  // slot; valid until the slot's credit returns (needed for retries).
-  std::vector<rdma::MemorySpan> external_spans_;
 
   // Verbs-level batching state. batched_mode_ is true when any batching
   // knob is set: Post() then charges the decomposed kRdmaWqeBuild +

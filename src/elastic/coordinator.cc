@@ -25,11 +25,18 @@ std::string_view ReconfigKindName(ReconfigKind kind) {
 
 ReconfigCoordinator::ReconfigCoordinator(sim::Simulator* sim,
                                          const ReconfigPlan* plan, int nodes,
+                                         const obs::LabelSet& labels,
                                          Callbacks callbacks)
     : sim_(sim),
       plan_(plan),
       nodes_(nodes),
-      callbacks_(std::move(callbacks)) {
+      callbacks_(std::move(callbacks)),
+      reconfigs_(sim->metrics().GetCounter(obs::metric::kElasticReconfigs,
+                                           labels)),
+      joins_(sim->metrics().GetCounter(obs::metric::kElasticJoins, labels)),
+      leaves_(sim->metrics().GetCounter(obs::metric::kElasticLeaves, labels)),
+      deferrals_(sim->metrics().GetCounter(obs::metric::kElasticDeferrals,
+                                           labels)) {
   SLASH_CHECK_GT(nodes_, 0);
   SLASH_CHECK(plan_ != nullptr);
   const int initial =
@@ -66,7 +73,7 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
   if (!callbacks_.on_join(node)) {
     // Engine busy (recovery or earlier handoff in flight): handoffs are
     // serialized, so back off and retry.
-    ++deferrals_;
+    deferrals_->Add(1);
     Record(ReconfigKind::kDeferred, node);
     sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
                      [this, node, from_trigger] {
@@ -78,8 +85,8 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
     active_[size_t(node)] = true;
     ++active_count_;
   }
-  ++joins_executed_;
-  if (from_trigger) ++trigger_joins_;
+  reconfigs_->Add(1);
+  joins_->Add(1);
   cooldown_ = plan_->trigger.cooldown_intervals;
   Record(from_trigger ? ReconfigKind::kTriggerJoin : ReconfigKind::kJoin,
          node);
@@ -88,7 +95,7 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
 void ReconfigCoordinator::FireLeave(int node, bool from_trigger) {
   if (stopped_) return;
   if (!callbacks_.on_leave(node)) {
-    ++deferrals_;
+    deferrals_->Add(1);
     Record(ReconfigKind::kDeferred, node);
     sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
                      [this, node, from_trigger] {
@@ -101,8 +108,8 @@ void ReconfigCoordinator::FireLeave(int node, bool from_trigger) {
     --active_count_;
   }
   left_[size_t(node)] = true;
-  ++leaves_executed_;
-  if (from_trigger) ++trigger_leaves_;
+  reconfigs_->Add(1);
+  leaves_->Add(1);
   cooldown_ = plan_->trigger.cooldown_intervals;
   Record(from_trigger ? ReconfigKind::kTriggerLeave : ReconfigKind::kLeave,
          node);

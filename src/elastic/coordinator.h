@@ -25,6 +25,7 @@
 
 #include "common/units.h"
 #include "elastic/reconfig.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace slash::elastic {
@@ -68,8 +69,11 @@ class ReconfigCoordinator {
   };
 
   /// `plan` must outlive the coordinator and have passed Validate(nodes).
+  /// The elastic.{reconfigs,joins,leaves,deferrals} counters are published
+  /// into the simulator's registry under `labels` (the job's).
   ReconfigCoordinator(sim::Simulator* sim, const ReconfigPlan* plan,
-                      int nodes, Callbacks callbacks);
+                      int nodes, const obs::LabelSet& labels,
+                      Callbacks callbacks);
   ReconfigCoordinator(const ReconfigCoordinator&) = delete;
   ReconfigCoordinator& operator=(const ReconfigCoordinator&) = delete;
 
@@ -86,12 +90,6 @@ class ReconfigCoordinator {
   /// consumed; the load trigger picks its targets from it).
   bool active(int node) const { return active_[size_t(node)]; }
   int active_count() const { return active_count_; }
-
-  uint64_t joins_executed() const { return joins_executed_; }
-  uint64_t leaves_executed() const { return leaves_executed_; }
-  uint64_t trigger_joins() const { return trigger_joins_; }
-  uint64_t trigger_leaves() const { return trigger_leaves_; }
-  uint64_t deferrals() const { return deferrals_; }
 
   /// Every membership event recorded so far, in virtual-time order.
   const std::vector<ReconfigEvent>& trace() const { return trace_; }
@@ -116,11 +114,10 @@ class ReconfigCoordinator {
   int active_count_ = 0;
   uint64_t last_sample_ = 0;
   uint32_t cooldown_ = 0;  // sampling intervals left before trigger re-arms
-  uint64_t joins_executed_ = 0;
-  uint64_t leaves_executed_ = 0;
-  uint64_t trigger_joins_ = 0;
-  uint64_t trigger_leaves_ = 0;
-  uint64_t deferrals_ = 0;
+  obs::Counter* reconfigs_;
+  obs::Counter* joins_;
+  obs::Counter* leaves_;
+  obs::Counter* deferrals_;
   std::vector<ReconfigEvent> trace_;
 };
 

@@ -8,10 +8,11 @@
 
 namespace slash::engines {
 
-RecoveryCoordinator::RecoveryCoordinator(int nodes)
+RecoveryCoordinator::RecoveryCoordinator(int nodes,
+                                         obs::Counter* checkpoints_taken)
     : nodes_(nodes), blobs_(nodes), final_from_(nodes, -1),
       retired_(nodes, false), retire_round_(nodes, 0),
-      join_round_(nodes, 0) {}
+      join_round_(nodes, 0), checkpoints_taken_(checkpoints_taken) {}
 
 void RecoveryCoordinator::RecordLocal(int node, uint64_t round,
                                       std::vector<uint8_t> bytes) {
@@ -30,14 +31,7 @@ void RecoveryCoordinator::RecordLocal(int node, uint64_t round,
   Blob& blob = blobs_[node][round];
   blob.bytes = std::move(bytes);
   blob.holders.assign(1, node);
-  ++checkpoints_taken_;
-  if (checkpoints_counter_ != nullptr) checkpoints_counter_->Add(1);
-}
-
-void RecoveryCoordinator::AttachMetrics(obs::MetricsRegistry* registry,
-                                        const obs::LabelSet& labels) {
-  checkpoints_counter_ =
-      registry->GetCounter(obs::metric::kCheckpointsTaken, labels);
+  checkpoints_taken_->Add(1);
 }
 
 void RecoveryCoordinator::RecordReplica(int node, uint64_t round, int holder) {
@@ -73,6 +67,14 @@ const std::vector<uint8_t>* RecoveryCoordinator::BlobFor(
     int node, uint64_t round) const {
   const Blob* blob = FindBlob(node, round);
   return blob != nullptr ? &blob->bytes : nullptr;
+}
+
+uint64_t RecoveryCoordinator::RestoreBytes(uint64_t round) const {
+  uint64_t bytes = 0;
+  for (int node = 0; node < nodes_; ++node) {
+    if (const Blob* blob = FindBlob(node, round)) bytes += blob->bytes.size();
+  }
+  return bytes;
 }
 
 uint64_t RecoveryCoordinator::LatestRecoverableRound(
@@ -118,6 +120,13 @@ void RecoveryCoordinator::RetireNode(int node, uint64_t retirement_round) {
   retire_round_[node] = retirement_round;
 }
 
+void RecoveryCoordinator::RetireDead(const std::vector<bool>& alive,
+                                     uint64_t round) {
+  for (int node = 0; node < nodes_; ++node) {
+    if (!alive[node] && !retired_[node]) RetireNode(node, round);
+  }
+}
+
 void RecoveryCoordinator::UnretireNode(int node) {
   SLASH_CHECK_GE(node, 0);
   SLASH_CHECK_LT(node, nodes_);
@@ -154,12 +163,16 @@ void RecoveryCoordinator::DiscardRoundsAfter(uint64_t round) {
   }
 }
 
-int RecoveryCoordinator::FirstLiveHolder(int node, uint64_t round,
-                                         const std::vector<bool>& alive) const {
-  const Blob* blob = FindBlob(node, round);
-  if (blob == nullptr) return -1;
-  for (int holder : blob->holders) {
-    if (alive[holder]) return holder;
+int RecoveryCoordinator::Heir(int node, uint64_t round,
+                              const std::vector<bool>& alive) const {
+  if (const Blob* blob = FindBlob(node, round)) {
+    for (int holder : blob->holders) {
+      if (alive[holder]) return holder;
+    }
+  }
+  for (int i = 1; i <= nodes_; ++i) {
+    const int candidate = (node + i) % nodes_;
+    if (alive[candidate]) return candidate;
   }
   return -1;
 }
@@ -169,6 +182,12 @@ void BlobReader::Raw(void* dst, size_t len) {
   SLASH_CHECK_LE(pos_ + len, len_);
   std::memcpy(dst, data_ + pos_, len);
   pos_ += len;
+}
+
+Status CheckUntenanted(const JobSpec& spec, std::string_view engine) {
+  if (spec.tenant.empty() && spec.quota == 0) return Status::OK();
+  return Status::Unimplemented("tenants and quotas are not supported by " +
+                               std::string(engine));
 }
 
 ClusterRuntime::ClusterRuntime(obs::Tracer* external)
@@ -214,7 +233,6 @@ Result<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Create(
         std::make_unique<sim::FaultInjector>(&rt->sim_, *cluster.fault_plan);
     rt->sim_.set_fault_injector(rt->injector_.get());
   }
-  rt->sim_.set_metrics(&rt->registry_);
   // Null when disabled, so every trace point downstream is one branch.
   obs::Tracer* t = rt->tracer();
   rt->sim_.set_tracer(t->enabled() ? t : nullptr);
@@ -249,11 +267,12 @@ void ClusterRuntime::Run(RunStats* stats) {
           .count();
   stats->sim_events_per_sec_wall =
       secs > 0 ? double(sim_.events_fired()) / secs : 0.0;
-  registry_.GetCounter(obs::metric::kRunMakespanNs)->Add(uint64_t(makespan));
-  registry_.GetCounter(obs::metric::kSimEventsFired)->Add(sim_.events_fired());
-  registry_.GetCounter(obs::metric::kSimEventBytes)
+  obs::MetricsRegistry& registry = sim_.metrics();
+  registry.GetCounter(obs::metric::kRunMakespanNs)->Add(uint64_t(makespan));
+  registry.GetCounter(obs::metric::kSimEventsFired)->Add(sim_.events_fired());
+  registry.GetCounter(obs::metric::kSimEventBytes)
       ->Add(sim_.event_bytes_allocated());
-  registry_.GetGauge(obs::metric::kSimPoolHitRate)->Set(sim_.pool_hit_rate());
+  registry.GetGauge(obs::metric::kSimPoolHitRate)->Set(sim_.pool_hit_rate());
 }
 
 void ClusterRuntime::Finish(RunStats* stats,
@@ -261,20 +280,21 @@ void ClusterRuntime::Finish(RunStats* stats,
   SLASH_CHECK_MSG(!stats->ok() || sim_.pending_tasks() == 0,
                   stats->engine << " run deadlocked with "
                                 << sim_.pending_tasks() << " pending tasks");
+  obs::MetricsRegistry& registry = sim_.metrics();
   if (injector_ != nullptr) {
-    registry_.GetCounter(obs::metric::kFaultsInjected, fault_labels)
+    registry.GetCounter(obs::metric::kFaultsInjected, fault_labels)
         ->Add(injector_->trace().size());
-    registry_.GetCounter(obs::metric::kFaultTraceDigest, fault_labels)
+    registry.GetCounter(obs::metric::kFaultTraceDigest, fault_labels)
         ->Add(injector_->trace_digest());
   }
   if (fabric_ != nullptr) {
     if (const auto& pool = fabric_->buffer_pool();
         pool.hits() + pool.misses() > 0) {
-      registry_.GetGauge(obs::metric::kBufferPoolHitRate)
+      registry.GetGauge(obs::metric::kBufferPoolHitRate)
           ->Set(pool.hit_rate());
     }
   }
-  stats->metrics = registry_.Snapshot();
+  stats->metrics = registry.Snapshot();
   if (external_ == nullptr && local_.enabled()) {
     obs::Exporter::WriteRunArtifacts(local_, stats->metrics, stats->engine);
   }

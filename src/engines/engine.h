@@ -292,7 +292,9 @@ class Engine {
 /// from the replica it received.
 class RecoveryCoordinator {
  public:
-  explicit RecoveryCoordinator(int nodes);
+  /// Every RecordLocal bumps `checkpoints_taken`, the run's
+  /// obs::metric::kCheckpointsTaken counter under the job's labels.
+  RecoveryCoordinator(int nodes, obs::Counter* checkpoints_taken);
 
   /// Registers node `node`'s serialized round-`round` snapshot (held
   /// locally by the node itself).
@@ -347,24 +349,23 @@ class RecoveryCoordinator {
   /// must not be confused with stale pre-crash ones.
   void DiscardRoundsAfter(uint64_t round);
 
-  /// A live holder of node `node`'s round-`round` blob (the dead node's
-  /// heir restores from this peer's replica), or -1 when none exists.
-  int FirstLiveHolder(int node, uint64_t round,
-                      const std::vector<bool>& alive) const;
+  /// The node that takes over failed node `node`'s work when the run
+  /// rolls back to round `round`: a live holder of its round-`round` blob
+  /// (the heir restores from that replica), else the next live node after
+  /// it.
+  int Heir(int node, uint64_t round, const std::vector<bool>& alive) const;
 
   /// Node `node`'s snapshot bytes usable for round `round` (exact round or
   /// the terminal snapshot covering it); nullptr if none.
   const std::vector<uint8_t>* BlobFor(int node, uint64_t round) const;
 
-  /// Snapshots recorded so far across all nodes.
-  uint64_t checkpoints_taken() const { return checkpoints_taken_; }
+  /// Bytes a rollback to round `round` restores: the sum of every node's
+  /// blob for that round.
+  uint64_t RestoreBytes(uint64_t round) const;
 
-  /// Publishes coordinator activity into the run's registry: every
-  /// RecordLocal bumps obs::metric::kCheckpointsTaken (under `labels`,
-  /// e.g. {tenant=...} for multi-job runs), so the snapshot count reaches
-  /// RunStats without engine-side copying.
-  void AttachMetrics(obs::MetricsRegistry* registry,
-                     const obs::LabelSet& labels = {});
+  /// Retires, at round `round`, every node that is dead in `alive` and not
+  /// yet retired: from then on its heir snapshots its partitions.
+  void RetireDead(const std::vector<bool>& alive, uint64_t round);
 
  private:
   struct Blob {
@@ -380,8 +381,7 @@ class RecoveryCoordinator {
   std::vector<bool> retired_;
   std::vector<uint64_t> retire_round_;           // valid while retired_[n]
   std::vector<uint64_t> join_round_;             // 0 = active since round 0
-  uint64_t checkpoints_taken_ = 0;
-  obs::Counter* checkpoints_counter_ = nullptr;  // registry handle, optional
+  obs::Counter* checkpoints_taken_;
 };
 
 /// Append-only serializer for checkpoint blobs. Fixed-width little-endian
@@ -442,6 +442,11 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
+/// kUnimplemented when `spec` names a tenant or sets a quota: only Slash
+/// runs labelled, quota-capped jobs, and `engine` would otherwise run the
+/// job unthrottled and unlabelled. OK otherwise.
+Status CheckUntenanted(const JobSpec& spec, std::string_view engine);
+
 /// Records a worker or sender coroutine reads from its source per
 /// scheduling quantum, before it syncs its core to the virtual clock.
 inline constexpr uint64_t kSourceBatch = 512;
@@ -458,17 +463,17 @@ struct EngineSupport {
 };
 
 /// The simulated cluster one engine run executes on, and the single owner
-/// of its shared resources: the DES, the optional fault injector, the
-/// metrics registry and tracer policy, and the RDMA fabric.
+/// of its shared resources: the DES (which owns the metrics registry), the
+/// optional fault injector, the tracer policy, and the RDMA fabric.
 ///
 /// Create() validates the ClusterConfig in one place (capabilities, then
 /// the fault plan against the fabric's node count, the health config and
 /// the reconfiguration plan) and builds the resources in the one order that
-/// works: the injector before the fabric (the fabric attaches itself as the
-/// fault target at construction), the registry and tracer before the fabric
-/// (the NICs resolve their per-node counters at construction). The engine
-/// then builds its jobs on sim() and fabric(), calls Run(), publishes its
-/// own instruments, sets stats.status, and calls Finish().
+/// works: the injector and the tracer before the fabric (the fabric attaches
+/// itself as the fault target, and its layers intern their trace names, at
+/// construction). The engine then builds its jobs on sim() and fabric(),
+/// calls Run(), publishes its own instruments, sets stats.status, and calls
+/// Finish().
 class ClusterRuntime {
  public:
   /// `fabric_nodes` is the fabric's node count; 0 builds no fabric (a
@@ -485,7 +490,7 @@ class ClusterRuntime {
 
   sim::Simulator* sim() { return &sim_; }
   rdma::Fabric* fabric() { return fabric_.get(); }  // null: 0 fabric_nodes
-  obs::MetricsRegistry* registry() { return &registry_; }
+  obs::MetricsRegistry& registry() { return sim_.metrics(); }
 
   /// Runs the DES to completion under host wall-clock timing, publishes
   /// the makespan and the DES-kernel instruments, and reports the host-side
@@ -509,8 +514,7 @@ class ClusterRuntime {
 
   // Declaration order is destruction order in reverse: the fabric and the
   // injector go before the simulator they schedule on, which goes before
-  // the registry and tracer it publishes to.
-  obs::MetricsRegistry registry_;
+  // the tracer it publishes to.
   obs::Tracer* external_;
   obs::Tracer local_;
   sim::Simulator sim_;

@@ -101,6 +101,8 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
     stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
     return stats;
   }
+  stats.status = CheckUntenanted(spec, name());
+  if (!stats.ok()) return stats;
   const ClusterConfig& cluster = spec.cluster;
   const JobConfig& job = spec.config;
   const core::QuerySpec query = spec.sources->MakeQuery();
@@ -116,7 +118,7 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
     return stats;
   }
   ClusterRuntime& rt = **runtime;
-  obs::MetricsRegistry* registry = rt.registry();
+  obs::MetricsRegistry& registry = rt.registry();
   LightSaberRun run(*rt.sim());
   run.query = &query;
   run.workload = spec.sources;
@@ -145,13 +147,13 @@ RunStats LightSaberEngine::Run(const JobSpec& spec) {
   }
 
   rt.Run(&stats);
-  registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  registry->GetCounter(obs::metric::kRecordsEmitted)->Add(run.sink.count());
-  registry->GetCounter(obs::metric::kResultChecksum)
+  registry.GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
+  registry.GetCounter(obs::metric::kRecordsEmitted)->Add(run.sink.count());
+  registry.GetCounter(obs::metric::kResultChecksum)
       ->Add(run.sink.checksum());
   if (job.collect_rows) stats.rows = run.sink.rows();
   perf::Counters* workers =
-      registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
+      registry.GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
   for (auto& cpu : run.worker_cpus) workers->Merge(cpu->counters());
   rt.Finish(&stats);
   return stats;

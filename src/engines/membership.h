@@ -59,8 +59,8 @@ class Membership {
   int live_count() const { return live_; }
   uint32_t quarantines(int node) const { return quarantines_[size_t(node)]; }
 
-  /// alive(n) for every node, in the form LatestRecoverableRound,
-  /// FirstLiveHolder and the Rebalancer take.
+  /// alive(n) for every node, in the form LatestRecoverableRound, Heir
+  /// and the Rebalancer take.
   const std::vector<bool>& alive_mask() const { return alive_; }
 
  private:

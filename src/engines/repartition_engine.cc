@@ -846,11 +846,7 @@ void OnNodeCrash(RepartitionRun* run, int node) {
   // replica.
   const std::vector<bool>& alive = run->membership.alive_mask();
   const uint64_t round = run->coordinator->LatestRecoverableRound(alive);
-  int heir = run->coordinator->FirstLiveHolder(node, round, alive);
-  for (int i = 1; i <= run->cluster.nodes && heir < 0; ++i) {
-    const int cand = (node + i) % run->cluster.nodes;
-    if (alive[cand]) heir = cand;
-  }
+  const int heir = run->coordinator->Heir(node, round, alive);
   run->coordinator->DiscardRoundsAfter(round);
   for (int& n : run->sender_node) {
     if (n == node) n = heir;
@@ -859,11 +855,7 @@ void OnNodeCrash(RepartitionRun* run, int node) {
     if (n == node) n = heir;
   }
 
-  uint64_t restore_bytes = 0;
-  for (int n = 0; n < run->cluster.nodes; ++n) {
-    const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
-    if (blob != nullptr) restore_bytes += blob->size();
-  }
+  const uint64_t restore_bytes = run->coordinator->RestoreBytes(round);
   uint64_t new_sockets = 0;
   for (int s = 0; s < run->senders_total(); ++s) {
     for (int cns = 0; cns < run->consumers_total(); ++cns) {
@@ -1054,11 +1046,7 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
   if (attempt > 1) {
     run->records_replayed->Add(run->records_at_crash - restored_records);
     run->records_in = restored_records;
-    for (int n = 0; n < cluster.nodes; ++n) {
-      if (!run->membership.alive(n) && !run->coordinator->retired(n)) {
-        run->coordinator->RetireNode(n, round);
-      }
-    }
+    run->coordinator->RetireDead(run->membership.alive_mask(), round);
   }
 
   for (size_t i = run->current.senders; i < run->senders.size(); ++i) {
@@ -1079,6 +1067,8 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
     stats.status = Status::InvalidArgument("JobSpec has no workload (sources)");
     return stats;
   }
+  stats.status = CheckUntenanted(spec, support.engine);
+  if (!stats.ok()) return stats;
   const ClusterConfig& cluster = spec.cluster;
   const JobConfig& job = spec.config;
   SLASH_CHECK_MSG(cluster.workers_per_node >= 2,
@@ -1091,7 +1081,7 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
     return stats;
   }
   ClusterRuntime& rt = **runtime;
-  obs::MetricsRegistry* registry = rt.registry();
+  obs::MetricsRegistry& registry = rt.registry();
   const core::QuerySpec query = spec.sources->MakeQuery();
   RepartitionRun run(design, *rt.sim(), rt.fabric(), cluster.nodes);
   run.query = &query;
@@ -1106,7 +1096,7 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
   run.pcfg.index_buckets = job.state_index_buckets;
   // A transfer latency exists only where a channel slot stamps it.
   if (design.remote == RemoteTransport::kRdmaChannel) {
-    run.latency = registry->GetHistogram(obs::metric::kTransferLatencyNs);
+    run.latency = registry.GetHistogram(obs::metric::kTransferLatencyNs);
   }
   run.tracer = run.sim.tracer();
   if (run.tracer != nullptr) {
@@ -1120,13 +1110,13 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
   if (design.recovery) {
     run.fabric->SetNodeCrashHandler(
         [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
-    run.coordinator = std::make_unique<RecoveryCoordinator>(cluster.nodes);
-    run.coordinator->AttachMetrics(registry);
-    run.recoveries = registry->GetCounter(obs::metric::kRecoveries);
-    run.recovery_ns = registry->GetCounter(obs::metric::kRecoveryNs);
-    run.records_replayed = registry->GetCounter(obs::metric::kRecordsReplayed);
+    run.coordinator = std::make_unique<RecoveryCoordinator>(
+        cluster.nodes, registry.GetCounter(obs::metric::kCheckpointsTaken));
+    run.recoveries = registry.GetCounter(obs::metric::kRecoveries);
+    run.recovery_ns = registry.GetCounter(obs::metric::kRecoveryNs);
+    run.records_replayed = registry.GetCounter(obs::metric::kRecordsReplayed);
     run.bytes_replicated =
-        registry->GetCounter(obs::metric::kCheckpointBytesReplicated);
+        registry.GetCounter(obs::metric::kCheckpointBytesReplicated);
   }
   for (int s = 0; s < run.senders_total(); ++s) {
     run.sender_node.push_back(s / run.senders_per_node);
@@ -1143,15 +1133,15 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
   if (design.remote == RemoteTransport::kRdmaChannel && !run.failed) {
     uint64_t credits = 0;
     for (auto& ch : run.channels) credits += ch->credits_outstanding();
-    registry->GetCounter(obs::metric::kChannelCreditsOutstanding)
+    registry.GetCounter(obs::metric::kChannelCreditsOutstanding)
         ->Add(credits);
   }
-  registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
+  registry.GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
   // Results come from the surviving attempt's consumers only; CPU counters
   // accumulate across every attempt — a torn-down attempt still burned the
   // cycles.
-  obs::Counter* emitted = registry->GetCounter(obs::metric::kRecordsEmitted);
-  obs::Counter* checksum = registry->GetCounter(obs::metric::kResultChecksum);
+  obs::Counter* emitted = registry.GetCounter(obs::metric::kRecordsEmitted);
+  obs::Counter* checksum = registry.GetCounter(obs::metric::kResultChecksum);
   for (size_t i = run.current.consumers; i < run.consumers.size(); ++i) {
     const ConsumerState* c = run.consumers[i].get();
     emitted->Add(c->sink.count());
@@ -1160,14 +1150,14 @@ RunStats RunRepartition(const JobSpec& spec, const EngineSupport& support,
                       c->sink.rows().end());
   }
   perf::Counters* senders =
-      registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "sender"}});
+      registry.GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "sender"}});
   for (auto& s : run.senders) senders->Merge(s->cpu->counters());
   perf::Counters* receivers =
-      registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "receiver"}});
+      registry.GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "receiver"}});
   for (auto& c : run.consumers) receivers->Merge(c->cpu->counters());
   if (!run.repl_cpus.empty()) {
     perf::Counters* replication =
-        registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "replication"}});
+        registry.GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "replication"}});
     for (auto& cpu : run.repl_cpus) replication->Merge(cpu->counters());
   }
   rt.Finish(&stats);

@@ -984,11 +984,7 @@ void FinishRebuild(SlashRun* run, uint64_t round, int attempt) {
 /// restore streaming) and arms the progress watchdog over it.
 void ScheduleRebuild(SlashRun* run, uint64_t round) {
   run->coordinator->DiscardRoundsAfter(round);
-  uint64_t restore_bytes = 0;
-  for (int n = 0; n < run->cluster.nodes; ++n) {
-    const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
-    if (blob != nullptr) restore_bytes += blob->size();
-  }
+  const uint64_t restore_bytes = run->coordinator->RestoreBytes(round);
   uint64_t new_channels = 0;
   for (int h = 0; h < run->cluster.nodes; ++h) {
     if (!run->members->alive(h)) continue;
@@ -1005,15 +1001,11 @@ void ScheduleRebuild(SlashRun* run, uint64_t round) {
   ArmRecoveryWatchdog(run);
 }
 
-/// Hands `node`'s partitions and flows to its heir: a live holder of its
-/// round-`round` blob, else the next live node after it.
+/// Hands `node`'s partitions and flows to its heir
+/// (RecoveryCoordinator::Heir).
 void RehomeToHeir(SlashRun* run, int node, uint64_t round) {
-  const std::vector<bool>& alive = run->members->alive_mask();
-  int heir = run->coordinator->FirstLiveHolder(node, round, alive);
-  for (int i = 1; i <= run->cluster.nodes && heir < 0; ++i) {
-    const int cand = (node + i) % run->cluster.nodes;
-    if (alive[cand]) heir = cand;
-  }
+  const int heir =
+      run->coordinator->Heir(node, round, run->members->alive_mask());
   std::replace(run->owner.begin(), run->owner.end(), node, heir);
   std::replace(run->flow_home.begin(), run->flow_home.end(), node, heir);
 }
@@ -1517,11 +1509,7 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
 
   // Nodes dead before this attempt never appear in a future barrier: their
   // partitions are snapshotted by their heirs from now on.
-  for (int n = 0; n < cluster.nodes; ++n) {
-    if (!run->members->alive(n) && !run->coordinator->retired(n)) {
-      run->coordinator->RetireNode(n, round);
-    }
-  }
+  run->coordinator->RetireDead(run->members->alive_mask(), round);
 
   // Watchdog baseline: input progress beyond this level proves the rebuilt
   // attempt is actually running.
@@ -1536,9 +1524,10 @@ obs::LabelSet JobLabels(const SlashRun& run) {
 }
 
 /// Resolves the job's observability handles (histogram, tracer interns)
-/// from the already-registered telemetry plane.
-void ResolveObs(SlashRun* run, obs::MetricsRegistry* registry) {
-  run->latency = registry->GetHistogram(obs::metric::kTransferLatencyNs);
+/// from the simulator's telemetry plane.
+void ResolveObs(SlashRun* run) {
+  run->latency =
+      run->sim->metrics().GetHistogram(obs::metric::kTransferLatencyNs);
   run->tracer = run->sim->tracer();
   if (run->tracer != nullptr) {
     run->trace_epoch = run->tracer->Intern("engine.epoch");
@@ -1554,7 +1543,7 @@ void ResolveObs(SlashRun* run, obs::MetricsRegistry* registry) {
 /// the recovery control plane and the identity placement, threads the
 /// tenant identity and quota into the job's channel config, and builds
 /// attempt 1. The fabric and obs handles must already be wired up.
-void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
+void SetUpJob(SlashRun* run) {
   const ClusterConfig& cluster = run->cluster;
   const JobConfig& job = run->job;
 
@@ -1574,13 +1563,13 @@ void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
     return c;
   }();
 
-  run->coordinator = std::make_unique<RecoveryCoordinator>(cluster.nodes);
-  run->coordinator->AttachMetrics(registry, JobLabels(*run));
   // In-place tallies; the health and elastic ones register only for a run
   // that constructs the monitor or the reconfiguration coordinator.
   auto counter = [&](std::string_view name) {
-    return registry->GetCounter(name, JobLabels(*run));
+    return run->sim->metrics().GetCounter(name, JobLabels(*run));
   };
+  run->coordinator = std::make_unique<RecoveryCoordinator>(
+      cluster.nodes, counter(obs::metric::kCheckpointsTaken));
   run->recoveries = counter(obs::metric::kRecoveries);
   run->recovery_ns = counter(obs::metric::kRecoveryNs);
   run->records_replayed = counter(obs::metric::kRecordsReplayed);
@@ -1621,12 +1610,12 @@ void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
 }
 
 /// Publishes the job's end-of-run values under its labels; its tallies,
-/// channel retries and NIC tx bytes were published in place. The drain
-/// time and quota denials are opt-in instruments that only register for
-/// jobs that carry a tenant / quota, so an untenanted job's snapshot has no
-/// job-scoped extras.
-void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
-                     RunStats* stats) {
+/// channel retries, quota denials and NIC tx bytes were published in place.
+/// The drain time and quota denials are opt-in instruments that only
+/// register for jobs that carry a tenant / quota, so an untenanted job's
+/// snapshot has no job-scoped extras.
+void PublishJobStats(SlashRun& run, RunStats* stats) {
+  obs::MetricsRegistry& registry = run.sim->metrics();
   const obs::LabelSet labels = JobLabels(run);
   if (!run.failed) {
     // Only the surviving attempt's channels can owe credits; channels of a
@@ -1635,33 +1624,24 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
     for (size_t i = run.attempt_channel_start; i < run.channels.size(); ++i) {
       credits += run.channels[i]->credits_outstanding();
     }
-    registry->GetCounter(obs::metric::kChannelCreditsOutstanding, labels)
+    registry.GetCounter(obs::metric::kChannelCreditsOutstanding, labels)
         ->Add(credits);
   }
-  registry->GetCounter(obs::metric::kRecordsIn, labels)->Add(run.records_in);
+  registry.GetCounter(obs::metric::kRecordsIn, labels)->Add(run.records_in);
   if (run.reconfig_coord != nullptr) {
-    const elastic::ReconfigCoordinator& coord = *run.reconfig_coord;
-    registry->GetCounter(obs::metric::kElasticReconfigs, labels)
-        ->Add(coord.joins_executed() + coord.leaves_executed());
-    registry->GetCounter(obs::metric::kElasticJoins, labels)
-        ->Add(coord.joins_executed());
-    registry->GetCounter(obs::metric::kElasticLeaves, labels)
-        ->Add(coord.leaves_executed());
-    registry->GetCounter(obs::metric::kElasticDeferrals, labels)
-        ->Add(coord.deferrals());
-    registry->GetCounter(obs::metric::kElasticTraceDigest, labels)
-        ->Add(coord.trace_digest());
+    registry.GetCounter(obs::metric::kElasticTraceDigest, labels)
+        ->Add(run.reconfig_coord->trace_digest());
     for (int p = 0; p < run.cluster.nodes; ++p) {
       registry
-          ->GetGauge(obs::metric::kElasticPartitionLoad,
-                     labels.With("partition", std::to_string(p)))
+          .GetGauge(obs::metric::kElasticPartitionLoad,
+                    labels.With("partition", std::to_string(p)))
           ->Set(double(run.partition_load[size_t(p)]));
     }
   }
   obs::Counter* emitted =
-      registry->GetCounter(obs::metric::kRecordsEmitted, labels);
+      registry.GetCounter(obs::metric::kRecordsEmitted, labels);
   obs::Counter* checksum =
-      registry->GetCounter(obs::metric::kResultChecksum, labels);
+      registry.GetCounter(obs::metric::kResultChecksum, labels);
   for (NodeState* ns : run.nodes) {
     if (ns == nullptr) continue;
     emitted->Add(ns->sink.count());
@@ -1673,28 +1653,24 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
   }
   // CPU counters accumulate across every attempt — a torn-down attempt
   // still burned the cycles.
-  perf::Counters* workers = registry->GetCpu(
+  perf::Counters* workers = registry.GetCpu(
       obs::metric::kCpu, labels.With(obs::kLabelRole, "worker"));
   for (auto& ns : run.node_storage) {
     for (auto& cpu : ns->worker_cpus) workers->Merge(cpu->counters());
   }
   if (!run.generator_cpus.empty()) {
-    perf::Counters* generators = registry->GetCpu(
+    perf::Counters* generators = registry.GetCpu(
         obs::metric::kCpu, labels.With(obs::kLabelRole, "generator"));
     for (auto& cpu : run.generator_cpus) generators->Merge(cpu->counters());
   }
   if (!run.repl_cpus.empty()) {
-    perf::Counters* replication = registry->GetCpu(
+    perf::Counters* replication = registry.GetCpu(
         obs::metric::kCpu, labels.With(obs::kLabelRole, "replication"));
     for (auto& cpu : run.repl_cpus) replication->Merge(cpu->counters());
   }
   if (!run.tenant.empty()) {
-    registry->GetCounter(obs::metric::kJobDrainNs, labels)
+    registry.GetCounter(obs::metric::kJobDrainNs, labels)
         ->Add(uint64_t(run.drained_at));
-  }
-  if (run.quota != nullptr) {
-    registry->GetCounter(obs::metric::kChannelQuotaDenials, labels)
-        ->Add(run.quota->denials());
   }
 }
 
@@ -1763,7 +1739,6 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
       one_job ? jobs[0].config.tracer : nullptr);
   if (!runtime.ok()) return Rejected(engine, runtime.status());
   ClusterRuntime& rt = **runtime;
-  obs::MetricsRegistry* registry = rt.registry();
   if (cluster.reconfig != nullptr && !jobs[0].config.checkpoint.enabled) {
     return Rejected(engine, Status::InvalidArgument(
                                 "elastic reconfiguration requires "
@@ -1788,7 +1763,10 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     run->job = jobs[j].config;
     run->tenant = jobs[j].tenant;
     if (jobs[j].quota > 0) {
-      run->quota = std::make_unique<channel::CreditQuota>(jobs[j].quota);
+      run->quota = std::make_unique<channel::CreditQuota>(
+          jobs[j].quota,
+          rt.registry().GetCounter(obs::metric::kChannelQuotaDenials,
+                                   JobLabels(*run)));
     }
     // A multi-job run gives every job dedicated trace tracks, named after
     // its tenant, so one trace file shows every job's epochs and recovery
@@ -1805,11 +1783,11 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
         }
       }
     }
-    ResolveObs(run.get(), registry);
+    ResolveObs(run.get());
     runs.push_back(std::move(run));
   }
 
-  for (auto& run : runs) SetUpJob(run.get(), registry);
+  for (auto& run : runs) SetUpJob(run.get());
 
   // Faults, health and reconfiguration reason about one job's ownership
   // map and recovery rounds, so the runtime admits them for one job only.
@@ -1861,7 +1839,7 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     };
     reconfig_callbacks.sample_records = [rp] { return rp->records_in; };
     rp->reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
-        rt.sim(), cluster.reconfig, cluster.nodes,
+        rt.sim(), cluster.reconfig, cluster.nodes, JobLabels(*rp),
         std::move(reconfig_callbacks));
     rp->reconfig_coord->Start();
   }
@@ -1878,7 +1856,7 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     stats.engine = engine;
     stats.status = run.failed ? run.failure : Status::OK();
     if (!stats.ok() && multi.status.ok()) multi.status = stats.status;
-    PublishJobStats(run, registry, &stats);
+    PublishJobStats(run, &stats);
   }
   multi.cluster.status = multi.status;
   // Faults run with one job only, so their counters carry its labels.

@@ -21,6 +21,10 @@ uint64_t LoadWord(const uint8_t* p) {
 
 void StoreWord(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
+obs::MetricsRegistry& Registry(rdma::Fabric* fabric) {
+  return fabric->simulator()->metrics();
+}
+
 }  // namespace
 
 Status HealthConfig::Validate() const {
@@ -58,7 +62,19 @@ HealthMonitor::HealthMonitor(rdma::Fabric* fabric, const HealthConfig& config,
     : fabric_(fabric),
       config_(config),
       nodes_(nodes),
-      callbacks_(std::move(callbacks)) {
+      callbacks_(std::move(callbacks)),
+      probes_sent_(
+          Registry(fabric).GetCounter(obs::metric::kHealthProbesSent)),
+      probe_misses_(
+          Registry(fabric).GetCounter(obs::metric::kHealthProbeMisses)),
+      suspicions_(
+          Registry(fabric).GetCounter(obs::metric::kHealthSuspicions)),
+      false_positives_(
+          Registry(fabric).GetCounter(obs::metric::kHealthFalsePositives)),
+      fence_events_(
+          Registry(fabric).GetCounter(obs::metric::kHealthFenceEvents)),
+      quarantines_(
+          Registry(fabric).GetCounter(obs::metric::kHealthQuarantines)) {
   SLASH_CHECK_GT(nodes_, 0);
   SLASH_CHECK_LE(nodes_, fabric_->nodes());
   SLASH_CHECK(config_.Validate().ok());
@@ -74,7 +90,6 @@ HealthMonitor::HealthMonitor(rdma::Fabric* fabric, const HealthConfig& config,
         fabric_->pd(n)->RegisterRegion(kLivenessWordBytes * uint64_t(nodes_));
     StoreWord(liveness_[n]->data(), 0);
   }
-  obs::MetricsRegistry* registry = fabric_->simulator()->metrics();
   probes_.resize(nodes_);
   for (int m = 0; m < nodes_; ++m) {
     probes_[m].resize(nodes_);
@@ -86,27 +101,10 @@ HealthMonitor::HealthMonitor(rdma::Fabric* fabric, const HealthConfig& config,
           [this, m, p](const rdma::Completion& c) {
             return OnProbeCompletion(m, p, c);
           });
-      if (registry != nullptr) {
-        probe.gauge = registry->GetGauge(
-            obs::metric::kHealthSuspicion,
-            {{obs::kLabelNode, std::to_string(m)},
-             {"peer", std::to_string(p)}});
-      }
+      probe.gauge = Registry(fabric_).GetGauge(
+          obs::metric::kHealthSuspicion,
+          {{obs::kLabelNode, std::to_string(m)}, {"peer", std::to_string(p)}});
     }
-  }
-  if (registry != nullptr) {
-    probes_sent_counter_ =
-        registry->GetCounter(obs::metric::kHealthProbesSent);
-    probe_misses_counter_ =
-        registry->GetCounter(obs::metric::kHealthProbeMisses);
-    suspicions_counter_ =
-        registry->GetCounter(obs::metric::kHealthSuspicions);
-    false_positives_counter_ =
-        registry->GetCounter(obs::metric::kHealthFalsePositives);
-    fence_events_counter_ =
-        registry->GetCounter(obs::metric::kHealthFenceEvents);
-    quarantines_counter_ =
-        registry->GetCounter(obs::metric::kHealthQuarantines);
   }
 }
 
@@ -129,8 +127,7 @@ void HealthMonitor::SetQuarantined(int node, bool quarantined) {
   if (quarantined_[node] == quarantined) return;
   quarantined_[node] = quarantined;
   if (quarantined) {
-    ++quarantines_;
-    if (quarantines_counter_ != nullptr) quarantines_counter_->Add(1);
+    quarantines_->Add(1);
     TraceInstant("health.quarantine", node);
   } else {
     // Rejoin: the peer starts from a clean slate on every monitor so stale
@@ -141,7 +138,7 @@ void HealthMonitor::SetQuarantined(int node, bool quarantined) {
       PeerProbe& probe = probes_[m][node];
       probe.missed = 0;
       probe.suspect = false;
-      if (probe.gauge != nullptr) probe.gauge->Set(0);
+      probe.gauge->Set(0);
     }
   }
 }
@@ -161,7 +158,7 @@ void HealthMonitor::SetMembership(int node, bool member) {
       probe->missed = 0;
       probe->suspect = false;
       probe->outstanding = false;
-      if (probe->gauge != nullptr) probe->gauge->Set(0);
+      probe->gauge->Set(0);
     }
   }
   if (member) {
@@ -207,8 +204,7 @@ void HealthMonitor::Tick(int monitor) {
       probe.outstanding = true;
       probe.outstanding_seq = ++probe.next_seq;
       probe.sent_at = now;
-      ++probes_sent_;
-      if (probes_sent_counter_ != nullptr) probes_sent_counter_->Add(1);
+      probes_sent_->Add(1);
       rdma::MemorySpan span{landing_[monitor],
                             uint64_t(p) * kLivenessWordBytes,
                             kLivenessWordBytes};
@@ -251,13 +247,11 @@ bool HealthMonitor::OnProbeCompletion(int monitor, int peer,
 void HealthMonitor::Miss(int monitor, int peer) {
   PeerProbe& probe = probes_[monitor][peer];
   ++probe.missed;
-  ++probe_misses_;
-  if (probe_misses_counter_ != nullptr) probe_misses_counter_->Add(1);
-  if (probe.gauge != nullptr) probe.gauge->Set(double(probe.missed));
+  probe_misses_->Add(1);
+  probe.gauge->Set(double(probe.missed));
   if (!probe.suspect && probe.missed >= config_.suspicion_threshold) {
     probe.suspect = true;
-    ++suspicions_;
-    if (suspicions_counter_ != nullptr) suspicions_counter_->Add(1);
+    suspicions_->Add(1);
     TraceInstant("health.suspect", peer);
   }
 }
@@ -275,15 +269,12 @@ void HealthMonitor::Progress(int monitor, int peer) {
     if (probe.suspect) {
       // Reached threshold but recovered before the engine quarantined it:
       // the detector cried wolf.
-      ++false_positives_;
-      if (false_positives_counter_ != nullptr) {
-        false_positives_counter_->Add(1);
-      }
+      false_positives_->Add(1);
       TraceInstant("health.false_positive", peer);
     }
     probe.suspect = false;
     probe.missed = 0;
-    if (probe.gauge != nullptr) probe.gauge->Set(0);
+    probe.gauge->Set(0);
   }
 }
 
@@ -325,8 +316,7 @@ void HealthMonitor::Evaluate(int monitor) {
   } else if (!fenced_[monitor]) {
     // Minority side of a cut: fence before any divergent epoch can commit.
     fenced_[monitor] = true;
-    ++fence_events_;
-    if (fence_events_counter_ != nullptr) fence_events_counter_->Add(1);
+    fence_events_->Add(1);
     TraceInstant("health.fence", monitor);
     if (callbacks_.on_self_fence) callbacks_.on_self_fence(monitor);
   }

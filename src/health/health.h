@@ -127,7 +127,6 @@ class HealthMonitor {
   /// rejoin signal. Lifting the quarantine resets the peer's probe state
   /// on every monitor (fresh slate).
   void SetQuarantined(int node, bool quarantined);
-  bool quarantined(int node) const { return quarantined_[node]; }
 
   /// Elastic membership: a planned leave RETIRES `node` from the detector's
   /// view — it stops probing, stops being probed, and drops out of the
@@ -136,7 +135,6 @@ class HealthMonitor {
   /// activated after Start) re-admits it with a clean probe slate and arms
   /// its heartbeat tick. Every node is a member by default.
   void SetMembership(int node, bool member);
-  bool member(int node) const { return member_[node]; }
 
   /// True while `node` has self-fenced (no majority contact).
   bool fenced(int node) const { return fenced_[node]; }
@@ -146,13 +144,6 @@ class HealthMonitor {
   uint32_t suspicion(int monitor, int peer) const {
     return probes_[monitor][peer].missed;
   }
-
-  uint64_t probes_sent() const { return probes_sent_; }
-  uint64_t probe_misses() const { return probe_misses_; }
-  uint64_t suspicions() const { return suspicions_; }
-  uint64_t false_positives() const { return false_positives_; }
-  uint64_t fence_events() const { return fence_events_; }
-  uint64_t quarantines() const { return quarantines_; }
 
   const HealthConfig& config() const { return config_; }
 
@@ -165,7 +156,7 @@ class HealthMonitor {
     Nanos sent_at = 0;
     uint32_t missed = 0;
     bool suspect = false;
-    obs::Gauge* gauge = nullptr;  // health.suspicion{node,peer}; opt-in
+    obs::Gauge* gauge = nullptr;  // health.suspicion{node,peer}
   };
 
   void Tick(int monitor);
@@ -188,18 +179,13 @@ class HealthMonitor {
   std::vector<bool> fenced_;
   std::vector<bool> member_;      // false = elastically retired/not yet joined
   std::vector<bool> tick_armed_;  // a Tick event chain exists for this node
-  uint64_t probes_sent_ = 0;
-  uint64_t probe_misses_ = 0;
-  uint64_t suspicions_ = 0;
-  uint64_t false_positives_ = 0;
-  uint64_t fence_events_ = 0;
-  uint64_t quarantines_ = 0;
-  obs::Counter* probes_sent_counter_ = nullptr;
-  obs::Counter* probe_misses_counter_ = nullptr;
-  obs::Counter* suspicions_counter_ = nullptr;
-  obs::Counter* false_positives_counter_ = nullptr;
-  obs::Counter* fence_events_counter_ = nullptr;
-  obs::Counter* quarantines_counter_ = nullptr;
+  // The health.* tallies, published in place into the simulator's registry.
+  obs::Counter* probes_sent_;
+  obs::Counter* probe_misses_;
+  obs::Counter* suspicions_;
+  obs::Counter* false_positives_;
+  obs::Counter* fence_events_;
+  obs::Counter* quarantines_;
 };
 
 }  // namespace slash::health

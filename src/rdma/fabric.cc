@@ -21,15 +21,11 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
   qp_per_node_.assign(config.nodes, 0);
   for (int n = 0; n < config.nodes; ++n) {
     pds_.push_back(std::make_unique<ProtectionDomain>(n));
-    nics_.push_back(std::make_unique<Nic>(n, config.nic));
-  }
-  if (obs::MetricsRegistry* registry = sim_->metrics()) {
     // Per-node tx counters; their sum is exactly total_tx_bytes().
-    for (int n = 0; n < config.nodes; ++n) {
-      nics_[n]->set_tx_counter(registry->GetCounter(
-          obs::metric::kNetworkTxBytes,
-          {{obs::kLabelNode, std::to_string(n)}}));
-    }
+    nics_.push_back(std::make_unique<Nic>(
+        n, config.nic,
+        sim_->metrics().GetCounter(obs::metric::kNetworkTxBytes,
+                                   {{obs::kLabelNode, std::to_string(n)}})));
   }
   // Shared transports are built eagerly so QP numbering, accounting, and
   // fault-plan targets do not depend on the order flows open in.

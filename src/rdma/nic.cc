@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "perf/cost_model.h"
 
 namespace slash::rdma {
@@ -45,9 +44,8 @@ void Nic::PauseUntil(Nanos until) {
 Nanos Nic::ReserveTx(Nanos now, uint64_t bytes, bool inline_send) {
   const Nanos start = std::max(now, tx_free_);
   tx_free_ = start + TransferDuration(bytes, inline_send);
-  tx_bytes_ += bytes;
+  tx_bytes_->Add(bytes);
   ++tx_messages_;
-  if (tx_counter_ != nullptr) tx_counter_->Add(bytes);
   return tx_free_;
 }
 

@@ -15,10 +15,7 @@
 #include <cstdint>
 
 #include "common/units.h"
-
-namespace slash::obs {
-class Counter;
-}  // namespace slash::obs
+#include "obs/metrics.h"
 
 namespace slash::rdma {
 
@@ -55,7 +52,10 @@ struct NicConfig {
 /// accounting.
 class Nic {
  public:
-  Nic(int node, const NicConfig& config) : node_(node), config_(config) {}
+  /// `tx_bytes` is the node's `fabric.tx_bytes` registry counter (the
+  /// fabric resolves it); ReserveTx publishes every transmitted byte there.
+  Nic(int node, const NicConfig& config, obs::Counter* tx_bytes)
+      : node_(node), config_(config), tx_bytes_(tx_bytes) {}
 
   int node() const { return node_; }
   const NicConfig& config() const { return config_; }
@@ -93,14 +93,10 @@ class Nic {
   void set_speed_factor(double factor);
   double speed_factor() const { return speed_factor_; }
 
-  uint64_t tx_bytes() const { return tx_bytes_; }
+  uint64_t tx_bytes() const { return tx_bytes_->value(); }
   uint64_t rx_bytes() const { return rx_bytes_; }
   uint64_t tx_messages() const { return tx_messages_; }
   uint64_t rx_messages() const { return rx_messages_; }
-
-  /// Registers a registry counter mirroring tx_bytes(); the fabric wires a
-  /// per-node `fabric.tx_bytes` instrument here at construction.
-  void set_tx_counter(obs::Counter* counter) { tx_counter_ = counter; }
 
   /// Time at which the transmit path becomes idle.
   Nanos tx_busy_until() const { return tx_free_; }
@@ -123,11 +119,10 @@ class Nic {
   double speed_factor_ = 1.0;
   Nanos tx_free_ = 0;
   Nanos rx_free_ = 0;
-  uint64_t tx_bytes_ = 0;
+  obs::Counter* tx_bytes_;
   uint64_t rx_bytes_ = 0;
   uint64_t tx_messages_ = 0;
   uint64_t rx_messages_ = 0;
-  obs::Counter* tx_counter_ = nullptr;
 };
 
 }  // namespace slash::rdma

@@ -43,9 +43,9 @@
 
 #include "common/logging.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 
 namespace slash::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace slash::obs
 
@@ -211,14 +211,16 @@ class Simulator {
   }
   FaultInjector* fault_injector() const { return fault_injector_; }
 
-  /// Registers the run's observability plane (see src/obs/). Substrate
-  /// layers built on this simulator (fabric, NICs, channels) discover both
-  /// here and resolve their instrument handles / interned trace names once
-  /// at construction — the same discovery pattern as the fault injector.
-  /// Register before building the fabric. `tracer` should be nullptr when
-  /// tracing is disabled so every trace point stays a single branch.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// The run's metrics registry (see src/obs/), owned here and always
+  /// present: every layer built on this simulator (fabric, NICs, channels,
+  /// health, elastic, recovery) resolves its instruments here once at
+  /// construction and publishes in place.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
+  /// Registers the run's tracer. Layers discover it here and intern their
+  /// trace names once at construction, so register before building the
+  /// fabric. nullptr when tracing is disabled, so every trace point stays a
+  /// single branch.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -401,6 +403,10 @@ class Simulator {
     free_ = node;
   }
 
+  // Declared first, so it outlives the task frames and callables destroyed
+  // with the rest of the kernel state.
+  obs::MetricsRegistry metrics_;
+
   // Two-tier queue state. The wheel window is fixed at
   // [window_start_, window_start_ + kNearWindowNanos) while the wheel is
   // non-empty; it advances (migrating far timers in) only when the wheel
@@ -420,7 +426,6 @@ class Simulator {
   uint64_t next_seq_ = 0;
   int pending_tasks_ = 0;
   FaultInjector* fault_injector_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 
   uint64_t events_fired_ = 0;

@@ -180,8 +180,7 @@ TEST(RdmaChannelTest, MixedSizesUnderBatchingStayFifoAndIntact) {
   cfg.slot_bytes = 4096;
   cfg.post_batch = 2;
   cfg.inline_threshold = 2 * 4096;  // every coalesced run goes inline
-  obs::MetricsRegistry registry;
-  h.sim.set_metrics(&registry);
+  obs::MetricsRegistry& registry = h.sim.metrics();
   auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
   std::vector<uint64_t> tags;
   // Alternating small/large payloads: every slot ships whole, so the
@@ -255,38 +254,6 @@ TEST(RdmaChannelTest, ReleaseOutOfOrderRejected) {
   fake.slot_index = 2;  // expected release order starts at slot 0
   EXPECT_EQ(ch->Release(fake, &h.consumer_cpu).code(),
             StatusCode::kFailedPrecondition);
-}
-
-sim::Task ExternalProducer(RdmaChannel* ch, rdma::MemoryRegion* lss,
-                           int count, uint64_t payload_len,
-                           perf::CpuContext* cpu) {
-  for (int i = 0; i < count; ++i) {
-    while (!ch->has_credit()) {
-      co_await ch->credit_event().Wait();
-    }
-    // Payload lives at a rotating offset inside the external (LSS) region.
-    const uint64_t off = (uint64_t(i) * payload_len) % (lss->size() / 2);
-    std::memset(lss->data() + off, i % 251, payload_len);
-    SLASH_CHECK(ch->PostExternal(rdma::MemorySpan{lss, off, payload_len},
-                                 /*user_tag=*/i, /*watermark=*/i * 10, cpu)
-                    .ok());
-    co_await cpu->Sync();
-  }
-}
-
-TEST(RdmaChannelTest, PostExternalShipsZeroCopyFromLssMemory) {
-  Harness h;
-  ChannelConfig cfg;
-  cfg.credits = 4;
-  cfg.slot_bytes = 8192;
-  auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
-  rdma::MemoryRegion* lss = h.fabric.pd(0)->RegisterRegion(1 * kMiB);
-  std::vector<uint64_t> tags;
-  h.sim.Spawn(ExternalProducer(ch.get(), lss, 20, 500, &h.producer_cpu));
-  h.sim.Spawn(Consumer(ch.get(), 20, 500, &h.consumer_cpu, &tags));
-  h.sim.Run();
-  ASSERT_EQ(tags.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(tags[i], uint64_t(i));
 }
 
 TEST(RdmaChannelTest, WatermarkAndTagPiggybackIntact) {

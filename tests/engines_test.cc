@@ -5,6 +5,7 @@
 // node among re-partitioning-free designs).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -164,6 +165,29 @@ TEST(LightSaberEngineTest, RejectsMultiNode) {
   EXPECT_DEATH(engine.Run(MakeJobSpec("", workload, SmallCluster(2, 2),
                                       SmallJob(100))),
                "single-node");
+}
+
+// Only Slash runs tenant-labelled, quota-capped jobs; the other engines
+// reject either field instead of running the job unthrottled and
+// unlabelled.
+TEST(TenancyTest, NonSlashEnginesRejectTenantsAndQuotas) {
+  workloads::YsbWorkload workload;
+  UpParEngine uppar;
+  FlinkLikeEngine flink;
+  LightSaberEngine lightsaber;
+  for (Engine* engine :
+       std::initializer_list<Engine*>{&uppar, &flink, &lightsaber}) {
+    const int nodes = engine == &lightsaber ? 1 : 2;
+    const ClusterConfig cluster = SmallCluster(nodes, 2);
+    const RunStats tenant =
+        engine->Run(MakeJobSpec("t0", workload, cluster, SmallJob(100)));
+    EXPECT_EQ(tenant.status.code(), StatusCode::kUnimplemented)
+        << engine->name();
+    const RunStats quota = engine->Run(
+        MakeJobSpec("", workload, cluster, SmallJob(100), /*quota=*/4));
+    EXPECT_EQ(quota.status.code(), StatusCode::kUnimplemented)
+        << engine->name();
+  }
 }
 
 TEST(EngineOrderingTest, SlashFastestOnYsb) {

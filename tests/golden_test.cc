@@ -329,6 +329,43 @@ RunStats CrashDuringHandoff(obs::Tracer* tracer) {
   return stats;
 }
 
+// elastic_test's LoadTriggerGrowsTheClusterUnderIngestPressure: the load
+// trigger, not a plan, grows the cluster from 2 actives.
+RunStats LoadTrigger(obs::Tracer* tracer) {
+  workloads::YsbWorkload ysb(workloads::YsbConfig{.key_range = 300});
+  JobSpec job = LifecycleJob(ysb, 4, 4000);
+  elastic::ReconfigPlan plan;
+  plan.initial_nodes = 2;
+  plan.trigger.enabled = true;
+  plan.trigger.interval = 20 * kMicrosecond;
+  plan.trigger.join_above = 1;
+  plan.trigger.cooldown_intervals = 1;
+  job.cluster.reconfig = &plan;
+  job.config.tracer = tracer;
+  SlashEngine engine;
+  const RunStats stats = engine.Run(job);
+  EXPECT_GT(stats.elastic_joins(), 0u);
+  return stats;
+}
+
+// join_only under a tenant label with the failure detector on: the health
+// and elastic instruments are published under the job's labels.
+RunStats TenantHealthJoin(obs::Tracer* tracer) {
+  workloads::YsbWorkload ysb(workloads::YsbConfig{.key_range = 300});
+  JobSpec job = LifecycleJob(ysb, 4, 3000);
+  job.tenant = "t0";
+  EnableHealth(&job);
+  const RunStats stats = RunArranged(
+      job, tracer,
+      [](Nanos ms, sim::FaultPlan*, elastic::ReconfigPlan* plan) {
+        plan->initial_nodes = 2;
+        plan->joins.push_back({.at = At(ms, 0.3), .node = 2});
+        plan->joins.push_back({.at = At(ms, 0.6), .node = 3});
+      });
+  EXPECT_EQ(stats.elastic_joins(), 2u);
+  return stats;
+}
+
 struct LifecycleCase {
   const char* name;
   RunStats (*run)(obs::Tracer* tracer);
@@ -362,6 +399,10 @@ constexpr LifecycleCase kLifecycle[] = {
      0x6ae220f6958c1090, 0x6e6f2240fff5a806},
     {"crash_during_handoff", CrashDuringHandoff, 0xace90200f2f393f6,
      0xdc8535ce860c4ffd, 0xc97679a88da8afd6},
+    {"load_trigger", LoadTrigger, 0x60ae6ff2d02ff23e, 0xc696b9dd72161920,
+     0xc03ee8efd624287},
+    {"tenant_health_join", TenantHealthJoin, 0x7dff3029de7950,
+     0xabceea252f54e7e, 0xc1f2d6bdae68eed9},
 };
 
 class GoldenLifecycle : public ::testing::TestWithParam<LifecycleCase> {};

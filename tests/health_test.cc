@@ -17,14 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "channel/rdma_channel.h"
 #include "core/oracle.h"
 #include "engines/flink_engine.h"
 #include "engines/lightsaber_engine.h"
 #include "engines/slash_engine.h"
 #include "engines/uppar_engine.h"
 #include "health/health.h"
+#include "obs/metrics.h"
 #include "rdma/fabric.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
@@ -233,6 +236,11 @@ struct MonitorHarness {
     sim.ScheduleAt(duration, [this] { monitor->Stop(); });
     sim.Run();
   }
+
+  /// A counter the run published into the simulator's registry.
+  uint64_t Tally(std::string_view name) {
+    return sim.metrics().Snapshot().CounterValue(name);
+  }
 };
 
 TEST(HealthMonitorTest, QuietClusterStaysUnsuspected) {
@@ -241,10 +249,10 @@ TEST(HealthMonitorTest, QuietClusterStaysUnsuspected) {
   MonitorHarness h(sim::FaultPlan{}, 3, hcfg);
   h.RunFor(5 * kMillisecond);
 
-  EXPECT_GT(h.monitor->probes_sent(), 0u);
-  EXPECT_EQ(h.monitor->probe_misses(), 0u);
-  EXPECT_EQ(h.monitor->suspicions(), 0u);
-  EXPECT_EQ(h.monitor->false_positives(), 0u);
+  EXPECT_GT(h.Tally(obs::metric::kHealthProbesSent), 0u);
+  EXPECT_EQ(h.Tally(obs::metric::kHealthProbeMisses), 0u);
+  EXPECT_EQ(h.Tally(obs::metric::kHealthSuspicions), 0u);
+  EXPECT_EQ(h.Tally(obs::metric::kHealthFalsePositives), 0u);
   EXPECT_TRUE(h.accusations.empty());
   EXPECT_TRUE(h.fences.empty());
 }
@@ -273,7 +281,7 @@ TEST(HealthMonitorTest, PartitionDrivesMonotonicSuspicionAndMajorityAccuses) {
   for (size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GE(samples[i], samples[i - 1]) << "suspicion flapped at " << i;
   }
-  EXPECT_GE(h.monitor->suspicions(), 1u);
+  EXPECT_GE(h.Tally(obs::metric::kHealthSuspicions), 1u);
   ASSERT_FALSE(h.accusations.empty());
   for (const auto& [monitor, suspects] : h.accusations) {
     EXPECT_NE(monitor, 2) << "minority node drove a cluster decision";
@@ -325,11 +333,35 @@ TEST(HealthMonitorTest, PlannedRetirementSilencesTheDetector) {
 
   EXPECT_EQ(h.monitor->suspicion(0, 2), 0u);
   EXPECT_EQ(h.monitor->suspicion(1, 2), 0u);
-  EXPECT_EQ(h.monitor->suspicions(), 0u);
+  EXPECT_EQ(h.Tally(obs::metric::kHealthSuspicions), 0u);
   EXPECT_TRUE(h.accusations.empty())
       << "a planned leave was accused as a failure";
   EXPECT_TRUE(h.fences.empty()) << "a retired node self-fenced";
-  EXPECT_GT(h.monitor->probes_sent(), 0u);  // the survivors keep probing
+  // The survivors keep probing.
+  EXPECT_GT(h.Tally(obs::metric::kHealthProbesSent), 0u);
+}
+
+// The registry is the simulator's and always present: a channel and a
+// monitor built on a bare simulator, with no set-up call, publish their
+// tallies into it.
+TEST(HealthMonitorTest, BareSimulatorPublishesChannelAndHealthTallies) {
+  sim::FaultPlan plan;
+  plan.drop_rules.push_back({.src_node = 0, .dst_node = 1, .max_drops = 1});
+  health::HealthConfig hcfg;
+  hcfg.enabled = true;
+  MonitorHarness h(plan, 2, hcfg);
+  auto ch = channel::RdmaChannel::Create(h.fabric.get(), 0, 1,
+                                         channel::ChannelConfig{});
+  perf::CpuContext cpu(&h.sim, &perf::CostModel::Default());
+  channel::SlotRef slot;
+  ASSERT_TRUE(ch->TryAcquire(&slot, &cpu));
+  // Posted before the first probe, so the one-shot drop takes this write.
+  ASSERT_TRUE(ch->Post(slot, 64, /*user_tag=*/0, /*watermark=*/0, &cpu).ok());
+  h.RunFor(1 * kMillisecond);
+
+  EXPECT_EQ(ch->retries(), 1u);
+  EXPECT_EQ(h.Tally(obs::metric::kChannelRetries), 1u);
+  EXPECT_GT(h.Tally(obs::metric::kHealthProbesSent), 0u);
 }
 
 // --- Engine integration ----------------------------------------------------

@@ -274,10 +274,9 @@ TEST(AllocTrackerTest, EventPathIsAllocationFreeInSteadyState) {
 // path).
 TEST(AllocTrackerTest, EventPathStaysAllocationFreeWithMetricsEnabled) {
   sim::Simulator sim;
-  obs::MetricsRegistry registry;
+  obs::MetricsRegistry& registry = sim.metrics();
   obs::Tracer tracer(
       obs::Tracer::Options{.capacity = 1 << 12, .enabled = true});
-  sim.set_metrics(&registry);
   sim.set_tracer(&tracer);
 
   obs::Counter* counter = registry.GetCounter("test.steps");
@@ -356,8 +355,7 @@ sim::Task BatchedEchoConsumer(channel::RdmaChannel* ch, CpuContext* cpu,
 // completion-queue churn), and retry state only materializes on faults.
 TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   sim::Simulator sim;
-  obs::MetricsRegistry registry;
-  sim.set_metrics(&registry);
+  obs::MetricsRegistry& registry = sim.metrics();
   rdma::Fabric fabric(&sim, [] {
     rdma::FabricConfig cfg;
     cfg.nodes = 2;

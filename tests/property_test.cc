@@ -205,31 +205,28 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// --- Zero-copy external posts across credit configurations -------------------
+// --- Variable-sized slot posts across credit configurations ----------------
 
-using ExternalParam = std::tuple<int /*credits*/, int /*payloads*/>;
+using PostParam = std::tuple<int /*credits*/, int /*payloads*/>;
 
-class ExternalPostSweep : public ::testing::TestWithParam<ExternalParam> {};
+class SlotPostSweep : public ::testing::TestWithParam<PostParam> {};
 
-sim::Task ExternalProducer(channel::RdmaChannel* ch, rdma::MemoryRegion* lss,
-                           int count, perf::CpuContext* cpu) {
+sim::Task SlotProducer(channel::RdmaChannel* ch, int count,
+                       perf::CpuContext* cpu) {
   for (int i = 0; i < count; ++i) {
-    while (!ch->has_credit()) {
+    channel::SlotRef slot;
+    while (!ch->TryAcquire(&slot, cpu)) {
       co_await ch->credit_event().Wait();
     }
     const uint64_t len = 100 + uint64_t(i % 400);
-    const uint64_t off = (uint64_t(i) * 512) % (lss->size() - 512);
-    std::memset(lss->data() + off, i % 251, len);
-    SLASH_CHECK(ch->PostExternal(rdma::MemorySpan{lss, off, len},
-                                 uint64_t(i), int64_t(i), cpu)
-                    .ok());
+    std::memset(slot.payload, i % 251, len);
+    SLASH_CHECK(ch->Post(slot, len, uint64_t(i), int64_t(i), cpu).ok());
     co_await cpu->Sync();
   }
 }
 
-sim::Task ExternalConsumer(channel::RdmaChannel* ch, int count,
-                           std::vector<uint64_t>* tags,
-                           perf::CpuContext* cpu) {
+sim::Task SlotConsumer(channel::RdmaChannel* ch, int count,
+                       std::vector<uint64_t>* tags, perf::CpuContext* cpu) {
   for (int i = 0; i < count; ++i) {
     channel::InboundBuffer buffer;
     while (!ch->TryPoll(&buffer, cpu)) {
@@ -247,7 +244,7 @@ sim::Task ExternalConsumer(channel::RdmaChannel* ch, int count,
   }
 }
 
-TEST_P(ExternalPostSweep, ZeroCopyPostsStayFifoAndIntact) {
+TEST_P(SlotPostSweep, PostsStayFifoAndIntact) {
   const auto [credits, payloads] = GetParam();
   sim::Simulator sim;
   rdma::FabricConfig fcfg;
@@ -257,13 +254,12 @@ TEST_P(ExternalPostSweep, ZeroCopyPostsStayFifoAndIntact) {
   ccfg.credits = uint32_t(credits);
   ccfg.slot_bytes = 4 * kKiB;
   auto ch = channel::RdmaChannel::Create(&fabric, 0, 1, ccfg);
-  rdma::MemoryRegion* lss = fabric.pd(0)->RegisterRegion(1 * kMiB);
   perf::CpuContext tx(&sim, &perf::CostModel::Default());
   perf::CpuContext rx(&sim, &perf::CostModel::Default());
 
   std::vector<uint64_t> tags;
-  sim.Spawn(ExternalProducer(ch.get(), lss, payloads, &tx));
-  sim.Spawn(ExternalConsumer(ch.get(), payloads, &tags, &rx));
+  sim.Spawn(SlotProducer(ch.get(), payloads, &tx));
+  sim.Spawn(SlotConsumer(ch.get(), payloads, &tags, &rx));
   sim.Run();
   ASSERT_EQ(sim.pending_tasks(), 0);
   ASSERT_EQ(tags.size(), size_t(payloads));
@@ -271,10 +267,10 @@ TEST_P(ExternalPostSweep, ZeroCopyPostsStayFifoAndIntact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Credits, ExternalPostSweep,
+    Credits, SlotPostSweep,
     ::testing::Combine(::testing::Values(1, 3, 8, 32),
                        ::testing::Values(5, 64)),
-    [](const ::testing::TestParamInfo<ExternalParam>& info) {
+    [](const ::testing::TestParamInfo<PostParam>& info) {
       return "c" + std::to_string(std::get<0>(info.param)) + "_n" +
              std::to_string(std::get<1>(info.param));
     });

@@ -56,7 +56,8 @@ TEST(NicTest, TransferDurationMatchesBandwidth) {
   NicConfig cfg;
   cfg.bandwidth_bps = 10e9;
   cfg.per_message_overhead = 0;
-  Nic nic(0, cfg);
+  obs::Counter tx_bytes;
+  Nic nic(0, cfg, &tx_bytes);
   // 10 GB/s => 10 bytes per ns.
   EXPECT_EQ(nic.TransferDuration(10000), 1000);
 }
@@ -65,7 +66,8 @@ TEST(NicTest, TxSerializesBackToBack) {
   NicConfig cfg;
   cfg.bandwidth_bps = 10e9;
   cfg.per_message_overhead = 0;
-  Nic nic(0, cfg);
+  obs::Counter tx_bytes;
+  Nic nic(0, cfg, &tx_bytes);
   EXPECT_EQ(nic.ReserveTx(0, 10000), 1000);
   // Second message posted at t=0 starts after the first finishes.
   EXPECT_EQ(nic.ReserveTx(0, 10000), 2000);
@@ -79,7 +81,8 @@ TEST(NicTest, RxFanInPushesDeliveryBack) {
   NicConfig cfg;
   cfg.bandwidth_bps = 10e9;
   cfg.per_message_overhead = 0;
-  Nic nic(0, cfg);
+  obs::Counter tx_bytes;
+  Nic nic(0, cfg, &tx_bytes);
   EXPECT_EQ(nic.ReserveRx(1000, 10000), 1000);
   // Second arrival at the same time queues behind the first.
   EXPECT_EQ(nic.ReserveRx(1000, 10000), 2000);
