@@ -15,6 +15,7 @@
 #include "elastic/coordinator.h"
 #include "elastic/rebalancer.h"
 #include "engines/membership.h"
+#include "engines/state_writer.h"
 #include "engines/trigger.h"
 #include "state/state_backend.h"
 
@@ -688,7 +689,10 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
   // attempt and is part of the restored state.
   uint64_t drained_seq = ns->epoch_seq;
   std::deque<PendingDelta> send_queue;
-  uint8_t wire_buf[512];
+  // Every state operation of an input batch is staged here and flushed
+  // before the batch ends: nothing below reads or drains the SSB, or
+  // suspends, between two process() calls.
+  StateWriter state_writer(ns->ssb.get());
   size_t lane_cursor = 0;
   Record r;
   bool more = true;
@@ -708,14 +712,14 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     cpu->Charge(Op::kIndexProbe);
     if (run->query->is_join()) {
       // Holistic state: append the full wire record (state realism).
-      SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
-      SerializeWireRecord(*rec, wire_size, wire_buf);
+      SerializeWireRecord(
+          *rec, wire_size,
+          state_writer.Append(rec->key, bucket, rec->stream_id, wire_size));
       cpu->Charge(Op::kStateAppend);
       cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
-      ns->ssb->Append(rec->key, bucket, rec->stream_id, wire_buf, wire_size);
     } else {
       cpu->Charge(Op::kStateRmw);
-      ns->ssb->UpdateAggregate(rec->key, bucket, rec->value);
+      state_writer.UpdateAggregate(rec->key, bucket, rec->value);
     }
   };
 
@@ -824,6 +828,7 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
           SLASH_CHECK(lane.ingest->Release(buffer, cpu).ok());
         }
       }
+      state_writer.Flush();
       bool lanes_done = true;
       int64_t wm = core::kWatermarkMax;
       for (const Lane& lane : lanes) {

@@ -72,6 +72,11 @@ class HashIndex {
   /// Returns the chain-head address for the hashed key, or kInvalidAddress.
   uint64_t Find(KeyHash h) const;
 
+  /// Hints that the hashed key's primary bucket will be probed soon, so its
+  /// cold miss overlaps other work. A hint only: it changes no state, and
+  /// a prefetch never faults.
+  void Prefetch(KeyHash h) const { __builtin_prefetch(BucketFor(h)); }
+
   /// Returns the hashed key's slot, claiming an empty one (chain head
   /// kInvalidAddress) if the key has none. The typical insert loop:
   ///   HashIndex::Slot slot = index.Claim(h);

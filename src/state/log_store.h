@@ -112,6 +112,12 @@ class LogStructuredStore {
 
   /// Next append address (== end of live data).
   uint64_t tail() const { return tail_.load(std::memory_order_acquire); }
+
+  /// Hints that the next Allocate's header line will be written soon. A
+  /// hint only: it reads the raw tail, not At(), which requires a live
+  /// address, and a prefetch never faults.
+  void PrefetchTail() const { __builtin_prefetch(data_ + tail(), 1); }
+
   /// Read-only boundary: addresses below it must not be CPU-mutated.
   uint64_t read_only_boundary() const { return read_only_; }
   uint64_t capacity() const { return capacity_; }

@@ -20,6 +20,19 @@ struct WireEntry {
 };
 static_assert(sizeof(WireEntry) == 24);
 
+// Reads the key of the wire entry at `*pos` and moves `*pos` past it.
+// Returns false, leaving `*pos`, when no whole entry header is left. The
+// entry's value may still be cut short: MergeDelta's apply cursor reports
+// that when it gets there.
+bool NextWireKey(const uint8_t* data, size_t len, size_t* pos, StateKey* k) {
+  if (*pos + sizeof(WireEntry) > len) return false;
+  WireEntry wire;
+  std::memcpy(&wire, data + *pos, sizeof(wire));
+  *pos += sizeof(wire) + wire.value_len;
+  *k = StateKey{wire.key, wire.bucket};
+  return true;
+}
+
 void AtomicMinI64(int64_t* target, int64_t value) {
   std::atomic_ref<int64_t> ref(*target);
   int64_t cur = ref.load(std::memory_order_relaxed);
@@ -57,12 +70,11 @@ uint64_t Partition::FindInChain(uint64_t addr, StateKey k) const {
   return HashIndex::kInvalidAddress;
 }
 
-uint64_t Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
-                                uint64_t head, uint16_t stream_id,
-                                uint16_t flags, const void* value,
-                                uint32_t value_len) {
-  // Log allocation is serialized by a spinlock (insertion is the rare path
-  // for aggregates; the common per-record RMW never reaches here).
+Partition::Inserted Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
+                                           uint64_t head, uint16_t stream_id,
+                                           uint16_t flags, const void* value,
+                                           uint32_t value_len) {
+  // Log allocation is serialized by a spinlock.
   while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
   }
   const uint64_t addr = lss_.Allocate(sizeof(EntryHeader) + value_len);
@@ -81,7 +93,7 @@ uint64_t Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
     header->prev = head;
     if (HashIndex::CompareExchangeHead(slot, &head, addr)) {
       entry_count_.fetch_add(1, std::memory_order_relaxed);
-      return addr;
+      return {addr, true};
     }
     // Lost a race; `head` is the observed head. An aggregate inserted
     // concurrently for our key wins: adopt it and retire our entry.
@@ -89,7 +101,7 @@ uint64_t Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
       const uint64_t existing = FindInChain(head, k);
       if (existing != HashIndex::kInvalidAddress) {
         header->flags |= kEntryTombstone;
-        return existing;
+        return {existing, false};
       }
     }
   }
@@ -100,13 +112,20 @@ void Partition::MergeAggregate(StateKey k, const AggState& delta) {
   const HashIndex::Slot slot = index_.Claim(HashStateKey(k));
   const uint64_t head = HashIndex::Head(slot);
   uint64_t addr = FindInChain(head, k);
+  bool fresh = false;
   if (addr == HashIndex::kInvalidAddress) {
-    const AggState identity = AggState::Identity();
-    addr = InsertEntry(k, slot, head, /*stream_id=*/0, kEntryAggregate,
-                       &identity, sizeof(identity));
+    // A fresh accumulator starts at its delta: identity ⊕ delta == delta
+    // bit for bit. An insert that lost to one of the same key merges into
+    // the winner below.
+    const Inserted inserted = InsertEntry(k, slot, head, /*stream_id=*/0,
+                                          kEntryAggregate, &delta,
+                                          sizeof(delta));
+    addr = inserted.addr;
+    fresh = inserted.won;
   }
   SLASH_CHECK_MSG(lss_.Mutable(addr),
                   "RMW on read-only LSS region (epoch transfer in flight)");
+  if (fresh) return;
   auto* s = reinterpret_cast<AggState*>(lss_.At(addr) + sizeof(EntryHeader));
   std::atomic_ref<int64_t>(s->sum).fetch_add(delta.sum,
                                              std::memory_order_relaxed);
@@ -166,8 +185,20 @@ size_t Partition::Snapshot(std::vector<uint8_t>* out) const {
 }
 
 Status Partition::MergeDelta(const uint8_t* data, size_t len) {
+  // A lookahead cursor walks the wire headers kMergePrefetchDistance
+  // entries ahead of the apply cursor and prefetches each entry's primary
+  // bucket.
+  size_t ahead_pos = 0;
+  auto prefetch_next_bucket = [&] {
+    StateKey ahead;
+    if (NextWireKey(data, len, &ahead_pos, &ahead)) {
+      index_.Prefetch(HashStateKey(ahead));
+    }
+  };
+  for (int i = 0; i < kMergePrefetchDistance; ++i) prefetch_next_bucket();
   size_t pos = 0;
   while (pos < len) {
+    prefetch_next_bucket();
     if (pos + sizeof(WireEntry) > len) {
       return Status::InvalidArgument("truncated delta entry header");
     }

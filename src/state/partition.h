@@ -11,7 +11,10 @@
 //  * Aggregate state (non-holistic windows): one in-place-updated AggState
 //    accumulator per (key, bucket). The per-record RMW is the common case
 //    the whole design optimizes (atomic fetch-add / CAS; no queueing, no
-//    partitioning).
+//    partitioning). A fresh accumulator starts at its first delta, not at
+//    the identity: identity ⊕ delta is delta bit for bit, so the insert
+//    skips the four atomic RMWs. Only an insert that loses the race to one
+//    of the same key merges into the winner.
 //  * Append state (holistic windows / joins): one log entry per observed
 //    record, chained per (key, bucket) through the hash index.
 //
@@ -97,6 +100,14 @@ class Partition {
   /// Reads the current accumulator; false if absent.
   bool LookupAggregate(StateKey k, AggState* out) const;
 
+  /// Hints that an UpdateAggregate/Append of `k` comes soon: prefetches the
+  /// key's primary index bucket and, for write, the log's tail line. A
+  /// hint only: it changes no state.
+  void Prefetch(StateKey k) const {
+    index_.Prefetch(HashStateKey(k));
+    lss_.PrefetchTail();
+  }
+
   // --- Append state (kAppend) ----------------------------------------------
 
   /// Appends one observed record for (key, bucket). Thread-safe.
@@ -156,8 +167,15 @@ class Partition {
   }
 
   /// Applies a serialized delta produced by SerializeDelta. Must match the
-  /// partition kind.
+  /// partition kind. A lookahead cursor prefetches the index bucket of the
+  /// entry kMergePrefetchDistance entries ahead, so the cold misses of
+  /// several entries overlap. A truncated or malformed entry stops the
+  /// merge with InvalidArgument after the entries before it are applied.
   Status MergeDelta(const uint8_t* data, size_t len);
+
+  /// How many entries ahead of the apply cursor MergeDelta prefetches an
+  /// entry's primary bucket.
+  static constexpr int kMergePrefetchDistance = 8;
 
   /// Invalidates all content after a transfer (protocol step 4): the
   /// fragment restarts from zero values.
@@ -192,11 +210,19 @@ class Partition {
   // or kInvalidAddress.
   uint64_t FindInChain(uint64_t addr, StateKey k) const;
 
+  // Where InsertEntry left `k`: the live entry's address, and whether it is
+  // the caller's own new entry.
+  struct Inserted {
+    uint64_t addr;
+    bool won;
+  };
+
   // Allocates an entry holding a copy of `value`, and links it at `slot`,
-  // whose chain head was last read as `head`. Returns its address. If an
-  // aggregate loses the CAS to an insert of the same key, the new entry is
-  // tombstoned and the winner's address is returned.
-  uint64_t InsertEntry(StateKey k, HashIndex::Slot slot, uint64_t head,
+  // whose chain head was last read as `head`. Returns its address with
+  // won = true. If an aggregate loses the CAS to an insert of the same key,
+  // the new entry is tombstoned and the winner's address is returned with
+  // won = false.
+  Inserted InsertEntry(StateKey k, HashIndex::Slot slot, uint64_t head,
                        uint16_t stream_id, uint16_t flags, const void* value,
                        uint32_t value_len);
 

@@ -110,6 +110,12 @@ class StateBackend {
                                      len);
   }
 
+  /// Hints that an UpdateAggregate/Append of (key, bucket) comes soon, same
+  /// routing (Partition::Prefetch). Changes no state.
+  void Prefetch(uint64_t key, int64_t bucket) const {
+    local(partition_of(key))->Prefetch(StateKey{key, bucket});
+  }
+
   // --- Epoch protocol -------------------------------------------------------
 
   /// Accounts processed input bytes toward the epoch threshold.

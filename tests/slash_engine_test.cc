@@ -4,10 +4,14 @@
 // counters, termination).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "core/oracle.h"
 #include "engines/slash_engine.h"
+#include "engines/state_writer.h"
+#include "state/state_backend.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/nexmark.h"
 #include "workloads/readonly.h"
@@ -202,6 +206,84 @@ TEST(SlashEngineTest, RdmaIngestionJoinMatchesOracle) {
   EXPECT_EQ(stats.result_checksum(), oracle.checksum);
   EXPECT_EQ(stats.records_emitted(), oracle.count);
 }
+
+// The staged writer applies in staging order, at most kDepth operations
+// late, and Flush() applies the rest.
+TEST(StateWriterTest, AppliesInStagingOrderAtMostDepthLate) {
+  state::SsbConfig cfg;
+  cfg.nodes = 1;
+  cfg.kind = state::StateKind::kAppend;
+  cfg.lss_capacity = 1 << 12;
+  cfg.index_buckets = 64;
+  state::StateBackend ssb(0, cfg);
+  StateWriter writer(&ssb);
+  const size_t kOps = 3 * StateWriter::kDepth + 1;
+  for (size_t i = 0; i < kOps; ++i) {
+    // Two keys, so the log order is the staging order across chains.
+    uint8_t* value = writer.Append(/*key=*/i % 2, /*bucket=*/0,
+                                   /*stream_id=*/uint16_t(i), /*len=*/1);
+    *value = uint8_t(i);
+    EXPECT_EQ(ssb.primary()->entry_count(),
+              i + 1 < StateWriter::kDepth ? 0 : i + 1 - StateWriter::kDepth);
+  }
+  writer.Flush();
+  std::vector<uint8_t> order;
+  ssb.primary()->ForEachLive(
+      [&](const state::EntryHeader& header, const uint8_t* value) {
+        EXPECT_EQ(header.key, uint64_t(*value % 2));
+        EXPECT_EQ(header.stream_id, *value);
+        order.push_back(*value);
+      });
+  ASSERT_EQ(order.size(), kOps);
+  for (size_t i = 0; i < kOps; ++i) EXPECT_EQ(order[i], i);
+  writer.Flush();  // nothing staged: a no-op
+  EXPECT_EQ(ssb.primary()->entry_count(), kOps);
+
+  // Aggregates wait for a flush too.
+  cfg.kind = state::StateKind::kAggregate;
+  state::StateBackend agg(0, cfg);
+  StateWriter agg_writer(&agg);
+  agg_writer.UpdateAggregate(7, 1, 5);
+  agg_writer.UpdateAggregate(7, 1, -2);
+  state::AggState s;
+  EXPECT_FALSE(agg.primary()->LookupAggregate({7, 1}, &s));
+  agg_writer.Flush();
+  ASSERT_TRUE(agg.primary()->LookupAggregate({7, 1}, &s));
+  EXPECT_EQ(s, (state::AggState{3, 2, -2, 5}));
+}
+
+// Input sizes around the writer's depth and the source batch: every batch
+// ends with a flush, whatever its length, with local and RDMA ingestion,
+// for aggregate (YSB) and append (NB8) state.
+using WriterSweepParam = std::tuple<uint64_t /*records*/, bool /*nb8*/,
+                                    bool /*rdma_ingestion*/>;
+
+class StagedWriterSweep : public ::testing::TestWithParam<WriterSweepParam> {};
+
+TEST_P(StagedWriterSweep, MatchesOracle) {
+  const auto [records, nb8, rdma_ingestion] = GetParam();
+  JobConfig job = SmallJob(records);
+  job.rdma_ingestion = rdma_ingestion;
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::NexmarkConfig ncfg;
+  ncfg.sellers = 40;
+  if (nb8) {
+    ExpectMatchesOracle(workloads::Nb8Workload(ncfg), SmallCluster(2, 2), job);
+  } else {
+    ExpectMatchesOracle(workloads::YsbWorkload(ycfg), SmallCluster(2, 2), job);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, StagedWriterSweep,
+    ::testing::Combine(::testing::Values(1, 3, 4, 5, 513),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<WriterSweepParam>& info) {
+      return std::string(std::get<1>(info.param) ? "nb8" : "ysb") + "_r" +
+             std::to_string(std::get<0>(info.param)) +
+             (std::get<2>(info.param) ? "_rdma" : "_local");
+    });
 
 // Property sweep: P2 must hold for every epoch length (more/fewer syncs),
 // cluster shape, and seed.

@@ -10,11 +10,15 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "state/hash_index.h"
 #include "state/log_store.h"
@@ -546,6 +550,50 @@ TEST(PartitionTest, ConcurrentFreshKeysInATinyIndex) {
   EXPECT_EQ(total, int64_t(kThreads) * kKeys * kBuckets);
 }
 
+// Like ConcurrentFreshKeysInATinyIndex, but thread t adds a value of its own
+// to each (key, bucket). A fresh accumulator starts at its inserter's
+// delta, and only an insert that lost the race merges into the winner, so a
+// lost race that dropped or double-applied a delta would show in the sum,
+// count, min or max against a sequential fold.
+TEST(PartitionTest, ConcurrentFreshDistinctValuesMatchASequentialFold) {
+  PartitionConfig cfg = SmallAggConfig();
+  cfg.index_buckets = 4;
+  cfg.lss_capacity = 1 << 21;  // room for every orphan: no Grow() mid-race
+  Partition p(0, cfg);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 1024;
+  constexpr int64_t kBuckets = 4;
+  auto value_of = [](int t, uint64_t key, int64_t bucket) {
+    return int64_t(Mix64((key << 8) | (uint64_t(bucket) << 4) | uint64_t(t)) %
+                   200'001) -
+           100'000;
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&p, &value_of, t] {
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        for (int64_t bucket = 0; bucket < kBuckets; ++bucket) {
+          p.UpdateAggregate({key, bucket}, value_of(t, key, bucket));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    for (int64_t bucket = 0; bucket < kBuckets; ++bucket) {
+      AggState want;
+      for (int t = 0; t < kThreads; ++t) want.Apply(value_of(t, key, bucket));
+      AggState got;
+      ASSERT_TRUE(p.LookupAggregate({key, bucket}, &got));
+      ASSERT_EQ(got, want) << "key " << key << " bucket " << bucket;
+    }
+  }
+  size_t visited = 0;
+  p.ForEachLive([&](const EntryHeader&, const uint8_t*) { ++visited; });
+  EXPECT_EQ(visited, kKeys * kBuckets);  // one live entry per (key, bucket)
+  EXPECT_EQ(p.entry_count(), kKeys * kBuckets);
+}
+
 // One live append entry as ForEachLive visits it: the header in the log and
 // a copy of its payload.
 struct LiveAppend {
@@ -684,6 +732,138 @@ TEST(PartitionTest, MergeDeltaRejectsGarbage) {
   std::vector<uint8_t> wire;
   append_src.SerializeDelta(&wire);
   EXPECT_FALSE(p.MergeDelta(wire.data(), wire.size()).ok());
+}
+
+// --- MergeDelta lookahead -------------------------------------------------
+
+// MergeDelta prefetches ahead of its apply cursor; these tests pin that it
+// applies exactly what per-entry MergeAggregate/Append calls apply, at every
+// delta length around the prefetch distance, and that a truncated delta
+// still stops at the cut.
+constexpr size_t kWireHeaderBytes = 24;  // WireEntry, partition.cc
+constexpr int kAhead = Partition::kMergePrefetchDistance;
+
+std::vector<uint8_t> SnapshotOf(const Partition& p) {
+  std::vector<uint8_t> out;
+  p.Snapshot(&out);
+  return out;
+}
+
+// A helper fragment holding `n` entries. Aggregate entries are distinct
+// (key, bucket)s, every other one a key the leader below already holds.
+// Append entries reuse five keys, so chains form, and carry 0 to 70 bytes.
+std::unique_ptr<Partition> HelperOf(StateKind kind, int n) {
+  PartitionConfig cfg =
+      kind == StateKind::kAggregate ? SmallAggConfig() : SmallAppendConfig();
+  auto helper = std::make_unique<Partition>(1, cfg);
+  Rng rng(77);
+  for (int i = 0; i < n; ++i) {
+    const uint64_t key = uint64_t(i);
+    if (kind == StateKind::kAggregate) {
+      helper->UpdateAggregate({key, i % 3}, int64_t(rng.NextBounded(1000)) - 500);
+      helper->UpdateAggregate({key, i % 3}, int64_t(rng.NextBounded(1000)));
+    } else {
+      uint8_t value[70];
+      const uint32_t len = uint32_t(rng.NextBounded(sizeof(value) + 1));
+      for (uint32_t b = 0; b < len; ++b) value[b] = uint8_t(rng.NextBounded(256));
+      helper->Append({key % 5, i % 2}, uint16_t(i % 3), value, len);
+    }
+  }
+  return helper;
+}
+
+// A leader with state of its own: aggregates for even keys (so half the
+// delta merges into existing accumulators), one append per chain key.
+std::unique_ptr<Partition> LeaderOf(StateKind kind) {
+  PartitionConfig cfg =
+      kind == StateKind::kAggregate ? SmallAggConfig() : SmallAppendConfig();
+  auto leader = std::make_unique<Partition>(1, cfg);
+  for (uint64_t key = 0; key < 64; key += 2) {
+    if (kind == StateKind::kAggregate) {
+      leader->UpdateAggregate({key, int64_t(key % 3)}, int64_t(key));
+    } else if (key < 10) {
+      const uint8_t v[] = {uint8_t(key)};
+      leader->Append({key % 5, int64_t(key % 2)}, 0, v, sizeof(v));
+    }
+  }
+  return leader;
+}
+
+// Applies the helper's first `count` live entries one call at a time.
+void ApplyPerEntry(const Partition& helper, size_t count, Partition* leader) {
+  size_t i = 0;
+  helper.ForEachLive([&](const EntryHeader& header, const uint8_t* value) {
+    if (i++ >= count) return;
+    const StateKey k{header.key, header.bucket};
+    if (header.flags & kEntryAggregate) {
+      AggState delta;
+      std::memcpy(&delta, value, sizeof(delta));
+      leader->MergeAggregate(k, delta);
+    } else {
+      leader->Append(k, header.stream_id, value, header.value_len);
+    }
+  });
+}
+
+TEST(PartitionTest, MergeDeltaMatchesPerEntryMergeAtEveryLength) {
+  const int lengths[] = {0, 1, kAhead - 1, kAhead, kAhead + 1, 200};
+  for (const StateKind kind : {StateKind::kAggregate, StateKind::kAppend}) {
+    for (const int n : lengths) {
+      SCOPED_TRACE(::testing::Message()
+                   << "kind " << int(kind) << ", " << n << " entries");
+      const std::unique_ptr<Partition> helper = HelperOf(kind, n);
+      ASSERT_EQ(helper->entry_count(), size_t(n));
+      std::vector<uint8_t> delta;
+      helper->Snapshot(&delta);
+
+      const std::unique_ptr<Partition> merged = LeaderOf(kind);
+      ASSERT_TRUE(merged->MergeDelta(delta.data(), delta.size()).ok());
+      const std::unique_ptr<Partition> want = LeaderOf(kind);
+      ApplyPerEntry(*helper, size_t(n), want.get());
+      EXPECT_EQ(merged->entry_count(), want->entry_count());
+      EXPECT_EQ(merged->bucket_floor(), want->bucket_floor());
+      EXPECT_EQ(SnapshotOf(*merged), SnapshotOf(*want));
+    }
+  }
+}
+
+TEST(PartitionTest, MergeDeltaCutInsideTheLookaheadStopsAtTheCut) {
+  const int n = kAhead + 3;
+  for (const StateKind kind : {StateKind::kAggregate, StateKind::kAppend}) {
+    const std::unique_ptr<Partition> helper = HelperOf(kind, n);
+    std::vector<uint8_t> delta;
+    helper->Snapshot(&delta);
+    std::vector<size_t> start;  // byte offset of each wire entry
+    std::vector<uint32_t> value_len;
+    size_t offset = 0;
+    helper->ForEachLive([&](const EntryHeader& header, const uint8_t*) {
+      start.push_back(offset);
+      value_len.push_back(header.value_len);
+      offset += kWireHeaderBytes + header.value_len;
+    });
+    ASSERT_EQ(offset, delta.size());
+
+    for (const int cut : {0, 1, kAhead / 2, kAhead - 1, kAhead, n - 1}) {
+      // A cut inside the entry's header, and one inside its value.
+      std::vector<std::pair<size_t, std::string_view>> cuts = {
+          {start[cut] + kWireHeaderBytes / 2, "truncated delta entry header"}};
+      if (value_len[cut] > 0) {
+        cuts.push_back({start[cut] + kWireHeaderBytes + value_len[cut] / 2,
+                        "truncated delta entry value"});
+      }
+      for (const auto& [len, message] : cuts) {
+        SCOPED_TRACE(::testing::Message() << "kind " << int(kind) << ", cut in "
+                                          << cut << " at byte " << len);
+        const std::unique_ptr<Partition> merged = LeaderOf(kind);
+        const Status status = merged->MergeDelta(delta.data(), len);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(status.message(), message);
+        const std::unique_ptr<Partition> want = LeaderOf(kind);
+        ApplyPerEntry(*helper, size_t(cut), want.get());
+        EXPECT_EQ(SnapshotOf(*merged), SnapshotOf(*want));
+      }
+    }
+  }
 }
 
 TEST(PartitionTest, RmwAfterResetRestartsFromZero) {
