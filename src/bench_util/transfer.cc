@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "channel/rdma_channel.h"
@@ -54,7 +55,19 @@ struct TransferRun {
   TransferResult result;
 };
 
-/// Fills and posts buffers for one producer across its lanes.
+/// The lane's channel of the type the run uses.
+template <typename Channel>
+Channel* LaneChannel(const Lane& lane) {
+  if constexpr (std::is_same_v<Channel, PullChannel>) {
+    return lane.pull;
+  } else {
+    return lane.push;
+  }
+}
+
+/// Fills and posts buffers for one producer across its lanes, through a
+/// push (RdmaChannel) or pull (PullChannel) channel.
+template <typename Channel>
 sim::Task Producer(TransferRun* run, int p) {
   const TransferConfig& cfg = run->config;
   perf::CpuContext* cpu = run->producer_cpus[p].get();
@@ -63,28 +76,18 @@ sim::Task Producer(TransferRun* run, int p) {
   struct OpenSlot {
     bool open = false;
     SlotRef slot;
-    std::unique_ptr<core::RecordWriter> writer;
+    core::RecordWriter writer{nullptr, 0};
   };
   std::vector<OpenSlot> open(run->lanes.size());
 
-  auto acquire = [&](int lane_id, OpenSlot* os) -> sim::Task {
-    Lane& lane = run->lanes[lane_id];
-    while (!lane.push->TryAcquire(&os->slot, cpu)) {
-      co_await cpu->Park(lane.push->credit_event());
-    }
+  // Opens a slot on `ch` unless `os` holds one; false while the channel
+  // has no credit (the caller parks on its credit event and retries).
+  auto try_open = [cpu](Channel* ch, OpenSlot* os) {
+    if (os->open) return true;
+    if (!ch->TryAcquire(&os->slot, cpu)) return false;
     os->open = true;
-    os->writer = std::make_unique<core::RecordWriter>(
-        os->slot.payload, lane.push->payload_capacity());
-  };
-
-  auto pull_acquire = [&](int lane_id, OpenSlot* os) -> sim::Task {
-    Lane& lane = run->lanes[lane_id];
-    while (!lane.pull->TryAcquire(&os->slot, cpu)) {
-      co_await cpu->Park(lane.pull->credit_event());
-    }
-    os->open = true;
-    os->writer = std::make_unique<core::RecordWriter>(
-        os->slot.payload, lane.pull->payload_capacity());
+    os->writer = core::RecordWriter(os->slot.payload, ch->payload_capacity());
+    return true;
   };
 
   const auto& my_lanes = run->producer_lanes[p];
@@ -107,87 +110,49 @@ sim::Task Producer(TransferRun* run, int p) {
     } else {
       lane_id = my_lanes[direct_cursor];
     }
+    Channel* ch = LaneChannel<Channel>(run->lanes[lane_id]);
     OpenSlot* os = &open[lane_id];
-    if (!os->open) {
-      if (cfg.pull) {
-        co_await pull_acquire(lane_id, os);
-      } else {
-        co_await acquire(lane_id, os);
-      }
-    }
+    while (!try_open(ch, os)) co_await cpu->Park(ch->credit_event());
     cpu->ChargeBytes(Op::kBufferCopyPerByte, cfg.record_bytes);
-    if (!os->writer->Append(r, cfg.record_bytes)) {
+    if (!os->writer.Append(r, cfg.record_bytes)) {
       // Buffer full: ship it and retry in a fresh one.
-      const uint64_t used = os->writer->bytes_used();
-      Lane& lane = run->lanes[lane_id];
-      if (cfg.pull) {
-        SLASH_CHECK(lane.pull->Post(os->slot, used, 0, 0, cpu).ok());
-      } else {
-        SLASH_CHECK(lane.push->Post(os->slot, used, 0, 0, cpu).ok());
-      }
+      SLASH_CHECK(ch->Post(os->slot, os->writer.bytes_used(), 0, 0, cpu).ok());
       os->open = false;
-      os->writer.reset();
       co_await cpu->Sync();
       if (!cfg.partitioned) {
         direct_cursor = (direct_cursor + 1) % my_lanes.size();
         lane_id = my_lanes[direct_cursor];
+        ch = LaneChannel<Channel>(run->lanes[lane_id]);
         os = &open[lane_id];
       }
-      if (!os->open) {
-        if (cfg.pull) {
-          co_await pull_acquire(lane_id, os);
-        } else {
-          co_await acquire(lane_id, os);
-        }
-      }
-      SLASH_CHECK(os->writer->Append(r, cfg.record_bytes));
+      while (!try_open(ch, os)) co_await cpu->Park(ch->credit_event());
+      SLASH_CHECK(os->writer.Append(r, cfg.record_bytes));
     }
     if (++batch >= 1024) {
       batch = 0;
       co_await cpu->Sync();
     }
   }
-  // Drain partial buffers, then a final marker per lane.
+  // Drain partial buffers (an acquired but empty one must still post, to
+  // keep slot order), then a final marker per lane.
   for (int lane_id : my_lanes) {
+    Channel* ch = LaneChannel<Channel>(run->lanes[lane_id]);
     OpenSlot* os = &open[lane_id];
-    Lane& lane = run->lanes[lane_id];
-    if (os->open && os->writer->bytes_used() > 0) {
-      if (cfg.pull) {
-        SLASH_CHECK(
-            lane.pull->Post(os->slot, os->writer->bytes_used(), 0, 0, cpu)
-                .ok());
-      } else {
-        SLASH_CHECK(
-            lane.push->Post(os->slot, os->writer->bytes_used(), 0, 0, cpu)
-                .ok());
-      }
-      os->open = false;
-    } else if (os->open) {
-      // Acquired but empty: must still post to keep slot order.
-      if (cfg.pull) {
-        SLASH_CHECK(lane.pull->Post(os->slot, 0, 0, 0, cpu).ok());
-      } else {
-        SLASH_CHECK(lane.push->Post(os->slot, 0, 0, 0, cpu).ok());
-      }
+    if (os->open) {
+      SLASH_CHECK(ch->Post(os->slot, os->writer.bytes_used(), 0, 0, cpu).ok());
       os->open = false;
     }
-    OpenSlot final_slot;
-    if (cfg.pull) {
-      co_await pull_acquire(lane_id, &final_slot);
-      SLASH_CHECK(lane.pull->Post(final_slot.slot, 0, /*user_tag=*/1, 0, cpu)
-                      .ok());
-    } else {
-      co_await acquire(lane_id, &final_slot);
-      SLASH_CHECK(lane.push->Post(final_slot.slot, 0, /*user_tag=*/1, 0, cpu)
-                      .ok());
-    }
+    while (!try_open(ch, os)) co_await cpu->Park(ch->credit_event());
+    SLASH_CHECK(ch->Post(os->slot, 0, /*user_tag=*/1, 0, cpu).ok());
+    os->open = false;
     co_await cpu->Sync();
   }
   // Doorbell batching: ring out anything still queued before parking for
   // good, or the tail (and the final markers) never leaves the producer.
-  for (int lane_id : my_lanes) {
-    Lane& lane = run->lanes[lane_id];
-    if (lane.push != nullptr) SLASH_CHECK(lane.push->Flush(cpu).ok());
+  if constexpr (std::is_same_v<Channel, RdmaChannel>) {
+    for (int lane_id : my_lanes) {
+      SLASH_CHECK(run->lanes[lane_id].push->Flush(cpu).ok());
+    }
   }
 }
 
@@ -352,7 +317,8 @@ TransferResult RunTransfer(const TransferConfig& config) {
   }
 
   for (int p = 0; p < config.producers; ++p) {
-    run.sim.Spawn(Producer(&run, p));
+    run.sim.Spawn(config.pull ? Producer<PullChannel>(&run, p)
+                              : Producer<RdmaChannel>(&run, p));
   }
   for (int c = 0; c < config.consumers; ++c) {
     if (run.consumer_lanes[c].empty()) continue;

@@ -91,15 +91,6 @@ class Status {
   /// True iff this status represents success.
   bool ok() const { return rep_ == nullptr; }
 
-  /// True for transient failures a caller may retry (possibly after a
-  /// backoff): the operation did not happen, but an identical attempt later
-  /// can succeed. kUnavailable = resource temporarily down (QP in error,
-  /// link flapping); kAborted = operation cancelled mid-way (epoch rollback).
-  bool IsRetryable() const {
-    return code() == StatusCode::kUnavailable ||
-           code() == StatusCode::kAborted;
-  }
-
   /// The status code; kOk for success.
   StatusCode code() const { return rep_ ? rep_->code : StatusCode::kOk; }
 

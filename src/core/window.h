@@ -99,13 +99,6 @@ struct WindowSpec {
   int64_t BucketEnd(int64_t bucket) const {
     return (bucket + 1) * BucketWidth();
   }
-
-  /// The watermark needed before `bucket` may trigger: the bucket end, plus
-  /// one gap for sessions (a session can extend one gap past the horizon
-  /// boundary record).
-  int64_t TriggerWatermark(int64_t bucket) const {
-    return BucketEnd(bucket) + (type == Type::kSession ? gap : 0);
-  }
 };
 
 }  // namespace slash::core

@@ -31,10 +31,6 @@ ReconfigCoordinator::ReconfigCoordinator(sim::Simulator* sim,
       plan_(plan),
       nodes_(nodes),
       callbacks_(std::move(callbacks)),
-      reconfigs_(sim->metrics().GetCounter(obs::metric::kElasticReconfigs,
-                                           labels)),
-      joins_(sim->metrics().GetCounter(obs::metric::kElasticJoins, labels)),
-      leaves_(sim->metrics().GetCounter(obs::metric::kElasticLeaves, labels)),
       deferrals_(sim->metrics().GetCounter(obs::metric::kElasticDeferrals,
                                            labels)) {
   SLASH_CHECK_GT(nodes_, 0);
@@ -43,6 +39,7 @@ ReconfigCoordinator::ReconfigCoordinator(sim::Simulator* sim,
       plan_->initial_nodes == 0 ? nodes_ : plan_->initial_nodes;
   active_.assign(size_t(nodes_), false);
   left_.assign(size_t(nodes_), false);
+  join_pending_.assign(size_t(nodes_), false);
   for (int n = 0; n < initial; ++n) active_[size_t(n)] = true;
   active_count_ = initial;
 }
@@ -73,6 +70,7 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
   if (!callbacks_.on_join(node)) {
     // Engine busy (recovery or earlier handoff in flight): handoffs are
     // serialized, so back off and retry.
+    join_pending_[size_t(node)] = true;
     deferrals_->Add(1);
     Record(ReconfigKind::kDeferred, node);
     sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
@@ -81,12 +79,11 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
                      });
     return;
   }
+  join_pending_[size_t(node)] = false;
   if (!active_[size_t(node)]) {
     active_[size_t(node)] = true;
     ++active_count_;
   }
-  reconfigs_->Add(1);
-  joins_->Add(1);
   cooldown_ = plan_->trigger.cooldown_intervals;
   Record(from_trigger ? ReconfigKind::kTriggerJoin : ReconfigKind::kJoin,
          node);
@@ -94,7 +91,9 @@ void ReconfigCoordinator::FireJoin(int node, bool from_trigger) {
 
 void ReconfigCoordinator::FireLeave(int node, bool from_trigger) {
   if (stopped_) return;
-  if (!callbacks_.on_leave(node)) {
+  // A node's leave waits for its deferred join: it must not overtake it
+  // and be discarded as the leave of an inactive node.
+  if (join_pending_[size_t(node)] || !callbacks_.on_leave(node)) {
     deferrals_->Add(1);
     Record(ReconfigKind::kDeferred, node);
     sim_->ScheduleAt(sim_->now() + kDeferralRetryInterval,
@@ -108,8 +107,6 @@ void ReconfigCoordinator::FireLeave(int node, bool from_trigger) {
     --active_count_;
   }
   left_[size_t(node)] = true;
-  reconfigs_->Add(1);
-  leaves_->Add(1);
   cooldown_ = plan_->trigger.cooldown_intervals;
   Record(from_trigger ? ReconfigKind::kTriggerLeave : ReconfigKind::kLeave,
          node);

@@ -36,11 +36,12 @@ inline constexpr Nanos kDeferralRetryInterval = 50 * kMicrosecond;
 
 /// Kinds of membership events, for the trace.
 enum class ReconfigKind : uint8_t {
-  kJoin = 0,       // a scheduled join executed
-  kLeave,          // a scheduled leave executed
+  kJoin = 0,       // a scheduled join consumed (executed or moot)
+  kLeave,          // a scheduled leave consumed (executed or moot)
   kTriggerJoin,    // the load trigger grew the cluster
   kTriggerLeave,   // the load trigger shrank it
-  kDeferred,       // the engine was busy; the event will retry
+  kDeferred,       // the engine was busy (or, for a leave, the node's join
+                   // is still pending); the event will retry
 };
 
 std::string_view ReconfigKindName(ReconfigKind kind);
@@ -69,8 +70,10 @@ class ReconfigCoordinator {
   };
 
   /// `plan` must outlive the coordinator and have passed Validate(nodes).
-  /// The elastic.{reconfigs,joins,leaves,deferrals} counters are published
-  /// into the simulator's registry under `labels` (the job's).
+  /// The elastic.deferrals counter is published into the simulator's
+  /// registry under `labels` (the job's). The engine counts the handoffs it
+  /// executes (elastic.{reconfigs,joins,leaves}); the trace records every
+  /// consumed event, moot ones included.
   ReconfigCoordinator(sim::Simulator* sim, const ReconfigPlan* plan,
                       int nodes, const obs::LabelSet& labels,
                       Callbacks callbacks);
@@ -111,12 +114,10 @@ class ReconfigCoordinator {
   bool stopped_ = false;
   std::vector<bool> active_;
   std::vector<bool> left_;  // trigger must not re-join a departed node
+  std::vector<bool> join_pending_;  // a deferred join awaits its retry
   int active_count_ = 0;
   uint64_t last_sample_ = 0;
   uint32_t cooldown_ = 0;  // sampling intervals left before trigger re-arms
-  obs::Counter* reconfigs_;
-  obs::Counter* joins_;
-  obs::Counter* leaves_;
   obs::Counter* deferrals_;
   std::vector<ReconfigEvent> trace_;
 };

@@ -212,6 +212,9 @@ struct SlashRun {
   obs::Counter* bytes_replicated = nullptr;
   obs::Counter* rejoins = nullptr;
   obs::Counter* fence_suppressions = nullptr;
+  obs::Counter* reconfigs = nullptr;
+  obs::Counter* joins = nullptr;
+  obs::Counter* leaves = nullptr;
   obs::Counter* handoff_ns = nullptr;
   obs::Counter* partitions_moved = nullptr;
   obs::Counter* state_bytes_moved = nullptr;
@@ -1165,6 +1168,9 @@ bool OnMembershipChange(SlashRun* run, int node, NodeEvent event) {
                    std::max(run->cluster.reconfig->min_active, 1)) {
     return true;
   }
+  // Only an executed handoff counts; the moot returns above do not.
+  run->reconfigs->Add(1);
+  (join ? run->joins : run->leaves)->Add(1);
   BeginRollback(run, RunPhase::kHandoff, node);
   // The rollback round is what the incumbents can restore — typically the
   // latest boundary — chosen before the membership changes. A joiner holds
@@ -1584,6 +1590,9 @@ void SetUpJob(SlashRun* run) {
     run->fence_suppressions = counter(obs::metric::kHealthFenceSuppressions);
   }
   if (run->elastic()) {
+    run->reconfigs = counter(obs::metric::kElasticReconfigs);
+    run->joins = counter(obs::metric::kElasticJoins);
+    run->leaves = counter(obs::metric::kElasticLeaves);
     run->handoff_ns = counter(obs::metric::kElasticHandoffNs);
     run->partitions_moved = counter(obs::metric::kElasticPartitionsMoved);
     run->state_bytes_moved = counter(obs::metric::kElasticStateBytesMoved);

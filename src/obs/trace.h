@@ -82,11 +82,6 @@ class Tracer final {
     if (!enabled_) return;
     Instant(ts, Intern(name), Intern(cat), pid, tid);
   }
-  void CompleteNamed(Nanos ts, Nanos dur, std::string_view name,
-                     std::string_view cat, int pid, int tid) {
-    if (!enabled_) return;
-    Complete(ts, dur, Intern(name), Intern(cat), pid, tid);
-  }
 
   /// Names a process (pid) / track (pid, tid) via trace_event "M" metadata.
   void SetProcessName(int pid, std::string_view name);

@@ -70,8 +70,8 @@ Nic* Fabric::nic(int node) {
 }
 
 QpEndpoint* Fabric::MakeEndpoint(int node, bool hub) {
-  endpoints_.push_back(
-      std::make_unique<QpEndpoint>(this, node, next_qp_num_++, hub));
+  const uint32_t qp_num = uint32_t(endpoints_.size()) + 1;
+  endpoints_.push_back(std::make_unique<QpEndpoint>(this, node, qp_num, hub));
   QpEndpoint* ep = endpoints_.back().get();
   ++qp_per_node_[node];
   // The NIC's context-cache pressure model (opt-in) keys off how many live
@@ -223,10 +223,8 @@ bool* Fabric::AcquireFlag() {
 void Fabric::ReleaseFlag(bool* flag) { free_flags_.push_back(flag); }
 
 QpEndpoint* Fabric::FindQp(uint32_t qp_num) const {
-  for (const auto& ep : endpoints_) {
-    if (ep->qp_num() == qp_num) return ep.get();
-  }
-  return nullptr;
+  if (qp_num == 0 || qp_num > endpoints_.size()) return nullptr;
+  return endpoints_[qp_num - 1].get();
 }
 
 // Fault actions are rare (a handful per run), so they use the tracer's

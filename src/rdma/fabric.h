@@ -179,8 +179,9 @@ class Fabric : public sim::FaultTarget {
   BufferPool& buffer_pool() { return buffer_pool_; }
 
   /// The endpoint with QP number `qp_num`; nullptr if unknown. QP numbers
-  /// are assigned in Connect() order starting at 1, so tests can name a
-  /// specific connection in a FaultPlan deterministically.
+  /// are dense, assigned in creation order starting at 1 (endpoint
+  /// qp_num - 1), so tests can name a specific connection in a FaultPlan
+  /// deterministically.
   QpEndpoint* FindQp(uint32_t qp_num) const;
 
   /// True once `node` has been crashed. Dead nodes cannot open new
@@ -274,7 +275,7 @@ class Fabric : public sim::FaultTarget {
   FabricConfig config_;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::unique_ptr<QpEndpoint>> endpoints_;
+  std::vector<std::unique_ptr<QpEndpoint>> endpoints_;  // [qp_num - 1]
   std::vector<bool> dead_;
   // Active bipartition: 0 = side B / no cut, 1 = side A. Sized at
   // construction; node_speed_ never reallocates (speed_dial hands out
@@ -283,7 +284,6 @@ class Fabric : public sim::FaultTarget {
   std::vector<char> partition_side_;
   std::vector<double> node_speed_;
   std::function<void(int)> crash_handler_;
-  uint32_t next_qp_num_ = 1;
   BufferPool buffer_pool_;
   std::vector<std::unique_ptr<bool[]>> flag_chunks_;
   std::vector<bool*> free_flags_;

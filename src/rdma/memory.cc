@@ -5,12 +5,8 @@
 
 namespace slash::rdma {
 
-uint32_t ProtectionDomain::next_key_ = 1;
-
-MemoryRegion::MemoryRegion(int node, uint32_t lkey, uint32_t rkey,
-                           uint64_t size)
+MemoryRegion::MemoryRegion(int node, uint32_t rkey, uint64_t size)
     : node_(node),
-      lkey_(lkey),
       rkey_(rkey),
       size_(size),
       data_(size >= kMappedRegionBytes
@@ -55,18 +51,22 @@ void BufferPool::Put(std::vector<uint8_t>&& buffer) {
 
 MemoryRegion* ProtectionDomain::RegisterRegion(uint64_t size) {
   SLASH_CHECK_GT(size, 0u);
-  const uint32_t lkey = next_key_++;
-  const uint32_t rkey = next_key_++;
-  regions_.push_back(std::make_unique<MemoryRegion>(node_, lkey, rkey, size));
+  const uint32_t slot = uint32_t(regions_.size()) + 1;
+  SLASH_CHECK_LT(slot, uint32_t(1) << kSlotBits);
+  SLASH_CHECK_LT(uint32_t(node_), uint32_t(1) << (32 - kSlotBits));
+  const uint32_t rkey = (uint32_t(node_) << kSlotBits) | slot;
+  regions_.push_back(std::make_unique<MemoryRegion>(node_, rkey, size));
   registered_bytes_ += size;
   return regions_.back().get();
 }
 
 MemoryRegion* ProtectionDomain::FindByRkey(uint32_t rkey) const {
-  for (const auto& r : regions_) {
-    if (r->remote_key().rkey == rkey) return r.get();
+  const uint32_t slot = rkey & ((uint32_t(1) << kSlotBits) - 1);
+  if ((rkey >> kSlotBits) != uint32_t(node_) || slot == 0 ||
+      slot > regions_.size()) {
+    return nullptr;
   }
-  return nullptr;
+  return regions_[slot - 1].get();
 }
 
 }  // namespace slash::rdma

@@ -1,13 +1,13 @@
 // RDMA-capable memory: protection domains and registered memory regions.
 //
 // This mirrors the ibverbs memory model: a node registers a region of its
-// memory with its NIC (ibv_reg_mr), obtaining a local key and a remote key;
-// a peer that knows the remote key can target the region with one-sided
-// verbs. In the simulation, regions are plain host allocations (all nodes
-// live in one process) — what is preserved is the *protocol*: a QP write
-// only lands in registered memory, addressing is (rkey, offset), and remote
-// writes bypass the remote CPU entirely (no callback into engine code other
-// than optional poll-wakeup hooks; see RemoteWriteListener).
+// memory with its NIC (ibv_reg_mr), obtaining a remote key; a peer that
+// knows the remote key can target the region with one-sided verbs. In the
+// simulation, regions are plain host allocations (all nodes live in one
+// process) — what is preserved is the *protocol*: a QP write only lands in
+// registered memory, addressing is (rkey, offset), and remote writes bypass
+// the remote CPU entirely (no callback into engine code other than optional
+// poll-wakeup hooks; see RemoteWriteListener).
 #ifndef SLASH_RDMA_MEMORY_H_
 #define SLASH_RDMA_MEMORY_H_
 
@@ -22,7 +22,8 @@
 namespace slash::rdma {
 
 /// Remote-key handle: what a peer needs to address a region with one-sided
-/// verbs.
+/// verbs. The key is the region's address in its node's protection domain
+/// (ProtectionDomain::RegisterRegion); a default RemoteKey{} names nothing.
 struct RemoteKey {
   uint32_t rkey = 0;
 };
@@ -45,13 +46,12 @@ class MemoryRegion {
   /// remote CPU.
   using RemoteWriteListener = std::function<void(uint64_t offset, uint64_t len)>;
 
-  MemoryRegion(int node, uint32_t lkey, uint32_t rkey, uint64_t size);
+  MemoryRegion(int node, uint32_t rkey, uint64_t size);
   ~MemoryRegion();
   MemoryRegion(const MemoryRegion&) = delete;
   MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   int node() const { return node_; }
-  uint32_t lkey() const { return lkey_; }
   RemoteKey remote_key() const { return RemoteKey{rkey_}; }
   uint64_t size() const { return size_; }
 
@@ -70,7 +70,6 @@ class MemoryRegion {
 
  private:
   int node_;
-  uint32_t lkey_;
   uint32_t rkey_;
   uint64_t size_;
   uint8_t* data_;  // MapZeroPages if size_ >= kMappedRegionBytes, else new[]
@@ -133,8 +132,16 @@ class BufferPool {
 };
 
 /// A protection domain: owns the registered regions of one node.
+///
+/// A region's rkey is its address in the domain, like an index into an
+/// HCA's translation table: (node << kSlotBits) | slot, where slot is the
+/// registration index + 1. Slot 0 is never handed out, so key 0 resolves
+/// nowhere. Keys depend only on the node and its registration order, never
+/// on what else ran in the process.
 class ProtectionDomain {
  public:
+  static constexpr int kSlotBits = 20;
+
   explicit ProtectionDomain(int node) : node_(node) {}
   ProtectionDomain(const ProtectionDomain&) = delete;
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
@@ -144,7 +151,8 @@ class ProtectionDomain {
   /// Registers a new region of `size` bytes. The domain owns the region.
   MemoryRegion* RegisterRegion(uint64_t size);
 
-  /// Looks up a region by remote key; nullptr if unknown. Used by the
+  /// Looks up a region by remote key in O(1); nullptr for a key of another
+  /// node's domain, slot 0 or a slot past the last region. Used by the
   /// fabric to resolve one-sided accesses.
   MemoryRegion* FindByRkey(uint32_t rkey) const;
 
@@ -155,7 +163,6 @@ class ProtectionDomain {
   int node_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
   uint64_t registered_bytes_ = 0;
-  static uint32_t next_key_;
 };
 
 }  // namespace slash::rdma

@@ -243,10 +243,6 @@ class Simulator {
     return Awaiter{this, delay};
   }
 
-  /// Awaitable: reschedules the current coroutine at the current time, after
-  /// all already-queued events (a cooperative yield).
-  auto Yield() { return Delay(0); }
-
   // --- Kernel observability --------------------------------------------------
 
   /// Events executed since construction.

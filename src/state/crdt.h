@@ -35,15 +35,13 @@ enum class AggKind : uint8_t {
 
 /// The partial-aggregate CRDT: one fixed-size accumulator supporting every
 /// non-holistic aggregation at once. POD so it can live inside the
-/// log-structured store and be shipped raw over RDMA.
+/// log-structured store and be shipped raw over RDMA. A default AggState
+/// is the identity element: merging it changes nothing.
 struct AggState {
   int64_t sum = 0;
   int64_t count = 0;
   int64_t min = std::numeric_limits<int64_t>::max();
   int64_t max = std::numeric_limits<int64_t>::min();
-
-  /// The identity element (merging it changes nothing).
-  static AggState Identity() { return AggState{}; }
 
   /// Folds one record value into the accumulator.
   void Apply(int64_t value) {

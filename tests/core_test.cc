@@ -69,7 +69,6 @@ TEST(WindowTest, TumblingBuckets) {
   EXPECT_EQ(w.BucketOf(999), 0);
   EXPECT_EQ(w.BucketOf(1000), 1);
   EXPECT_EQ(w.BucketEnd(0), 1000);
-  EXPECT_EQ(w.TriggerWatermark(0), 1000);
 }
 
 TEST(WindowTest, SessionBucketsUseHorizon) {
@@ -77,8 +76,6 @@ TEST(WindowTest, SessionBucketsUseHorizon) {
   EXPECT_EQ(w.BucketWidth(), 1000);
   EXPECT_EQ(w.BucketOf(999), 0);
   EXPECT_EQ(w.BucketOf(1000), 1);
-  // A session may extend one gap past the horizon end before triggering.
-  EXPECT_EQ(w.TriggerWatermark(0), 1100);
 }
 
 TEST(JoinTest, TumblingCountsCrossProduct) {

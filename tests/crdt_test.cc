@@ -21,9 +21,9 @@ AggState FromValues(const std::vector<int64_t>& values) {
 TEST(AggStateTest, IdentityIsNeutral) {
   AggState s = FromValues({3, -1, 7});
   AggState merged = s;
-  merged.Merge(AggState::Identity());
+  merged.Merge(AggState{});
   EXPECT_EQ(merged, s);
-  AggState other = AggState::Identity();
+  AggState other;
   other.Merge(s);
   EXPECT_EQ(other, s);
 }

@@ -202,6 +202,36 @@ TEST(ElasticLeaveTest, LeaveDuringCheckpointTrafficStaysConsistent) {
   EXPECT_GT(stats.checkpoints_taken(), 0u);
 }
 
+TEST(ElasticLeaveTest, LeaveOfACrashedNodeIsNotCounted) {
+  // Node 3 crashes before its scheduled leave fires. The leave is consumed
+  // as moot (the node is already out), so no handoff runs and the elastic
+  // counters, which count executed handoffs, stay at zero.
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = ElasticJob(workload, 4, 2, 3000);
+
+  SlashEngine engine;
+  const Nanos makespan = StaticMakespan(engine, job);
+
+  sim::FaultPlan faults;
+  faults.node_crashes.push_back({.at = Nanos(double(makespan) * 0.3),
+                                 .node = 3});
+  job.cluster.fault_plan = &faults;
+  elastic::ReconfigPlan plan;
+  plan.leaves.push_back({.at = Nanos(double(makespan) * 0.6), .node = 3});
+  ASSERT_TRUE(plan.Validate(job.cluster.nodes).ok());
+  job.cluster.reconfig = &plan;
+
+  const RunStats stats = engine.Run(job);
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_EQ(stats.recoveries(), 1u);
+  EXPECT_EQ(stats.elastic_leaves(), 0u);
+  EXPECT_EQ(stats.reconfigs(), 0u);
+  EXPECT_EQ(stats.partitions_moved(), 0u);
+  EXPECT_EQ(stats.handoff_ns(), 0);
+}
+
 /// The "ts" (virtual microseconds, 3 decimals) and "pid" of the first
 /// Chrome-trace event named `name` with phase `phase`, or {"", -1}.
 std::pair<std::string, int> FindTraceEvent(const std::string& json,

@@ -35,6 +35,48 @@ TEST(MemoryTest, RegisterAndFindByRkey) {
   EXPECT_EQ(fabric.pd(0)->registered_bytes(), 4096u);
 }
 
+// Keys are per domain: they depend only on the node and its registration
+// order, not on which fabrics lived earlier in the process.
+TEST(MemoryTest, RkeysRepeatAcrossFabrics) {
+  auto register_all = [] {
+    sim::Simulator sim;
+    Fabric fabric(&sim, TwoNodeConfig());
+    std::vector<uint32_t> keys;
+    for (int i = 0; i < 3; ++i) {
+      for (int node = 0; node < 2; ++node) {
+        keys.push_back(fabric.pd(node)->RegisterRegion(64)->remote_key().rkey);
+      }
+    }
+    return keys;
+  };
+  const std::vector<uint32_t> first = register_all();
+  EXPECT_EQ(register_all(), first);
+}
+
+// A key of another node's domain, key 0 and a slot past the last region
+// resolve nowhere: both verbs fail with NotFound and move no bytes.
+TEST(MemoryTest, ForeignZeroAndPastTheEndKeysAreNotFound) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* local = fabric.pd(0)->RegisterRegion(64);
+  MemoryRegion* remote = fabric.pd(1)->RegisterRegion(64);
+  QpPair qp = fabric.Connect(0, 1);
+  const uint32_t past_the_end = remote->remote_key().rkey + 1;
+  for (const RemoteKey key :
+       {local->remote_key(), RemoteKey{}, RemoteKey{past_the_end}}) {
+    EXPECT_EQ(fabric.pd(1)->FindByRkey(key.rkey), nullptr);
+    EXPECT_EQ(qp.first->PostWrite(MemorySpan{local, 0, 8}, key, 0, 1, true)
+                  .code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(qp.first->PostRead(MemorySpan{local, 0, 8}, key, 0, 2).code(),
+              StatusCode::kNotFound);
+  }
+  sim.Run();
+  Completion c;
+  EXPECT_FALSE(qp.first->send_cq().TryPoll(&c));
+  EXPECT_EQ(fabric.total_tx_bytes(), 0u);
+}
+
 TEST(MemoryTest, RegionsZeroInitialized) {
   sim::Simulator sim;
   Fabric fabric(&sim, TwoNodeConfig());

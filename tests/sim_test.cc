@@ -159,7 +159,7 @@ TEST(EventTest, DeadlockLeavesPendingTasks) {
 
 Task YieldRecorder(Simulator* sim, std::vector<int>* log, int id) {
   log->push_back(id);
-  co_await sim->Yield();
+  co_await sim->Delay(0);
   log->push_back(id + 10);
 }
 

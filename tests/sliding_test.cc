@@ -30,7 +30,7 @@ TEST(SlidingWindowSpecTest, SliceAssignment) {
   EXPECT_EQ(w.BucketOf(0), 0);
   EXPECT_EQ(w.BucketOf(99), 0);
   EXPECT_EQ(w.BucketOf(100), 1);
-  EXPECT_EQ(w.TriggerWatermark(3), 400);  // window [0,400) ends at 400
+  EXPECT_EQ(w.BucketEnd(3), 400);  // window [0,400) ends at 400
 }
 
 TEST(SlidingWindowSpecTest, SizeMustBeSlideMultiple) {
