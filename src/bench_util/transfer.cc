@@ -50,7 +50,8 @@ struct TransferRun {
   std::vector<std::unique_ptr<perf::CpuContext>> producer_cpus;
   std::vector<std::unique_ptr<perf::CpuContext>> consumer_cpus;
   std::vector<std::unique_ptr<sim::Event>> consumer_events;
-  std::unique_ptr<state::Partition> state;  // consumer-side RO count state
+  // Consumer-side RO count state; null unless config.update_state.
+  std::unique_ptr<state::Partition> state;
   obs::Counter* records_out = nullptr;      // "transfer.records_out"
   TransferResult result;
 };
@@ -250,11 +251,13 @@ TransferResult RunTransfer(const TransferConfig& config) {
   ch_cfg.post_batch = config.post_batch;
   ch_cfg.inline_threshold = config.inline_threshold;
 
-  state::PartitionConfig pcfg;
-  pcfg.kind = state::StateKind::kAggregate;
-  pcfg.lss_capacity = 1ULL << 22;
-  pcfg.index_buckets = 1ULL << 16;
-  run.state = std::make_unique<state::Partition>(0, pcfg);
+  if (config.update_state) {
+    state::PartitionConfig pcfg;
+    pcfg.kind = state::StateKind::kAggregate;
+    pcfg.lss_capacity = 1ULL << 22;
+    pcfg.index_buckets = 1ULL << 16;
+    run.state = std::make_unique<state::Partition>(0, pcfg);
+  }
 
   run.producer_lanes.resize(config.producers);
   run.consumer_lanes.resize(config.consumers);

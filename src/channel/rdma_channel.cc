@@ -123,6 +123,15 @@ uint64_t RdmaChannel::released_acked() const {
   return v;
 }
 
+rdma::UnreadRange RdmaChannel::UnusedPayload(uint32_t first,
+                                             uint32_t run) const {
+  const uint32_t last = first + run - 1;
+  const SlotFooter footer = ReadFooter(staging_->data() + FooterOffset(last));
+  const uint64_t base = SlotOffset(last) - SlotOffset(first);
+  return rdma::UnreadRange{base + footer.payload_len,
+                           base + payload_capacity()};
+}
+
 bool RdmaChannel::has_credit() const {
   return acquired_count_ - released_acked() < config_.credits;
 }
@@ -221,7 +230,8 @@ Status RdmaChannel::Post(const SlotRef& slot, uint64_t payload_len,
       rdma::MemorySpan{staging_, SlotOffset(slot.slot_index),
                        config_.slot_bytes},
       queue_->remote_key(), SlotOffset(slot.slot_index),
-      MakeWrId(sent_count_, kWrSlot), /*signaled=*/false);
+      MakeWrId(sent_count_, kWrSlot), /*signaled=*/false,
+      /*inline_send=*/false, UnusedPayload(slot.slot_index, 1));
 }
 
 Status RdmaChannel::Flush(perf::CpuContext* cpu) {
@@ -261,7 +271,8 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
     const Status status = flow_->PostToConsumer(
         rdma::MemorySpan{staging_, SlotOffset(wr.slot), wire_bytes},
         queue_->remote_key(), SlotOffset(wr.slot), MakeWrId(wr.msg, kWrSlot),
-        /*signaled=*/false, inline_write);
+        /*signaled=*/false, inline_write,
+        UnusedPayload(wr.slot, static_cast<uint32_t>(run)));
     if (!status.ok()) {
       pending_.clear();
       return status;
@@ -403,10 +414,12 @@ void RdmaChannel::RetryPost(uint64_t wr_id) {
   // Every covered slot's bytes are still intact — none of their credits can
   // have returned, because the in-order consumer cannot poll past the lost
   // message.
-  const uint64_t span = uint64_t(merged_run_len_[slot]) * config_.slot_bytes;
+  const uint32_t run = merged_run_len_[slot];
   const Status status = flow_->PostToConsumer(
-      rdma::MemorySpan{staging_, SlotOffset(slot), span}, queue_->remote_key(),
-      SlotOffset(slot), wr_id, /*signaled=*/true);
+      rdma::MemorySpan{staging_, SlotOffset(slot),
+                       uint64_t(run) * config_.slot_bytes},
+      queue_->remote_key(), SlotOffset(slot), wr_id, /*signaled=*/true,
+      /*inline_send=*/false, UnusedPayload(slot, run));
   if (!status.ok()) CloseChannel(status);
 }
 

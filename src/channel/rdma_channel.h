@@ -8,9 +8,11 @@
 //     RDMA-capable slots of `m` bytes and connect a reliable QP.
 //   * Transfer phase: the producer (1) acquires the next free local slot
 //     and fills it, (2) posts one RDMA WRITE of the whole slot into the
-//     consumer's mirror slot, (3) waits for credit when none remain. The
-//     consumer (1) polls the footer of the next expected slot, (2) marks
-//     the buffer for processing, (3) returns a credit after processing.
+//     consumer's mirror slot (the wire carries all `m` bytes; only the
+//     payload and the footer land, see rdma::UnreadRange), (3) waits for
+//     credit when none remain. The consumer (1) polls the footer of the
+//     next expected slot, (2) marks the buffer for processing, (3) returns
+//     a credit after processing.
 //
 // Design choices from Sec. 6.3, reproduced here:
 //   * Flat memory layout: the queue is one contiguous region of c*m bytes;
@@ -256,8 +258,9 @@ class RdmaChannel {
   bool TryAcquire(SlotRef* out, perf::CpuContext* cpu);
 
   /// Publishes `payload_len` bytes of the acquired slot to the consumer as
-  /// one RDMA WRITE of the whole fixed-size slot. Consumes one credit.
-  /// Slots must be posted in acquisition order.
+  /// one RDMA WRITE of the whole fixed-size slot, whose unused payload area
+  /// is marked unread (rdma::UnreadRange). Consumes one credit. Slots must
+  /// be posted in acquisition order.
   Status Post(const SlotRef& slot, uint64_t payload_len, uint64_t user_tag,
               int64_t watermark, perf::CpuContext* cpu);
 
@@ -378,6 +381,13 @@ class RdmaChannel {
     return SlotOffset(slot) + config_.slot_bytes - kFooterBytes;
   }
   uint64_t released_acked() const;  // producer-visible cumulative releases
+
+  // The unread range of a slot WRITE covering `run` ring slots from
+  // `first`: the unused payload area of its last slot, read back from that
+  // slot's staged footer. The consumer reads only a slot's payload and
+  // footer, so these bytes need not land; an earlier slot's padding in a
+  // coalesced run is copied, which keeps one range per WRITE.
+  rdma::UnreadRange UnusedPayload(uint32_t first, uint32_t run) const;
 
   // Work-request id encoding: wr_id = message_number * 4 + kind. The kind
   // tells the retry machinery what to re-post when a completion comes back

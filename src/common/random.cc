@@ -1,6 +1,9 @@
 #include "common/random.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -31,6 +34,15 @@ double ZetaStatic(uint64_t n, double theta) {
 }
 
 }  // namespace
+
+double Zeta(uint64_t n, double theta) {
+  static std::mutex mu;
+  static std::map<std::pair<uint64_t, double>, double> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  const auto [it, inserted] = cache.try_emplace({n, theta}, 0.0);
+  if (inserted) it->second = ZetaStatic(n, theta);
+  return it->second;
+}
 
 Rng::Rng(uint64_t seed) {
   // SplitMix64 expansion of the seed into four lanes, per xoshiro reference.
@@ -71,14 +83,15 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double z, uint64_t seed)
   SLASH_CHECK_GT(n, 0u);
   SLASH_CHECK_GE(z, 0.0);
   if (z_ == 0.0) {
-    zetan_ = theta_denominator_ = alpha_ = eta_ = 0;
+    zetan_ = theta_denominator_ = alpha_ = eta_ = second_bound_ = 0;
     return;
   }
-  zetan_ = ZetaStatic(n_, z_);
-  theta_denominator_ = ZetaStatic(2, z_);
+  zetan_ = Zeta(n_, z_);
+  theta_denominator_ = Zeta(2, z_);
   alpha_ = 1.0 / (1.0 - z_);
   eta_ = (1.0 - std::pow(2.0 / double(n_), 1.0 - z_)) /
          (1.0 - theta_denominator_ / zetan_);
+  second_bound_ = 1.0 + std::pow(0.5, z_);
 }
 
 uint64_t ZipfGenerator::Next() {
@@ -86,7 +99,7 @@ uint64_t ZipfGenerator::Next() {
   const double u = rng_.NextDouble();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, z_)) return 1;
+  if (uz < second_bound_) return 1;
   if (z_ == 1.0) {
     // alpha_ is infinite at z == 1; fall back to the continuous approximation
     // F^-1(u) ~ n^u for the log-series case.
@@ -98,21 +111,22 @@ uint64_t ZipfGenerator::Next() {
 }
 
 ParetoGenerator::ParetoGenerator(uint64_t n, double shape, uint64_t seed)
-    : n_(n), shape_(shape), rng_(seed) {
+    : n_(n),
+      la_(std::pow(1.0, shape)),
+      ha_(std::pow(double(n), shape)),
+      exponent_(-1.0 / shape),
+      rng_(seed) {
   SLASH_CHECK_GT(n, 0u);
   SLASH_CHECK_GT(shape, 0.0);
 }
 
 uint64_t ParetoGenerator::Next() {
-  // Bounded Pareto over [1, n], inverse-CDF sampled, then shifted to [0, n).
-  const double l = 1.0;
-  const double h = double(n_);
+  // Bounded Pareto over [l, h] = [1, n], inverse-CDF sampled, then shifted
+  // to [0, n).
   double u = rng_.NextDouble();
   if (u >= 1.0) u = std::nextafter(1.0, 0.0);
-  const double la = std::pow(l, shape_);
-  const double ha = std::pow(h, shape_);
   const double x =
-      std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / shape_);
+      std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), exponent_);
   uint64_t k = static_cast<uint64_t>(x) - 1;
   return k >= n_ ? n_ - 1 : k;
 }

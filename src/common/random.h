@@ -28,6 +28,12 @@ class Rng {
   uint64_t s_[4];
 };
 
+/// zeta(n, theta) = sum_{i=1..n} i^-theta, summed directly up to n = 1M and
+/// extended by its integral bound above that. Each (n, theta) is summed once
+/// per process and cached; a cached value equals a fresh sum bit for bit.
+/// Thread-safe.
+double Zeta(uint64_t n, double theta);
+
 /// Draws keys from a Zipfian distribution over [0, n) with exponent `z`.
 ///
 /// Uses the Gray/Jim-Gray transformation with precomputed zeta constants so
@@ -49,6 +55,7 @@ class ZipfGenerator {
   double theta_denominator_;  // zeta(2, z)
   double alpha_;
   double eta_;
+  double second_bound_;  // 1 + 0.5^z: draws of u * zeta(n) below it are 1
   Rng rng_;
 };
 
@@ -64,7 +71,9 @@ class ParetoGenerator {
 
  private:
   uint64_t n_;
-  double shape_;
+  double la_;        // l^shape, l = 1
+  double ha_;        // h^shape, h = n
+  double exponent_;  // -1 / shape
   Rng rng_;
 };
 

@@ -20,7 +20,7 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
   node_speed_.assign(config.nodes, 1.0);
   qp_per_node_.assign(config.nodes, 0);
   for (int n = 0; n < config.nodes; ++n) {
-    pds_.push_back(std::make_unique<ProtectionDomain>(n));
+    pds_.push_back(std::make_unique<ProtectionDomain>(n, &arena_));
     // Per-node tx counters; their sum is exactly total_tx_bytes().
     nics_.push_back(std::make_unique<Nic>(
         n, config.nic,
@@ -187,10 +187,11 @@ bool Fabric::DemuxFlowCompletion(const Completion& c) {
 
 Status Flow::PostToConsumer(MemorySpan local, RemoteKey rkey,
                             uint64_t remote_offset, uint64_t wr_id,
-                            bool signaled, bool inline_send) {
+                            bool signaled, bool inline_send,
+                            UnreadRange unread) {
   return fwd_from_->PostWriteTo(fwd_to_, local, rkey, remote_offset,
                                 Tag(wr_id, /*reverse=*/false), signaled,
-                                inline_send);
+                                inline_send, unread);
 }
 
 Status Flow::PostToProducer(MemorySpan local, RemoteKey rkey,
@@ -329,7 +330,8 @@ void Fabric::FlushWr(QpEndpoint* from, WorkType type, uint64_t wr_id,
 
 Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                             RemoteKey rkey, uint64_t remote_offset,
-                            uint64_t wr_id, bool signaled, bool inline_send) {
+                            uint64_t wr_id, bool signaled, bool inline_send,
+                            UnreadRange unread) {
   MemoryRegion* remote = pd(to->node())->FindByRkey(rkey.rkey);
   if (remote == nullptr) {
     return Status::NotFound("unknown rkey on destination node");
@@ -370,21 +372,22 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       const Nanos arrival = nic(to->node())
                                 ->ReserveRx(tx_end + lat + fault.extra_delay,
                                             len);
-      ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                            signaled, arrival, lat);
+      ScheduleWriteDelivery(from, to, remote, local, remote_offset, unread,
+                            wr_id, signaled, arrival, lat);
       return Status::OK();
     }
   }
 
   const Nanos arrival = nic(to->node())->ReserveRx(tx_end + lat, len);
-  ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                        signaled, arrival, lat);
+  ScheduleWriteDelivery(from, to, remote, local, remote_offset, unread,
+                        wr_id, signaled, arrival, lat);
   return Status::OK();
 }
 
 void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                                    MemoryRegion* remote, MemorySpan local,
-                                   uint64_t remote_offset, uint64_t wr_id,
+                                   uint64_t remote_offset,
+                                   UnreadRange unread, uint64_t wr_id,
                                    bool signaled, Nanos arrival, Nanos lat) {
   ++from->outstanding_;
   // Capture the source bytes lazily at delivery time: RDMA reads the send
@@ -405,7 +408,12 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
       return;
     }
     *delivered = true;
-    std::memcpy(remote->data() + remote_offset, local.data(), len);
+    // Only the bytes the receiver may read move: [0, begin) and
+    // [end, len). A full WRITE has an empty unread range.
+    uint8_t* dst = remote->data() + remote_offset;
+    const uint8_t* src = local.data();
+    std::memcpy(dst, src, unread.begin);
+    std::memcpy(dst + unread.end, src + unread.end, len - unread.end);
     // RDMA WRITE fills memory from lower to higher addresses: the channel
     // layer relies on this to poll the final footer byte (Sec. 6.3). In the
     // simulation the whole message materializes atomically at `arrival`,

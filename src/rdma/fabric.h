@@ -83,9 +83,10 @@ class Flow {
   /// One-sided write, producer side -> consumer node. `inline_send` marks
   /// a WR whose payload the poster embedded in the WQE: the sending NIC
   /// skips the payload DMA fetch (NicConfig::inline_overhead_discount).
+  /// `unread` names bytes of the span the consumer never reads (UnreadRange).
   Status PostToConsumer(MemorySpan local, RemoteKey rkey,
                         uint64_t remote_offset, uint64_t wr_id, bool signaled,
-                        bool inline_send = false);
+                        bool inline_send = false, UnreadRange unread = {});
 
   /// One-sided write, consumer side -> producer node (credit returns).
   Status PostToProducer(MemorySpan local, RemoteKey rkey,
@@ -229,7 +230,7 @@ class Fabric : public sim::FaultTarget {
   // connected QPs, the flow's destination for hub endpoints).
   Status ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                       RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id,
-                      bool signaled, bool inline_send);
+                      bool signaled, bool inline_send, UnreadRange unread);
   Status ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                      RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id);
 
@@ -242,8 +243,9 @@ class Fabric : public sim::FaultTarget {
   // made it onto the wire (faults may still strike it mid-flight).
   void ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                              MemoryRegion* remote, MemorySpan local,
-                             uint64_t remote_offset, uint64_t wr_id,
-                             bool signaled, Nanos arrival, Nanos lat);
+                             uint64_t remote_offset, UnreadRange unread,
+                             uint64_t wr_id, bool signaled, Nanos arrival,
+                             Nanos lat);
 
   // The injector registered on the simulator, or nullptr (fault-free).
   sim::FaultInjector* injector() const { return sim_->fault_injector(); }
@@ -273,6 +275,7 @@ class Fabric : public sim::FaultTarget {
 
   sim::Simulator* sim_;
   FabricConfig config_;
+  RegionArena arena_;  // memory of every domain's regions; outlives pds_
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<QpEndpoint>> endpoints_;  // [qp_num - 1]

@@ -12,6 +12,7 @@
 #define SLASH_RDMA_MEMORY_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,24 +31,17 @@ struct RemoteKey {
 
 /// A registered, RDMA-capable memory region on one node.
 ///
-/// A region's bytes start zeroed. Regions of at least kMappedRegionBytes
-/// come page-aligned from MapZeroPages, so a page costs memory only when it
-/// is first written; smaller ones come from the heap, where a mapping per
-/// region costs more set-up time than it saves. The paper's hugepage
-/// configuration (Sec. 8.1.1) is not modelled.
+/// A region's bytes start zeroed and belong to the fabric's RegionArena.
+/// The paper's hugepage configuration (Sec. 8.1.1) is not modelled.
 class MemoryRegion {
  public:
-  /// Smallest region mapped lazily: glibc's default mmap threshold.
-  static constexpr uint64_t kMappedRegionBytes = 128 * 1024;
-
   /// Notification hook invoked when a remote one-sided WRITE lands in this
   /// region. This models "polled memory changed" for the simulation's
   /// event-driven pollers; it carries no data and does not involve the
   /// remote CPU.
   using RemoteWriteListener = std::function<void(uint64_t offset, uint64_t len)>;
 
-  MemoryRegion(int node, uint32_t rkey, uint64_t size);
-  ~MemoryRegion();
+  MemoryRegion(int node, uint32_t rkey, uint8_t* data, uint64_t size);
   MemoryRegion(const MemoryRegion&) = delete;
   MemoryRegion& operator=(const MemoryRegion&) = delete;
 
@@ -72,7 +66,7 @@ class MemoryRegion {
   int node_;
   uint32_t rkey_;
   uint64_t size_;
-  uint8_t* data_;  // MapZeroPages if size_ >= kMappedRegionBytes, else new[]
+  uint8_t* data_;  // owned by the fabric's RegionArena
   std::vector<RemoteWriteListener> listeners_;
 };
 
@@ -131,6 +125,58 @@ class BufferPool {
   uint64_t misses_ = 0;
 };
 
+/// Zeroed memory for the registered regions of one fabric.
+///
+/// Regions are never deregistered one at a time, so a bump allocator
+/// suffices, and everything is released when the fabric dies. A region of
+/// at least kPageBytes is carved page-aligned from a few zero-page mappings
+/// (MapZeroPages), each twice the size of the one before, so a page of it
+/// costs memory only once it is written. One arena serves every protection
+/// domain of a fabric: a fabric pays a handful of mappings in all, not a
+/// few per node (weakscale builds 256 domains).
+///
+/// A smaller region cannot be sparse: any write brings in its whole page.
+/// These (credit counters, liveness words, tiny slot rings) are packed
+/// kSmallAlign apart into zeroed heap chunks of at most kMaxSmallChunkBytes,
+/// below glibc's mmap threshold, so the allocator recycles their pages when
+/// fabrics come and go in one process instead of faulting in fresh ones.
+class RegionArena {
+ public:
+  static constexpr uint64_t kPageBytes = 4096;
+  static constexpr uint64_t kSmallAlign = 16;
+  static constexpr uint64_t kMaxSmallChunkBytes = 64 * 1024;
+  /// Size of the first mapping; each later one doubles it (a request
+  /// larger than that gets a mapping of its own rounded-up size).
+  static constexpr uint64_t kFirstMappingBytes = 256 * 1024;
+
+  RegionArena() = default;
+  ~RegionArena();
+  RegionArena(const RegionArena&) = delete;
+  RegionArena& operator=(const RegionArena&) = delete;
+
+  /// Returns `size` zeroed bytes: page-aligned from a mapping if `size` is
+  /// at least kPageBytes, else kSmallAlign-aligned from a heap chunk.
+  uint8_t* Carve(uint64_t size);
+
+ private:
+  struct Mapping {
+    uint8_t* data;
+    uint64_t bytes;
+  };
+
+  // Returns `size` bytes rounded up to whole pages from the newest
+  // mapping, adding a larger mapping when they do not fit.
+  uint8_t* CarvePages(uint64_t size);
+
+  std::vector<Mapping> mappings_;
+  uint64_t carved_ = 0;  // bytes handed out of mappings_.back()
+  // Heap chunks for sub-page regions; each doubles the one before, from
+  // kPageBytes up to kMaxSmallChunkBytes.
+  std::vector<std::unique_ptr<uint8_t[]>> small_chunks_;
+  uint64_t small_chunk_bytes_ = 0;  // size of small_chunks_.back()
+  uint64_t small_used_ = 0;         // bytes handed out of it
+};
+
 /// A protection domain: owns the registered regions of one node.
 ///
 /// A region's rkey is its address in the domain, like an index into an
@@ -138,11 +184,15 @@ class BufferPool {
 /// registration index + 1. Slot 0 is never handed out, so key 0 resolves
 /// nowhere. Keys depend only on the node and its registration order, never
 /// on what else ran in the process.
+///
+/// Region memory comes from the fabric's RegionArena.
 class ProtectionDomain {
  public:
   static constexpr int kSlotBits = 20;
 
-  explicit ProtectionDomain(int node) : node_(node) {}
+  /// `arena` (non-owning) must outlive the domain.
+  ProtectionDomain(int node, RegionArena* arena)
+      : node_(node), arena_(arena) {}
   ProtectionDomain(const ProtectionDomain&) = delete;
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
@@ -154,14 +204,15 @@ class ProtectionDomain {
   /// Looks up a region by remote key in O(1); nullptr for a key of another
   /// node's domain, slot 0 or a slot past the last region. Used by the
   /// fabric to resolve one-sided accesses.
-  MemoryRegion* FindByRkey(uint32_t rkey) const;
+  MemoryRegion* FindByRkey(uint32_t rkey);
 
   /// Total registered bytes on this node.
   uint64_t registered_bytes() const { return registered_bytes_; }
 
  private:
   int node_;
-  std::vector<std::unique_ptr<MemoryRegion>> regions_;
+  RegionArena* arena_;
+  std::deque<MemoryRegion> regions_;  // [slot - 1]; addresses never move
   uint64_t registered_bytes_ = 0;
 };
 

@@ -62,13 +62,17 @@ Status QpEndpoint::PostWrite(MemorySpan local, RemoteKey rkey,
 
 Status QpEndpoint::PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                                uint64_t remote_offset, uint64_t wr_id,
-                               bool signaled, bool inline_send) {
+                               bool signaled, bool inline_send,
+                               UnreadRange unread) {
   if (to == nullptr) {
     return Status::InvalidArgument("endpoint has no destination");
   }
   SLASH_RETURN_IF_ERROR(ValidateLocal(local));
+  if (unread.begin > unread.end || unread.end > local.length) {
+    return Status::InvalidArgument("unread range outside the write's span");
+  }
   return fabric_->ExecuteWrite(this, to, local, rkey, remote_offset, wr_id,
-                               signaled, inline_send);
+                               signaled, inline_send, unread);
 }
 
 Status QpEndpoint::PostRead(MemorySpan local, RemoteKey rkey,

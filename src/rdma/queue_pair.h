@@ -59,6 +59,16 @@ enum class QpState : uint8_t {
   kError = 1,
 };
 
+/// The bytes [begin, end) of a WRITE's span, counted from its start, that
+/// no protocol code at the receiver reads (a slot's unused payload area).
+/// The NIC still times and counts the whole span, but delivery copies only
+/// the bytes outside the range; the remote bytes inside it are unspecified.
+/// The default, empty range makes a full WRITE.
+struct UnreadRange {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
 /// One completion-queue entry.
 struct Completion {
   uint64_t wr_id = 0;
@@ -151,9 +161,11 @@ class QpEndpoint {
   /// poster (payload small enough for the device's inline limit): the
   /// sending NIC skips the payload DMA fetch
   /// (NicConfig::inline_overhead_discount); semantics are unchanged.
+  /// `unread` must lie inside the span (kInvalidArgument otherwise, and
+  /// nothing moves).
   Status PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                      uint64_t remote_offset, uint64_t wr_id, bool signaled,
-                     bool inline_send = false);
+                     bool inline_send = false, UnreadRange unread = {});
 
   /// Work requests posted but not yet completed on the wire.
   int outstanding() const { return outstanding_; }

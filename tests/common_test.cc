@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -164,6 +165,47 @@ TEST(ZipfTest, StaysInRange) {
     ZipfGenerator gen(100, z, 5);
     for (int i = 0; i < 10000; ++i) EXPECT_LT(gen.Next(), 100u);
   }
+}
+
+// The per-draw constants are computed once at construction and zeta once
+// per (n, z): the first draws match the values the generators produced when
+// every draw recomputed its constants and every generator re-summed zeta.
+TEST(ZipfTest, FirstDrawsArePinned) {
+  ZipfGenerator gen(12500, 0.9, 42);
+  std::vector<uint64_t> draws;
+  for (int i = 0; i < 12; ++i) draws.push_back(gen.Next());
+  EXPECT_EQ(draws, (std::vector<uint64_t>{2042, 1300, 2935, 26, 0, 9, 5127, 0,
+                                          8580, 10548, 265, 1}));
+  // The next 10 000 draws, by sum and by how many took key 1's branch.
+  uint64_t sum = 0;
+  uint64_t ones = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t key = gen.Next();
+    sum += key;
+    ones += key == 1;
+  }
+  EXPECT_EQ(sum, 17871837u);
+  EXPECT_EQ(ones, 370u);
+}
+
+TEST(ZipfTest, CachedZetaEqualsAFreshSumBitForBit) {
+  double fresh = 0;
+  for (uint64_t i = 1; i <= 12500; ++i) fresh += 1.0 / std::pow(double(i), 0.9);
+  const double first = Zeta(12500, 0.9);
+  const double again = Zeta(12500, 0.9);
+  EXPECT_EQ(std::memcmp(&first, &fresh, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&again, &fresh, sizeof(double)), 0);
+}
+
+TEST(ParetoTest, FirstDrawsArePinned) {
+  ParetoGenerator gen(100000, 1.1, 42);
+  std::vector<uint64_t> draws;
+  for (int i = 0; i < 12; ++i) draws.push_back(gen.Next());
+  EXPECT_EQ(draws,
+            (std::vector<uint64_t>{2, 1, 3, 0, 0, 0, 5, 0, 12, 26, 0, 0}));
+  uint64_t sum = 0;
+  for (int i = 0; i < 10000; ++i) sum += gen.Next();
+  EXPECT_EQ(sum, 63997u);
 }
 
 TEST(ParetoTest, HeavyHittersAtSmallKeys) {

@@ -370,6 +370,15 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   // A full batch coalesces into one 8 x 4 KiB WRITE: inline up to that.
   cfg.inline_threshold = 32 * 1024;
   auto ch = channel::RdmaChannel::Create(&fabric, 0, 1, cfg);
+  // Every WRITE carries an unread range: the unused payload area of its
+  // last slot. Slot 7 ends every run it is in (runs stop at the ring wrap),
+  // so a sentinel there in the consumer's queue, the first region of node
+  // 1, must survive the whole echo.
+  rdma::MemoryRegion* queue =
+      fabric.pd(1)->FindByRkey((1u << rdma::ProtectionDomain::kSlotBits) | 1);
+  ASSERT_NE(queue, nullptr);
+  uint8_t* sentinel = queue->data() + 7 * cfg.slot_bytes + 1000;
+  *sentinel = 0xEE;
 
   // Sized so the echo outlasts warmup + armed region: WR coalescing merges
   // each 8-WR batch into one wire WRITE, so a message costs only a few sim
@@ -399,6 +408,7 @@ TEST(AllocTrackerTest, BatchedChannelPathIsAllocationFreeInSteadyState) {
   EXPECT_EQ(received, kMessages);
   EXPECT_EQ(ch->sent_count(), kMessages);
   EXPECT_EQ(ch->pending_posts(), 0u);
+  EXPECT_EQ(*sentinel, 0xEE);
   // Every doorbell rang for exactly one inline WRITE: the guard covers the
   // inline path, not just coalescing.
   const uint64_t doorbells =

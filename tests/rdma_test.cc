@@ -3,7 +3,9 @@
 // socket/IPoIB transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "perf/cost_model.h"
@@ -82,6 +84,57 @@ TEST(MemoryTest, RegionsZeroInitialized) {
   Fabric fabric(&sim, TwoNodeConfig());
   MemoryRegion* mr = fabric.pd(0)->RegisterRegion(128);
   for (size_t i = 0; i < 128; ++i) EXPECT_EQ(mr->data()[i], 0);
+}
+
+// Regions are carved from the fabric's few mappings, which both domains
+// share: enough small and large registrations to outgrow several mappings
+// still hand out zeroed, disjoint, aligned regions under the usual keys and
+// byte counts.
+TEST(MemoryTest, DomainsCarveZeroedDisjointAlignedRegions) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  const uint64_t sizes[] = {64, 8, 4096, 100, 256 * 1024, 2000, 64 * 1024,
+                            1, 300 * 1024, 4095, 4097, 1 << 20};
+  std::vector<MemoryRegion*> regions;
+  uint64_t total[2] = {0, 0};
+  uint32_t slots[2] = {0, 0};
+  for (int round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < std::size(sizes); ++i) {
+      const int node = int(i % 2);
+      MemoryRegion* mr = fabric.pd(node)->RegisterRegion(sizes[i]);
+      regions.push_back(mr);
+      total[node] += sizes[i];
+      EXPECT_EQ(mr->size(), sizes[i]);
+      EXPECT_EQ(mr->node(), node);
+      ++slots[node];
+      EXPECT_EQ(mr->remote_key().rkey,
+                (uint32_t(node) << ProtectionDomain::kSlotBits) | slots[node]);
+      EXPECT_EQ(fabric.pd(node)->FindByRkey(mr->remote_key().rkey), mr);
+      const uint64_t align = mr->size() >= RegionArena::kPageBytes
+                                 ? RegionArena::kPageBytes
+                                 : RegionArena::kSmallAlign;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(mr->data()) % align, 0u);
+      EXPECT_EQ(std::count(mr->data(), mr->data() + mr->size(), 0),
+                std::ptrdiff_t(mr->size()))
+          << "region of " << mr->size() << " bytes not zeroed";
+    }
+  }
+  // Several times the first mapping, so the arena mapped several.
+  ASSERT_GT(total[0] + total[1], 8 * RegionArena::kFirstMappingBytes);
+  EXPECT_EQ(fabric.pd(0)->registered_bytes(), total[0]);
+  EXPECT_EQ(fabric.pd(1)->registered_bytes(), total[1]);
+  // Disjoint: fill each region with its own byte, then every region still
+  // holds only its own.
+  for (size_t i = 0; i < regions.size(); ++i) {
+    std::memset(regions[i]->data(), int(i % 251) + 1, regions[i]->size());
+  }
+  for (size_t i = 0; i < regions.size(); ++i) {
+    const uint8_t mark = uint8_t(i % 251 + 1);
+    EXPECT_EQ(std::count(regions[i]->data(),
+                         regions[i]->data() + regions[i]->size(), mark),
+              std::ptrdiff_t(regions[i]->size()))
+        << "region " << i << " overlaps another";
+  }
 }
 
 TEST(MemoryTest, SpanValidation) {
@@ -240,6 +293,98 @@ TEST(QueuePairTest, ErrorPaths) {
                             true)
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// What one WRITE of a 1000-byte span did, as seen by both sides.
+struct SpanWriteOutcome {
+  Nanos arrival = -1;
+  Nanos completion = -1;
+  uint64_t tx_bytes = 0;
+  std::vector<uint8_t> landed;  // the destination region afterwards
+};
+
+// Writes a 1000-byte patterned span over a flow into a destination
+// pre-filled with a 0xEE sentinel, marking `unread` as the bytes the
+// receiver never reads.
+SpanWriteOutcome WriteSpan(UnreadRange unread) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* src = fabric.pd(0)->RegisterRegion(1000);
+  MemoryRegion* dst = fabric.pd(1)->RegisterRegion(1000);
+  Flow* flow = fabric.OpenFlow(0, 1);
+  for (int i = 0; i < 1000; ++i) src->data()[i] = uint8_t(i % 251);
+  std::memset(dst->data(), 0xEE, 1000);
+  SpanWriteOutcome out;
+  dst->AddRemoteWriteListener([&](uint64_t off, uint64_t len) {
+    EXPECT_EQ(off, 0u);
+    EXPECT_EQ(len, 1000u);
+    out.arrival = sim.now();
+  });
+  SLASH_CHECK(flow->PostToConsumer(MemorySpan{src, 0, 1000},
+                                   dst->remote_key(), 0, /*wr_id=*/5,
+                                   /*signaled=*/true, /*inline_send=*/false,
+                                   unread)
+                  .ok());
+  sim.Run();
+  Completion c;
+  if (flow->producer_endpoint()->send_cq().TryPoll(&c)) {
+    EXPECT_TRUE(c.ok());
+    EXPECT_EQ(c.byte_len, 1000u);
+    out.completion = sim.now();
+  }
+  out.tx_bytes = fabric.total_tx_bytes();
+  out.landed.assign(dst->data(), dst->data() + 1000);
+  return out;
+}
+
+// The NIC times and counts the whole span; delivery skips only the unread
+// bytes, which keep whatever the receiver held.
+TEST(QueuePairTest, UnreadRangeCostsTheSpanAndDeliversTheRest) {
+  const SpanWriteOutcome full = WriteSpan(UnreadRange{});
+  const SpanWriteOutcome partial = WriteSpan(UnreadRange{100, 900});
+  ASSERT_GT(full.arrival, 0);
+  ASSERT_GT(full.completion, full.arrival);
+  EXPECT_EQ(partial.arrival, full.arrival);
+  EXPECT_EQ(partial.completion, full.completion);
+  EXPECT_EQ(partial.tx_bytes, full.tx_bytes);
+  EXPECT_EQ(full.tx_bytes, 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(full.landed[i], uint8_t(i % 251)) << i;
+    const bool unread = i >= 100 && i < 900;
+    EXPECT_EQ(partial.landed[i], unread ? 0xEE : uint8_t(i % 251)) << i;
+  }
+  // Ranges touching either end of the span.
+  const SpanWriteOutcome head = WriteSpan(UnreadRange{0, 10});
+  const SpanWriteOutcome tail = WriteSpan(UnreadRange{990, 1000});
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(head.landed[i], i < 10 ? 0xEE : uint8_t(i % 251)) << i;
+    EXPECT_EQ(tail.landed[i], i >= 990 ? 0xEE : uint8_t(i % 251)) << i;
+  }
+}
+
+TEST(QueuePairTest, UnreadRangeOutsideTheSpanIsRejected) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* src = fabric.pd(0)->RegisterRegion(64);
+  MemoryRegion* dst = fabric.pd(1)->RegisterRegion(64);
+  Flow* flow = fabric.OpenFlow(0, 1);
+  std::memset(src->data(), 0x11, 64);
+  bool notified = false;
+  dst->AddRemoteWriteListener([&](uint64_t, uint64_t) { notified = true; });
+  for (const UnreadRange unread :
+       {UnreadRange{0, 33}, UnreadRange{20, 10}, UnreadRange{33, 33}}) {
+    EXPECT_EQ(flow->PostToConsumer(MemorySpan{src, 0, 32}, dst->remote_key(),
+                                   0, 1, /*signaled=*/true,
+                                   /*inline_send=*/false, unread)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  sim.Run();
+  Completion c;
+  EXPECT_FALSE(flow->producer_endpoint()->send_cq().TryPoll(&c));
+  EXPECT_FALSE(notified);
+  EXPECT_EQ(fabric.total_tx_bytes(), 0u);
+  EXPECT_EQ(std::count(dst->data(), dst->data() + 64, 0), 64);
 }
 
 TEST(QueuePairTest, ReadPullsBytesWithRoundTrip) {
