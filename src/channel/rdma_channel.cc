@@ -153,7 +153,7 @@ bool RdmaChannel::TryAcquire(SlotRef* out, perf::CpuContext* cpu) {
     return false;
   }
   if (config_.replay_buffer_slots > 0 &&
-      retained_.size() >= config_.replay_buffer_slots) {
+      retained_ >= config_.replay_buffer_slots) {
     // Replay buffer full: the producer may not outrun the consumer's
     // checkpoints by more than the bound.
     cpu->Charge(perf::Op::kPollPause);
@@ -199,15 +199,7 @@ Status RdmaChannel::Post(const SlotRef& slot, uint64_t payload_len,
   footer.send_time = slot.acquire_time;
   WriteFooter(staging_->data() + FooterOffset(slot.slot_index), footer);
 
-  if (config_.replay_buffer_slots > 0) {
-    RetainedMessage retained;
-    retained.bytes = fabric_->buffer_pool().Get(payload_len);
-    retained.bytes.assign(slot.payload, slot.payload + payload_len);
-    retained.user_tag = user_tag;
-    retained.watermark = watermark;
-    retained_bytes_ += payload_len;
-    retained_.push_back(std::move(retained));
-  }
+  if (config_.replay_buffer_slots > 0) ++retained_;
 
   if (batched_mode_) {
     // Decomposed post: build the WQE now, ring the doorbell at Flush().
@@ -286,13 +278,8 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
 }
 
 void RdmaChannel::MarkCheckpoint() {
-  if (retained_.empty()) return;
-  // Recycle the replay copies' backing stores for the next epoch's posts.
-  for (RetainedMessage& m : retained_) {
-    fabric_->buffer_pool().Put(std::move(m.bytes));
-  }
-  retained_.clear();
-  retained_bytes_ = 0;
+  if (retained_ == 0) return;
+  retained_ = 0;
   // Producers blocked on the replay-buffer bound can acquire again.
   credit_event_.Notify();
   for (sim::Event* observer : credit_observers_) observer->Notify();

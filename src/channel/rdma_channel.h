@@ -47,7 +47,6 @@
 #define SLASH_CHANNEL_RDMA_CHANNEL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -133,13 +132,15 @@ struct ChannelConfig {
   /// reused before its credit returns, so payloads are still intact.
   uint32_t max_retries = 10;
 
-  /// Upstream replay buffer: when > 0, the producer retains a copy of every
-  /// posted message until the consumer acknowledges a checkpoint covering
-  /// it (MarkCheckpoint()). The buffer is bounded: once `replay_buffer_slots`
-  /// messages are retained, TryAcquire back-pressures the producer until
-  /// the next checkpoint prunes the buffer. 0 disables retention. Only
-  /// enable on channels whose consumer actually checkpoints, or the
-  /// producer wedges permanently once the bound is hit.
+  /// Upstream replay buffer: when > 0, the producer counts every posted
+  /// message as retained until the consumer acknowledges a checkpoint
+  /// covering it (MarkCheckpoint()). The buffer is bounded: once
+  /// `replay_buffer_slots` messages are retained, TryAcquire back-pressures
+  /// the producer until the next checkpoint resets the count. No payload
+  /// is copied: the replay itself re-runs the deterministic generators
+  /// (DESIGN.md §7), so the bound is the buffer's only observable effect.
+  /// 0 disables retention. Only enable on channels whose consumer actually
+  /// checkpoints, or the producer wedges permanently once the bound is hit.
   uint32_t replay_buffer_slots = 0;
 
   // --- Verbs-level batching (both opt-in; the defaults keep the channel
@@ -292,21 +293,13 @@ class RdmaChannel {
 
   // --- Upstream replay buffer ----------------------------------------------
 
-  /// One message retained for post-checkpoint replay.
-  struct RetainedMessage {
-    std::vector<uint8_t> bytes;
-    uint64_t user_tag = 0;
-    int64_t watermark = 0;
-  };
-
-  /// Messages currently retained (posted since the last MarkCheckpoint).
-  const std::deque<RetainedMessage>& retained() const { return retained_; }
-
-  /// Total payload bytes currently retained.
-  uint64_t retained_bytes() const { return retained_bytes_; }
+  /// Messages posted since the last MarkCheckpoint: the replay buffer's
+  /// occupancy. Only the count is kept — recovery regenerates lost input
+  /// from the deterministic sources, so no payload copy is ever read back.
+  uint64_t retained() const { return retained_; }
 
   /// Consumer-side checkpoint acknowledgement: everything posted so far is
-  /// covered by a durable checkpoint, so the replay buffer can be pruned.
+  /// covered by a durable checkpoint, so the retained count drops to 0.
   /// Wakes producers blocked on the replay-buffer bound.
   void MarkCheckpoint();
 
@@ -473,9 +466,9 @@ class RdmaChannel {
   // of the same slot is safe. Sized `credits` at Create; runs never cross
   // the ring wrap.
   std::vector<uint32_t> merged_run_len_;
-  // Upstream replay buffer (bounded; see ChannelConfig::replay_buffer_slots).
-  std::deque<RetainedMessage> retained_;
-  uint64_t retained_bytes_ = 0;
+  // Upstream replay buffer occupancy (bounded; see
+  // ChannelConfig::replay_buffer_slots).
+  uint64_t retained_ = 0;
 
   // Fault-recovery state.
   bool broken_ = false;

@@ -15,7 +15,7 @@ RecoveryCoordinator::RecoveryCoordinator(int nodes,
       join_round_(nodes, 0), checkpoints_taken_(checkpoints_taken) {}
 
 void RecoveryCoordinator::RecordLocal(int node, uint64_t round,
-                                      std::vector<uint8_t> bytes) {
+                                      std::vector<uint8_t>&& bytes) {
   SLASH_CHECK_GE(node, 0);
   SLASH_CHECK_LT(node, nodes_);
   // Fencing invariant: a retired (quarantined/dead) node's snapshots are
@@ -286,13 +286,6 @@ void ClusterRuntime::Finish(RunStats* stats,
         ->Add(injector_->trace().size());
     registry.GetCounter(obs::metric::kFaultTraceDigest, fault_labels)
         ->Add(injector_->trace_digest());
-  }
-  if (fabric_ != nullptr) {
-    if (const auto& pool = fabric_->buffer_pool();
-        pool.hits() + pool.misses() > 0) {
-      registry.GetGauge(obs::metric::kBufferPoolHitRate)
-          ->Set(pool.hit_rate());
-    }
   }
   stats->metrics = registry.Snapshot();
   if (external_ == nullptr && local_.enabled()) {

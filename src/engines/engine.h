@@ -203,7 +203,9 @@ struct RunStats {
   uint64_t sim_event_bytes_allocated() const {
     return metrics.CounterValue(obs::metric::kSimEventBytes);
   }
-  double buffer_pool_hit_rate() const {    // fabric buffer pool (0 if unused)
+  // Always 0: nothing publishes this gauge. Kept only because the
+  // slashbench benchmark still reads it.
+  double buffer_pool_hit_rate() const {
     return metrics.GaugeValue(obs::metric::kBufferPoolHitRate);
   }
 
@@ -297,8 +299,9 @@ class RecoveryCoordinator {
   RecoveryCoordinator(int nodes, obs::Counter* checkpoints_taken);
 
   /// Registers node `node`'s serialized round-`round` snapshot (held
-  /// locally by the node itself).
-  void RecordLocal(int node, uint64_t round, std::vector<uint8_t> bytes);
+  /// locally by the node itself). The coordinator becomes the only owner
+  /// of the bytes: replicators read them back through BlobFor.
+  void RecordLocal(int node, uint64_t round, std::vector<uint8_t>&& bytes);
 
   /// Registers that `holder` received a complete replica of node `node`'s
   /// round-`round` snapshot.
@@ -356,7 +359,9 @@ class RecoveryCoordinator {
   int Heir(int node, uint64_t round, const std::vector<bool>& alive) const;
 
   /// Node `node`'s snapshot bytes usable for round `round` (exact round or
-  /// the terminal snapshot covering it); nullptr if none.
+  /// the terminal snapshot covering it); nullptr if none. The pointer stays
+  /// valid until DiscardRoundsAfter drops that round: recording other
+  /// rounds or nodes never moves a stored blob.
   const std::vector<uint8_t>* BlobFor(int node, uint64_t round) const;
 
   /// Bytes a rollback to round `round` restores: the sum of every node's
@@ -382,6 +387,18 @@ class RecoveryCoordinator {
   std::vector<uint64_t> retire_round_;           // valid while retired_[n]
   std::vector<uint64_t> join_round_;             // 0 = active since round 0
   obs::Counter* checkpoints_taken_;
+};
+
+/// One node's replication queue for the current attempt: the rounds it
+/// has snapshotted, in order. The bytes stay in the RecoveryCoordinator;
+/// each replicator keeps its own cursor and reads a blob through BlobFor
+/// only after it holds a send slot and before its next suspension: a
+/// rollback (DiscardRoundsAfter) can drop the blob while a replicator of
+/// the torn-down attempt is parked.
+struct ReplState {
+  std::vector<uint64_t> rounds;
+  bool terminal = false;  // the last queued round is the terminal snapshot
+  std::unique_ptr<sim::Event> event;
 };
 
 /// Append-only serializer for checkpoint blobs. Fixed-width little-endian

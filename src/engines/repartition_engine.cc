@@ -203,20 +203,6 @@ struct NodeCkpt {
   bool final_marked = false;
 };
 
-/// Snapshot bytes queued for replication to this node's peers.
-struct ReplState {
-  struct Item {
-    uint64_t round = 0;
-    bool terminal = false;
-    std::vector<uint8_t> bytes;
-  };
-  // Deque, not vector: the Replicator coroutine holds a reference to the
-  // item it is chunking across suspension points while checkpoint rounds
-  // keep appending; push_back must not invalidate references.
-  std::deque<Item> items;
-  std::unique_ptr<sim::Event> event;
-};
-
 /// Where one attempt's slice starts in the run's append-only vectors.
 struct AttemptStart {
   size_t sockets = 0;
@@ -404,10 +390,12 @@ void TryAssemble(RepartitionRun* run, int node) {
       const auto it = fresh.find(key);
       w.Bytes(it != fresh.end() ? it->second : nc.terminal_parts.at(key));
     }
-    run->coordinator->RecordLocal(node, r, blob);
+    run->coordinator->RecordLocal(node, r, std::move(blob));
     if (terminal) run->coordinator->MarkFinalFrom(node, r);
     nc.assembled = r;
-    repl->items.push_back({r, terminal, std::move(blob)});
+    SLASH_CHECK(!repl->terminal);  // nothing follows the terminal round
+    repl->rounds.push_back(r);
+    repl->terminal = terminal;
     repl->event->Notify();
   };
   // Sequential rounds first: round r is complete when every entity
@@ -525,17 +513,23 @@ sim::Task Replicator(RepartitionRun* run, int node, ReplState* repl,
   size_t cursor = 0;
   std::vector<uint8_t> staging;
   while (!run->Halted(attempt)) {
-    while (cursor < repl->items.size()) {
-      const ReplState::Item& item = repl->items[cursor];
+    while (cursor < repl->rounds.size()) {
+      const uint64_t round = repl->rounds[cursor];
+      const bool terminal =
+          repl->terminal && cursor + 1 == repl->rounds.size();
+      // The attempt is live (checked since the last suspension), so the
+      // blob is still recorded; it is copied out before the send suspends.
+      const std::vector<uint8_t>* blob = run->coordinator->BlobFor(node, round);
+      SLASH_CHECK_MSG(blob != nullptr, "replicating a discarded blob: node "
+                                           << node << " round " << round);
       staging.clear();
       BlobWriter w(&staging);
       w.U64(uint64_t(node));
-      w.U64(item.round);
-      w.U64(item.terminal ? 1 : 0);
-      w.Bytes(item.bytes);
+      w.U64(round);
+      w.U64(terminal ? 1 : 0);
+      w.Bytes(*blob);
       co_await socket->Send(node, staging.data(), staging.size(), cpu);
       if (run->Halted(attempt)) co_return;
-      const bool terminal = repl->items[cursor].terminal;
       ++cursor;
       if (terminal) co_return;  // nothing further will be queued
     }

@@ -35,22 +35,6 @@ using perf::Op;
 constexpr Nanos kChannelSetupCost = 10 * kMicrosecond;
 constexpr uint64_t kRestoreBytesPerNs = 4;
 
-/// One replication stream: the snapshots a node has taken this attempt, in
-/// round order. Append-only so that each replication target's coroutine can
-/// keep its own cursor into it.
-struct ReplState {
-  struct Item {
-    uint64_t round = 0;
-    std::vector<uint8_t> bytes;
-  };
-  // Deque, not vector: the Replicator coroutine holds a reference to the
-  // item it is chunking across suspension points while TakeSnapshot keeps
-  // appending; push_back must not invalidate references.
-  std::deque<Item> items;
-  bool terminal = false;  // no further snapshots will be appended
-  std::unique_ptr<sim::Event> event;
-};
-
 /// One input flow assigned to a worker. Flow ids are global and stable
 /// across recovery attempts; a crashed node's flows are re-homed to its
 /// heir, which re-derives the exact checkpoint cut by skipping the
@@ -370,14 +354,14 @@ void TakeSnapshot(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
     run->tracer->Instant(run->sim->now(), run->trace_snapshot, run->trace_cat,
                          ns->node, run->track_recovery);
   }
-  run->coordinator->RecordLocal(ns->node, round, blob);
+  run->coordinator->RecordLocal(ns->node, round, std::move(blob));
   if (terminal) {
     run->coordinator->MarkFinalFrom(ns->node, round);
     ns->terminal_snapshotted = true;
   }
   ns->snapshots_taken = round;
   if (ns->repl != nullptr) {
-    ns->repl->items.push_back(ReplState::Item{round, std::move(blob)});
+    ns->repl->rounds.push_back(round);
     if (terminal) ns->repl->terminal = true;
     ns->repl->event->Notify();
   }
@@ -610,14 +594,15 @@ constexpr uint64_t kReplTerminal = 2;
 /// Ships every snapshot a node takes to one replication target, chunked to
 /// the channel's slot size, then a terminal marker once the node's terminal
 /// snapshot is enqueued.
-sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
+sim::Task Replicator(SlashRun* run, int node, ReplState* rs, RdmaChannel* ch,
                      perf::CpuContext* cpu, int attempt) {
   size_t cursor = 0;
   for (;;) {
     if (run->Halted(attempt) || ch->broken()) co_return;
-    if (cursor < rs->items.size()) {
-      const ReplState::Item& item = rs->items[cursor];
+    if (cursor < rs->rounds.size()) {
+      const uint64_t round = rs->rounds[cursor];
       const uint64_t cap = ch->payload_capacity();
+      uint64_t size = 0;
       uint64_t off = 0;
       do {
         SlotRef slot;
@@ -625,18 +610,26 @@ sim::Task Replicator(SlashRun* run, ReplState* rs, RdmaChannel* ch,
           if (run->Halted(attempt) || ch->broken()) co_return;
           co_await cpu->Park(ch->credit_event());
         }
-        const uint64_t len = std::min(cap, uint64_t(item.bytes.size()) - off);
-        std::memcpy(slot.payload, item.bytes.data() + off, len);
+        // A rollback aborts the attempt's channels before it discards
+        // rounds, so holding a slot means the blob is still recorded. Read
+        // it only until the next suspension.
+        const std::vector<uint8_t>* blob =
+            run->coordinator->BlobFor(node, round);
+        SLASH_CHECK_MSG(blob != nullptr, "replicating a discarded blob: node "
+                                             << node << " round " << round);
+        size = blob->size();
+        const uint64_t len = std::min(cap, size - off);
+        std::memcpy(slot.payload, blob->data() + off, len);
         cpu->ChargeBytes(Op::kBufferCopyPerByte, len);
         off += len;
-        const bool last = off == item.bytes.size();
-        const uint64_t tag = (item.round << 2) | (last ? kReplLastChunk : 0);
+        const bool last = off == size;
+        const uint64_t tag = (round << 2) | (last ? kReplLastChunk : 0);
         if (!ch->Post(slot, len, tag, /*watermark=*/0, cpu).ok()) {
           SLASH_CHECK(ch->broken());
           co_return;
         }
         co_await cpu->Sync();
-      } while (off < item.bytes.size());
+      } while (off < size);
       ++cursor;
       continue;
     }
@@ -1501,7 +1494,8 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
             run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
         perf::CpuContext* recv_cpu = run->repl_cpus.back().get();
         recv_cpu->BindSpeedDial(run->fabric->speed_dial(t));
-        run->sim->Spawn(Replicator(run, rs.get(), ch.get(), send_cpu, attempt));
+        run->sim->Spawn(
+            Replicator(run, n, rs.get(), ch.get(), send_cpu, attempt));
         run->sim->Spawn(
             ReplicaReceiver(run, n, t, ch.get(), recv_cpu, attempt));
         run->channels.push_back(std::move(ch));

@@ -40,6 +40,7 @@ inline constexpr std::string_view kRecordsIn = "source.records_in";
 inline constexpr std::string_view kRecordsEmitted = "sink.records_emitted";
 inline constexpr std::string_view kResultChecksum = "sink.result_checksum";
 inline constexpr std::string_view kNetworkTxBytes = "fabric.tx_bytes";
+// Never published; RunStats::buffer_pool_hit_rate() still reads it (as 0).
 inline constexpr std::string_view kBufferPoolHitRate =
     "fabric.buffer_pool_hit_rate";
 inline constexpr std::string_view kChannelRetries = "channel.retries";

@@ -174,11 +174,6 @@ class Fabric : public sim::FaultTarget {
   /// Total bytes moved across all NICs (transmit side).
   uint64_t total_tx_bytes() const;
 
-  /// The fabric-wide free-list pool for transfer-sized byte buffers (the
-  /// channel layer's retained-message copies). Shared by all channels of
-  /// the run so steady-state sends recycle instead of allocating.
-  BufferPool& buffer_pool() { return buffer_pool_; }
-
   /// The endpoint with QP number `qp_num`; nullptr if unknown. QP numbers
   /// are dense, assigned in creation order starting at 1 (endpoint
   /// qp_num - 1), so tests can name a specific connection in a FaultPlan
@@ -287,7 +282,6 @@ class Fabric : public sim::FaultTarget {
   std::vector<char> partition_side_;
   std::vector<double> node_speed_;
   std::function<void(int)> crash_handler_;
-  BufferPool buffer_pool_;
   std::vector<std::unique_ptr<bool[]>> flag_chunks_;
   std::vector<bool*> free_flags_;
 

@@ -15,30 +15,6 @@ void MemoryRegion::NotifyRemoteWrite(uint64_t offset, uint64_t len) {
   for (auto& listener : listeners_) listener(offset, len);
 }
 
-std::vector<uint8_t> BufferPool::Get(uint64_t capacity) {
-  if (!free_.empty()) {
-    std::vector<uint8_t> buffer = std::move(free_.back());
-    free_.pop_back();
-    if (buffer.capacity() >= capacity) {
-      ++hits_;
-    } else {
-      ++misses_;  // recycled store too small: this Get still allocates
-      buffer.reserve(capacity);
-    }
-    buffer.clear();
-    return buffer;
-  }
-  ++misses_;
-  std::vector<uint8_t> buffer;
-  buffer.reserve(capacity);
-  return buffer;
-}
-
-void BufferPool::Put(std::vector<uint8_t>&& buffer) {
-  buffer.clear();
-  free_.push_back(std::move(buffer));
-}
-
 RegionArena::~RegionArena() {
   for (const Mapping& m : mappings_) UnmapZeroPages(m.data, m.bytes);
 }

@@ -84,47 +84,6 @@ struct MemorySpan {
   }
 };
 
-/// A free-list slab pool for transfer-sized byte buffers.
-///
-/// The channel layer's retained-message copies (upstream replay buffers)
-/// and other slot-sized scratch buffers churn at message rate; allocating
-/// them fresh puts the allocator on the datapath. The pool recycles the
-/// backing stores instead: Get() hands out a cleared buffer whose capacity
-/// is already at least `capacity` whenever one is available, Put() returns
-/// a retired buffer to the free list. Single-threaded like everything on
-/// the simulator; owned by the Fabric so all channels of a run share one
-/// free list (slots are uniformly sized per config, so reuse is near
-/// perfect in steady state).
-class BufferPool {
- public:
-  BufferPool() = default;
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
-
-  /// Returns an empty buffer with at least `capacity` bytes reserved,
-  /// recycled when possible.
-  std::vector<uint8_t> Get(uint64_t capacity);
-
-  /// Returns a retired buffer's backing store to the pool.
-  void Put(std::vector<uint8_t>&& buffer);
-
-  /// Requests served without growing a buffer / requests that allocated.
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
-  /// Fraction of Get() calls served entirely from recycled capacity; 1.0
-  /// in steady state.
-  double hit_rate() const {
-    const uint64_t total = hits_ + misses_;
-    return total > 0 ? double(hits_) / double(total) : 1.0;
-  }
-
- private:
-  std::vector<std::vector<uint8_t>> free_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
 /// Zeroed memory for the registered regions of one fabric.
 ///
 /// Regions are never deregistered one at a time, so a bump allocator

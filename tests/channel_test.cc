@@ -522,7 +522,7 @@ TEST(PullChannelTest, SlowerThanPushForSameWorkload) {
 
 // --- Upstream replay buffer (checkpointing) ---------------------------------
 
-TEST(ReplayBufferTest, RetainsPostedMessagesUntilCheckpoint) {
+TEST(ReplayBufferTest, CountsPostedMessagesUntilCheckpoint) {
   Harness h;
   ChannelConfig cfg;
   cfg.credits = 8;
@@ -536,20 +536,12 @@ TEST(ReplayBufferTest, RetainsPostedMessagesUntilCheckpoint) {
   h.sim.Run();
   ASSERT_EQ(tags.size(), 10u);
 
-  // Every message is still replayable: payload bytes, tag, watermark.
-  ASSERT_EQ(ch->retained().size(), 10u);
-  EXPECT_EQ(ch->retained_bytes(), 10u * 700u);
-  for (int i = 0; i < 10; ++i) {
-    const auto& msg = ch->retained()[i];
-    EXPECT_EQ(msg.user_tag, uint64_t(i));
-    EXPECT_EQ(msg.watermark, int64_t(i) * 10);
-    ASSERT_EQ(msg.bytes.size(), 700u);
-    for (uint8_t b : msg.bytes) EXPECT_EQ(b, i % 251);
-  }
+  // Every message posted since the last checkpoint is counted; no payload
+  // is copied (replay re-runs the deterministic generators).
+  EXPECT_EQ(ch->retained(), 10u);
 
   ch->MarkCheckpoint();
-  EXPECT_TRUE(ch->retained().empty());
-  EXPECT_EQ(ch->retained_bytes(), 0u);
+  EXPECT_EQ(ch->retained(), 0u);
 }
 
 TEST(ReplayBufferTest, BoundBackpressuresProducerUntilCheckpoint) {
@@ -572,7 +564,7 @@ TEST(ReplayBufferTest, BoundBackpressuresProducerUntilCheckpoint) {
       }
       std::memset(slot.payload, i % 251, 256);
       SLASH_CHECK(c->Post(slot, 256, i, i * 10, cpu).ok());
-      *high_water = std::max(*high_water, uint64_t(c->retained().size()));
+      *high_water = std::max(*high_water, c->retained());
       co_await cpu->Sync();
     }
   };
@@ -612,8 +604,7 @@ TEST(ReplayBufferTest, DisabledByDefaultRetainsNothing) {
   h.sim.Spawn(Consumer(ch.get(), 8, 128, &h.consumer_cpu, &tags));
   h.sim.Run();
   EXPECT_EQ(tags.size(), 8u);
-  EXPECT_TRUE(ch->retained().empty());
-  EXPECT_EQ(ch->retained_bytes(), 0u);
+  EXPECT_EQ(ch->retained(), 0u);
 }
 
 }  // namespace

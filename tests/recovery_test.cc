@@ -3,9 +3,13 @@
 // checkpoint round, moves the dead node's partitions to a surviving heir,
 // replays the lost input, and finishes with results bit-identical to the
 // fault-free oracle. Covers both the Slash engine (epoch-aligned rounds)
-// and the Flink-like baseline (barrier-aligned rounds), plus FaultPlan
-// validation and the no-checkpoint abort path.
+// and the Flink-like baseline (barrier-aligned rounds), including crashes
+// while blobs are part-way through replication, plus FaultPlan validation,
+// the no-checkpoint abort path and unit tests of the RecoveryCoordinator.
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <vector>
 
 #include "core/oracle.h"
 #include "engines/flink_engine.h"
@@ -236,6 +240,31 @@ TEST(SlashRecoveryTest, EarlyCrashBeforeFirstCheckpointRestartsFromScratch) {
   EXPECT_EQ(stats.recoveries(), 1u);
 }
 
+// A crash while snapshot blobs are only partly replicated. 4 KiB slots
+// split each ~16-19 KiB round-2 blob into five chunks. At 0.354 of the
+// fault-free makespan the victim (node 1) has posted four of its five
+// round-2 chunks and node 2 one of its five, so the run rolls back to
+// round 1 and discards node 2's round-2 blob while node 2's replicators of
+// the torn-down attempt are parked between two chunks. (Checked once by
+// logging every chunk post and the crash time.)
+TEST(SlashRecoveryTest, CrashMidBlobReplicationRecoversToOracleResults) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 2000;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = RecoveryJob(workload, 4, 2, 2000);
+  job.config.channel.slot_bytes = 4 * kKiB;
+  job.config.checkpoint.replication_factor = 2;
+
+  SlashEngine engine;
+  sim::FaultPlan plan;
+  const RunStats stats =
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.354, &plan);
+
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_EQ(stats.recoveries(), 1u);
+  EXPECT_GT(stats.checkpoint_bytes_replicated(), 0u);
+}
+
 // --- FaultPlan registration-time validation -------------------------------
 
 TEST(FaultPlanValidationTest, RejectsUnsortedSchedule) {
@@ -342,6 +371,30 @@ TEST(FlinkRecoveryTest, CrashedRunIsDeterministicAcrossReplays) {
   EXPECT_EQ(first.records_replayed(), second.records_replayed());
 }
 
+// The Flink-like engine ships each blob as one socket message. At 0.4508
+// of the fault-free makespan node 2's two round-4 sends (~18 KiB each) are
+// in flight and the victim (node 1) has not taken round 4, so the run rolls
+// back to round 3 and discards node 2's round-4 blob while node 2's
+// replicators of the torn-down attempt are parked in Send. (Checked once by
+// logging every send's start and return and the crash time.)
+TEST(FlinkRecoveryTest, CrashMidBlobReplicationRecoversToOracleResults) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 2000;
+  workloads::YsbWorkload workload(ycfg);
+  JobSpec job = RecoveryJob(workload, 4, 2, 2000);
+  job.config.channel.slot_bytes = 4 * kKiB;
+  job.config.checkpoint.replication_factor = 2;
+
+  FlinkLikeEngine engine;
+  sim::FaultPlan plan;
+  const RunStats stats =
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.4508, &plan);
+
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_EQ(stats.recoveries(), 1u);
+  EXPECT_GT(stats.checkpoint_bytes_replicated(), 0u);
+}
+
 TEST(FlinkRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
   workloads::YsbConfig ycfg;
   ycfg.key_range = 200;
@@ -356,6 +409,147 @@ TEST(FlinkRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
 
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kUnavailable);
+}
+
+// --- RecoveryCoordinator: the blob store ------------------------------------
+
+std::vector<uint8_t> Bytes(uint8_t fill, size_t len) {
+  return std::vector<uint8_t>(len, fill);
+}
+
+// RecordLocal takes ownership: an lvalue blob does not compile, so no
+// caller can keep a second copy by accident.
+static_assert(!std::is_invocable_v<decltype(&RecoveryCoordinator::RecordLocal),
+                                   RecoveryCoordinator&, int, uint64_t,
+                                   std::vector<uint8_t>&>);
+
+TEST(RecoveryCoordinatorTest, RecordsLocalBlobsAndReplicaHolders) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(3, &taken);
+  std::vector<uint8_t> blob = Bytes(0xA0, 100);
+  const uint8_t* data = blob.data();
+  rc.RecordLocal(0, 1, std::move(blob));
+  rc.RecordLocal(1, 1, Bytes(0xA1, 20));
+  EXPECT_EQ(taken.value(), 2u);
+
+  // The coordinator holds the caller's buffer itself, not a copy of it.
+  ASSERT_NE(rc.BlobFor(0, 1), nullptr);
+  EXPECT_EQ(rc.BlobFor(0, 1)->data(), data);
+  EXPECT_EQ(*rc.BlobFor(1, 1), Bytes(0xA1, 20));
+  EXPECT_EQ(rc.BlobFor(0, 2), nullptr);
+  EXPECT_EQ(rc.BlobFor(2, 1), nullptr);
+  EXPECT_EQ(rc.RestoreBytes(1), 120u);
+
+  // Without a replica a dead node's heir is the next live node; with one
+  // it is a live holder, and registering a holder twice changes nothing.
+  const std::vector<bool> zero_dead = {false, true, true};
+  EXPECT_EQ(rc.Heir(0, 1, zero_dead), 1);
+  rc.RecordReplica(0, 1, 2);
+  rc.RecordReplica(0, 1, 2);
+  EXPECT_EQ(rc.Heir(0, 1, zero_dead), 2);
+  EXPECT_EQ(rc.Heir(0, 1, {false, false, true}), 2);
+  EXPECT_EQ(rc.Heir(0, 1, {false, false, false}), -1);
+}
+
+TEST(RecoveryCoordinatorTest, LatestRecoverableRoundNeedsALiveHolder) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(3, &taken);
+  // Round 1 is replicated ring-wise (node n to n + 1); round 2 is local
+  // only.
+  for (int n = 0; n < 3; ++n) {
+    rc.RecordLocal(n, 1, Bytes(uint8_t(n), 8));
+    rc.RecordReplica(n, 1, (n + 1) % 3);
+    rc.RecordLocal(n, 2, Bytes(uint8_t(n), 8));
+  }
+  EXPECT_EQ(rc.LatestRecoverableRound({true, true, true}), 2u);
+  // Node 1's round-2 blob died with it; its round-1 replica lives on 2.
+  EXPECT_EQ(rc.LatestRecoverableRound({true, false, true}), 1u);
+  // Nodes 1 and 2 held every copy of node 1's round-1 blob.
+  EXPECT_EQ(rc.LatestRecoverableRound({true, false, false}), 0u);
+  // A node that has no blob for a round blocks it even when all are alive.
+  rc.RecordLocal(0, 3, Bytes(0, 8));
+  EXPECT_EQ(rc.LatestRecoverableRound({true, true, true}), 2u);
+  // With node 0 dead, only its round-1 blob has a live copy (on node 1).
+  // Once it is retired at round 2, later rounds no longer need it.
+  rc.RecordLocal(1, 3, Bytes(1, 8));
+  rc.RecordLocal(2, 3, Bytes(2, 8));
+  EXPECT_EQ(rc.LatestRecoverableRound({false, true, true}), 1u);
+  rc.RetireDead({false, true, true}, 2);
+  EXPECT_TRUE(rc.retired(0));
+  EXPECT_FALSE(rc.HasOwnBlob(0, 3));
+  EXPECT_TRUE(rc.HasOwnBlob(0, 2));
+  EXPECT_EQ(rc.LatestRecoverableRound({false, true, true}), 3u);
+}
+
+TEST(RecoveryCoordinatorTest, TerminalSnapshotStandsInForLaterRounds) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(2, &taken);
+  rc.RecordLocal(0, 1, Bytes(0xF0, 30));
+  rc.MarkFinalFrom(0, 1);
+  for (uint64_t r = 1; r <= 4; ++r) rc.RecordLocal(1, r, Bytes(0xF1, 10));
+
+  EXPECT_EQ(rc.BlobFor(0, 4), rc.BlobFor(0, 1));
+  EXPECT_EQ(rc.RestoreBytes(4), 40u);
+  EXPECT_EQ(rc.LatestRecoverableRound({true, true}), 4u);
+
+  // A rejoining node replays its input again: the terminal mark goes.
+  rc.UnretireNode(0);
+  EXPECT_EQ(rc.BlobFor(0, 4), nullptr);
+  EXPECT_NE(rc.BlobFor(0, 1), nullptr);
+  EXPECT_EQ(rc.LatestRecoverableRound({true, true}), 1u);
+}
+
+TEST(RecoveryCoordinatorTest, DiscardRoundsAfterDropsTheStaleTimeline) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(2, &taken);
+  for (uint64_t r = 1; r <= 3; ++r) {
+    rc.RecordLocal(0, r, Bytes(uint8_t(r), 16));
+    rc.RecordLocal(1, r, Bytes(uint8_t(r), 16));
+  }
+  rc.MarkFinalFrom(1, 3);
+  const std::vector<uint8_t>* kept = rc.BlobFor(0, 1);
+
+  rc.DiscardRoundsAfter(1);
+  EXPECT_EQ(rc.BlobFor(0, 1), kept);
+  EXPECT_EQ(rc.BlobFor(0, 2), nullptr);
+  EXPECT_EQ(rc.BlobFor(1, 3), nullptr);
+  EXPECT_EQ(rc.BlobFor(1, 7), nullptr);  // the terminal mark went with it
+  EXPECT_EQ(rc.LatestRecoverableRound({true, true}), 1u);
+
+  // The rolled-back attempt regenerates the dropped rounds: committing
+  // them again is not a double commit.
+  rc.RecordLocal(0, 2, Bytes(0x22, 24));
+  EXPECT_EQ(*rc.BlobFor(0, 2), Bytes(0x22, 24));
+  EXPECT_EQ(taken.value(), 7u);
+}
+
+// The replicators read a queued round back through BlobFor after any
+// number of later snapshots: recording other rounds and nodes must not
+// move a stored blob or its bytes.
+TEST(RecoveryCoordinatorTest, BlobPointersSurviveLaterRecords) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(4, &taken);
+  rc.RecordLocal(2, 1, Bytes(0x5A, 4096));
+  const std::vector<uint8_t>* blob = rc.BlobFor(2, 1);
+  const uint8_t* data = blob->data();
+  for (uint64_t r = 1; r <= 64; ++r) {
+    for (int n = 0; n < 4; ++n) {
+      if (n == 2 && r == 1) continue;
+      rc.RecordLocal(n, r, Bytes(uint8_t(r), 512 + r));
+    }
+  }
+  EXPECT_EQ(rc.BlobFor(2, 1), blob);
+  EXPECT_EQ(blob->data(), data);
+  EXPECT_EQ(*blob, Bytes(0x5A, 4096));
+}
+
+TEST(RecoveryCoordinatorDeathTest, RejectsADoubleCommit) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(2, &taken);
+  rc.RecordLocal(0, 1, Bytes(1, 8));
+  EXPECT_DEATH(rc.RecordLocal(0, 1, Bytes(1, 8)), "epoch committed twice");
+  rc.RetireNode(1, 1);
+  EXPECT_DEATH(rc.RecordLocal(1, 2, Bytes(1, 8)), "retired node 1");
 }
 
 }  // namespace
