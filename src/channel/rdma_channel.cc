@@ -434,6 +434,12 @@ void RdmaChannel::OnCreditReturn() {
   for (sim::Event* observer : credit_observers_) observer->Notify();
 }
 
+void RdmaChannel::Abort(const Status& cause) {
+  CloseChannel(cause);
+  staging_->Discard();
+  queue_->Discard();
+}
+
 void RdmaChannel::CloseChannel(const Status& status) {
   if (broken_) return;
   broken_ = true;

@@ -331,8 +331,11 @@ class RdmaChannel {
   /// Closes the channel immediately with `cause` (e.g. the peer node
   /// crashed). Equivalent to the retry machinery exhausting its budget:
   /// both sides' events fire, posts fail with kUnavailable, and later
-  /// error completions are swallowed instead of spawning retries.
-  void Abort(const Status& cause) { CloseChannel(cause); }
+  /// error completions are swallowed instead of spawning retries. The
+  /// channel is dead for good, so its staging and queue rings go back to
+  /// the OS (MemoryRegion::Discard); a WRITE still in flight lands in
+  /// zeroed pages nobody reads.
+  void Abort(const Status& cause);
 
   /// Credits currently held by the producer side: acquired slots whose
   /// release has not yet become visible. Zero after a fully drained run —

@@ -1,6 +1,9 @@
 #include "common/zero_pages.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -22,6 +25,16 @@ void* RemapZeroPages(void* data, size_t old_bytes, size_t new_bytes) {
                                                     << new_bytes
                                                     << " bytes failed");
   return moved;
+}
+
+void DiscardZeroPages(void* data, size_t bytes) {
+  static const uintptr_t page = uintptr_t(sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = (uintptr_t(data) + page - 1) / page * page;
+  const uintptr_t end = (uintptr_t(data) + bytes) / page * page;
+  if (end <= begin) return;
+  SLASH_CHECK_MSG(
+      madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED) == 0,
+      "discarding " << end - begin << " bytes failed");
 }
 
 void UnmapZeroPages(void* data, size_t bytes) { munmap(data, bytes); }

@@ -6,7 +6,8 @@
 // size. calloc gives that only above glibc's (dynamic) mmap threshold; below
 // it, blocks come from the heap and may be cleared eagerly, which touches
 // every page at construction. A mapping grows with RemapZeroPages, which
-// moves page table entries rather than bytes.
+// moves page table entries rather than bytes, and hands its pages back with
+// DiscardZeroPages without giving up its addresses.
 #ifndef SLASH_COMMON_ZERO_PAGES_H_
 #define SLASH_COMMON_ZERO_PAGES_H_
 
@@ -24,6 +25,12 @@ void* MapZeroPages(size_t bytes);
 /// keep their contents and stay resident, and the grown tail is zeroed on
 /// first touch. CHECK-fails if the remap fails.
 void* RemapZeroPages(void* data, size_t old_bytes, size_t new_bytes);
+
+/// Returns the OS pages lying wholly inside [data, data + bytes) of a
+/// MapZeroPages mapping to the OS. They stay mapped and read zero: a page
+/// written again later is faulted in fresh. Bytes sharing a page with
+/// memory outside the range are left as they are.
+void DiscardZeroPages(void* data, size_t bytes);
 
 /// Releases memory from MapZeroPages or RemapZeroPages; `bytes` must be the
 /// size mapped.

@@ -228,7 +228,10 @@ struct RepartitionRun {
   int senders_per_node = 0;
   int receivers_per_node = 0;
 
-  // Append-only across attempts; `current` marks the current attempt.
+  // Append-only across attempts; `current` marks the current attempt. A
+  // rollback frees each torn-down consumer's `partition` and each aborted
+  // socket's unread frames; the objects themselves stay, since suspended
+  // coroutines of the dead attempt still hold them.
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   std::vector<std::unique_ptr<SocketConnection>> sockets;
   std::vector<std::unique_ptr<LocalQueue>> local_queues;
@@ -834,6 +837,11 @@ void OnNodeCrash(RepartitionRun* run, int node) {
   // receivers wake, observe the attempt bump, and unwind. Survivors'
   // in-flight exchanges are ahead of the rollback point anyway.
   Wake(run, run->current);
+  // Their coroutines re-check Halted before touching state again, and the
+  // rebuild restores from the coordinator's blobs: free the dead state.
+  for (size_t i = run->current.consumers; i < run->consumers.size(); ++i) {
+    run->consumers[i]->partition.reset();
+  }
 
   // Roll every task back to the latest round with a live copy of every
   // node's blob; the dead node's entities restart on an heir holding its

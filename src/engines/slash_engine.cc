@@ -151,9 +151,12 @@ struct SlashRun {
   Nanos drained_at = 0;  // virtual time when the last worker exited
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   size_t attempt_channel_start = 0;  // first channel of the current attempt
-  // All NodeStates ever built (coroutines of a torn-down attempt may still
-  // be unwinding and referencing theirs); `nodes` indexes the current
-  // attempt by physical node id, nullptr for dead nodes.
+  // All NodeStates ever built: coroutines of a torn-down attempt may still
+  // be unwinding and referencing theirs, late deliveries notify their
+  // `activity`, and their worker CPU counters are published at the end. A
+  // rollback frees a torn-down NodeState's `ssb`; only the shell stays.
+  // `nodes` indexes the current attempt by physical node id, nullptr for
+  // dead nodes.
   std::vector<std::unique_ptr<NodeState>> node_storage;
   std::vector<NodeState*> nodes;
   std::vector<std::unique_ptr<perf::CpuContext>> generator_cpus;
@@ -941,9 +944,10 @@ void BeginRollback(SlashRun* run, RunPhase phase, int trace_node) {
   }
   if (superseding) return;
   // Tear the attempt down: every channel of it dies (survivors' channels
-  // carry in-flight epochs that are ahead of the rollback point).
-  // Coroutines observe the attempt bump and unwind; close handlers must not
-  // fail the run while we do this on purpose.
+  // carry in-flight epochs that are ahead of the rollback point), and its
+  // rings go back to the OS. Coroutines observe the attempt bump and
+  // unwind; close handlers must not fail the run while we do this on
+  // purpose.
   run->in_teardown = true;
   for (size_t i = run->attempt_channel_start; i < run->channels.size(); ++i) {
     run->channels[i]->Abort(
@@ -954,6 +958,12 @@ void BeginRollback(SlashRun* run, RunPhase phase, int trace_node) {
   }
   for (auto& rs : run->repl_storage) rs->event->Notify();
   run->in_teardown = false;
+  // No coroutine of the attempt touches its SSB again (each re-checks
+  // Halted after every suspension), and the next attempt restores from the
+  // coordinator's blobs: free the state.
+  for (NodeState* ns : run->nodes) {
+    if (ns != nullptr) ns->ssb.reset();
+  }
 }
 
 /// Completes a scheduled rebuild once the modeled recovery delay elapsed.

@@ -6,6 +6,15 @@
 #include "common/zero_pages.h"
 
 namespace slash::rdma {
+namespace {
+
+// `size` rounded up to whole arena pages: what CarvePages hands out.
+uint64_t WholePages(uint64_t size) {
+  return (size + RegionArena::kPageBytes - 1) / RegionArena::kPageBytes *
+         RegionArena::kPageBytes;
+}
+
+}  // namespace
 
 MemoryRegion::MemoryRegion(int node, uint32_t rkey, uint8_t* data,
                            uint64_t size)
@@ -15,12 +24,17 @@ void MemoryRegion::NotifyRemoteWrite(uint64_t offset, uint64_t len) {
   for (auto& listener : listeners_) listener(offset, len);
 }
 
+void MemoryRegion::Discard() {
+  if (size_ < RegionArena::kPageBytes) return;
+  DiscardZeroPages(data_, WholePages(size_));
+}
+
 RegionArena::~RegionArena() {
   for (const Mapping& m : mappings_) UnmapZeroPages(m.data, m.bytes);
 }
 
 uint8_t* RegionArena::CarvePages(uint64_t size) {
-  const uint64_t bytes = (size + kPageBytes - 1) / kPageBytes * kPageBytes;
+  const uint64_t bytes = WholePages(size);
   if (mappings_.empty() || carved_ + bytes > mappings_.back().bytes) {
     const uint64_t next = mappings_.empty() ? kFirstMappingBytes
                                             : 2 * mappings_.back().bytes;

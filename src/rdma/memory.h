@@ -53,6 +53,14 @@ class MemoryRegion {
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
 
+  /// Returns the region's pages to the OS once its owner is done with it
+  /// (a torn-down attempt's rings). The region stays registered: its rkey
+  /// still resolves, it reads zero, and a WRITE already in flight still
+  /// lands and fires the listeners, so its memory is never handed to
+  /// another region. A sub-page region shares a heap chunk with its
+  /// neighbours and is left as it is.
+  void Discard();
+
   /// Registers a listener fired after each inbound remote write.
   void AddRemoteWriteListener(RemoteWriteListener listener) {
     listeners_.push_back(std::move(listener));
@@ -87,10 +95,12 @@ struct MemorySpan {
 /// Zeroed memory for the registered regions of one fabric.
 ///
 /// Regions are never deregistered one at a time, so a bump allocator
-/// suffices, and everything is released when the fabric dies. A region of
-/// at least kPageBytes is carved page-aligned from a few zero-page mappings
-/// (MapZeroPages), each twice the size of the one before, so a page of it
-/// costs memory only once it is written. One arena serves every protection
+/// suffices, and the mappings are released when the fabric dies. A region
+/// of at least kPageBytes is carved page-aligned, in whole pages, from a few
+/// zero-page mappings (MapZeroPages), each twice the size of the one before,
+/// so a page of it costs memory only once it is written, and
+/// MemoryRegion::Discard gives the pages back without freeing the addresses
+/// (no carve ever reuses them). One arena serves every protection
 /// domain of a fabric: a fabric pays a handful of mappings in all, not a
 /// few per node (weakscale builds 256 domains).
 ///

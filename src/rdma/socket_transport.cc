@@ -77,6 +77,8 @@ void SocketConnection::Abort() {
   if (aborted_) return;
   aborted_ = true;
   for (Side& side : sides_) {
+    side.inbox.clear();
+    side.inbox_bytes = 0;
     side.readable.Notify();
     side.window_open.Notify();
     for (sim::Event* observer : side.observers) observer->Notify();

@@ -71,8 +71,8 @@ class SocketConnection {
   /// Tears the connection down (peer crashed or the run is rolling back).
   /// Subsequent and window-blocked Sends return without transmitting, and
   /// every parked coroutine on either side is woken so it can observe the
-  /// abort. Undelivered inbox messages stay readable (they arrived before
-  /// the abort) but no new ones will arrive.
+  /// abort. Messages still in flight are lost, and delivered but unread
+  /// ones are freed: nothing is readable afterwards.
   void Abort();
 
   /// True once Abort() has been called.

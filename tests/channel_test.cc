@@ -520,6 +520,50 @@ TEST(PullChannelTest, SlowerThanPushForSameWorkload) {
   EXPECT_GT(pull_time, push_time);
 }
 
+// --- Abort -------------------------------------------------------------------
+
+// Aborting a channel returns its rings' pages but keeps them registered: a
+// WRITE already in flight still lands, without an error completion, into
+// pages that now read zero, and nothing becomes pollable.
+TEST(RdmaChannelTest, AbortDiscardsRingsAndAnInFlightWriteStillLands) {
+  Harness h;
+  ChannelConfig cfg;
+  cfg.credits = 4;
+  cfg.slot_bytes = 4096;
+  auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
+  // Keys are (node, registration order): each ring is its node's first
+  // region.
+  rdma::MemoryRegion* staging = h.fabric.pd(0)->FindByRkey(
+      (0u << rdma::ProtectionDomain::kSlotBits) | 1u);
+  rdma::MemoryRegion* queue = h.fabric.pd(1)->FindByRkey(
+      (1u << rdma::ProtectionDomain::kSlotBits) | 1u);
+  ASSERT_NE(staging, nullptr);
+  ASSERT_NE(queue, nullptr);
+  ASSERT_EQ(queue->size(), uint64_t(cfg.credits) * cfg.slot_bytes);
+  int landed = 0;
+  queue->AddRemoteWriteListener([&](uint64_t, uint64_t) { ++landed; });
+
+  SlotRef slot;
+  ASSERT_TRUE(ch->TryAcquire(&slot, &h.producer_cpu));
+  std::memset(slot.payload, 0x7e, 1000);
+  ASSERT_TRUE(ch->Post(slot, 1000, /*user_tag=*/1, /*watermark=*/0,
+                       &h.producer_cpu)
+                  .ok());
+  ch->Abort(Status::Unavailable("torn down"));
+  EXPECT_TRUE(ch->broken());
+  h.sim.Run();
+
+  EXPECT_EQ(landed, 1);
+  EXPECT_EQ(ch->retries(), 0u);
+  EXPECT_EQ(ch->channel_status().message(), "torn down");
+  for (const rdma::MemoryRegion* ring : {staging, queue}) {
+    EXPECT_EQ(std::count(ring->data(), ring->data() + ring->size(), 0),
+              std::ptrdiff_t(ring->size()));
+  }
+  InboundBuffer buffer;
+  EXPECT_FALSE(ch->TryPoll(&buffer, &h.consumer_cpu));
+}
+
 // --- Upstream replay buffer (checkpointing) ---------------------------------
 
 TEST(ReplayBufferTest, CountsPostedMessagesUntilCheckpoint) {

@@ -1,7 +1,9 @@
-// Unit tests for the simulated RDMA layer: memory registration, NIC timing
-// model, one-sided verbs, completion semantics, error paths, and the
-// socket/IPoIB transport.
+// Unit tests for the simulated RDMA layer: memory registration and
+// discard, NIC timing model, one-sided verbs, completion semantics, error
+// paths, and the socket/IPoIB transport.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -134,6 +136,73 @@ TEST(MemoryTest, DomainsCarveZeroedDisjointAlignedRegions) {
                          regions[i]->data() + regions[i]->size(), mark),
               std::ptrdiff_t(regions[i]->size()))
         << "region " << i << " overlaps another";
+  }
+}
+
+// Pages of [data, data + bytes) the OS reports resident (mincore).
+size_t ResidentPages(const uint8_t* data, uint64_t bytes) {
+  const uint64_t page = uint64_t(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident((bytes + page - 1) / page);
+  EXPECT_EQ(mincore(const_cast<uint8_t*>(data), bytes, resident.data()), 0);
+  return size_t(std::count_if(resident.begin(), resident.end(),
+                              [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+// Discard hands a page-sized region's pages back but keeps the region: it
+// reads zero, its key still resolves, and a later WRITE lands and fires
+// its listener (how a torn-down channel's in-flight WRITEs end up).
+TEST(MemoryTest, DiscardReturnsPagesAndKeepsTheRegionRegistered) {
+  if (uint64_t(sysconf(_SC_PAGESIZE)) != RegionArena::kPageBytes) {
+    GTEST_SKIP() << "OS page size differs from the arena's";
+  }
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* src = fabric.pd(0)->RegisterRegion(64);
+  const uint64_t bytes = 4 * RegionArena::kPageBytes;
+  MemoryRegion* mr = fabric.pd(1)->RegisterRegion(bytes);
+  std::memset(mr->data(), 0x5a, bytes);
+  EXPECT_EQ(ResidentPages(mr->data(), bytes), 4u);
+
+  mr->Discard();
+  EXPECT_EQ(ResidentPages(mr->data(), bytes), 0u);
+  EXPECT_EQ(std::count(mr->data(), mr->data() + bytes, 0),
+            std::ptrdiff_t(bytes));
+  EXPECT_EQ(fabric.pd(1)->FindByRkey(mr->remote_key().rkey), mr);
+
+  int notified = 0;
+  mr->AddRemoteWriteListener([&](uint64_t, uint64_t) { ++notified; });
+  std::memcpy(src->data(), "late", 4);
+  QpPair qp = fabric.Connect(0, 1);
+  ASSERT_TRUE(qp.first
+                  ->PostWrite(MemorySpan{src, 0, 4}, mr->remote_key(),
+                              /*remote_offset=*/bytes - 4, /*wr_id=*/1,
+                              /*signaled=*/true)
+                  .ok());
+  sim.Run();
+  EXPECT_EQ(notified, 1);
+  EXPECT_EQ(std::memcmp(mr->data() + bytes - 4, "late", 4), 0);
+  Completion c;
+  ASSERT_TRUE(qp.first->send_cq().TryPoll(&c));
+  EXPECT_TRUE(c.ok());
+}
+
+// A sub-page region shares a heap chunk with its neighbours: Discard leaves
+// it and them intact.
+TEST(MemoryTest, DiscardLeavesSubPageRegionsAlone) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* regions[] = {fabric.pd(0)->RegisterRegion(64),
+                             fabric.pd(0)->RegisterRegion(100),
+                             fabric.pd(0)->RegisterRegion(64)};
+  for (int i = 0; i < 3; ++i) {
+    std::memset(regions[i]->data(), i + 1, regions[i]->size());
+  }
+  regions[1]->Discard();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::count(regions[i]->data(),
+                         regions[i]->data() + regions[i]->size(), i + 1),
+              std::ptrdiff_t(regions[i]->size()))
+        << "region " << i;
   }
 }
 
@@ -484,6 +553,31 @@ TEST(SocketTransportTest, WindowLimitsInFlight) {
   const Nanos three = sim.Run();
   EXPECT_GT(three, 2 * one);
   EXPECT_EQ(conn.pending_bytes(1), 3000u);
+}
+
+// Abort frees the frames delivered but never read, and a frame still in
+// flight is lost: afterwards nothing is pending or readable.
+TEST(SocketTransportTest, AbortFreesUnreadFramesAndDropsInFlightOnes) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  SocketConnection conn(&fabric, 0, 1, SocketConfig{});
+  perf::CpuContext cpu(&sim, &perf::CostModel::Default());
+  sim.Spawn(SocketSender(&conn, 0, std::vector<uint8_t>(1000, 1), &cpu));
+  sim.Run();
+  ASSERT_EQ(conn.pending_bytes(1), 1000u);
+
+  // The next frame leaves at once and arrives no sooner than the stack
+  // latency plus the wire latency later; the abort falls in between.
+  sim.Spawn(SocketSender(&conn, 0, std::vector<uint8_t>(500, 2), &cpu));
+  const Nanos abort_at = sim.now() + kIpoibStackLatency;
+  sim.ScheduleAt(abort_at, [&] { conn.Abort(); });
+  EXPECT_GT(sim.Run(), abort_at);  // the delivery event came after it
+
+  EXPECT_TRUE(conn.aborted());
+  EXPECT_EQ(conn.pending_bytes(1), 0u);
+  std::vector<uint8_t> out;
+  perf::CpuContext rx_cpu(&sim, &perf::CostModel::Default());
+  EXPECT_FALSE(conn.TryReceive(1, &out, &rx_cpu));
 }
 
 }  // namespace

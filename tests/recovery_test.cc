@@ -4,8 +4,10 @@
 // replays the lost input, and finishes with results bit-identical to the
 // fault-free oracle. Covers both the Slash engine (epoch-aligned rounds)
 // and the Flink-like baseline (barrier-aligned rounds), including crashes
-// while blobs are part-way through replication, plus FaultPlan validation,
-// the no-checkpoint abort path and unit tests of the RecoveryCoordinator.
+// while blobs are part-way through replication and a second crash after a
+// recovery (the rollback that frees an attempt the first one built), plus
+// FaultPlan validation, the no-checkpoint abort path and unit tests of the
+// RecoveryCoordinator.
 #include <gtest/gtest.h>
 
 #include <type_traits>
@@ -68,6 +70,31 @@ RunStats RunWithMidRunCrash(Engine& engine, JobSpec job, int victim,
       {.at = Nanos(double(clean.makespan()) * fraction), .node = victim});
   job.cluster.fault_plan = plan_out;
   return engine.Run(job);
+}
+
+/// Two rollbacks in one run: node 1 crashes at a quarter of the clean
+/// makespan, and node 3 once that first recovery has ended, at 0.7 of the
+/// rest of the one-crash run (a crash during a recovery would abort the
+/// run). The second rollback tears down an attempt the first one built.
+/// Returns the two-crash run's stats.
+RunStats RunWithTwoCrashes(Engine& engine, JobSpec job, sim::FaultPlan* plan) {
+  const RunStats one = RunWithMidRunCrash(engine, job, /*victim=*/1, 0.25,
+                                          plan);
+  EXPECT_TRUE(one.ok()) << one.status.message();
+  EXPECT_EQ(one.recoveries(), 1u);
+  const Nanos recovered = plan->node_crashes[0].at + one.recovery_ns();
+  EXPECT_LT(recovered, one.makespan());
+  plan->node_crashes.push_back(
+      {.at = recovered + Nanos(0.7 * double(one.makespan() - recovered)),
+       .node = 3});
+  job.cluster.fault_plan = plan;
+  return engine.Run(job);
+}
+
+JobSpec TwoCrashJob(const workloads::Workload& workload) {
+  JobSpec job = RecoveryJob(workload, 5, 2, 6000);
+  job.config.checkpoint.replication_factor = 2;
+  return job;
 }
 
 TEST(SlashRecoveryTest, YsbNodeCrashRecoversToOracleResults) {
@@ -265,6 +292,21 @@ TEST(SlashRecoveryTest, CrashMidBlobReplicationRecoversToOracleResults) {
   EXPECT_GT(stats.checkpoint_bytes_replicated(), 0u);
 }
 
+TEST(SlashRecoveryTest, SecondCrashAfterARecoveryRecoversToOracleResults) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::YsbWorkload workload(ycfg);
+  const JobSpec job = TwoCrashJob(workload);
+
+  SlashEngine engine;
+  sim::FaultPlan plan;
+  const RunStats stats = RunWithTwoCrashes(engine, job, &plan);
+
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_EQ(stats.recoveries(), 2u);
+  EXPECT_EQ(stats.credits_outstanding(), 0u);
+}
+
 // --- FaultPlan registration-time validation -------------------------------
 
 TEST(FaultPlanValidationTest, RejectsUnsortedSchedule) {
@@ -393,6 +435,20 @@ TEST(FlinkRecoveryTest, CrashMidBlobReplicationRecoversToOracleResults) {
   ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
   EXPECT_GT(stats.checkpoint_bytes_replicated(), 0u);
+}
+
+TEST(FlinkRecoveryTest, SecondCrashAfterARecoveryRecoversToOracleResults) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::YsbWorkload workload(ycfg);
+  const JobSpec job = TwoCrashJob(workload);
+
+  FlinkLikeEngine engine;
+  sim::FaultPlan plan;
+  const RunStats stats = RunWithTwoCrashes(engine, job, &plan);
+
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_EQ(stats.recoveries(), 2u);
 }
 
 TEST(FlinkRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
