@@ -946,7 +946,8 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     c->attempt = attempt;
     c->cpu = std::make_unique<perf::CpuContext>(
         &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
-    c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
+    c->partition = std::make_unique<state::Partition>(
+        gid, run->pcfg, state::PartitionRole::kRetiring);
     c->sink = core::ResultSink(job.collect_rows);
     c->arrivals = std::make_unique<sim::Event>(&run->sim);
     c->rounds_complete = round;

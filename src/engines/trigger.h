@@ -145,7 +145,7 @@ class JoinGroups {
 };
 
 /// Emits every bucket of `partition` triggerable at watermark `wm` and
-/// tombstones it, in one log-order pass over the partition. A call with no
+/// retires it, in one pass (Partition::RetireBucketsUpTo). A call with no
 /// bucket due (threshold below Partition::bucket_floor()) costs O(1),
 /// except on sliding windows, whose per-slice charge is due on every call.
 /// `last_trigger_wm` suppresses redundant calls. All CPU costs are charged

@@ -20,7 +20,10 @@
 // offset into one mapping. A ring earns its wrap point when a truncation
 // keeps a live suffix; here every truncation drops the whole delta, and an
 // emptied ring that restarts at offset 0 is the same log without the wrap
-// machinery. So Clear() rewinds the tail to 0 and keeps the pages: a
+// machinery. Fired windows need no truncation either: a partition that
+// fires windows keeps its join state in one store per window bucket and
+// destroys a bucket's store, unmapping it, once the bucket fires
+// (state/partition.h). So Clear() rewinds the tail to 0 and keeps the pages: a
 // fragment touches as many pages as its largest epoch needed. Grow()
 // doubles the mapping with RemapZeroPages (common/zero_pages.h), which moves
 // page table entries, not bytes.
@@ -56,7 +59,7 @@ enum EntryFlags : uint16_t {
 struct EntryHeader {
   uint64_t key = 0;       // user key
   int64_t bucket = 0;     // window bucket / slice id
-  uint64_t prev = 0;      // previous entry address in this hash chain
+  uint64_t prev = 0;      // previous entry in this hash chain (aggregates)
   uint32_t value_len = 0; // bytes of value following the header
   uint16_t flags = 0;
   uint16_t stream_id = 0; // source stream (joins)
@@ -71,7 +74,7 @@ static_assert(sizeof(EntryHeader) == 32, "EntryHeader must stay 32 bytes");
 /// them.
 ///
 /// Thread-safety: Allocate is not thread-safe; callers serialize it, as
-/// Partition::InsertEntry does under its `alloc_lock_`. `tail_` is atomic:
+/// Partition::AllocateEntry does under its `alloc_lock_`. `tail_` is atomic:
 /// Allocate publishes it with a release store and At()/Mutable()/tail()
 /// read it with acquire loads, so readers on other threads may run
 /// alongside a serialized Allocate that does not grow the buffer. Entry

@@ -33,6 +33,14 @@ bool NextWireKey(const uint8_t* data, size_t len, size_t* pos, StateKey* k) {
   return true;
 }
 
+// The first segment whose bucket is not below `bucket`.
+template <typename Segments>
+auto LowerBoundBucket(Segments& segments, int64_t bucket) {
+  return std::lower_bound(
+      segments.begin(), segments.end(), bucket,
+      [](const auto& s, int64_t b) { return s.bucket < b; });
+}
+
 void AtomicMinI64(int64_t* target, int64_t value) {
   std::atomic_ref<int64_t> ref(*target);
   int64_t cur = ref.load(std::memory_order_relaxed);
@@ -52,9 +60,11 @@ void AtomicMaxI64(int64_t* target, int64_t value) {
 }  // namespace
 
 Partition::Partition(int id, const PartitionConfig& config,
-                     size_t max_index_buckets)
+                     PartitionRole role, size_t max_index_buckets)
     : id_(id),
       config_(config),
+      segmented_(role == PartitionRole::kRetiring &&
+                 config.kind == StateKind::kAppend),
       index_(config.index_buckets, max_index_buckets),
       lss_(config.lss_capacity) {}
 
@@ -70,25 +80,34 @@ uint64_t Partition::FindInChain(uint64_t addr, StateKey k) const {
   return HashIndex::kInvalidAddress;
 }
 
-Partition::Inserted Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
-                                           uint64_t head, uint16_t stream_id,
-                                           uint16_t flags, const void* value,
-                                           uint32_t value_len) {
-  // Log allocation is serialized by a spinlock.
+uint64_t Partition::AllocateEntry(StateKey k, uint16_t stream_id,
+                                  uint16_t flags, const void* value,
+                                  uint32_t value_len) {
+  // Log allocation (and segment creation) is serialized by a spinlock.
   while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
   }
-  const uint64_t addr = lss_.Allocate(sizeof(EntryHeader) + value_len);
+  LogStructuredStore* log = segmented_ ? &SegmentFor(k.bucket) : &lss_;
+  const uint64_t addr = log->Allocate(sizeof(EntryHeader) + value_len);
   bucket_floor_ = std::min(bucket_floor_, k.bucket);
   alloc_lock_.clear(std::memory_order_release);
 
-  EntryHeader* header = lss_.HeaderAt(addr);
+  EntryHeader* header = log->HeaderAt(addr);
   header->key = k.key;
   header->bucket = k.bucket;
+  header->prev = HashIndex::kInvalidAddress;
   header->value_len = value_len;
   header->flags = flags;
   header->stream_id = stream_id;
-  std::memcpy(lss_.At(addr) + sizeof(EntryHeader), value, value_len);
+  std::memcpy(log->At(addr) + sizeof(EntryHeader), value, value_len);
+  return addr;
+}
 
+Partition::Inserted Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
+                                           uint64_t head,
+                                           const AggState& value) {
+  const uint64_t addr = AllocateEntry(k, /*stream_id=*/0, kEntryAggregate,
+                                      &value, sizeof(value));
+  EntryHeader* header = lss_.HeaderAt(addr);
   for (;;) {
     header->prev = head;
     if (HashIndex::CompareExchangeHead(slot, &head, addr)) {
@@ -97,14 +116,49 @@ Partition::Inserted Partition::InsertEntry(StateKey k, HashIndex::Slot slot,
     }
     // Lost a race; `head` is the observed head. An aggregate inserted
     // concurrently for our key wins: adopt it and retire our entry.
-    if (flags & kEntryAggregate) {
-      const uint64_t existing = FindInChain(head, k);
-      if (existing != HashIndex::kInvalidAddress) {
-        header->flags |= kEntryTombstone;
-        return {existing, false};
-      }
+    const uint64_t existing = FindInChain(head, k);
+    if (existing != HashIndex::kInvalidAddress) {
+      header->flags |= kEntryTombstone;
+      return {existing, false};
     }
   }
+}
+
+LogStructuredStore& Partition::SegmentFor(int64_t bucket) {
+  auto it = LowerBoundBucket(segments_, bucket);
+  if (it == segments_.end() || it->bucket != bucket) {
+    auto log = std::make_unique<LogStructuredStore>(config_.lss_capacity);
+    it = segments_.insert(it, Segment{bucket, std::move(log)});
+  }
+  return *it->log;
+}
+
+void Partition::PrefetchSegmentTail(int64_t bucket) const {
+  while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
+  }
+  const auto it = LowerBoundBucket(segments_, bucket);
+  if (it != segments_.end() && it->bucket == bucket) it->log->PrefetchTail();
+  alloc_lock_.clear(std::memory_order_release);
+}
+
+void Partition::DropSegments(size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    dropped_scanned_ += segments_[i].log->entries_scanned();
+    dropped_allocated_ += segments_[i].log->allocated_bytes();
+  }
+  segments_.erase(segments_.begin(), segments_.begin() + ptrdiff_t(count));
+}
+
+uint64_t Partition::entries_scanned() const {
+  uint64_t scanned = lss_.entries_scanned() + dropped_scanned_;
+  for (const Segment& s : segments_) scanned += s.log->entries_scanned();
+  return scanned;
+}
+
+uint64_t Partition::allocated_bytes() const {
+  uint64_t bytes = lss_.allocated_bytes() + dropped_allocated_;
+  for (const Segment& s : segments_) bytes += s.log->allocated_bytes();
+  return bytes;
 }
 
 void Partition::MergeAggregate(StateKey k, const AggState& delta) {
@@ -117,9 +171,7 @@ void Partition::MergeAggregate(StateKey k, const AggState& delta) {
     // A fresh accumulator starts at its delta: identity ⊕ delta == delta
     // bit for bit. An insert that lost to one of the same key merges into
     // the winner below.
-    const Inserted inserted = InsertEntry(k, slot, head, /*stream_id=*/0,
-                                          kEntryAggregate, &delta,
-                                          sizeof(delta));
+    const Inserted inserted = InsertEntry(k, slot, head, delta);
     addr = inserted.addr;
     fresh = inserted.won;
   }
@@ -153,9 +205,8 @@ bool Partition::LookupAggregate(StateKey k, AggState* out) const {
 void Partition::Append(StateKey k, uint16_t stream_id, const uint8_t* data,
                        uint32_t len) {
   SLASH_CHECK(config_.kind == StateKind::kAppend);
-  const HashIndex::Slot slot = index_.Claim(HashStateKey(k));
-  InsertEntry(k, slot, HashIndex::Head(slot), stream_id, kEntryAppend, data,
-              len);
+  AllocateEntry(k, stream_id, kEntryAppend, data, len);
+  entry_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 size_t Partition::SerializeDelta(std::vector<uint8_t>* out) const {
@@ -187,11 +238,12 @@ size_t Partition::Snapshot(std::vector<uint8_t>* out) const {
 Status Partition::MergeDelta(const uint8_t* data, size_t len) {
   // A lookahead cursor walks the wire headers kMergePrefetchDistance
   // entries ahead of the apply cursor and prefetches each entry's primary
-  // bucket.
+  // bucket. Append state has no index to warm.
   size_t ahead_pos = 0;
   auto prefetch_next_bucket = [&] {
     StateKey ahead;
-    if (NextWireKey(data, len, &ahead_pos, &ahead)) {
+    if (config_.kind == StateKind::kAggregate &&
+        NextWireKey(data, len, &ahead_pos, &ahead)) {
       index_.Prefetch(HashStateKey(ahead));
     }
   };
@@ -237,6 +289,7 @@ Status Partition::MergeDelta(const uint8_t* data, size_t len) {
 void Partition::Reset() {
   index_.Clear();
   lss_.Clear();
+  DropSegments(segments_.size());
   entry_count_.store(0, std::memory_order_relaxed);
   bucket_floor_ = std::numeric_limits<int64_t>::max();
 }

@@ -41,13 +41,15 @@ std::unique_ptr<Partition> StateBackend::MakePartition(int p,
     pcfg.index_buckets = std::min(config_.index_buckets, kMinFragmentBuckets);
     pcfg.lss_capacity = std::min(config_.lss_capacity, kMinFragmentLss);
   }
-  return std::make_unique<Partition>(p, pcfg, config_.index_buckets);
+  return std::make_unique<Partition>(
+      p, pcfg, primary ? PartitionRole::kRetiring : PartitionRole::kFragment,
+      config_.index_buckets);
 }
 
 void StateBackend::AddLeadership(int p) {
-  // Clear() rewinds a drained fragment's tail, so ask the log whether it
-  // ever allocated.
-  SLASH_CHECK_MSG(partitions_[p]->lss().allocated_bytes() == 0,
+  // Reset() rewinds a drained fragment's log, so ask whether it ever
+  // allocated.
+  SLASH_CHECK_MSG(partitions_[p]->allocated_bytes() == 0,
                   "partition " << p << " promoted after it took updates");
   partitions_[p] = MakePartition(p, /*primary=*/true);
   led_[p] = true;

@@ -445,7 +445,8 @@ TEST(AllocTrackerTest, StateEpochCycleIsAllocationFreeInSteadyState) {
     cfg.kind = state::StateKind::kAggregate;
     cfg.index_buckets = 16;
     cfg.lss_capacity = 1 << 16;
-    state::Partition partition(0, cfg, c.max_index_buckets);
+    state::Partition partition(0, cfg, state::PartitionRole::kFragment,
+                               c.max_index_buckets);
     std::vector<state::StateKey> keys;
     std::vector<int64_t> values;
     for (uint64_t i = 0; i < c.keys; ++i) {

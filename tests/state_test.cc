@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -14,6 +15,7 @@
 #include <set>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -610,17 +612,11 @@ std::vector<LiveAppend> LiveAppends(const Partition& p) {
   return out;
 }
 
-// Follows `newest`'s hash chain through the log, newest first, keeping the
-// entries of its (key, bucket) and skipping other keys that share the chain.
-std::vector<const EntryHeader*> ChainOf(const Partition& p,
-                                        const EntryHeader* newest) {
-  std::vector<const EntryHeader*> out;
-  for (const EntryHeader* h = newest;;) {
-    if (h->key == newest->key && h->bucket == newest->bucket) out.push_back(h);
-    if (h->prev == HashIndex::kInvalidAddress) break;
-    h = p.lss().HeaderAt(h->prev);
-  }
-  return out;
+constexpr PartitionRole kRoles[] = {PartitionRole::kFragment,
+                                    PartitionRole::kRetiring};
+
+const char* RoleName(PartitionRole role) {
+  return role == PartitionRole::kFragment ? "fragment" : "retiring";
 }
 
 void ExpectAppend(const LiveAppend& e, uint64_t key, int64_t bucket,
@@ -633,23 +629,39 @@ void ExpectAppend(const LiveAppend& e, uint64_t key, int64_t bucket,
   EXPECT_EQ(e.payload, payload);
 }
 
+// A fragment keeps its appends in log order; a retiring partition visits
+// them bucket by bucket, ascending, each bucket in append order. Appends
+// link no hash chain.
 TEST(PartitionTest, AppendAndCollect) {
-  Partition p(0, SmallAppendConfig());
-  const uint8_t a[] = {1, 2, 3};
-  const uint8_t b[] = {4, 5};
-  p.Append({9, 2}, 0, a, sizeof(a));
-  p.Append({9, 2}, 1, b, sizeof(b));
-  p.Append({9, 3}, 0, a, sizeof(a));  // other bucket
-  const std::vector<LiveAppend> live = LiveAppends(p);
-  ASSERT_EQ(live.size(), 3u);
-  ExpectAppend(live[0], 9, 2, 0, {1, 2, 3});
-  ExpectAppend(live[1], 9, 2, 1, {4, 5});
-  ExpectAppend(live[2], 9, 3, 0, {1, 2, 3});
-  // Each (key, bucket) chains its elements newest first.
-  EXPECT_EQ(ChainOf(p, live[1].header),
-            (std::vector<const EntryHeader*>{live[1].header, live[0].header}));
-  EXPECT_EQ(ChainOf(p, live[2].header),
-            std::vector<const EntryHeader*>{live[2].header});
+  for (const PartitionRole role : kRoles) {
+    SCOPED_TRACE(RoleName(role));
+    Partition p(0, SmallAppendConfig(), role);
+    const uint8_t a[] = {1, 2, 3};
+    const uint8_t b[] = {4, 5};
+    const uint8_t c[] = {6};
+    p.Append({9, 3}, 0, a, sizeof(a));
+    p.Append({9, 2}, 0, b, sizeof(b));
+    p.Append({8, 3}, 1, c, sizeof(c));
+    p.Append({9, 2}, 1, a, sizeof(a));
+    EXPECT_EQ(p.entry_count(), 4u);
+    EXPECT_EQ(p.bucket_floor(), 2);
+    const std::vector<LiveAppend> live = LiveAppends(p);
+    ASSERT_EQ(live.size(), 4u);
+    if (role == PartitionRole::kFragment) {
+      ExpectAppend(live[0], 9, 3, 0, {1, 2, 3});
+      ExpectAppend(live[1], 9, 2, 0, {4, 5});
+      ExpectAppend(live[2], 8, 3, 1, {6});
+      ExpectAppend(live[3], 9, 2, 1, {1, 2, 3});
+    } else {
+      ExpectAppend(live[0], 9, 2, 0, {4, 5});
+      ExpectAppend(live[1], 9, 2, 1, {1, 2, 3});
+      ExpectAppend(live[2], 9, 3, 0, {1, 2, 3});
+      ExpectAppend(live[3], 8, 3, 1, {6});
+    }
+    for (const LiveAppend& e : live) {
+      EXPECT_EQ(e.header->prev, HashIndex::kInvalidAddress);
+    }
+  }
 }
 
 TEST(PartitionTest, TombstoneHidesTriggeredBuckets) {
@@ -696,29 +708,37 @@ TEST(PartitionTest, DeltaRoundTripAppend) {
   const uint8_t b[] = {7, 8, 6};
   const uint8_t c[] = {42};
   helper.Append({5, 1}, 0, a, sizeof(a));
-  helper.Append({5, 1}, 1, b, sizeof(b));
   helper.Append({6, 2}, 1, c, sizeof(c));
+  helper.Append({5, 1}, 1, b, sizeof(b));
   std::vector<uint8_t> wire;
   EXPECT_EQ(helper.SerializeDelta(&wire), 3u);
   helper.Reset();
 
   // The merge unions the delta into the leader's own elements: every
-  // element arrives intact, after the leader's, in the helper's log order.
-  Partition leader(1, SmallAppendConfig());
-  const uint8_t own[] = {1, 2, 3, 4};
-  leader.Append({5, 1}, 2, own, sizeof(own));
-  ASSERT_TRUE(leader.MergeDelta(wire.data(), wire.size()).ok());
-  const std::vector<LiveAppend> live = LiveAppends(leader);
-  ASSERT_EQ(live.size(), 4u);
-  ExpectAppend(live[0], 5, 1, 2, {1, 2, 3, 4});
-  ExpectAppend(live[1], 5, 1, 0, {9, 9});
-  ExpectAppend(live[2], 5, 1, 1, {7, 8, 6});
-  ExpectAppend(live[3], 6, 2, 1, {42});
-  EXPECT_EQ(ChainOf(leader, live[2].header),
-            (std::vector<const EntryHeader*>{live[2].header, live[1].header,
-                                             live[0].header}));
-  EXPECT_EQ(ChainOf(leader, live[3].header),
-            std::vector<const EntryHeader*>{live[3].header});
+  // element arrives intact, after the leader's, in the helper's log order;
+  // a retiring leader files each under its bucket.
+  for (const PartitionRole role : kRoles) {
+    SCOPED_TRACE(RoleName(role));
+    Partition leader(1, SmallAppendConfig(), role);
+    const uint8_t own[] = {1, 2, 3, 4};
+    leader.Append({6, 2}, 2, own, sizeof(own));
+    ASSERT_TRUE(leader.MergeDelta(wire.data(), wire.size()).ok());
+    EXPECT_EQ(leader.entry_count(), 4u);
+    EXPECT_EQ(leader.bucket_floor(), 1);
+    const std::vector<LiveAppend> live = LiveAppends(leader);
+    ASSERT_EQ(live.size(), 4u);
+    if (role == PartitionRole::kFragment) {
+      ExpectAppend(live[0], 6, 2, 2, {1, 2, 3, 4});
+      ExpectAppend(live[1], 5, 1, 0, {9, 9});
+      ExpectAppend(live[2], 6, 2, 1, {42});
+      ExpectAppend(live[3], 5, 1, 1, {7, 8, 6});
+    } else {
+      ExpectAppend(live[0], 5, 1, 0, {9, 9});
+      ExpectAppend(live[1], 5, 1, 1, {7, 8, 6});
+      ExpectAppend(live[2], 6, 2, 2, {1, 2, 3, 4});
+      ExpectAppend(live[3], 6, 2, 1, {42});
+    }
+  }
 }
 
 TEST(PartitionTest, MergeDeltaRejectsGarbage) {
@@ -1087,31 +1107,137 @@ TEST(PartitionTest, BucketFloorAfterMergeDeltaAndRestore) {
   ExpectFloorBoundsLive(restored);
 }
 
-TEST(PartitionTest, RetireVisitsDueEntriesOnceInLogOrder) {
-  Partition p(0, SmallAppendConfig());
+// A fragment's retire walks its whole log and visits the due entries in
+// log order; a retiring partition's walks only the due buckets' logs,
+// bucket by bucket. A late entry for a fired bucket fires at the next call.
+TEST(PartitionTest, RetireVisitsDueEntriesOnce) {
   const int64_t buckets[] = {2, 0, 3, 1, 0, 2};
-  for (size_t i = 0; i < std::size(buckets); ++i) {
-    const uint8_t v = uint8_t(i);
-    p.Append({i, buckets[i]}, 0, &v, 1);
+  for (const PartitionRole role : kRoles) {
+    SCOPED_TRACE(RoleName(role));
+    const bool retiring = role == PartitionRole::kRetiring;
+    Partition p(0, SmallAppendConfig(), role);
+    for (size_t i = 0; i < std::size(buckets); ++i) {
+      const uint8_t v = uint8_t(i);
+      p.Append({i, buckets[i]}, 0, &v, 1);
+    }
+    std::vector<uint8_t> visited;
+    auto collect = [&](const EntryHeader&, const uint8_t* value) {
+      visited.push_back(*value);
+    };
+    uint64_t scanned = p.entries_scanned();
+    EXPECT_EQ(p.RetireBucketsUpTo(
+                  1, [&](const EntryHeader& header, const uint8_t* value) {
+                    EXPECT_LE(header.bucket, 1);
+                    visited.push_back(*value);
+                  }),
+              3u);
+    EXPECT_EQ(visited, retiring ? (std::vector<uint8_t>{1, 4, 3})
+                                : (std::vector<uint8_t>{1, 3, 4}));
+    EXPECT_EQ(p.entries_scanned() - scanned, retiring ? 3u : 6u);
+    EXPECT_EQ(p.entry_count(), 3u);
+    EXPECT_EQ(p.bucket_floor(), 2);
+    // Retired entries are not visited again.
+    visited.clear();
+    scanned = p.entries_scanned();
+    EXPECT_EQ(p.RetireBucketsUpTo(2, collect), 2u);
+    EXPECT_EQ(visited, (std::vector<uint8_t>{0, 5}));
+    EXPECT_EQ(p.entries_scanned() - scanned, retiring ? 2u : 6u);
+    EXPECT_EQ(p.bucket_floor(), 3);
+    // A late entry for a fired bucket lowers the floor and fires next.
+    const uint8_t late = 6;
+    p.Append({6, 0}, 0, &late, 1);
+    EXPECT_EQ(p.bucket_floor(), 0);
+    visited.clear();
+    EXPECT_EQ(p.RetireBucketsUpTo(2, collect), 1u);
+    EXPECT_EQ(visited, (std::vector<uint8_t>{6}));
+    EXPECT_EQ(p.bucket_floor(), 3);
+    EXPECT_EQ(p.entry_count(), 1u);
   }
-  std::vector<uint8_t> visited;
-  EXPECT_EQ(p.RetireBucketsUpTo(
-                1, [&](const EntryHeader& header, const uint8_t* value) {
-                  EXPECT_LE(header.bucket, 1);
-                  visited.push_back(*value);
-                }),
-            3u);
-  EXPECT_EQ(visited, (std::vector<uint8_t>{1, 3, 4}));
-  EXPECT_EQ(p.entry_count(), 3u);
-  EXPECT_EQ(p.bucket_floor(), 2);
-  // Retired entries are not visited again.
-  visited.clear();
-  EXPECT_EQ(p.RetireBucketsUpTo(
-                2, [&](const EntryHeader&, const uint8_t* value) {
-                  visited.push_back(*value);
-                }),
-            2u);
-  EXPECT_EQ(visited, (std::vector<uint8_t>{0, 5}));
+}
+
+// Random appends over interleaved buckets, some of them late into fired
+// buckets, and random retirements, against a model of the live entries in
+// append order: the partition visits, retires, snapshots and restores what
+// the model says, in the role's order.
+TEST(PartitionTest, AppendRetireAndRestoreMatchAModel) {
+  using Entry = std::pair<int64_t, uint32_t>;  // (bucket, append sequence)
+  for (const PartitionRole role : kRoles) {
+    SCOPED_TRACE(RoleName(role));
+    const bool retiring = role == PartitionRole::kRetiring;
+    // The order the partition visits `entries` (given in append order) in.
+    auto in_visit_order = [retiring](std::vector<Entry> entries) {
+      if (retiring) {
+        std::stable_sort(entries.begin(), entries.end(),
+                         [](const Entry& a, const Entry& b) {
+                           return a.first < b.first;
+                         });
+      }
+      return entries;
+    };
+    auto entry_of = [](const EntryHeader& header, const uint8_t* value) {
+      uint32_t seq;
+      std::memcpy(&seq, value, sizeof(seq));
+      return Entry{header.bucket, seq};
+    };
+    auto live_of = [&](const Partition& q) {
+      std::vector<Entry> out;
+      q.ForEachLive([&](const EntryHeader& header, const uint8_t* value) {
+        out.push_back(entry_of(header, value));
+      });
+      return out;
+    };
+    Partition p(0, SmallAppendConfig(), role);
+    std::vector<Entry> live;  // the model
+    Rng rng(31);
+    uint32_t seq = 0;
+    int64_t fired = 2;  // buckets up to here have been retired
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(::testing::Message() << "round " << round);
+      const int appends = int(rng.NextBounded(60));
+      for (int i = 0; i < appends; ++i) {
+        const int64_t bucket = fired - 2 + int64_t(rng.NextBounded(7));
+        uint8_t value[12] = {};
+        std::memcpy(value, &seq, sizeof(seq));
+        const uint32_t len = uint32_t(sizeof(seq) + rng.NextBounded(9));
+        p.Append({rng.NextBounded(5), bucket}, 0, value, len);
+        live.push_back({bucket, seq++});
+      }
+      const int64_t threshold = fired + int64_t(rng.NextBounded(3));
+      std::vector<Entry> due;
+      std::vector<Entry> kept;
+      for (const Entry& e : live) {
+        (e.first <= threshold ? due : kept).push_back(e);
+      }
+      std::vector<Entry> retired;
+      const uint64_t scanned = p.entries_scanned();
+      EXPECT_EQ(p.RetireBucketsUpTo(
+                    threshold,
+                    [&](const EntryHeader& header, const uint8_t* value) {
+                      retired.push_back(entry_of(header, value));
+                    }),
+                due.size());
+      EXPECT_EQ(retired, in_visit_order(due));
+      if (retiring) {
+        EXPECT_EQ(p.entries_scanned() - scanned, due.size());
+      }
+      live = kept;
+      fired = std::max(fired, threshold);
+      EXPECT_EQ(p.entry_count(), live.size());
+      EXPECT_EQ(live_of(p), in_visit_order(live));
+      ExpectFloorBoundsLive(p);
+
+      // A snapshot restores the same entries, each bucket in its order.
+      std::vector<uint8_t> snapshot;
+      EXPECT_EQ(p.Snapshot(&snapshot), live.size());
+      Partition restored(0, SmallAppendConfig(), role);
+      ASSERT_TRUE(restored.Restore(snapshot.data(), snapshot.size()).ok());
+      EXPECT_EQ(live_of(restored), live_of(p));
+      const int64_t floor =
+          live.empty() ? kNoFloor
+                       : std::min_element(live.begin(), live.end())->first;
+      EXPECT_EQ(restored.bucket_floor(), floor);
+    }
+  }
 }
 
 TEST(PartitionTest, ConcurrentInsertsThenRetireFromRealThreads) {
