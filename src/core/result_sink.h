@@ -44,14 +44,14 @@ class ResultSink {
   /// Order-insensitive digest of all emitted rows.
   uint64_t checksum() const { return checksum_; }
 
-  /// Replaces this sink's content with checkpointed state (crash recovery
-  /// rolls emissions back to the restored cut). `rows` is ignored when the
+  /// Adds a checkpointed cut to this (fresh) sink: crash recovery restores
+  /// one cut per node whose work it took over. `rows` is ignored when the
   /// sink does not keep rows.
   void Restore(uint64_t count, uint64_t checksum,
-               std::vector<WindowResult> rows) {
-    count_ = count;
-    checksum_ = checksum;
-    rows_ = keep_rows_ ? std::move(rows) : std::vector<WindowResult>{};
+               const std::vector<WindowResult>& rows) {
+    count_ += count;
+    checksum_ += checksum;
+    if (keep_rows_) rows_.insert(rows_.end(), rows.begin(), rows.end());
   }
 
   const std::vector<WindowResult>& rows() const { return rows_; }

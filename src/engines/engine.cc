@@ -113,6 +113,21 @@ bool RecoveryCoordinator::HasOwnBlob(int node, uint64_t round) const {
   return round > join_round_[node];
 }
 
+void RecoveryCoordinator::ForEachRestoreBlob(
+    uint64_t round,
+    const std::function<void(int node, BlobReader* body)>& fn) const {
+  for (int node = 0; node < nodes_; ++node) {
+    if (!HasOwnBlob(node, round)) continue;
+    const Blob* blob = FindBlob(node, round);
+    SLASH_CHECK_MSG(blob != nullptr,
+                    "round " << round << " has no blob for node " << node);
+    BlobReader body(blob->bytes.data(), blob->bytes.size());
+    body.U64();  // the blob's own round
+    fn(node, &body);
+    SLASH_CHECK(body.done());
+  }
+}
+
 void RecoveryCoordinator::RetireNode(int node, uint64_t retirement_round) {
   SLASH_CHECK_GE(node, 0);
   SLASH_CHECK_LT(node, nodes_);
@@ -177,11 +192,39 @@ int RecoveryCoordinator::Heir(int node, uint64_t round,
   return -1;
 }
 
-void BlobReader::Raw(void* dst, size_t len) {
-  if (len == 0) return;  // empty Bytes(): memcpy to nullptr is UB
-  SLASH_CHECK_LE(pos_ + len, len_);
-  std::memcpy(dst, data_ + pos_, len);
+std::vector<std::pair<int, int>> ReplicaPairs(const std::vector<bool>& alive,
+                                              int replication_factor) {
+  std::vector<int> live;
+  for (int n = 0; n < int(alive.size()); ++n) {
+    if (alive[n]) live.push_back(n);
+  }
+  const int targets =
+      std::clamp(replication_factor, 0, std::max(int(live.size()) - 1, 0));
+  std::vector<std::pair<int, int>> pairs;
+  for (size_t i = 0; i < live.size(); ++i) {
+    for (int k = 1; k <= targets; ++k) {
+      pairs.emplace_back(live[i], live[(i + size_t(k)) % live.size()]);
+    }
+  }
+  return pairs;
+}
+
+const uint8_t* BlobReader::Take(size_t len) {
+  SLASH_CHECK_LE(len, len_ - pos_);
   pos_ += len;
+  return data_ + pos_ - len;
+}
+
+void BlobReader::SinkPiece(core::ResultSink* sink) {
+  const uint64_t count = U64();
+  const uint64_t checksum = U64();
+  std::vector<core::WindowResult> rows(U64());
+  for (core::WindowResult& row : rows) {
+    row.bucket = I64();
+    row.key = U64();
+    row.value = I64();
+  }
+  sink->Restore(count, checksum, rows);
 }
 
 Status CheckUntenanted(const JobSpec& spec, std::string_view engine) {

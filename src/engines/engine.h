@@ -26,10 +26,13 @@
 #define SLASH_ENGINES_ENGINE_H_
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "channel/rdma_channel.h"
@@ -278,8 +281,15 @@ class Engine {
 };
 
 // ---------------------------------------------------------------------------
-// Crash recovery
+// Checkpoint and restore
 // ---------------------------------------------------------------------------
+// What Slash and the Flink-like engine share, once each: the blob store and
+// its restore rule, the replica ring, the restore rate, and the blob codec.
+
+class BlobReader;
+
+/// Restored blobs stream back through memory at this rate.
+inline constexpr uint64_t kRestoreBytesPerNs = 4;
 
 /// The recovery coordinator: the control plane's durable view of which
 /// checkpoint blobs exist and where their copies live.
@@ -312,12 +322,13 @@ class RecoveryCoordinator {
   /// >= `round` as well.
   void MarkFinalFrom(int node, uint64_t round);
 
-  /// The latest round K >= 1 such that every non-retired node has a usable
-  /// snapshot for K with at least one copy on a node marked alive, or 0
-  /// when no such round exists (recovery then restarts from empty state).
+  /// The latest round K >= 1 such that every node with HasOwnBlob(node, K)
+  /// has a usable snapshot for K with at least one copy on a node marked
+  /// alive, or 0 when no such round exists (recovery then restarts from
+  /// empty state).
   uint64_t LatestRecoverableRound(const std::vector<bool>& alive) const;
 
-  /// Excludes `node` from LatestRecoverableRound requirements for rounds
+  /// Excludes `node` from the rounds that need its own blob (HasOwnBlob)
   /// AFTER `retirement_round`: its partitions were recovered onto an heir,
   /// which snapshots them from then on as part of its own blobs. Rounds at
   /// or before the retirement round still require the retired node's own
@@ -339,11 +350,17 @@ class RecoveryCoordinator {
   /// look for one). Rounds after the join round require its blobs normally.
   void JoinNode(int node, uint64_t join_round);
 
-  bool retired(int node) const { return retired_[node]; }
-
   /// Whether round `round` is restored from a blob of `node`'s own: false
   /// past its retirement round and at or before its join round.
   bool HasOwnBlob(int node, uint64_t round) const;
+
+  /// The one restore rule: calls `fn(node, body)` in node order for each
+  /// node with HasOwnBlob(node, round), `body` reading its blob past the
+  /// leading round (a terminal blob's may precede `round`). Round 0 visits
+  /// none. CHECK-fails on a missing blob or on bytes `fn` left unread.
+  void ForEachRestoreBlob(
+      uint64_t round,
+      const std::function<void(int node, BlobReader* body)>& fn) const;
 
   /// Drops every blob for rounds > `round` (and terminal marks past it).
   /// Called when recovery rolls the run back to round `round`: the later
@@ -396,10 +413,18 @@ class RecoveryCoordinator {
 /// rollback (DiscardRoundsAfter) can drop the blob while a replicator of
 /// the torn-down attempt is parked.
 struct ReplState {
+  explicit ReplState(sim::Simulator* sim)
+      : event(std::make_unique<sim::Event>(sim)) {}
   std::vector<uint64_t> rounds;
   bool terminal = false;  // the last queued round is the terminal snapshot
   std::unique_ptr<sim::Event> event;
 };
+
+/// The replica ring: each live node, in node order, ships its blobs to the
+/// next `replication_factor` (at most live - 1) live nodes, cyclically.
+/// Connections are created, and QPs numbered, in the returned order.
+std::vector<std::pair<int, int>> ReplicaPairs(const std::vector<bool>& alive,
+                                              int replication_factor);
 
 /// Append-only serializer for checkpoint blobs. Fixed-width little-endian
 /// fields via memcpy; both engines share it so the recovery tests can treat
@@ -413,6 +438,28 @@ class BlobWriter {
   void Bytes(const std::vector<uint8_t>& bytes) {
     U64(bytes.size());
     Raw(bytes.data(), bytes.size());
+  }
+
+  // The two pieces every cut holds. A partition piece is the trigger
+  // watermark, then the state `snapshot` serializes into scratch memory
+  // (appended after, so the blob gets no slack).
+  template <typename SnapshotFn>
+  void PartitionPiece(int64_t trigger_wm, SnapshotFn&& snapshot) {
+    I64(trigger_wm);
+    std::vector<uint8_t> state;
+    snapshot(&state);
+    Bytes(state);
+  }
+  // A sink piece is count, checksum, row count, then (bucket, key, value)s.
+  void SinkPiece(const core::ResultSink& sink) {
+    U64(sink.count());
+    U64(sink.checksum());
+    U64(sink.rows().size());
+    for (const core::WindowResult& row : sink.rows()) {
+      I64(row.bucket);
+      U64(row.key);
+      I64(row.value);
+    }
   }
 
  private:
@@ -435,24 +482,32 @@ class BlobReader {
 
   uint64_t U64() {
     uint64_t v;
-    Raw(&v, sizeof(v));
+    std::memcpy(&v, Take(sizeof(v)), sizeof(v));
     return v;
   }
   int64_t I64() {
     int64_t v;
-    Raw(&v, sizeof(v));
+    std::memcpy(&v, Take(sizeof(v)), sizeof(v));
     return v;
   }
-  std::vector<uint8_t> Bytes() {
+  /// A BlobWriter::Bytes field, as a view into the blob.
+  std::span<const uint8_t> Bytes() {
     const uint64_t n = U64();
-    std::vector<uint8_t> out(n);
-    Raw(out.data(), n);
-    return out;
+    return {Take(n), n};
   }
+  /// Returns the trigger watermark; `*state` views the snapshot.
+  int64_t PartitionPiece(std::span<const uint8_t>* state) {
+    const int64_t trigger_wm = I64();
+    *state = Bytes();
+    return trigger_wm;
+  }
+  /// Adds the piece to `sink` (core::ResultSink::Restore): an heir's sink
+  /// sums its own cut and those of the nodes it took over.
+  void SinkPiece(core::ResultSink* sink);
   bool done() const { return pos_ == len_; }
 
  private:
-  void Raw(void* dst, size_t len);
+  const uint8_t* Take(size_t len);  // the next `len` bytes
 
   const uint8_t* data_;
   size_t len_;

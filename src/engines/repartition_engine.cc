@@ -26,9 +26,8 @@ using perf::Op;
 using rdma::SocketConnection;
 
 // Recovery takes virtual time: a socket (re-)connect pays a TCP-style
-// handshake, and restored snapshot bytes stream back into memory.
+// handshake on top of the restore (kRestoreBytesPerNs).
 constexpr Nanos kSocketSetupCost = 30 * kMicrosecond;
-constexpr uint64_t kRestoreBytesPerNs = 4;
 
 // Checkpoint part kinds inside a node blob.
 constexpr uint64_t kSenderPart = 0;
@@ -457,55 +456,29 @@ std::vector<uint8_t> ConsumerPart(ConsumerState* c) {
   BlobWriter w(&part);
   w.U64(kConsumerPart);
   w.U64(uint64_t(c->global_id));
-  w.I64(c->last_trigger_wm);
-  std::vector<uint8_t> state;
-  c->partition->Snapshot(&state);
-  w.Bytes(state);
-  w.U64(c->sink.count());
-  w.U64(c->sink.checksum());
-  // The sink keeps rows only when the job collects them.
-  const std::vector<core::WindowResult>& rows = c->sink.rows();
-  w.U64(rows.size());
-  for (const core::WindowResult& row : rows) {
-    w.I64(row.bucket);
-    w.U64(row.key);
-    w.I64(row.value);
-  }
+  w.PartitionPiece(c->last_trigger_wm, [c](std::vector<uint8_t>* out) {
+    c->partition->Snapshot(out);
+  });
+  w.SinkPiece(c->sink);
   return part;
 }
 
 /// Fast-forwards a fresh sender to the cut SenderPart recorded.
-void RestoreSender(SenderState* s, const std::vector<uint8_t>& part) {
-  BlobReader p(part.data(), part.size());
-  p.U64();  // kind
-  p.U64();  // gid
-  for (size_t f = 0, nflows = p.U64(); f < nflows; ++f) {
-    const uint64_t offset = p.U64();
+void RestoreSender(SenderState* s, BlobReader part) {
+  for (size_t f = 0, nflows = part.U64(); f < nflows; ++f) {
+    const uint64_t offset = part.U64();
     s->mux->SkipTo(f, offset);
     s->consumed_total += offset;
   }
 }
 
 /// Restores a fresh consumer to the cut ConsumerPart recorded.
-void RestoreConsumer(ConsumerState* c, const std::vector<uint8_t>& part) {
-  BlobReader p(part.data(), part.size());
-  p.U64();  // kind
-  p.U64();  // gid
-  c->last_trigger_wm = p.I64();
-  const std::vector<uint8_t> state = p.Bytes();
-  if (!state.empty()) {
-    const Status restored = c->partition->Restore(state.data(), state.size());
-    SLASH_CHECK_MSG(restored.ok(), restored.message());
-  }
-  const uint64_t count = p.U64();
-  const uint64_t checksum = p.U64();
-  std::vector<core::WindowResult> rows(p.U64());
-  for (core::WindowResult& row : rows) {
-    row.bucket = p.I64();
-    row.key = p.U64();
-    row.value = p.I64();
-  }
-  c->sink.Restore(count, checksum, std::move(rows));
+void RestoreConsumer(ConsumerState* c, BlobReader part) {
+  std::span<const uint8_t> state;
+  c->last_trigger_wm = part.PartitionPiece(&state);
+  const Status restored = c->partition->Restore(state.data(), state.size());
+  SLASH_CHECK_MSG(restored.ok(), restored.message());
+  part.SinkPiece(&c->sink);
 }
 
 // --- Snapshot replication over sockets -------------------------------------
@@ -864,8 +837,8 @@ void OnNodeCrash(RepartitionRun* run, int node) {
       if (run->sender_node[s] != run->consumer_node[cns]) ++new_sockets;
     }
   }
-  const int rf = std::min(run->job.checkpoint.replication_factor, live - 1);
-  new_sockets += uint64_t(live) * uint64_t(std::max(rf, 0));
+  new_sockets += ReplicaPairs(alive, run->job.checkpoint.replication_factor)
+                     .size();
   const Nanos delay = kSocketSetupCost * Nanos(new_sockets) +
                       Nanos(restore_bytes / kRestoreBytesPerNs);
   run->sim.ScheduleAt(run->sim.now() + delay, [run, round, node] {
@@ -893,28 +866,21 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
                   .consumers = run->consumers.size(),
                   .repl = run->repl_storage.size()};
 
-  // Every entity's round-`round` part, keyed like NodeCkpt::entity_keys,
-  // from the blobs of every node that was ever primary, including a
-  // just-dead one (its heir restores the replica). Nodes retired by
-  // *earlier* recoveries have no usable blobs — their entities were folded
-  // into their heir's blobs.
-  std::map<int, std::vector<uint8_t>> parts;
-  for (int n = 0; round >= 1 && n < cluster.nodes; ++n) {
-    if (run->coordinator->retired(n)) continue;
-    const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
-    SLASH_CHECK_MSG(blob != nullptr, "no restorable blob for node "
-                                         << n << " at round " << round);
-    BlobReader r(blob->data(), blob->size());
-    r.U64();  // stored round (may predate `round` for terminal blobs)
-    for (uint64_t i = r.U64(); i > 0; --i) {
-      std::vector<uint8_t> part = r.Bytes();
-      BlobReader p(part.data(), part.size());
-      const uint64_t kind = p.U64();
-      const int gid = int(p.U64());
-      parts[kind == kSenderPart ? gid : run->senders_total() + gid] =
-          std::move(part);
+  // Every entity's round-`round` part, keyed like NodeCkpt::entity_keys
+  // and read past its kind and gid, from the blobs that restore the round
+  // (none at round 0, the only round of a design without a coordinator).
+  std::map<int, BlobReader> parts;
+  const auto index_parts = [&](int, BlobReader* blob) {
+    for (uint64_t i = blob->U64(); i > 0; --i) {
+      const std::span<const uint8_t> bytes = blob->Bytes();
+      BlobReader part(bytes.data(), bytes.size());
+      const uint64_t kind = part.U64();
+      const int gid = int(part.U64());
+      parts.insert_or_assign(
+          kind == kSenderPart ? gid : run->senders_total() + gid, part);
     }
-  }
+  };
+  if (round > 0) run->coordinator->ForEachRestoreBlob(round, index_parts);
 
   if (run->checkpointing()) {
     // Fresh per-node checkpoint accumulators for this attempt's placement,
@@ -931,10 +897,8 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     run->repl.assign(size_t(cluster.nodes), nullptr);
     for (int n = 0; n < cluster.nodes; ++n) {
       if (!run->membership.alive(n)) continue;
-      auto rs = std::make_unique<ReplState>();
-      rs->event = std::make_unique<sim::Event>(&run->sim);
-      run->repl[n] = rs.get();
-      run->repl_storage.push_back(std::move(rs));
+      run->repl_storage.push_back(std::make_unique<ReplState>(&run->sim));
+      run->repl[n] = run->repl_storage.back().get();
     }
   }
 
@@ -1016,33 +980,25 @@ void BuildAttempt(RepartitionRun* run, uint64_t round) {
     run->senders.push_back(std::move(s));
   }
 
-  // Replication pairs: each live node ships its blobs to the next
-  // replication_factor live nodes (cyclically).
+  // Replication: each live node ships its blobs to its ReplicaPairs
+  // targets.
   if (run->checkpointing()) {
-    std::vector<int> live_nodes;
-    for (int n = 0; n < cluster.nodes; ++n) {
-      if (run->membership.alive(n)) live_nodes.push_back(n);
-    }
-    const int rf = std::min<int>(job.checkpoint.replication_factor,
-                                 int(live_nodes.size()) - 1);
-    for (size_t i = 0; i < live_nodes.size(); ++i) {
-      const int src = live_nodes[i];
-      for (int k = 1; k <= rf; ++k) {
-        const int target = live_nodes[(i + size_t(k)) % live_nodes.size()];
-        auto socket = std::make_unique<SocketConnection>(
-            run->fabric, src, target, cluster.socket);
-        auto send_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
-        auto recv_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
-        run->sim.Spawn(Replicator(run, src, run->repl[src], socket.get(),
-                                  send_cpu.get(), attempt));
-        run->sim.Spawn(ReplicaReceiver(run, target, socket.get(),
-                                       recv_cpu.get(), attempt));
-        run->repl_cpus.push_back(std::move(send_cpu));
-        run->repl_cpus.push_back(std::move(recv_cpu));
-        run->sockets.push_back(std::move(socket));
-      }
+    for (const auto& [src, target] :
+         ReplicaPairs(run->membership.alive_mask(),
+                      job.checkpoint.replication_factor)) {
+      auto socket = std::make_unique<SocketConnection>(
+          run->fabric, src, target, cluster.socket);
+      auto send_cpu = std::make_unique<perf::CpuContext>(
+          &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
+      auto recv_cpu = std::make_unique<perf::CpuContext>(
+          &run->sim, &perf::CostModel::Default(), cluster.cpu_ghz);
+      run->sim.Spawn(Replicator(run, src, run->repl[src], socket.get(),
+                                send_cpu.get(), attempt));
+      run->sim.Spawn(ReplicaReceiver(run, target, socket.get(),
+                                     recv_cpu.get(), attempt));
+      run->repl_cpus.push_back(std::move(send_cpu));
+      run->repl_cpus.push_back(std::move(recv_cpu));
+      run->sockets.push_back(std::move(socket));
     }
   }
 

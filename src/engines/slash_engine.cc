@@ -30,10 +30,8 @@ using core::Record;
 using perf::Op;
 
 // Recovery is not free: each channel of the rebuilt attempt costs a
-// connection setup, and restoring checkpoint blobs streams them back
-// through memory at a finite rate. Both feed the modeled recovery delay.
+// connection setup on top of the restore (kRestoreBytesPerNs).
 constexpr Nanos kChannelSetupCost = 10 * kMicrosecond;
-constexpr uint64_t kRestoreBytesPerNs = 4;
 
 /// One input flow assigned to a worker. Flow ids are global and stable
 /// across recovery attempts; a crashed node's flows are re-homed to its
@@ -88,14 +86,14 @@ struct NodeState {
   uint64_t epoch_seq = 0;
   int64_t epoch_low_wm = core::kWatermarkMin;
   bool final_bumped = false;  // the end-of-stream epoch has been announced
-  // Per-worker drain progress (mirrors each worker's local drained_seq).
-  // Input admission at a checkpoint boundary must wait until EVERY worker
-  // has serialized its share of the announced epoch: a fragment is one
-  // mutable accumulator per partition, so a post-boundary record pushed
-  // before the assigned worker drains would contaminate the boundary
-  // epoch's delta — the leader would then snapshot state the helper's
-  // recorded input offsets do not cover, and replay after a rollback
-  // would double-count those records.
+  // Per-worker drain progress: the last epoch each worker serialized its
+  // share of. Input admission at a checkpoint boundary must wait until
+  // EVERY worker has serialized its share of the announced epoch: a
+  // fragment is one mutable accumulator per partition, so a post-boundary
+  // record pushed before the assigned worker drains would contaminate the
+  // boundary epoch's delta — the leader would then snapshot state the
+  // helper's recorded input offsets do not cover, and replay after a
+  // rollback would double-count those records.
   std::vector<uint64_t> worker_drained_seq;
   std::vector<int64_t> trigger_wms;  // per led partition
   core::ResultSink sink;
@@ -326,10 +324,9 @@ void TakeSnapshot(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
   for (int p = 0; p < run->cluster.nodes; ++p) {
     if (!ns->ssb->leads(p)) continue;
     writer.U64(uint64_t(p));
-    writer.I64(ns->trigger_wms[p]);
-    std::vector<uint8_t> state;
-    ns->ssb->SnapshotPartition(p, &state);
-    writer.Bytes(state);
+    writer.PartitionPiece(ns->trigger_wms[p], [&](std::vector<uint8_t>* out) {
+      ns->ssb->SnapshotPartition(p, out);
+    });
   }
   uint64_t flows = 0;
   for (const auto& lanes : ns->worker_lanes) flows += lanes.size();
@@ -341,15 +338,7 @@ void TakeSnapshot(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
       writer.I64(lane.last_ts);
     }
   }
-  writer.U64(ns->sink.count());
-  writer.U64(ns->sink.checksum());
-  const auto& rows = ns->sink.rows();
-  writer.U64(rows.size());
-  for (const auto& row : rows) {
-    writer.I64(row.bucket);
-    writer.U64(row.key);
-    writer.I64(row.value);
-  }
+  writer.SinkPiece(ns->sink);
   cpu->ChargeBytes(Op::kEpochScanPerByte, blob.size());
 
   const bool terminal = ns->final_bumped && ns->channels_done();
@@ -683,10 +672,9 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
   core::RecordPipeline pipeline(run->query, cpu, run->job.execution);
   std::vector<Lane>& lanes = ns->worker_lanes[w];
   const std::vector<int> my_partitions = AssignedPartitions(*run, *ns, w);
-  // A fresh (post-restore) worker starts at the restored epoch sequence:
-  // every epoch up to the checkpoint cut was drained by the previous
-  // attempt and is part of the restored state.
-  uint64_t drained_seq = ns->epoch_seq;
+  // Starts at the restored epoch sequence: the epochs up to the cut are
+  // part of the restored state.
+  uint64_t& drained_seq = ns->worker_drained_seq[w];
   std::deque<PendingDelta> send_queue;
   // Every state operation of an input batch is staged here and flushed
   // before the batch ends: nothing below reads or drains the SSB, or
@@ -741,7 +729,6 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
     // current credits allow — without ever stalling the core.
     if (drained_seq < ns->epoch_seq) {
       drained_seq = ns->epoch_seq;
-      ns->worker_drained_seq[w] = drained_seq;
       SerializeShare(run, ns, my_partitions, ns->epoch_low_wm, &send_queue,
                      cpu);
       TryTrigger(run, ns, cpu);
@@ -1296,6 +1283,10 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
     ns->sink = core::ResultSink(job.collect_rows);
     ns->epoch_seq = round * interval;
     ns->snapshots_taken = round;
+    if (run->checkpointing()) {
+      run->repl_storage.push_back(std::make_unique<ReplState>(run->sim));
+      ns->repl = run->repl_storage.back().get();
+    }
     for (int w = 0; w < cluster.workers_per_node; ++w) {
       ns->worker_cpus.push_back(std::make_unique<perf::CpuContext>(
           run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
@@ -1307,76 +1298,37 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
   }
   run->nodes = nodes;
 
-  // Restore: parse every active node's round-`round` blob and route each
-  // piece to its current owner. The just-crashed node's blob restores on
-  // its heir (partitions, result rows); nodes retired by earlier crashes
-  // are skipped — their content lives on in their heirs' blobs.
+  // Restore: parse every blob that restores round `round` and route each
+  // piece to its current owner. A dead or retired node's sink restores on
+  // the node that leads its partition now, its heir.
   std::vector<uint64_t> flow_offset(run->flow_home.size(), 0);
   std::vector<int64_t> flow_last_ts(run->flow_home.size(),
                                     core::kWatermarkMin);
-  if (round > 0) {
-    struct SinkAccum {
-      uint64_t count = 0;
-      uint64_t checksum = 0;
-      std::vector<core::WindowResult> rows;
-    };
-    std::vector<SinkAccum> sinks(cluster.nodes);
-    for (int n = 0; n < cluster.nodes; ++n) {
-      // A node retired by an earlier crash/quarantine is skipped for rounds
-      // past its retirement (its heirs' blobs carry its content), an
-      // elastic joiner for rounds up to its join (the pre-join owners'
-      // blobs carry its partitions) — the coordinator's round requirement.
-      if (!run->coordinator->HasOwnBlob(n, round)) continue;
-      const std::vector<uint8_t>* blob = run->coordinator->BlobFor(n, round);
-      SLASH_CHECK_MSG(blob != nullptr,
-                      "recoverable round " << round
-                                           << " missing a blob for node "
-                                           << n);
-      BlobReader reader(blob->data(), blob->size());
-      reader.U64();  // blob round; may precede `round` (terminal snapshot)
-      const uint64_t nled = reader.U64();
-      for (uint64_t i = 0; i < nled; ++i) {
-        const int p = int(reader.U64());
-        const int64_t wm = reader.I64();
-        const std::vector<uint8_t> state = reader.Bytes();
-        NodeState* leader = nodes[run->owner[p]];
-        SLASH_CHECK(leader != nullptr);
-        SLASH_CHECK(leader->ssb->leads(p));
-        SLASH_CHECK(
-            leader->ssb->RestorePartition(p, state.data(), state.size()).ok());
-        leader->trigger_wms[p] = wm;
-        // Handoff accounting: a partition restoring onto a NEW owner is
-        // state that moved across the fabric (one-sided READ volume).
-        if (run->phase == RunPhase::kHandoff &&
-            run->owner[p] != run->prev_owner[p]) {
-          run->state_bytes_moved->Add(state.size());
-        }
+  run->coordinator->ForEachRestoreBlob(round, [&](int n, BlobReader* blob) {
+    for (uint64_t i = blob->U64(); i > 0; --i) {
+      const int p = int(blob->U64());
+      std::span<const uint8_t> state;
+      const int64_t wm = blob->PartitionPiece(&state);
+      NodeState* leader = nodes[run->owner[p]];
+      SLASH_CHECK(leader != nullptr);
+      SLASH_CHECK(leader->ssb->leads(p));
+      SLASH_CHECK(
+          leader->ssb->RestorePartition(p, state.data(), state.size()).ok());
+      leader->trigger_wms[p] = wm;
+      // Handoff accounting: a partition restoring onto a NEW owner is
+      // state that moved across the fabric (one-sided READ volume).
+      if (run->phase == RunPhase::kHandoff &&
+          run->owner[p] != run->prev_owner[p]) {
+        run->state_bytes_moved->Add(state.size());
       }
-      const uint64_t nflows = reader.U64();
-      for (uint64_t i = 0; i < nflows; ++i) {
-        const uint64_t f = reader.U64();
-        flow_offset[f] = reader.U64();
-        flow_last_ts[f] = reader.I64();
-      }
-      SinkAccum& acc = sinks[run->members->alive(n) ? n : run->owner[n]];
-      acc.count += reader.U64();
-      acc.checksum += reader.U64();
-      const uint64_t nrows = reader.U64();
-      for (uint64_t i = 0; i < nrows; ++i) {
-        core::WindowResult row;
-        row.bucket = reader.I64();
-        row.key = reader.U64();
-        row.value = reader.I64();
-        acc.rows.push_back(row);
-      }
-      SLASH_CHECK(reader.done());
     }
-    for (int n = 0; n < cluster.nodes; ++n) {
-      if (nodes[n] == nullptr) continue;
-      nodes[n]->sink.Restore(sinks[n].count, sinks[n].checksum,
-                             std::move(sinks[n].rows));
+    for (uint64_t i = blob->U64(); i > 0; --i) {
+      const uint64_t f = blob->U64();
+      flow_offset[f] = blob->U64();
+      flow_last_ts[f] = blob->I64();
     }
-  }
+    blob->SinkPiece(&nodes[run->members->alive(n) ? n : run->owner[n]]->sink);
+  });
   if (attempt > 1) {
     uint64_t restored_records = 0;
     for (uint64_t off : flow_offset) restored_records += off;
@@ -1477,41 +1429,26 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
     }
   }
 
-  // Snapshot replication: each live node streams its blobs to the next
-  // `replication_factor` live peers (cyclically) over dedicated channels.
+  // Snapshot replication: each live node streams its blobs to its
+  // ReplicaPairs targets over dedicated channels.
   if (run->checkpointing()) {
-    const int targets =
-        std::min(std::max(job.checkpoint.replication_factor, 0),
-                 run->members->live_count() - 1);
-    for (int n = 0; n < cluster.nodes; ++n) {
-      NodeState* ns = nodes[n];
-      if (ns == nullptr) continue;
-      auto rs = std::make_unique<ReplState>();
-      rs->event = std::make_unique<sim::Event>(run->sim);
-      ns->repl = rs.get();
-      int made = 0;
-      for (int i = 1; i < cluster.nodes && made < targets; ++i) {
-        const int t = (n + i) % cluster.nodes;
-        if (!run->members->alive(t)) continue;
-        auto ch =
-            RdmaChannel::Create(run->fabric, n, t, job.channel);
-        FailRunOnClose(run, ch.get());
-        run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
-        perf::CpuContext* send_cpu = run->repl_cpus.back().get();
-        send_cpu->BindSpeedDial(run->fabric->speed_dial(n));
-        run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
-            run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
-        perf::CpuContext* recv_cpu = run->repl_cpus.back().get();
-        recv_cpu->BindSpeedDial(run->fabric->speed_dial(t));
-        run->sim->Spawn(
-            Replicator(run, n, rs.get(), ch.get(), send_cpu, attempt));
-        run->sim->Spawn(
-            ReplicaReceiver(run, n, t, ch.get(), recv_cpu, attempt));
-        run->channels.push_back(std::move(ch));
-        ++made;
-      }
-      run->repl_storage.push_back(std::move(rs));
+    // A replication CPU on `node`, slowed with it by a gray-node fault.
+    const auto repl_cpu = [&](int node) {
+      run->repl_cpus.push_back(std::make_unique<perf::CpuContext>(
+          run->sim, &perf::CostModel::Default(), cluster.cpu_ghz));
+      run->repl_cpus.back()->BindSpeedDial(run->fabric->speed_dial(node));
+      return run->repl_cpus.back().get();
+    };
+    for (const auto& [n, t] :
+         ReplicaPairs(run->members->alive_mask(),
+                      job.checkpoint.replication_factor)) {
+      auto ch = RdmaChannel::Create(run->fabric, n, t, job.channel);
+      FailRunOnClose(run, ch.get());
+      run->sim->Spawn(Replicator(run, n, nodes[n]->repl, ch.get(),
+                                 repl_cpu(n), attempt));
+      run->sim->Spawn(
+          ReplicaReceiver(run, n, t, ch.get(), repl_cpu(t), attempt));
+      run->channels.push_back(std::move(ch));
     }
   }
 

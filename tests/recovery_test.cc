@@ -5,18 +5,21 @@
 // fault-free oracle. Covers both the Slash engine (epoch-aligned rounds)
 // and the Flink-like baseline (barrier-aligned rounds), including crashes
 // while blobs are part-way through replication and a second crash after a
-// recovery (the rollback that frees an attempt the first one built), plus
-// FaultPlan validation, the no-checkpoint abort path and unit tests of the
-// RecoveryCoordinator.
+// recovery (the rollback that frees an attempt the first one built, early
+// and late), plus FaultPlan validation, the no-checkpoint abort path and
+// unit tests of the RecoveryCoordinator, the replica ring and the cut codec.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/oracle.h"
 #include "engines/flink_engine.h"
 #include "engines/slash_engine.h"
 #include "engines/uppar_engine.h"
+#include "state/partition.h"
 #include "workloads/nexmark.h"
 #include "workloads/ysb.h"
 
@@ -73,11 +76,12 @@ RunStats RunWithMidRunCrash(Engine& engine, JobSpec job, int victim,
 }
 
 /// Two rollbacks in one run: node 1 crashes at a quarter of the clean
-/// makespan, and node 3 once that first recovery has ended, at 0.7 of the
-/// rest of the one-crash run (a crash during a recovery would abort the
+/// makespan, and node 3 once that first recovery has ended, at `second` of
+/// the rest of the one-crash run (a crash during a recovery would abort the
 /// run). The second rollback tears down an attempt the first one built.
 /// Returns the two-crash run's stats.
-RunStats RunWithTwoCrashes(Engine& engine, JobSpec job, sim::FaultPlan* plan) {
+RunStats RunWithTwoCrashes(Engine& engine, JobSpec job, double second,
+                           sim::FaultPlan* plan) {
   const RunStats one = RunWithMidRunCrash(engine, job, /*victim=*/1, 0.25,
                                           plan);
   EXPECT_TRUE(one.ok()) << one.status.message();
@@ -85,7 +89,7 @@ RunStats RunWithTwoCrashes(Engine& engine, JobSpec job, sim::FaultPlan* plan) {
   const Nanos recovered = plan->node_crashes[0].at + one.recovery_ns();
   EXPECT_LT(recovered, one.makespan());
   plan->node_crashes.push_back(
-      {.at = recovered + Nanos(0.7 * double(one.makespan() - recovered)),
+      {.at = recovered + Nanos(second * double(one.makespan() - recovered)),
        .node = 3});
   job.cluster.fault_plan = plan;
   return engine.Run(job);
@@ -95,6 +99,25 @@ JobSpec TwoCrashJob(const workloads::Workload& workload) {
   JobSpec job = RecoveryJob(workload, 5, 2, 6000);
   job.config.checkpoint.replication_factor = 2;
   return job;
+}
+
+/// A second crash soon after the first recovery rolls back to that
+/// recovery's own round while no newer round has a live copy. That round is
+/// restored from the first victim's blob too: the victim retired at it, and
+/// its heir snapshots its partitions only from the next round on.
+void ExpectEarlySecondCrashesMatchOracle(Engine& engine) {
+  workloads::YsbConfig ycfg;
+  ycfg.key_range = 300;
+  workloads::YsbWorkload workload(ycfg);
+  const JobSpec job = TwoCrashJob(workload);
+  const core::OracleOutput oracle = Oracle(job);
+  for (const double second : {0.005, 0.05, 0.2}) {
+    SCOPED_TRACE(testing::Message() << "second crash at " << second);
+    sim::FaultPlan plan;
+    const RunStats stats = RunWithTwoCrashes(engine, job, second, &plan);
+    ExpectMatchesOracle(stats, oracle);
+    EXPECT_EQ(stats.recoveries(), 2u);
+  }
 }
 
 TEST(SlashRecoveryTest, YsbNodeCrashRecoversToOracleResults) {
@@ -300,11 +323,16 @@ TEST(SlashRecoveryTest, SecondCrashAfterARecoveryRecoversToOracleResults) {
 
   SlashEngine engine;
   sim::FaultPlan plan;
-  const RunStats stats = RunWithTwoCrashes(engine, job, &plan);
+  const RunStats stats = RunWithTwoCrashes(engine, job, 0.7, &plan);
 
   ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 2u);
   EXPECT_EQ(stats.credits_outstanding(), 0u);
+}
+
+TEST(SlashRecoveryTest, EarlySecondCrashRecoversToOracleResults) {
+  SlashEngine engine;
+  ExpectEarlySecondCrashesMatchOracle(engine);
 }
 
 // --- FaultPlan registration-time validation -------------------------------
@@ -445,10 +473,15 @@ TEST(FlinkRecoveryTest, SecondCrashAfterARecoveryRecoversToOracleResults) {
 
   FlinkLikeEngine engine;
   sim::FaultPlan plan;
-  const RunStats stats = RunWithTwoCrashes(engine, job, &plan);
+  const RunStats stats = RunWithTwoCrashes(engine, job, 0.7, &plan);
 
   ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 2u);
+}
+
+TEST(FlinkRecoveryTest, EarlySecondCrashRecoversToOracleResults) {
+  FlinkLikeEngine engine;
+  ExpectEarlySecondCrashesMatchOracle(engine);
 }
 
 TEST(FlinkRecoveryTest, CrashWithoutCheckpointingAbortsCleanly) {
@@ -531,7 +564,6 @@ TEST(RecoveryCoordinatorTest, LatestRecoverableRoundNeedsALiveHolder) {
   rc.RecordLocal(2, 3, Bytes(2, 8));
   EXPECT_EQ(rc.LatestRecoverableRound({false, true, true}), 1u);
   rc.RetireDead({false, true, true}, 2);
-  EXPECT_TRUE(rc.retired(0));
   EXPECT_FALSE(rc.HasOwnBlob(0, 3));
   EXPECT_TRUE(rc.HasOwnBlob(0, 2));
   EXPECT_EQ(rc.LatestRecoverableRound({false, true, true}), 3u);
@@ -599,6 +631,193 @@ TEST(RecoveryCoordinatorTest, BlobPointersSurviveLaterRecords) {
   EXPECT_EQ(*blob, Bytes(0x5A, 4096));
 }
 
+/// A blob as both engines lay it out: its round, then (here) the node.
+std::vector<uint8_t> RoundBlob(uint64_t round, int node) {
+  std::vector<uint8_t> blob;
+  BlobWriter writer(&blob);
+  writer.U64(round);
+  writer.U64(uint64_t(node));
+  return blob;
+}
+
+/// The nodes whose blobs ForEachRestoreBlob visits for `round`, checking
+/// that each body starts past the blob's round.
+std::vector<int> RestoreNodes(const RecoveryCoordinator& rc, uint64_t round) {
+  std::vector<int> nodes;
+  rc.ForEachRestoreBlob(round, [&](int node, BlobReader* body) {
+    EXPECT_EQ(body->U64(), uint64_t(node));
+    nodes.push_back(node);
+  });
+  return nodes;
+}
+
+TEST(RecoveryCoordinatorTest, RestoreBlobsFollowRetirementAndJoinRounds) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(4, &taken);
+  for (uint64_t r = 1; r <= 3; ++r) {
+    for (int n = 0; n < 4; ++n) {
+      if (n == 2 && r > 1) continue;  // node 2 went terminal at round 1
+      rc.RecordLocal(n, r, RoundBlob(r, n));
+    }
+  }
+  rc.MarkFinalFrom(2, 1);
+  EXPECT_TRUE(RestoreNodes(rc, 0).empty());
+  EXPECT_EQ(RestoreNodes(rc, 3), (std::vector<int>{0, 1, 2, 3}));
+
+  // A retired node restores its own blob at or before its retirement
+  // round, and is skipped after it: its heir's blobs carry it from then on.
+  rc.RetireNode(1, 2);
+  EXPECT_EQ(RestoreNodes(rc, 1), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(RestoreNodes(rc, 2), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(RestoreNodes(rc, 3), (std::vector<int>{0, 2, 3}));
+
+  // A joiner has no blob of its own at or before its join round.
+  rc.JoinNode(3, 2);
+  EXPECT_EQ(RestoreNodes(rc, 2), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(RestoreNodes(rc, 3), (std::vector<int>{0, 2, 3}));
+}
+
+TEST(ReplicaPairsTest, NextLiveNodesCyclicallyInSourceOrder) {
+  using Pairs = std::vector<std::pair<int, int>>;
+  const std::vector<bool> all = {true, true, true, true};
+  EXPECT_TRUE(ReplicaPairs(all, 0).empty());
+  EXPECT_TRUE(ReplicaPairs(all, -1).empty());
+  EXPECT_EQ(ReplicaPairs(all, 1), (Pairs{{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
+  EXPECT_EQ(ReplicaPairs(all, 2), (Pairs{{0, 1}, {0, 2}, {1, 2}, {1, 3},
+                                         {2, 3}, {2, 0}, {3, 0}, {3, 1}}));
+  // At most live - 1 targets: a node never replicates to itself.
+  EXPECT_EQ(ReplicaPairs(all, 7), ReplicaPairs(all, 3));
+  EXPECT_EQ(ReplicaPairs(all, 3).size(), 12u);
+  // Dead nodes neither send nor receive.
+  const std::vector<bool> one_dead = {true, false, true, true};
+  EXPECT_EQ(ReplicaPairs(one_dead, 1), (Pairs{{0, 2}, {2, 3}, {3, 0}}));
+  EXPECT_EQ(ReplicaPairs(one_dead, 5),
+            (Pairs{{0, 2}, {0, 3}, {2, 3}, {2, 0}, {3, 0}, {3, 2}}));
+  EXPECT_TRUE(ReplicaPairs({false, true, false}, 2).empty());
+}
+
+// --- The cut codec: the partition and sink pieces of a blob ----------------
+
+std::vector<uint8_t> LittleEndian(uint64_t v) {
+  std::vector<uint8_t> bytes(8);
+  for (int i = 0; i < 8; ++i) bytes[i] = uint8_t(v >> (8 * i));
+  return bytes;
+}
+
+TEST(CutCodecTest, PiecesHaveAFixedLayout) {
+  core::ResultSink sink;
+  sink.Emit(/*bucket=*/5, /*key=*/6, /*value=*/-1);
+  std::vector<uint8_t> blob;
+  BlobWriter writer(&blob);
+  writer.PartitionPiece(-2, [](std::vector<uint8_t>* out) {
+    *out = {7, 8, 9};
+  });
+  writer.SinkPiece(sink);
+
+  std::vector<uint8_t> expected;
+  const auto put = [&](uint64_t v) {
+    const std::vector<uint8_t> bytes = LittleEndian(v);
+    expected.insert(expected.end(), bytes.begin(), bytes.end());
+  };
+  put(uint64_t(int64_t{-2}));  // trigger watermark
+  put(3);                      // snapshot length, then its bytes
+  expected.insert(expected.end(), {7, 8, 9});
+  put(1);  // sink count, checksum, row count, then (bucket, key, value)
+  put(sink.checksum());
+  put(1);
+  put(5);
+  put(6);
+  put(uint64_t(int64_t{-1}));
+  EXPECT_EQ(blob, expected);
+}
+
+/// Writes `p`'s partition piece, reads it back, and checks that the
+/// snapshot is a view into the blob that restores `p`'s state.
+void ExpectPartitionPieceRoundTrips(const state::Partition& p,
+                                    const state::PartitionConfig& config) {
+  std::vector<uint8_t> snapshot;
+  p.Snapshot(&snapshot);
+  std::vector<uint8_t> blob;
+  BlobWriter writer(&blob);
+  writer.PartitionPiece(
+      42, [&](std::vector<uint8_t>* out) { p.Snapshot(out); });
+
+  BlobReader reader(blob.data(), blob.size());
+  std::span<const uint8_t> state;
+  EXPECT_EQ(reader.PartitionPiece(&state), 42);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(std::vector<uint8_t>(state.begin(), state.end()), snapshot);
+  if (!snapshot.empty()) {
+    EXPECT_EQ(state.data(), blob.data() + 16);  // no copy
+  }
+  state::Partition restored(p.id(), config, state::PartitionRole::kRetiring);
+  ASSERT_TRUE(restored.Restore(state.data(), state.size()).ok());
+  std::vector<uint8_t> again;
+  restored.Snapshot(&again);
+  EXPECT_EQ(again, snapshot);
+}
+
+TEST(CutCodecTest, PartitionPiecesRoundTrip) {
+  const state::PartitionConfig agg{.kind = state::StateKind::kAggregate,
+                                   .lss_capacity = 1 << 16,
+                                   .index_buckets = 1 << 8};
+  state::Partition sums(0, agg, state::PartitionRole::kRetiring);
+  sums.UpdateAggregate({1, 0}, 10);
+  sums.UpdateAggregate({2, 3}, -4);
+  sums.UpdateAggregate({1, 0}, 5);
+  ExpectPartitionPieceRoundTrips(sums, agg);
+
+  const state::PartitionConfig append{.kind = state::StateKind::kAppend,
+                                      .lss_capacity = 1 << 16,
+                                      .index_buckets = 1 << 8};
+  state::Partition log(1, append, state::PartitionRole::kRetiring);
+  const uint8_t record[5] = {1, 2, 3, 4, 5};
+  log.Append({7, 2}, 0, record, sizeof(record));
+  log.Append({8, 1}, 1, record, 3);
+  log.Append({7, 2}, 1, record + 1, 4);
+  ExpectPartitionPieceRoundTrips(log, append);
+
+  ExpectPartitionPieceRoundTrips(
+      state::Partition(2, agg, state::PartitionRole::kRetiring), agg);
+}
+
+TEST(CutCodecTest, SinkPiecesAddUp) {
+  core::ResultSink with_rows;
+  with_rows.Emit(1, 10, 100);
+  with_rows.Emit(2, 20, -200);
+  core::ResultSink counts_only(/*keep_rows=*/false);
+  counts_only.Emit(3, 30, 300);
+
+  std::vector<uint8_t> blob;
+  BlobWriter writer(&blob);
+  writer.SinkPiece(with_rows);
+  writer.SinkPiece(counts_only);
+  writer.SinkPiece(core::ResultSink());
+
+  // One piece restores one sink.
+  BlobReader reader(blob.data(), blob.size());
+  core::ResultSink restored;
+  reader.SinkPiece(&restored);
+  EXPECT_EQ(restored.count(), 2u);
+  EXPECT_EQ(restored.checksum(), with_rows.checksum());
+  EXPECT_EQ(restored.rows(), with_rows.rows());
+
+  // Further pieces add to it, as an heir's sink sums the cuts it took over.
+  reader.SinkPiece(&restored);
+  reader.SinkPiece(&restored);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(restored.count(), 3u);
+  EXPECT_EQ(restored.checksum(), with_rows.checksum() + counts_only.checksum());
+  EXPECT_EQ(restored.rows(), with_rows.rows());
+
+  // A sink that keeps no rows takes only the counts.
+  BlobReader again(blob.data(), blob.size());
+  core::ResultSink bench(/*keep_rows=*/false);
+  again.SinkPiece(&bench);
+  EXPECT_EQ(bench.count(), 2u);
+  EXPECT_TRUE(bench.rows().empty());
+}
+
 TEST(RecoveryCoordinatorDeathTest, RejectsADoubleCommit) {
   obs::Counter taken;
   RecoveryCoordinator rc(2, &taken);
@@ -606,6 +825,15 @@ TEST(RecoveryCoordinatorDeathTest, RejectsADoubleCommit) {
   EXPECT_DEATH(rc.RecordLocal(0, 1, Bytes(1, 8)), "epoch committed twice");
   rc.RetireNode(1, 1);
   EXPECT_DEATH(rc.RecordLocal(1, 2, Bytes(1, 8)), "retired node 1");
+}
+
+TEST(RecoveryCoordinatorDeathTest, RestoreNeedsEveryBlobReadWhole) {
+  obs::Counter taken;
+  RecoveryCoordinator rc(2, &taken);
+  rc.RecordLocal(0, 1, RoundBlob(1, 0));
+  EXPECT_DEATH(RestoreNodes(rc, 1), "round 1 has no blob for node 1");
+  rc.RecordLocal(1, 1, RoundBlob(1, 1));
+  EXPECT_DEATH(rc.ForEachRestoreBlob(1, [](int, BlobReader*) {}), "done");
 }
 
 }  // namespace
