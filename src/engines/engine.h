@@ -85,6 +85,11 @@ struct RunStats {
   /// differs run to run, and the snapshot must not.
   double sim_events_per_sec_wall = 0.0;
 
+  /// Slash only: the most delta bytes any node's workers held serialized
+  /// but unposted at once, over every node and attempt (0 for the other
+  /// engines). Kept out of the snapshot so that adding it moved no golden.
+  uint64_t peak_send_backlog_bytes = 0;
+
   // --- Core run accessors --------------------------------------------------
 
   uint64_t records_in() const {            // records ingested from sources

@@ -111,6 +111,11 @@ struct NodeState {
   // (releasing their credits) while waiting for its own send credits —
   // without this, two nodes draining towards each other can deadlock.
   std::unique_ptr<sim::Event> activity;
+  // Delta bytes every worker of the node has serialized but not yet
+  // posted. One count per node, not per worker: a worker that drains no
+  // partition would otherwise keep admitting input whose epochs refill its
+  // siblings' queues.
+  uint64_t backlog_bytes = 0;
 
   int64_t NodeLowWatermark() const {
     return *std::min_element(worker_watermarks.begin(),
@@ -147,6 +152,8 @@ struct SlashRun {
   int track_engine = obs::kTrackEngine;
   int track_recovery = obs::kTrackRecovery;
   Nanos drained_at = 0;  // virtual time when the last worker exited
+  // Highest NodeState::backlog_bytes over every node and attempt.
+  uint64_t peak_backlog_bytes = 0;
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   size_t attempt_channel_start = 0;  // first channel of the current attempt
   // All NodeStates ever built: coroutines of a torn-down attempt may still
@@ -224,6 +231,9 @@ struct SlashRun {
   bool Halted(int a) const { return failed || attempt != a; }
   uint64_t interval() const {
     return std::max<uint32_t>(1u, job.checkpoint.interval_epochs);
+  }
+  uint64_t backlog_bound() const {
+    return SlashEngine::kBacklogEpochs * job.epoch_bytes;
   }
 };
 
@@ -432,12 +442,16 @@ std::vector<int> AssignedPartitions(const SlashRun& run, const NodeState& ns,
   return partitions;
 }
 
-/// A serialized delta queued for transmission on one channel: the drain is
-/// *non-blocking* — a worker serializes its fragments the moment it
-/// observes a new epoch (freeing them for fresh RMWs immediately) and then
-/// ships the chunks opportunistically between processing batches, never
-/// stalling on credits. This is the full compute/RDMA interleaving of
+/// A serialized delta queued for transmission on one channel. Below the
+/// node's backlog bound the drain is *non-blocking*: a worker serializes
+/// its fragments the moment it observes a new epoch (freeing them for
+/// fresh RMWs immediately) and then ships the chunks opportunistically
+/// between processing batches. This is the compute/RDMA interleaving of
 /// Sec. 5.3: an out-of-credit channel parks only the *send*, not the core.
+/// At or above the bound (NodeState::backlog_bytes >= backlog_bound()) the
+/// node's workers stop reading input and keep draining, pumping, merging,
+/// snapshotting and triggering: a node that cannot ship stops reading
+/// instead of queueing every unsent byte on the heap.
 struct PendingDelta {
   int partition = 0;
   state::DeltaEnvelope envelope;
@@ -465,6 +479,9 @@ void SerializeShare(SlashRun* run, NodeState* ns,
     delta.chunks = state::Partition::SplitDelta(
         delta.bytes.data(), delta.bytes.size(),
         ns->out[p]->payload_capacity() - sizeof(state::DeltaEnvelope));
+    ns->backlog_bytes += delta.bytes.size();
+    run->peak_backlog_bytes =
+        std::max(run->peak_backlog_bytes, ns->backlog_bytes);
     queue->push_back(std::move(delta));
   }
 }
@@ -506,6 +523,13 @@ bool PumpSendQueue(SlashRun* run, NodeState* ns,
       sent = true;
       ++delta.next_chunk;
     }
+    // The worker that pops the node below its bound wakes its siblings: a
+    // backpressured sibling with an empty queue of its own parks on
+    // `activity`, which otherwise fires only on arrivals and credit returns.
+    const uint64_t bound = run->backlog_bound();
+    const bool was_backpressured = ns->backlog_bytes >= bound;
+    ns->backlog_bytes -= delta.bytes.size();
+    if (was_backpressured && ns->backlog_bytes < bound) ns->activity->Notify();
     queue->pop_front();
   }
   return sent;
@@ -763,9 +787,24 @@ sim::Task Worker(SlashRun* run, NodeState* ns, int w, int attempt) {
         run->checkpointing() &&
         (!epoch_drained ||
          ns->epoch_seq >= (ns->snapshots_taken + 1) * run->interval());
+    // Backpressure: no worker of a node whose backlog reached the bound
+    // admits input. A drain serializes only input admitted below the bound,
+    // so the backlog exceeds the bound by at most one epoch's delta plus the
+    // delta of one input batch (kSourceBatch records) per worker, as long as
+    // each drain follows its epoch promptly (slash_engine_test asserts this
+    // slack). A drainer busy firing a large window drains late, and what its
+    // siblings read meanwhile adds to the slack (EXPERIMENTS.md "Send
+    // backlog").
+    // This cannot deadlock a checkpoint barrier. A leader freezes an
+    // inbound channel only after the helper delivered its boundary epoch,
+    // and from then on that helper's input is suppressed until its own
+    // snapshot anyway. So backpressure only stops nodes that are behind the
+    // barrier, and their outbound channels are not frozen: their backlog
+    // drains, and they reach the boundary.
+    const bool backpressured = ns->backlog_bytes >= run->backlog_bound();
 
     bool input_progress = false;
-    if (more && !suppressed) {
+    if (more && !suppressed && !backpressured) {
       batch_records = 0;
       batch_bytes = 0;
       if (!run->job.rdma_ingestion) {
@@ -1812,6 +1851,9 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     stats.status = run.failed ? run.failure : Status::OK();
     if (!stats.ok() && multi.status.ok()) multi.status = stats.status;
     PublishJobStats(run, &stats);
+    stats.peak_send_backlog_bytes = run.peak_backlog_bytes;
+    multi.cluster.peak_send_backlog_bytes = std::max(
+        multi.cluster.peak_send_backlog_bytes, run.peak_backlog_bytes);
   }
   multi.cluster.status = multi.status;
   // Faults run with one job only, so their counters carry its labels.

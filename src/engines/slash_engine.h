@@ -9,6 +9,14 @@
 //     at stream end) a worker drains every helper fragment, ships the delta
 //     over the n^2 mesh of RDMA channels to the partition leaders, and
 //     resets the fragments. Low watermarks piggyback on the deltas.
+//   * The drain is non-blocking: a serialized delta waits in its worker's
+//     send queue until credits let its chunks go, and the worker goes back
+//     to its input meanwhile. That send backlog is bounded per node: while
+//     the node's workers hold kBacklogEpochs x `epoch_bytes` or more of
+//     unposted delta bytes, none of them reads input; they keep draining,
+//     shipping, merging and triggering until the backlog falls below the
+//     bound. A node whose channels are the bottleneck stops reading instead
+//     of queueing every unsent byte on the heap.
 //   * A leader coroutine per node reassembles inbound deltas, CRDT-merges
 //     them into the primary partition, advances the vector clock, and
 //     triggers windows whose trigger watermark passed min(V) — emitting
@@ -36,6 +44,11 @@ class SlashEngine : public Engine {
       .engine = "Slash", .faults = true, .health = true, .reconfig = true};
   static constexpr EngineSupport kMultiJobSupport{
       .engine = "a multi-job Slash run"};
+
+  /// A node stops reading input while its send backlog (serialized, not
+  /// yet posted delta bytes) is at least this many `epoch_bytes`. A
+  /// constant, not a knob: EXPERIMENTS.md "Send backlog" has the sweep.
+  static constexpr uint64_t kBacklogEpochs = 4;
 
   std::string_view name() const override { return kOneJobSupport.engine; }
 

@@ -8,6 +8,8 @@
 // recovery (the rollback that frees an attempt the first one built, early
 // and late), plus FaultPlan validation, the no-checkpoint abort path and
 // unit tests of the RecoveryCoordinator, the replica ring and the cut codec.
+// One join run keeps Slash's send backlog at its bound through checkpoint
+// barriers and a crash.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -153,6 +155,32 @@ TEST(SlashRecoveryTest, NexmarkJoinNodeCrashRecoversToOracleResults) {
 
   ExpectMatchesOracle(stats, Oracle(job));
   EXPECT_EQ(stats.recoveries(), 1u);
+}
+
+// The send-backlog bound under checkpoint barriers and a crash: a join
+// whose small epochs reach the bound, a round every epoch, two replicas
+// per blob. Backpressure stops only nodes behind the barrier,
+// whose outbound channels are not frozen, so no round can deadlock, and
+// the rebuilt attempt starts from an empty backlog.
+TEST(SlashRecoveryTest, JoinBacklogBoundSurvivesCheckpointAndCrash) {
+  workloads::NexmarkConfig ncfg;
+  ncfg.sellers = 40;
+  workloads::Nb8Workload workload(ncfg);
+  JobSpec job = RecoveryJob(workload, 4, 2, 2000);
+  job.config.epoch_bytes = 16 * kKiB;
+  job.config.checkpoint.interval_epochs = 1;
+  job.config.checkpoint.replication_factor = 2;
+
+  SlashEngine engine;
+  sim::FaultPlan plan;
+  const RunStats stats =
+      RunWithMidRunCrash(engine, job, /*victim=*/1, 0.5, &plan);
+
+  ExpectMatchesOracle(stats, Oracle(job));
+  EXPECT_GE(stats.peak_send_backlog_bytes,
+            SlashEngine::kBacklogEpochs * job.config.epoch_bytes);
+  EXPECT_EQ(stats.recoveries(), 1u);
+  EXPECT_EQ(stats.credits_outstanding(), 0u);
 }
 
 TEST(SlashRecoveryTest, CrashedRunIsDeterministicAcrossReplays) {

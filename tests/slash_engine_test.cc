@@ -45,8 +45,9 @@ core::OracleOutput Oracle(const workloads::Workload& workload,
       cluster.nodes * cluster.workers_per_node);
 }
 
-void ExpectMatchesOracle(const workloads::Workload& workload,
-                         const ClusterConfig& cluster, const JobConfig& job) {
+RunStats ExpectMatchesOracle(const workloads::Workload& workload,
+                             const ClusterConfig& cluster,
+                             const JobConfig& job) {
   SlashEngine engine;
   const RunStats stats = engine.Run(MakeJobSpec("", workload, cluster, job));
   const core::OracleOutput oracle = Oracle(workload, cluster, job);
@@ -59,6 +60,20 @@ void ExpectMatchesOracle(const workloads::Workload& workload,
   std::sort(rows.begin(), rows.end());
   EXPECT_EQ(rows, oracle.rows);
   EXPECT_GT(stats.makespan(), 0);
+  return stats;
+}
+
+// The most send backlog an nb8 node may hold: the bound, plus one epoch's
+// delta, plus the delta of one input batch per worker. An appended entry
+// is a 32-byte header plus the wire record, rounded up to 32 bytes: at most
+// 5/4 of either nb8 record (206 B -> 256 B, 269 B -> 320 B). A drainer that
+// fires a window drains late, and its siblings read meanwhile; on four
+// workers the batches cover that too (EXPERIMENTS.md "Send backlog").
+uint64_t Nb8BacklogLimit(const ClusterConfig& cluster, const JobConfig& job) {
+  const uint64_t batch_bytes = kSourceBatch * workloads::kAuctionBytes;
+  const uint64_t input_slack =
+      job.epoch_bytes + uint64_t(cluster.workers_per_node) * batch_bytes;
+  return SlashEngine::kBacklogEpochs * job.epoch_bytes + input_slack * 5 / 4;
 }
 
 TEST(SlashEngineTest, YsbMatchesOracleTwoNodes) {
@@ -193,18 +208,58 @@ TEST(SlashEngineTest, RdmaIngestionCarriesRawRecordsOnWire) {
   EXPECT_LT(local.network_bytes(), ingested.network_bytes());
 }
 
+// The second run's 16 KiB epochs reach the send-backlog bound: a
+// backpressured worker stops polling its ingest channels, so the
+// generators wait on credits.
 TEST(SlashEngineTest, RdmaIngestionJoinMatchesOracle) {
   workloads::NexmarkConfig ncfg;
   ncfg.sellers = 40;
   workloads::Nb8Workload workload(ncfg);
   const ClusterConfig cluster = SmallCluster(2, 2);
-  JobConfig job = SmallJob(800);
-  job.rdma_ingestion = true;
-  SlashEngine engine;
-  const RunStats stats = engine.Run(MakeJobSpec("", workload, cluster, job));
-  const core::OracleOutput oracle = Oracle(workload, cluster, job);
-  EXPECT_EQ(stats.result_checksum(), oracle.checksum);
-  EXPECT_EQ(stats.records_emitted(), oracle.count);
+  struct Case {
+    uint64_t records;
+    uint64_t epoch_bytes;
+    bool reaches_bound;
+  };
+  for (const Case& c : {Case{800, 64 * kKiB, false},
+                        Case{2000, 16 * kKiB, true}}) {
+    SCOPED_TRACE(testing::Message() << c.records << " records per worker");
+    JobConfig job = SmallJob(c.records);
+    job.epoch_bytes = c.epoch_bytes;
+    job.rdma_ingestion = true;
+    SlashEngine engine;
+    const RunStats stats =
+        engine.Run(MakeJobSpec("", workload, cluster, job));
+    const core::OracleOutput oracle = Oracle(workload, cluster, job);
+    EXPECT_EQ(stats.result_checksum(), oracle.checksum);
+    EXPECT_EQ(stats.records_emitted(), oracle.count);
+    if (c.reaches_bound) {
+      EXPECT_GE(stats.peak_send_backlog_bytes,
+                SlashEngine::kBacklogEpochs * job.epoch_bytes);
+    }
+  }
+}
+
+// A node that cannot ship stops reading: on a join whose channels are the
+// bottleneck, the peak per-node send backlog stays within the bound plus
+// its slack, at 1x and 4x the run length (0.51 and 0.69 MB). Without the
+// bound the backlog grows with the run (1.8 and 4.8 MB). Four workers on
+// four nodes leave worker 3 with no partition to drain, so this also
+// checks that the bound is per node, not per worker.
+TEST(SlashEngineTest, JoinSendBacklogIsBoundedAtAnyRunLength) {
+  workloads::NexmarkConfig ncfg;
+  ncfg.sellers = 40;
+  workloads::Nb8Workload workload(ncfg);
+  const ClusterConfig cluster = SmallCluster(4, 4);
+  for (const uint64_t records : {2000, 8000}) {
+    SCOPED_TRACE(testing::Message() << records << " records per worker");
+    JobConfig job = SmallJob(records);
+    job.epoch_bytes = 16 * kKiB;
+    const RunStats stats = ExpectMatchesOracle(workload, cluster, job);
+    EXPECT_GE(stats.peak_send_backlog_bytes,
+              SlashEngine::kBacklogEpochs * job.epoch_bytes);
+    EXPECT_LE(stats.peak_send_backlog_bytes, Nb8BacklogLimit(cluster, job));
+  }
 }
 
 // The staged writer applies in staging order, at most kDepth operations
